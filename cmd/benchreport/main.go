@@ -10,7 +10,6 @@
 //	go run ./cmd/benchreport -obs                # observability overhead, writes BENCH_obs.json
 //	go run ./cmd/benchreport -obs -strict        # fail (exit 1) on >2% disabled-path regression
 //	go run ./cmd/benchreport -kernel             # pooled kernel + planned FFT, writes BENCH_kernel.json
-//	go run ./cmd/benchreport -convert            # conversion pipeline + batch cache, writes BENCH_convert.json
 //	go run ./cmd/benchreport -shard              # sharded campus runner sweep, writes BENCH_shard.json
 //	go run ./cmd/benchreport -shard -min-speedup 3   # also gate 4-worker speedup (≥4-CPU hosts only)
 //	go run ./cmd/benchreport -poll               # per-poller assign/decode costs, writes BENCH_poll.json
@@ -79,25 +78,22 @@ func micro(b testing.BenchmarkResult) microBench {
 
 func main() {
 	var (
-		out         = flag.String("out", "", "output path (default BENCH_parallel.json, or BENCH_obs.json with -obs)")
-		runs        = flag.Int("runs", 16, "Fig 14 repetition count")
-		duration    = flag.Duration("duration", 2*time.Second, "simulated run length per Fig 14 placement")
-		trials      = flag.Int("trials", 1000, "detection-curve trials per point")
-		seed        = flag.Int64("seed", 1, "base seed")
-		obsMode     = flag.Bool("obs", false, "measure observability overhead instead (kernel + correlator, disabled vs enabled)")
-		kernelMode  = flag.Bool("kernel", false, "measure the pooled event kernel and planned FFT instead, writes BENCH_kernel.json")
-		convertMode = flag.Bool("convert", false, "measure the schedule-conversion pipeline and batch cache instead, writes BENCH_convert.json")
-		shardMode   = flag.Bool("shard", false, "measure the interference-domain sharded runner on the grid campus instead, writes BENCH_shard.json")
-		pollMode    = flag.Bool("poll", false, "measure every registered poller's assign/decode hot paths instead, writes BENCH_poll.json")
-		strict      = flag.Bool("strict", false, "with -obs: exit 1 when the disabled path regresses >2% vs the baseline")
-		baseline    = flag.String("baseline", "BENCH_parallel.json", "with -obs: baseline report for the correlator_detect comparison")
+		out        = flag.String("out", "", "output path (default BENCH_parallel.json, or BENCH_obs.json with -obs)")
+		runs       = flag.Int("runs", 16, "Fig 14 repetition count")
+		duration   = flag.Duration("duration", 2*time.Second, "simulated run length per Fig 14 placement")
+		trials     = flag.Int("trials", 1000, "detection-curve trials per point")
+		seed       = flag.Int64("seed", 1, "base seed")
+		obsMode    = flag.Bool("obs", false, "measure observability overhead instead (kernel + correlator, disabled vs enabled)")
+		kernelMode = flag.Bool("kernel", false, "measure the pooled event kernel and planned FFT instead, writes BENCH_kernel.json")
+		shardMode  = flag.Bool("shard", false, "measure the interference-domain sharded runner on the grid campus instead, writes BENCH_shard.json")
+		pollMode   = flag.Bool("poll", false, "measure every registered poller's assign/decode hot paths instead, writes BENCH_poll.json")
+		strict     = flag.Bool("strict", false, "with -obs: exit 1 when the disabled path regresses >2% vs the baseline")
+		baseline   = flag.String("baseline", "BENCH_parallel.json", "with -obs: baseline report for the correlator_detect comparison")
 
-		minSteadyHit  = flag.Float64("min-steady-hit", 0, "with -convert: exit 1 when the steady-state cache hit rate is below this percentage (0 disables)")
-		maxNsPerBatch = flag.Float64("max-convert-ns", 0, "with -convert: exit 1 when full-mode ns/batch exceeds this budget (0 disables)")
-		maxHistNs     = flag.Float64("max-hist-ns", 0, "with -obs: exit 1 when LogHist.Record exceeds this ns/op budget (0 disables)")
-		minSpeedup    = flag.Float64("min-speedup", 0, "with -shard: exit 1 when the 4-worker speedup falls below this factor; skipped with a warning on machines with <4 CPUs (0 disables)")
-		shardBldgs    = flag.Int("shard-buildings", 50, "with -shard: grid campus building count (50 x 20 APs = the 1,000-AP curve)")
-		shardDur      = flag.Duration("shard-duration", 100*time.Millisecond, "with -shard: simulated time per sweep point")
+		maxHistNs  = flag.Float64("max-hist-ns", 0, "with -obs: exit 1 when LogHist.Record exceeds this ns/op budget (0 disables)")
+		minSpeedup = flag.Float64("min-speedup", 0, "with -shard: exit 1 when the 4-worker speedup falls below this factor; skipped with a warning on machines with <4 CPUs (0 disables)")
+		shardBldgs = flag.Int("shard-buildings", 50, "with -shard: grid campus building count (50 x 20 APs = the 1,000-AP curve)")
+		shardDur   = flag.Duration("shard-duration", 100*time.Millisecond, "with -shard: simulated time per sweep point")
 	)
 	flag.Parse()
 
@@ -137,13 +133,6 @@ func main() {
 			*out = "BENCH_kernel.json"
 		}
 		kernelReportMain(*out, *baseline, *runs, *duration, *seed)
-		return
-	}
-	if *convertMode {
-		if *out == "" {
-			*out = "BENCH_convert.json"
-		}
-		convertReportMain(*out, *runs, *duration, *seed, *minSteadyHit, *maxNsPerBatch)
 		return
 	}
 	if *out == "" {

@@ -70,8 +70,6 @@ func main() {
 		schedFl   = flag.String("scheduler", "", "DOMINO strict scheduling policy by name (see internal/strict registry; a spec's scheme_config.scheduler wins)")
 		pollerFl  = flag.String("poller", "", "DOMINO polling scheme by name (see internal/poll registry: ROP, A2P, UORA; a spec's scheme_config.poller wins)")
 		convTrace = flag.Bool("convert-trace", false, "emit per-batch schedule-conversion records into the NDJSON trace (DOMINO)")
-		noCache   = flag.Bool("no-convert-cache", false, "disable DOMINO's conversion cache")
-		noInc     = flag.Bool("no-incremental", false, "disable DOMINO's incremental re-conversion memos")
 		verifyCvt = flag.Bool("verify-convert", false, "run convert.Verify on every DOMINO plan (debug; panics on violation)")
 		traceFile = flag.String("tracefile", "", "write the NDJSON observability trace to this file (- for stdout; overrides the spec's obs.trace_file)")
 		metrics   = flag.Bool("metrics", false, "collect and print run metrics (counters, airtime breakdown)")
@@ -166,10 +164,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "domino-sim: %v\n", err)
 		os.Exit(2)
 	}
-	if *schedFl != "" || *pollerFl != "" || *convTrace || *noCache || *noInc || *verifyCvt {
+	if *schedFl != "" || *pollerFl != "" || *convTrace || *verifyCvt {
 		// CLI-level DOMINO knobs ride the typed tune hook, which core runs
 		// before the spec's scheme_config — so a spec file always wins.
-		sched, pollerName, ct, nc, ni, vc := *schedFl, *pollerFl, *convTrace, *noCache, *noInc, *verifyCvt
+		sched, pollerName, ct, vc := *schedFl, *pollerFl, *convTrace, *verifyCvt
 		prev := sc.TuneDomino
 		sc.TuneDomino = func(c *domino.Config) {
 			if prev != nil {
@@ -182,8 +180,6 @@ func main() {
 				c.Poller = pollerName
 			}
 			c.ConvertTrace = c.ConvertTrace || ct
-			c.NoConvertCache = c.NoConvertCache || nc
-			c.NoIncremental = c.NoIncremental || ni
 			c.VerifyConvert = c.VerifyConvert || vc
 		}
 	}
@@ -284,10 +280,6 @@ func main() {
 		if d.PollRounds > 0 && (d.PollCollisions > 0 || d.PollRounds > d.Polls) {
 			fmt.Printf("domino: pollRounds=%d collisions=%d decoded=%d failed=%d\n",
 				d.PollRounds, d.PollCollisions, d.PollDecoded, d.PollFailed)
-		}
-		if hits, misses := d.ConvertCacheStats(); hits+misses > 0 {
-			fmt.Printf("domino: convert cache hits=%d misses=%d (%.0f%% hit rate)\n",
-				hits, misses, 100*float64(hits)/float64(hits+misses))
 		}
 	}
 	if d := res.Dcf; d != nil {

@@ -43,17 +43,12 @@ type run struct {
 
 	// Schedule-conversion counters, from KindConvert records (present when
 	// the run had domino's ConvertTrace on).
-	convBatches, convCacheHits     int64
-	convSlots                      int64
+	convBatches, convSlots         int64
 	convReal, convFake             int64
 	convTriggers, convBackup       int64
 	convBoundary, convUntriggered  int64
 	convROPSlots, convPollTriggers int64
 	convInbound, convCombined      map[int64]int64
-	// Cache LRU state (last seen: the records carry cumulative totals) and
-	// incremental-layer reuse.
-	convCacheOcc, convCacheEvict  int64
-	convCoverReuse, convPairReuse int64
 
 	// chains rebuilds the causal span forest (sp/pa annotations).
 	chains *chainAnalyzer
@@ -162,16 +157,9 @@ func (r *run) observeConvert(rec obs.Record) {
 	case "rop_insert":
 		r.convROPSlots += rec.Value
 		r.convPollTriggers += rec.Extra
-	case "cache":
+	case "batch":
 		r.convBatches++
-		r.convCacheHits += rec.Value
-		r.convSlots += rec.Extra
-	case "cache_lru":
-		r.convCacheOcc = rec.Value
-		r.convCacheEvict = rec.Extra
-	case "incremental":
-		r.convCoverReuse += rec.Value
-		r.convPairReuse += rec.Extra
+		r.convSlots += rec.Value
 	case "inbound":
 		if r.convInbound == nil {
 			r.convInbound = map[int64]int64{}
@@ -249,17 +237,7 @@ func (r *run) printConvert(w io.Writer) {
 	if r.convBatches == 0 {
 		return
 	}
-	fmt.Fprintf(w, "schedule conversion: %d batches, %d slots, cache hits %d/%d (%.0f%%)\n",
-		r.convBatches, r.convSlots, r.convCacheHits, r.convBatches,
-		100*float64(r.convCacheHits)/float64(r.convBatches))
-	if r.convCacheOcc > 0 || r.convCacheEvict > 0 {
-		fmt.Fprintf(w, "  cache: %d entries resident, %d evicted\n",
-			r.convCacheOcc, r.convCacheEvict)
-	}
-	if r.convCoverReuse > 0 || r.convPairReuse > 0 {
-		fmt.Fprintf(w, "  incremental: %d covers and %d trigger pairs replayed from memos\n",
-			r.convCoverReuse, r.convPairReuse)
-	}
+	fmt.Fprintf(w, "schedule conversion: %d batches, %d slots\n", r.convBatches, r.convSlots)
 	triggers := r.convTriggers + r.convBoundary
 	if r.convSlots > 0 {
 		fmt.Fprintf(w, "  triggers: %d (%.2f per slot; %d backup, %d across batch boundaries, %d entries untriggered)\n",

@@ -14,9 +14,8 @@
 //	ROPInsert       polling slots are placed greedily; compatible APs
 //	                share one
 //
-// ConvertPlan runs the pipeline (or replays a cached conversion) and
-// returns the Plan; Verify checks the output invariants; Convert is the
-// schedule-only wrapper.
+// ConvertPlan runs the pipeline and returns the Plan; Verify checks the
+// output invariants; Convert is the schedule-only wrapper.
 package convert
 
 import (
@@ -86,18 +85,9 @@ type Converter struct {
 	// always favour low link IDs.
 	coverRot int
 
-	// cache, when non-nil, memoizes whole-batch conversions keyed by the
-	// converter's complete pre-conversion state (see EnableCache).
-	cache *Cache
-
 	// tables holds the per-topology precomputed candidate lists and scratch
 	// buffers (built lazily on first conversion, see tables.go).
 	tables *tables
-
-	// inc, when non-nil, is the incremental re-conversion engine: it memoizes
-	// per-slot covers and per-pair trigger assignments so steady-state batches
-	// reuse prior work even when the whole-batch cache misses (see diff.go).
-	inc *incState
 
 	// Untriggered counts entries for which no trigger path existed (e.g.
 	// across disconnected interference domains). Such entries stay in the
@@ -112,8 +102,7 @@ func New(g *topo.ConflictGraph) *Converter {
 }
 
 // Reset forgets the retained slot (a fresh first batch: APs start the first
-// slot spontaneously). Cached conversions stay valid — their keys embed the
-// retained-slot state, so they can only replay in an equal state.
+// slot spontaneously).
 func (c *Converter) Reset() { c.prev = nil }
 
 // Convert turns one strict batch into a relative schedule. pollAPs lists the

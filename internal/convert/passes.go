@@ -20,11 +20,7 @@ func (FakeLinkInsert) Name() string { return PassNames[0] }
 // Apply implements Pass.
 func (FakeLinkInsert) Apply(c *Converter, p *Plan) {
 	for _, slot := range p.Batch {
-		if c.inc != nil {
-			p.Slots = append(p.Slots, c.incBuildSlot(slot, &p.Stats))
-		} else {
-			p.Slots = append(p.Slots, c.buildSlot(slot))
-		}
+		p.Slots = append(p.Slots, c.buildSlot(slot))
 	}
 	p.Stats.Slots = len(p.Slots)
 	for i := range p.Slots {
@@ -75,10 +71,6 @@ func (TriggerAssign) Name() string { return PassNames[1] }
 
 // Apply implements Pass.
 func (TriggerAssign) Apply(c *Converter, p *Plan) {
-	if c.inc != nil {
-		c.incAssignBatch(p)
-		return
-	}
 	for i := 1; i < len(p.Slots); i++ {
 		c.assignTriggers(&p.Slots[i-1], &p.Slots[i], &p.Stats)
 	}

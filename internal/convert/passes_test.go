@@ -264,9 +264,6 @@ func TestConvertPlanStatsConsistency(t *testing.T) {
 	if p.Stats.Untriggered != c.Untriggered {
 		t.Errorf("Stats.Untriggered = %d, converter total %d", p.Stats.Untriggered, c.Untriggered)
 	}
-	if p.Stats.CacheHit {
-		t.Error("CacheHit set without a cache")
-	}
 	for i, ns := range p.Stats.PassNs {
 		if ns < 0 {
 			t.Errorf("PassNs[%d] = %d", i, ns)

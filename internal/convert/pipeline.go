@@ -40,16 +40,9 @@ type Stats struct {
 	ROPForced int
 	// PollTriggers counts poll reference signatures planted in broadcasts.
 	PollTriggers int
-	// CacheHit marks a plan served from the conversion cache.
-	CacheHit bool
-	// CoverReuse / PairReuse count slots and adjacent pairs the incremental
-	// layer served from its memos instead of recomputing (zero on cache hits
-	// and when incremental conversion is off).
-	CoverReuse int
-	PairReuse  int
 	// PassNs is the wall-clock time each pass took, indexed like PassNames.
-	// Zero on cache hits. Wall time never feeds back into the simulation —
-	// it exists for the metrics registry and benchreport only.
+	// Wall time never feeds back into the simulation — it exists for the
+	// metrics registry only.
 	PassNs [NumPasses]int64
 }
 
@@ -96,31 +89,10 @@ var passes = [NumPasses]Pass{FakeLinkInsert{}, TriggerAssign{}, BatchConnect{}, 
 // Passes returns the pipeline stages in execution order.
 func Passes() []Pass { return append([]Pass(nil), passes[:]...) }
 
-// ConvertPlan turns one strict batch into a relative schedule, returning the
-// full plan (slots, per-pass stats, verification inputs). When the
-// conversion cache is enabled and the converter's complete pre-conversion
-// state matches a previous batch, the cached result is replayed instead of
-// re-running the passes — bit-identical, including the broadcast rewrite of
-// the retained slot.
+// ConvertPlan turns one strict batch into a relative schedule by running the
+// pass pipeline on a fresh plan, and returns the full plan (slots, per-pass
+// stats, verification inputs).
 func (c *Converter) ConvertPlan(batch strict.Schedule, pollAPs []phy.NodeID) *Plan {
-	if c.cache == nil {
-		return c.runPasses(batch, pollAPs)
-	}
-	hash := c.canonicalKey(batch, pollAPs)
-	exact := c.exactFingerprint()
-	if p, ok := c.cacheReplay(hash, exact, batch, pollAPs); ok {
-		return p
-	}
-	p := c.runPasses(batch, pollAPs)
-	c.cacheStore(hash, exact, p)
-	return p
-}
-
-// runPasses executes the pipeline on a fresh plan.
-func (c *Converter) runPasses(batch strict.Schedule, pollAPs []phy.NodeID) *Plan {
-	if c.inc != nil {
-		c.inc.begin()
-	}
 	p := &Plan{
 		Batch: batch, PollAPs: pollAPs, Prev: c.prev,
 		g: c.G, maxInbound: c.MaxInbound, maxOutbound: c.MaxOutbound,

@@ -69,24 +69,12 @@ type Config struct {
 	// strict.Scheduler works — the converter is scheduler-agnostic (§3,
 	// contribution 1).
 	NewScheduler func(*topo.ConflictGraph) strict.Scheduler
-	// NoConvertCache disables the converter's conversion cache. The cache
-	// replays steady-state batch conversions bit-identically (canonical keys
-	// cover everything the pass pipeline reads), so it is on by default.
-	NoConvertCache bool
-	// ConvertCacheCap overrides the conversion cache's LRU capacity when
-	// positive (0 means convert.DefaultCacheCap). Ignored with
-	// NoConvertCache.
-	ConvertCacheCap int
-	// NoIncremental disables the converter's incremental re-conversion layer
-	// (per-slot cover and per-pair trigger memos). Incremental conversion is
-	// bit-identical to full re-conversion, so it is on by default.
-	NoIncremental bool
 	// VerifyConvert runs convert.Verify on every plan the converter emits
 	// and panics on violation — a debug aid (tests always verify; production
 	// runs skip the O(slots²) check).
 	VerifyConvert bool
 	// ConvertTrace, when the engine has a trace sink, emits per-batch
-	// KindConvert records: deterministic pass counters, the cache outcome and
+	// KindConvert records: deterministic pass counters, the batch size and
 	// trigger/signature histograms. Off by default so existing golden traces
 	// are byte-identical.
 	ConvertTrace bool

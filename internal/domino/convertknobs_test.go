@@ -1,37 +1,6 @@
 package domino
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/convert"
-)
-
-// TestConvertModesTraceIdentical extends the engine-level cache gate across
-// the full {cache, incremental} matrix: all four mode combinations must
-// produce the identical trace-event stream, and the incremental-only run
-// must actually replay from its memos.
-func TestConvertModesTraceIdentical(t *testing.T) {
-	evDefault, _ := traceRun(t, 5, nil)
-	evCacheOnly, _ := traceRun(t, 5, func(c *Config) { c.NoIncremental = true })
-	evIncOnly, eIncOnly := traceRun(t, 5, func(c *Config) { c.NoConvertCache = true })
-	evNeither, _ := traceRun(t, 5, func(c *Config) { c.NoConvertCache = true; c.NoIncremental = true })
-
-	for name, ev := range map[string][]TraceEvent{
-		"cache-only": evCacheOnly, "incremental-only": evIncOnly, "neither": evNeither,
-	} {
-		if !reflect.DeepEqual(evDefault, ev) {
-			t.Errorf("%s trace stream diverges from the default: %d events vs %d",
-				name, len(ev), len(evDefault))
-		}
-	}
-
-	is := eIncOnly.ConvertIncrementalStats()
-	if is.CoverHits == 0 || is.PairHits == 0 {
-		t.Errorf("incremental-only steady state never replayed (cover hits %d, pair hits %d)",
-			is.CoverHits, is.PairHits)
-	}
-}
+import "testing"
 
 // TestVerifyConvertRuns: the VerifyConvert debug knob verifies every emitted
 // plan without disturbing the run (it panics on violation, so completing the
@@ -40,30 +9,5 @@ func TestVerifyConvertRuns(t *testing.T) {
 	ev, _ := traceRun(t, 5, func(c *Config) { c.VerifyConvert = true })
 	if len(ev) == 0 {
 		t.Fatal("verified run produced no trace events")
-	}
-}
-
-// TestConvertCacheDetails: the cache accessor reports occupancy against the
-// configured LRU capacity.
-func TestConvertCacheDetails(t *testing.T) {
-	_, e := traceRun(t, 5, nil)
-	info := e.ConvertCacheDetails()
-	if info.Capacity != convert.DefaultCacheCap {
-		t.Errorf("default capacity %d, want %d", info.Capacity, convert.DefaultCacheCap)
-	}
-	if info.Occupancy <= 0 || info.Occupancy > info.Capacity {
-		t.Errorf("occupancy %d out of range (capacity %d)", info.Occupancy, info.Capacity)
-	}
-	if info.Hits == 0 {
-		t.Error("steady state recorded no cache hits")
-	}
-
-	_, e = traceRun(t, 5, func(c *Config) { c.ConvertCacheCap = 8 })
-	info = e.ConvertCacheDetails()
-	if info.Capacity != 8 {
-		t.Errorf("ConvertCacheCap: 8 gave capacity %d", info.Capacity)
-	}
-	if info.Occupancy > 8 {
-		t.Errorf("occupancy %d exceeds capacity 8", info.Occupancy)
 	}
 }

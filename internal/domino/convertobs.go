@@ -9,25 +9,13 @@ import (
 // convertMetrics caches the registry pointers the conversion pipeline bumps
 // once per dispatched batch (get-or-create lookups stay on the setup path).
 type convertMetrics struct {
-	batches, cacheHits, cacheMisses *obs.Counter
+	batches                         *obs.Counter
 	slots, realEntries, fakeEntries *obs.Counter
 	triggers, backupTriggers        *obs.Counter
 	boundaryTriggers, untriggered   *obs.Counter
 	ropSlots, ropShared, ropForced  *obs.Counter
 	pollTriggers                    *obs.Counter
 	passNs                          [convert.NumPasses]*obs.Counter
-
-	// Cache accounting beyond hit/miss: LRU occupancy (gauge), cumulative
-	// evictions, and the exact vs canonical-only hit split. The converter
-	// keeps cumulative totals, so the counters sync by delta per batch.
-	cacheOccupancy                  *obs.Gauge
-	cacheEvictions                  *obs.Counter
-	cacheExactHits                  *obs.Counter
-	cacheCanonicalHits              *obs.Counter
-	lastEvict, lastExact, lastCanon int64
-
-	// Incremental-layer reuse, per batch (zero on cache hits).
-	incCoverReuse, incPairReuse *obs.Counter
 
 	// Poller-cycle outcomes (internal/poll), per decode cycle.
 	pollRounds, pollCollisions     *obs.Counter
@@ -40,8 +28,6 @@ type convertMetrics struct {
 func (e *Engine) WireMetrics(m *obs.Metrics) {
 	cm := &convertMetrics{
 		batches:          m.Counter("convert.batches"),
-		cacheHits:        m.Counter("convert.cache.hits"),
-		cacheMisses:      m.Counter("convert.cache.misses"),
 		slots:            m.Counter("convert.slots"),
 		realEntries:      m.Counter("convert.entries.real"),
 		fakeEntries:      m.Counter("convert.entries.fake"),
@@ -53,14 +39,6 @@ func (e *Engine) WireMetrics(m *obs.Metrics) {
 		ropShared:        m.Counter("convert.rop.shared"),
 		ropForced:        m.Counter("convert.rop.forced"),
 		pollTriggers:     m.Counter("convert.rop.poll_triggers"),
-
-		cacheOccupancy:     m.Gauge("convert.cache.occupancy"),
-		cacheEvictions:     m.Counter("convert.cache.evictions"),
-		cacheExactHits:     m.Counter("convert.cache.hits.exact"),
-		cacheCanonicalHits: m.Counter("convert.cache.hits.canonical"),
-
-		incCoverReuse: m.Counter("convert.inc.cover_reuse"),
-		incPairReuse:  m.Counter("convert.inc.pair_reuse"),
 
 		pollRounds:        m.Counter("poll.rounds"),
 		pollCollisions:    m.Counter("poll.collisions"),
@@ -101,11 +79,6 @@ func (e *Engine) noteConvert(p *convert.Plan, firstSlot int) {
 	st := &p.Stats
 	if cm := e.convMetrics; cm != nil {
 		cm.batches.Inc()
-		if st.CacheHit {
-			cm.cacheHits.Inc()
-		} else {
-			cm.cacheMisses.Inc()
-		}
 		cm.slots.Add(int64(st.Slots))
 		cm.realEntries.Add(int64(st.RealEntries))
 		cm.fakeEntries.Add(int64(st.FakeEntries))
@@ -120,14 +93,6 @@ func (e *Engine) noteConvert(p *convert.Plan, firstSlot int) {
 		for i, ns := range st.PassNs {
 			cm.passNs[i].Add(ns)
 		}
-		info := e.server.conv.CacheDetails()
-		cm.cacheOccupancy.Set(float64(info.Occupancy))
-		cm.cacheEvictions.Add(info.Evictions - cm.lastEvict)
-		cm.cacheExactHits.Add(info.ExactHits - cm.lastExact)
-		cm.cacheCanonicalHits.Add(info.CanonicalHits - cm.lastCanon)
-		cm.lastEvict, cm.lastExact, cm.lastCanon = info.Evictions, info.ExactHits, info.CanonicalHits
-		cm.incCoverReuse.Add(int64(st.CoverReuse))
-		cm.incPairReuse.Add(int64(st.PairReuse))
 	}
 	if !e.cfg.ConvertTrace || e.Obs == nil {
 		return
@@ -155,14 +120,7 @@ func (e *Engine) noteConvert(p *convert.Plan, firstSlot int) {
 	emit(convert.PassNames[1], int64(st.Triggers), int64(st.BackupTriggers))
 	emit(convert.PassNames[2], int64(st.BoundaryTriggers), int64(st.Untriggered))
 	emit(convert.PassNames[3], int64(st.ROPSlots), int64(st.PollTriggers))
-	hit := int64(0)
-	if st.CacheHit {
-		hit = 1
-	}
-	emit("cache", hit, int64(len(p.Slots)))
-	info := e.server.conv.CacheDetails()
-	emit("cache_lru", int64(info.Occupancy), info.Evictions)
-	emit("incremental", int64(st.CoverReuse), int64(st.PairReuse))
+	emit("batch", int64(len(p.Slots)), 0)
 	// Inbound-trigger histogram over this batch's entries (final: batch
 	// connection already ran) and combined-signature histogram over the slots
 	// whose broadcast lists are final — the rewritten retained slot plus every

@@ -328,24 +328,6 @@ func (e *Engine) QueueLen(link int) int { return e.queues[link].Len() }
 // Slots exposes how many global slots have been scheduled so far.
 func (e *Engine) Slots() int { return len(e.slots) }
 
-// ConvertCacheStats reports the conversion cache's hits and misses (zeros
-// when Config.NoConvertCache disabled it).
-func (e *Engine) ConvertCacheStats() (hits, misses int64) {
-	return e.server.conv.CacheStats()
-}
-
-// ConvertCacheDetails reports the cache's full accounting (occupancy,
-// evictions, exact vs canonical-only hits); zeros when the cache is off.
-func (e *Engine) ConvertCacheDetails() convert.CacheInfo {
-	return e.server.conv.CacheDetails()
-}
-
-// ConvertIncrementalStats reports the incremental re-conversion layer's
-// counters; zeros when Config.NoIncremental disabled it.
-func (e *Engine) ConvertIncrementalStats() convert.IncStats {
-	return e.server.conv.IncrementalStats()
-}
-
 // DebugScheduleStats summarises the built schedule: total entries, slots,
 // ROP boundaries and entries without triggers (tests and diagnostics).
 func (e *Engine) DebugScheduleStats() (entries, slots, ropSlots, untriggered int) {
@@ -504,12 +486,6 @@ func newServer(e *Engine) *server {
 		conv.MaxInbound = e.cfg.MaxInbound
 	}
 	conv.DisableFakeCover = e.cfg.NoFakeCover
-	if !e.cfg.NoConvertCache {
-		conv.EnableCache(e.cfg.ConvertCacheCap)
-	}
-	if !e.cfg.NoIncremental {
-		conv.EnableIncremental()
-	}
 	var sched strict.Scheduler
 	switch {
 	case e.cfg.NewScheduler != nil:

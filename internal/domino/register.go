@@ -72,7 +72,6 @@ func init() {
 			if !ok {
 				return scheme.EngineState{Scheme: "DOMINO"}
 			}
-			hits, misses := eng.ConvertCacheStats()
 			counters := map[string]int64{
 				"slots":           int64(eng.Slots()),
 				"data_sends":      int64(eng.DataSends),
@@ -81,8 +80,6 @@ func init() {
 				"ack_misses":      int64(eng.AckMisses),
 				"self_starts":     int64(eng.SelfStarts),
 				"drops":           int64(eng.Drops),
-				"cache_hits":      hits,
-				"cache_misses":    misses,
 				"poll_rounds":     int64(eng.PollRounds),
 				"poll_collisions": int64(eng.PollCollisions),
 			}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/domino"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/phy"
@@ -39,11 +38,6 @@ type Options struct {
 	// into its own obs.Sharded shard and the shards are concatenated in run
 	// order, so the stream is byte-identical at any Workers value.
 	TraceSink io.Writer
-	// TuneDomino, when non-nil, adjusts the engine config of every DOMINO
-	// run launched by the drivers that honor it (Fig14). Used by the
-	// differential cache goldens and cmd/benchreport to flip conversion
-	// knobs without changing the workload.
-	TuneDomino func(*domino.Config)
 }
 
 // Paper returns the evaluation-scale options (50 s runs as in §4.2.1).

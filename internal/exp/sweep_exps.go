@@ -154,7 +154,7 @@ func Fig14(o Options) (Fig14Result, error) {
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: seed, Duration: o.Duration, Warmup: o.Warmup,
 			Traffic: core.UDPCBR, DownMbps: 10, UpMbps: 10,
-			Tracer: shardTracer(sharded, 2*run+1), TuneDomino: o.TuneDomino,
+			Tracer: shardTracer(sharded, 2*run+1),
 		})
 		if err != nil {
 			return outcome{err: err}

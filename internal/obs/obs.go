@@ -73,7 +73,7 @@ const (
 	KindDrop
 	// KindConvert carries one deterministic schedule-conversion counter per
 	// record, emitted per dispatched batch when the engine's convert tracing
-	// is enabled: Aux names the counter (a converter pass name, "cache",
+	// is enabled: Aux names the counter (a converter pass name, "batch",
 	// "inbound" or "combined"), Slot is the batch's first global slot index,
 	// Value/Extra are counter-specific. Off by default so golden traces are
 	// unchanged.

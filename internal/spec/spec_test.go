@@ -208,16 +208,22 @@ func TestValidateCatalog(t *testing.T) {
 		}, "PollerConfig must be a JSON object"},
 		{"domino convert knobs ok", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"NoIncremental": true, "ConvertCacheCap": 256, "VerifyConvert": true}`)
+			s.SchemeConfig = json.RawMessage(`{"VerifyConvert": true, "ConvertTrace": true}`)
 		}, ""},
 		{"domino knob case-insensitive", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"noconvertcache": true}`)
+			s.SchemeConfig = json.RawMessage(`{"verifyconvert": true}`)
 		}, ""},
 		{"domino misspelled knob", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"NoIncrementl": true}`)
-		}, `DOMINO config has no field "NoIncrementl"`},
+			s.SchemeConfig = json.RawMessage(`{"VerifyConvrt": true}`)
+		}, `DOMINO config has no field "VerifyConvrt"`},
+		{"domino removed convert cache knob", func(s *spec.Spec) {
+			// The conversion cache is gone; old spec files naming its knob
+			// fail lint instead of being accepted silently.
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"NoConvertCache": true}`)
+		}, `DOMINO config has no field "NoConvertCache"`},
 		{"dcf knob ok", func(s *spec.Spec) {
 			s.SchemeConfig = json.RawMessage(`{"CWMin": 8}`)
 		}, ""},

@@ -10,6 +10,7 @@ package repro
 // runs the same drivers at full paper scale.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/gold"
 	"repro/internal/ofdm"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/strict"
 	"repro/internal/topo"
@@ -278,8 +280,7 @@ func BenchmarkLightLoad(b *testing.B) {
 
 // BenchmarkFig14Workers runs the Fig 14 Monte Carlo serially and across all
 // cores. The results are bit-identical (per-run derived seeds, ordered CDF
-// merge); only the wall clock should differ. cmd/benchreport records the
-// speedup in BENCH_parallel.json.
+// merge; pinned by TestFig14Deterministic); only the wall clock should differ.
 func BenchmarkFig14Workers(b *testing.B) {
 	for _, workers := range []int{1, 0} {
 		name := "serial"
@@ -348,6 +349,34 @@ func BenchmarkDetectionCurveWorkers(b *testing.B) {
 				at4 = curve[4]
 			}
 			b.ReportMetric(at4, "detect@4")
+		})
+	}
+}
+
+// BenchmarkShardWorkers runs the grid campus (12 buildings × 20 APs × 2
+// clients, 50 ms simulated) through the sharded runner at 1, 2, 4 and 8
+// workers and reports simulated seconds per wall second. The merged output is
+// identical at every worker count (TestShardCountDeterminism), so only the
+// wall clock differs. Swept over GOMAXPROCS it is the cores-vs-throughput
+// curve:
+//
+//	go test -run '^$' -bench ShardWorkers -cpu 1,2,4,8 .
+func BenchmarkShardWorkers(b *testing.B) {
+	const dur = 50 * sim.Millisecond
+	net := topo.GridCampus(1, 12, 20, 2)
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, _, err := shard.Run(core.Scenario{
+					Net: net, Downlink: true, Uplink: true,
+					Scheme: core.DOMINO, Seed: 1,
+					Duration: dur, Warmup: dur / 10,
+				}, shard.Options{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*dur.Seconds()/b.Elapsed().Seconds(), "sim-s/s")
 		})
 	}
 }

@@ -57,9 +57,9 @@ func TestDetectDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkMetric pins the correlator hot path with tracing disabled (the
-// acceptance gate vs the PR 1 baseline in BENCH_parallel.json) and enabled
-// (a counting tracer, the realistic always-on cost).
+// BenchmarkMetric measures the correlator hot path with tracing disabled (the
+// path TestDetectDisabledZeroAlloc pins at zero allocations) and enabled (a
+// counting tracer, the realistic always-on cost).
 func BenchmarkMetric(b *testing.B) {
 	set, err := NewSet(7)
 	if err != nil {

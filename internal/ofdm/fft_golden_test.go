@@ -1,11 +1,62 @@
 package ofdm
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"sync"
 	"testing"
 )
+
+// ReferenceFFT is the pre-plan naive transform (per-stage trig, incremental
+// twiddle recurrence), retained for golden cross-checks and before/after
+// benchmarks against the planned path.
+func ReferenceFFT(x []complex128) { referenceTransform(x, false) }
+
+// ReferenceIFFT is the pre-plan inverse transform with its separate 1/N
+// division pass.
+func ReferenceIFFT(x []complex128) {
+	referenceTransform(x, true)
+	n := complex(float64(len(x)), 0)
+	for i := range x {
+		x[i] /= n
+	}
+}
+
+func referenceTransform(x []complex128, inverse bool) {
+	n := len(x)
+	if n&(n-1) != 0 || n == 0 {
+		panic("ofdm: FFT length must be a power of two")
+	}
+	// Bit-reversal permutation.
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := 2 * math.Pi / float64(length)
+		if !inverse {
+			ang = -ang
+		}
+		wl := complex(math.Cos(ang), math.Sin(ang))
+		for start := 0; start < n; start += length {
+			w := complex(1, 0)
+			for k := 0; k < length/2; k++ {
+				u := x[start+k]
+				v := x[start+k+length/2] * w
+				x[start+k] = u + v
+				x[start+k+length/2] = u - v
+				w *= wl
+			}
+		}
+	}
+}
 
 // maxDiff returns the largest |a[i]-b[i]| and the largest |b[i]| for scaling
 // the tolerance: absolute error in an n-point FFT grows with output

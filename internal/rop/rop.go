@@ -103,9 +103,9 @@ func Decode(a Assignment, queue func(phy.NodeID) int, rssAtAP func(phy.NodeID) f
 
 // DecodeInto is Decode reusing caller-owned scratch: res.Values is cleared
 // and refilled, res.Failed truncated and re-appended, so a warm Result makes
-// the decode hot path allocation-free (the benchreport -poll gate pins it at
-// zero allocs). The engine keeps using Decode — its results cross an async
-// wired-latency boundary and must not share scratch between polls.
+// the decode hot path allocation-free (pinned by TestDecodeIntoZeroAllocs).
+// The engine keeps using Decode — its results cross an async wired-latency
+// boundary and must not share scratch between polls.
 func DecodeInto(res *Result, a Assignment, queue func(phy.NodeID) int,
 	rssAtAP func(phy.NodeID) float64, noiseDBm float64) {
 	if res.Values == nil {

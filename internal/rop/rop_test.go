@@ -86,6 +86,29 @@ func TestDecodeSortingSeparatesExtremes(t *testing.T) {
 	}
 }
 
+// DecodeInto with a warm Result must not allocate: the poller registry seam
+// may not put allocations on the paper's per-poll path. 24 clients fill the
+// subchannel set; RSS spreads over 17 dB, so every report decodes.
+func TestDecodeIntoZeroAllocs(t *testing.T) {
+	clients := make([]phy.NodeID, MaxClients)
+	for i := range clients {
+		clients[i] = phy.NodeID(i + 2)
+	}
+	rss := func(c phy.NodeID) float64 { return -40 - float64(c%17) }
+	queue := func(c phy.NodeID) int { return int(c%5) + 1 }
+	a := Assign(clients, rss)
+	var res Result
+	DecodeInto(&res, a, queue, rss, -95) // warm the scratch
+	if got := testing.AllocsPerRun(200, func() {
+		DecodeInto(&res, a, queue, rss, -95)
+	}); got != 0 {
+		t.Fatalf("DecodeInto allocates %v/op with warm scratch, want 0", got)
+	}
+	if len(res.Values) != MaxClients || len(res.Failed) != 0 {
+		t.Fatalf("decoded %d, failed %v; want all %d decoded", len(res.Values), res.Failed, MaxClients)
+	}
+}
+
 func TestDecodeSNRFloor(t *testing.T) {
 	clients := []phy.NodeID{1}
 	a := Assign(clients, func(phy.NodeID) float64 { return -91 }) // SNR 3 dB < 4

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The pool contract: an Event handle is invalid after its event fires or is
 // cancelled. The generation counter must turn every operation through a
@@ -99,8 +102,9 @@ func TestPoolRecycles(t *testing.T) {
 	}
 }
 
-// Kernel.At and After are the zero-alloc contract of this PR: in steady
-// state (pool warm) scheduling and cancelling allocates nothing.
+// Kernel.At, After, Cancel and the fire loop are the pool's zero-alloc
+// contract: in steady state (pool warm) scheduling, cancelling and draining a
+// deep heap allocate nothing.
 func TestAtAfterCancelZeroAllocs(t *testing.T) {
 	k := New(1)
 	fn := func() {}
@@ -120,6 +124,19 @@ func TestAtAfterCancelZeroAllocs(t *testing.T) {
 		k.Run()
 	}); got != 0 {
 		t.Fatalf("After+Run allocates %v/op in steady state, want 0", got)
+	}
+	// 512 outstanding events drained by RunUntil; AllocsPerRun's warm-up call
+	// grows the pool and the heap to that depth.
+	const batch = 512
+	rng := rand.New(rand.NewSource(7))
+	if got := testing.AllocsPerRun(20, func() {
+		base := k.Now()
+		for i := 0; i < batch; i++ {
+			k.At(base+Time(1+rng.Intn(batch)), fn)
+		}
+		k.RunUntil(base + batch)
+	}); got != 0 {
+		t.Fatalf("%d-event At+RunUntil drain allocates %v/op in steady state, want 0", batch, got)
 	}
 }
 

@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test race race-hot race-shard race-serve bench
+.PHONY: ci vet fmt specs build test race race-hot race-shard race-serve bench-smoke bench
 
-ci: vet fmt build test specs race race-hot race-shard race-serve
+ci: vet fmt build test specs race race-hot race-shard race-serve bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -31,9 +31,8 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# Race re-run of the hot-path packages this PR rewrote: the pooled kernel,
-# the planned FFT (shared immutable plans across goroutines) and the obs
-# layer. Focused and fast enough to run on every change even when the full
+# Race re-run of the hot-path packages: the pooled kernel, the planned FFT
+# (shared immutable plans across goroutines) and the obs layer. Focused and fast enough to run on every change even when the full
 # race sweep would be skipped.
 race-hot:
 	$(GO) test -race -count=1 ./internal/sim ./internal/ofdm ./internal/obs
@@ -55,6 +54,13 @@ race-shard:
 # is the domino-simd smoke: every daemon test drives the real HTTP API.
 race-serve:
 	$(GO) test -race -count=1 ./internal/run ./internal/parallel
+
+# The end-to-end benchmark is a module of its own (bench/go.mod), so
+# `go test ./...` never builds it. Vet it and run its smoke tests here so an
+# API change in core, shard or obs that breaks it fails CI, not the
+# benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Full benchmark sweep (one iteration per table/figure; laptop-minutes).
 # `go test -run '^$' -bench ShardWorkers -cpu 1,2,4,8 .` is the sharded

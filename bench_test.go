@@ -21,7 +21,6 @@ import (
 	"repro/internal/ofdm"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/strict"
 	"repro/internal/topo"
 )
 
@@ -491,13 +490,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 					Downlink: true, Uplink: true,
 					Scheme: core.DOMINO, Traffic: core.Saturated,
 					Duration: sim.Second, Seed: int64(i + 1),
-					TuneDomino: func(c *domino.Config) {
-						if name == "lqf" {
-							c.NewScheduler = func(g *topo.ConflictGraph) strict.Scheduler {
-								return strict.NewLQF(g)
-							}
-						}
-					},
+					TuneDomino: func(c *domino.Config) { c.Scheduler = name },
 				})
 				agg = r.AggregateMbps
 			}

@@ -141,7 +141,7 @@ func (ap *apNode) armWatchdog() {
 	if len(ap.actions) == 0 && ap.armed == nil {
 		return
 	}
-	d := sim.Time(ap.e.cfg.WatchdogSlots) * ap.e.cfg.slotDuration()
+	d := watchdogSlots * ap.e.cfg.slotDuration()
 	ap.watchdog = ap.e.k.After(d, func() {
 		ap.watchdog = sim.Event{}
 		ap.e.SelfStarts++
@@ -541,7 +541,6 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 		if f.Kind == phy.Signature {
 			if pl, good := f.Payload.(*phy.SignaturePayload); good && containsInt(pl.Sigs, int(ap.id)) {
 				e.triggerMiss(ap.id, pl.SlotHint)
-				e.noteSigMiss(ap.id, det)
 			}
 		}
 		return

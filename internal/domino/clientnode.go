@@ -43,7 +43,6 @@ func (c *clientNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDete
 		if f.Kind == phy.Signature {
 			if pl, good := f.Payload.(*phy.SignaturePayload); good && containsInt(pl.Sigs, int(c.id)) {
 				e.triggerMiss(c.id, pl.SlotHint)
-				e.noteSigMiss(c.id, det)
 			}
 		}
 		return

@@ -12,8 +12,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/sim"
-	"repro/internal/strict"
-	"repro/internal/topo"
 )
 
 // Config parameterises a DOMINO instance.
@@ -27,21 +25,15 @@ type Config struct {
 	// BatchSize is the number of strict slots per scheduling batch — the
 	// reciprocal of the polling frequency (§5).
 	BatchSize int
-	// AdaptiveBatch shrinks batches toward MinBatch when demand is light, so
-	// light arrivals are not gated behind a full batch of fake slots — the
-	// "better polling scheme" the paper leaves as future work (§5).
+	// AdaptiveBatch shrinks batches toward minAdaptiveBatch slots when
+	// demand is light, so light arrivals are not gated behind a full batch
+	// of fake slots — the "better polling scheme" the paper leaves as future
+	// work (§5).
 	AdaptiveBatch bool
-	// MinBatch bounds adaptive shrinking (0 means 4).
-	MinBatch int
 	// WiredLatencyMean/Std describe backbone latency between server and APs
 	// (paper §4.2.1: normal with mean 285 µs, σ 22 µs).
 	WiredLatencyMean sim.Time
 	WiredLatencyStd  sim.Time
-	// WatchdogSlots is how many slot durations of silence an AP tolerates
-	// before self-starting its next action — a last resort: the per-AP
-	// free-running slot clock (scheduleSelfArm) is the normal fallback when
-	// triggers fail, so the watchdog only matters if that chain also broke.
-	WatchdogSlots int
 	// QueueCap bounds per-link MAC queues.
 	QueueCap int
 	// MisalignSlots is how many leading slot indices the misalignment probe
@@ -61,14 +53,10 @@ type Config struct {
 	CoPDuration sim.Time
 	// Scheduler selects the strict scheduling policy by registered name
 	// (internal/strict registry: RAND, LQF, RoundRobin, Weighted and their
-	// aliases, case-insensitive). Empty means the paper's RAND. The
-	// NewScheduler hook, when set, takes precedence.
+	// aliases, case-insensitive). Empty means the paper's RAND. Any
+	// strict.Scheduler plugs in through strict.RegisterScheduler — the
+	// converter is scheduler-agnostic (§3, contribution 1).
 	Scheduler string
-	// NewScheduler builds the strict scheduler the server runs; nil means
-	// the Scheduler name (or the paper's RAND when that is empty too). Any
-	// strict.Scheduler works — the converter is scheduler-agnostic (§3,
-	// contribution 1).
-	NewScheduler func(*topo.ConflictGraph) strict.Scheduler
 	// VerifyConvert runs convert.Verify on every plan the converter emits
 	// and panics on violation — a debug aid (tests always verify; production
 	// runs skip the O(slots²) check).
@@ -100,6 +88,16 @@ type Config struct {
 	Piggyback bool
 }
 
+const (
+	// minAdaptiveBatch is the floor AdaptiveBatch shrinks batches to.
+	minAdaptiveBatch = 4
+	// watchdogSlots is how many slot durations of silence an AP tolerates
+	// before self-starting its next action — a last resort: the per-AP
+	// free-running slot clock (scheduleSelfArm) is the normal fallback when
+	// triggers fail, so the watchdog only matters if that chain also broke.
+	watchdogSlots = 12
+)
+
 // DefaultConfig mirrors the evaluation settings.
 func DefaultConfig() Config {
 	return Config{
@@ -108,7 +106,6 @@ func DefaultConfig() Config {
 		BatchSize:        24,
 		WiredLatencyMean: sim.Micros(285),
 		WiredLatencyStd:  sim.Micros(22),
-		WatchdogSlots:    12,
 		QueueCap:         mac.DefaultQueueCap,
 		MisalignSlots:    0,
 	}

@@ -346,39 +346,6 @@ func (e *Engine) DebugScheduleStats() (entries, slots, ropSlots, untriggered int
 	return
 }
 
-// SigMissStats histograms failed own-signature receptions for diagnostics.
-type SigMissStats struct {
-	WhileTx  int
-	LowSINR  int
-	Combined int
-	Other    int
-}
-
-// SigMisses accumulates when non-nil.
-var sigMissDiag *SigMissStats
-
-// EnableSigMissDiag installs a shared diagnostic accumulator (tests only).
-func EnableSigMissDiag() *SigMissStats {
-	sigMissDiag = &SigMissStats{}
-	return sigMissDiag
-}
-
-func (e *Engine) noteSigMiss(id phy.NodeID, det *phy.SignatureDetection) {
-	if sigMissDiag == nil {
-		return
-	}
-	switch {
-	case e.medium.Transmitting(id):
-		sigMissDiag.WhileTx++
-	case det != nil && det.SINRdB < e.medium.Config().SigSINRdB:
-		sigMissDiag.LowSINR++
-	case det != nil && det.Combined > 4:
-		sigMissDiag.Combined++
-	default:
-		sigMissDiag.Other++
-	}
-}
-
 func (e *Engine) trace(ev TraceEvent) {
 	if e.Trace == nil && e.Obs == nil {
 		return
@@ -488,8 +455,6 @@ func newServer(e *Engine) *server {
 	conv.DisableFakeCover = e.cfg.NoFakeCover
 	var sched strict.Scheduler
 	switch {
-	case e.cfg.NewScheduler != nil:
-		sched = e.cfg.NewScheduler(e.g)
 	case e.cfg.Scheduler != "":
 		s, err := strict.BuildScheduler(e.cfg.Scheduler, e.g)
 		if err != nil {
@@ -532,12 +497,8 @@ func (s *server) buildAndDispatch() {
 			total += v
 		}
 		size = total + 2
-		min := e.cfg.MinBatch
-		if min <= 0 {
-			min = 4
-		}
-		if size < min {
-			size = min
+		if size < minAdaptiveBatch {
+			size = minAdaptiveBatch
 		}
 		if size > e.cfg.BatchSize {
 			size = e.cfg.BatchSize

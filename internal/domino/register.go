@@ -44,7 +44,7 @@ func init() {
 			}
 			// Pre-validate the scheduler name so declarative specs get an
 			// error instead of newServer's panic.
-			if c.NewScheduler == nil && c.Scheduler != "" {
+			if c.Scheduler != "" {
 				if _, ok := strict.LookupScheduler(c.Scheduler); !ok {
 					return nil, fmt.Errorf("domino: unknown scheduler %q (registered: %s)",
 						c.Scheduler, strings.Join(strict.SchedulerNames(), ", "))

@@ -14,19 +14,33 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestSchedulerByName pins the registry path to the explicit-hook path: the
-// same policy selected by name must reproduce the hook-built run exactly.
+// TestSchedulerByName covers the plug-in path for custom schedulers: a
+// throwaway policy registered with strict.RegisterScheduler drives the
+// engine by name, and since it builds LQF it must reproduce the built-in
+// "lqf" run exactly.
 func TestSchedulerByName(t *testing.T) {
-	aggName, eName := runWith(t, 31, func(c *Config) { c.Scheduler = "lqf" })
-	aggHook, eHook := runWith(t, 31, func(c *Config) {
-		c.NewScheduler = func(g *topo.ConflictGraph) strict.Scheduler { return strict.NewLQF(g) }
+	const name = "test-plugged-lqf"
+	built := 0
+	strict.MustRegisterScheduler(strict.SchedulerDescriptor{
+		Name: name,
+		Build: func(g *topo.ConflictGraph, _ any) (strict.Scheduler, error) {
+			built++
+			return strict.NewLQF(g), nil
+		},
 	})
-	if aggName != aggHook {
-		t.Errorf("Scheduler=\"lqf\" got %.4f Mbps, NewScheduler hook %.4f", aggName, aggHook)
+	defer strict.UnregisterScheduler(name)
+
+	aggName, eName := runWith(t, 31, func(c *Config) { c.Scheduler = "lqf" })
+	aggPlug, ePlug := runWith(t, 31, func(c *Config) { c.Scheduler = name })
+	if built != 1 {
+		t.Fatalf("registered scheduler built %d times, want 1", built)
 	}
-	if eName.DataSends != eHook.DataSends || eName.SelfStarts != eHook.SelfStarts {
-		t.Errorf("counters diverge: name %d/%d hook %d/%d",
-			eName.DataSends, eName.SelfStarts, eHook.DataSends, eHook.SelfStarts)
+	if aggName != aggPlug {
+		t.Errorf("Scheduler=\"lqf\" got %.4f Mbps, plugged-in scheduler %.4f", aggName, aggPlug)
+	}
+	if eName.DataSends != ePlug.DataSends || eName.SelfStarts != ePlug.SelfStarts {
+		t.Errorf("counters diverge: name %d/%d plugged %d/%d",
+			eName.DataSends, eName.SelfStarts, ePlug.DataSends, ePlug.SelfStarts)
 	}
 }
 

@@ -1,18 +1,11 @@
 package domino
 
-import (
-	"testing"
-
-	"repro/internal/strict"
-	"repro/internal/topo"
-)
+import "testing"
 
 // TestCustomScheduler runs DOMINO with the LQF scheduler in place of RAND —
 // the converter must be scheduler-agnostic (paper contribution 1).
 func TestCustomScheduler(t *testing.T) {
-	aggLQF, eLQF := runWith(t, 31, func(c *Config) {
-		c.NewScheduler = func(g *topo.ConflictGraph) strict.Scheduler { return strict.NewLQF(g) }
-	})
+	aggLQF, eLQF := runWith(t, 31, func(c *Config) { c.Scheduler = "lqf" })
 	aggRAND, _ := runWith(t, 31, nil)
 	if aggLQF < 10 {
 		t.Errorf("LQF-driven DOMINO got %.2f Mbps", aggLQF)

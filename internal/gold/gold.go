@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"repro/internal/obs"
 )
 
 // primitiveTaps lists one primitive polynomial per supported degree, as tap
@@ -210,11 +208,6 @@ type Correlator struct {
 	// peak; 0.5 balances misses against false positives and keeps the false
 	// positive rate below 1% (paper Fig 9).
 	Threshold float64
-	// Obs, when non-nil, receives one trigger record per DetectObserved
-	// call (Node is the code id, Value the correlation metric in
-	// millionths). Plain Detect never consults it — see DetectObserved for
-	// why the two entry points are separate.
-	Obs obs.Tracer
 }
 
 // NewCorrelator returns a correlator with the default 0.5 threshold.
@@ -235,35 +228,9 @@ func (c *Correlator) Metric(rx []float64, code int) float64 {
 // one-liner: Metric's inlined body (cost 51) plus any extra call pushes this
 // function past the compiler's inlining budget (80), and losing inlinability
 // costs the Monte-Carlo trial loops a full call frame per judgement (~50%
-// on the correlator micro-benchmark). Tracing therefore lives in
-// DetectObserved rather than behind a nil check here.
+// on the correlator micro-benchmark).
 func (c *Correlator) Detect(rx []float64, code int) bool {
 	return c.Metric(rx, code) >= c.Threshold
-}
-
-// DetectObserved is Detect plus one trigger (hit) or trigger_miss record to
-// c.Obs per call when it is set. Untraced callers keep using Detect, whose
-// machine code is unchanged from before observability existed; traced
-// harnesses opt in by calling this variant.
-func (c *Correlator) DetectObserved(rx []float64, code int) bool {
-	m := c.Metric(rx, code)
-	det := m >= c.Threshold
-	if c.Obs != nil {
-		c.emitDetect(code, m, det)
-	}
-	return det
-}
-
-func (c *Correlator) emitDetect(code int, m float64, det bool) {
-	kind := obs.KindTrigger
-	if !det {
-		kind = obs.KindTriggerMiss
-	}
-	rec := obs.Rec(0, kind)
-	rec.Node = code
-	rec.Value = int64(m * 1e6)
-	rec.OK = det
-	c.Obs.Emit(rec)
 }
 
 // AddAWGN adds white Gaussian noise of the given standard deviation per chip.

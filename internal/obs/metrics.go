@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/stats"
 )
 
 // Counter is a monotonically increasing int64. Not safe for concurrent use;
@@ -41,27 +39,12 @@ func (g *Gauge) SetMax(v float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return g.v }
 
-// Histogram accumulates an empirical distribution on top of stats.CDF, the
-// same structure the paper figures are built from, so snapshots can report
-// quantiles without a second binning scheme.
-type Histogram struct {
-	cdf stats.CDF
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(v float64) { h.cdf.Add(v) }
-
-// CDF exposes the underlying distribution (for merging into figure CDFs).
-func (h *Histogram) CDF() *stats.CDF { return &h.cdf }
-
-// Metrics is a per-run registry of named counters, gauges and histograms
-// (both the CDF-backed Histogram and the fixed-bucket LogHist). Get-or-create
-// lookups are intended for setup paths; hot paths should hold the returned
+// Metrics is a per-run registry of named counters, gauges and fixed-bucket
+// LogHist histograms. Get-or-create lookups are intended for setup paths; hot paths should hold the returned
 // pointer.
 type Metrics struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	lhists   map[string]*LogHist
 	wall     map[string]bool
 }
@@ -71,7 +54,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
 		lhists:   map[string]*LogHist{},
 		wall:     map[string]bool{},
 	}
@@ -111,16 +93,6 @@ func (m *Metrics) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use.
-func (m *Metrics) Histogram(name string) *Histogram {
-	h := m.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		m.hists[name] = h
-	}
-	return h
-}
-
 // LogHist returns the named log-scale histogram, creating it on first use.
 func (m *Metrics) LogHist(name string) *LogHist {
 	h := m.lhists[name]
@@ -131,8 +103,7 @@ func (m *Metrics) LogHist(name string) *LogHist {
 	return h
 }
 
-// Merge folds registry o into m: counters add, histograms (both kinds)
-// merge exactly, and gauges keep the maximum of the two values. The gauge
+// Merge folds registry o into m: counters add, histograms merge exactly, and gauges keep the maximum of the two values. The gauge
 // rule is a deliberate choice for cross-shard aggregation — every gauge the
 // runtime registers is a high-water or last-peak quantity (queue peaks,
 // per-client AoI peaks, airtime totals are counters), so max is the only
@@ -149,9 +120,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	for name, g := range o.gauges {
 		m.Gauge(name).SetMax(g.Value())
 	}
-	for name, h := range o.hists {
-		m.Histogram(name).cdf.Merge(&h.cdf)
-	}
 	for name, h := range o.lhists {
 		m.LogHist(name).Merge(h)
 	}
@@ -160,7 +128,7 @@ func (m *Metrics) Merge(o *Metrics) {
 // MetricValue is one entry of a Snapshot.
 type MetricValue struct {
 	Name  string  `json:"name"`
-	Kind  string  `json:"kind"`  // "counter", "gauge", "histogram" or "loghist"
+	Kind  string  `json:"kind"`  // "counter", "gauge" or "loghist"
 	Value float64 `json:"value"` // counter/gauge value; histogram sample count
 	P50   float64 `json:"p50,omitempty"`
 	P90   float64 `json:"p90,omitempty"`
@@ -175,23 +143,12 @@ type Snapshot []MetricValue
 
 // Snapshot captures every registered metric, sorted by name.
 func (m *Metrics) Snapshot() Snapshot {
-	s := make(Snapshot, 0, len(m.counters)+len(m.gauges)+len(m.hists)+len(m.lhists))
+	s := make(Snapshot, 0, len(m.counters)+len(m.gauges)+len(m.lhists))
 	for name, c := range m.counters {
 		s = append(s, MetricValue{Name: name, Kind: "counter", Value: float64(c.Value())})
 	}
 	for name, g := range m.gauges {
 		s = append(s, MetricValue{Name: name, Kind: "gauge", Value: g.Value()})
-	}
-	for name, h := range m.hists {
-		mv := MetricValue{Name: name, Kind: "histogram", Value: float64(h.cdf.N())}
-		if h.cdf.N() > 0 {
-			mv.P50 = h.cdf.Quantile(0.5)
-			mv.P90 = h.cdf.Quantile(0.9)
-			mv.P95 = h.cdf.Quantile(0.95)
-			mv.P99 = h.cdf.Quantile(0.99)
-			mv.Max = h.cdf.Quantile(1)
-		}
-		s = append(s, mv)
 	}
 	for name, h := range m.lhists {
 		mv := MetricValue{Name: name, Kind: "loghist", Value: float64(h.N())}
@@ -228,9 +185,6 @@ func (s Snapshot) WriteText(w io.Writer) {
 	}
 	for _, mv := range s {
 		switch mv.Kind {
-		case "histogram":
-			fmt.Fprintf(w, "  %-*s  n=%-8.0f p50=%-10.4g p90=%-10.4g p99=%-10.4g max=%.4g\n",
-				width, mv.Name, mv.Value, mv.P50, mv.P90, mv.P99, mv.Max)
 		case "loghist":
 			fmt.Fprintf(w, "  %-*s  n=%-8.0f p50=%-10.4g p95=%-10.4g p99=%-10.4g max=%.4g\n",
 				width, mv.Name, mv.Value, mv.P50, mv.P95, mv.P99, mv.Max)

@@ -124,9 +124,9 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.Gauge("a.gauge").Set(2)
 	m.Gauge("a.gauge").SetMax(7)
 	m.Gauge("a.gauge").SetMax(3) // no-op, below max
-	h := m.Histogram("m.hist")
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+	h := m.LogHist("m.hist")
+	for i := int64(1); i <= 100; i++ {
+		h.Record(i)
 	}
 	s := m.Snapshot()
 	if len(s) != 3 {

@@ -36,7 +36,7 @@ type Run struct {
 	collisions int64
 
 	// metrics shortcuts, resolved once so hot paths skip the map lookups
-	delay     *Histogram // delivery delay, microseconds
+	delay     *LogHist // enqueue → delivery, microseconds
 	delivered *Counter
 	dropped   *Counter
 	txByKind  [NumBuckets]*Counter
@@ -67,7 +67,7 @@ func NewRun(tr Tracer, m *Metrics) *Run {
 		r.spans = NewSpans()
 	}
 	if m != nil {
-		r.delay = m.Histogram("mac.delay_us")
+		r.delay = m.LogHist("mac.delay_us")
 		r.delivered = m.Counter("mac.delivered")
 		r.dropped = m.Counter("mac.dropped")
 		for b := BucketData; b < BucketOverlap; b++ {
@@ -228,7 +228,7 @@ func (r *Run) PacketDequeued(p *mac.Packet, now sim.Time) {
 func (r *Run) Delivered(p *mac.Packet, now sim.Time) {
 	if r.delivered != nil {
 		r.delivered.Inc()
-		r.delay.Observe((now - p.Enqueued).Microseconds())
+		r.delay.Record(int64(now-p.Enqueued) / 1000)
 		if p.Dequeued != 0 {
 			r.hol.Record(int64(now-p.Dequeued) / 1000)
 		}

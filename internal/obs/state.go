@@ -49,18 +49,13 @@ func (s LogHistState) Hist() (*LogHist, error) {
 }
 
 // MetricsState is the serializable snapshot of a Metrics registry:
-// counters and gauges exactly, LogHists as Merge-compatible LogHistState,
-// and CDF-backed histograms as sample-count + content digest (their raw
-// sample lists are unbounded, so they audit by digest rather than
-// round-trip). Restore() rebuilds a registry; Digest() is the one-word form
+// counters and gauges exactly, LogHists as Merge-compatible LogHistState.
+// Restore() rebuilds a registry; Digest() is the one-word form
 // replay verification compares.
 type MetricsState struct {
 	Counters map[string]int64        `json:"counters,omitempty"`
 	Gauges   map[string]float64      `json:"gauges,omitempty"`
 	LogHists map[string]LogHistState `json:"log_hists,omitempty"`
-	// HistDigests fingerprints each CDF-backed histogram's sorted sample
-	// multiset.
-	HistDigests map[string]uint64 `json:"hist_digests,omitempty"`
 	// Wall lists metrics marked host-time-derived (Metrics.MarkWallClock),
 	// sorted. Digest skips them: replay does not reproduce wall-clock
 	// timings, so they carry across a restore but never gate one.
@@ -88,41 +83,13 @@ func (m *Metrics) State() MetricsState {
 			s.LogHists[name] = h.State()
 		}
 	}
-	if len(m.hists) > 0 {
-		s.HistDigests = make(map[string]uint64, len(m.hists))
-		for name, h := range m.hists {
-			s.HistDigests[name] = cdfDigest(h)
-		}
-	}
 	if len(m.wall) > 0 {
 		s.Wall = sortedKeys(m.wall)
 	}
 	return s
 }
 
-// cdfDigest hashes a CDF-backed histogram's sorted samples.
-func cdfDigest(h *Histogram) uint64 {
-	fh := fnv.New64a()
-	var b [8]byte
-	w := func(v uint64) {
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
-		}
-		fh.Write(b[:])
-	}
-	w(uint64(h.cdf.N()))
-	if h.cdf.N() > 0 {
-		xs, _ := h.cdf.Points()
-		for _, x := range xs {
-			w(math.Float64bits(x))
-		}
-	}
-	return fh.Sum64()
-}
-
-// Restore rebuilds a registry from the state. Counters, gauges and LogHists
-// come back exactly; CDF-backed histograms come back empty (they verify by
-// digest only — replay repopulates them).
+// Restore rebuilds the registry the state was captured from exactly.
 func (s MetricsState) Restore() (*Metrics, error) {
 	m := NewMetrics()
 	for name, v := range s.Counters {
@@ -187,10 +154,6 @@ func (s MetricsState) Digest() uint64 {
 			w(uint64(bk[0]))
 			w(uint64(bk[1]))
 		}
-	}
-	for _, k := range sortedKeys(s.HistDigests) {
-		ws(k)
-		w(s.HistDigests[k])
 	}
 	return h.Sum64()
 }

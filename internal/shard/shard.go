@@ -31,6 +31,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/phy"
+	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topo"
@@ -55,13 +56,6 @@ type Options struct {
 	// Workers is the shard count — worker goroutines domains are scheduled
 	// onto (≤ 0: all cores). Output is independent of this value.
 	Workers int
-	// CutDBm is the partition's RSS-threshold cut (0: topo.DefaultCutDBm;
-	// use topo.NoCutDBm to keep every conflict edge).
-	CutDBm float64
-	// Lookahead overrides the synchronization window width (0:
-	// LookaheadFloor()). Ignored when the partition has no cross-domain
-	// coupling — uncoupled domains need no windows at all.
-	Lookahead sim.Time
 	// StepGranule bounds how much simulated time one Steppable.StepWindow
 	// call may advance an *uncoupled* partition (0: the whole run in one
 	// step, the barrier-free fast path Run uses). The run-lifecycle layer
@@ -112,16 +106,15 @@ func Run(s core.Scenario, opt Options) (core.Result, *Report, error) {
 // done, then Finish exactly once. Run is the loop-it-all wrapper and stays
 // byte-identical to the pre-steppable implementation.
 type Steppable struct {
-	s         core.Scenario
-	opt       Options
-	lookahead sim.Time
-	links     []*topo.Link
-	p         *topo.Partition
-	insts     []*core.Instance
-	tracers   []*remapTracer
-	metrics   []*obs.Metrics
-	router    *router
-	rep       *Report
+	s       core.Scenario
+	opt     Options
+	links   []*topo.Link
+	p       *topo.Partition
+	insts   []*core.Instance
+	tracers []*remapTracer
+	metrics []*obs.Metrics
+	router  *router
+	rep     *Report
 
 	// nextH is the horizon the next step advances to; steps counts
 	// completed StepWindow calls (the checkpoint replay coordinate).
@@ -159,14 +152,6 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	if s.Duration == 0 {
 		s.Duration = 10 * sim.Second
 	}
-	cut := opt.CutDBm
-	if cut == 0 {
-		cut = topo.DefaultCutDBm
-	}
-	lookahead := opt.Lookahead
-	if lookahead <= 0 {
-		lookahead = LookaheadFloor()
-	}
 
 	links := s.Net.BuildLinks(s.Downlink, s.Uplink)
 	pcfg := phy.DefaultConfig()
@@ -174,7 +159,7 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 		pcfg = *s.PhyConfig
 	}
 	g := topo.NewConflictGraph(s.Net, links, pcfg, s.Rate)
-	p := topo.PartitionDomains(g, cut)
+	p := topo.PartitionDomains(g, topo.DefaultCutDBm)
 
 	rep := &Report{Partition: p, Workers: parallel.Workers(opt.Workers)}
 	nd := len(p.Domains)
@@ -216,14 +201,14 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	router := newRouter(p)
 
 	st := &Steppable{
-		s: s, opt: opt, lookahead: lookahead, links: links, p: p,
+		s: s, opt: opt, links: links, p: p,
 		insts: insts, tracers: tracers, metrics: metrics,
 		router: router, rep: rep,
 	}
 	// The first horizon: coupled partitions step conservative-lookahead
 	// windows; uncoupled ones leap by the step granule (or the whole run).
 	if router.pairs() > 0 {
-		st.nextH = lookahead
+		st.nextH = LookaheadFloor()
 	} else if opt.StepGranule > 0 {
 		st.nextH = opt.StepGranule
 	} else {
@@ -270,7 +255,7 @@ func (st *Steppable) prevH() sim.Time {
 
 func (st *Steppable) granule() sim.Time {
 	if st.router.pairs() > 0 {
-		return st.lookahead
+		return LookaheadFloor()
 	}
 	if st.opt.StepGranule > 0 {
 		return st.opt.StepGranule
@@ -386,7 +371,8 @@ func mergeResults(s core.Scenario, links []*topo.Link, p *topo.Partition, rep *R
 	return res
 }
 
-// emitMerged streams the merged trace: a global run-open record, the
+// emitMerged streams the merged trace: a global run-open record labelled
+// with the registry's canonical scheme name (as core.NewInstance does), the
 // k-way-merged per-domain streams, the merged-registry histogram summaries
 // (mirroring obs.Run.Finish), and the global run-close record. The merge
 // key is (timestamp, domain, stream order) — independent of Workers.
@@ -396,6 +382,9 @@ func emitMerged(s core.Scenario, p *topo.Partition, rep *Report, tracers []*rema
 	start.Aux = s.SchemeName
 	if start.Aux == "" {
 		start.Aux = s.Scheme.String()
+	}
+	if d, ok := scheme.Lookup(start.Aux); ok {
+		start.Aux = d.Name
 	}
 	s.Tracer.Emit(start)
 

@@ -144,6 +144,37 @@ func TestShardTransparencySingleDomain(t *testing.T) {
 	}
 }
 
+// TestRunStartCanonicalSchemeName: a scenario naming its scheme in a
+// non-canonical spelling opens the sharded trace with the same run_start
+// record the single engine writes — the registry's canonical name.
+func TestRunStartCanonicalSchemeName(t *testing.T) {
+	firstRecord := func(run func(core.Scenario) error) obs.Record {
+		t.Helper()
+		s := baseScenario(disjointNet(2, 1))
+		s.SchemeName = "domino"
+		var buf obs.Buffer
+		s.Tracer = &buf
+		if err := run(s); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Records()[0]
+	}
+	single := firstRecord(func(s core.Scenario) error {
+		_, err := core.RunScenario(s)
+		return err
+	})
+	sharded := firstRecord(func(s core.Scenario) error {
+		_, _, err := Run(s, Options{Workers: 2})
+		return err
+	})
+	if single.Kind != obs.KindRunStart || single.Aux != "DOMINO" {
+		t.Fatalf("single-engine first record = %+v, want run_start DOMINO", single)
+	}
+	if sharded != single {
+		t.Fatalf("sharded run_start = %+v, single engine = %+v", sharded, single)
+	}
+}
+
 // TestDifferentialMultiDomain checks the multi-domain equivalence level:
 // disjoint cells produce the same aggregate capacity, delivery count and
 // collision count as the single engine. Per-link schedules legitimately

@@ -44,14 +44,8 @@ type KernelState struct {
 // events (never from inside a callback).
 func (k *Kernel) CheckpointState() KernelState {
 	s := KernelState{Now: k.now, Seq: k.seq, Fired: k.fired, Pending: k.Pending()}
-	if k.ref != nil {
-		for _, ev := range *k.ref {
-			s.Queue = append(s.Queue, QueuedEvent{At: ev.at, Seq: ev.seq, Src: ev.src})
-		}
-	} else {
-		for _, ev := range k.q {
-			s.Queue = append(s.Queue, QueuedEvent{At: ev.at, Seq: ev.seq, Src: ev.src})
-		}
+	for _, ev := range k.q {
+		s.Queue = append(s.Queue, QueuedEvent{At: ev.at, Seq: ev.seq, Src: ev.src})
 	}
 	sortQueued(s.Queue)
 	return s
@@ -124,71 +118,4 @@ func (k *Kernel) VerifyState(want KernelState) error {
 		}
 	}
 	return nil
-}
-
-// RunCount executes at most maxEvents events with timestamps ≤ deadline and
-// reports whether the run segment completed: true means every event up to
-// the deadline fired and the clock advanced to it (exactly what
-// RunUntil(deadline) leaves behind), false means the event budget ran out
-// first and the clock sits at the last fired event with work still pending.
-//
-// This is the bounded-slice drive the run-lifecycle layer steps long
-// simulations with — between slices the driver can pause, checkpoint or
-// cancel — and the replay primitive restore uses: RunCount(deadline, n)
-// after n events leaves the kernel in the same state whether the n events
-// fired in one call or many, so a checkpoint taken at any event boundary is
-// reproducible by replaying that many events.
-func (k *Kernel) RunCount(deadline Time, maxEvents uint64) (Time, bool) {
-	k.stopped = false
-	var fired uint64
-	for !k.stopped && fired < maxEvents {
-		var ev *event
-		if k.ref != nil {
-			ev = k.ref.peek()
-		} else {
-			ev = k.q.peek()
-		}
-		if ev == nil || ev.at > deadline {
-			// Drained up to the deadline: finish the segment like RunUntil.
-			if k.now < deadline && deadline != MaxTime {
-				k.now = deadline
-			}
-			return k.now, true
-		}
-		if k.ref != nil {
-			k.ref.popMin()
-		} else {
-			k.q.popMin()
-		}
-		if ev.cancelled {
-			continue
-		}
-		k.now = ev.at
-		k.fired++
-		fired++
-		k.cur = ev.src
-		if k.hook != nil {
-			k.hook(EventInfo{Now: ev.at, Fired: k.fired, Pending: k.Pending(), Source: ev.src})
-		}
-		fn := ev.fn
-		k.release(ev)
-		fn()
-	}
-	if k.stopped {
-		return k.now, false
-	}
-	// Budget exhausted; peek whether anything within the deadline remains.
-	var ev *event
-	if k.ref != nil {
-		ev = k.ref.peek()
-	} else {
-		ev = k.q.peek()
-	}
-	if ev == nil || ev.at > deadline {
-		if k.now < deadline && deadline != MaxTime {
-			k.now = deadline
-		}
-		return k.now, true
-	}
-	return k.now, false
 }

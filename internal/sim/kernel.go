@@ -1,6 +1,9 @@
 package sim
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Source attributes an event to the layer that scheduled it. Events inherit
 // the source of the event whose callback created them, so a chain started by
@@ -135,8 +138,7 @@ type EventInfo struct {
 // The event queue is a monomorphic index-tracked binary min-heap specialized
 // to the pooled event struct: no heap.Interface, no interface boxing, and no
 // allocation per schedule in steady state (events recycle through a free
-// list). A retained container/heap implementation (see refqueue.go) can be
-// swapped in for differential tests.
+// list). TestDifferentialRandomOps checks it against a container/heap model.
 type Kernel struct {
 	now     Time
 	q       eventHeap
@@ -147,17 +149,12 @@ type Kernel struct {
 	fired   uint64
 	cur     Source // source of the currently executing event, inherited by new events
 	hook    func(EventInfo)
-	ref     *refQueue // non-nil: use the retained container/heap reference queue
 }
 
 // New returns a kernel whose clock starts at zero and whose random source is
 // seeded with the given seed. Identical seeds yield identical simulations.
 func New(seed int64) *Kernel {
-	k := &Kernel{rng: rand.New(rand.NewSource(seed))}
-	if referenceQueue.Load() {
-		k.ref = new(refQueue)
-	}
-	return k
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulated time.
@@ -192,24 +189,16 @@ func (k *Kernel) alloc() *event {
 	return &event{k: k, index: -1}
 }
 
-// release returns a fired or cancelled event to the pool. Reference-mode
-// kernels skip the pool so events become garbage, exactly like the pre-pool
-// kernel they exist to reproduce.
+// release returns a fired or cancelled event to the pool.
 func (k *Kernel) release(ev *event) {
 	ev.fn = nil // drop the closure so the pool does not pin captured state
-	if k.ref == nil {
-		k.free = append(k.free, ev)
-	}
+	k.free = append(k.free, ev)
 }
 
 // removeQueued eagerly removes a still-queued event (the Cancel path) and
 // recycles it.
 func (k *Kernel) removeQueued(ev *event) {
-	if k.ref != nil {
-		k.ref.remove(int(ev.index))
-	} else {
-		k.q.remove(int(ev.index))
-	}
+	k.q.remove(int(ev.index))
 	k.release(ev)
 }
 
@@ -222,22 +211,13 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	if t < k.now {
 		panic("sim: event scheduled in the past")
 	}
-	var ev *event
-	if k.ref != nil {
-		ev = &event{k: k, index: -1} // reference mode: one allocation per event
-	} else {
-		ev = k.alloc()
-	}
+	ev := k.alloc()
 	ev.at = t
 	ev.seq = k.seq
 	ev.fn = fn
 	ev.src = k.cur
 	k.seq++
-	if k.ref != nil {
-		k.ref.push(ev)
-	} else {
-		k.q.push(ev)
-	}
+	k.q.push(ev)
 	return Event{ev: ev, gen: ev.gen, at: t}
 }
 
@@ -257,7 +237,10 @@ func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 // RunUntil executes events with timestamps <= deadline, then sets the clock to
 // the deadline (if the queue drained earlier the clock stays at the last event
 // fired). It returns the final clock value.
-func (k *Kernel) RunUntil(deadline Time) Time { return k.run(deadline, true) }
+func (k *Kernel) RunUntil(deadline Time) Time {
+	now, _ := k.run(deadline, true, math.MaxUint64)
+	return now
+}
 
 // RunBefore executes events with timestamps strictly below horizon, then
 // advances the clock to the horizon. It is the bounded-horizon window step of
@@ -267,41 +250,58 @@ func (k *Kernel) RunUntil(deadline Time) Time { return k.run(deadline, true) }
 // boundary events in plain schedule order on the next window. Resumable:
 // successive RunBefore calls with increasing horizons followed by a final
 // RunUntil fire exactly the events one RunUntil would, in the same order.
-func (k *Kernel) RunBefore(horizon Time) Time { return k.run(horizon, false) }
+func (k *Kernel) RunBefore(horizon Time) Time {
+	now, _ := k.run(horizon, false, math.MaxUint64)
+	return now
+}
+
+// RunCount executes at most maxEvents events with timestamps ≤ deadline and
+// reports whether the run segment completed: true means every event up to
+// the deadline fired and the clock advanced to it (exactly what
+// RunUntil(deadline) leaves behind), false means the event budget ran out
+// (or Stop was called) first and the clock sits at the last fired event with
+// work still pending.
+//
+// This is the bounded-slice drive the run-lifecycle layer steps long
+// simulations with — between slices the driver can pause, checkpoint or
+// cancel — and the replay primitive restore uses: RunCount(deadline, n)
+// after n events leaves the kernel in the same state whether the n events
+// fired in one call or many, so a checkpoint taken at any event boundary is
+// reproducible by replaying that many events.
+func (k *Kernel) RunCount(deadline Time, maxEvents uint64) (Time, bool) {
+	return k.run(deadline, true, maxEvents)
+}
 
 // NextEventTime returns the timestamp of the earliest queued event, or
 // (0, false) when the queue is empty — the lookahead peek a shard runner
 // uses to skip empty windows.
 func (k *Kernel) NextEventTime() (Time, bool) {
-	var ev *event
-	if k.ref != nil {
-		ev = k.ref.peek()
-	} else {
-		ev = k.q.peek()
-	}
+	ev := k.q.peek()
 	if ev == nil {
 		return 0, false
 	}
 	return ev.at, true
 }
 
-func (k *Kernel) run(limit Time, inclusive bool) Time {
+// run is the one event loop behind RunUntil, RunBefore and RunCount. It fires
+// events due by limit (inclusive or strictly before it), at most budget of
+// them. When nothing due remains it advances the clock to limit and reports
+// true; when Stop is called or the budget runs out first it leaves the clock
+// at the last fired event and reports false.
+func (k *Kernel) run(limit Time, inclusive bool, budget uint64) (Time, bool) {
 	k.stopped = false
-	for !k.stopped {
-		var ev *event
-		if k.ref != nil {
-			ev = k.ref.peek()
-		} else {
-			ev = k.q.peek()
-		}
+	for fired := uint64(0); !k.stopped; {
+		ev := k.q.peek()
 		if ev == nil || ev.at > limit || (!inclusive && ev.at == limit) {
-			break
+			if limit != MaxTime && k.now < limit {
+				k.now = limit
+			}
+			return k.now, true
 		}
-		if k.ref != nil {
-			k.ref.popMin()
-		} else {
-			k.q.popMin()
+		if fired == budget {
+			return k.now, false
 		}
+		k.q.popMin()
 		if ev.cancelled {
 			// Cancelled events are removed eagerly; this lazy skip only
 			// guards an event cancelled through its own handle between pop
@@ -310,6 +310,7 @@ func (k *Kernel) run(limit Time, inclusive bool) Time {
 		}
 		k.now = ev.at
 		k.fired++
+		fired++
 		k.cur = ev.src
 		if k.hook != nil {
 			k.hook(EventInfo{Now: ev.at, Fired: k.fired, Pending: k.Pending(), Source: ev.src})
@@ -318,20 +319,12 @@ func (k *Kernel) run(limit Time, inclusive bool) Time {
 		k.release(ev)
 		fn()
 	}
-	if !k.stopped && limit != MaxTime && k.now < limit {
-		k.now = limit
-	}
-	return k.now
+	return k.now, false
 }
 
 // Pending returns the number of events currently queued. Cancelled events are
 // removed eagerly, so they no longer count.
-func (k *Kernel) Pending() int {
-	if k.ref != nil {
-		return len(*k.ref)
-	}
-	return len(k.q)
-}
+func (k *Kernel) Pending() int { return len(k.q) }
 
 // poolSize exposes the free-list depth to white-box tests.
 func (k *Kernel) poolSize() int { return len(k.free) }

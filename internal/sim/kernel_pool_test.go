@@ -139,31 +139,3 @@ func TestAtAfterCancelZeroAllocs(t *testing.T) {
 		t.Fatalf("%d-event At+RunUntil drain allocates %v/op in steady state, want 0", batch, got)
 	}
 }
-
-// Reference-mode kernels must behave identically apart from pooling.
-func TestReferenceQueueBasics(t *testing.T) {
-	SetReferenceQueue(true)
-	defer SetReferenceQueue(false)
-	if !ReferenceQueueEnabled() {
-		t.Fatal("reference mode not enabled")
-	}
-	k := New(1)
-	if k.ref == nil {
-		t.Fatal("kernel did not pick up the reference queue")
-	}
-	var order []int
-	k.At(30*Microsecond, func() { order = append(order, 3) })
-	k.At(10*Microsecond, func() { order = append(order, 1) })
-	e := k.At(20*Microsecond, func() { order = append(order, 2) })
-	e.Cancel()
-	if k.Pending() != 2 {
-		t.Fatalf("pending = %d after cancel, want 2", k.Pending())
-	}
-	k.Run()
-	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("order = %v", order)
-	}
-	if k.poolSize() != 0 {
-		t.Fatal("reference-mode kernel pooled events")
-	}
-}

@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test race race-hot race-shard race-serve bench-smoke bench
+.PHONY: ci vet fmt specs build test examples race race-hot race-shard race-serve bench-smoke bench
 
-ci: vet fmt build test specs race race-hot race-shard race-serve bench-smoke
+ci: vet fmt build test specs examples race race-hot race-shard race-serve bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -27,6 +27,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Build and run every example program once (a few seconds in total), so an
+# API change that breaks one at run time fails CI, not just compilation.
+examples:
+	@set -e; for d in examples/*/; do \
+		[ -f $$d/main.go ] || continue; \
+		echo "run $$d"; $(GO) run ./$$d >/dev/null; \
+	done
 
 race:
 	$(GO) test -race ./internal/...

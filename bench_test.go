@@ -45,13 +45,26 @@ func mustT10x2(tb testing.TB, seed int64) *topo.Network {
 	return net
 }
 
+// mustRun runs the scenario or aborts the benchmark.
+func mustRun(tb testing.TB, sc core.Scenario) core.Result {
+	tb.Helper()
+	r, err := core.RunScenario(sc)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 // BenchmarkFig2 regenerates the motivating comparison (Fig 2) and reports
 // the omniscient-over-DCF and DOMINO-over-DCF throughput ratios (paper: 1.76x
 // and close-to-omniscient).
 func BenchmarkFig2(b *testing.B) {
 	var omniGain, dominoGain float64
 	for i := 0; i < b.N; i++ {
-		r := exp.Fig2(benchOpts(int64(i + 1)))
+		r, err := exp.Fig2(benchOpts(int64(i + 1)))
+		if err != nil {
+			b.Fatal(err)
+		}
 		omniGain = r.Overall[core.Omniscient] / r.Overall[core.DCF]
 		dominoGain = r.Overall[core.DOMINO] / r.Overall[core.DCF]
 	}
@@ -132,13 +145,17 @@ func BenchmarkFig9(b *testing.B) {
 	b.ReportMetric(fp*100, "falsepos-%")
 }
 
-// BenchmarkFig10 regenerates the microscope timeline (engine event trace).
+// BenchmarkFig10 regenerates the microscope timeline (obs slot records).
 func BenchmarkFig10(b *testing.B) {
 	var events float64
 	for i := 0; i < b.N; i++ {
 		o := benchOpts(int64(i + 1))
 		o.Duration = 300 * sim.Millisecond
-		events = float64(len(exp.Fig10(o, 1000)))
+		recs, err := exp.Fig10(o, 1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = float64(len(recs))
 	}
 	b.ReportMetric(events, "events")
 }
@@ -150,7 +167,10 @@ func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := benchOpts(int64(i + 1))
 		o.Duration = sim.Second // scaled ×10 inside for the slow USRP PHY
-		r := exp.Table2(o)
+		r, err := exp.Table2(o)
+		if err != nil {
+			b.Fatal(err)
+		}
 		htGain = r.Domino[1] / r.DCF[1]
 	}
 	b.ReportMetric(htGain, "HT-gain")
@@ -216,7 +236,10 @@ func BenchmarkFig12TCP(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	var centaurDrop, dominoHold float64
 	for i := 0; i < b.N; i++ {
-		r := exp.Table3(benchOpts(int64(i + 1)))
+		r, err := exp.Table3(benchOpts(int64(i + 1)))
+		if err != nil {
+			b.Fatal(err)
+		}
 		centaurDrop = r.Mbps[1][1] / r.Mbps[0][1]
 		dominoHold = r.Mbps[1][0] / r.Mbps[0][0]
 	}
@@ -414,7 +437,7 @@ func BenchmarkAblationTriggerRedundancy(b *testing.B) {
 		b.Run(map[int]string{1: "inbound1", 2: "inbound2"}[inbound], func(b *testing.B) {
 			var agg float64
 			for i := 0; i < b.N; i++ {
-				r := core.Run(core.Scenario{
+				r := mustRun(b, core.Scenario{
 					Net:      mustT10x2(b, 1),
 					Downlink: true, Uplink: true,
 					Scheme: core.DOMINO, Traffic: core.Saturated,
@@ -440,7 +463,7 @@ func BenchmarkAblationFakeCover(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var agg float64
 			for i := 0; i < b.N; i++ {
-				r := core.Run(core.Scenario{
+				r := mustRun(b, core.Scenario{
 					Net:      mustT10x2(b, 1),
 					Downlink: true, Uplink: true,
 					Scheme: core.DOMINO, Traffic: core.Saturated,
@@ -462,7 +485,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 		b.Run(map[int]string{8: "batch8", 24: "batch24", 48: "batch48"}[batch], func(b *testing.B) {
 			var agg float64
 			for i := 0; i < b.N; i++ {
-				r := core.Run(core.Scenario{
+				r := mustRun(b, core.Scenario{
 					Net:      mustT10x2(b, 1),
 					Downlink: true, Uplink: true,
 					Scheme: core.DOMINO, Traffic: core.Saturated,
@@ -485,7 +508,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var agg float64
 			for i := 0; i < b.N; i++ {
-				r := core.Run(core.Scenario{
+				r := mustRun(b, core.Scenario{
 					Net:      mustT10x2(b, 1),
 					Downlink: true, Uplink: true,
 					Scheme: core.DOMINO, Traffic: core.Saturated,
@@ -530,7 +553,7 @@ func BenchmarkScale(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var agg float64
 			for i := 0; i < b.N; i++ {
-				r := core.Run(core.Scenario{
+				r := mustRun(b, core.Scenario{
 					Net: c.net(), Downlink: true, Uplink: true,
 					Scheme: core.DOMINO, Traffic: core.Saturated,
 					Duration: sim.Second, Seed: int64(i + 1),

@@ -47,8 +47,7 @@ func experiments() []experiment {
 			return nil
 		}, nil},
 		{"fig2", "Fig 1 network: DCF/CENTAUR/DOMINO/omniscient (Fig 2)", func(o exp.Options) error {
-			exp.Fig2(o).Print(os.Stdout)
-			return nil
+			return printErr(exp.Fig2(o))
 		}, nil},
 		{"fig5", "received spectra, adjacent subchannels (Fig 5)", func(o exp.Options) error {
 			exp.Fig5(o.Seed).Print(os.Stdout)
@@ -65,12 +64,15 @@ func experiments() []experiment {
 			func(o exp.Options) error { return printErr(exp.Fig9(o)) },
 			func(o exp.Options, w io.Writer) error { return csvErr(exp.Fig9(o))(w) }},
 		{"fig10", "relative-schedule timeline on the Fig 7 network (Fig 10)", func(o exp.Options) error {
-			exp.PrintFig10(os.Stdout, exp.Fig10(o, 60))
+			events, err := exp.Fig10(o, 60)
+			if err != nil {
+				return err
+			}
+			exp.PrintFig10(os.Stdout, events)
 			return nil
 		}, nil},
 		{"table2", "USRP prototype: SC/HT/ET, DOMINO vs DCF (Table 2)", func(o exp.Options) error {
-			exp.Table2(o).Print(os.Stdout)
-			return nil
+			return printErr(exp.Table2(o))
 		}, nil},
 		{"fig11", "TX misalignment convergence vs wired jitter (Fig 11)",
 			func(o exp.Options) error { return printErr(exp.Fig11(o)) },
@@ -82,8 +84,7 @@ func experiments() []experiment {
 			func(o exp.Options) error { return printErr(exp.Fig12(o, core.TCP)) },
 			func(o exp.Options, w io.Writer) error { return csvErr(exp.Fig12(o, core.TCP))(w) }},
 		{"table3", "exposed-link topologies of Fig 13 (Table 3)", func(o exp.Options) error {
-			exp.Table3(o).Print(os.Stdout)
-			return nil
+			return printErr(exp.Table3(o))
 		}, nil},
 		{"fig14", "CDF of DOMINO/DCF gain on random T(20,3) (Fig 14)",
 			func(o exp.Options) error { return printErr(exp.Fig14(o)) },

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"math/rand"
 	"os"
 	"text/tabwriter"
@@ -31,7 +32,7 @@ func main() {
 		rng := rand.New(rand.NewSource(*seed))
 		net, err := topo.BuildT(tr, 10, 2, phy.DefaultConfig(), phy.Rate12, rng)
 		if err != nil {
-			panic(err)
+			log.Fatal(err)
 		}
 		return net
 	}
@@ -47,7 +48,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tthroughput (Mbps)\tmean delay\tJain fairness\t")
 	for _, scheme := range []core.Scheme{core.DCF, core.CENTAUR, core.DOMINO} {
-		res := core.Run(core.Scenario{
+		res, err := core.RunScenario(core.Scenario{
 			Net:      build(),
 			Downlink: true,
 			Uplink:   true,
@@ -59,6 +60,9 @@ func main() {
 			Warmup:   500 * sim.Millisecond,
 			Seed:     *seed,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Fprintf(w, "%s\t%.2f\t%v\t%.3f\t\n",
 			scheme, res.DataMbps, res.MeanDelay, res.Fairness)
 	}

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"os"
 	"text/tabwriter"
 
@@ -24,7 +25,7 @@ func main() {
 	fmt.Fprintln(w, "scheme\tAP1→C1\tC2→AP2\tAP3→C3\toverall\t")
 	for _, scheme := range []core.Scheme{core.DCF, core.CENTAUR, core.DOMINO, core.Omniscient} {
 		net := topo.Figure1()
-		res := core.Run(core.Scenario{
+		res, err := core.RunScenario(core.Scenario{
 			Net:      net,
 			Links:    topo.Figure1Links(net),
 			Scheme:   scheme,
@@ -33,6 +34,9 @@ func main() {
 			Warmup:   sim.Second,
 			Seed:     1,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%.2f\t%.2f\t\n",
 			scheme, res.PerLinkMbps[0], res.PerLinkMbps[1], res.PerLinkMbps[2], res.AggregateMbps)
 	}

@@ -1,8 +1,8 @@
 // Microscope puts DOMINO "under the microscope" (paper §3.4, Fig 10): it runs
 // the four-pair Fig 7 network with every flow saturated and prints the
-// per-slot timeline — self-starts, data and fake transmissions, signature
-// broadcasts, triggers and polls — showing the wired-jitter misalignment of
-// slot 0 healing within a few slots.
+// per-slot timeline — data and fake transmissions, signature broadcasts,
+// triggers, ACKs and polls — showing the wired-jitter misalignment of slot 0
+// healing within a few slots.
 //
 //	go run ./examples/microscope [-events 80]
 package main
@@ -10,9 +10,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
+	"os"
 
 	"repro/internal/core"
-	"repro/internal/domino"
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -25,8 +27,8 @@ func main() {
 	fmt.Println("all eight links saturated. Timeline of the first slots:")
 	fmt.Println()
 
-	n := 0
-	res := core.Run(core.Scenario{
+	tl := exp.NewTimeline(*maxEvents)
+	res, err := core.RunScenario(core.Scenario{
 		Net:           topo.Figure7(),
 		Downlink:      true,
 		Uplink:        true,
@@ -35,18 +37,12 @@ func main() {
 		Duration:      2 * sim.Second,
 		Seed:          6,
 		MisalignSlots: 8,
-		Trace: func(ev domino.TraceEvent) {
-			if n >= *maxEvents {
-				return
-			}
-			n++
-			link := ""
-			if ev.Link != nil {
-				link = ev.Link.String()
-			}
-			fmt.Printf("%12v  slot %-3d  %-9s node %-2d  %s\n", ev.At, ev.Slot, ev.Kind, ev.Node, link)
-		},
+		Tracer:        tl,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	exp.PrintFig10(os.Stdout, tl.Records())
 
 	fmt.Println()
 	fmt.Println("misalignment at slot starts (paper Fig 11's metric):")

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -16,7 +17,7 @@ func main() {
 	// Two AP-client pairs placed as hidden terminals: the senders cannot
 	// carrier-sense each other, but each corrupts the other's receiver.
 	for _, scheme := range []core.Scheme{core.DCF, core.DOMINO} {
-		res := core.Run(core.Scenario{
+		res, err := core.RunScenario(core.Scenario{
 			Net:      topo.TwoPairs(topo.HiddenTerminals),
 			Downlink: true,
 			Scheme:   scheme,
@@ -25,6 +26,9 @@ func main() {
 			Warmup:   500 * sim.Millisecond,
 			Seed:     42,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-8s aggregate %5.2f Mbps, fairness %.2f", scheme, res.AggregateMbps, res.Fairness)
 		for _, l := range res.Links {
 			fmt.Printf("   %s %.2f", l, res.PerLinkMbps[l.ID])

@@ -5,8 +5,8 @@
 // harness and the CLIs build on; the paper's individual mechanisms live in
 // the packages it wires together.
 //
-// Scenarios come in two forms: the programmatic Scenario struct (Run /
-// RunScenario) and the declarative spec.Spec (RunE), which is what the
+// Scenarios come in two forms: the programmatic Scenario struct
+// (RunScenario) and the declarative spec.Spec (RunE), which is what the
 // -spec CLI mode and the example spec files use. Both run through the same
 // registry pipeline, so a scheme registered by any package — including a
 // fifth one this package has never heard of — runs identically.
@@ -30,37 +30,26 @@ import (
 	"repro/internal/traffic"
 )
 
-// Scheme selects the channel-access protocol under test.
-type Scheme int
+// Scheme selects the channel-access protocol under test by its registry
+// name (internal/scheme; lookup is case-insensitive, aliases included), so
+// an externally registered scheme runs through this package unchanged.
+type Scheme string
 
+// The built-in schemes, named as in the paper's figures.
 const (
 	// DCF is the 802.11 distributed baseline.
-	DCF Scheme = iota
+	DCF Scheme = "DCF"
 	// CENTAUR is the hybrid scheduled-downlink / DCF-uplink baseline.
-	CENTAUR
+	CENTAUR Scheme = "CENTAUR"
 	// DOMINO is the paper's relative-scheduling system.
-	DOMINO
+	DOMINO Scheme = "DOMINO"
 	// Omniscient is the perfectly synchronized, perfect-knowledge upper
 	// bound of Fig 2.
-	Omniscient
+	Omniscient Scheme = "Omniscient"
 )
 
-// String names the scheme as in the paper's figures; the name doubles as
-// the registry key.
-func (s Scheme) String() string {
-	switch s {
-	case DCF:
-		return "DCF"
-	case CENTAUR:
-		return "CENTAUR"
-	case DOMINO:
-		return "DOMINO"
-	case Omniscient:
-		return "Omniscient"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
+// String returns the scheme's registry name.
+func (s Scheme) String() string { return string(s) }
 
 // TrafficKind selects the workload.
 type TrafficKind int
@@ -83,12 +72,9 @@ type Scenario struct {
 	// Downlink/Uplink select which directions exist when Links is nil.
 	Downlink, Uplink bool
 
+	// Scheme is required: an empty or unregistered name is an error.
 	Scheme Scheme
-	// SchemeName, when non-empty, selects the scheme by registry name
-	// instead of the Scheme enum — the hook that lets externally registered
-	// schemes run through this package unchanged.
-	SchemeName string
-	Seed       int64
+	Seed   int64
 	// Duration is the simulated time (measurement ends here).
 	Duration sim.Time
 	// Warmup excludes the initial transient from the statistics.
@@ -108,15 +94,12 @@ type Scenario struct {
 	// Tune hooks mutate scheme configs before the engine is built. The
 	// typed hooks fire only when their scheme runs; Tune fires for every
 	// scheme and receives the pointer Descriptor.DefaultConfig returned.
-	TuneDomino  func(*domino.Config)
-	TuneDCF     func(*dcf.Config)
-	TuneCentaur func(*centaur.Config)
-	Tune        func(cfg any) error
+	TuneDomino func(*domino.Config)
+	TuneDCF    func(*dcf.Config)
+	Tune       func(cfg any) error
 
 	// MisalignSlots arms DOMINO's misalignment probe (Fig 11).
 	MisalignSlots int
-	// Trace receives DOMINO engine events (Fig 10 microscope).
-	Trace func(domino.TraceEvent)
 
 	// Tracer, when non-nil, receives the run's typed observability records
 	// (obs package): kernel samples, PHY activity, scheme slot timelines,
@@ -142,12 +125,21 @@ type Scenario struct {
 	Live *obs.MetricsPublisher
 }
 
-// schemeName resolves the registry key the scenario selects.
-func (s Scenario) schemeName() string {
-	if s.SchemeName != "" {
-		return s.SchemeName
+// WithDefaults returns the scenario with its zero PacketBytes, Rate and
+// Duration set to 512 B, 12 Mbps and 10 s. NewInstance applies it; drivers
+// that need the normalized values before building (the shard runner's
+// window math, the run lifecycle's deadline) call it themselves.
+func (s Scenario) WithDefaults() Scenario {
+	if s.PacketBytes == 0 {
+		s.PacketBytes = 512
 	}
-	return s.Scheme.String()
+	if s.Rate == 0 {
+		s.Rate = phy.Rate12
+	}
+	if s.Duration == 0 {
+		s.Duration = 10 * sim.Second
+	}
+	return s
 }
 
 // Result carries a run's measurements.
@@ -161,8 +153,8 @@ type Result struct {
 	MeanDelayPerLink sim.Time
 	Fairness         float64
 
-	// DataMbps sums goodput over non-TCP-ACK... for TCP runs this is the
-	// forward-direction data goodput only.
+	// DataMbps sums goodput over the DataLinkID links, so TCP ACK links
+	// are excluded.
 	DataMbps float64
 
 	// SkippedLinks lists links the traffic layer offered no load to (a
@@ -198,18 +190,6 @@ type Result struct {
 	// nil unless the scenario set Tracer or Metrics.
 	Breakdown *obs.Breakdown
 	Snapshot  obs.Snapshot
-}
-
-// Run executes the scenario and returns its measurements. It is the
-// panic-on-bad-input compatibility wrapper around RunScenario, kept for the
-// examples and existing tests; new code should prefer RunScenario or the
-// declarative RunE.
-func Run(s Scenario) Result {
-	res, err := RunScenario(s)
-	if err != nil {
-		panic(fmt.Sprintf("core: %v", err))
-	}
-	return res
 }
 
 // Instance is a fully built, ready-to-run scenario: topology validated,
@@ -268,19 +248,11 @@ func NewInstance(s Scenario) (*Instance, error) {
 	if err := s.Net.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid network: %w", err)
 	}
-	if s.PacketBytes == 0 {
-		s.PacketBytes = 512
-	}
-	if s.Rate == 0 {
-		s.Rate = phy.Rate12
-	}
-	if s.Duration == 0 {
-		s.Duration = 10 * sim.Second
-	}
-	d, ok := scheme.Lookup(s.schemeName())
+	s = s.WithDefaults()
+	d, ok := scheme.Lookup(string(s.Scheme))
 	if !ok {
 		return nil, fmt.Errorf("unknown scheme %q (registered: %s)",
-			s.schemeName(), strings.Join(scheme.Names(), ", "))
+			s.Scheme, strings.Join(scheme.Names(), ", "))
 	}
 	links := s.Links
 	if links == nil {
@@ -331,10 +303,6 @@ func NewInstance(s Scenario) (*Instance, error) {
 		if s.TuneDCF != nil {
 			s.TuneDCF(c)
 		}
-	case *centaur.Config:
-		if s.TuneCentaur != nil {
-			s.TuneCentaur(c)
-		}
 	case *domino.Config:
 		if s.TuneDomino != nil {
 			s.TuneDomino(c)
@@ -373,9 +341,6 @@ func NewInstance(s Scenario) (*Instance, error) {
 	case *centaur.Engine:
 		res.Centaur = e
 	case *domino.Engine:
-		if s.Trace != nil {
-			e.Trace = s.Trace
-		}
 		res.Domino = e
 		res.Misalign = e.Misalign
 		res.UnpolledClients = e.UnpolledClients

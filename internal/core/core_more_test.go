@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/phy"
+	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -11,7 +13,7 @@ import (
 func TestRunLinksOverride(t *testing.T) {
 	net := topo.Figure1()
 	links := topo.Figure1Links(net)
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net: net, Links: links, Scheme: DCF, Seed: 1,
 		Duration: sim.Second, Traffic: Saturated,
 	})
@@ -27,7 +29,7 @@ func TestRunPhyConfigOverride(t *testing.T) {
 	cfg := phy.DefaultConfig()
 	cfg.NoiseDBm = -58
 	cfg.DeliverFloorDBm = -58
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net: topo.TwoPairs(topo.ExposedTerminals), Downlink: true,
 		Scheme: DCF, Seed: 1, Duration: sim.Second, Traffic: Saturated,
 		PhyConfig: &cfg,
@@ -39,7 +41,7 @@ func TestRunPhyConfigOverride(t *testing.T) {
 
 func TestRunRateOverride(t *testing.T) {
 	run := func(rate phy.Rate) float64 {
-		return Run(Scenario{
+		return mustRun(t, Scenario{
 			Net: topo.TwoPairs(topo.ExposedTerminals), Downlink: true,
 			Scheme: Omniscient, Seed: 1, Duration: sim.Second,
 			Traffic: Saturated, Rate: rate,
@@ -51,7 +53,7 @@ func TestRunRateOverride(t *testing.T) {
 }
 
 func TestRunDefaultDuration(t *testing.T) {
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net: topo.TwoPairs(topo.ExposedTerminals), Downlink: true,
 		Scheme: Omniscient, Seed: 1, Traffic: Saturated,
 	})
@@ -61,14 +63,20 @@ func TestRunDefaultDuration(t *testing.T) {
 	}
 }
 
-func TestRunUnknownSchemePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown scheme did not panic")
+func TestRunUnknownSchemeErrors(t *testing.T) {
+	for _, s := range []Scheme{"", "no-such-scheme"} {
+		_, err := RunScenario(Scenario{
+			Net: topo.TwoPairs(topo.ExposedTerminals), Downlink: true,
+			Scheme: s, Duration: sim.Millisecond, Traffic: Saturated,
+		})
+		if err == nil {
+			t.Errorf("scheme %q: no error", string(s))
+			continue
 		}
-	}()
-	Run(Scenario{
-		Net: topo.TwoPairs(topo.ExposedTerminals), Downlink: true,
-		Scheme: Scheme(99), Duration: sim.Millisecond, Traffic: Saturated,
-	})
+		for _, name := range scheme.Names() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("scheme %q: error %q does not list registered scheme %s", string(s), err, name)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -9,19 +10,18 @@ import (
 
 func TestSchemeString(t *testing.T) {
 	want := map[Scheme]string{
-		DCF: "DCF", CENTAUR: "CENTAUR", DOMINO: "DOMINO",
-		Omniscient: "Omniscient", Scheme(42): "Scheme(42)",
+		DCF: "DCF", CENTAUR: "CENTAUR", DOMINO: "DOMINO", Omniscient: "Omniscient",
 	}
 	for s, w := range want {
 		if got := s.String(); got != w {
-			t.Errorf("%d.String() = %q", int(s), got)
+			t.Errorf("%q.String() = %q, want %q", string(s), got, w)
 		}
 	}
 }
 
 func TestRunAllSchemesSaturated(t *testing.T) {
 	for _, scheme := range []Scheme{DCF, CENTAUR, DOMINO, Omniscient} {
-		res := Run(Scenario{
+		res := mustRun(t, Scenario{
 			Net:      topo.TwoPairs(topo.ExposedTerminals),
 			Downlink: true,
 			Scheme:   scheme,
@@ -41,13 +41,23 @@ func TestRunAllSchemesSaturated(t *testing.T) {
 	}
 }
 
+// mustRun runs the scenario or fails the test.
+func mustRun(t *testing.T, s Scenario) Result {
+	t.Helper()
+	res, err := RunScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestSchemeOrdering pins the headline comparison on the exposed-pair
 // topology: DOMINO and the omniscient bound exploit concurrency; DCF and
 // CENTAUR-downlink-only differ but both beat nothing. DOMINO must land close
 // to omniscient (paper Fig 2).
 func TestSchemeOrdering(t *testing.T) {
 	run := func(s Scheme) float64 {
-		return Run(Scenario{
+		return mustRun(t, Scenario{
 			Net:      topo.TwoPairs(topo.ExposedTerminals),
 			Downlink: true,
 			Scheme:   s,
@@ -70,7 +80,7 @@ func TestSchemeOrdering(t *testing.T) {
 }
 
 func TestRunUDP(t *testing.T) {
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net:      topo.TwoPairs(topo.ExposedTerminals),
 		Downlink: true,
 		Uplink:   true,
@@ -92,7 +102,7 @@ func TestRunUDP(t *testing.T) {
 }
 
 func TestRunTCP(t *testing.T) {
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net:      topo.TwoPairs(topo.ExposedTerminals),
 		Downlink: true,
 		Uplink:   true,
@@ -118,7 +128,7 @@ func TestRunTCP(t *testing.T) {
 }
 
 func TestRunMisalignProbe(t *testing.T) {
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net:           topo.Figure7(),
 		Downlink:      true,
 		Uplink:        true,
@@ -136,13 +146,11 @@ func TestRunMisalignProbe(t *testing.T) {
 	}
 }
 
-func TestRunPanicsOnBadScenario(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid network did not panic")
-		}
-	}()
+func TestRunBadScenarioErrors(t *testing.T) {
 	n := topo.Figure1()
 	n.APOf[1] = 1 // corrupt
-	Run(Scenario{Net: n, Downlink: true, Traffic: Saturated, Duration: sim.Millisecond})
+	_, err := RunScenario(Scenario{Net: n, Downlink: true, Traffic: Saturated, Duration: sim.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "invalid network") {
+		t.Errorf("corrupt network: err = %v, want an invalid-network error", err)
+	}
 }

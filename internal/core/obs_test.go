@@ -17,7 +17,7 @@ func TestRunObservedDomino(t *testing.T) {
 	var buf obs.Buffer
 	m := obs.NewMetrics()
 	dur := sim.Second
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net:      topo.Figure7(),
 		Downlink: true,
 		Uplink:   true,
@@ -89,7 +89,7 @@ func TestRunObservedDomino(t *testing.T) {
 func TestRunObservedDCF(t *testing.T) {
 	var buf obs.Buffer
 	dur := 500 * sim.Millisecond
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net:      topo.TwoPairs(topo.ExposedTerminals),
 		Downlink: true,
 		Scheme:   DCF,
@@ -116,7 +116,7 @@ func TestRunObservedDCF(t *testing.T) {
 // TestRunUnobservedHasNoBreakdown pins that the default scenario installs no
 // hooks and reports no observability artifacts.
 func TestRunUnobservedHasNoBreakdown(t *testing.T) {
-	res := Run(Scenario{
+	res := mustRun(t, Scenario{
 		Net:      topo.TwoPairs(topo.ExposedTerminals),
 		Downlink: true,
 		Scheme:   DOMINO,
@@ -136,7 +136,7 @@ func TestRunUnobservedHasNoBreakdown(t *testing.T) {
 // after State().Restore().
 func TestMetricsStateRoundTrip(t *testing.T) {
 	m := obs.NewMetrics()
-	Run(Scenario{
+	mustRun(t, Scenario{
 		Net:      topo.Figure7(),
 		Downlink: true,
 		Uplink:   true,

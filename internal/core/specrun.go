@@ -43,7 +43,7 @@ func BuildScenario(sp spec.Spec) (Scenario, error) {
 		Links:         links,
 		Downlink:      sp.DownlinkEnabled(),
 		Uplink:        sp.UplinkEnabled(),
-		SchemeName:    sp.Scheme,
+		Scheme:        Scheme(sp.Scheme),
 		Seed:          sp.Seed,
 		Duration:      sp.Duration.Time(),
 		Warmup:        sp.Warmup.Time(),

@@ -110,7 +110,6 @@ func (ap *apNode) receiveSchedule(newKnown int) {
 // client with a signature (paper §3.3, batch connection).
 func (ap *apNode) bootstrap() {
 	if len(ap.actions) > 0 && ap.actions[0].kind == aSend && ap.actions[0].slot == 0 {
-		ap.e.trace(TraceEvent{Slot: 0, Kind: "selfstart", Node: ap.id})
 		ap.execNext(0, 0)
 		return
 	}
@@ -147,7 +146,6 @@ func (ap *apNode) armWatchdog() {
 		ap.e.SelfStarts++
 		// The chain died: this self-start roots a fresh trigger cascade.
 		ap.refSpan, ap.depth = 0, 0
-		ap.e.trace(TraceEvent{Slot: -1, Kind: "selfstart", Node: ap.id})
 		if ap.armed == nil {
 			ap.execNext(0, ap.ptr+1)
 		}
@@ -283,8 +281,7 @@ func (ap *apNode) sendData(act action) {
 		nextWait: e.gapAfter(act.slot)}
 	if bundle != nil {
 		e.DataSends += len(bundle)
-		e.trace(TraceEvent{Slot: act.slot, Kind: "data", Node: ap.id, Link: act.link, OK: true,
-			Span: slotSpan, Parent: ap.refSpan})
+		e.emitSlotStart("data", ap.id, act.link, act.slot, slotSpan, ap.refSpan)
 		dur := e.cfg.dataAirtime()
 		e.medium.Transmit(ap.id, &phy.Frame{
 			Kind: phy.Data, Dst: act.link.Receiver, Bytes: e.cfg.VirtualBytes,
@@ -297,8 +294,7 @@ func (ap *apNode) sendData(act action) {
 		ap.ackEv = e.k.After(timeout, func() { ap.ackTimeout(act.link) })
 	} else {
 		e.FakeSends++
-		e.trace(TraceEvent{Slot: act.slot, Kind: "fake", Node: ap.id, Link: act.link, OK: true,
-			Span: slotSpan, Parent: ap.refSpan})
+		e.emitSlotStart("fake", ap.id, act.link, act.slot, slotSpan, ap.refSpan)
 		e.medium.Transmit(ap.id, &phy.Frame{
 			Kind: phy.FakeHeader, Dst: act.link.Receiver, Bytes: 0,
 			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(), Payload: m,
@@ -409,8 +405,7 @@ func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool
 	if e.sp != nil {
 		bSpan = e.sp.Next()
 	}
-	e.trace(TraceEvent{Slot: slotHint, Kind: "bcast", Node: ap.id, OK: true,
-		Span: bSpan, Parent: ap.refSpan})
+	e.emitSlotEnd(ap.id, slotHint-1, bSpan, ap.refSpan)
 	e.medium.Transmit(ap.id, &phy.Frame{
 		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
 		Payload: &phy.SignaturePayload{Sigs: sigIDs(sigs), Start: true, ROP: ropFlag,
@@ -462,7 +457,6 @@ func (ap *apNode) doPoll(slotIdx int) {
 func (ap *apNode) doPollNow(slotIdx int) {
 	e := ap.e
 	e.Polls++
-	e.trace(TraceEvent{Slot: slotIdx, Kind: "poll", Node: ap.id, OK: true})
 	// The poll is part of the current chain node: airtime and rop_poll
 	// records accrue to the AP's reference span rather than a fresh one.
 	pollSpan := ap.refSpan
@@ -598,7 +592,6 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 				if e.medium.Transmitting(ap.id) {
 					return
 				}
-				e.trace(TraceEvent{Slot: idx, Kind: "ack", Node: ap.id, OK: true})
 				e.medium.Transmit(ap.id, &phy.Frame{
 					Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
 					Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(), Payload: am,

@@ -67,7 +67,6 @@ func (c *clientNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDete
 				if e.medium.Transmitting(c.id) {
 					return
 				}
-				e.trace(TraceEvent{Slot: m.slot, Kind: "ack", Node: c.id, OK: true})
 				e.medium.Transmit(c.id, &phy.Frame{
 					Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
 					Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(),
@@ -114,8 +113,7 @@ func (c *clientNode) scheduleBroadcast(slotIdx int, targets []phy.NodeID, ropFla
 			if e.sp != nil {
 				bSpan = e.sp.Next()
 			}
-			e.trace(TraceEvent{Slot: slotIdx + 1, Kind: "bcast", Node: c.id, OK: true,
-				Span: bSpan, Parent: c.refSpan})
+			e.emitSlotEnd(c.id, slotIdx, bSpan, c.refSpan)
 			e.medium.Transmit(c.id, &phy.Frame{
 				Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
 				Payload: &phy.SignaturePayload{Sigs: sigIDs(sigs), Start: true, ROP: ropFlag,
@@ -197,8 +195,7 @@ func (c *clientNode) sendUplink() {
 	}
 	if bundle != nil {
 		e.DataSends += len(bundle)
-		e.trace(TraceEvent{Slot: c.lastHint, Kind: "data", Node: c.id, Link: c.uplink, OK: true,
-			Span: slotSpan, Parent: c.refSpan})
+		e.emitSlotStart("data", c.id, c.uplink, c.lastHint, slotSpan, c.refSpan)
 		dur := e.cfg.dataAirtime()
 		e.medium.Transmit(c.id, &phy.Frame{
 			Kind: phy.Data, Dst: c.ap, Bytes: e.cfg.VirtualBytes,
@@ -212,8 +209,7 @@ func (c *clientNode) sendUplink() {
 		c.ackEv = e.k.After(timeout, c.ackTimeout)
 	} else {
 		e.FakeSends++
-		e.trace(TraceEvent{Slot: c.lastHint, Kind: "fake", Node: c.id, Link: c.uplink, OK: true,
-			Span: slotSpan, Parent: c.refSpan})
+		e.emitSlotStart("fake", c.id, c.uplink, c.lastHint, slotSpan, c.refSpan)
 		e.medium.Transmit(c.id, &phy.Frame{
 			Kind: phy.FakeHeader, Dst: c.ap, Bytes: 0,
 			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(),

@@ -8,6 +8,6 @@ import "testing"
 func TestVerifyConvertRuns(t *testing.T) {
 	ev, _ := traceRun(t, 5, func(c *Config) { c.VerifyConvert = true })
 	if len(ev) == 0 {
-		t.Fatal("verified run produced no trace events")
+		t.Fatal("verified run produced no trace records")
 	}
 }

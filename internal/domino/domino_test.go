@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mac"
+	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -235,17 +236,38 @@ func TestTraceEventsEmitted(t *testing.T) {
 	k := sim.New(8)
 	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
 	engine := New(k, medium, g, nil, DefaultConfig())
-	kinds := map[string]int{}
-	engine.Trace = func(ev TraceEvent) { kinds[ev.Kind]++ }
+	buf := &obs.Buffer{}
+	orun := obs.NewRun(buf, nil).BindClock(k.Now)
+	medium.SetProbe(orun)
+	engine.WireObs(orun)
 	for i := 0; i < 10; i++ {
 		engine.Enqueue(&mac.Packet{Link: links[0], Bytes: 512})
 	}
 	engine.Start()
 	k.RunUntil(100 * sim.Millisecond)
-	for _, want := range []string{"data", "fake", "bcast", "trigger", "poll", "ack", "selfstart"} {
-		if kinds[want] == 0 {
-			t.Errorf("no %q trace events (got %v)", want, kinds)
+	kinds := map[string]int{}
+	firstSlot := -1
+	for _, r := range buf.Records() {
+		if r.Kind == obs.KindSlotStart && kinds["slot_start data"]+kinds["slot_start fake"] == 0 {
+			firstSlot = r.Slot
 		}
+		switch r.Kind {
+		case obs.KindSlotStart, obs.KindTxStart:
+			kinds[r.Kind.String()+" "+r.Aux]++
+		case obs.KindSlotEnd, obs.KindTrigger:
+			kinds[r.Kind.String()]++
+		}
+	}
+	for _, want := range []string{"slot_start data", "slot_start fake", "slot_end", "trigger", "tx_start ACK", "tx_start POLL"} {
+		if kinds[want] == 0 {
+			t.Errorf("no %q records (got %v)", want, kinds)
+		}
+	}
+	// The chain origin self-starts on schedule receipt: the first slot
+	// opened is slot 0. (SelfStarts counts only watchdog restarts, and this
+	// healthy chain never needs one.)
+	if firstSlot != 0 {
+		t.Errorf("first slot_start is slot %d, want the chain origin 0", firstSlot)
 	}
 }
 

@@ -16,22 +16,6 @@ import (
 	"repro/internal/topo"
 )
 
-// TraceEvent is an engine activity record for the microscope view (Fig 10).
-// Span/Parent/Depth are observability-only causal annotations (zero unless
-// the run allocates spans); the microscope printers may ignore them.
-type TraceEvent struct {
-	At   sim.Time
-	Slot int
-	Kind string // data, fake, ack, poll, bcast, trigger, selfstart, drop
-	Node phy.NodeID
-	Link *topo.Link
-	OK   bool
-
-	Span   int64 // causal span this event opens, 0 if none
-	Parent int64 // span that caused it, 0 if root/none
-	Depth  int   // trigger-cascade depth (trigger events only)
-}
-
 // Engine is a complete DOMINO deployment: central server, APs, clients.
 type Engine struct {
 	k      *sim.Kernel
@@ -65,13 +49,10 @@ type Engine struct {
 	// in different components share no reference chain, so misalignment is
 	// only compared within a component.
 	refGroup []int
-	// Trace receives activity events when non-nil.
-	Trace func(TraceEvent)
-	// Obs, when non-nil, receives typed slot-timeline records mirroring the
-	// Trace stream (slot_start for data/fake sends, slot_end for boundary
-	// broadcasts, trigger/trigger_miss for signature outcomes) plus ROP poll
-	// records from DecodeObserved. The nil default costs one branch per
-	// trace call.
+	// Obs, when non-nil, receives the typed slot timeline (slot_start for
+	// data/fake sends, slot_end for boundary broadcasts, trigger and
+	// trigger_miss for signature outcomes) plus the poller's per-client
+	// records. The nil default costs one branch per emission site.
 	Obs obs.Tracer
 	// life is the per-run packet-lifecycle sink (enqueue/dequeue stamps and
 	// span assignment) and sp the causal span allocator; both nil unless
@@ -346,59 +327,40 @@ func (e *Engine) DebugScheduleStats() (entries, slots, ropSlots, untriggered int
 	return
 }
 
-func (e *Engine) trace(ev TraceEvent) {
-	if e.Trace == nil && e.Obs == nil {
-		return
-	}
-	ev.At = e.k.Now()
-	if e.Trace != nil {
-		e.Trace(ev)
-	}
+// emitSlotStart records a slot owner starting its data ("data") or fake
+// header ("fake") transmission on link.
+func (e *Engine) emitSlotStart(kind string, node phy.NodeID, link *topo.Link, slot int, span, parent int64) {
 	if e.Obs == nil {
 		return
 	}
-	// Bridge the string-kinded microscope stream onto typed obs records.
-	// ACK/poll/selfstart/drop activity is covered elsewhere (the medium probe
-	// sees every ACK frame; rop.DecodeObserved emits per-client poll records;
-	// mac.Events sees drops), so only the slot-timeline kinds map here.
-	switch ev.Kind {
-	case "data", "fake":
-		rec := obs.Rec(ev.At, obs.KindSlotStart)
-		rec.Node = int(ev.Node)
-		if ev.Link != nil {
-			rec.Link = ev.Link.ID
-		}
-		rec.Slot = ev.Slot
-		rec.Aux = ev.Kind
-		rec.OK = ev.OK
-		rec.Span = ev.Span
-		rec.Parent = ev.Parent
-		e.Obs.Emit(rec)
-	case "trigger":
-		rec := obs.Rec(ev.At, obs.KindTrigger)
-		rec.Node = int(ev.Node)
-		rec.Slot = ev.Slot
-		rec.OK = true
-		rec.Span = ev.Span
-		rec.Parent = ev.Parent
-		rec.Value = int64(ev.Depth)
-		e.Obs.Emit(rec)
-	case "bcast":
-		// A boundary broadcast's Slot is the NEXT slot hint; the slot it
-		// closes is the one before.
-		rec := obs.Rec(ev.At, obs.KindSlotEnd)
-		rec.Node = int(ev.Node)
-		rec.Slot = ev.Slot - 1
-		rec.OK = ev.OK
-		rec.Span = ev.Span
-		rec.Parent = ev.Parent
-		e.Obs.Emit(rec)
+	rec := obs.Rec(e.k.Now(), obs.KindSlotStart)
+	rec.Node = int(node)
+	rec.Link = link.ID
+	rec.Slot = slot
+	rec.Aux = kind
+	rec.OK = true
+	rec.Span = span
+	rec.Parent = parent
+	e.Obs.Emit(rec)
+}
+
+// emitSlotEnd records the boundary broadcast that closes slot.
+func (e *Engine) emitSlotEnd(node phy.NodeID, slot int, span, parent int64) {
+	if e.Obs == nil {
+		return
 	}
+	rec := obs.Rec(e.k.Now(), obs.KindSlotEnd)
+	rec.Node = int(node)
+	rec.Slot = slot
+	rec.OK = true
+	rec.Span = span
+	rec.Parent = parent
+	e.Obs.Emit(rec)
 }
 
 // noteTrigger accounts one detected own-signature trigger: it allocates the
 // trigger's span (parented to the broadcast that carried it), histograms the
-// cascade depth, and emits the trace event. Returns the new reference span
+// cascade depth, and emits the trigger record. Returns the new reference span
 // and depth for the node to adopt.
 func (e *Engine) noteTrigger(node phy.NodeID, pl *phy.SignaturePayload) (span int64, depth int) {
 	depth = pl.ObsDepth + 1
@@ -408,8 +370,16 @@ func (e *Engine) noteTrigger(node phy.NodeID, pl *phy.SignaturePayload) (span in
 	if e.chainDepth != nil {
 		e.chainDepth.Record(int64(depth))
 	}
-	e.trace(TraceEvent{Slot: pl.SlotHint, Kind: "trigger", Node: node, OK: true,
-		Span: span, Parent: pl.ObsSpan, Depth: depth})
+	if e.Obs != nil {
+		rec := obs.Rec(e.k.Now(), obs.KindTrigger)
+		rec.Node = int(node)
+		rec.Slot = pl.SlotHint
+		rec.OK = true
+		rec.Span = span
+		rec.Parent = pl.ObsSpan
+		rec.Value = int64(depth)
+		e.Obs.Emit(rec)
+	}
 	return span, depth
 }
 

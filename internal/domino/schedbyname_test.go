@@ -71,9 +71,9 @@ func TestUnknownSchedulerPanics(t *testing.T) {
 	runWith(t, 1, func(c *Config) { c.Scheduler = "no-such-policy" })
 }
 
-// traceRun executes a saturated Figure7 run and returns the complete engine
-// trace-event stream plus the engine.
-func traceRun(t *testing.T, seed int64, mut func(*Config)) ([]TraceEvent, *Engine) {
+// traceRun executes a saturated Figure7 run and returns the engine's
+// complete obs record stream plus the engine.
+func traceRun(t *testing.T, seed int64, mut func(*Config)) ([]obs.Record, *Engine) {
 	t.Helper()
 	net := topo.Figure7()
 	links := net.BuildLinks(true, true)
@@ -86,8 +86,8 @@ func traceRun(t *testing.T, seed int64, mut func(*Config)) ([]TraceEvent, *Engin
 		mut(&cfg)
 	}
 	engine := New(k, medium, g, hub, cfg)
-	var events []TraceEvent
-	engine.Trace = func(ev TraceEvent) { events = append(events, ev) }
+	buf := &obs.Buffer{}
+	engine.Obs = buf
 	coll := stats.NewCollector(len(links), 0)
 	hub.Add(coll)
 	for _, l := range links {
@@ -97,7 +97,7 @@ func traceRun(t *testing.T, seed int64, mut func(*Config)) ([]TraceEvent, *Engin
 	}
 	engine.Start()
 	k.RunUntil(2 * sim.Second)
-	return events, engine
+	return buf.Records(), engine
 }
 
 // TestConvertObsGatedAndMetrics: KindConvert records appear only behind the

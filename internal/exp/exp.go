@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/phy"
@@ -96,24 +95,6 @@ func shardTracer(s *obs.Sharded, i int) obs.Tracer {
 		return nil
 	}
 	return s.Shard(i)
-}
-
-// runScheme is the shared single-run helper.
-func runScheme(net *topo.Network, scheme core.Scheme, o Options, mut func(*core.Scenario)) core.Result {
-	sc := core.Scenario{
-		Net:      net,
-		Downlink: true,
-		Uplink:   true,
-		Scheme:   scheme,
-		Seed:     o.Seed,
-		Duration: o.Duration,
-		Warmup:   o.Warmup,
-		Traffic:  core.Saturated,
-	}
-	if mut != nil {
-		mut(&sc)
-	}
-	return core.Run(sc)
 }
 
 // errCell pairs a parallel task's result with its error so driver fan-outs

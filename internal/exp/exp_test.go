@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -34,7 +35,7 @@ func TestTable1Prints(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	r := Fig2(small())
+	r := must(Fig2(small()))
 	// The paper's claims: omniscient ≈ 1.8× DCF; DOMINO close to
 	// omniscient; DCF starves AP3→C3.
 	dcf := r.Overall[core.DCF]
@@ -126,7 +127,7 @@ func TestFig9Shape(t *testing.T) {
 func TestTable2Shape(t *testing.T) {
 	o := small()
 	o.Duration = sim.Second // ×10 internally
-	r := Table2(o)
+	r := must(Table2(o))
 	for i, sc := range r.Scenarios {
 		if r.Domino[i] <= r.DCF[i] {
 			t.Errorf("%v: DOMINO %.4f should beat DCF %.4f", sc, r.Domino[i], r.DCF[i])
@@ -142,7 +143,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
-	r := Table3(small())
+	r := must(Table3(small()))
 	domA, cenA, dcfA := r.Mbps[0][0], r.Mbps[0][1], r.Mbps[0][2]
 	domB, cenB, dcfB := r.Mbps[1][0], r.Mbps[1][1], r.Mbps[1][2]
 	// 13(a): both centralized schemes well above DCF.
@@ -177,17 +178,20 @@ func TestFig11Shape(t *testing.T) {
 func TestFig10Timeline(t *testing.T) {
 	o := small()
 	o.Duration = 200 * sim.Millisecond
-	events := Fig10(o, 50)
+	events := must(Fig10(o, 50))
 	if len(events) != 50 {
 		t.Fatalf("events = %d", len(events))
 	}
-	kinds := map[string]bool{}
+	kinds := map[obs.Kind]bool{}
 	for _, ev := range events {
 		kinds[ev.Kind] = true
+		if ev.Kind == obs.KindTxStart && ev.Aux != "ACK" && ev.Aux != "POLL" {
+			t.Errorf("timeline kept a %s tx_start record", ev.Aux)
+		}
 	}
-	for _, want := range []string{"data", "bcast", "trigger"} {
+	for _, want := range []obs.Kind{obs.KindSlotStart, obs.KindSlotEnd, obs.KindTrigger, obs.KindTxStart} {
 		if !kinds[want] {
-			t.Errorf("timeline missing %q events", want)
+			t.Errorf("timeline missing %s records", want)
 		}
 	}
 	var b bytes.Buffer

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
-	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dcf"
@@ -25,7 +25,7 @@ type Fig2Result struct {
 
 // Fig2 runs all four schemes on the Fig 1 network with the three saturated
 // flows (AP1→C1, C2→AP2, AP3→C3).
-func Fig2(o Options) Fig2Result {
+func Fig2(o Options) (Fig2Result, error) {
 	o = o.withDefaults()
 	res := Fig2Result{
 		Schemes:   []core.Scheme{core.DCF, core.CENTAUR, core.DOMINO, core.Omniscient},
@@ -38,25 +38,29 @@ func Fig2(o Options) Fig2Result {
 	if o.TraceSink != nil {
 		sharded = obs.NewSharded(len(res.Schemes))
 	}
-	runs := parallel.Map(o.Workers, len(res.Schemes), func(i int) core.Result {
+	runs := parallel.Map(o.Workers, len(res.Schemes), func(i int) errCell[core.Result] {
 		net := topo.Figure1()
 		links := topo.Figure1Links(net)
-		return core.Run(core.Scenario{
+		r, err := core.RunScenario(core.Scenario{
 			Net: net, Links: links, Scheme: res.Schemes[i], Seed: o.Seed,
 			Duration: o.Duration, Warmup: o.Warmup, Traffic: core.Saturated,
 			Tracer: shardTracer(sharded, i),
 		})
+		return errCell[core.Result]{v: r, err: err}
 	})
+	if err := firstErr(runs); err != nil {
+		return res, err
+	}
 	for i, s := range res.Schemes {
-		res.PerLink[s] = runs[i].PerLinkMbps
-		res.Overall[s] = runs[i].AggregateMbps
+		res.PerLink[s] = runs[i].v.PerLinkMbps
+		res.Overall[s] = runs[i].v.AggregateMbps
 	}
 	if sharded != nil {
 		if _, err := sharded.WriteTo(o.TraceSink); err != nil {
-			fmt.Fprintf(os.Stderr, "exp: Fig2 trace write: %v\n", err)
+			return res, fmt.Errorf("exp: Fig2 trace write: %w", err)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Print renders the Fig 2 bars as a table.
@@ -91,7 +95,7 @@ type Table2Result struct {
 // PHY is modelled by inflating per-frame processing time (GNURadio host
 // latency) and slowing the contention slots; absolute rates are therefore
 // arbitrary — the ratios carry the result.
-func Table2(o Options) Table2Result {
+func Table2(o Options) (Table2Result, error) {
 	o = o.withDefaults()
 	// USRP-like parameters: ~25 ms of host latency around every frame and
 	// ~1 ms effective slots. Rates come out in the tens of Kbps as in the
@@ -102,11 +106,12 @@ func Table2(o Options) Table2Result {
 	}
 	// One task per (placement, scheme) cell; each builds its own network
 	// because engines register listeners on the medium.
-	type cell struct{ dcf, domino float64 }
-	cells := parallel.Map(o.Workers, len(res.Scenarios)*2, func(i int) cell {
+	cells := parallel.Map(o.Workers, len(res.Scenarios)*2, func(i int) errCell[float64] {
 		sc := res.Scenarios[i/2]
+		var r core.Result
+		var err error
 		if i%2 == 0 {
-			d := core.Run(core.Scenario{
+			r, err = core.RunScenario(core.Scenario{
 				Net: topo.TwoPairs(sc), Downlink: true, Scheme: core.DCF, Seed: o.Seed,
 				Duration: o.Duration * 10, Warmup: o.Warmup, Traffic: core.Saturated,
 				TuneDCF: func(c *dcf.Config) {
@@ -116,22 +121,25 @@ func Table2(o Options) Table2Result {
 					c.DIFS = 4 * sim.Millisecond
 				},
 			})
-			return cell{dcf: d.AggregateMbps}
+		} else {
+			r, err = core.RunScenario(core.Scenario{
+				Net: topo.TwoPairs(sc), Downlink: true, Scheme: core.DOMINO, Seed: o.Seed,
+				Duration: o.Duration * 10, Warmup: o.Warmup, Traffic: core.Saturated,
+				TuneDomino: func(c *domino.Config) {
+					c.ExtraFrameTime = hostLatency
+				},
+			})
 		}
-		m := core.Run(core.Scenario{
-			Net: topo.TwoPairs(sc), Downlink: true, Scheme: core.DOMINO, Seed: o.Seed,
-			Duration: o.Duration * 10, Warmup: o.Warmup, Traffic: core.Saturated,
-			TuneDomino: func(c *domino.Config) {
-				c.ExtraFrameTime = hostLatency
-			},
-		})
-		return cell{domino: m.AggregateMbps}
+		return errCell[float64]{v: r.AggregateMbps, err: err}
 	})
-	for i := range res.Scenarios {
-		res.DCF = append(res.DCF, cells[2*i].dcf)
-		res.Domino = append(res.Domino, cells[2*i+1].domino)
+	if err := firstErr(cells); err != nil {
+		return res, err
 	}
-	return res
+	for i := range res.Scenarios {
+		res.DCF = append(res.DCF, cells[2*i].v)
+		res.Domino = append(res.Domino, cells[2*i+1].v)
+	}
+	return res, nil
 }
 
 // Print renders Table 2 (Kbps, as in the paper).
@@ -170,7 +178,7 @@ type Table3Result struct {
 
 // Table3 reproduces Table 3: CENTAUR collapses below DCF on Fig 13(b) while
 // DOMINO is unaffected.
-func Table3(o Options) Table3Result {
+func Table3(o Options) (Table3Result, error) {
 	o = o.withDefaults()
 	var res Table3Result
 	builders := []func() *topo.Network{topo.Figure13a, topo.Figure13b}
@@ -178,20 +186,23 @@ func Table3(o Options) Table3Result {
 	// One task per (topology, scheme) cell; each rebuilds its figure network
 	// because engines register listeners on the medium (RSS matrices are
 	// shared read-only).
-	mbps := parallel.Map(o.Workers, len(builders)*len(schemes), func(i int) float64 {
+	mbps := parallel.Map(o.Workers, len(builders)*len(schemes), func(i int) errCell[float64] {
 		ti, si := i/len(schemes), i%len(schemes)
-		r := core.Run(core.Scenario{
+		r, err := core.RunScenario(core.Scenario{
 			Net: builders[ti](), Downlink: true, Scheme: schemes[si], Seed: o.Seed,
 			Duration: o.Duration, Warmup: o.Warmup, Traffic: core.Saturated,
 		})
-		return r.AggregateMbps
+		return errCell[float64]{v: r.AggregateMbps, err: err}
 	})
+	if err := firstErr(mbps); err != nil {
+		return res, err
+	}
 	for ti := range builders {
 		for si := range schemes {
-			res.Mbps[ti][si] = mbps[ti*len(schemes)+si]
+			res.Mbps[ti][si] = mbps[ti*len(schemes)+si].v
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Print renders Table 3.
@@ -268,37 +279,76 @@ func (r Fig11Result) Print(w io.Writer) {
 	}
 }
 
-// Fig10Event is one line of the microscope timeline.
-type Fig10Event = domino.TraceEvent
-
-// Fig10 runs the Fig 7 network with all flows saturated and returns the
-// engine trace of the first maxEvents events — the Fig 10 timeline.
-func Fig10(o Options, maxEvents int) []Fig10Event {
-	o = o.withDefaults()
-	var events []Fig10Event
-	net := topo.Figure7()
-	core.Run(core.Scenario{
-		Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
-		Seed: o.Seed, Duration: o.Duration, Traffic: core.Saturated,
-		Trace: func(ev domino.TraceEvent) {
-			if len(events) < maxEvents {
-				events = append(events, ev)
-			}
-		},
-	})
-	return events
+// Timeline is the obs.Tracer the Fig 10 microscope reads a DOMINO run
+// through. It keeps the first max timeline records: slot_start, slot_end,
+// trigger, and the medium's tx_start records of ACK and POLL frames.
+type Timeline struct {
+	max  int
+	recs []obs.Record
+	// stop, when set, is called once the timeline is full.
+	stop func()
 }
 
-// PrintFig10 renders the timeline.
-func PrintFig10(w io.Writer, events []Fig10Event) {
+// NewTimeline returns a Timeline that keeps the first max records.
+func NewTimeline(max int) *Timeline { return &Timeline{max: max} }
+
+// Records returns the kept records in emission order.
+func (t *Timeline) Records() []obs.Record { return t.recs }
+
+// Emit implements obs.Tracer.
+func (t *Timeline) Emit(r obs.Record) {
+	switch {
+	case len(t.recs) >= t.max:
+		return
+	case r.Kind == obs.KindSlotStart, r.Kind == obs.KindSlotEnd, r.Kind == obs.KindTrigger:
+	case r.Kind == obs.KindTxStart && (r.Aux == "ACK" || r.Aux == "POLL"):
+	default:
+		return
+	}
+	t.recs = append(t.recs, r)
+	if len(t.recs) == t.max && t.stop != nil {
+		t.stop()
+	}
+}
+
+// Fig10 runs the Fig 7 network with all flows saturated until it has the
+// first maxEvents timeline records (or o.Duration elapses) and returns
+// them — the Fig 10 timeline.
+func Fig10(o Options, maxEvents int) ([]obs.Record, error) {
+	o = o.withDefaults()
+	tl := NewTimeline(maxEvents)
+	inst, err := core.NewInstance(core.Scenario{
+		Net: topo.Figure7(), Downlink: true, Uplink: true, Scheme: core.DOMINO,
+		Seed: o.Seed, Duration: o.Duration, Traffic: core.Saturated,
+		Tracer: tl,
+	})
+	if err != nil {
+		return nil, err
+	}
+	tl.stop = inst.Kernel.Stop
+	inst.Step(inst.S.Duration)
+	return tl.Records(), nil
+}
+
+// PrintFig10 renders the timeline. Slot-end lines carry the slot the
+// broadcast closes; ACK and POLL lines carry no slot index.
+func PrintFig10(w io.Writer, events []obs.Record) {
 	fmt.Fprintln(w, "Fig 10: DOMINO timeline on the Fig 7 network (excerpt)")
 	hline(w, 60)
 	for _, ev := range events {
-		link := ""
-		if ev.Link != nil {
-			link = ev.Link.String()
+		label, slot := ev.Kind.String(), fmt.Sprint(ev.Slot)
+		switch ev.Kind {
+		case obs.KindSlotStart:
+			label = ev.Aux
+		case obs.KindSlotEnd:
+			label = "bcast"
+		case obs.KindTxStart:
+			label, slot = strings.ToLower(ev.Aux), ""
 		}
-		fmt.Fprintf(w, "%12v  slot %-4d %-10s node %-3d %s\n",
-			ev.At, ev.Slot, ev.Kind, ev.Node, link)
+		link := ""
+		if ev.Link >= 0 {
+			link = fmt.Sprintf("link %d", ev.Link)
+		}
+		fmt.Fprintf(w, "%12v  slot %-4s %-10s node %-3d %s\n", ev.At, slot, label, ev.Node, link)
 	}
 }

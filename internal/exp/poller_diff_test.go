@@ -85,7 +85,7 @@ func TestExplicitROPPollerMatchesGolden(t *testing.T) {
 	t.Run("legacy", func(t *testing.T) {
 		var buf bytes.Buffer
 		nd := obs.NewNDJSON(&buf)
-		res := core.Run(core.Scenario{
+		res, err := core.RunScenario(core.Scenario{
 			Net:        topo.Figure7(),
 			Downlink:   true,
 			Uplink:     true,
@@ -96,6 +96,9 @@ func TestExplicitROPPollerMatchesGolden(t *testing.T) {
 			Tracer:     nd,
 			TuneDomino: func(c *domino.Config) { c.Poller = "ROP" },
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := nd.Flush(); err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,8 @@ package exp
 
 // Differential safety net for the registry/spec refactor. The golden SHA-256
 // hashes below pin the trace byte format at exactly these configurations;
-// both the registry lookup via core.Run AND the declarative spec path via
-// core.BuildScenario/RunScenario must reproduce them byte for byte and the
+// both a Scenario literal naming a Scheme constant AND the declarative spec
+// path via core.BuildScenario must reproduce them byte for byte and the
 // throughputs digit for digit. The aggregate throughputs are the original
 // pre-refactor values — they must never drift. The trace hashes were
 // re-captured when causal spans and packet-lifecycle records were added to
@@ -46,13 +46,13 @@ var singleRunGoldens = []struct {
 	{"Omniscient", core.Omniscient, 9, "36a9acac06713075e4ee8687ac84b6e83ad2f5ad5a184c31ef7ab72727104a02", "19.715413"},
 }
 
-// runLegacy runs through the programmatic Scenario with the Scheme enum — the
-// same entry point the pre-refactor goldens were captured through.
+// runLegacy runs through the programmatic Scenario with a Scheme constant —
+// the same entry point the pre-refactor goldens were captured through.
 func runLegacy(t *testing.T, enum core.Scheme, seed int64) (string, string) {
 	t.Helper()
 	var buf bytes.Buffer
 	nd := obs.NewNDJSON(&buf)
-	res := core.Run(core.Scenario{
+	res, err := core.RunScenario(core.Scenario{
 		Net:      topo.Figure7(),
 		Downlink: true,
 		Uplink:   true,
@@ -62,6 +62,9 @@ func runLegacy(t *testing.T, enum core.Scheme, seed int64) (string, string) {
 		Traffic:  core.Saturated,
 		Tracer:   nd,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := nd.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,9 @@ func TestFig2TraceSink(t *testing.T) {
 	var buf bytes.Buffer
 	o := Options{Seed: 1, Duration: 200 * sim.Millisecond, Runs: 1, Trials: 1,
 		Workers: 2, TraceSink: &buf}
-	Fig2(o)
+	if _, err := Fig2(o); err != nil {
+		t.Fatal(err)
+	}
 	var schemes []string
 	if err := obs.ParseNDJSON(&buf, func(r obs.Record) error {
 		if r.Kind == obs.KindRunStart {

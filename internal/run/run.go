@@ -103,10 +103,7 @@ func build(sp spec.Spec, opt Options, discard int64) (*Run, error) {
 	if rc.StepEvents > 0 {
 		r.stepEvents = uint64(rc.StepEvents)
 	}
-	r.duration = sc.Duration
-	if r.duration == 0 {
-		r.duration = 10 * sim.Second // the core/shard normalization default
-	}
+	r.duration = sc.WithDefaults().Duration
 
 	if w := sp.ShardWorkers(); w > 0 {
 		st, err := shard.New(sc, shard.Options{Workers: w, StepGranule: rc.StepWindow.Time()})

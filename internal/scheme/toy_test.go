@@ -118,11 +118,11 @@ func TestToySchemeAliasAndProgrammaticRun(t *testing.T) {
 
 	net := topo.Figure1()
 	res, err := core.RunScenario(core.Scenario{
-		Net:        net,
-		Links:      topo.Figure1Links(net),
-		SchemeName: "toy", // alias
-		Seed:       2,
-		Duration:   100 * sim.Millisecond,
+		Net:      net,
+		Links:    topo.Figure1Links(net),
+		Scheme:   "toy", // alias
+		Seed:     2,
+		Duration: 100 * sim.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,10 +134,10 @@ func TestToySchemeAliasAndProgrammaticRun(t *testing.T) {
 
 func TestUnknownSchemeNameErrors(t *testing.T) {
 	_, err := core.RunScenario(core.Scenario{
-		Net:        topo.Figure1(),
-		SchemeName: "no-such-scheme",
-		Downlink:   true,
-		Duration:   10 * sim.Millisecond,
+		Net:      topo.Figure1(),
+		Scheme:   "no-such-scheme",
+		Downlink: true,
+		Duration: 10 * sim.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("unknown scheme name did not error")

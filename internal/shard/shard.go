@@ -86,8 +86,8 @@ type Report struct {
 
 // Run executes the scenario sharded by interference domain and returns the
 // merged Result plus the execution Report. The scenario's Links must be nil
-// (links are rebuilt per domain from the Downlink/Uplink flags), Trace and
-// Live are unsupported in sharded mode. It is the one-shot wrapper around
+// (links are rebuilt per domain from the Downlink/Uplink flags), and Live
+// is unsupported in sharded mode. It is the one-shot wrapper around
 // the steppable decomposition: New, StepWindow until done, Finish.
 func Run(s core.Scenario, opt Options) (core.Result, *Report, error) {
 	st, err := New(s, opt)
@@ -132,9 +132,6 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	if s.Links != nil {
 		return nil, fmt.Errorf("shard: custom link sets are not shardable; use Downlink/Uplink flags")
 	}
-	if s.Trace != nil {
-		return nil, fmt.Errorf("shard: Scenario.Trace (domino event microscope) is single-engine only")
-	}
 	if s.Live != nil {
 		return nil, fmt.Errorf("shard: live metrics publishing is single-engine only")
 	}
@@ -143,15 +140,7 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	}
 	// Normalize exactly like core.NewInstance so window math and merged
 	// rates use the same values the instances will.
-	if s.PacketBytes == 0 {
-		s.PacketBytes = 512
-	}
-	if s.Rate == 0 {
-		s.Rate = phy.Rate12
-	}
-	if s.Duration == 0 {
-		s.Duration = 10 * sim.Second
-	}
+	s = s.WithDefaults()
 
 	links := s.Net.BuildLinks(s.Downlink, s.Uplink)
 	pcfg := phy.DefaultConfig()
@@ -379,10 +368,7 @@ func mergeResults(s core.Scenario, links []*topo.Link, p *topo.Partition, rep *R
 func emitMerged(s core.Scenario, p *topo.Partition, rep *Report, tracers []*remapTracer, res core.Result) {
 	start := obs.Rec(0, obs.KindRunStart)
 	start.Value = s.Seed
-	start.Aux = s.SchemeName
-	if start.Aux == "" {
-		start.Aux = s.Scheme.String()
-	}
+	start.Aux = string(s.Scheme)
 	if d, ok := scheme.Lookup(start.Aux); ok {
 		start.Aux = d.Name
 	}

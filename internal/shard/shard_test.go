@@ -151,7 +151,7 @@ func TestRunStartCanonicalSchemeName(t *testing.T) {
 	firstRecord := func(run func(core.Scenario) error) obs.Record {
 		t.Helper()
 		s := baseScenario(disjointNet(2, 1))
-		s.SchemeName = "domino"
+		s.Scheme = "domino"
 		var buf obs.Buffer
 		s.Tracer = &buf
 		if err := run(s); err != nil {

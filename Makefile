@@ -1,15 +1,16 @@
 # Repo verification targets. `make ci` is the gate every change must pass;
-# the race target is the correctness backstop for the parallel experiment
-# harness (internal/parallel and everything fanned out through it).
+# the race target is the correctness backstop for every concurrent path:
+# the parallel experiment harness (internal/parallel and everything fanned
+# out through it), the sharded runner and the checkpoint/restore lifecycle.
 # Performance evidence comes from the end-to-end benchmark, `bash
 # bench/run.sh` (see bench/README.md); the hot paths' zero-allocation
 # contracts are plain tests that `go test ./...` runs.
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test examples race race-hot race-shard race-serve bench-smoke bench
+.PHONY: ci vet fmt specs build test examples race race-hot race-shard bench-smoke bench
 
-ci: vet fmt build test specs examples race race-hot race-shard race-serve bench-smoke
+ci: vet fmt build test specs examples race race-hot race-shard bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -55,13 +56,6 @@ race-hot:
 race-shard:
 	$(GO) test -race -count=1 ./internal/shard ./internal/sim ./internal/parallel
 	$(GO) test -race -count=1 -cpu 1,4 -run '^TestShardCountDeterminism$$' ./internal/shard
-
-# Race re-run of the run-lifecycle stack: the daemon (worker fleet, HTTP
-# handlers, trace streaming, pause/cancel control racing the step loop), the
-# checkpoint/restore property tests underneath it, and the dynamic pool. This
-# is the domino-simd smoke: every daemon test drives the real HTTP API.
-race-serve:
-	$(GO) test -race -count=1 ./internal/run ./internal/parallel
 
 # The end-to-end benchmark is a module of its own (bench/go.mod), so
 # `go test ./...` never builds it. Vet it and run its smoke tests here so an

@@ -16,31 +16,20 @@
 //	domino-sim -topo ht -scheme domino -tracefile - | tracedump -slots 20
 //	domino-sim -topo random -reps 16 -workers 0    # 16 seeds across all cores
 //	domino-sim -spec examples/specs/fig1-domino.json
-//	domino-sim -serve :8080 -data /var/lib/domino-sim    # daemon mode
-//
-// Daemon mode (-serve) turns the binary into a long-lived HTTP/JSON service:
-// POST spec documents to /runs, stream NDJSON traces from /runs/{id}/trace,
-// pause/resume/cancel runs, and kill -9 the process at any time — on restart
-// every unfinished run restores from its last checkpoint and its completed
-// trace is byte-identical to an uninterrupted one. See internal/run.Server.
+//	domino-sim -topo fig7 -duration 60s -pprof localhost:6060   # profile a long run
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/domino"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/run"
 	"repro/internal/scheme"
 	"repro/internal/shard"
 	"repro/internal/spec"
@@ -73,36 +62,17 @@ func main() {
 		traceFile = flag.String("tracefile", "", "write the NDJSON observability trace to this file (- for stdout, which moves the report to stderr; overrides the spec's obs.trace_file)")
 		metrics   = flag.Bool("metrics", false, "collect and print run metrics (counters, airtime breakdown)")
 		noSpans   = flag.Bool("no-spans", false, "trace without causal span annotations (drops sp/pa fields)")
-		pprofAddr = flag.String("pprof", "", "serve the debug endpoint on this address (e.g. localhost:6060): pprof, runtime metrics, and — with -metrics / a trace — live /debug/metrics and /debug/trace")
-
-		serveAddr = flag.String("serve", "", "daemon mode: serve the run-lifecycle HTTP API on this address (e.g. :8080); scenario flags are ignored")
-		dataDir   = flag.String("data", "", "daemon data directory (one subdirectory per run; required with -serve)")
-		maxRuns   = flag.Int("max-runs", 0, "daemon worker-fleet bound: concurrently executing runs (0 = one per core)")
-		ckptEvery = flag.Duration("checkpoint-every", 30*time.Second, "daemon default wall-clock interval between automatic checkpoints (0 disables; a spec's run.checkpoint_every overrides per run)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
-	if *serveAddr != "" {
-		serveDaemon(*serveAddr, *dataDir, *maxRuns, *ckptEvery)
-		return
-	}
-
-	// The debug server is built up-front but only bound after the scenario's
-	// live sources (metrics publisher, trace hub) are attached.
-	var dbg *obs.DebugServer
 	if *pprofAddr != "" {
-		dbg = obs.NewDebugServer()
-	}
-	serveDebug := func() {
-		if dbg == nil {
-			return
-		}
-		addr, err := dbg.Serve(*pprofAddr)
+		addr, err := obs.ServeDebug(*pprofAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "debug server: %v\n", err)
+			fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Fprintf(os.Stderr, "debug: http://%s/debug/pprof/  /debug/runtime  /debug/metrics  /debug/trace\n", addr)
+		fmt.Fprintf(os.Stderr, "pprof: http://%s/debug/pprof/  runtime: http://%s/debug/runtime\n", addr, addr)
 	}
 
 	var sp spec.Spec
@@ -147,13 +117,22 @@ func main() {
 	}
 
 	if *reps > 1 {
+		// The DOMINO tuning flags ride the single run's TuneDomino hook
+		// below; repetitions run the spec as given, so refuse them rather
+		// than drop them.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scheduler", "poller", "convert-trace", "verify-convert":
+				fmt.Fprintf(os.Stderr, "domino-sim: -%s is not supported with -reps > 1 (set it in a -spec file's scheme_config)\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		if *traceFile != "" {
 			fmt.Fprintln(os.Stderr, "-tracefile is ignored with -reps > 1 (interleaved output)")
 		}
 		if shardWorkers > 0 {
 			fmt.Fprintln(os.Stderr, "-shards is ignored with -reps > 1 (repetitions already fan out across workers)")
 		}
-		serveDebug()
 		runReps(sp, d.Name, *reps, *workers)
 		return
 	}
@@ -187,7 +166,6 @@ func main() {
 		tf = *traceFile
 	}
 	var ndjson *obs.NDJSON
-	var hub *obs.LiveHub
 	if tf != "" {
 		w := os.Stdout
 		if tf != "-" {
@@ -199,15 +177,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		sink := obs.Sink(obs.WriterSink{W: w})
-		if dbg != nil {
-			// Tee every flushed chunk into the live hub so /debug/trace
-			// streams the run as it happens.
-			hub = obs.NewLiveHub()
-			dbg.AttachLive(hub)
-			sink = obs.MultiSink{sink, hub}
-		}
-		ndjson = obs.NewNDJSONTo(sink)
+		ndjson = obs.NewNDJSON(w)
 		sc.Tracer = ndjson
 	}
 	if *metrics && sc.Metrics == nil {
@@ -216,11 +186,6 @@ func main() {
 	if *noSpans {
 		sc.NoSpans = true
 	}
-	if dbg != nil && sc.Metrics != nil {
-		sc.Live = obs.NewMetricsPublisher()
-		dbg.AttachMetrics(sc.Live)
-	}
-	serveDebug()
 
 	var res core.Result
 	var shardRep *shard.Report
@@ -239,9 +204,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace write: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if hub != nil {
-		_ = hub.Close() // end-of-stream for live /debug/trace subscribers
 	}
 
 	// With the trace on stdout (-tracefile -), the report goes to stderr so
@@ -294,50 +256,6 @@ func main() {
 	if res.Snapshot != nil {
 		fmt.Fprintln(out, "metrics:")
 		res.Snapshot.WriteText(out)
-	}
-}
-
-// serveDaemon runs the domino-simd HTTP service until SIGINT/SIGTERM, then
-// drains the fleet. Abrupt exits (kill -9) need no cleanup: the next boot's
-// recovery restores every unfinished run from its last checkpoint.
-func serveDaemon(addr, dataDir string, maxRuns int, ckptEvery time.Duration) {
-	if dataDir == "" {
-		fmt.Fprintln(os.Stderr, "domino-sim: -serve requires -data <dir>")
-		os.Exit(2)
-	}
-	srv, err := run.NewServer(run.ServerOptions{
-		DataDir:         dataDir,
-		MaxRuns:         maxRuns,
-		CheckpointEvery: ckptEvery,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "domino-sim: %v\n", err)
-		os.Exit(2)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "domino-sim: %v\n", err)
-		os.Exit(2)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	fmt.Fprintf(os.Stderr, "domino-simd: listening on http://%s (data: %s, max runs: %d, checkpoint every: %v)\n",
-		ln.Addr(), dataDir, parallel.Workers(maxRuns), ckptEvery)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- hs.Serve(ln) }()
-	select {
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "domino-simd: %v; draining\n", s)
-		hs.Close()
-		srv.Close()
-	case err := <-done:
-		if err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "domino-simd: %v\n", err)
-			srv.Close()
-			os.Exit(1)
-		}
 	}
 }
 

@@ -118,11 +118,6 @@ type Scenario struct {
 	// runs use to install per-domain span bases and node-id mappers. Unused
 	// (and never called) when neither Tracer nor Metrics is set.
 	ObsSetup func(*obs.Run)
-
-	// Live, when non-nil alongside Metrics, receives decimated metric
-	// snapshots during the run (and a final one), for the debug server's
-	// /debug/metrics endpoint.
-	Live *obs.MetricsPublisher
 }
 
 // WithDefaults returns the scenario with its zero PacketBytes, Rate and
@@ -281,9 +276,6 @@ func NewInstance(s Scenario) (*Instance, error) {
 		orun = obs.NewRun(s.Tracer, s.Metrics).BindClock(k.Now)
 		if s.NoSpans {
 			orun.DisableSpans()
-		}
-		if s.Live != nil {
-			orun.SetPublisher(s.Live)
 		}
 		if s.ObsSetup != nil {
 			s.ObsSetup(orun)

@@ -1,150 +1,36 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime/metrics"
 	"sort"
-	"sync/atomic"
 )
 
-// MetricsPublisher hands metric snapshots from the simulation goroutine to
-// HTTP readers without locks on the writer side: Publish swaps an atomic
-// pointer, Latest loads it. The simulation publishes decimated snapshots
-// (obs.Run.KernelHook) plus a final one at Finish, so /debug/metrics always
-// serves a consistent, recent view of a live run.
-type MetricsPublisher struct {
-	cur atomic.Pointer[Snapshot]
-}
-
-// NewMetricsPublisher returns an empty publisher.
-func NewMetricsPublisher() *MetricsPublisher { return &MetricsPublisher{} }
-
-// Publish makes s the snapshot served to readers.
-func (p *MetricsPublisher) Publish(s Snapshot) { p.cur.Store(&s) }
-
-// Latest returns the most recently published snapshot (nil before the
-// first Publish).
-func (p *MetricsPublisher) Latest() Snapshot {
-	if s := p.cur.Load(); s != nil {
-		return *s
-	}
-	return nil
-}
-
-// DebugServer is the simulation's debug HTTP endpoint: stdlib pprof plus a
-// runtime-metrics dump, and — when the run wires them in — a live metrics
-// snapshot (/debug/metrics) and a chunked NDJSON trace stream
-// (/debug/trace). Attach the sources before Serve; both endpoints answer
-// 404 until their source exists.
-type DebugServer struct {
-	mux  *http.ServeMux
-	hub  *LiveHub
-	pub  *MetricsPublisher
-	addr string
-}
-
-// NewDebugServer returns a server with the pprof and runtime endpoints
-// installed.
-func NewDebugServer() *DebugServer {
-	s := &DebugServer{mux: http.NewServeMux()}
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.mux.HandleFunc("/debug/runtime", serveRuntimeMetrics)
-	s.mux.HandleFunc("/debug/metrics", s.serveMetrics)
-	s.mux.HandleFunc("/debug/trace", s.serveTrace)
-	return s
-}
-
-// AttachLive connects the trace hub feeding /debug/trace. Tee the run's
-// NDJSON tracer into the hub with a MultiSink.
-func (s *DebugServer) AttachLive(hub *LiveHub) { s.hub = hub }
-
-// AttachMetrics connects the snapshot publisher feeding /debug/metrics.
-func (s *DebugServer) AttachMetrics(pub *MetricsPublisher) { s.pub = pub }
-
-// Serve binds addr (e.g. "localhost:6060", ":0" for ephemeral) and serves
-// in the background until the process exits. It returns the bound address.
-func (s *DebugServer) Serve(addr string) (string, error) {
+// ServeDebug serves stdlib pprof plus a runtime-metrics dump
+// (/debug/runtime) on addr (e.g. "localhost:6060", ":0" for ephemeral) in
+// the background until the process exits, and returns the bound address; it
+// never blocks. Long simulations can then be profiled live:
+//
+//	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
+func ServeDebug(addr string) (string, error) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("/debug/runtime", serveRuntimeMetrics)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	s.addr = ln.Addr().String()
 	go func() {
-		_ = http.Serve(ln, s.mux) //nolint:errcheck // best-effort debug endpoint
+		_ = http.Serve(ln, mux) //nolint:errcheck // best-effort debug endpoint
 	}()
-	return s.addr, nil
-}
-
-// serveMetrics renders the latest published snapshot as JSON.
-func (s *DebugServer) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	if s.pub == nil {
-		http.Error(w, "no metrics publisher attached", http.StatusNotFound)
-		return
-	}
-	snap := s.pub.Latest()
-	if snap == nil {
-		http.Error(w, "no snapshot published yet", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(snap) //nolint:errcheck // best-effort debug endpoint
-}
-
-// serveTrace streams live NDJSON trace chunks over chunked HTTP until the
-// run ends or the client disconnects. Chunks a lagging client missed are
-// dropped at the hub; the count is reported as a trailing comment line.
-func (s *DebugServer) serveTrace(w http.ResponseWriter, r *http.Request) {
-	if s.hub == nil {
-		http.Error(w, "no live trace hub attached", http.StatusNotFound)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	fl.Flush()
-	ch, cancel, dropped := s.hub.Subscribe()
-	defer cancel()
-	for {
-		select {
-		case chunk, open := <-ch:
-			if !open {
-				if n := dropped(); n > 0 {
-					fmt.Fprintf(w, "{\"k\":\"stream_dropped\",\"v\":%d}\n", n)
-				}
-				fl.Flush()
-				return
-			}
-			if _, err := w.Write(chunk); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// ServeDebug starts a DebugServer with only the pprof and runtime endpoints
-// on addr and returns the bound address; it never blocks. Long simulations
-// can then be profiled live:
-//
-//	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=10
-func ServeDebug(addr string) (string, error) {
-	return NewDebugServer().Serve(addr)
+	return ln.Addr().String(), nil
 }
 
 // serveRuntimeMetrics dumps every runtime/metrics sample as "name value"

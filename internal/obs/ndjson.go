@@ -90,23 +90,19 @@ const ndjsonFlushAt = 64 << 10
 
 // NDJSON is a Tracer that streams records as newline-delimited JSON with
 // bounded buffering: at most ~ndjsonFlushAt bytes are held before a chunk
-// goes to the sink, so long runs stream incrementally instead of buffering
-// whole traces. Errors are sticky and surfaced by Flush; emission after an
-// error is a no-op so a dead sink cannot corrupt a run.
+// goes to the writer, so long runs stream incrementally instead of buffering
+// whole traces. Each chunk is a whole number of lines. Errors are sticky and
+// surfaced by Flush; emission after an error is a no-op so a dead writer
+// cannot corrupt a run.
 type NDJSON struct {
-	sink Sink
-	buf  []byte
-	err  error
+	w   io.Writer
+	buf []byte
+	err error
 }
 
 // NewNDJSON returns an NDJSON tracer writing to w. Call Flush after the run.
-func NewNDJSON(w io.Writer) *NDJSON { return NewNDJSONTo(WriterSink{W: w}) }
-
-// NewNDJSONTo returns an NDJSON tracer flushing through sink — a file, a
-// LiveHub, or a MultiSink teeing to both. Each chunk is a whole number of
-// lines. Call Flush (and, if the sink owns resources, Close) after the run.
-func NewNDJSONTo(sink Sink) *NDJSON {
-	return &NDJSON{sink: sink, buf: make([]byte, 0, ndjsonFlushAt+512)}
+func NewNDJSON(w io.Writer) *NDJSON {
+	return &NDJSON{w: w, buf: make([]byte, 0, ndjsonFlushAt+512)}
 }
 
 // Emit implements Tracer.
@@ -124,26 +120,17 @@ func (t *NDJSON) flush() {
 	if len(t.buf) == 0 {
 		return
 	}
-	t.err = t.sink.WriteChunk(t.buf)
+	_, t.err = t.w.Write(t.buf)
 	t.buf = t.buf[:0]
 }
 
 // Flush writes any buffered records and returns the first write error
-// encountered, if any. The sink stays open for more chunks.
+// encountered, if any.
 func (t *NDJSON) Flush() error {
 	if t.err == nil {
 		t.flush()
 	}
 	return t.err
-}
-
-// Close flushes and closes the sink. Returns the first error seen.
-func (t *NDJSON) Close() error {
-	err := t.Flush()
-	if cerr := t.sink.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Sharded collects per-task traces from a parallel driver and merges them

@@ -16,10 +16,6 @@ const kernelSampleEvery = 1024
 // queueSampleEvery decimates KindQueue records per link.
 const queueSampleEvery = 64
 
-// livePublishEvery decimates live metrics snapshots: one snapshot per this
-// many fired kernel events when a publisher is attached.
-const livePublishEvery = 65536
-
 // Run wires one simulation run's tracer and metrics across the layers: it
 // implements phy.Probe (medium activity), mac.Events (delivery outcomes) and
 // the kernel's OnEvent hook, and owns the airtime accounting. Either of
@@ -52,8 +48,6 @@ type Run struct {
 
 	queueSeen  map[int]int // per-link samples observed, for decimation
 	queueDepth *Gauge      // high-water MAC backlog across links
-
-	pub *MetricsPublisher // live snapshot publisher, nil unless attached
 
 	now     func() sim.Time // simulation clock, for hooks with no timestamp of their own
 	mapNode func(int) int   // node-id mapping for metric names, nil = identity
@@ -95,16 +89,6 @@ func (r *Run) Spans() *Spans { return r.spans }
 // flat shape). It returns r for chaining and must run before engine wiring.
 func (r *Run) DisableSpans() *Run {
 	r.spans = nil
-	return r
-}
-
-// SetPublisher attaches a live metrics publisher: the kernel hook pushes a
-// decimated snapshot stream into it, and Finish publishes the final state.
-// It returns r for chaining. No-op when the run has no metrics registry.
-func (r *Run) SetPublisher(p *MetricsPublisher) *Run {
-	if r.metrics != nil {
-		r.pub = p
-	}
 	return r
 }
 
@@ -289,9 +273,7 @@ func (r *Run) Dropped(p *mac.Packet, now sim.Time) {
 }
 
 // KernelHook returns the closure to install via sim.Kernel.OnEvent: it
-// tallies fired events per source, emits a decimated event-loop sample, and
-// feeds the live metrics publisher (when attached) a decimated snapshot
-// stream.
+// tallies fired events per source and emits a decimated event-loop sample.
 func (r *Run) KernelHook() func(sim.EventInfo) {
 	return func(info sim.EventInfo) {
 		r.firedBySrc[info.Source]++
@@ -300,9 +282,6 @@ func (r *Run) KernelHook() func(sim.EventInfo) {
 			rec.Value = int64(info.Pending)
 			rec.Extra = int64(info.Fired)
 			r.tracer.Emit(rec)
-		}
-		if r.pub != nil && info.Fired%livePublishEvery == 0 {
-			r.pub.Publish(r.metrics.Snapshot())
 		}
 	}
 }
@@ -371,9 +350,6 @@ func (r *Run) Finish(end sim.Time) Breakdown {
 		rec := Rec(end, KindRunEnd)
 		rec.Value = r.collisions
 		r.tracer.Emit(rec)
-	}
-	if r.pub != nil {
-		r.pub.Publish(r.metrics.Snapshot())
 	}
 	return b
 }

@@ -6,7 +6,8 @@
 //
 // The one-shot paths (core.RunScenario, shard.Run) stay thin wrappers that
 // drive the same instances to completion in one call; this package adds the
-// stop-and-go driver the domino-sim daemon (-serve) schedules runs through.
+// stop-and-go driver whose checkpoints pin that a run cut at any step
+// boundary resumes to a byte-identical trace.
 //
 // Checkpoints are replay-based. Kernel events hold closures, which cannot
 // serialize, so a checkpoint records the run's replay coordinate (events
@@ -21,6 +22,7 @@ package run
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -36,18 +38,17 @@ const DefaultStepEvents = 65536
 
 // Options carries the host-side concerns a Run does not take from its spec.
 type Options struct {
-	// Sink receives the run's NDJSON trace chunks (a file, a LiveHub fan-out,
-	// or both via MultiSink). Nil disables tracing entirely.
-	Sink obs.Sink
+	// Sink receives the run's NDJSON trace, one whole number of lines per
+	// write. Nil disables tracing entirely.
+	Sink io.Writer
 }
 
 // Run is one simulation run decomposed into bounded steps. Build with New
 // (or Restore), call Step until it reports done, then Finish exactly once.
 // Checkpoint may be called between any two steps. Runs are not safe for
-// concurrent use; the daemon serializes access per run.
+// concurrent use.
 type Run struct {
 	sp         spec.Spec
-	rc         spec.RunControl
 	schemeName string
 
 	inst *core.Instance   // single-engine path (nil when sharded)
@@ -57,7 +58,7 @@ type Run struct {
 	stepEvents uint64
 
 	ndjson  *obs.NDJSON
-	counter *countingSink
+	counter *countingWriter
 	metrics *obs.Metrics
 
 	steps    int
@@ -87,14 +88,14 @@ func build(sp spec.Spec, opt Options, discard int64) (*Run, error) {
 		return nil, err
 	}
 
-	r := &Run{sp: sp, rc: rc, schemeName: sp.Scheme}
+	r := &Run{sp: sp, schemeName: sp.Scheme}
 	if opt.Sink != nil {
 		inner := opt.Sink
 		if discard > 0 {
-			inner = &skipSink{skip: discard, next: opt.Sink}
+			inner = &skipWriter{skip: discard, next: opt.Sink}
 		}
-		r.counter = &countingSink{next: inner}
-		r.ndjson = obs.NewNDJSONTo(r.counter)
+		r.counter = &countingWriter{next: inner}
+		r.ndjson = obs.NewNDJSON(r.counter)
 		sc.Tracer = r.ndjson
 	}
 	r.metrics = sc.Metrics
@@ -143,27 +144,12 @@ func (r *Run) Done() bool { return r.done }
 // Steps returns the number of completed Step calls.
 func (r *Run) Steps() int { return r.steps }
 
-// Sharded reports which execution path the run uses.
-func (r *Run) Sharded() bool { return r.st != nil }
-
-// Duration returns the run's normalized simulated duration.
-func (r *Run) Duration() sim.Time { return r.duration }
-
-// Clock returns how far simulated time has advanced — the progress figure
-// the daemon's status endpoint reports.
-func (r *Run) Clock() sim.Time {
+// clock returns how far simulated time has advanced.
+func (r *Run) clock() sim.Time {
 	if r.st != nil {
 		return r.st.Clock()
 	}
 	return r.inst.Kernel.Now()
-}
-
-// EventsFired returns the single-engine replay coordinate (0 when sharded).
-func (r *Run) EventsFired() uint64 {
-	if r.inst != nil {
-		return r.inst.Kernel.Fired()
-	}
-	return 0
 }
 
 // TraceBytes returns the trace bytes handed to the sink so far. Call Flush
@@ -190,7 +176,7 @@ func (r *Run) Finish() (core.Result, error) {
 		return r.res, nil
 	}
 	if !r.done {
-		return core.Result{}, fmt.Errorf("run: Finish before the run reached its deadline (clock %v of %v)", r.Clock(), r.duration)
+		return core.Result{}, fmt.Errorf("run: Finish before the run reached its deadline (clock %v of %v)", r.clock(), r.duration)
 	}
 	if r.st != nil {
 		res, rep, err := r.st.Finish()
@@ -212,42 +198,38 @@ func (r *Run) Finish() (core.Result, error) {
 // before Finish).
 func (r *Run) Report() *shard.Report { return r.rep }
 
-// Control returns the decoded run-control knobs.
-func (r *Run) Control() spec.RunControl { return r.rc }
-
-// countingSink counts every byte handed downstream — the trace offset a
+// countingWriter counts every byte handed downstream — the trace offset a
 // checkpoint records (after a flush).
-type countingSink struct {
+type countingWriter struct {
 	n    int64
-	next obs.Sink
+	next io.Writer
 }
 
-func (c *countingSink) WriteChunk(p []byte) error {
-	c.n += int64(len(p))
-	return c.next.WriteChunk(p)
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.next.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
-func (c *countingSink) Close() error { return c.next.Close() }
-
-// skipSink discards the first skip bytes and forwards the rest — how a
-// restored run suppresses the trace prefix its replay regenerates. Chunk
+// skipWriter discards the first skip bytes and forwards the rest — how a
+// restored run suppresses the trace prefix its replay regenerates. Write
 // boundaries need not line up with the offset: NDJSON output is a plain
-// byte stream, so a chunk straddling it is split.
-type skipSink struct {
+// byte stream, so a write straddling it is split.
+type skipWriter struct {
 	skip int64
-	next obs.Sink
+	next io.Writer
 }
 
-func (s *skipSink) WriteChunk(p []byte) error {
+func (s *skipWriter) Write(p []byte) (int, error) {
 	if s.skip > 0 {
 		if int64(len(p)) <= s.skip {
 			s.skip -= int64(len(p))
-			return nil
+			return len(p), nil
 		}
-		p = p[s.skip:]
+		skipped := int(s.skip)
 		s.skip = 0
+		n, err := s.next.Write(p[skipped:])
+		return skipped + n, err
 	}
-	return s.next.WriteChunk(p)
+	return s.next.Write(p)
 }
-
-func (s *skipSink) Close() error { return s.next.Close() }

@@ -48,7 +48,7 @@ func shardSpec(schemeName string) spec.Spec {
 func stepAll(t *testing.T, sp spec.Spec) ([]byte, core.Result, int) {
 	t.Helper()
 	var buf bytes.Buffer
-	r, err := run.New(sp, run.Options{Sink: obs.WriterSink{W: &buf}})
+	r, err := run.New(sp, run.Options{Sink: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRunMatchesRunScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refBuf bytes.Buffer
-	nd := obs.NewNDJSONTo(obs.WriterSink{W: &refBuf})
+	nd := obs.NewNDJSON(&refBuf)
 	sc.Tracer = nd
 	refRes, err := core.RunScenario(sc)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestCheckpointRestoreSharded(t *testing.T) {
 func checkpointAt(t *testing.T, sp spec.Spec, cut int, full []byte, fullRes core.Result) {
 	t.Helper()
 	var prefix bytes.Buffer
-	r, err := run.New(sp, run.Options{Sink: obs.WriterSink{W: &prefix}})
+	r, err := run.New(sp, run.Options{Sink: &prefix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func checkpointAt(t *testing.T, sp spec.Spec, cut int, full []byte, fullRes core
 	}
 
 	var rest bytes.Buffer
-	r2, err := run.Restore(cp2, run.Options{Sink: obs.WriterSink{W: &rest}})
+	r2, err := run.Restore(cp2, run.Options{Sink: &rest})
 	if err != nil {
 		t.Fatalf("cut %d: restore: %v", cut, err)
 	}

@@ -132,9 +132,6 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	if s.Links != nil {
 		return nil, fmt.Errorf("shard: custom link sets are not shardable; use Downlink/Uplink flags")
 	}
-	if s.Live != nil {
-		return nil, fmt.Errorf("shard: live metrics publishing is single-engine only")
-	}
 	if err := s.Net.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid network: %w", err)
 	}

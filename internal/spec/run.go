@@ -9,20 +9,13 @@ import (
 )
 
 // RunControl holds the run-lifecycle knobs a spec's "run" object can set:
-// how often the executing layer (internal/run, the domino-sim daemon)
-// writes checkpoints, how finely a run is sliced into resumable steps, and
-// how many runs a daemon executes concurrently. All knobs are
-// output-transparent — they bound where a run can pause, never what it
-// produces.
+// how finely internal/run slices a run into steps, the boundaries at which
+// it can be checkpointed and restored. Both knobs are output-transparent —
+// they bound where a run can pause, never what it produces.
 type RunControl struct {
-	// CheckpointEvery is the wall-clock interval between automatic
-	// checkpoints ("30s", "2m", or integer nanoseconds). Zero disables
-	// timer checkpoints; explicit checkpoint requests still work.
-	CheckpointEvery Duration `json:"checkpoint_every,omitempty"`
-
 	// StepEvents bounds how many kernel events a single-engine run fires
-	// per step — the granularity at which pause and checkpoint requests
-	// are honoured. Zero means the executor default (65536).
+	// per step — the granularity at which checkpoints can be taken. Zero
+	// means the executor default (65536).
 	StepEvents int `json:"step_events,omitempty"`
 
 	// StepWindow bounds how much simulated time an uncoupled sharded
@@ -30,10 +23,6 @@ type RunControl struct {
 	// barrier-free single-leap execution; coupled partitions always step
 	// by the conservative lookahead and ignore this knob.
 	StepWindow Duration `json:"step_window,omitempty"`
-
-	// MaxConcurrentRuns bounds the daemon's worker fleet. Zero means one
-	// worker per CPU core. Ignored for one-shot CLI runs.
-	MaxConcurrentRuns int `json:"max_concurrent_runs,omitempty"`
 }
 
 // RunControl decodes the spec's "run" object, applying zero-value defaults
@@ -80,9 +69,6 @@ func (s Spec) validateRun() error {
 	if err != nil {
 		return err
 	}
-	if rc.CheckpointEvery < 0 {
-		return fmt.Errorf("spec: run.checkpoint_every %v is negative; use 0 to disable timer checkpoints", rc.CheckpointEvery)
-	}
 	if rc.StepEvents < 0 {
 		return fmt.Errorf("spec: run.step_events %d is negative; use 0 for the executor default", rc.StepEvents)
 	}
@@ -94,9 +80,6 @@ func (s Spec) validateRun() error {
 	}
 	if rc.StepEvents > 0 && s.Shards != nil {
 		return fmt.Errorf("spec: run.step_events only applies to single-engine runs (sharded runs step by window; use run.step_window)")
-	}
-	if rc.MaxConcurrentRuns < 0 {
-		return fmt.Errorf("spec: run.max_concurrent_runs %d is negative; use 0 for one worker per core", rc.MaxConcurrentRuns)
 	}
 	return nil
 }

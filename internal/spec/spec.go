@@ -82,9 +82,9 @@ type Spec struct {
 	Obs Obs `json:"obs,omitempty"`
 
 	// Run is an optional JSON object of run-lifecycle knobs (see
-	// RunControl): checkpoint cadence, step granularity, daemon
-	// concurrency. Keys are validated against the RunControl catalog the
-	// same way scheme_config keys are.
+	// RunControl): the step granularity of internal/run. Keys are
+	// validated against the RunControl catalog the same way scheme_config
+	// keys are.
 	Run json.RawMessage `json:"run,omitempty"`
 }
 

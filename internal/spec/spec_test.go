@@ -252,24 +252,24 @@ func TestValidateCatalog(t *testing.T) {
 			s.Topology = spec.Topology{Kind: "campus", APs: 2, Clients: 2, Buildings: 3}
 		}, "grid topology only"},
 		{"run control ok", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"checkpoint_every": "30s", "step_events": 4096, "max_concurrent_runs": 2}`)
+			s.Run = json.RawMessage(`{"step_events": 4096}`)
 		}, ""},
 		{"run control case-insensitive ok", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"Checkpoint_Every": "1m"}`)
+			s.Run = json.RawMessage(`{"Step_Events": 4096}`)
 		}, ""},
 		{"run not object", func(s *spec.Spec) { s.Run = json.RawMessage(`7`) }, "run must be a JSON object"},
 		{"run misspelled knob", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"checkpoint_evry": "30s"}`)
-		}, `run has no knob "checkpoint_evry" (knobs: checkpoint_every, max_concurrent_runs, step_events, step_window)`},
-		{"run negative checkpoint interval", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"checkpoint_every": "-5s"}`)
-		}, "checkpoint_every"},
+			s.Run = json.RawMessage(`{"step_evnts": 4096}`)
+		}, `run has no knob "step_evnts" (knobs: step_events, step_window)`},
+		{"run removed checkpoint_every knob", func(s *spec.Spec) {
+			s.Run = json.RawMessage(`{"checkpoint_every": "30s"}`)
+		}, `run has no knob "checkpoint_every" (knobs: step_events, step_window)`},
+		{"run removed max_concurrent_runs knob", func(s *spec.Spec) {
+			s.Run = json.RawMessage(`{"max_concurrent_runs": 2}`)
+		}, `run has no knob "max_concurrent_runs" (knobs: step_events, step_window)`},
 		{"run negative step events", func(s *spec.Spec) {
 			s.Run = json.RawMessage(`{"step_events": -1}`)
 		}, "step_events"},
-		{"run negative max runs", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"max_concurrent_runs": -3}`)
-		}, "max_concurrent_runs"},
 		{"run step window needs shards", func(s *spec.Spec) {
 			s.Run = json.RawMessage(`{"step_window": "1ms"}`)
 		}, "only applies to sharded runs"},

@@ -47,12 +47,12 @@ race-hot:
 	$(GO) test -race -count=1 ./internal/sim ./internal/ofdm ./internal/obs
 
 # Race re-run of the sharded-runner stack: the shard package (per-domain
-# goroutines, cross-shard mailboxes), the kernel it drives, and the ForEach
+# goroutines, the merge), the kernel it drives, and the ForEach
 # fan-out underneath. The shard tests cover single-domain transparency,
 # multi-domain differentials and worker-count determinism, so -race here
 # checks every cross-goroutine edge the sharded runner adds. The second
 # command repeats worker-count determinism at GOMAXPROCS 1 and 4: the merged
-# output must not depend on how many cores execute the windows either.
+# output must not depend on how many cores execute the domains either.
 race-shard:
 	$(GO) test -race -count=1 ./internal/shard ./internal/sim ./internal/parallel
 	$(GO) test -race -count=1 -cpu 1,4 -run '^TestShardCountDeterminism$$' ./internal/shard

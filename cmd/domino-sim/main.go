@@ -216,8 +216,8 @@ func main() {
 		d.Name, sp.Topology.Kind, sp.TrafficKind(), sc.Duration, sp.Seed)
 	if shardRep != nil {
 		st := shardRep.Partition.Stats
-		fmt.Fprintf(out, "shard: domains=%d workers=%d windows=%d messages=%d cutEdges=%d crossLinkPairs=%d\n",
-			st.Domains, shardRep.Workers, shardRep.Windows, shardRep.Messages, st.CutEdges, st.CrossLinkPairs)
+		fmt.Fprintf(out, "shard: domains=%d workers=%d cutEdges=%d crossLinkPairs=%d\n",
+			st.Domains, shardRep.Workers, st.CutEdges, st.CrossLinkPairs)
 	}
 	fmt.Fprintf(out, "aggregate: %.2f Mbps   mean delay: %v   Jain fairness: %.3f\n",
 		res.AggregateMbps, res.MeanDelay, res.Fairness)

@@ -123,7 +123,7 @@ type Scenario struct {
 // WithDefaults returns the scenario with its zero PacketBytes, Rate and
 // Duration set to 512 B, 12 Mbps and 10 s. NewInstance applies it; drivers
 // that need the normalized values before building (the shard runner's
-// window math, the run lifecycle's deadline) call it themselves.
+// step horizons, the run lifecycle's deadline) call it themselves.
 func (s Scenario) WithDefaults() Scenario {
 	if s.PacketBytes == 0 {
 		s.PacketBytes = 512
@@ -193,7 +193,7 @@ type Result struct {
 // the decomposition RunScenario always performed, now exported so drivers
 // other than "run to the end in one call" exist: the shard runner
 // (internal/shard) builds one Instance per interference domain and advances
-// them in bounded-horizon windows.
+// them in bounded-horizon steps.
 //
 // Drive the kernel via Step/StepBefore (or Kernel directly), then call
 // Finish exactly once after the clock reaches S.Duration.
@@ -415,16 +415,12 @@ func NewInstance(s Scenario) (*Instance, error) {
 	return inst, nil
 }
 
-// Collector returns the instance's statistics collector, live during the
-// run — window drivers read it at barriers to build progress digests.
-func (i *Instance) Collector() *stats.Collector { return i.coll }
-
 // Step executes events up to and including t and returns the clock
 // (sim.Kernel.RunUntil).
 func (i *Instance) Step(t sim.Time) sim.Time { return i.Kernel.RunUntil(t) }
 
 // StepBefore executes events strictly before horizon and advances the clock
-// to it (sim.Kernel.RunBefore) — the conservative-lookahead window step.
+// to it (sim.Kernel.RunBefore) — the sharded engine's step-granule step.
 func (i *Instance) StepBefore(horizon sim.Time) sim.Time { return i.Kernel.RunBefore(horizon) }
 
 // Finish closes the observability run and computes the scenario's

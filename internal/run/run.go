@@ -11,8 +11,8 @@
 //
 // Checkpoints are replay-based. Kernel events hold closures, which cannot
 // serialize, so a checkpoint records the run's replay coordinate (events
-// fired for a single-engine run, completed windows for a sharded one) plus
-// integrity state — the queue shape, engine counters and metric digests —
+// fired for a single-engine run, completed step granules for a sharded one)
+// plus integrity state — the queue shape, engine counters and metric digests —
 // and Restore rebuilds the run from its spec, replays deterministically to
 // the coordinate, and verifies the rebuilt state matches before continuing.
 // Determinism is what makes this exact: the replayed prefix regenerates the
@@ -123,8 +123,9 @@ func build(sp spec.Spec, opt Options, discard int64) (*Run, error) {
 }
 
 // Step advances the run one bounded slice — step_events kernel events on
-// the single-engine path, one window (lookahead or step_window granule) on
-// the sharded path — and reports whether the run has reached its deadline.
+// the single-engine path, one step_window granule (the whole run when it
+// is 0) on the sharded path — and reports whether the run has reached its
+// deadline.
 func (r *Run) Step() bool {
 	if r.done {
 		return true

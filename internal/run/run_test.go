@@ -30,7 +30,7 @@ func singleSpec(schemeName string) spec.Spec {
 }
 
 // shardSpec is a multi-domain scenario: the grid topology partitions into
-// several interference domains, exercising the windowed sharded path.
+// several interference domains, stepped in 2 ms step_window granules.
 func shardSpec(schemeName string) spec.Spec {
 	return spec.Spec{
 		Scheme:   schemeName,
@@ -228,35 +228,67 @@ func checkpointAt(t *testing.T, sp spec.Spec, cut int, full []byte, fullRes core
 }
 
 // TestRestoreRejectsTamperedCheckpoint pins the verification teeth: a
-// checkpoint whose recorded engine state does not match what replay
-// produces must abort the restore.
+// checkpoint whose recorded kernel or engine state does not match what
+// replay produces must abort the restore, on the single-engine path and on
+// one domain of a sharded run. The untampered checkpoint must restore.
 func TestRestoreRejectsTamperedCheckpoint(t *testing.T) {
-	sp := singleSpec("DOMINO")
-	r, err := run.New(sp, run.Options{})
-	if err != nil {
-		t.Fatal(err)
+	type tamper struct {
+		what string
+		edit func(t *testing.T, cp *run.Checkpoint)
 	}
-	for i := 0; i < 3; i++ {
-		r.Step()
+	engine := func(t *testing.T, es *scheme.EngineState) {
+		if es == nil || es.Counters == nil {
+			t.Fatal("DOMINO checkpoint carries no engine counters")
+		}
+		es.Counters["slots"]++
 	}
-	cp, err := r.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Kernel.Fired += 1 // claim one more event than actually fired
-	if _, err := run.Restore(cp, run.Options{}); err == nil {
-		t.Fatal("restore accepted a checkpoint with a wrong fired count")
-	}
-
-	cp2, err := r.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp2.Engine == nil || cp2.Engine.Counters == nil {
-		t.Fatal("DOMINO checkpoint carries no engine counters")
-	}
-	cp2.Engine.Counters["slots"]++
-	if _, err := run.Restore(cp2, run.Options{}); err == nil {
-		t.Fatal("restore accepted a checkpoint with tampered engine counters")
+	for _, tc := range []struct {
+		name    string
+		sp      spec.Spec
+		tampers []tamper
+	}{
+		{"single", singleSpec("DOMINO"), []tamper{
+			// Claim one more event than actually fired.
+			{"a wrong fired count", func(t *testing.T, cp *run.Checkpoint) { cp.Kernel.Fired++ }},
+			{"tampered engine counters", func(t *testing.T, cp *run.Checkpoint) { engine(t, cp.Engine) }},
+		}},
+		{"sharded", shardSpec("DOMINO"), []tamper{
+			{"a wrong fired count in the last domain", func(t *testing.T, cp *run.Checkpoint) {
+				cp.Domains[len(cp.Domains)-1].Kernel.Fired++
+			}},
+			{"tampered engine counters in domain 0", func(t *testing.T, cp *run.Checkpoint) {
+				engine(t, &cp.Domains[0].Engine)
+			}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := run.New(tc.sp, run.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				r.Step()
+			}
+			cp, err := r.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.sp.Shards != nil && len(cp.Domains) < 2 {
+				t.Fatalf("sharded checkpoint has %d domains, want ≥ 2", len(cp.Domains))
+			}
+			if _, err := run.Restore(cp, run.Options{}); err != nil {
+				t.Fatalf("untampered checkpoint rejected: %v", err)
+			}
+			for _, tm := range tc.tampers {
+				cp, err := r.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tm.edit(t, cp)
+				if _, err := run.Restore(cp, run.Options{}); err == nil {
+					t.Fatalf("restore accepted a checkpoint with %s", tm.what)
+				}
+			}
+		})
 	}
 }

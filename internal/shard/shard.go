@@ -4,30 +4,22 @@
 // coupled clusters (internal/topo.PartitionDomains).
 //
 // Execution model: every domain gets its own sim.Kernel + engine instance
-// (core.NewInstance on the extracted subnetwork). Domains with no
-// cross-domain coupling run to the global deadline with no synchronization
-// at all. When the partition severed conflict edges, the coupled domains
-// exchange per-window coupling-audit digests over deterministic per-pair
-// ordered channels, and every domain advances in conservative-lookahead
-// windows: the lookahead is the wired-backbone latency floor (the central
-// server cannot influence a remote AP faster than the backbone's
-// N(285 µs, σ 22 µs) jitter distribution can deliver a coordination
-// message), so a window never needs input that a peer has not already
-// produced.
+// (core.NewInstance on the extracted subnetwork), and every domain runs to
+// the global deadline with no synchronization at all. Conflict edges the
+// partition severed are approximated away when the domains are built —
+// the residual interference is what accepting the RSS cut gives up, and
+// topo.CutStats reports how much of it there is.
 //
-// Determinism contract: domains, per-domain seeds, window boundaries,
-// message routing order and every merge step depend only on the topology
-// and the scenario — never on the worker count or OS scheduling. The
-// merged trace, metrics snapshot and Result are byte-identical at any
-// Workers value, pinned by TestShardCountDeterminism.
+// Determinism contract: domains, per-domain seeds and every merge step
+// depend only on the topology and the scenario — never on the worker count
+// or OS scheduling. The merged trace, metrics snapshot and Result are
+// byte-identical at any Workers value, pinned by TestShardCountDeterminism.
 package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/domino"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/phy"
@@ -36,16 +28,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
-
-// LookaheadFloor returns the conservative window width derived from the
-// wired-backbone jitter floor: the earliest instant a cross-domain
-// coordination effect can land is one backbone traversal at the fast tail
-// of the latency distribution, mean − 4σ of DOMINO's wired model
-// (285 µs − 4·22 µs = 197 µs). Any window at most this wide is safe.
-func LookaheadFloor() sim.Time {
-	c := domino.DefaultConfig()
-	return c.WiredLatencyMean - 4*c.WiredLatencyStd
-}
 
 // spanBaseShift namespaces per-domain span ids: domain d allocates ids
 // above d<<40, far beyond any single run's span count.
@@ -57,29 +39,19 @@ type Options struct {
 	// onto (≤ 0: all cores). Output is independent of this value.
 	Workers int
 	// StepGranule bounds how much simulated time one Steppable.StepWindow
-	// call may advance an *uncoupled* partition (0: the whole run in one
-	// step, the barrier-free fast path Run uses). The run-lifecycle layer
-	// sets it so checkpoint/pause boundaries exist even when no
-	// synchronization windows do; kernels step via RunBefore, so any
-	// granule produces byte-identical output. Coupled partitions ignore it
-	// — their lookahead windows are already fine-grained boundaries.
+	// call advances every domain (0: the whole run in one step). The
+	// run-lifecycle layer sets it so a sharded run has checkpoint/pause
+	// boundaries; kernels step via RunBefore, so any granule produces
+	// byte-identical output.
 	StepGranule sim.Time
 }
 
-// Report describes how a sharded run executed: the partition, the window
-// synchronization work, and the per-domain results.
+// Report describes how a sharded run executed: the partition, the worker
+// count and the per-domain results.
 type Report struct {
 	Partition *topo.Partition
 	// Workers is the resolved worker count the domains were scheduled on.
 	Workers int
-	// Windows is the number of lookahead windows the coupled run stepped
-	// through (0 for a partition-free run).
-	Windows int
-	// Messages is the total cross-shard digests exchanged.
-	Messages int
-	// Audits holds per-channel coupling audit totals, in canonical pair
-	// order.
-	Audits []PairAudit
 	// PerDomain holds each domain's local Result (local link ids).
 	PerDomain []core.Result
 }
@@ -99,12 +71,12 @@ func Run(s core.Scenario, opt Options) (core.Result, *Report, error) {
 	return st.Finish()
 }
 
-// Steppable is a sharded run decomposed into explicit window steps — the
-// form the run-lifecycle layer (internal/run) drives so a campus-scale run
-// can pause, checkpoint and resume between windows instead of executing in
-// one opaque call. Construct with New, call StepWindow until it reports
-// done, then Finish exactly once. Run is the loop-it-all wrapper and stays
-// byte-identical to the pre-steppable implementation.
+// Steppable is a sharded run decomposed into explicit steps of
+// Options.StepGranule — the form the run-lifecycle layer (internal/run)
+// drives so a campus-scale run can pause, checkpoint and resume between
+// steps instead of executing in one opaque call. Construct with New, call
+// StepWindow until it reports done, then Finish exactly once. Run is the
+// loop-it-all wrapper.
 type Steppable struct {
 	s       core.Scenario
 	opt     Options
@@ -113,18 +85,15 @@ type Steppable struct {
 	insts   []*core.Instance
 	tracers []*remapTracer
 	metrics []*obs.Metrics
-	router  *router
 	rep     *Report
 
-	// nextH is the horizon the next step advances to; steps counts
-	// completed StepWindow calls (the checkpoint replay coordinate).
-	nextH sim.Time
-	steps int
+	// clock is the horizon the last completed step advanced to.
+	clock sim.Time
 	done  bool
 }
 
-// New builds the per-domain instances, the cross-shard router and the
-// report skeleton — everything Run did before its execute loop.
+// New builds the per-domain instances and the report skeleton —
+// everything Run does before its execute loop.
 func New(s core.Scenario, opt Options) (*Steppable, error) {
 	if s.Net == nil {
 		return nil, fmt.Errorf("shard: Scenario.Net is nil")
@@ -135,7 +104,7 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	if err := s.Net.Validate(); err != nil {
 		return nil, fmt.Errorf("shard: invalid network: %w", err)
 	}
-	// Normalize exactly like core.NewInstance so window math and merged
+	// Normalize exactly like core.NewInstance so step horizons and merged
 	// rates use the same values the instances will.
 	s = s.WithDefaults()
 
@@ -182,114 +151,45 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 		insts[d] = inst
 	}
 
-	// Cross-shard channels: one ordered mailbox pair per coupled domain
-	// pair, plus each domain's routing fan-out.
-	router := newRouter(p)
-
-	st := &Steppable{
+	return &Steppable{
 		s: s, opt: opt, links: links, p: p,
-		insts: insts, tracers: tracers, metrics: metrics,
-		router: router, rep: rep,
-	}
-	// The first horizon: coupled partitions step conservative-lookahead
-	// windows; uncoupled ones leap by the step granule (or the whole run).
-	if router.pairs() > 0 {
-		st.nextH = LookaheadFloor()
-	} else if opt.StepGranule > 0 {
-		st.nextH = opt.StepGranule
-	} else {
-		st.nextH = s.Duration
-	}
-	return st, nil
+		insts: insts, tracers: tracers, metrics: metrics, rep: rep,
+	}, nil
 }
 
-// Steps returns the number of completed StepWindow calls — the replay
-// coordinate a checkpoint records.
-func (st *Steppable) Steps() int { return st.steps }
-
 // Instances exposes the per-domain cores in domain-index order so the
-// run-lifecycle layer can audit kernel and engine state at a window
+// run-lifecycle layer can audit kernel and engine state at a step
 // boundary. Callers must not step them directly.
 func (st *Steppable) Instances() []*core.Instance { return st.insts }
-
-// Messages returns the cross-shard messages routed so far.
-func (st *Steppable) Messages() int { return st.router.messages }
 
 // Done reports whether the run has reached its deadline.
 func (st *Steppable) Done() bool { return st.done }
 
 // Clock returns the horizon the run has advanced to (0 before any step).
-func (st *Steppable) Clock() sim.Time {
-	if st.done {
-		return st.s.Duration
-	}
-	if st.steps == 0 {
-		return 0
-	}
-	return st.prevH()
-}
+func (st *Steppable) Clock() sim.Time { return st.clock }
 
-// prevH is the horizon the last completed step advanced to.
-func (st *Steppable) prevH() sim.Time {
-	stride := st.granule()
-	h := st.nextH - stride
-	if h > st.s.Duration {
-		h = st.s.Duration
-	}
-	return h
-}
-
-func (st *Steppable) granule() sim.Time {
-	if st.router.pairs() > 0 {
-		return LookaheadFloor()
-	}
-	if st.opt.StepGranule > 0 {
-		return st.opt.StepGranule
-	}
-	return st.s.Duration
-}
-
-// StepWindow advances every domain one window and reports whether the run
-// is done. Uncoupled partitions run barrier-free — the fast path that makes
-// sharding pay — advancing by the step granule per call with no router
-// work and no Report.Windows accounting (those count synchronization
-// barriers, of which there are none). Coupled partitions execute exactly
-// the pre-steppable loop body: deliver staged messages, step to the
-// horizon, emit boundary digests, route — so Run's output is byte-identical
-// to the original single-loop implementation.
+// StepWindow advances every domain by one step granule (to the deadline
+// when the granule is 0 or reaches past it) and reports whether the run is
+// done. Domains step independently on the worker pool; the only barrier is
+// the return of the call itself.
 func (st *Steppable) StepWindow() bool {
 	if st.done {
 		return true
 	}
-	nd := len(st.p.Domains)
-	final := st.nextH >= st.s.Duration
-	coupled := st.router.pairs() > 0
-	h := st.nextH
-	if coupled {
-		st.rep.Windows++
+	h := st.s.Duration
+	if g := st.opt.StepGranule; g > 0 && st.clock+g < h {
+		h = st.clock + g
 	}
-	parallel.ForEach(st.opt.Workers, nd, func(d int) {
-		if coupled {
-			st.router.deliver(d, st.insts[d])
-		}
+	final := h == st.s.Duration
+	parallel.ForEach(st.opt.Workers, len(st.insts), func(d int) {
 		if final {
-			st.insts[d].Step(st.s.Duration)
+			st.insts[d].Step(h)
 		} else {
 			st.insts[d].StepBefore(h)
-			if coupled {
-				st.router.emit(d, st.insts[d], h)
-			}
 		}
 	})
-	if coupled && !final {
-		st.router.route() // single-threaded barrier phase
-	}
-	st.steps++
-	st.nextH += st.granule()
-	if final {
-		st.done = true
-	}
-	return st.done
+	st.clock, st.done = h, final
+	return final
 }
 
 // Finish merges the per-domain results into the campus-wide Result and
@@ -299,8 +199,6 @@ func (st *Steppable) Finish() (core.Result, *Report, error) {
 		return core.Result{}, nil, fmt.Errorf("shard: Finish before the run reached its deadline (clock %v of %v)", st.Clock(), st.s.Duration)
 	}
 	s, rep := st.s, st.rep
-	rep.Messages = st.router.messages
-	rep.Audits = st.router.audits()
 
 	// Merge. Every step below iterates domains in index order, so the
 	// merged result is a pure function of the partition.
@@ -348,8 +246,6 @@ func mergeResults(s core.Scenario, links []*topo.Link, p *topo.Partition, rep *R
 			s.Metrics.Merge(metrics[d])
 		}
 		s.Metrics.Counter("shard.domains").Add(int64(len(p.Domains)))
-		s.Metrics.Counter("shard.windows").Add(int64(rep.Windows))
-		s.Metrics.Counter("shard.messages").Add(int64(rep.Messages))
 		s.Metrics.Counter("shard.cut_edges").Add(int64(p.Stats.CutEdges))
 		s.Metrics.Counter("shard.cross_link_pairs").Add(int64(p.Stats.CrossLinkPairs))
 		res.Snapshot = s.Metrics.Snapshot()
@@ -434,14 +330,4 @@ func mergeStreams(tracers []*remapTracer, out obs.Tracer) {
 			heads = append(heads[:best], heads[best+1:]...)
 		}
 	}
-}
-
-// sortAudits is a tiny helper keeping Report.Audits canonical.
-func sortAudits(a []PairAudit) {
-	sort.Slice(a, func(i, j int) bool {
-		if a[i].A != a[j].A {
-			return a[i].A < a[j].A
-		}
-		return a[i].B < a[j].B
-	})
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -60,8 +61,8 @@ func disjointNet(k, clientsPerAP int) *topo.Network {
 // coupledNet: two cells with weak signals (−80 dBm) and −91 dBm cross-cell
 // coupling. The coupling degrades cross-cell SINR below Rate12's threshold
 // plus margin (conflict edges exist) but sits far under DefaultCutDBm, so
-// the partition severs it: 2 domains, ≥1 cut edge, 1 cross-domain pair —
-// the windowed synchronization path.
+// the partition severs it: 2 domains, ≥1 cut edge whose coupling the
+// sharded run approximates away.
 func coupledNet() *topo.Network {
 	return cellsNet(2, 2, -80, -85, -91)
 }
@@ -202,9 +203,8 @@ func TestDifferentialMultiDomain(t *testing.T) {
 	if got := len(rep.Partition.Domains); got != 4 {
 		t.Fatalf("domains = %d, want 4", got)
 	}
-	if rep.Partition.Stats.CutEdges != 0 || rep.Windows != 0 {
-		t.Fatalf("disjoint net must run barrier-free: %+v windows=%d",
-			rep.Partition.Stats, rep.Windows)
+	if rep.Partition.Stats.CutEdges != 0 {
+		t.Fatalf("disjoint net must partition exactly: %+v", rep.Partition.Stats)
 	}
 	if sres.AggregateMbps != dres.AggregateMbps || sres.DataMbps != dres.DataMbps {
 		t.Errorf("aggregate: single (%v, %v) sharded (%v, %v)",
@@ -226,8 +226,8 @@ func TestDifferentialMultiDomain(t *testing.T) {
 }
 
 // TestShardCountDeterminism pins the worker-count independence contract on
-// the coupled (windowed, message-passing) path: the raw merged trace bytes
-// and the Result are identical at 1, 2 and 4 workers.
+// a partition with severed conflict edges: the raw merged trace bytes and
+// the Result are identical at 1, 2 and 4 workers.
 func TestShardCountDeterminism(t *testing.T) {
 	type run struct {
 		lines []string
@@ -250,16 +250,7 @@ func TestShardCountDeterminism(t *testing.T) {
 		t.Fatalf("domains = %d, want 2", got)
 	}
 	if base.rep.Partition.Stats.CutEdges == 0 {
-		t.Fatal("coupled net produced no cut edges; windowed path not exercised")
-	}
-	if base.rep.Windows == 0 {
-		t.Fatal("no synchronization windows ran")
-	}
-	if base.rep.Messages == 0 {
-		t.Fatal("no cross-shard digests routed")
-	}
-	if len(base.rep.Audits) != 1 || base.rep.Audits[0].A != 0 || base.rep.Audits[0].B != 1 {
-		t.Fatalf("audits = %+v, want exactly pair (0,1)", base.rep.Audits)
+		t.Fatal("coupled net produced no cut edges")
 	}
 	for _, workers := range []int{2, 4} {
 		r := do(workers)
@@ -275,72 +266,6 @@ func TestShardCountDeterminism(t *testing.T) {
 		if r.res.AggregateMbps != base.res.AggregateMbps || r.res.MeanDelay != base.res.MeanDelay {
 			t.Errorf("workers=%d: result differs", workers)
 		}
-		if r.rep.Messages != base.rep.Messages || r.rep.Windows != base.rep.Windows {
-			t.Errorf("workers=%d: windows/messages differ: (%d,%d) vs (%d,%d)", workers,
-				r.rep.Windows, r.rep.Messages, base.rep.Windows, base.rep.Messages)
-		}
-	}
-}
-
-// TestCrossShardAudit checks that the windowed run carries monotone
-// coupling digests both directions over the severed pair.
-func TestCrossShardAudit(t *testing.T) {
-	s := baseScenario(coupledNet())
-	_, rep, err := Run(s, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Audits) != 1 {
-		t.Fatalf("audits = %+v", rep.Audits)
-	}
-	a := rep.Audits[0]
-	// Both directions emit once per routed window.
-	if want := 2 * (rep.Windows - 1); a.Messages != want {
-		t.Errorf("messages = %d, want %d", a.Messages, want)
-	}
-	if a.FinalAB <= 0 || a.FinalBA <= 0 {
-		t.Errorf("final digests not positive: %+v (saturated links must deliver)", a)
-	}
-}
-
-// TestMessageInjection exercises the Apply path and the (From, Seq)
-// delivery order through the router directly.
-func TestMessageInjection(t *testing.T) {
-	net := coupledNet()
-	links := net.BuildLinks(true, true)
-	g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
-	p := topo.PartitionDomains(g, topo.DefaultCutDBm)
-	if len(p.Domains) != 2 {
-		t.Fatalf("domains = %d", len(p.Domains))
-	}
-	r := newRouter(p)
-
-	var order []int
-	mk := func(from, seq, tag int) Message {
-		return Message{From: from, To: 1, Seq: seq,
-			Apply: func(*core.Instance) { order = append(order, tag) }}
-	}
-	// Inject out of order across one source channel; delivery must sort
-	// by (From, Seq).
-	r.inject(mk(0, 1, 2))
-	r.inject(mk(0, 0, 1))
-	r.route()
-	// A second round's message queues behind the first delivery.
-	r.inject(mk(0, 2, 3))
-	r.deliver(1, nil)
-	r.route()
-	r.deliver(1, nil)
-	want := []int{1, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("applied %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("applied %v, want %v", order, want)
-		}
-	}
-	if r.messages != 3 {
-		t.Errorf("messages = %d, want 3", r.messages)
 	}
 }
 
@@ -356,111 +281,126 @@ func TestRunRejectsUnsupported(t *testing.T) {
 	}
 }
 
-// TestSteppableMatchesRun pins that driving a run through the explicit
-// New/StepWindow/Finish lifecycle — the form internal/run checkpoints
-// between windows — produces byte-identical traces and an identical report
-// to the loop-it-all Run wrapper, on both the coupled (windowed) and
-// uncoupled (barrier-free) paths.
-func TestSteppableMatchesRun(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		net  *topo.Network
-	}{
-		{"coupled", coupledNet()},
-		{"disjoint", disjointNet(3, 2)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := baseScenario(tc.net)
-			var refBuf obs.Buffer
-			ref.Tracer = &refBuf
-			ref.Metrics = obs.NewMetrics()
-			_, refRep, err := Run(ref, Options{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+// nets are the two partition shapes the step tests run on: severed
+// conflict edges, and an exact partition.
+var nets = []struct {
+	name string
+	net  func() *topo.Network
+}{
+	{"coupled", coupledNet},
+	{"disjoint", func() *topo.Network { return disjointNet(3, 2) }},
+}
 
-			stepped := baseScenario(tc.net)
+// tracedRun runs s through Run with a trace and metrics and returns the
+// encoded trace, the Result and the Report.
+func tracedRun(t *testing.T, s core.Scenario, opt Options) ([]string, core.Result, *Report) {
+	t.Helper()
+	var buf obs.Buffer
+	s.Tracer = &buf
+	s.Metrics = obs.NewMetrics()
+	res, rep, err := Run(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encode(buf.Records(), false), res, rep
+}
+
+// sameTrace fails the test at the first record where a and b differ.
+func sameTrace(t *testing.T, a, b []string) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("record counts differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("trace diverges at record %d:\n  %s\n  %s", i, a[i], b[i])
+		}
+	}
+}
+
+// sameResult fails the test when two Results differ in any measurement.
+func sameResult(t *testing.T, what string, a, b core.Result) {
+	t.Helper()
+	if a.AggregateMbps != b.AggregateMbps || a.MeanDelay != b.MeanDelay ||
+		a.Fairness != b.Fairness || a.DataMbps != b.DataMbps ||
+		len(a.PerLinkMbps) != len(b.PerLinkMbps) {
+		t.Fatalf("%s differs: %+v vs %+v", what, a, b)
+	}
+	for i := range a.PerLinkMbps {
+		if a.PerLinkMbps[i] != b.PerLinkMbps[i] {
+			t.Fatalf("%s: link %d rate %v vs %v", what, i, a.PerLinkMbps[i], b.PerLinkMbps[i])
+		}
+	}
+}
+
+// sameReport fails the test when two Reports differ in partition, worker
+// count or any per-domain Result.
+func sameReport(t *testing.T, a, b *Report) {
+	t.Helper()
+	if a.Workers != b.Workers || a.Partition.Stats != b.Partition.Stats || len(a.PerDomain) != len(b.PerDomain) {
+		t.Fatalf("report differs: workers %d/%d stats %+v/%+v domains %d/%d",
+			a.Workers, b.Workers, a.Partition.Stats, b.Partition.Stats, len(a.PerDomain), len(b.PerDomain))
+	}
+	for d := range a.PerDomain {
+		sameResult(t, fmt.Sprintf("domain %d result", d), a.PerDomain[d], b.PerDomain[d])
+	}
+}
+
+// TestSteppableMatchesRun pins that driving a run through the explicit
+// New/StepWindow/Finish lifecycle in bounded granules — the form
+// internal/run checkpoints between steps — produces byte-identical traces
+// and an identical Result and Report to the one-shot Run wrapper, with the
+// clock advancing strictly inside the run between steps.
+func TestSteppableMatchesRun(t *testing.T) {
+	for _, tc := range nets {
+		t.Run(tc.name, func(t *testing.T) {
+			refLines, refRes, refRep := tracedRun(t, baseScenario(tc.net()), Options{Workers: 2})
+
+			stepped := baseScenario(tc.net())
 			var stepBuf obs.Buffer
 			stepped.Tracer = &stepBuf
 			stepped.Metrics = obs.NewMetrics()
-			st, err := New(stepped, Options{Workers: 2})
+			st, err := New(stepped, Options{Workers: 2, StepGranule: 3 * sim.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}
-			steps := 0
+			steps := 1
 			for !st.StepWindow() {
 				steps++
 				if c := st.Clock(); c <= 0 || c >= stepped.Duration {
 					t.Fatalf("mid-run clock %v outside (0, %v)", c, stepped.Duration)
 				}
 			}
+			if steps < 2 {
+				t.Fatalf("run took %d step; the granule was not honoured", steps)
+			}
 			if !st.Done() || st.Clock() != stepped.Duration {
 				t.Fatalf("done=%v clock=%v after final step", st.Done(), st.Clock())
 			}
-			_, stepRep, err := st.Finish()
+			stepRes, stepRep, err := st.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			if stepRep.Windows != refRep.Windows || stepRep.Messages != refRep.Messages {
-				t.Fatalf("report differs: windows %d/%d messages %d/%d",
-					stepRep.Windows, refRep.Windows, stepRep.Messages, refRep.Messages)
-			}
-			rl, sl := encode(refBuf.Records(), false), encode(stepBuf.Records(), false)
-			if len(rl) != len(sl) {
-				t.Fatalf("record counts differ: run %d steppable %d", len(rl), len(sl))
-			}
-			for i := range rl {
-				if rl[i] != sl[i] {
-					t.Fatalf("trace diverges at record %d:\n  run:       %s\n  steppable: %s", i, rl[i], sl[i])
-				}
-			}
+			sameTrace(t, refLines, encode(stepBuf.Records(), false))
+			sameResult(t, "result", refRes, stepRes)
+			sameReport(t, refRep, stepRep)
 		})
 	}
 }
 
-// TestStepGranuleIdentity pins that slicing an uncoupled run into bounded
-// step granules — the knob that gives checkpoints a finite window length on
-// barrier-free topologies — leaves the trace, the result and the report
-// (Windows stays 0: granules are not synchronization barriers) exactly as
-// the single-leap run produces them.
+// TestStepGranuleIdentity pins that slicing a run into bounded step
+// granules — the knob that gives checkpoints a finite step length — leaves
+// the trace, the Result and the Report exactly as the single-leap run
+// produces them, on a partition with severed edges and on an exact one.
 func TestStepGranuleIdentity(t *testing.T) {
-	net := disjointNet(3, 2)
-
-	whole := baseScenario(net)
-	var wholeBuf obs.Buffer
-	whole.Tracer = &wholeBuf
-	whole.Metrics = obs.NewMetrics()
-	wres, wrep, err := Run(whole, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sliced := baseScenario(net)
-	var slicedBuf obs.Buffer
-	sliced.Tracer = &slicedBuf
-	sliced.Metrics = obs.NewMetrics()
-	sres, srep, err := Run(sliced, Options{Workers: 2, StepGranule: 3 * sim.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if srep.Windows != 0 {
-		t.Fatalf("granule run counted %d windows; granules are not barriers", srep.Windows)
-	}
-	if wrep.Windows != 0 {
-		t.Fatalf("whole run counted %d windows on a disjoint net", wrep.Windows)
-	}
-	if wres.AggregateMbps != sres.AggregateMbps || wres.MeanDelay != sres.MeanDelay {
-		t.Fatalf("results differ: whole %+v sliced %+v", wres, sres)
-	}
-	wl, sl := encode(wholeBuf.Records(), false), encode(slicedBuf.Records(), false)
-	if len(wl) != len(sl) {
-		t.Fatalf("record counts differ: whole %d sliced %d", len(wl), len(sl))
-	}
-	for i := range wl {
-		if wl[i] != sl[i] {
-			t.Fatalf("trace diverges at record %d:\n  whole:  %s\n  sliced: %s", i, wl[i], sl[i])
-		}
+	for _, tc := range nets {
+		t.Run(tc.name, func(t *testing.T) {
+			wl, wres, wrep := tracedRun(t, baseScenario(tc.net()), Options{Workers: 2})
+			sl, sres, srep := tracedRun(t, baseScenario(tc.net()), Options{Workers: 2, StepGranule: 3 * sim.Millisecond})
+			sameTrace(t, wl, sl)
+			sameResult(t, "result", wres, sres)
+			sameReport(t, wrep, srep)
+		})
 	}
 }

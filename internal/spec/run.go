@@ -18,10 +18,9 @@ type RunControl struct {
 	// means the executor default (65536).
 	StepEvents int `json:"step_events,omitempty"`
 
-	// StepWindow bounds how much simulated time an uncoupled sharded
-	// partition advances per step (shard.Options.StepGranule). Zero means
-	// barrier-free single-leap execution; coupled partitions always step
-	// by the conservative lookahead and ignore this knob.
+	// StepWindow bounds how much simulated time a sharded run advances
+	// per step (shard.Options.StepGranule). Zero means single-leap
+	// execution: the whole run is one step.
 	StepWindow Duration `json:"step_window,omitempty"`
 }
 

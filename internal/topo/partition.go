@@ -93,15 +93,6 @@ type CutStats struct {
 	CrossLinkPairs int
 }
 
-// CutEdge is one AP-conflict edge severed by the RSS-threshold cut: the
-// residual coupling the sharded run approximates away (and audits through
-// the cross-shard digest channel).
-type CutEdge struct {
-	A, B phy.NodeID // the conflicting APs, A < B
-	// CouplingDBm is the strongest cross-cell RSS between the two cells.
-	CouplingDBm float64
-}
-
 // Partition is an interference-domain decomposition of a conflict graph:
 // connected components of the AP conflict relation after severing edges
 // whose cluster coupling falls below CutDBm.
@@ -111,8 +102,6 @@ type Partition struct {
 	// Domains are ordered by smallest global AP ID.
 	Domains []Domain
 	Stats   CutStats
-	// Cuts lists every severed edge, in (A, B) scan order.
-	Cuts []CutEdge
 	// NodeDomain maps every global node ID to its domain index (-1 for
 	// nodes outside any domain, e.g. clients of linkless APs are still
 	// placed with their AP, so -1 does not occur on valid networks).
@@ -178,7 +167,6 @@ func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 			}
 			if c := coupling(i, j); c < cutDBm {
 				p.Stats.CutEdges++
-				p.Cuts = append(p.Cuts, CutEdge{A: aps[i], B: aps[j], CouplingDBm: c})
 				if c > p.Stats.MaxCutDBm {
 					p.Stats.MaxCutDBm = c
 				}
@@ -245,37 +233,6 @@ func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 	}
 	p.Stats.Domains = len(p.Domains)
 	return p
-}
-
-// CrossDomainPairs returns the unordered domain-index pairs joined by at
-// least one severed conflict edge, sorted by (low, high) — the canonical
-// channel topology for cross-shard coupling audits. Cut edges whose
-// endpoints landed in the same domain anyway (reconnected through a kept
-// path) produce no pair.
-func (p *Partition) CrossDomainPairs() [][2]int {
-	seen := map[[2]int]bool{}
-	var pairs [][2]int
-	for _, c := range p.Cuts {
-		da, db := p.NodeDomain[c.A], p.NodeDomain[c.B]
-		if da == db {
-			continue
-		}
-		if da > db {
-			da, db = db, da
-		}
-		key := [2]int{da, db}
-		if !seen[key] {
-			seen[key] = true
-			pairs = append(pairs, key)
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	return pairs
 }
 
 // Subnet extracts domain d as a standalone Network plus the monotone

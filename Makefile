@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test examples race race-hot race-shard bench-smoke bench
+.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench
 
-ci: vet fmt build test specs examples race race-hot race-shard bench-smoke
+ci: vet fmt build test specs examples trace-smoke race race-hot race-shard bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +36,12 @@ examples:
 		[ -f $$d/main.go ] || continue; \
 		echo "run $$d"; $(GO) run ./$$d >/dev/null; \
 	done
+
+# Pipe a short traced, metrics-on run through tracedump, so a trace that
+# tracedump cannot read fails CI (a writer that fails leaves tracedump an
+# empty stream, which it rejects too). The run's report goes to stderr.
+trace-smoke:
+	$(GO) run ./cmd/domino-sim -topo fig7 -duration 300ms -warmup 50ms -metrics -tracefile - | $(GO) run ./cmd/tracedump -slots 0 >/dev/null
 
 race:
 	$(GO) test -race ./internal/...

@@ -57,11 +57,9 @@ func main() {
 		noUp      = flag.Bool("nouplink", false, "omit uplink links")
 		schedFl   = flag.String("scheduler", "", "DOMINO strict scheduling policy by name (see internal/strict registry; a spec's scheme_config.scheduler wins)")
 		pollerFl  = flag.String("poller", "", "DOMINO polling scheme by name (see internal/poll registry: ROP, A2P, UORA; a spec's scheme_config.poller wins)")
-		convTrace = flag.Bool("convert-trace", false, "emit per-batch schedule-conversion records into the NDJSON trace (DOMINO)")
 		verifyCvt = flag.Bool("verify-convert", false, "run convert.Verify on every DOMINO plan (debug; panics on violation)")
 		traceFile = flag.String("tracefile", "", "write the NDJSON observability trace to this file (- for stdout, which moves the report to stderr; overrides the spec's obs.trace_file)")
 		metrics   = flag.Bool("metrics", false, "collect and print run metrics (counters, airtime breakdown)")
-		noSpans   = flag.Bool("no-spans", false, "trace without causal span annotations (drops sp/pa fields)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
@@ -122,7 +120,7 @@ func main() {
 		// than drop them.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "scheduler", "poller", "convert-trace", "verify-convert":
+			case "scheduler", "poller", "verify-convert":
 				fmt.Fprintf(os.Stderr, "domino-sim: -%s is not supported with -reps > 1 (set it in a -spec file's scheme_config)\n", f.Name)
 				os.Exit(2)
 			}
@@ -142,22 +140,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "domino-sim: %v\n", err)
 		os.Exit(2)
 	}
-	if *schedFl != "" || *pollerFl != "" || *convTrace || *verifyCvt {
+	if *schedFl != "" || *pollerFl != "" || *verifyCvt {
 		// CLI-level DOMINO knobs ride the typed tune hook, which core runs
 		// before the spec's scheme_config — so a spec file always wins.
-		sched, pollerName, ct, vc := *schedFl, *pollerFl, *convTrace, *verifyCvt
-		prev := sc.TuneDomino
+		sched, pollerName, vc := *schedFl, *pollerFl, *verifyCvt
 		sc.TuneDomino = func(c *domino.Config) {
-			if prev != nil {
-				prev(c)
-			}
 			if sched != "" {
 				c.Scheduler = sched
 			}
 			if pollerName != "" {
 				c.Poller = pollerName
 			}
-			c.ConvertTrace = c.ConvertTrace || ct
 			c.VerifyConvert = c.VerifyConvert || vc
 		}
 	}
@@ -182,9 +175,6 @@ func main() {
 	}
 	if *metrics && sc.Metrics == nil {
 		sc.Metrics = obs.NewMetrics()
-	}
-	if *noSpans {
-		sc.NoSpans = true
 	}
 
 	var res core.Result

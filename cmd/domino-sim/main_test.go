@@ -53,7 +53,6 @@ func TestRepsRejectsDominoFlags(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-poller", "ROP"},
 		{"-scheduler", "lqf"},
-		{"-convert-trace"},
 		{"-verify-convert"},
 	} {
 		code, stderr := runMain(t, append(base, extra...)...)

@@ -32,104 +32,93 @@ import (
 type experiment struct {
 	name string
 	desc string
-	// run prints the experiment's human-readable tables; driver errors
-	// (infeasible topologies, bad configs) surface here instead of
-	// panicking — main prints them and exits non-zero.
-	run func(o exp.Options) error
-	// csv, when non-nil, writes the experiment's machine-readable series.
-	csv func(o exp.Options, w io.Writer) error
+	// run executes the experiment once. Its errors (infeasible topologies,
+	// bad configs) surface here instead of panicking — main prints them and
+	// exits non-zero. The result prints the human-readable tables and, when
+	// it has a CSV method, also the machine-readable series for -csv.
+	run func(o exp.Options) (printer, error)
 }
 
 func experiments() []experiment {
 	return []experiment{
-		{"table1", "ROP OFDM symbol parameters (Table 1)", func(o exp.Options) error {
-			exp.Table1(os.Stdout)
-			return nil
-		}, nil},
-		{"fig2", "Fig 1 network: DCF/CENTAUR/DOMINO/omniscient (Fig 2)", func(o exp.Options) error {
-			return printErr(exp.Fig2(o))
-		}, nil},
-		{"fig5", "received spectra, adjacent subchannels (Fig 5)", func(o exp.Options) error {
-			exp.Fig5(o.Seed).Print(os.Stdout)
-			return nil
-		}, nil},
-		{"fig6", "guard subcarriers vs RSS difference (Fig 6)",
-			func(o exp.Options) error { exp.Fig6(o).Print(os.Stdout); return nil },
-			func(o exp.Options, w io.Writer) error { return exp.Fig6(o).CSV(w) }},
-		{"snrfloor", "ROP decode ratio vs SNR (§3.1)", func(o exp.Options) error {
-			exp.SNRFloor(o).Print(os.Stdout)
-			return nil
-		}, nil},
-		{"fig9", "signature detection vs combined count (Fig 9)",
-			func(o exp.Options) error { return printErr(exp.Fig9(o)) },
-			func(o exp.Options, w io.Writer) error { return csvErr(exp.Fig9(o))(w) }},
-		{"fig10", "relative-schedule timeline on the Fig 7 network (Fig 10)", func(o exp.Options) error {
+		{"table1", "ROP OFDM symbol parameters (Table 1)", func(o exp.Options) (printer, error) {
+			return printFunc(exp.Table1), nil
+		}},
+		{"fig2", "Fig 1 network: DCF/CENTAUR/DOMINO/omniscient (Fig 2)", func(o exp.Options) (printer, error) {
+			return result(exp.Fig2(o))
+		}},
+		{"fig5", "received spectra, adjacent subchannels (Fig 5)", func(o exp.Options) (printer, error) {
+			return exp.Fig5(o.Seed), nil
+		}},
+		{"fig6", "guard subcarriers vs RSS difference (Fig 6)", func(o exp.Options) (printer, error) {
+			return exp.Fig6(o), nil
+		}},
+		{"snrfloor", "ROP decode ratio vs SNR (§3.1)", func(o exp.Options) (printer, error) {
+			return exp.SNRFloor(o), nil
+		}},
+		{"fig9", "signature detection vs combined count (Fig 9)", func(o exp.Options) (printer, error) {
+			return result(exp.Fig9(o))
+		}},
+		{"fig10", "relative-schedule timeline on the Fig 7 network (Fig 10)", func(o exp.Options) (printer, error) {
 			events, err := exp.Fig10(o, 60)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			exp.PrintFig10(os.Stdout, events)
-			return nil
-		}, nil},
-		{"table2", "USRP prototype: SC/HT/ET, DOMINO vs DCF (Table 2)", func(o exp.Options) error {
-			return printErr(exp.Table2(o))
-		}, nil},
-		{"fig11", "TX misalignment convergence vs wired jitter (Fig 11)",
-			func(o exp.Options) error { return printErr(exp.Fig11(o)) },
-			func(o exp.Options, w io.Writer) error { return csvErr(exp.Fig11(o))(w) }},
-		{"fig12udp", "UDP throughput/delay/fairness vs uplink rate (Fig 12a-c)",
-			func(o exp.Options) error { return printErr(exp.Fig12(o, core.UDPCBR)) },
-			func(o exp.Options, w io.Writer) error { return csvErr(exp.Fig12(o, core.UDPCBR))(w) }},
-		{"fig12tcp", "TCP throughput/delay/fairness vs uplink rate (Fig 12d-f)",
-			func(o exp.Options) error { return printErr(exp.Fig12(o, core.TCP)) },
-			func(o exp.Options, w io.Writer) error { return csvErr(exp.Fig12(o, core.TCP))(w) }},
-		{"table3", "exposed-link topologies of Fig 13 (Table 3)", func(o exp.Options) error {
-			return printErr(exp.Table3(o))
-		}, nil},
-		{"fig14", "CDF of DOMINO/DCF gain on random T(20,3) (Fig 14)",
-			func(o exp.Options) error { return printErr(exp.Fig14(o)) },
-			func(o exp.Options, w io.Writer) error { return csvErr(exp.Fig14(o))(w) }},
-		{"polling", "batch size / polling frequency sweep (§5)", func(o exp.Options) error {
-			return printErr(exp.PollingSweep(o))
-		}, nil},
-		{"lightload", "light-traffic delay, T(6,5) at 6 KBps (§5)", func(o exp.Options) error {
-			return printErr(exp.LightLoad(o))
-		}, nil},
-		{"coexist", "CFP/CoP coexistence with external DCF traffic (§5, Fig 15)",
-			func(o exp.Options) error { exp.Coexist(o).Print(os.Stdout); return nil },
-			func(o exp.Options, w io.Writer) error { return exp.Coexist(o).CSV(w) }},
-		{"schedulers", "DOMINO under each registered strict scheduling policy",
-			func(o exp.Options) error { return printErr(exp.SchedulerSweep(o)) },
-			func(o exp.Options, w io.Writer) error { return csvErr(exp.SchedulerSweep(o))(w) }},
-		{"pollers", "DOMINO under each registered polling scheme vs client count",
-			func(o exp.Options) error { return printErr(exp.PollerSweep(o)) },
-			func(o exp.Options, w io.Writer) error { return csvErr(exp.PollerSweep(o))(w) }},
+			return printFunc(func(w io.Writer) { exp.PrintFig10(w, events) }), nil
+		}},
+		{"table2", "USRP prototype: SC/HT/ET, DOMINO vs DCF (Table 2)", func(o exp.Options) (printer, error) {
+			return result(exp.Table2(o))
+		}},
+		{"fig11", "TX misalignment convergence vs wired jitter (Fig 11)", func(o exp.Options) (printer, error) {
+			return result(exp.Fig11(o))
+		}},
+		{"fig12udp", "UDP throughput/delay/fairness vs uplink rate (Fig 12a-c)", func(o exp.Options) (printer, error) {
+			return result(exp.Fig12(o, core.UDPCBR))
+		}},
+		{"fig12tcp", "TCP throughput/delay/fairness vs uplink rate (Fig 12d-f)", func(o exp.Options) (printer, error) {
+			return result(exp.Fig12(o, core.TCP))
+		}},
+		{"table3", "exposed-link topologies of Fig 13 (Table 3)", func(o exp.Options) (printer, error) {
+			return result(exp.Table3(o))
+		}},
+		{"fig14", "CDF of DOMINO/DCF gain on random T(20,3) (Fig 14)", func(o exp.Options) (printer, error) {
+			return result(exp.Fig14(o))
+		}},
+		{"polling", "batch size / polling frequency sweep (§5)", func(o exp.Options) (printer, error) {
+			return result(exp.PollingSweep(o))
+		}},
+		{"lightload", "light-traffic delay, T(6,5) at 6 KBps (§5)", func(o exp.Options) (printer, error) {
+			return result(exp.LightLoad(o))
+		}},
+		{"coexist", "CFP/CoP coexistence with external DCF traffic (§5, Fig 15)", func(o exp.Options) (printer, error) {
+			return exp.Coexist(o), nil
+		}},
+		{"schedulers", "DOMINO under each registered strict scheduling policy", func(o exp.Options) (printer, error) {
+			return result(exp.SchedulerSweep(o))
+		}},
+		{"pollers", "DOMINO under each registered polling scheme vs client count", func(o exp.Options) (printer, error) {
+			return result(exp.PollerSweep(o))
+		}},
 	}
 }
 
 // printer is any experiment result that renders itself.
 type printer interface{ Print(w io.Writer) }
 
-// printErr prints the result unless the driver failed.
-func printErr[T printer](r T, err error) error {
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-// csvWriter is any experiment result with a CSV series.
+// csvWriter is an experiment result with a CSV series.
 type csvWriter interface{ CSV(w io.Writer) error }
 
-// csvErr adapts an error-returning driver to the csv hook.
-func csvErr[T csvWriter](r T, err error) func(io.Writer) error {
-	return func(w io.Writer) error {
-		if err != nil {
-			return err
-		}
-		return r.CSV(w)
+// printFunc adapts a plain print function to printer.
+type printFunc func(w io.Writer)
+
+func (f printFunc) Print(w io.Writer) { f(w) }
+
+// result adapts an error-returning experiment function to the run hook.
+func result[T printer](r T, err error) (printer, error) {
+	if err != nil {
+		return nil, err
 	}
+	return r, nil
 }
 
 func main() {
@@ -235,24 +224,33 @@ func main() {
 		}
 		start := time.Now()
 		fmt.Printf("== %s: %s\n", e.name, e.desc)
-		if err := e.run(o); err != nil {
+		r, err := e.run(o)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		if *csvDir != "" && e.csv != nil {
+		r.Print(os.Stdout)
+		if c, ok := r.(csvWriter); ok && *csvDir != "" {
 			path := filepath.Join(*csvDir, e.name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
+			if err := writeCSV(path, c); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if err := e.csv(o, f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			f.Close()
 			fmt.Printf("   csv: %s\n", path)
 		}
 		fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())
 	}
+}
+
+// writeCSV writes one result's CSV series to path.
+func writeCSV(path string, c csvWriter) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := c.CSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

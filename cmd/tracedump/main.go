@@ -1,8 +1,11 @@
 // Command tracedump summarizes NDJSON observability traces written by
 // domino-sim -tracefile or experiments -trace: per-run record totals, the
 // airtime budget replayed from tx_start/tx_end records (the buckets partition
-// the run duration exactly), and a slot-chain timeline reconstructed from the
-// slot_start/trigger/slot_end records of DOMINO runs.
+// the run duration exactly), causal-span coverage and trigger chains, the
+// histogram summaries of metric records, and a slot-chain timeline
+// reconstructed from the slot_start/trigger/slot_end records of DOMINO runs.
+// Records of a kind this build does not know (a newer trace format) are
+// counted and reported, not fatal.
 //
 // Usage:
 //
@@ -40,15 +43,8 @@ type run struct {
 	queueMax     int64
 	kernelDepth  int64 // max pending seen in kernel samples
 	kernelEvents int64 // total fired, from the last kernel sample
-
-	// Schedule-conversion counters, from KindConvert records (present when
-	// the run had domino's ConvertTrace on).
-	convBatches, convSlots         int64
-	convReal, convFake             int64
-	convTriggers, convBackup       int64
-	convBoundary, convUntriggered  int64
-	convROPSlots, convPollTriggers int64
-	convInbound, convCombined      map[int64]int64
+	spanned      int   // records carrying a span or parent annotation
+	metrics      []obs.Record
 
 	// chains rebuilds the causal span forest (sp/pa annotations).
 	chains *chainAnalyzer
@@ -69,10 +65,18 @@ func main() {
 		defer f.Close()
 		in, name = f, flag.Arg(0)
 	}
+	if err := dump(os.Stdout, in, *slots); err != nil {
+		fmt.Fprintf(os.Stderr, "tracedump: %s: %v\n", name, err)
+		os.Exit(1)
+	}
+}
 
+// dump reads one NDJSON trace from in and writes the per-run summaries to w.
+// Malformed input or a trace with no records is an error.
+func dump(w io.Writer, in io.Reader, slots int) error {
 	var runs []*run
 	var cur *run
-	err := obs.ParseNDJSON(in, func(r obs.Record) error {
+	unknown, err := obs.ParseNDJSON(in, func(r obs.Record) error {
 		if r.Kind == obs.KindRunStart {
 			cur = &run{scheme: r.Aux, seed: r.Value}
 			runs = append(runs, cur)
@@ -93,17 +97,18 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracedump: %s: %v\n", name, err)
-		os.Exit(1)
+		return err
 	}
 	if len(runs) == 0 {
-		fmt.Fprintf(os.Stderr, "tracedump: %s: no records\n", name)
-		os.Exit(1)
+		return fmt.Errorf("no records")
 	}
-
 	for i, r := range runs {
-		r.print(os.Stdout, i, *slots)
+		r.print(w, i, slots)
 	}
+	if unknown > 0 {
+		fmt.Fprintf(w, "unrecognized records: %d (kinds this build does not know; skipped)\n", unknown)
+	}
+	return nil
 }
 
 func (r *run) observe(rec obs.Record) {
@@ -114,6 +119,9 @@ func (r *run) observe(rec obs.Record) {
 		r.chains = newChainAnalyzer()
 	}
 	r.chains.Observe(rec)
+	if rec.Span != 0 || rec.Parent != 0 {
+		r.spanned++
+	}
 	switch rec.Kind {
 	case obs.KindTxStart:
 		r.air.Start(obs.BucketOfName(rec.Aux), rec.At)
@@ -136,40 +144,8 @@ func (r *run) observe(rec obs.Record) {
 		if rec.Extra > r.kernelEvents {
 			r.kernelEvents = rec.Extra
 		}
-	case obs.KindConvert:
-		r.observeConvert(rec)
-	}
-}
-
-// observeConvert accumulates one per-batch conversion counter (see
-// domino.Config.ConvertTrace for the record layout).
-func (r *run) observeConvert(rec obs.Record) {
-	switch rec.Aux {
-	case "fake_link_insert":
-		r.convReal += rec.Value
-		r.convFake += rec.Extra
-	case "trigger_assign":
-		r.convTriggers += rec.Value
-		r.convBackup += rec.Extra
-	case "batch_connect":
-		r.convBoundary += rec.Value
-		r.convUntriggered += rec.Extra
-	case "rop_insert":
-		r.convROPSlots += rec.Value
-		r.convPollTriggers += rec.Extra
-	case "batch":
-		r.convBatches++
-		r.convSlots += rec.Value
-	case "inbound":
-		if r.convInbound == nil {
-			r.convInbound = map[int64]int64{}
-		}
-		r.convInbound[rec.Value] += rec.Extra
-	case "combined":
-		if r.convCombined == nil {
-			r.convCombined = map[int64]int64{}
-		}
-		r.convCombined[rec.Value] += rec.Extra
+	case obs.KindMetric:
+		r.metrics = append(r.metrics, rec)
 	}
 }
 
@@ -218,8 +194,12 @@ func (r *run) print(w io.Writer, idx, slots int) {
 			r.kernelEvents, r.kernelDepth)
 	}
 
-	r.printConvert(w)
-
+	for _, m := range r.metrics {
+		fmt.Fprintf(w, "metric %-24s n=%-8d p99=%d\n", m.Aux, m.Value, m.Extra)
+	}
+	if r.spanned > 0 {
+		fmt.Fprintf(w, "causal spans: %d of %d records annotated\n", r.spanned, total)
+	}
 	if r.chains != nil {
 		r.chains.Report().write(w, 8)
 	}
@@ -229,53 +209,6 @@ func (r *run) print(w io.Writer, idx, slots int) {
 		r.printTimeline(w, slots)
 	}
 	fmt.Fprintln(w)
-}
-
-// printConvert renders the trigger-chain summary built from the per-batch
-// conversion records (domino-sim -convert-trace).
-func (r *run) printConvert(w io.Writer) {
-	if r.convBatches == 0 {
-		return
-	}
-	fmt.Fprintf(w, "schedule conversion: %d batches, %d slots\n", r.convBatches, r.convSlots)
-	triggers := r.convTriggers + r.convBoundary
-	if r.convSlots > 0 {
-		fmt.Fprintf(w, "  triggers: %d (%.2f per slot; %d backup, %d across batch boundaries, %d entries untriggered)\n",
-			triggers, float64(triggers)/float64(r.convSlots),
-			r.convBackup, r.convBoundary, r.convUntriggered)
-	}
-	if entries := r.convReal + r.convFake; entries > 0 {
-		fmt.Fprintf(w, "  entries: %d (%.0f%% fake-link cover)\n",
-			entries, 100*float64(r.convFake)/float64(entries))
-	}
-	if r.convROPSlots > 0 {
-		fmt.Fprintf(w, "  rop: %d polling slots, %d poll triggers planted\n",
-			r.convROPSlots, r.convPollTriggers)
-	}
-	histogram := func(name string, m map[int64]int64, note func(int64) string) {
-		if len(m) == 0 {
-			return
-		}
-		keys := make([]int64, 0, len(m))
-		total := int64(0)
-		for k, n := range m {
-			keys = append(keys, k)
-			total += n
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		fmt.Fprintf(w, "  %s:", name)
-		for _, k := range keys {
-			fmt.Fprintf(w, "  %d→%d (%.0f%%)%s", k, m[k], 100*float64(m[k])/float64(total), note(k))
-		}
-		fmt.Fprintln(w)
-	}
-	histogram("triggers per entry", r.convInbound, func(int64) string { return "" })
-	histogram("combined signatures per broadcast", r.convCombined, func(k int64) string {
-		if k > 4 {
-			return " OVER LIMIT"
-		}
-		return ""
-	})
 }
 
 // printTimeline renders the slot chain: for each slot index in order of first

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -81,5 +82,54 @@ func TestChainReportTruncated(t *testing.T) {
 	}
 	if rep.chains[0].root.id != 8 {
 		t.Fatalf("orphan rooted at span %d, want 8", rep.chains[0].root.id)
+	}
+}
+
+// TestDumpMetricsSpansAndUnknownKinds: a metric record prints as a summary
+// line, span-annotated records are counted, and a record kind from a newer
+// trace format is counted instead of aborting the dump.
+func TestDumpMetricsSpansAndUnknownKinds(t *testing.T) {
+	start := obs.Rec(0, obs.KindRunStart)
+	start.Aux, start.Value = "DOMINO", 7
+	metric := obs.Rec(sim.Millisecond, obs.KindMetric)
+	metric.Aux, metric.Value, metric.Extra = "mac.delay_us", 42, 1300
+	end := obs.Rec(sim.Millisecond, obs.KindRunEnd)
+	var trace []byte
+	trace = obs.AppendRecord(trace, start)
+	trace = obs.AppendRecord(trace, rec(10, obs.KindSlotStart, 0, 1, 0))
+	trace = obs.AppendRecord(trace, rec(20, obs.KindTrigger, 1, 2, 1))
+	trace = append(trace, `{"t":30,"k":"future_kind","v":1}`+"\n"...)
+	trace = obs.AppendRecord(trace, rec(40, obs.KindQueue, -1, 0, 0))
+	trace = obs.AppendRecord(trace, metric)
+	trace = obs.AppendRecord(trace, end)
+
+	var b strings.Builder
+	if err := dump(&b, strings.NewReader(string(trace)), 0); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"== run 0: scheme=DOMINO seed=7 duration=1ms\n",
+		"metric mac.delay_us             n=42       p99=1300\n",
+		"causal spans: 2 of 5 records annotated\n",
+		"unrecognized records: 1 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDumpRejectsMalformedAndEmpty: broken JSON names its line; an input
+// with no records is an error too.
+func TestDumpRejectsMalformedAndEmpty(t *testing.T) {
+	for in, want := range map[string]string{
+		"{\"t\":0,\"k\":\"run_start\"}\nnot json\n": "trace line 2",
+		"": "no records",
+	} {
+		err := dump(io.Discard, strings.NewReader(in), 0)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("dump(%q) = %v, want error containing %q", in, err, want)
+		}
 	}
 }

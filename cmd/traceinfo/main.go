@@ -1,29 +1,22 @@
 // Command traceinfo generates, inspects and exports RSS traces and the
-// T(m,n) topologies selected from them, and summarizes NDJSON observability
-// traces.
+// T(m,n) topologies selected from them. (NDJSON observability traces are
+// summarized by tracedump.)
 //
 //	traceinfo -gen campus -seed 7                 # statistics of a campus trace
 //	traceinfo -gen random -nodes 110 -area 800    # random placement
 //	traceinfo -gen campus -json > trace.json      # export
 //	traceinfo -load trace.json -aps 10 -clients 2 # select a T(m,n) and report
-//	traceinfo -trace run.ndjson                   # record-kind census of an obs trace
 //
 // The JSON format (topo.ReadTraceJSON) lets real measured interference maps
-// drive every engine in this repository. The -trace mode understands every
-// current record kind — including the causal-span and histogram-summary
-// kinds — and counts rather than silently skips unrecognized ones, so
-// traces from newer builds degrade loudly.
+// drive every engine in this repository.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
-	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/topo"
 )
@@ -38,17 +31,8 @@ func main() {
 		asJSON  = flag.Bool("json", false, "dump the trace as JSON to stdout")
 		aps     = flag.Int("aps", 0, "select a T(aps, clients) and report it")
 		clients = flag.Int("clients", 2, "clients per AP for -aps")
-		ndTrace = flag.String("trace", "", "summarize this NDJSON observability trace (- for stdin) instead of an RSS trace")
 	)
 	flag.Parse()
-
-	if *ndTrace != "" {
-		if err := traceCensus(*ndTrace); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	var tr *topo.Trace
 	switch {
@@ -122,58 +106,4 @@ func main() {
 		}
 		fmt.Printf("mean conflict degree: %.1f\n", float64(deg)/float64(len(links)))
 	}
-}
-
-// traceCensus summarizes an NDJSON observability trace: runs, per-kind
-// record counts, causal-span coverage, and histogram-summary (metric)
-// records. Unknown kinds — from a newer trace format — are counted and
-// reported in one line instead of aborting or vanishing.
-func traceCensus(path string) error {
-	in := io.Reader(os.Stdin)
-	name := "stdin"
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in, name = f, path
-	}
-	counts := map[obs.Kind]int{}
-	var runs, total, spanned int
-	var maxSpan int64
-	skipped, err := obs.ScanNDJSON(in, func(r obs.Record) error {
-		total++
-		counts[r.Kind]++
-		if r.Kind == obs.KindRunStart {
-			runs++
-		}
-		if r.Span != 0 || r.Parent != 0 {
-			spanned++
-		}
-		if r.Span > maxSpan {
-			maxSpan = r.Span
-		}
-		if r.Kind == obs.KindMetric {
-			fmt.Printf("  metric %-24s n=%-8d p99=%d\n", r.Aux, r.Value, r.Extra)
-		}
-		return nil
-	}, func(string) {})
-	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	fmt.Printf("%s: %d records, %d runs\n", name, total, runs)
-	kinds := make([]obs.Kind, 0, len(counts))
-	for k := range counts {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(a, b int) bool { return counts[kinds[a]] > counts[kinds[b]] })
-	for _, k := range kinds {
-		fmt.Printf("  %-14s %d\n", k, counts[k])
-	}
-	if spanned > 0 {
-		fmt.Printf("causal spans: %d annotated records, %d spans allocated\n", spanned, maxSpan)
-	}
-	fmt.Printf("unrecognized records: %d\n", skipped)
-	return nil
 }

@@ -12,13 +12,7 @@ import (
 // conflict graph (paper §3.3 step 1): converter-inserted fake links keep the
 // trigger chain reaching the whole network. With DisableFakeCover the strict
 // slots pass through unchanged.
-type FakeLinkInsert struct{}
-
-// Name implements Pass.
-func (FakeLinkInsert) Name() string { return PassNames[0] }
-
-// Apply implements Pass.
-func (FakeLinkInsert) Apply(c *Converter, p *Plan) {
+func FakeLinkInsert(c *Converter, p *Plan) {
 	for _, slot := range p.Batch {
 		p.Slots = append(p.Slots, c.buildSlot(slot))
 	}
@@ -64,13 +58,7 @@ func (c *Converter) buildSlot(slot strict.Slot) RelSlot {
 // §3.3 step 2): each slot's transmitters are triggered by signature
 // broadcasts from the previous slot, strongest-SNR first, at most MaxInbound
 // triggers per link and MaxOutbound signatures per broadcasting node.
-type TriggerAssign struct{}
-
-// Name implements Pass.
-func (TriggerAssign) Name() string { return PassNames[1] }
-
-// Apply implements Pass.
-func (TriggerAssign) Apply(c *Converter, p *Plan) {
+func TriggerAssign(c *Converter, p *Plan) {
 	for i := 1; i < len(p.Slots); i++ {
 		c.assignTriggers(&p.Slots[i-1], &p.Slots[i], &p.Stats)
 	}
@@ -80,13 +68,7 @@ func (TriggerAssign) Apply(c *Converter, p *Plan) {
 // last slot of the previous batch triggers this batch's slot 0. On the very
 // first batch there is nothing to connect — the APs start slot 0
 // spontaneously.
-type BatchConnect struct{}
-
-// Name implements Pass.
-func (BatchConnect) Name() string { return PassNames[2] }
-
-// Apply implements Pass.
-func (BatchConnect) Apply(c *Converter, p *Plan) {
+func BatchConnect(c *Converter, p *Plan) {
 	if p.Prev == nil || len(p.Slots) == 0 {
 		return
 	}
@@ -235,13 +217,7 @@ func (c *Converter) assignTriggers(prev, next *RelSlot, st *Stats) {
 // already-inserted ROP slot when the APs don't conflict. APs with no
 // triggerable slot are force-placed on slot 0 and recorded in
 // Plan.ForcedROP.
-type ROPInsert struct{}
-
-// Name implements Pass.
-func (ROPInsert) Name() string { return PassNames[3] }
-
-// Apply implements Pass.
-func (ROPInsert) Apply(c *Converter, p *Plan) {
+func ROPInsert(c *Converter, p *Plan) {
 	t := c.tab()
 	nw := t.nodeWords
 	// Per-slot trigger-reach masks: the union of the entries' link masks.

@@ -17,29 +17,11 @@ func planFor(c *Converter, batch strict.Schedule, pollAPs []phy.NodeID) *Plan {
 	}
 }
 
-func TestPassOrderAndNames(t *testing.T) {
-	ps := Passes()
-	if len(ps) != NumPasses {
-		t.Fatalf("Passes() has %d stages, want %d", len(ps), NumPasses)
-	}
-	for i, p := range ps {
-		if p.Name() != PassNames[i] {
-			t.Errorf("pass %d Name() = %q, want %q", i, p.Name(), PassNames[i])
-		}
-	}
-	want := []string{"fake_link_insert", "trigger_assign", "batch_connect", "rop_insert"}
-	for i, n := range want {
-		if PassNames[i] != n {
-			t.Errorf("PassNames[%d] = %q, want %q", i, PassNames[i], n)
-		}
-	}
-}
-
 func TestFakeLinkInsertPassMaximalCover(t *testing.T) {
 	g := fig7Graph(t, true, false) // conflicts {0,1},{2,3}
 	c := New(g)
 	p := planFor(c, strict.Schedule{{0}}, nil)
-	FakeLinkInsert{}.Apply(c, p)
+	FakeLinkInsert(c, p)
 	if len(p.Slots) != 1 {
 		t.Fatalf("slots = %d, want 1", len(p.Slots))
 	}
@@ -80,7 +62,7 @@ func TestFakeLinkInsertPassDisabled(t *testing.T) {
 	c := New(g)
 	c.DisableFakeCover = true
 	p := planFor(c, strict.Schedule{{0}, {2}}, nil)
-	FakeLinkInsert{}.Apply(c, p)
+	FakeLinkInsert(c, p)
 	for si, s := range p.Slots {
 		if len(s.Entries) != 1 || s.Entries[0].Fake {
 			t.Errorf("slot %d = %+v, want the bare scheduled link", si, s.Entries)
@@ -95,8 +77,8 @@ func TestTriggerAssignPassIntraBatchOnly(t *testing.T) {
 	g := fig7Graph(t, true, true)
 	c := New(g)
 	p := planFor(c, saturatedBatch(g, 4), nil)
-	FakeLinkInsert{}.Apply(c, p)
-	TriggerAssign{}.Apply(c, p)
+	FakeLinkInsert(c, p)
+	TriggerAssign(c, p)
 	for _, e := range p.Slots[0].Entries {
 		if len(e.TriggeredBy) != 0 {
 			t.Error("slot 0 gained triggers before BatchConnect ran")
@@ -130,9 +112,9 @@ func TestBatchConnectPassWiresBoundary(t *testing.T) {
 	}
 
 	p := planFor(c, saturatedBatch(g, 3), nil)
-	FakeLinkInsert{}.Apply(c, p)
-	TriggerAssign{}.Apply(c, p)
-	BatchConnect{}.Apply(c, p)
+	FakeLinkInsert(c, p)
+	TriggerAssign(c, p)
+	BatchConnect(c, p)
 	if p.Stats.BoundaryTriggers == 0 {
 		t.Error("BatchConnect assigned no boundary triggers")
 	}
@@ -150,9 +132,9 @@ func TestBatchConnectPassFirstBatchNoop(t *testing.T) {
 	g := fig7Graph(t, true, true)
 	c := New(g)
 	p := planFor(c, saturatedBatch(g, 2), nil)
-	FakeLinkInsert{}.Apply(c, p)
-	TriggerAssign{}.Apply(c, p)
-	BatchConnect{}.Apply(c, p)
+	FakeLinkInsert(c, p)
+	TriggerAssign(c, p)
+	BatchConnect(c, p)
 	if p.Stats.BoundaryTriggers != 0 {
 		t.Errorf("first batch BoundaryTriggers = %d", p.Stats.BoundaryTriggers)
 	}
@@ -168,10 +150,10 @@ func TestROPInsertPassPlacesEveryAP(t *testing.T) {
 	g := topo.NewConflictGraph(net, net.BuildLinks(true, true), phy.DefaultConfig(), phy.Rate12)
 	c := New(g)
 	p := planFor(c, saturatedBatch(g, 6), net.APs)
-	FakeLinkInsert{}.Apply(c, p)
-	TriggerAssign{}.Apply(c, p)
-	BatchConnect{}.Apply(c, p)
-	ROPInsert{}.Apply(c, p)
+	FakeLinkInsert(c, p)
+	TriggerAssign(c, p)
+	BatchConnect(c, p)
+	ROPInsert(c, p)
 	polled := map[phy.NodeID]bool{}
 	ropSlots := 0
 	for _, s := range p.Slots {
@@ -263,10 +245,5 @@ func TestConvertPlanStatsConsistency(t *testing.T) {
 	}
 	if p.Stats.Untriggered != c.Untriggered {
 		t.Errorf("Stats.Untriggered = %d, converter total %d", p.Stats.Untriggered, c.Untriggered)
-	}
-	for i, ns := range p.Stats.PassNs {
-		if ns < 0 {
-			t.Errorf("PassNs[%d] = %d", i, ns)
-		}
 	}
 }

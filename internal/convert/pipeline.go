@@ -1,19 +1,10 @@
 package convert
 
 import (
-	"time"
-
 	"repro/internal/phy"
 	"repro/internal/strict"
 	"repro/internal/topo"
 )
-
-// NumPasses is the number of stages in the conversion pipeline.
-const NumPasses = 4
-
-// PassNames lists the pipeline stages in execution order; indexes match
-// Stats.PassNs and the obs per-pass counters.
-var PassNames = [NumPasses]string{"fake_link_insert", "trigger_assign", "batch_connect", "rop_insert"}
 
 // Stats are one batch's conversion counters, filled in by the passes.
 type Stats struct {
@@ -40,10 +31,6 @@ type Stats struct {
 	ROPForced int
 	// PollTriggers counts poll reference signatures planted in broadcasts.
 	PollTriggers int
-	// PassNs is the wall-clock time each pass took, indexed like PassNames.
-	// Wall time never feeds back into the simulation — it exists for the
-	// metrics registry only.
-	PassNs [NumPasses]int64
 }
 
 // Plan carries one batch's conversion through the pass pipeline: the strict
@@ -71,37 +58,22 @@ type Plan struct {
 	maxInbound, maxOutbound int
 }
 
-// Pass is one typed stage of the conversion pipeline. Apply mutates the plan
-// in place; the converter supplies cross-batch state (retained slot, cover
-// rotation) and the conflict graph.
-type Pass interface {
-	Name() string
-	Apply(c *Converter, p *Plan)
-}
-
-// passes is the pipeline in execution order. TriggerAssign before
-// BatchConnect is equivalent to the historical interleaved order because
-// each consecutive-slot trigger pair touches disjoint state: a slot's
-// broadcasts are written only when it is the pair's first element, and its
-// entries' triggers only when it is the second.
-var passes = [NumPasses]Pass{FakeLinkInsert{}, TriggerAssign{}, BatchConnect{}, ROPInsert{}}
-
-// Passes returns the pipeline stages in execution order.
-func Passes() []Pass { return append([]Pass(nil), passes[:]...) }
-
 // ConvertPlan turns one strict batch into a relative schedule by running the
-// pass pipeline on a fresh plan, and returns the full plan (slots, per-pass
-// stats, verification inputs).
+// four passes in order on a fresh plan, and returns the full plan (slots,
+// per-pass stats, verification inputs). TriggerAssign before BatchConnect is
+// equivalent to the historical interleaved order because each
+// consecutive-slot trigger pair touches disjoint state: a slot's broadcasts
+// are written only when it is the pair's first element, and its entries'
+// triggers only when it is the second.
 func (c *Converter) ConvertPlan(batch strict.Schedule, pollAPs []phy.NodeID) *Plan {
 	p := &Plan{
 		Batch: batch, PollAPs: pollAPs, Prev: c.prev,
 		g: c.G, maxInbound: c.MaxInbound, maxOutbound: c.MaxOutbound,
 	}
-	for i, pass := range passes {
-		start := time.Now()
-		pass.Apply(c, p)
-		p.Stats.PassNs[i] = time.Since(start).Nanoseconds()
-	}
+	FakeLinkInsert(c, p)
+	TriggerAssign(c, p)
+	BatchConnect(c, p)
+	ROPInsert(c, p)
 	c.Untriggered += p.Stats.Untriggered
 	if len(p.Slots) > 0 {
 		// Batch connection, retaining side: keep the last slot itself. Its

@@ -109,10 +109,6 @@ type Scenario struct {
 	Tracer  obs.Tracer
 	Metrics *obs.Metrics
 
-	// NoSpans turns off causal span allocation (trace records keep their
-	// flat pre-span shape); it only matters when Tracer is set.
-	NoSpans bool
-
 	// ObsSetup, when non-nil, adjusts the freshly created obs.Run before
 	// any engine wiring and before the run-start record — the hook sharded
 	// runs use to install per-domain span bases and node-id mappers. Unused
@@ -244,6 +240,9 @@ func NewInstance(s Scenario) (*Instance, error) {
 		return nil, fmt.Errorf("invalid network: %w", err)
 	}
 	s = s.WithDefaults()
+	if s.Warmup > s.Duration {
+		return nil, fmt.Errorf("warmup %v exceeds duration %v", s.Warmup, s.Duration)
+	}
 	d, ok := scheme.Lookup(string(s.Scheme))
 	if !ok {
 		return nil, fmt.Errorf("unknown scheme %q (registered: %s)",
@@ -274,9 +273,6 @@ func NewInstance(s Scenario) (*Instance, error) {
 	var orun *obs.Run
 	if s.Tracer != nil || s.Metrics != nil {
 		orun = obs.NewRun(s.Tracer, s.Metrics).BindClock(k.Now)
-		if s.NoSpans {
-			orun.DisableSpans()
-		}
 		if s.ObsSetup != nil {
 			s.ObsSetup(orun)
 		}

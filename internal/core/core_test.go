@@ -147,10 +147,26 @@ func TestRunMisalignProbe(t *testing.T) {
 }
 
 func TestRunBadScenarioErrors(t *testing.T) {
-	n := topo.Figure1()
-	n.APOf[1] = 1 // corrupt
-	_, err := RunScenario(Scenario{Net: n, Downlink: true, Traffic: Saturated, Duration: sim.Millisecond})
-	if err == nil || !strings.Contains(err.Error(), "invalid network") {
-		t.Errorf("corrupt network: err = %v, want an invalid-network error", err)
+	corrupt := topo.Figure1()
+	corrupt.APOf[1] = 1
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+		want string
+	}{
+		{"corrupt network",
+			Scenario{Net: corrupt, Downlink: true, Traffic: Saturated, Duration: sim.Millisecond},
+			"invalid network"},
+		{"warmup beyond duration",
+			Scenario{Net: topo.Figure1(), Downlink: true, Traffic: Saturated,
+				Duration: 200 * sim.Millisecond, Warmup: 500 * sim.Millisecond},
+			"warmup 500ms exceeds duration 200ms"},
+		{"warmup beyond default duration",
+			Scenario{Net: topo.Figure1(), Downlink: true, Traffic: Saturated, Warmup: 11 * sim.Second},
+			"warmup 11s exceeds duration 10s"},
+	} {
+		if _, err := RunScenario(tc.s); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -161,5 +162,36 @@ func TestMetricsStateRoundTrip(t *testing.T) {
 	}
 	if len(have) != len(want) {
 		t.Errorf("restored %d metrics, want %d", len(have), len(want))
+	}
+}
+
+// TestMetricsDeterministic: every metric is a function of the scenario and
+// its seed, so two identical metrics-on DOMINO runs snapshot identically —
+// no host-time measurement leaks into the registry.
+func TestMetricsDeterministic(t *testing.T) {
+	snap := func() obs.Snapshot {
+		return mustRun(t, Scenario{
+			Net:      topo.Figure7(),
+			Downlink: true,
+			Uplink:   true,
+			Scheme:   DOMINO,
+			Seed:     5,
+			Duration: 300 * sim.Millisecond,
+			Traffic:  Saturated,
+			Metrics:  obs.NewMetrics(),
+		}).Snapshot
+	}
+	a, b := snap(), snap()
+	if len(a) == 0 {
+		t.Fatal("empty metrics snapshot")
+	}
+	if !reflect.DeepEqual(a, b) {
+		for i := range a {
+			if i < len(b) && a[i] != b[i] {
+				t.Errorf("first difference: %+v vs %+v", a[i], b[i])
+				break
+			}
+		}
+		t.Fatal("two identical runs produced different metrics snapshots")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/domino"
 	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/spec"
@@ -70,10 +69,6 @@ func BuildScenario(sp spec.Spec) (Scenario, error) {
 	}
 	if sp.Obs.Metrics {
 		sc.Metrics = obs.NewMetrics()
-	}
-	sc.NoSpans = sp.Obs.NoSpans
-	if sp.Obs.ConvertTrace {
-		sc.TuneDomino = func(c *domino.Config) { c.ConvertTrace = true }
 	}
 	return sc, nil
 }

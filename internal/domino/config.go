@@ -61,11 +61,6 @@ type Config struct {
 	// and panics on violation — a debug aid (tests always verify; production
 	// runs skip the O(slots²) check).
 	VerifyConvert bool
-	// ConvertTrace, when the engine has a trace sink, emits per-batch
-	// KindConvert records: deterministic pass counters, the batch size and
-	// trigger/signature histograms. Off by default so existing golden traces
-	// are byte-identical.
-	ConvertTrace bool
 	// SignatureChips selects the Gold-code length (127, 255* or 511; §5
 	// "Number of signatures"): longer codes support more nodes per collision
 	// domain at proportionally longer trigger air time. Zero means 127.

@@ -1,6 +1,8 @@
 package domino
 
 import (
+	"strconv"
+
 	"repro/internal/convert"
 	"repro/internal/obs"
 	"repro/internal/poll"
@@ -15,7 +17,9 @@ type convertMetrics struct {
 	boundaryTriggers, untriggered   *obs.Counter
 	ropSlots, ropShared, ropForced  *obs.Counter
 	pollTriggers                    *obs.Counter
-	passNs                          [convert.NumPasses]*obs.Counter
+	// triggersPerEntry[k] counts entries with k inbound triggers;
+	// sigsPerBroadcast[k-1] counts broadcasts combining k signatures.
+	triggersPerEntry, sigsPerBroadcast []*obs.Counter
 
 	// Poller-cycle outcomes (internal/poll), per decode cycle.
 	pollRounds, pollCollisions     *obs.Counter
@@ -23,8 +27,8 @@ type convertMetrics struct {
 }
 
 // WireMetrics implements scheme.MetricsObservable: the run pipeline hands the
-// engine its metrics registry and the converter's per-pass/per-batch counters
-// flow into it under the convert.* namespace.
+// engine its metrics registry and the converter's per-batch counters flow
+// into it under the convert.* namespace.
 func (e *Engine) WireMetrics(m *obs.Metrics) {
 	cm := &convertMetrics{
 		batches:          m.Counter("convert.batches"),
@@ -45,13 +49,14 @@ func (e *Engine) WireMetrics(m *obs.Metrics) {
 		pollDecoded:       m.Counter("poll.decoded"),
 		pollFailedReports: m.Counter("poll.failed"),
 	}
-	for i, name := range convert.PassNames {
-		full := "convert.pass." + name + ".ns"
-		cm.passNs[i] = m.Counter(full)
-		// Wall-clock pass timings are host measurements: exclude them from
-		// replay-verification digests (checkpoint restore) or no two runs
-		// would ever verify.
-		m.MarkWallClock(full)
+	conv := e.server.conv
+	for k := 0; k <= conv.MaxInbound; k++ {
+		cm.triggersPerEntry = append(cm.triggersPerEntry,
+			m.Counter("convert.triggers_per_entry."+strconv.Itoa(k)))
+	}
+	for k := 1; k <= conv.MaxOutbound; k++ {
+		cm.sigsPerBroadcast = append(cm.sigsPerBroadcast,
+			m.Counter("convert.signatures_per_broadcast."+strconv.Itoa(k)))
 	}
 	e.convMetrics = cm
 	e.chainDepth = m.LogHist("domino.chain_depth")
@@ -72,74 +77,39 @@ func (e *Engine) notePollCycle(res poll.Result) {
 	}
 }
 
-// noteConvert accounts one dispatched batch: counters into the metrics
-// registry (wall-clock pass times included — they never enter traces) and,
-// when Config.ConvertTrace is on, deterministic KindConvert records.
-func (e *Engine) noteConvert(p *convert.Plan, firstSlot int) {
-	st := &p.Stats
-	if cm := e.convMetrics; cm != nil {
-		cm.batches.Inc()
-		cm.slots.Add(int64(st.Slots))
-		cm.realEntries.Add(int64(st.RealEntries))
-		cm.fakeEntries.Add(int64(st.FakeEntries))
-		cm.triggers.Add(int64(st.Triggers))
-		cm.backupTriggers.Add(int64(st.BackupTriggers))
-		cm.boundaryTriggers.Add(int64(st.BoundaryTriggers))
-		cm.untriggered.Add(int64(st.Untriggered))
-		cm.ropSlots.Add(int64(st.ROPSlots))
-		cm.ropShared.Add(int64(st.ROPShared))
-		cm.ropForced.Add(int64(st.ROPForced))
-		cm.pollTriggers.Add(int64(st.PollTriggers))
-		for i, ns := range st.PassNs {
-			cm.passNs[i].Add(ns)
-		}
-	}
-	if !e.cfg.ConvertTrace || e.Obs == nil {
+// noteConvert accounts one dispatched batch into the metrics registry.
+func (e *Engine) noteConvert(p *convert.Plan) {
+	cm := e.convMetrics
+	if cm == nil {
 		return
 	}
-	// All of a batch's records share one span, so tracedump can group a
-	// conversion batch as a single tree node.
-	var batchSpan int64
-	if e.sp != nil {
-		batchSpan = e.sp.Next()
-	}
-	emit := func(aux string, value, extra int64) {
-		rec := obs.Rec(e.k.Now(), obs.KindConvert)
-		rec.Slot = firstSlot
-		rec.Aux = aux
-		rec.Value = value
-		rec.Extra = extra
-		rec.OK = true
-		rec.Span = batchSpan
-		e.Obs.Emit(rec)
-	}
-	// One record per pass, each carrying that pass's two headline counters.
-	// Pass wall-clock times deliberately never appear here: traces must stay
-	// deterministic.
-	emit(convert.PassNames[0], int64(st.RealEntries), int64(st.FakeEntries))
-	emit(convert.PassNames[1], int64(st.Triggers), int64(st.BackupTriggers))
-	emit(convert.PassNames[2], int64(st.BoundaryTriggers), int64(st.Untriggered))
-	emit(convert.PassNames[3], int64(st.ROPSlots), int64(st.PollTriggers))
-	emit("batch", int64(len(p.Slots)), 0)
-	// Inbound-trigger histogram over this batch's entries (final: batch
-	// connection already ran) and combined-signature histogram over the slots
-	// whose broadcast lists are final — the rewritten retained slot plus every
-	// slot but the last (its broadcasts fill in when the next batch connects).
-	inbound := map[int]int{}
+	st := &p.Stats
+	cm.batches.Inc()
+	cm.slots.Add(int64(st.Slots))
+	cm.realEntries.Add(int64(st.RealEntries))
+	cm.fakeEntries.Add(int64(st.FakeEntries))
+	cm.triggers.Add(int64(st.Triggers))
+	cm.backupTriggers.Add(int64(st.BackupTriggers))
+	cm.boundaryTriggers.Add(int64(st.BoundaryTriggers))
+	cm.untriggered.Add(int64(st.Untriggered))
+	cm.ropSlots.Add(int64(st.ROPSlots))
+	cm.ropShared.Add(int64(st.ROPShared))
+	cm.ropForced.Add(int64(st.ROPForced))
+	cm.pollTriggers.Add(int64(st.PollTriggers))
+	// Inbound triggers per entry of this batch (final: batch connection
+	// already ran), and signatures per broadcast over the slots whose
+	// broadcast lists are final — the rewritten retained slot plus every
+	// slot but the last (its broadcasts fill in when the next batch
+	// connects). The converter keeps every entry at ≤ MaxInbound triggers
+	// and every broadcast at 1..MaxOutbound signatures (convert.Verify).
 	for i := range p.Slots {
 		for _, en := range p.Slots[i].Entries {
-			inbound[len(en.TriggeredBy)]++
+			cm.triggersPerEntry[len(en.TriggeredBy)].Inc()
 		}
 	}
-	for k := 0; k <= e.server.conv.MaxInbound; k++ {
-		if inbound[k] > 0 {
-			emit("inbound", int64(k), int64(inbound[k]))
-		}
-	}
-	combined := map[int]int{}
 	tally := func(s *convert.RelSlot) {
 		for _, b := range s.Broadcasts {
-			combined[len(b.Targets)]++
+			cm.sigsPerBroadcast[len(b.Targets)-1].Inc()
 		}
 	}
 	if p.Prev != nil {
@@ -147,10 +117,5 @@ func (e *Engine) noteConvert(p *convert.Plan, firstSlot int) {
 	}
 	for i := 0; i+1 < len(p.Slots); i++ {
 		tally(&p.Slots[i])
-	}
-	for k := 1; k <= e.server.conv.MaxOutbound; k++ {
-		if combined[k] > 0 {
-			emit("combined", int64(k), int64(combined[k]))
-		}
 	}
 }

@@ -536,7 +536,7 @@ func (s *server) buildAndDispatch() {
 	for i := first; i < newKnown; i++ {
 		e.batchEnd = append(e.batchEnd, newKnown-1)
 	}
-	e.noteConvert(plan, first)
+	e.noteConvert(plan)
 
 	// Wired dispatch with jitter.
 	for _, apID := range e.net.APs {

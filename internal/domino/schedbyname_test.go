@@ -1,9 +1,11 @@
 package domino
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/convert"
 	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/phy"
@@ -100,56 +102,50 @@ func traceRun(t *testing.T, seed int64, mut func(*Config)) ([]obs.Record, *Engin
 	return buf.Records(), engine
 }
 
-// TestConvertObsGatedAndMetrics: KindConvert records appear only behind the
-// ConvertTrace gate, and WireMetrics surfaces the conversion counters.
-func TestConvertObsGatedAndMetrics(t *testing.T) {
-	run := func(convertTrace bool) (*obs.Buffer, obs.Snapshot) {
-		net := topo.Figure7()
-		links := net.BuildLinks(true, true)
-		g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
-		k := sim.New(9)
-		medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
-		hub := &mac.Hub{}
-		cfg := DefaultConfig()
-		cfg.ConvertTrace = convertTrace
-		engine := New(k, medium, g, hub, cfg)
-		buf := &obs.Buffer{}
-		engine.WireObs(obs.NewRun(buf, nil))
-		m := obs.NewMetrics()
-		engine.WireMetrics(m)
-		for _, l := range links {
-			s := traffic.NewSaturated(k, engine, l, 512, 8)
-			hub.Add(s)
-			s.Start()
-		}
-		engine.Start()
-		k.RunUntil(1 * sim.Second)
-		return buf, m.Snapshot()
+// TestConvertMetrics: WireMetrics surfaces the conversion counters, and the
+// triggers-per-entry histogram covers every converted entry.
+func TestConvertMetrics(t *testing.T) {
+	net := topo.Figure7()
+	links := net.BuildLinks(true, true)
+	g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
+	k := sim.New(9)
+	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+	hub := &mac.Hub{}
+	engine := New(k, medium, g, hub, DefaultConfig())
+	m := obs.NewMetrics()
+	engine.WireMetrics(m)
+	for _, l := range links {
+		s := traffic.NewSaturated(k, engine, l, 512, 8)
+		hub.Add(s)
+		s.Start()
 	}
+	engine.Start()
+	k.RunUntil(1 * sim.Second)
 
-	buf, snap := run(false)
-	if n := buf.Count(obs.KindConvert); n != 0 {
-		t.Errorf("ConvertTrace off but %d convert records emitted", n)
-	}
-	batches, ok := snap.Get("convert.batches")
-	if !ok || batches.Value < 1 {
-		t.Errorf("convert.batches = %+v, want >= 1", batches)
-	}
-
-	buf, _ = run(true)
-	if buf.Count(obs.KindConvert) == 0 {
-		t.Error("ConvertTrace on but no convert records emitted")
-	}
-	seen := map[string]bool{}
-	for _, r := range buf.Records() {
-		if r.Kind == obs.KindConvert {
-			seen[r.Aux] = true
+	snap := m.Snapshot()
+	get := func(name string) int64 {
+		t.Helper()
+		mv, ok := snap.Get(name)
+		if !ok {
+			t.Fatalf("metric %q not registered", name)
 		}
+		return int64(mv.Value)
 	}
-	for _, aux := range []string{"fake_link_insert", "trigger_assign", "batch_connect",
-		"rop_insert", "batch", "inbound", "combined"} {
-		if !seen[aux] {
-			t.Errorf("no convert record with Aux=%q", aux)
-		}
+	if get("convert.batches") < 1 {
+		t.Error("convert.batches = 0, want >= 1")
+	}
+	var perEntry int64
+	for k := 0; k <= convert.DefaultMaxInbound; k++ {
+		perEntry += get(fmt.Sprintf("convert.triggers_per_entry.%d", k))
+	}
+	if entries := get("convert.entries.real") + get("convert.entries.fake"); perEntry != entries {
+		t.Errorf("triggers_per_entry sums to %d, want %d entries", perEntry, entries)
+	}
+	var perBroadcast int64
+	for k := 1; k <= convert.DefaultMaxOutbound; k++ {
+		perBroadcast += get(fmt.Sprintf("convert.signatures_per_broadcast.%d", k))
+	}
+	if perBroadcast == 0 {
+		t.Error("signatures_per_broadcast counted no broadcast")
 	}
 }

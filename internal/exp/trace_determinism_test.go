@@ -64,7 +64,7 @@ func TestFig14TraceDeterministicAcrossWorkers(t *testing.T) {
 	// span annotations (DOMINO runs allocate spans when traced).
 	var schemes []string
 	var n, spanned int
-	err := obs.ParseNDJSON(&serial, func(r obs.Record) error {
+	_, err := obs.ParseNDJSON(&serial, func(r obs.Record) error {
 		n++
 		if r.Kind == obs.KindRunStart {
 			schemes = append(schemes, r.Aux)
@@ -98,7 +98,7 @@ func TestFig2TraceSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var schemes []string
-	if err := obs.ParseNDJSON(&buf, func(r obs.Record) error {
+	if _, err := obs.ParseNDJSON(&buf, func(r obs.Record) error {
 		if r.Kind == obs.KindRunStart {
 			schemes = append(schemes, r.Aux)
 		}

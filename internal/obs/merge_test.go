@@ -14,7 +14,7 @@ func TestShardFieldRoundTrip(t *testing.T) {
 		t.Fatalf("shard id not encoded: %s", line)
 	}
 	var got Record
-	if err := ParseNDJSON(strings.NewReader(line), func(rec Record) error {
+	if _, err := ParseNDJSON(strings.NewReader(line), func(rec Record) error {
 		got = rec
 		return nil
 	}); err != nil {

@@ -46,7 +46,6 @@ type Metrics struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	lhists   map[string]*LogHist
-	wall     map[string]bool
 }
 
 // NewMetrics returns an empty registry.
@@ -55,23 +54,8 @@ func NewMetrics() *Metrics {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		lhists:   map[string]*LogHist{},
-		wall:     map[string]bool{},
 	}
 }
-
-// MarkWallClock marks metrics as host-time-derived (profiling timers and
-// the like): their values depend on the machine, not the simulation, so
-// deterministic replay does not reproduce them and replay-verification
-// digests (MetricsState.Digest) skip them. They still appear in snapshots
-// and text reports.
-func (m *Metrics) MarkWallClock(names ...string) {
-	for _, n := range names {
-		m.wall[n] = true
-	}
-}
-
-// WallClock reports whether the named metric is marked host-time-derived.
-func (m *Metrics) WallClock(name string) bool { return m.wall[name] }
 
 // Counter returns the named counter, creating it on first use.
 func (m *Metrics) Counter(name string) *Counter {

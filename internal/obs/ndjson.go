@@ -193,19 +193,10 @@ type jsonRecord struct {
 }
 
 // ParseNDJSON reads an NDJSON trace stream and calls fn for each record in
-// order. fn returning an error aborts the scan, as does a record kind this
-// build does not know (use ScanNDJSON to tolerate newer traces).
-func ParseNDJSON(r io.Reader, fn func(Record) error) error {
-	_, err := ScanNDJSON(r, fn, nil)
-	return err
-}
-
-// ScanNDJSON reads an NDJSON trace stream like ParseNDJSON but tolerates
-// record kinds this build does not know: instead of aborting it counts them
-// (calling unknown, when non-nil, with the wire kind name) and returns the
-// total, so older tools can summarize newer traces and report exactly how
-// much they skipped. Malformed JSON still aborts the scan.
-func ScanNDJSON(r io.Reader, fn func(Record) error, unknown func(kind string)) (skipped int, err error) {
+// order. Records of a kind this build does not know (from a newer trace
+// format) are skipped and counted, so a reader can report exactly how much
+// it passed over. Malformed JSON, or fn returning an error, aborts the scan.
+func ParseNDJSON(r io.Reader, fn func(Record) error) (unknown int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	line := 0
@@ -217,15 +208,11 @@ func ScanNDJSON(r io.Reader, fn func(Record) error, unknown func(kind string)) (
 		}
 		var jr jsonRecord
 		if err := json.Unmarshal(raw, &jr); err != nil {
-			return skipped, fmt.Errorf("trace line %d: %w", line, err)
+			return unknown, fmt.Errorf("trace line %d: %w", line, err)
 		}
 		kind, ok := ParseKind(jr.K)
 		if !ok {
-			if unknown == nil {
-				return skipped, fmt.Errorf("trace line %d: unknown record kind %q", line, jr.K)
-			}
-			skipped++
-			unknown(jr.K)
+			unknown++
 			continue
 		}
 		rec := Record{
@@ -244,10 +231,10 @@ func ScanNDJSON(r io.Reader, fn func(Record) error, unknown func(kind string)) (
 			OK:     jr.OK,
 		}
 		if err := fn(rec); err != nil {
-			return skipped, err
+			return unknown, err
 		}
 	}
-	return skipped, sc.Err()
+	return unknown, sc.Err()
 }
 
 func optInt(p *int) int {

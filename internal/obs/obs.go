@@ -71,13 +71,6 @@ const (
 	// KindDrop records a MAC give-up (retry limit or queue overflow): Link
 	// is the link, Aux "retry" or "overflow" when known.
 	KindDrop
-	// KindConvert carries one deterministic schedule-conversion counter per
-	// record, emitted per dispatched batch when the engine's convert tracing
-	// is enabled: Aux names the counter (a converter pass name, "batch",
-	// "inbound" or "combined"), Slot is the batch's first global slot index,
-	// Value/Extra are counter-specific. Off by default so golden traces are
-	// unchanged.
-	KindConvert
 	// KindPktEnqueue opens a packet lifecycle span: Link is the packet's
 	// link, Value the payload bytes, Span the packet's fresh span id.
 	KindPktEnqueue
@@ -101,8 +94,7 @@ const (
 var kindNames = [numKinds]string{
 	"run_start", "run_end", "slot_start", "slot_end", "trigger",
 	"trigger_miss", "rop_poll", "backoff", "ack_timeout", "collision",
-	"tx_start", "tx_end", "queue", "kernel", "drop", "convert",
-	"pkt_enqueue", "pkt_deliver", "epoch", "metric",
+	"tx_start", "tx_end", "queue", "kernel", "drop", "pkt_enqueue", "pkt_deliver", "epoch", "metric",
 }
 
 // String returns the record type's wire name.

@@ -47,7 +47,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Record
-	if err := ParseNDJSON(&buf, func(r Record) error { got = append(got, r); return nil }); err != nil {
+	if _, err := ParseNDJSON(&buf, func(r Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(recs) {
@@ -109,7 +109,7 @@ func TestShardedMergeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []int64
-	if err := ParseNDJSON(&buf, func(r Record) error { order = append(order, r.Value); return nil }); err != nil {
+	if _, err := ParseNDJSON(&buf, func(r Record) error { order = append(order, r.Value); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {

@@ -54,7 +54,7 @@ type Run struct {
 }
 
 // NewRun returns a Run emitting to tr (may be nil) and m (may be nil).
-// Causal spans are on whenever a tracer is installed; DisableSpans opts out.
+// Causal spans are on whenever a tracer is installed.
 func NewRun(tr Tracer, m *Metrics) *Run {
 	r := &Run{tracer: tr, metrics: m, queueSeen: map[int]int{}}
 	if tr != nil {
@@ -84,13 +84,6 @@ func (r *Run) Tracer() Tracer { return r.tracer }
 // keep the returned pointer and guard every allocation with one nil check —
 // the contract that keeps the disabled path at zero cost.
 func (r *Run) Spans() *Spans { return r.spans }
-
-// DisableSpans turns causal span allocation off (trace records keep their
-// flat shape). It returns r for chaining and must run before engine wiring.
-func (r *Run) DisableSpans() *Run {
-	r.spans = nil
-	return r
-}
 
 // BindClock attaches the simulation clock, used to timestamp records emitted
 // from hooks that do not carry their own time (queue-depth samples). It

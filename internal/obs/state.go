@@ -56,10 +56,6 @@ type MetricsState struct {
 	Counters map[string]int64        `json:"counters,omitempty"`
 	Gauges   map[string]float64      `json:"gauges,omitempty"`
 	LogHists map[string]LogHistState `json:"log_hists,omitempty"`
-	// Wall lists metrics marked host-time-derived (Metrics.MarkWallClock),
-	// sorted. Digest skips them: replay does not reproduce wall-clock
-	// timings, so they carry across a restore but never gate one.
-	Wall []string `json:"wall,omitempty"`
 }
 
 // State snapshots the registry.
@@ -83,9 +79,6 @@ func (m *Metrics) State() MetricsState {
 			s.LogHists[name] = h.State()
 		}
 	}
-	if len(m.wall) > 0 {
-		s.Wall = sortedKeys(m.wall)
-	}
 	return s
 }
 
@@ -105,18 +98,12 @@ func (s MetricsState) Restore() (*Metrics, error) {
 		}
 		m.lhists[name] = h
 	}
-	m.MarkWallClock(s.Wall...)
 	return m, nil
 }
 
-// Digest folds the replay-reproducible state into one comparable word,
-// iterating every map in sorted key order. Metrics listed in Wall are
-// skipped — they are host-time measurements replay cannot reproduce.
+// Digest folds the state into one comparable word, iterating every map in
+// sorted key order.
 func (s MetricsState) Digest() uint64 {
-	wall := make(map[string]bool, len(s.Wall))
-	for _, n := range s.Wall {
-		wall[n] = true
-	}
 	h := fnv.New64a()
 	var b [8]byte
 	w := func(v uint64) {
@@ -130,16 +117,10 @@ func (s MetricsState) Digest() uint64 {
 		h.Write([]byte(k))
 	}
 	for _, k := range sortedKeys(s.Counters) {
-		if wall[k] {
-			continue
-		}
 		ws(k)
 		w(uint64(s.Counters[k]))
 	}
 	for _, k := range sortedKeys(s.Gauges) {
-		if wall[k] {
-			continue
-		}
 		ws(k)
 		w(math.Float64bits(s.Gauges[k]))
 	}

@@ -110,34 +110,3 @@ func TestMetricsStateRestore(t *testing.T) {
 		t.Fatal("restored loghist differs")
 	}
 }
-
-// TestMetricsStateWallClockExcluded asserts metrics marked wall-clock are
-// carried in the state but never gate the digest.
-func TestMetricsStateWallClockExcluded(t *testing.T) {
-	build := func(ns int64) *Metrics {
-		m := NewMetrics()
-		m.Counter("events").Add(100)
-		m.Counter("pass.ns").Add(ns)
-		m.MarkWallClock("pass.ns")
-		return m
-	}
-	a, b := build(1234), build(99999)
-	if a.State().Digest() != b.State().Digest() {
-		t.Fatal("wall-clock counter leaked into the digest")
-	}
-	a.Counter("events").Inc()
-	if a.State().Digest() == b.State().Digest() {
-		t.Fatal("digest missed a real counter change")
-	}
-	st := b.State()
-	if len(st.Wall) != 1 || st.Wall[0] != "pass.ns" {
-		t.Fatalf("Wall = %v", st.Wall)
-	}
-	got, err := st.Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.WallClock("pass.ns") || got.Counter("pass.ns").Value() != 99999 {
-		t.Fatal("wall-clock mark or value lost across restore")
-	}
-}

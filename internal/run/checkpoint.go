@@ -12,7 +12,7 @@ import (
 
 // CheckpointFormat versions the checkpoint document; Restore rejects
 // formats it does not understand.
-const CheckpointFormat = 2
+const CheckpointFormat = 3
 
 // Checkpoint is a self-contained, JSON-serializable snapshot of a run at a
 // step boundary: the spec to rebuild from, the replay coordinate to advance

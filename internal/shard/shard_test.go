@@ -96,8 +96,8 @@ func encode(recs []obs.Record, stripShard bool) []string {
 // domain 0's derived seed equals the scenario seed) the whole sharding
 // apparatus — instance wrapping, tracer remap, framing filter, merged
 // emission, metrics merge — is byte-transparent: the full trace, including
-// kernel samples, is identical to the single-engine run's after clearing
-// the shard tag.
+// kernel samples and causal spans, is identical to the single-engine run's
+// after clearing the shard tag and removing domain 0's span base.
 func TestShardTransparencySingleDomain(t *testing.T) {
 	net := cellsNet(1, 4, -55, -60, topo.UnmeasuredDBm)
 
@@ -105,7 +105,6 @@ func TestShardTransparencySingleDomain(t *testing.T) {
 	var singleBuf obs.Buffer
 	single.Tracer = &singleBuf
 	single.Metrics = obs.NewMetrics()
-	single.NoSpans = true
 	sres, err := core.RunScenario(single)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +114,6 @@ func TestShardTransparencySingleDomain(t *testing.T) {
 	var shardBuf obs.Buffer
 	sharded.Tracer = &shardBuf
 	sharded.Metrics = obs.NewMetrics()
-	sharded.NoSpans = true
 	dres, rep, err := Run(sharded, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +123,25 @@ func TestShardTransparencySingleDomain(t *testing.T) {
 	}
 
 	sl := encode(singleBuf.Records(), true)
-	dl := encode(shardBuf.Records(), true)
+	shardRecs := shardBuf.Records()
+	base := int64(1) << spanBaseShift // domain 0's span base
+	spans := 0
+	for i := range shardRecs {
+		r := &shardRecs[i]
+		for _, id := range []*int64{&r.Span, &r.Parent} {
+			if *id != 0 {
+				if *id <= base {
+					t.Fatalf("record %d: span id %d not above domain 0's base", i, *id)
+				}
+				*id -= base
+				spans++
+			}
+		}
+	}
+	if spans == 0 {
+		t.Fatal("sharded trace carries no spans")
+	}
+	dl := encode(shardRecs, true)
 	if len(sl) != len(dl) {
 		t.Fatalf("record counts differ: single %d sharded %d", len(sl), len(dl))
 	}

@@ -113,12 +113,6 @@ type Obs struct {
 	// TraceFile, when non-empty, asks the CLI to write the NDJSON
 	// observability trace there ("-" for stdout).
 	TraceFile string `json:"trace_file,omitempty"`
-	// NoSpans turns causal span allocation off for a traced run: records
-	// drop their sp/pa fields and trigger chains are no longer traversable.
-	NoSpans bool `json:"no_spans,omitempty"`
-	// ConvertTrace asks DOMINO for deterministic per-batch conversion
-	// records in the trace (the CLI -convert-trace flag).
-	ConvertTrace bool `json:"convert_trace,omitempty"`
 }
 
 // Phy overrides individual phy.Config fields; nil pointers keep defaults.

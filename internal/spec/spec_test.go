@@ -208,7 +208,7 @@ func TestValidateCatalog(t *testing.T) {
 		}, "PollerConfig must be a JSON object"},
 		{"domino convert knobs ok", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"VerifyConvert": true, "ConvertTrace": true}`)
+			s.SchemeConfig = json.RawMessage(`{"VerifyConvert": true, "MaxInbound": 3}`)
 		}, ""},
 		{"domino knob case-insensitive", func(s *spec.Spec) {
 			s.Scheme = "domino"

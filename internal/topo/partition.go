@@ -3,52 +3,10 @@ package topo
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/phy"
 )
-
-// Components returns the connected components of the link conflict graph,
-// computed over the bitset adjacency. Each component is a sorted slice of
-// link IDs; components are ordered by their smallest member, so the output
-// is a canonical partition of 0..len(Links)-1 independent of traversal
-// order. Links with no conflicts form singleton components.
-func (g *ConflictGraph) Components() [][]int {
-	n := len(g.Links)
-	visited := make([]bool, n)
-	var comps [][]int
-	queue := make([]int, 0, n)
-	for start := 0; start < n; start++ {
-		if visited[start] {
-			continue
-		}
-		visited[start] = true
-		queue = append(queue[:0], start)
-		comp := []int{start}
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for w, word := range g.adjBits[v] {
-				for word != 0 {
-					j := w<<6 + bits.TrailingZeros64(word)
-					word &= word - 1
-					if !visited[j] {
-						visited[j] = true
-						comp = append(comp, j)
-						queue = append(queue, j)
-					}
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	// BFS from increasing start vertices already yields components ordered
-	// by smallest member; keep the sort as a belt-and-braces canonical form.
-	sort.Slice(comps, func(a, b int) bool { return comps[a][0] < comps[b][0] })
-	return comps
-}
 
 // DefaultCutDBm is the default RSS-threshold for the interference-domain
 // cut: an AP-conflict edge whose cluster coupling (strongest cross-cell RSS)

@@ -1,15 +1,12 @@
 package topo
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/phy"
 )
 
-// naiveComponents is the reference implementation Components is property-
-// tested against: plain DFS over the bool adjacency matrix.
+// naiveComponents is the reference partition the domain tests compare
+// against: plain DFS over a bool adjacency matrix, each component sorted.
 func naiveComponents(adj [][]bool) [][]int {
 	n := len(adj)
 	visited := make([]bool, n)
@@ -32,7 +29,7 @@ func naiveComponents(adj [][]bool) [][]int {
 				}
 			}
 		}
-		// Canonical form: sorted members (Components sorts too).
+		// Canonical form: sorted members.
 		for i := 1; i < len(comp); i++ {
 			for k := i; k > 0 && comp[k] < comp[k-1]; k-- {
 				comp[k], comp[k-1] = comp[k-1], comp[k]
@@ -41,50 +38,6 @@ func naiveComponents(adj [][]bool) [][]int {
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-func TestComponentsMatchesNaiveReference(t *testing.T) {
-	graphs := []*ConflictGraph{
-		defaultGraph(t, Figure1(), true, true),
-		defaultGraph(t, Figure7(), true, false),
-	}
-	// Random placements across seeds: dense and sparse regimes.
-	for seed := int64(0); seed < 8; seed++ {
-		tr := RandomTrace(seed, 40, 600)
-		rng := rand.New(rand.NewSource(seed))
-		net, err := BuildT(tr, 6, 2, phy.DefaultConfig(), phy.Rate12, rng)
-		if err != nil {
-			continue
-		}
-		graphs = append(graphs, defaultGraph(t, net, true, true))
-	}
-	graphs = append(graphs, defaultGraph(t, GridCampus(3, 4, 3, 2), true, false))
-	if len(graphs) < 5 {
-		t.Fatalf("only %d sample graphs constructed", len(graphs))
-	}
-	for gi, g := range graphs {
-		got := g.Components()
-		want := naiveComponents(g.adj)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("graph %d (%d links): Components() = %v, want %v",
-				gi, len(g.Links), got, want)
-		}
-		// Partition property: every link appears exactly once.
-		seen := make([]bool, len(g.Links))
-		for _, comp := range got {
-			for _, id := range comp {
-				if seen[id] {
-					t.Fatalf("graph %d: link %d in two components", gi, id)
-				}
-				seen[id] = true
-			}
-		}
-		for id, ok := range seen {
-			if !ok {
-				t.Fatalf("graph %d: link %d missing from components", gi, id)
-			}
-		}
-	}
 }
 
 func TestPartitionGridCampus(t *testing.T) {

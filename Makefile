@@ -70,8 +70,10 @@ race-shard:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# Full benchmark sweep (one iteration per table/figure; laptop-minutes).
+# Full benchmark sweep (one iteration per table/figure; laptop-minutes),
+# then one conflict-graph build of the 500-AP grid campus.
 # `go test -run '^$' -bench ShardWorkers -cpu 1,2,4,8 .` is the sharded
 # runner's workers-by-cores curve.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
+	$(GO) test -run '^$$' -bench NewConflictGraph -benchmem -benchtime=1x ./internal/topo

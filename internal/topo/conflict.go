@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/phy"
 )
@@ -15,10 +16,9 @@ type ConflictGraph struct {
 	Links []*Link
 	cfg   phy.Config
 	rate  phy.Rate
-	adj   [][]bool
-	// adjBits mirrors adj as a bitset (row-major, 64 links per word) so the
-	// hot independent-set scan touches one word per 64 candidates instead of
-	// one bool per pair.
+	// adjBits is the symmetric adjacency as a bitset (row-major, 64 links
+	// per word), so the hot independent-set scan touches one word per 64
+	// candidates instead of one bool per pair.
 	adjBits  [][]uint64
 	adjWords int
 	// apConflict caches APConflict for every AP pair (indexed through
@@ -35,29 +35,70 @@ type ConflictGraph struct {
 // the sender plus the link-layer ACK from the receiver — so the test covers
 // data-vs-data, data-vs-ACK (slots can be misaligned by tens of µs while
 // relative scheduling converges) and ACK-vs-ACK corruption.
+//
+// A transmission from node x breaks link b (not incident to x) when x drags
+// b's data SINR at b.Receiver or its ACK SINR at b.Sender below the rate
+// threshold plus ConflictMarginDB. Links a and b conflict when an endpoint
+// of either breaks the other. The graph is built per interferer: one row of
+// x's interference-plus-noise at every node, then one pair of compares per
+// link b, and each broken b becomes an edge to every link incident to x.
 func NewConflictGraph(net *Network, links []*Link, cfg phy.Config, rate phy.Rate) *ConflictGraph {
 	g := &ConflictGraph{Net: net, Links: links, cfg: cfg, rate: rate}
 	n := len(links)
-	g.adj = make([][]bool, n)
-	for i := range g.adj {
-		g.adj[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			c := links[i].Shares(links[j]) ||
-				g.corrupts(links[i], links[j]) || g.corrupts(links[j], links[i])
-			g.adj[i][j] = c
-			g.adj[j][i] = c
-		}
-	}
 	g.adjWords = (n + 63) / 64
 	g.adjBits = make([][]uint64, n)
 	rows := make([]uint64, n*g.adjWords)
-	for i := 0; i < n; i++ {
+	for i := range g.adjBits {
 		g.adjBits[i] = rows[i*g.adjWords : (i+1)*g.adjWords]
-		for j := 0; j < n; j++ {
-			if g.adj[i][j] {
-				g.adjBits[i][j>>6] |= 1 << (uint(j) & 63)
+	}
+
+	// incident[x] lists the links with node x as an endpoint; every pair of
+	// them shares x and so conflicts.
+	incident := make([][]int, net.NumNodes())
+	for i, l := range links {
+		incident[l.Sender] = append(incident[l.Sender], i)
+		incident[l.Receiver] = append(incident[l.Receiver], i)
+	}
+	for _, inc := range incident {
+		for _, a := range inc {
+			for _, b := range inc {
+				if a != b {
+					g.adjBits[a][b>>6] |= 1 << (uint(b) & 63)
+				}
+			}
+		}
+	}
+
+	thr := phy.SNRThresholdDB(rate) + ConflictMarginDB
+	data := make([]float64, n) // RSS of b's data at b.Receiver
+	ack := make([]float64, n)  // RSS of b's ACK at b.Sender
+	for i, b := range links {
+		data[i] = net.RSS[b.Sender][b.Receiver]
+		ack[i] = net.RSS[b.Receiver][b.Sender]
+	}
+	noiseMw := phy.DBmToMw(cfg.NoiseDBm)
+	unmeasured := phy.MwToDBm(phy.DBmToMw(UnmeasuredDBm) + noiseMw)
+	interf := make([]float64, net.NumNodes()) // x's interference plus noise, dBm
+	for x, inc := range incident {
+		if len(inc) == 0 {
+			continue
+		}
+		for d, rss := range net.RSS[x] {
+			if rss == UnmeasuredDBm {
+				interf[d] = unmeasured
+			} else {
+				interf[d] = phy.MwToDBm(phy.DBmToMw(rss) + noiseMw)
+			}
+		}
+		for bi, b := range links {
+			if int(b.Sender) == x || int(b.Receiver) == x {
+				continue
+			}
+			if data[bi]-interf[b.Receiver] < thr || ack[bi]-interf[b.Sender] < thr {
+				for _, a := range inc {
+					g.adjBits[a][bi>>6] |= 1 << (uint(bi) & 63)
+					g.adjBits[bi][a>>6] |= 1 << (uint(a) & 63)
+				}
 			}
 		}
 	}
@@ -65,61 +106,36 @@ func NewConflictGraph(net *Network, links []*Link, cfg phy.Config, rate phy.Rate
 	return g
 }
 
-// buildAPConflict precomputes the AP-pair conflict relation from per-AP link
-// masks: ap1 and ap2 conflict when any link of ap1 is adjacent to any link of
-// ap2 in the conflict graph.
+// buildAPConflict precomputes the AP-pair conflict relation: ap1 and ap2
+// conflict when the union of ap1's link rows meets ap2's link mask.
 func (g *ConflictGraph) buildAPConflict() {
-	apLinks := map[phy.NodeID][]int{}
-	var aps []phy.NodeID
-	for i, l := range g.Links {
-		if _, ok := apLinks[l.AP]; !ok {
-			aps = append(aps, l.AP)
+	g.apIndex = map[phy.NodeID]int{}
+	var reach, mask [][]uint64
+	for li, l := range g.Links {
+		i, ok := g.apIndex[l.AP]
+		if !ok {
+			i = len(reach)
+			g.apIndex[l.AP] = i
+			reach = append(reach, make([]uint64, g.adjWords))
+			mask = append(mask, make([]uint64, g.adjWords))
 		}
-		apLinks[l.AP] = append(apLinks[l.AP], i)
-	}
-	g.apIndex = make(map[phy.NodeID]int, len(aps))
-	for i, ap := range aps {
-		g.apIndex[ap] = i
-	}
-	mask := make([][]uint64, len(aps))
-	for i, ap := range aps {
-		mask[i] = make([]uint64, g.adjWords)
-		for _, li := range apLinks[ap] {
-			mask[i][li>>6] |= 1 << (uint(li) & 63)
+		mask[i][li>>6] |= 1 << (uint(li) & 63)
+		for w, row := range g.adjBits[li] {
+			reach[i][w] |= row
 		}
 	}
-	g.apConflict = make([][]bool, len(aps))
-	for i, ap := range aps {
-		g.apConflict[i] = make([]bool, len(aps))
-		for j := range aps {
-			conflict := false
-			for _, li := range apLinks[ap] {
-				for w, bits := range mask[j] {
-					if g.adjBits[li][w]&bits != 0 {
-						conflict = true
-						break
-					}
-				}
-				if conflict {
+	g.apConflict = make([][]bool, len(reach))
+	for i := range reach {
+		g.apConflict[i] = make([]bool, len(reach))
+		for j := range mask {
+			for w, m := range mask[j] {
+				if reach[i][w]&m != 0 {
+					g.apConflict[i][j] = true
 					break
 				}
 			}
-			g.apConflict[i][j] = conflict
 		}
 	}
-}
-
-// corrupts reports whether link a's exchange breaks any part of link b's:
-// a's data or ACK transmission corrupting b's data reception (at b.Receiver)
-// or b's ACK reception (at b.Sender).
-func (g *ConflictGraph) corrupts(a, b *Link) bool {
-	for _, interferer := range []phy.NodeID{a.Sender, a.Receiver} {
-		if g.breaks(interferer, b.Sender, b.Receiver) || // b's data
-			g.breaks(interferer, b.Receiver, b.Sender) { // b's ACK
-			return true
-		}
-	}
-	return false
 }
 
 // ConflictMarginDB is the scheduling safety margin: concurrency requires the
@@ -129,31 +145,19 @@ func (g *ConflictGraph) corrupts(a, b *Link) bool {
 // interferers (3 dB covers two equal ones, and weaker tails).
 const ConflictMarginDB = 3
 
-// breaks reports whether a transmission from interferer drags the src→dst
-// SINR below the rate threshold plus the scheduling margin.
-func (g *ConflictGraph) breaks(interferer, src, dst phy.NodeID) bool {
-	if interferer == src || interferer == dst {
-		return false // shared-node conflicts are handled separately
-	}
-	signal := g.Net.RSS[src][dst]
-	interfMw := phy.DBmToMw(g.Net.RSS[interferer][dst]) + phy.DBmToMw(g.cfg.NoiseDBm)
-	sinr := signal - phy.MwToDBm(interfMw)
-	return sinr < phy.SNRThresholdDB(g.rate)+ConflictMarginDB
-}
-
 // Rate returns the data rate the graph was computed for.
 func (g *ConflictGraph) Rate() phy.Rate { return g.rate }
 
 // Conflicts reports whether links a and b (by ID) may not share a slot.
-func (g *ConflictGraph) Conflicts(a, b int) bool { return g.adj[a][b] }
+func (g *ConflictGraph) Conflicts(a, b int) bool {
+	return g.adjBits[a][b>>6]&(1<<(uint(b)&63)) != 0
+}
 
 // Degree returns the number of links conflicting with link id.
 func (g *ConflictGraph) Degree(id int) int {
 	d := 0
-	for _, c := range g.adj[id] {
-		if c {
-			d++
-		}
+	for _, w := range g.adjBits[id] {
+		d += bits.OnesCount64(w)
 	}
 	return d
 }
@@ -173,7 +177,7 @@ func (g *ConflictGraph) Hidden(a, b int) bool {
 	if a == b || g.Links[a].Shares(g.Links[b]) {
 		return false
 	}
-	return g.adj[a][b] && !g.SendersHear(a, b)
+	return g.Conflicts(a, b) && !g.SendersHear(a, b)
 }
 
 // Exposed reports whether links a and b form an exposed pair: they could
@@ -183,7 +187,7 @@ func (g *ConflictGraph) Exposed(a, b int) bool {
 	if a == b || g.Links[a].Shares(g.Links[b]) {
 		return false
 	}
-	return !g.adj[a][b] && g.SendersHear(a, b)
+	return !g.Conflicts(a, b) && g.SendersHear(a, b)
 }
 
 // CountHiddenExposed tallies hidden and exposed pairs over all unordered link

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/phy"
@@ -180,15 +181,23 @@ func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 	}
 
 	// Link-level conflict pairs crossing domains: the constraints a sharded
-	// run cannot enforce.
-	for i := range g.Links {
-		di := p.LinkDomain[i]
-		for j := i + 1; j < len(g.Links); j++ {
-			if g.adj[i][j] && di != p.LinkDomain[j] {
-				p.Stats.CrossLinkPairs++
+	// run cannot enforce. Each link's row outside its own domain's link mask
+	// counts every such pair once from each end.
+	own := make([]uint64, g.adjWords)
+	cross := 0
+	for d := range p.Domains {
+		links := p.Domains[d].Links
+		for _, li := range links {
+			own[li>>6] |= 1 << (uint(li) & 63)
+		}
+		for _, li := range links {
+			for w, row := range g.adjBits[li] {
+				cross += bits.OnesCount64(row &^ own[w])
 			}
 		}
+		clear(own)
 	}
+	p.Stats.CrossLinkPairs = cross / 2
 	p.Stats.Domains = len(p.Domains)
 	return p
 }

@@ -69,7 +69,7 @@ func TestPartitionGridCampus(t *testing.T) {
 	cross := 0
 	for i := range g.Links {
 		for j := i + 1; j < len(g.Links); j++ {
-			if g.adj[i][j] && p.LinkDomain[i] != p.LinkDomain[j] {
+			if g.Conflicts(i, j) && p.LinkDomain[i] != p.LinkDomain[j] {
 				cross++
 			}
 		}

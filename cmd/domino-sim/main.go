@@ -44,7 +44,7 @@ func main() {
 		clients   = flag.Int("clients", 2, "clients per AP for campus/random/grid topologies")
 		buildings = flag.Int("buildings", 0, "building count for the grid topology (0 = default 4)")
 		shards    = flag.Int("shards", 0, "run sharded by interference domain on this many workers (0 = single engine; output is identical at any shard count)")
-		schemeFl  = flag.String("scheme", "domino", "registered scheme: "+strings.Join(scheme.Names(), "|"))
+		schemeFl  = flag.String("scheme", "domino", "registered scheme: "+strings.Join(scheme.Registry.Names(), "|"))
 		traffic   = flag.String("traffic", "saturated", "saturated|udp|tcp")
 		downMbps  = flag.Float64("down", 10, "downlink offered Mbps per link (udp/tcp)")
 		upMbps    = flag.Float64("up", 10, "uplink offered Mbps per link (udp/tcp)")
@@ -105,7 +105,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "domino-sim: %v\n", err)
 		os.Exit(2)
 	}
-	d, _ := scheme.Lookup(sp.Scheme) // Validate guarantees the lookup
+	d, _ := scheme.Registry.Lookup(sp.Scheme) // Validate guarantees the lookup
 
 	// The -shards flag overrides the spec's shards knob; either selects the
 	// interference-domain sharded runner (internal/shard).

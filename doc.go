@@ -5,9 +5,11 @@
 // The library implements the paper's full stack: a deterministic
 // discrete-event radio simulator (internal/sim, internal/phy), enterprise
 // topologies and conflict graphs (internal/topo), Gold-code signature
-// triggering (internal/gold), the Rapid OFDM Polling PHY (internal/ofdm,
-// internal/rop), the strict/RAND scheduler and its omniscient executor
-// (internal/strict), the relative-schedule converter (internal/convert), the
+// triggering (internal/gold), Rapid OFDM Polling (the PHY in internal/ofdm;
+// the decode rule and the A2P/UORA variants in internal/poll), the
+// strict/RAND scheduler and its omniscient executor (internal/strict), one
+// registry those pluggable parts share (internal/registry), the
+// relative-schedule converter (internal/convert), the
 // DOMINO engine itself (internal/domino), and the DCF and CENTAUR baselines
 // (internal/dcf, internal/centaur). internal/core assembles complete
 // scenarios, and internal/exp regenerates every table and figure of the

@@ -18,7 +18,7 @@ func (e *Engine) WireObs(run *obs.Run) {
 }
 
 func init() {
-	scheme.MustRegister(scheme.Descriptor{
+	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:               "CENTAUR",
 		Summary:            "hybrid scheduled-downlink / DCF-uplink baseline",
 		NeedsConflictGraph: true,

@@ -18,7 +18,7 @@ func TestConvertVerifyProperty(t *testing.T) {
 	if testing.Short() {
 		seeds = 3
 	}
-	schedulers := strict.SchedulerNames()
+	schedulers := strict.Schedulers.Names()
 	if len(schedulers) < 4 {
 		t.Fatalf("registered schedulers = %v, want at least 4", schedulers)
 	}

@@ -14,7 +14,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/centaur"
 	"repro/internal/dcf"
@@ -243,10 +242,9 @@ func NewInstance(s Scenario) (*Instance, error) {
 	if s.Warmup > s.Duration {
 		return nil, fmt.Errorf("warmup %v exceeds duration %v", s.Warmup, s.Duration)
 	}
-	d, ok := scheme.Lookup(string(s.Scheme))
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q (registered: %s)",
-			s.Scheme, strings.Join(scheme.Names(), ", "))
+	d, err := scheme.Registry.Resolve(string(s.Scheme))
+	if err != nil {
+		return nil, err
 	}
 	links := s.Links
 	if links == nil {

@@ -73,7 +73,7 @@ func TestRunUnknownSchemeErrors(t *testing.T) {
 			t.Errorf("scheme %q: no error", string(s))
 			continue
 		}
-		for _, name := range scheme.Names() {
+		for _, name := range scheme.Registry.Names() {
 			if !strings.Contains(err.Error(), name) {
 				t.Errorf("scheme %q: error %q does not list registered scheme %s", string(s), err, name)
 			}

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/obs"
 	"repro/internal/phy"
+	"repro/internal/registry"
 	"repro/internal/spec"
 )
 
@@ -61,10 +61,7 @@ func BuildScenario(sp spec.Spec) (Scenario, error) {
 	if len(sp.SchemeConfig) > 0 {
 		raw := sp.SchemeConfig
 		sc.Tune = func(cfg any) error {
-			if err := json.Unmarshal(raw, cfg); err != nil {
-				return fmt.Errorf("scheme_config does not match %T: %w", cfg, err)
-			}
-			return nil
+			return registry.Overlay(cfg, raw, "scheme_config", "field")
 		}
 	}
 	if sp.Obs.Metrics {

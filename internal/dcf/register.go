@@ -18,7 +18,7 @@ func (e *Engine) WireObs(run *obs.Run) {
 }
 
 func init() {
-	scheme.MustRegister(scheme.Descriptor{
+	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:    "DCF",
 		Summary: "802.11 distributed coordination function baseline",
 		DefaultConfig: func(p scheme.Params) any {

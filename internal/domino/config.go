@@ -8,10 +8,13 @@ package domino
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/mac"
 	"repro/internal/phy"
+	"repro/internal/poll"
 	"repro/internal/sim"
+	"repro/internal/strict"
 )
 
 // Config parameterises a DOMINO instance.
@@ -54,7 +57,7 @@ type Config struct {
 	// Scheduler selects the strict scheduling policy by registered name
 	// (internal/strict registry: RAND, LQF, RoundRobin, Weighted and their
 	// aliases, case-insensitive). Empty means the paper's RAND. Any
-	// strict.Scheduler plugs in through strict.RegisterScheduler — the
+	// strict.Scheduler plugs in through strict.Schedulers.MustRegister — the
 	// converter is scheduler-agnostic (§3, contribution 1).
 	Scheduler string
 	// VerifyConvert runs convert.Verify on every plan the converter emits
@@ -145,6 +148,31 @@ func (c Config) SignatureCapacity() int {
 		chips = 127
 	}
 	return chips // 2^m+1 codes − 2 reserved = (2^m −1) = chips
+}
+
+// check rejects a config the engine cannot run on any network: a signature
+// length with no Gold code set, or a scheduler or poller (with its knobs)
+// the registries cannot build.
+func (c Config) check() error {
+	switch c.SignatureChips {
+	case 0, 127, 255, 511:
+	default:
+		return fmt.Errorf("SignatureChips %d is not a signature length (127, 255 or 511; 0 for 127)", c.SignatureChips)
+	}
+	if _, err := strict.Schedulers.Resolve(c.Scheduler); err != nil {
+		return err
+	}
+	_, err := poll.Build(c.Poller, c.PollerConfig)
+	return err
+}
+
+// fits reports whether a network of n nodes has a signature per node.
+func (c Config) fits(n int) error {
+	if n > c.SignatureCapacity() {
+		return fmt.Errorf("%d nodes exceed the %d-signature capacity; use longer codes (SignatureChips)",
+			n, c.SignatureCapacity())
+	}
+	return nil
 }
 
 // sigFrameDuration is the combined-signature broadcast followed by the START

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/poll"
-	_ "repro/internal/rop" // registers the default ROP poller
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/strict"
@@ -183,19 +182,14 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		e.ensureNode(l.Sender)
 		e.ensureNode(l.Receiver)
 	}
-	if n := g.Net.NumNodes(); n > cfg.SignatureCapacity() {
-		panic(fmt.Sprintf("domino: %d nodes exceed the %d-signature capacity; use longer codes (Config.SignatureChips)",
-			n, cfg.SignatureCapacity()))
+	if err := cfg.fits(g.Net.NumNodes()); err != nil {
+		panic("domino: " + err.Error())
 	}
 	// Poller instances per AP (internal/poll registry; default ROP). The AP
 	// slice is iterated in network order so UnpolledClients is deterministic.
-	pollerName := cfg.Poller
-	if pollerName == "" {
-		pollerName = "ROP"
-	}
-	pd, ok := poll.Lookup(pollerName)
-	if !ok {
-		panic(fmt.Sprintf("domino: unknown poller %q", pollerName))
+	pd, err := poll.Registry.Resolve(cfg.Poller)
+	if err != nil {
+		panic("domino: " + err.Error())
 	}
 	e.pollRounds = 1
 	for _, apID := range e.net.APs {
@@ -218,9 +212,9 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 			clients = sorted[:pd.MaxClients]
 			e.UnpolledClients = append(e.UnpolledClients, sorted[pd.MaxClients:]...)
 		}
-		p, err := poll.Build(pollerName, cfg.PollerConfig)
+		p, err := poll.Build(pd.Name, cfg.PollerConfig)
 		if err != nil {
-			panic(fmt.Sprintf("domino: %v", err))
+			panic("domino: " + err.Error())
 		}
 		p.Assign(clients, rssFn)
 		if r := p.Rounds(); r > e.pollRounds {
@@ -423,16 +417,9 @@ func newServer(e *Engine) *server {
 		conv.MaxInbound = e.cfg.MaxInbound
 	}
 	conv.DisableFakeCover = e.cfg.NoFakeCover
-	var sched strict.Scheduler
-	switch {
-	case e.cfg.Scheduler != "":
-		s, err := strict.BuildScheduler(e.cfg.Scheduler, e.g)
-		if err != nil {
-			panic(fmt.Sprintf("domino: %v", err))
-		}
-		sched = s
-	default:
-		sched = strict.NewRAND(e.g)
+	sched, err := strict.BuildScheduler(e.cfg.Scheduler, e.g)
+	if err != nil {
+		panic("domino: " + err.Error())
 	}
 	return &server{
 		e:        e,

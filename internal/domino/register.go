@@ -3,14 +3,11 @@ package domino
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/phy"
-	"repro/internal/poll"
 	"repro/internal/scheme"
-	"repro/internal/strict"
 )
 
 // WireObs implements scheme.Observable: the engine pulls its trace sink,
@@ -26,7 +23,7 @@ func (e *Engine) WireObs(run *obs.Run) {
 }
 
 func init() {
-	scheme.MustRegister(scheme.Descriptor{
+	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:               "DOMINO",
 		Summary:            "the paper's relative-scheduling system",
 		NeedsConflictGraph: true,
@@ -37,33 +34,25 @@ func init() {
 			cfg.MisalignSlots = p.MisalignSlots
 			return &cfg
 		},
+		Check: func(cfg any) error {
+			c, ok := cfg.(*Config)
+			if !ok {
+				return fmt.Errorf("domino: config %T, want *domino.Config", cfg)
+			}
+			return c.check()
+		},
 		Build: func(ctx scheme.BuildContext, cfg any) (mac.Engine, error) {
 			c, ok := cfg.(*Config)
 			if !ok {
 				return nil, fmt.Errorf("domino: Build got config %T, want *domino.Config", cfg)
 			}
-			// Pre-validate the scheduler name so declarative specs get an
-			// error instead of newServer's panic.
-			if c.Scheduler != "" {
-				if _, ok := strict.LookupScheduler(c.Scheduler); !ok {
-					return nil, fmt.Errorf("domino: unknown scheduler %q (registered: %s)",
-						c.Scheduler, strings.Join(strict.SchedulerNames(), ", "))
-				}
+			// Everything New would panic on, as an error: bad names and
+			// knobs, then a network too large for the signature code.
+			if err := c.check(); err != nil {
+				return nil, fmt.Errorf("domino: %w", err)
 			}
-			// Same for the poller name and knobs: a trial Build catches bad
-			// knob values (range errors) before New's panic.
-			if c.Poller != "" {
-				if _, ok := poll.Lookup(c.Poller); !ok {
-					return nil, fmt.Errorf("domino: unknown poller %q (registered: %s)",
-						c.Poller, strings.Join(poll.Names(), ", "))
-				}
-			}
-			pollerName := c.Poller
-			if pollerName == "" {
-				pollerName = "ROP"
-			}
-			if _, err := poll.Build(pollerName, c.PollerConfig); err != nil {
-				return nil, fmt.Errorf("domino: %v", err)
+			if err := c.fits(ctx.Graph.Net.NumNodes()); err != nil {
+				return nil, fmt.Errorf("domino: %w", err)
 			}
 			return New(ctx.Kernel, ctx.Medium, ctx.Graph, ctx.Events, *c), nil
 		},

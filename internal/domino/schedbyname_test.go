@@ -17,20 +17,20 @@ import (
 )
 
 // TestSchedulerByName covers the plug-in path for custom schedulers: a
-// throwaway policy registered with strict.RegisterScheduler drives the
+// throwaway policy registered with strict.Schedulers.MustRegister drives the
 // engine by name, and since it builds LQF it must reproduce the built-in
 // "lqf" run exactly.
 func TestSchedulerByName(t *testing.T) {
 	const name = "test-plugged-lqf"
 	built := 0
-	strict.MustRegisterScheduler(strict.SchedulerDescriptor{
+	strict.Schedulers.MustRegister(strict.SchedulerDescriptor{
 		Name: name,
 		Build: func(g *topo.ConflictGraph, _ any) (strict.Scheduler, error) {
 			built++
 			return strict.NewLQF(g), nil
 		},
 	})
-	defer strict.UnregisterScheduler(name)
+	defer strict.Schedulers.Unregister(name)
 
 	aggName, eName := runWith(t, 31, func(c *Config) { c.Scheduler = "lqf" })
 	aggPlug, ePlug := runWith(t, 31, func(c *Config) { c.Scheduler = name })
@@ -49,7 +49,7 @@ func TestSchedulerByName(t *testing.T) {
 // TestEachRegisteredSchedulerRuns drives the engine once per registered
 // policy: every name must produce a live chain.
 func TestEachRegisteredSchedulerRuns(t *testing.T) {
-	for _, name := range strict.SchedulerNames() {
+	for _, name := range strict.Schedulers.Names() {
 		agg, e := runWith(t, 17, func(c *Config) { c.Scheduler = name })
 		if agg < 8 {
 			t.Errorf("scheduler %s: aggregate %.2f Mbps", name, agg)

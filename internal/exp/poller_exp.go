@@ -51,7 +51,7 @@ var PollerSweepCounts = []int{6, 12, 24, 48, 96}
 // same path a spec file's scheme_config.poller takes.
 func PollerSweep(o Options) (PollerSweepResult, error) {
 	o = o.withDefaults()
-	res := PollerSweepResult{Pollers: poll.Names(), Counts: PollerSweepCounts}
+	res := PollerSweepResult{Pollers: poll.Registry.Names(), Counts: PollerSweepCounts}
 	type cell struct {
 		poller string
 		n      int

@@ -28,7 +28,7 @@ type SchedulerSweepResult struct {
 // spec file's scheme_config.scheduler takes.
 func SchedulerSweep(o Options) (SchedulerSweepResult, error) {
 	o = o.withDefaults()
-	res := SchedulerSweepResult{Schedulers: strict.SchedulerNames()}
+	res := SchedulerSweepResult{Schedulers: strict.Schedulers.Names()}
 	runs := parallel.Map(o.Workers, len(res.Schedulers), func(i int) errCell[core.Result] {
 		net, err := T10x2(o.Seed)
 		if err != nil {

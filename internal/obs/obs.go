@@ -17,7 +17,7 @@
 //     shard order, preserving the contract at any worker count.
 //   - Layers below obs stay obs-agnostic. sim, phy and mac expose tiny local
 //     hooks (Kernel.OnEvent, Medium.SetProbe, Queue.OnDepth); obs implements
-//     them. Protocol engines (dcf, domino, rop, gold) emit through a Tracer
+//     them. Protocol engines (dcf, domino, poll, gold) emit through a Tracer
 //     field directly.
 package obs
 

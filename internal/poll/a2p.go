@@ -1,11 +1,15 @@
-// A2P-style grouped polling: the AP polls its clients in RSS-sorted groups
+// Grouped polling, after A2P: the AP polls its clients in RSS-sorted groups
 // of at most one control symbol's worth of subchannels, one group per round
-// across successive rounds of the same cycle. Each round reuses the ROP
-// decode rule (SNR floor + adjacent-subchannel tolerance), so the per-round
-// physics match the calibrated internal/ofdm measurement; the multi-round
-// layout is what lifts the per-AP ceiling from 24 clients to hundreds.
-// Group membership is recomputed from scratch on every Assign, so churn in
-// the client set re-balances the groups.
+// across successive rounds of the same cycle. Each round applies the paper's
+// ROP decode rule (§3.1): a report decodes when its SNR clears the 4 dB floor
+// and no adjacent subchannel is more than 38 dB stronger — the 3-guard
+// tolerance of the internal/ofdm Fig 6 measurement. Sorting by RSS keeps
+// adjacent subchannels at similar powers, so extremes end up far apart. The
+// multi-round layout is what lifts the per-AP ceiling from 24 clients to
+// hundreds; ROP itself is the one-group case, registered below with a
+// 24-client ceiling and no knobs. Group membership is recomputed from
+// scratch on every Assign, so churn in the client set re-balances the
+// groups.
 
 package poll
 
@@ -58,12 +62,9 @@ type A2P struct {
 	cfg A2PConfig
 	// clients is the full RSS-sorted assignment; groups are consecutive
 	// runs of groupSize, so adjacent subchannels within a round carry
-	// similar powers (the same extreme-pair mitigation rop.Assign applies).
+	// similar powers.
 	clients []phy.NodeID
 }
-
-// Name implements Poller.
-func (p *A2P) Name() string { return "A2P" }
 
 // Assign implements Poller: sort by RSS, cut into groups of groupSize.
 func (p *A2P) Assign(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64) {
@@ -122,7 +123,15 @@ func (p *A2P) Poll(ctx Context) Result {
 func (p *A2P) State() map[string]int64 { return nil }
 
 func init() {
-	MustRegister(Descriptor{
+	Registry.MustRegister(Descriptor{
+		Name:       "ROP",
+		Summary:    "the paper's Rapid OFDM Polling: one 24-subchannel control symbol per cycle (§3.1)",
+		MaxClients: a2pLayout.NumSubchannels(),
+		Build: func(any) (Poller, error) {
+			return &A2P{}, nil
+		},
+	})
+	Registry.MustRegister(Descriptor{
 		Name:    "A2P",
 		Aliases: []string{"grouped"},
 		Summary: "multi-round grouped OFDMA polling: RSS-sorted groups of ≤24 clients per round, scales one AP to hundreds of clients",
@@ -135,7 +144,7 @@ func init() {
 				c = &A2PConfig{}
 			}
 			if c.GroupSize < 0 || c.GroupSize > a2pLayout.NumSubchannels() {
-				return nil, fmt.Errorf("poll: A2P GroupSize %d out of range (1..%d, 0 for the default)",
+				return nil, fmt.Errorf("poller A2P GroupSize %d out of range (1..%d, 0 for the default)",
 					c.GroupSize, a2pLayout.NumSubchannels())
 			}
 			return &A2P{cfg: *c}, nil

@@ -1,35 +1,34 @@
-// Package poll is the pluggable polling-scheme registry — the third
-// self-registering registry after schemes (internal/scheme) and strict
-// schedulers (internal/strict). A Poller owns the slot-in-the-schedule shape
-// Rapid OFDM Polling occupies in DOMINO: it lays the AP's clients out over
-// subchannels and rounds, reports how many successive poll rounds one cycle
-// takes (the schedule reserves rounds × the ROP slot duration), and decodes
-// one complete cycle into per-client backlog reports.
+// Package poll holds the pluggable polling schemes. A Poller owns the
+// slot-in-the-schedule shape Rapid OFDM Polling occupies in DOMINO: it lays
+// the AP's clients out over subchannels and rounds, reports how many
+// successive poll rounds one cycle takes (the schedule reserves rounds × the
+// ROP slot duration), and decodes one complete cycle into per-client backlog
+// reports.
 //
-// The paper's ROP registers itself as the default (internal/rop); this
-// package adds two scalable variants: A2P-style multi-round grouped polling
-// (groups of ≤24 clients polled across successive rounds — hundreds of
-// clients per AP) and UORA-style random access (OBO contention over RA-RUs
-// for unscheduled joiners). Engines resolve a poller purely by name, so a
-// fourth scheme is one MustRegister call — no edits to internal/domino.
+// Three schemes register here. The paper's ROP (§3.1, the default) is one
+// 24-subchannel control symbol; A2P-style grouped polling generalises it to
+// RSS-sorted groups of ≤24 clients polled across successive rounds (hundreds
+// of clients per AP), so ROP is the grouped poller's one-group case. UORA-style
+// random access trades the assignment handshake for OBO contention over
+// RA-RUs. Engines resolve a poller purely by name, so a fourth scheme is one
+// Registry.MustRegister call — no edits to internal/domino.
 package poll
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"math/rand"
 	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/phy"
+	"repro/internal/registry"
 	"repro/internal/sim"
 )
 
 // Context carries everything one polling cycle reads: ground-truth backlogs,
 // the channel view at the AP, the run's RNG and the observability hooks. The
-// decode is an AP-side abstraction (as in internal/rop): clients do not
+// decode is an AP-side abstraction: clients do not
 // explicitly answer in the event kernel; the poller judges each report from
 // the RSS/noise figures.
 type Context struct {
@@ -69,8 +68,6 @@ type Result struct {
 
 // Poller is one polling scheme instance, owned by a single AP.
 type Poller interface {
-	// Name is the registered scheme name.
-	Name() string
 	// Assign (re)computes the client → subchannel/round layout. The engine
 	// calls it at construction and again whenever the AP's client set
 	// churns; group membership is recomputed from scratch each time.
@@ -102,116 +99,44 @@ type Descriptor struct {
 	// surfaces the rest (Engine.UnpolledClients) instead of panicking.
 	MaxClients int
 	// DefaultConfig returns a pointer to a fresh knob struct, or nil for
-	// pollers without knobs. Spec files overlay JSON onto it
-	// (scheme_config.PollerConfig); speclint validates the keys against it.
+	// pollers without knobs. Build overlays a spec's
+	// scheme_config.PollerConfig onto it (registry.Overlay), so validation
+	// and the run read the knobs through the same call.
 	DefaultConfig func() any
 	// Build constructs one per-AP instance. cfg is the (possibly overlaid)
 	// DefaultConfig value — nil when DefaultConfig is nil.
 	Build func(cfg any) (Poller, error)
 }
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]*Descriptor{}
-	// canonical lists canonical names only, for Names().
-	canonical []string
-)
-
-// Register adds a polling scheme to the registry. It fails on empty or
-// duplicate names (aliases included) and on a missing Build function.
-func Register(d Descriptor) error {
-	if d.Name == "" {
-		return fmt.Errorf("poll: Register with empty Name")
-	}
+// Registry holds every polling scheme; an empty name means the paper's ROP.
+var Registry = registry.New("poller", "ROP", func(d *Descriptor) (string, []string, error) {
 	if d.Build == nil {
-		return fmt.Errorf("poll: poller %s: Build is required", d.Name)
+		return d.Name, d.Aliases, errors.New("Build is required")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	keys := append([]string{d.Name}, d.Aliases...)
-	for _, k := range keys {
-		if prev, ok := registry[strings.ToLower(k)]; ok {
-			return fmt.Errorf("poll: poller %q already registered (by %s)", k, prev.Name)
-		}
-	}
-	desc := d
-	for _, k := range keys {
-		registry[strings.ToLower(k)] = &desc
-	}
-	canonical = append(canonical, d.Name)
-	sort.Strings(canonical)
-	return nil
-}
+	return d.Name, d.Aliases, nil
+})
 
-// MustRegister is Register for init-time use; it panics on conflict.
-func MustRegister(d Descriptor) {
-	if err := Register(d); err != nil {
-		panic(err)
-	}
-}
-
-// Unregister removes a poller and its aliases; tests use it to clean up toy
-// registrations. Unknown names are a no-op.
-func Unregister(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	d, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return
-	}
-	delete(registry, strings.ToLower(d.Name))
-	for _, a := range d.Aliases {
-		delete(registry, strings.ToLower(a))
-	}
-	for i, n := range canonical {
-		if n == d.Name {
-			canonical = append(canonical[:i], canonical[i+1:]...)
-			break
-		}
-	}
-}
-
-// Lookup resolves a poller name (canonical or alias, case-insensitive).
-func Lookup(name string) (*Descriptor, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	d, ok := registry[strings.ToLower(name)]
-	return d, ok
-}
-
-// Names returns the canonical registered poller names, sorted.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return append([]string(nil), canonical...)
-}
-
-// Build constructs one instance of the named poller, overlaying rawCfg (a
-// JSON object of knob-struct fields, may be empty) on its default config.
-// The error for an unknown name lists what is registered.
+// Build constructs one instance of the named poller ("" for the default),
+// overlaying rawCfg — a JSON object of its knob-struct fields, may be empty —
+// on its default config.
 func Build(name string, rawCfg json.RawMessage) (Poller, error) {
-	d, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("poll: unknown poller %q (have %s)",
-			name, strings.Join(Names(), ", "))
+	d, err := Registry.Resolve(name)
+	if err != nil {
+		return nil, err
 	}
 	var cfg any
 	if d.DefaultConfig != nil {
 		cfg = d.DefaultConfig()
-		if len(rawCfg) > 0 {
-			if err := json.Unmarshal(rawCfg, cfg); err != nil {
-				return nil, fmt.Errorf("poll: %s config: %v", d.Name, err)
-			}
-		}
-	} else if len(rawCfg) > 0 && string(rawCfg) != "{}" && string(rawCfg) != "null" {
-		return nil, fmt.Errorf("poll: poller %s has no knobs; drop the poller config object", d.Name)
+	}
+	if err := registry.Overlay(cfg, rawCfg, "poller "+d.Name, "knob"); err != nil {
+		return nil, err
 	}
 	return d.Build(cfg)
 }
 
 // sortByRSS returns clients sorted by descending RSS at the AP (stable, so
 // equal-power clients keep their input order — the deterministic tiebreak
-// every layout in this package shares with rop.Assign).
+// every layout in this package shares).
 func sortByRSS(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64) []phy.NodeID {
 	sorted := append([]phy.NodeID(nil), clients...)
 	sort.SliceStable(sorted, func(a, b int) bool {

@@ -1,8 +1,5 @@
 package poll_test
 
-// External test package: internal/rop imports poll to register the default
-// poller, so an internal poll test importing rop would cycle.
-
 import (
 	"encoding/json"
 	"math/rand"
@@ -11,7 +8,6 @@ import (
 
 	"repro/internal/phy"
 	"repro/internal/poll"
-	_ "repro/internal/rop" // register the default ROP poller
 )
 
 func testRSS(c phy.NodeID) float64 { return -40 - float64(c%17) }
@@ -31,7 +27,7 @@ func TestLookupAliases(t *testing.T) {
 		{"ra", "UORA"},
 	}
 	for _, c := range cases {
-		d, ok := poll.Lookup(c.query)
+		d, ok := poll.Registry.Lookup(c.query)
 		if !ok {
 			t.Errorf("Lookup(%q): not found", c.query)
 			continue
@@ -40,20 +36,24 @@ func TestLookupAliases(t *testing.T) {
 			t.Errorf("Lookup(%q) = %s, want %s", c.query, d.Name, c.want)
 		}
 	}
-	if _, ok := poll.Lookup("csma"); ok {
+	if _, ok := poll.Registry.Lookup("csma"); ok {
 		t.Error("Lookup(csma) unexpectedly found")
 	}
 }
 
 func TestBuildErrors(t *testing.T) {
 	if _, err := poll.Build("nope", nil); err == nil ||
-		!strings.Contains(err.Error(), "unknown poller") {
+		!strings.Contains(err.Error(), `unknown poller "nope" (registered: A2P, ROP, UORA)`) {
 		t.Errorf("Build(nope) err = %v, want unknown poller", err)
 	}
-	// ROP has no knobs: a non-empty config object must be rejected.
+	// ROP has no knobs: a non-empty config object must be rejected, an
+	// empty one (however spaced) accepted.
 	if _, err := poll.Build("ROP", json.RawMessage(`{"GroupSize": 8}`)); err == nil ||
-		!strings.Contains(err.Error(), "no knobs") {
+		!strings.Contains(err.Error(), "poller ROP has no knobs") {
 		t.Errorf("Build(ROP, knobs) err = %v, want no-knobs rejection", err)
+	}
+	if _, err := poll.Build("", json.RawMessage(" { } ")); err != nil {
+		t.Errorf("Build(default, empty object) = %v", err)
 	}
 	// A2P validates its knob ranges.
 	if _, err := poll.Build("A2P", json.RawMessage(`{"GroupSize": 99}`)); err == nil {
@@ -65,6 +65,10 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := poll.Build("A2P", json.RawMessage(`{"GroupSize": bad`)); err == nil {
 		t.Error("Build(A2P, malformed JSON) unexpectedly succeeded")
 	}
+	if _, err := poll.Build("A2P", json.RawMessage(`{"GroupSiz": 8}`)); err == nil ||
+		!strings.Contains(err.Error(), `poller A2P has no knob "GroupSiz" (knobs: GroupSize, SNRFloorDB, ToleranceDB)`) {
+		t.Errorf("Build(A2P, misspelled knob) err = %v", err)
+	}
 }
 
 func TestRegisterUnregister(t *testing.T) {
@@ -75,24 +79,24 @@ func TestRegisterUnregister(t *testing.T) {
 			return nil, nil
 		},
 	}
-	if err := poll.Register(d); err != nil {
+	if err := poll.Registry.Register(d); err != nil {
 		t.Fatal(err)
 	}
-	defer poll.Unregister("toy")
-	if _, ok := poll.Lookup("TOY-ALIAS"); !ok {
+	defer poll.Registry.Unregister("toy")
+	if _, ok := poll.Registry.Lookup("TOY-ALIAS"); !ok {
 		t.Error("alias lookup failed after Register")
 	}
-	if err := poll.Register(poll.Descriptor{Name: "toy-alias", Build: d.Build}); err == nil {
+	if err := poll.Registry.Register(poll.Descriptor{Name: "toy-alias", Build: d.Build}); err == nil {
 		t.Error("duplicate-name Register unexpectedly succeeded")
 	}
-	if err := poll.Register(poll.Descriptor{Name: "nobuild"}); err == nil {
+	if err := poll.Registry.Register(poll.Descriptor{Name: "nobuild"}); err == nil {
 		t.Error("Register without Build unexpectedly succeeded")
 	}
-	poll.Unregister("toy")
-	if _, ok := poll.Lookup("toy"); ok {
+	poll.Registry.Unregister("toy")
+	if _, ok := poll.Registry.Lookup("toy"); ok {
 		t.Error("Lookup(toy) found after Unregister")
 	}
-	if _, ok := poll.Lookup("toy-alias"); ok {
+	if _, ok := poll.Registry.Lookup("toy-alias"); ok {
 		t.Error("alias survived Unregister")
 	}
 }
@@ -103,8 +107,8 @@ func TestRegisterUnregister(t *testing.T) {
 // every registered poller at several client counts and seeds.
 func TestEveryPollerCoversClientsExactlyOnce(t *testing.T) {
 	counts := []int{1, 5, 24, 60, 150}
-	for _, name := range poll.Names() {
-		d, ok := poll.Lookup(name)
+	for _, name := range poll.Registry.Names() {
+		d, ok := poll.Registry.Lookup(name)
 		if !ok {
 			t.Fatalf("Names() lists %q but Lookup fails", name)
 		}

@@ -88,9 +88,6 @@ type UORA struct {
 	cycles     int64
 }
 
-// Name implements Poller.
-func (p *UORA) Name() string { return "UORA" }
-
 // Assign implements Poller: random access needs no layout — the client list
 // only fixes the deterministic contention order. Stations keep their
 // countdown across churn; departed clients drop their state.
@@ -211,7 +208,7 @@ func (p *UORA) State() map[string]int64 {
 }
 
 func init() {
-	MustRegister(Descriptor{
+	Registry.MustRegister(Descriptor{
 		Name:    "UORA",
 		Aliases: []string{"random-access", "ra"},
 		Summary: "802.11ax-style random access: OBO contention over RA-RUs, no assignment handshake, collisions accounted",
@@ -224,11 +221,11 @@ func init() {
 				c = &UORAConfig{}
 			}
 			if c.RARUs < 0 || c.OCWMin < 0 || c.OCWMax < 0 || c.RoundsPerCycle < 0 {
-				return nil, fmt.Errorf("poll: UORA knobs must be ≥ 0 (RARUs %d, OCWMin %d, OCWMax %d, RoundsPerCycle %d)",
+				return nil, fmt.Errorf("poller UORA knobs must be ≥ 0 (RARUs %d, OCWMin %d, OCWMax %d, RoundsPerCycle %d)",
 					c.RARUs, c.OCWMin, c.OCWMax, c.RoundsPerCycle)
 			}
 			if c.ocwMax() < c.ocwMin() {
-				return nil, fmt.Errorf("poll: UORA OCWMax %d below OCWMin %d", c.ocwMax(), c.ocwMin())
+				return nil, fmt.Errorf("poller UORA OCWMax %d below OCWMin %d", c.ocwMax(), c.ocwMin())
 			}
 			return &UORA{cfg: *c}, nil
 		},

@@ -68,7 +68,7 @@ func (r *Run) Checkpoint() (*Checkpoint, error) {
 		Done:       r.done,
 		TraceBytes: r.TraceBytes(),
 	}
-	d, ok := scheme.Lookup(r.schemeName)
+	d, ok := scheme.Registry.Lookup(r.schemeName)
 	if !ok {
 		return nil, fmt.Errorf("run: scheme %q vanished from the registry", r.schemeName)
 	}
@@ -164,7 +164,7 @@ func (r *Run) replaySingle(cp *Checkpoint) error {
 		return fmt.Errorf("run: restore: %w", err)
 	}
 	if cp.Engine != nil {
-		d, ok := scheme.Lookup(r.schemeName)
+		d, ok := scheme.Registry.Lookup(r.schemeName)
 		if !ok {
 			return fmt.Errorf("run: scheme %q vanished from the registry", r.schemeName)
 		}
@@ -199,7 +199,7 @@ func (r *Run) replayShard(cp *Checkpoint) error {
 			return fmt.Errorf("run: restore finished after %d steps, checkpoint recorded %d", i+1, cp.Steps)
 		}
 	}
-	d, ok := scheme.Lookup(r.schemeName)
+	d, ok := scheme.Registry.Lookup(r.schemeName)
 	if !ok {
 		return fmt.Errorf("run: scheme %q vanished from the registry", r.schemeName)
 	}

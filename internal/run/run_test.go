@@ -84,8 +84,8 @@ func resultsEqual(a, b core.Result) bool {
 func canonicalSchemes() []string {
 	seen := map[string]bool{}
 	var out []string
-	for _, name := range scheme.Names() {
-		d, ok := scheme.Lookup(name)
+	for _, name := range scheme.Registry.Names() {
+		d, ok := scheme.Registry.Lookup(name)
 		if !ok || seen[d.Name] {
 			continue
 		}

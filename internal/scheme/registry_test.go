@@ -17,13 +17,13 @@ func stubDescriptor(name string, aliases ...string) Descriptor {
 }
 
 func TestRegisterLookupUnregister(t *testing.T) {
-	if err := Register(stubDescriptor("TestScheme", "ts")); err != nil {
+	if err := Registry.Register(stubDescriptor("TestScheme", "ts")); err != nil {
 		t.Fatal(err)
 	}
-	defer Unregister("TestScheme")
+	defer Registry.Unregister("TestScheme")
 
 	for _, name := range []string{"TestScheme", "testscheme", "TESTSCHEME", "ts", "TS"} {
-		d, ok := Lookup(name)
+		d, ok := Registry.Lookup(name)
 		if !ok {
 			t.Fatalf("Lookup(%q) missed", name)
 		}
@@ -32,54 +32,54 @@ func TestRegisterLookupUnregister(t *testing.T) {
 		}
 	}
 	found := false
-	for _, n := range Names() {
+	for _, n := range Registry.Names() {
 		if n == "TestScheme" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("Names() = %v, missing TestScheme", Names())
+		t.Fatalf("Names() = %v, missing TestScheme", Registry.Names())
 	}
 
-	Unregister("TestScheme")
-	if _, ok := Lookup("ts"); ok {
+	Registry.Unregister("TestScheme")
+	if _, ok := Registry.Lookup("ts"); ok {
 		t.Fatal("alias survived Unregister")
 	}
-	if _, ok := Lookup("TestScheme"); ok {
+	if _, ok := Registry.Lookup("TestScheme"); ok {
 		t.Fatal("name survived Unregister")
 	}
-	Unregister("TestScheme") // unknown names are a no-op
+	Registry.Unregister("TestScheme") // unknown names are a no-op
 }
 
 func TestRegisterRejectsBadDescriptors(t *testing.T) {
-	if err := Register(Descriptor{}); err == nil {
+	if err := Registry.Register(Descriptor{}); err == nil {
 		t.Error("empty Name accepted")
 	}
-	if err := Register(Descriptor{Name: "NoFuncs"}); err == nil {
+	if err := Registry.Register(Descriptor{Name: "NoFuncs"}); err == nil {
 		t.Error("missing DefaultConfig/Build accepted")
 	}
 }
 
 func TestRegisterRejectsDuplicates(t *testing.T) {
-	if err := Register(stubDescriptor("DupBase", "dup-alias")); err != nil {
+	if err := Registry.Register(stubDescriptor("DupBase", "dup-alias")); err != nil {
 		t.Fatal(err)
 	}
-	defer Unregister("DupBase")
+	defer Registry.Unregister("DupBase")
 
 	// Same canonical name, different case.
-	if err := Register(stubDescriptor("dupbase")); err == nil {
+	if err := Registry.Register(stubDescriptor("dupbase")); err == nil {
 		t.Error("case-variant duplicate accepted")
-		Unregister("dupbase")
+		Registry.Unregister("dupbase")
 	}
 	// A new name whose alias collides with an existing alias.
-	if err := Register(stubDescriptor("DupOther", "DUP-ALIAS")); err == nil {
+	if err := Registry.Register(stubDescriptor("DupOther", "DUP-ALIAS")); err == nil {
 		t.Error("alias collision accepted")
-		Unregister("DupOther")
+		Registry.Unregister("DupOther")
 	} else if !strings.Contains(err.Error(), "DupBase") {
 		t.Errorf("collision error should name the prior owner: %v", err)
 	}
 	// A failed Register must not leave partial alias entries behind.
-	if _, ok := Lookup("DupOther"); ok {
+	if _, ok := Registry.Lookup("DupOther"); ok {
 		t.Error("failed Register leaked the canonical name")
 	}
 }
@@ -88,8 +88,8 @@ func TestBuiltinSchemesRegistered(t *testing.T) {
 	// The engine packages register at init; this package does not import
 	// them, so only assert when they are present (the e2e test below pulls
 	// them in via core).
-	for _, n := range Names() {
-		if d, ok := Lookup(n); !ok || d.Name != n {
+	for _, n := range Registry.Names() {
+		if d, ok := Registry.Lookup(n); !ok || d.Name != n {
 			t.Errorf("Names() entry %q does not Lookup to itself", n)
 		}
 	}

@@ -2,19 +2,17 @@
 // engine package self-describes with a Descriptor (name, default config,
 // build function, conflict-graph requirement) and registers it at init time;
 // the core run pipeline, the experiment drivers and the CLIs then construct
-// engines purely by name, so adding a fifth scheme is one Register call —
-// no edits to internal/core or the consumers.
+// engines purely by name, so adding a fifth scheme is one
+// Registry.MustRegister call — no edits to internal/core or the consumers.
 package scheme
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"errors"
 
 	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/phy"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -68,6 +66,10 @@ type Descriptor struct {
 	// Build constructs the engine. cfg is the (possibly tuned) value
 	// DefaultConfig returned.
 	Build func(ctx BuildContext, cfg any) (mac.Engine, error)
+	// Check, when non-nil, rejects a config Build would fail on for any
+	// network: it is how spec validation and Build share one test of the
+	// names and knobs a scheme_config may set.
+	Check func(cfg any) error
 	// Checkpointer, when non-nil, captures the engine's identity-defining
 	// counters as a serializable EngineState — the audit record replay-based
 	// checkpoint restore (internal/run) verifies a restored engine against.
@@ -93,78 +95,11 @@ type MetricsObservable interface {
 	WireMetrics(m *obs.Metrics)
 }
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]*Descriptor{}
-	// canonical lists registry keys of canonical names only, for Names().
-	canonical []string
-)
-
-// Register adds a scheme to the registry. It fails on empty or duplicate
-// names (aliases included) and on missing DefaultConfig/Build functions.
-func Register(d Descriptor) error {
-	if d.Name == "" {
-		return fmt.Errorf("scheme: Register with empty Name")
-	}
+// Registry holds every channel-access scheme. A scheme name is required:
+// there is no default scheme.
+var Registry = registry.New("scheme", "", func(d *Descriptor) (string, []string, error) {
 	if d.DefaultConfig == nil || d.Build == nil {
-		return fmt.Errorf("scheme: %s: DefaultConfig and Build are required", d.Name)
+		return d.Name, d.Aliases, errors.New("DefaultConfig and Build are required")
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	keys := append([]string{d.Name}, d.Aliases...)
-	for _, k := range keys {
-		if prev, ok := registry[strings.ToLower(k)]; ok {
-			return fmt.Errorf("scheme: %q already registered (by %s)", k, prev.Name)
-		}
-	}
-	desc := d
-	for _, k := range keys {
-		registry[strings.ToLower(k)] = &desc
-	}
-	canonical = append(canonical, d.Name)
-	sort.Strings(canonical)
-	return nil
-}
-
-// MustRegister is Register for init-time use; it panics on conflict.
-func MustRegister(d Descriptor) {
-	if err := Register(d); err != nil {
-		panic(err)
-	}
-}
-
-// Unregister removes a scheme and its aliases; tests use it to clean up toy
-// registrations. Unknown names are a no-op.
-func Unregister(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	d, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return
-	}
-	delete(registry, strings.ToLower(d.Name))
-	for _, a := range d.Aliases {
-		delete(registry, strings.ToLower(a))
-	}
-	for i, n := range canonical {
-		if n == d.Name {
-			canonical = append(canonical[:i], canonical[i+1:]...)
-			break
-		}
-	}
-}
-
-// Lookup resolves a scheme name (canonical or alias, case-insensitive).
-func Lookup(name string) (*Descriptor, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	d, ok := registry[strings.ToLower(name)]
-	return d, ok
-}
-
-// Names returns the canonical registered names, sorted.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	return append([]string(nil), canonical...)
-}
+	return d.Name, d.Aliases, nil
+})

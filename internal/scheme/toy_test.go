@@ -58,7 +58,7 @@ func (e *toyEngine) QueueLen(link int) int { return len(e.queues[link]) }
 
 func registerToy(t *testing.T) {
 	t.Helper()
-	scheme.MustRegister(scheme.Descriptor{
+	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:    "ToyTDMA",
 		Aliases: []string{"toy"},
 		Summary: "fixed-period round-robin server (registry test)",
@@ -77,7 +77,7 @@ func registerToy(t *testing.T) {
 			return e, nil
 		},
 	})
-	t.Cleanup(func() { scheme.Unregister("ToyTDMA") })
+	t.Cleanup(func() { scheme.Registry.Unregister("ToyTDMA") })
 }
 
 func TestToySchemeRunsThroughSpec(t *testing.T) {

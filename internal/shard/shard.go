@@ -262,7 +262,7 @@ func emitMerged(s core.Scenario, p *topo.Partition, rep *Report, tracers []*rema
 	start := obs.Rec(0, obs.KindRunStart)
 	start.Value = s.Seed
 	start.Aux = string(s.Scheme)
-	if d, ok := scheme.Lookup(start.Aux); ok {
+	if d, ok := scheme.Registry.Lookup(start.Aux); ok {
 		start.Aux = d.Name
 	}
 	s.Tracer.Emit(start)

@@ -1,11 +1,9 @@
 package spec
 
 import (
-	"encoding/json"
 	"fmt"
-	"reflect"
-	"sort"
-	"strings"
+
+	"repro/internal/registry"
 )
 
 // RunControl holds the run-lifecycle knobs a spec's "run" object can set:
@@ -25,45 +23,19 @@ type RunControl struct {
 }
 
 // RunControl decodes the spec's "run" object, applying zero-value defaults
-// for absent fields. Call Validate first: it reports unknown keys and
-// out-of-range values with field catalogs; this method only decodes.
+// for absent fields. A key naming no RunControl field (JSON tags,
+// case-insensitive) is an error listing the knobs, so a typo never becomes
+// a silently ignored knob.
 func (s Spec) RunControl() (RunControl, error) {
 	var rc RunControl
-	if len(s.Run) == 0 {
-		return rc, nil
-	}
-	if err := json.Unmarshal(s.Run, &rc); err != nil {
-		return rc, fmt.Errorf("spec: run: %v", err)
+	if err := registry.Overlay(&rc, s.Run, "run", "knob"); err != nil {
+		return rc, fmt.Errorf("spec: %w", err)
 	}
 	return rc, nil
 }
 
-// validateRun checks the "run" object the same way scheme_config is
-// checked: every key must name a RunControl field (JSON tags,
-// case-insensitive), so a typo is a descriptive Validate-time error
-// instead of a silently ignored knob; then the decoded values are
-// range-checked.
+// validateRun decodes the "run" object and range-checks its values.
 func (s Spec) validateRun() error {
-	if len(s.Run) == 0 {
-		return nil
-	}
-	var probe map[string]any
-	if err := json.Unmarshal(s.Run, &probe); err != nil {
-		return fmt.Errorf("spec: run must be a JSON object: %v", err)
-	}
-	fields := map[string]string{}
-	collectConfigFields(reflect.TypeOf(RunControl{}), fields)
-	for k := range probe {
-		if _, ok := fields[strings.ToLower(k)]; ok {
-			continue
-		}
-		names := make([]string, 0, len(fields))
-		for _, n := range fields {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("spec: run has no knob %q (knobs: %s)", k, strings.Join(names, ", "))
-	}
 	rc, err := s.RunControl()
 	if err != nil {
 		return err

@@ -10,15 +10,11 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
 
 	"repro/internal/phy"
-	"repro/internal/poll"
-	_ "repro/internal/rop" // registers the default ROP poller for validation
+	"repro/internal/registry"
 	"repro/internal/scheme"
-	"repro/internal/strict"
 )
 
 // Spec fully describes one simulation run.
@@ -177,13 +173,12 @@ var validRates = map[float64]bool{6: true, 9: true, 12: true, 18: true, 24: true
 // Validate checks the spec for structural and semantic problems and returns
 // a descriptive error for the first one found. A nil return means
 // core.RunE can only fail on topology infeasibility (random placements) or
-// a scheme_config mismatch.
+// on a network the scheme cannot serve (more nodes than DOMINO has
+// signatures).
 func (s Spec) Validate() error {
-	if s.Scheme == "" {
-		return fmt.Errorf("spec: scheme is required (registered: %s)", strings.Join(scheme.Names(), ", "))
-	}
-	if _, ok := scheme.Lookup(s.Scheme); !ok {
-		return fmt.Errorf("spec: unknown scheme %q (registered: %s)", s.Scheme, strings.Join(scheme.Names(), ", "))
+	d, err := scheme.Registry.Resolve(s.Scheme)
+	if err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	if err := s.Topology.Validate(); err != nil {
 		return err
@@ -225,185 +220,24 @@ func (s Spec) Validate() error {
 	if err := s.validateTraffic(); err != nil {
 		return err
 	}
-	if len(s.SchemeConfig) > 0 {
-		var probe map[string]any
-		if err := json.Unmarshal(s.SchemeConfig, &probe); err != nil {
-			return fmt.Errorf("spec: scheme_config must be a JSON object: %v", err)
-		}
-		if err := s.validateSchemeKeys(probe); err != nil {
-			return err
-		}
-		if err := s.validateScheduler(probe); err != nil {
-			return err
-		}
-		if err := s.validatePoller(probe); err != nil {
-			return err
-		}
-	}
-	if err := s.validateRun(); err != nil {
+	if err := s.validateSchemeConfig(d); err != nil {
 		return err
 	}
-	return nil
+	return s.validateRun()
 }
 
-// validateSchemeKeys checks every scheme_config key against the exported
-// fields of the scheme's config struct (the catalog the spec layer documents:
-// keys are Go field names, matched case-insensitively like encoding/json).
-// json.Unmarshal silently drops unknown keys at run time, so a typo would
-// otherwise no-op; this makes it a Validate-time error instead.
-func (s Spec) validateSchemeKeys(probe map[string]any) error {
-	d, ok := scheme.Lookup(s.Scheme)
-	if !ok {
-		return nil // unknown scheme already reported
+// validateSchemeConfig overlays scheme_config on the scheme's default config
+// the way the run does, then lets the scheme check the result (DOMINO builds
+// its scheduler and poller from it), so names and knobs that validate are
+// the ones the run accepts.
+func (s Spec) validateSchemeConfig(d *scheme.Descriptor) error {
+	cfg := d.DefaultConfig(scheme.Params{})
+	if err := registry.Overlay(cfg, s.SchemeConfig, d.Name+" config", "field"); err != nil {
+		return fmt.Errorf("spec: scheme_config: %w", err)
 	}
-	t := reflect.TypeOf(d.DefaultConfig(scheme.Params{}))
-	for t != nil && t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t == nil || t.Kind() != reflect.Struct {
-		return nil // opaque config: nothing to check against
-	}
-	fields := map[string]string{} // lower-cased → canonical spelling
-	collectConfigFields(t, fields)
-	for k := range probe {
-		if _, ok := fields[strings.ToLower(k)]; ok {
-			continue
-		}
-		names := make([]string, 0, len(fields))
-		for _, n := range fields {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return fmt.Errorf("spec: scheme_config: %s config has no field %q (fields: %s)",
-			d.Name, k, strings.Join(names, ", "))
-	}
-	return nil
-}
-
-// collectConfigFields gathers the JSON-addressable field names of a config
-// struct, recursing into embedded structs the way encoding/json flattens
-// them. A json tag overrides the field name; "-" hides the field.
-func collectConfigFields(t reflect.Type, out map[string]string) {
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		if f.Anonymous {
-			ft := f.Type
-			for ft.Kind() == reflect.Pointer {
-				ft = ft.Elem()
-			}
-			if ft.Kind() == reflect.Struct && f.Tag.Get("json") == "" {
-				collectConfigFields(ft, out)
-				continue
-			}
-		}
-		name := f.Name
-		if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag != "" {
-			if tag == "-" {
-				continue
-			}
-			name = tag
-		}
-		out[strings.ToLower(name)] = name
-	}
-}
-
-// validateScheduler checks a DOMINO scheme_config's scheduler name against
-// the strict registry up front, so a typo fails at Validate instead of deep
-// inside the engine build.
-func (s Spec) validateScheduler(probe map[string]any) error {
-	d, ok := scheme.Lookup(s.Scheme)
-	if !ok || d.Name != "DOMINO" {
-		return nil
-	}
-	for k, v := range probe {
-		if !strings.EqualFold(k, "scheduler") {
-			continue
-		}
-		name, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("spec: scheme_config.scheduler must be a string, got %T", v)
-		}
-		if name == "" {
-			continue
-		}
-		if _, ok := strict.LookupScheduler(name); !ok {
-			return fmt.Errorf("spec: unknown scheduler %q (registered: %s)",
-				name, strings.Join(strict.SchedulerNames(), ", "))
-		}
-	}
-	return nil
-}
-
-// validatePoller checks a DOMINO scheme_config's poller name against the poll
-// registry and its PollerConfig keys against that poller's knob struct, so
-// typos fail at Validate instead of deep inside the engine build.
-func (s Spec) validatePoller(probe map[string]any) error {
-	d, ok := scheme.Lookup(s.Scheme)
-	if !ok || d.Name != "DOMINO" {
-		return nil
-	}
-	pollerName := ""
-	for k, v := range probe {
-		if !strings.EqualFold(k, "poller") {
-			continue
-		}
-		name, ok := v.(string)
-		if !ok {
-			return fmt.Errorf("spec: scheme_config.poller must be a string, got %T", v)
-		}
-		pollerName = name
-	}
-	var pd *poll.Descriptor
-	if pollerName != "" {
-		var ok bool
-		pd, ok = poll.Lookup(pollerName)
-		if !ok {
-			return fmt.Errorf("spec: unknown poller %q (registered: %s)",
-				pollerName, strings.Join(poll.Names(), ", "))
-		}
-	} else {
-		pd, _ = poll.Lookup("ROP")
-	}
-	for k, v := range probe {
-		if !strings.EqualFold(k, "pollerconfig") {
-			continue
-		}
-		knobs, ok := v.(map[string]any)
-		if !ok {
-			return fmt.Errorf("spec: scheme_config.PollerConfig must be a JSON object, got %T", v)
-		}
-		if pd == nil {
-			continue
-		}
-		if pd.DefaultConfig == nil {
-			if len(knobs) > 0 {
-				return fmt.Errorf("spec: poller %s has no knobs; drop the PollerConfig object", pd.Name)
-			}
-			continue
-		}
-		t := reflect.TypeOf(pd.DefaultConfig())
-		for t != nil && t.Kind() == reflect.Pointer {
-			t = t.Elem()
-		}
-		if t == nil || t.Kind() != reflect.Struct {
-			continue
-		}
-		fields := map[string]string{}
-		collectConfigFields(t, fields)
-		for knob := range knobs {
-			if _, ok := fields[strings.ToLower(knob)]; ok {
-				continue
-			}
-			names := make([]string, 0, len(fields))
-			for _, n := range fields {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			return fmt.Errorf("spec: scheme_config.PollerConfig: poller %s has no knob %q (knobs: %s)",
-				pd.Name, knob, strings.Join(names, ", "))
+	if d.Check != nil {
+		if err := d.Check(cfg); err != nil {
+			return fmt.Errorf("spec: scheme_config: %w", err)
 		}
 	}
 	return nil

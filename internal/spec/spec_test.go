@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/run"
 	"repro/internal/sim"
 	"repro/internal/spec"
 
@@ -16,6 +17,17 @@ import (
 	_ "repro/internal/domino"
 	_ "repro/internal/strict"
 )
+
+// check validates sp and, when it validates, builds it the way a run does
+// (core.BuildScenario, then core.NewInstance or shard.New) without stepping,
+// so a spec that passes lint but cannot build fails here too.
+func check(sp spec.Spec) error {
+	if err := sp.Validate(); err != nil {
+		return err
+	}
+	_, err := run.New(sp, run.Options{})
+	return err
+}
 
 func boolPtr(b bool) *bool      { return &b }
 func intPtr(n int) *int         { return &n }
@@ -95,6 +107,8 @@ func TestParseRejectsUnknownFieldsAndTrailingData(t *testing.T) {
 	}
 }
 
+// TestValidateCatalog checks each spec's first error, from Validate or, for
+// a spec that validates, from building it.
 func TestValidateCatalog(t *testing.T) {
 	base := func() spec.Spec {
 		return spec.Spec{Scheme: "dcf", Topology: spec.Topology{Kind: "fig1"}}
@@ -206,6 +220,32 @@ func TestValidateCatalog(t *testing.T) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"Poller": "A2P", "PollerConfig": [1]}`)
 		}, "PollerConfig must be a JSON object"},
+		{"domino default-poller empty knobs ok", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"PollerConfig": { }}`)
+		}, ""},
+		{"domino poller knob out of range", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"Poller": "A2P", "PollerConfig": {"GroupSize": 100}}`)
+		}, "poller A2P GroupSize 100 out of range"},
+		{"domino poller negative knob", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"Poller": "UORA", "PollerConfig": {"RARUs": -1}}`)
+		}, "poller UORA knobs must be ≥ 0"},
+		{"domino bad signature length", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"SignatureChips": 300}`)
+		}, "SignatureChips 300 is not a signature length"},
+		{"domino more nodes than signatures", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.Topology = spec.Topology{Kind: "grid", Buildings: 1, APs: 1, Clients: 200}
+			s.SchemeConfig = json.RawMessage(`{"Poller": "A2P"}`)
+		}, "201 nodes exceed the 127-signature capacity"},
+		{"domino more nodes with longer signatures ok", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.Topology = spec.Topology{Kind: "grid", Buildings: 1, APs: 1, Clients: 200}
+			s.SchemeConfig = json.RawMessage(`{"Poller": "A2P", "SignatureChips": 511}`)
+		}, ""},
 		{"domino convert knobs ok", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"VerifyConvert": true, "MaxInbound": 3}`)
@@ -286,7 +326,7 @@ func TestValidateCatalog(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.mutate(&s)
-			err := s.Validate()
+			err := check(s)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -304,7 +344,8 @@ func TestValidateCatalog(t *testing.T) {
 }
 
 // TestExampleSpecsValidate lints every shipped example the same way `make
-// specs` does, so a broken example fails go test too.
+// specs` does and builds it without stepping, so a broken example fails go
+// test too.
 func TestExampleSpecsValidate(t *testing.T) {
 	paths, err := filepath.Glob("../../examples/specs/*.json")
 	if err != nil {
@@ -319,7 +360,7 @@ func TestExampleSpecsValidate(t *testing.T) {
 			t.Errorf("%s: %v", p, err)
 			continue
 		}
-		if err := sp.Validate(); err != nil {
+		if err := check(sp); err != nil {
 			t.Errorf("%s: %v", p, err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	scheme.MustRegister(scheme.Descriptor{
+	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:               "Omniscient",
 		Aliases:            []string{"omni"},
 		Summary:            "perfectly synchronized, perfect-knowledge upper bound (Fig 2)",

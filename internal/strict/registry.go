@@ -1,18 +1,16 @@
 package strict
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
+	"errors"
 
+	"repro/internal/registry"
 	"repro/internal/topo"
 )
 
-// SchedulerDescriptor is one registered strict scheduling policy. It mirrors
-// the scheme registry (internal/scheme): engines resolve a policy purely by
-// name, so adding a fifth scheduler is one RegisterScheduler call — no edits
-// to internal/domino or internal/core.
+// SchedulerDescriptor is one registered strict scheduling policy. Engines
+// resolve a policy purely by name, so adding a fifth scheduler is one
+// Schedulers.MustRegister call — no edits to internal/domino or
+// internal/core.
 type SchedulerDescriptor struct {
 	// Name is the canonical policy name ("RAND"). Lookup is case-insensitive,
 	// so CLI spellings need no aliases unless they differ by more than case.
@@ -30,91 +28,21 @@ type SchedulerDescriptor struct {
 	Build func(g *topo.ConflictGraph, cfg any) (Scheduler, error)
 }
 
-var (
-	schedMu       sync.RWMutex
-	schedRegistry = map[string]*SchedulerDescriptor{}
-	// schedCanonical lists canonical names only, for SchedulerNames().
-	schedCanonical []string
-)
-
-// RegisterScheduler adds a policy to the registry. It fails on empty or
-// duplicate names (aliases included) and on a missing Build function.
-func RegisterScheduler(d SchedulerDescriptor) error {
-	if d.Name == "" {
-		return fmt.Errorf("strict: RegisterScheduler with empty Name")
-	}
+// Schedulers holds every strict scheduling policy; an empty name means the
+// paper's RAND.
+var Schedulers = registry.New("scheduler", "RAND", func(d *SchedulerDescriptor) (string, []string, error) {
 	if d.Build == nil {
-		return fmt.Errorf("strict: scheduler %s: Build is required", d.Name)
+		return d.Name, d.Aliases, errors.New("Build is required")
 	}
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	keys := append([]string{d.Name}, d.Aliases...)
-	for _, k := range keys {
-		if prev, ok := schedRegistry[strings.ToLower(k)]; ok {
-			return fmt.Errorf("strict: scheduler %q already registered (by %s)", k, prev.Name)
-		}
-	}
-	desc := d
-	for _, k := range keys {
-		schedRegistry[strings.ToLower(k)] = &desc
-	}
-	schedCanonical = append(schedCanonical, d.Name)
-	sort.Strings(schedCanonical)
-	return nil
-}
+	return d.Name, d.Aliases, nil
+})
 
-// MustRegisterScheduler is RegisterScheduler for init-time use; it panics on
-// conflict.
-func MustRegisterScheduler(d SchedulerDescriptor) {
-	if err := RegisterScheduler(d); err != nil {
-		panic(err)
-	}
-}
-
-// UnregisterScheduler removes a policy and its aliases; tests use it to clean
-// up toy registrations. Unknown names are a no-op.
-func UnregisterScheduler(name string) {
-	schedMu.Lock()
-	defer schedMu.Unlock()
-	d, ok := schedRegistry[strings.ToLower(name)]
-	if !ok {
-		return
-	}
-	delete(schedRegistry, strings.ToLower(d.Name))
-	for _, a := range d.Aliases {
-		delete(schedRegistry, strings.ToLower(a))
-	}
-	for i, n := range schedCanonical {
-		if n == d.Name {
-			schedCanonical = append(schedCanonical[:i], schedCanonical[i+1:]...)
-			break
-		}
-	}
-}
-
-// LookupScheduler resolves a policy name (canonical or alias,
-// case-insensitive).
-func LookupScheduler(name string) (*SchedulerDescriptor, bool) {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	d, ok := schedRegistry[strings.ToLower(name)]
-	return d, ok
-}
-
-// SchedulerNames returns the canonical registered policy names, sorted.
-func SchedulerNames() []string {
-	schedMu.RLock()
-	defer schedMu.RUnlock()
-	return append([]string(nil), schedCanonical...)
-}
-
-// BuildScheduler builds the named policy over g with its default config. The
-// error for an unknown name lists what is registered.
+// BuildScheduler builds the named policy ("" for the default) over g with
+// its default config.
 func BuildScheduler(name string, g *topo.ConflictGraph) (Scheduler, error) {
-	d, ok := LookupScheduler(name)
-	if !ok {
-		return nil, fmt.Errorf("strict: unknown scheduler %q (have %s)",
-			name, strings.Join(SchedulerNames(), ", "))
+	d, err := Schedulers.Resolve(name)
+	if err != nil {
+		return nil, err
 	}
 	var cfg any
 	if d.DefaultConfig != nil {
@@ -124,14 +52,14 @@ func BuildScheduler(name string, g *topo.ConflictGraph) (Scheduler, error) {
 }
 
 func init() {
-	MustRegisterScheduler(SchedulerDescriptor{
+	Schedulers.MustRegister(SchedulerDescriptor{
 		Name:    "RAND",
 		Summary: "greedy maximal-independent-set with rotation-queue fairness (§4.2.1, after Ramanathan)",
 		Build: func(g *topo.ConflictGraph, _ any) (Scheduler, error) {
 			return NewRAND(g), nil
 		},
 	})
-	MustRegisterScheduler(SchedulerDescriptor{
+	Schedulers.MustRegister(SchedulerDescriptor{
 		Name:    "LQF",
 		Summary: "longest-queue-first greedy (max-weight flavoured)",
 		Build: func(g *topo.ConflictGraph, _ any) (Scheduler, error) {

@@ -9,24 +9,25 @@ import (
 
 func TestSchedulerRegistryBuiltins(t *testing.T) {
 	for _, name := range []string{"RAND", "rand", "LQF", "lqf", "RoundRobin", "rr", "Weighted", "pf", "proportional-fair"} {
-		d, ok := LookupScheduler(name)
+		d, ok := Schedulers.Lookup(name)
 		if !ok {
-			t.Fatalf("LookupScheduler(%q) missing", name)
+			t.Fatalf("Schedulers.Lookup(%q) missing", name)
 		}
 		if d.Name == "" || d.Build == nil {
-			t.Fatalf("LookupScheduler(%q) = incomplete descriptor %+v", name, d)
+			t.Fatalf("Schedulers.Lookup(%q) = incomplete descriptor %+v", name, d)
 		}
 	}
-	names := SchedulerNames()
+	names := Schedulers.Names()
 	want := []string{"LQF", "RAND", "RoundRobin", "Weighted"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Errorf("SchedulerNames() = %v, want %v", names, want)
+		t.Errorf("Schedulers.Names() = %v, want %v", names, want)
 	}
 }
 
 func TestBuildSchedulerByName(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, true)
-	for _, name := range SchedulerNames() {
+	// "" builds the default policy, RAND.
+	for _, name := range append(Schedulers.Names(), "") {
 		s, err := BuildScheduler(name, g)
 		if err != nil {
 			t.Fatalf("BuildScheduler(%q): %v", name, err)
@@ -63,26 +64,26 @@ func TestRegisterSchedulerConflictsAndUnregister(t *testing.T) {
 		Aliases: []string{"toy2"},
 		Build:   func(g *topo.ConflictGraph, _ any) (Scheduler, error) { return NewRAND(g), nil },
 	}
-	if err := RegisterScheduler(d); err != nil {
+	if err := Schedulers.Register(d); err != nil {
 		t.Fatal(err)
 	}
-	defer UnregisterScheduler("Toy")
-	if err := RegisterScheduler(SchedulerDescriptor{Name: "toy2", Build: d.Build}); err == nil {
+	defer Schedulers.Unregister("Toy")
+	if err := Schedulers.Register(SchedulerDescriptor{Name: "toy2", Build: d.Build}); err == nil {
 		t.Error("duplicate alias registration succeeded")
 	}
-	if err := RegisterScheduler(SchedulerDescriptor{Name: "Toy3"}); err == nil {
+	if err := Schedulers.Register(SchedulerDescriptor{Name: "Toy3"}); err == nil {
 		t.Error("registration without Build succeeded")
 	}
-	if err := RegisterScheduler(SchedulerDescriptor{}); err == nil {
+	if err := Schedulers.Register(SchedulerDescriptor{}); err == nil {
 		t.Error("registration with empty name succeeded")
 	}
-	UnregisterScheduler("Toy")
-	if _, ok := LookupScheduler("toy2"); ok {
-		t.Error("alias survived UnregisterScheduler")
+	Schedulers.Unregister("Toy")
+	if _, ok := Schedulers.Lookup("toy2"); ok {
+		t.Error("alias survived Unregister")
 	}
-	for _, n := range SchedulerNames() {
+	for _, n := range Schedulers.Names() {
 		if n == "Toy" {
-			t.Error("canonical name survived UnregisterScheduler")
+			t.Error("canonical name survived Unregister")
 		}
 	}
 }

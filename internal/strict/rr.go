@@ -60,7 +60,7 @@ func (r *RoundRobin) Batch(est []int, maxSlots int) Schedule {
 }
 
 func init() {
-	MustRegisterScheduler(SchedulerDescriptor{
+	Schedulers.MustRegister(SchedulerDescriptor{
 		Name:    "RoundRobin",
 		Aliases: []string{"rr"},
 		Summary: "cycling seed pointer over link IDs, greedy ID-order extension",

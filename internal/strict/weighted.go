@@ -89,7 +89,7 @@ func (w *Weighted) Batch(est []int, maxSlots int) Schedule {
 }
 
 func init() {
-	MustRegisterScheduler(SchedulerDescriptor{
+	Schedulers.MustRegister(SchedulerDescriptor{
 		Name:    "Weighted",
 		Aliases: []string{"pf", "proportional-fair"},
 		Summary: "proportional-fair: backlog over decayed service history",

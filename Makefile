@@ -1,7 +1,7 @@
 # Repo verification targets. `make ci` is the gate every change must pass;
 # the race target is the correctness backstop for every concurrent path:
 # the parallel experiment harness (internal/parallel and everything fanned
-# out through it), the sharded runner and the checkpoint/restore lifecycle.
+# out through it) and the sharded runner.
 # Performance evidence comes from the end-to-end benchmark, `bash
 # bench/run.sh` (see bench/README.md); the hot paths' zero-allocation
 # contracts are plain tests that `go test ./...` runs.

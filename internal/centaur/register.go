@@ -34,16 +34,5 @@ func init() {
 			}
 			return New(ctx.Kernel, ctx.Medium, ctx.Graph, ctx.Events, *c), nil
 		},
-		Checkpointer: func(e mac.Engine) scheme.EngineState {
-			eng, ok := e.(*Engine)
-			if !ok {
-				return scheme.EngineState{Scheme: "CENTAUR"}
-			}
-			return scheme.EngineState{Scheme: "CENTAUR", Counters: map[string]int64{
-				"epochs":       int64(eng.Epochs),
-				"ack_timeouts": int64(eng.AckTimeouts),
-				"drops":        int64(eng.Drops),
-			}}
-		},
 	})
 }

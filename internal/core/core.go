@@ -118,7 +118,7 @@ type Scenario struct {
 // WithDefaults returns the scenario with its zero PacketBytes, Rate and
 // Duration set to 512 B, 12 Mbps and 10 s. NewInstance applies it; drivers
 // that need the normalized values before building (the shard runner's
-// step horizons, the run lifecycle's deadline) call it themselves.
+// step horizons) call it themselves.
 func (s Scenario) WithDefaults() Scenario {
 	if s.PacketBytes == 0 {
 		s.PacketBytes = 512

@@ -131,11 +131,9 @@ func TestRunUnobservedHasNoBreakdown(t *testing.T) {
 	}
 }
 
-// TestMetricsStateRoundTrip checks that a checkpointed metrics registry
-// restores to the registry it was captured from: every metric a metrics-on
-// DOMINO run registers, delivery delay included, snapshots identically
-// after State().Restore().
-func TestMetricsStateRoundTrip(t *testing.T) {
+// TestMetricsRecordDeliveryDelay checks that a metrics-on DOMINO run
+// records per-packet delivery delay in mac.delay_us.
+func TestMetricsRecordDeliveryDelay(t *testing.T) {
 	m := obs.NewMetrics()
 	mustRun(t, Scenario{
 		Net:      topo.Figure7(),
@@ -149,19 +147,6 @@ func TestMetricsStateRoundTrip(t *testing.T) {
 	})
 	if mv, ok := m.Snapshot().Get("mac.delay_us"); !ok || mv.Value == 0 {
 		t.Fatalf("mac.delay_us = %+v, want delivered samples", mv)
-	}
-	got, err := m.State().Restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, have := m.Snapshot(), got.Snapshot()
-	for _, mv := range want {
-		if r, _ := have.Get(mv.Name); r != mv {
-			t.Errorf("restored %s = %+v, want %+v", mv.Name, r, mv)
-		}
-	}
-	if len(have) != len(want) {
-		t.Errorf("restored %d metrics, want %d", len(have), len(want))
 	}
 }
 

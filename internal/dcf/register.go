@@ -33,15 +33,5 @@ func init() {
 			}
 			return New(ctx.Kernel, ctx.Medium, ctx.Links, ctx.Events, *c), nil
 		},
-		Checkpointer: func(e mac.Engine) scheme.EngineState {
-			eng, ok := e.(*Engine)
-			if !ok {
-				return scheme.EngineState{Scheme: "DCF"}
-			}
-			return scheme.EngineState{Scheme: "DCF", Counters: map[string]int64{
-				"ack_timeouts": int64(eng.AckTimeouts),
-				"drops":        int64(eng.Drops),
-			}}
-		},
 	})
 }

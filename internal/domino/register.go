@@ -2,11 +2,9 @@ package domino
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mac"
 	"repro/internal/obs"
-	"repro/internal/phy"
 	"repro/internal/scheme"
 )
 
@@ -55,41 +53,6 @@ func init() {
 				return nil, fmt.Errorf("domino: %w", err)
 			}
 			return New(ctx.Kernel, ctx.Medium, ctx.Graph, ctx.Events, *c), nil
-		},
-		Checkpointer: func(e mac.Engine) scheme.EngineState {
-			eng, ok := e.(*Engine)
-			if !ok {
-				return scheme.EngineState{Scheme: "DOMINO"}
-			}
-			counters := map[string]int64{
-				"slots":           int64(eng.Slots()),
-				"data_sends":      int64(eng.DataSends),
-				"fake_sends":      int64(eng.FakeSends),
-				"polls":           int64(eng.Polls),
-				"ack_misses":      int64(eng.AckMisses),
-				"self_starts":     int64(eng.SelfStarts),
-				"drops":           int64(eng.Drops),
-				"poll_rounds":     int64(eng.PollRounds),
-				"poll_collisions": int64(eng.PollCollisions),
-			}
-			// Merge each AP poller's own counters (UORA contention state) in
-			// deterministic AP order, so checkpoint/restore digests verify the
-			// poller replayed identically.
-			apIDs := make([]int, 0, len(eng.aps))
-			for id := range eng.aps {
-				apIDs = append(apIDs, int(id))
-			}
-			sort.Ints(apIDs)
-			for _, id := range apIDs {
-				ap := eng.aps[phy.NodeID(id)]
-				if ap.poller == nil {
-					continue
-				}
-				for k, v := range ap.poller.State() {
-					counters[k] += v
-				}
-			}
-			return scheme.EngineState{Scheme: "DOMINO", Counters: counters}
 		},
 	})
 }

@@ -119,9 +119,6 @@ func (p *A2P) Poll(ctx Context) Result {
 	return res
 }
 
-// State implements Poller: A2P is stateless between cycles.
-func (p *A2P) State() map[string]int64 { return nil }
-
 func init() {
 	Registry.MustRegister(Descriptor{
 		Name:       "ROP",

@@ -80,10 +80,6 @@ type Poller interface {
 	Rounds() int
 	// Poll decodes one complete polling cycle.
 	Poll(ctx Context) Result
-	// State returns the poller's checkpointable counters (nil for stateless
-	// pollers). The counters ride the scheme.Checkpointer audit so run
-	// checkpoint/restore verifies the poller replayed identically.
-	State() map[string]int64
 }
 
 // Descriptor is one registered polling scheme.

@@ -169,29 +169,3 @@ func TestEveryPollerCoversClientsExactlyOnce(t *testing.T) {
 		})
 	}
 }
-
-// TestUORAStatePersists checks the contention poller accumulates counters
-// across cycles and survives re-Assign churn.
-func TestUORAStatePersists(t *testing.T) {
-	p, err := poll.Build("UORA", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := []phy.NodeID{2, 3, 4, 5, 6, 7, 8, 9}
-	p.Assign(clients, testRSS)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 6; i++ {
-		p.Poll(poll.Context{Queue: testQueue, RSSAtAP: testRSS, NoiseDBm: -95, Rng: rng})
-	}
-	st := p.State()
-	if st == nil || st["uora_attempts"] == 0 {
-		t.Fatalf("State() = %v, want nonzero uora_attempts", st)
-	}
-	// Churn: drop half the clients; counters must not reset.
-	p.Assign(clients[:4], testRSS)
-	p.Poll(poll.Context{Queue: testQueue, RSSAtAP: testRSS, NoiseDBm: -95, Rng: rng})
-	if st2 := p.State(); st2["uora_attempts"] <= st["uora_attempts"] {
-		t.Errorf("uora_attempts %d -> %d, want growth across re-Assign",
-			st["uora_attempts"], st2["uora_attempts"])
-	}
-}

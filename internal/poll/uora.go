@@ -18,6 +18,10 @@ import (
 
 var uoraLayout = ofdm.DefaultLayout()
 
+// uoraMaxOCW is the largest contention window 802.11ax can signal: OCW is
+// 2^EOCW − 1 with a 3-bit EOCW.
+const uoraMaxOCW = 127
+
 // UORAConfig parameterises the random-access poller.
 type UORAConfig struct {
 	// RARUs is the number of random-access RUs per round (0 means 8).
@@ -81,11 +85,6 @@ type UORA struct {
 	cfg      UORAConfig
 	clients  []phy.NodeID
 	stations map[phy.NodeID]*uoraStation
-
-	// Cumulative audit counters (State).
-	collisions int64
-	attempts   int64
-	cycles     int64
 }
 
 // Assign implements Poller: random access needs no layout — the client list
@@ -150,7 +149,6 @@ func (p *UORA) Poll(ctx Context) Result {
 			case len(cs) == 1:
 				c := cs[0]
 				st := p.stations[c]
-				p.attempts++
 				if ctx.RSSAtAP(c)-ctx.NoiseDBm >= floor {
 					v := uoraLayout.EncodeQueue(ctx.Queue(c))
 					res.Values[c] = v
@@ -168,9 +166,7 @@ func (p *UORA) Poll(ctx Context) Result {
 				// Collision: every contender loses, doubles its window and
 				// redraws.
 				res.Collisions += len(cs)
-				p.collisions += int64(len(cs))
 				for _, c := range cs {
-					p.attempts++
 					p.backoff(ctx, p.stations[c])
 					emitReport(ctx, c, ru, 0, false)
 				}
@@ -184,7 +180,6 @@ func (p *UORA) Poll(ctx Context) Result {
 			res.Failed = append(res.Failed, c)
 		}
 	}
-	p.cycles++
 	return res
 }
 
@@ -195,16 +190,6 @@ func (p *UORA) backoff(ctx Context, st *uoraStation) {
 		st.ocw = max
 	}
 	st.obo = ctx.Rng.Intn(st.ocw + 1)
-}
-
-// State implements Poller: cumulative contention counters for the
-// checkpoint audit.
-func (p *UORA) State() map[string]int64 {
-	return map[string]int64{
-		"uora_attempts":   p.attempts,
-		"uora_collisions": p.collisions,
-		"uora_cycles":     p.cycles,
-	}
 }
 
 func init() {
@@ -223,6 +208,12 @@ func init() {
 			if c.RARUs < 0 || c.OCWMin < 0 || c.OCWMax < 0 || c.RoundsPerCycle < 0 {
 				return nil, fmt.Errorf("poller UORA knobs must be ≥ 0 (RARUs %d, OCWMin %d, OCWMax %d, RoundsPerCycle %d)",
 					c.RARUs, c.OCWMin, c.OCWMax, c.RoundsPerCycle)
+			}
+			if c.OCWMin > uoraMaxOCW || c.OCWMax > uoraMaxOCW {
+				return nil, fmt.Errorf("poller UORA OCWMin %d / OCWMax %d exceed the 802.11ax ceiling %d", c.OCWMin, c.OCWMax, uoraMaxOCW)
+			}
+			if n := uoraLayout.NumSubchannels(); c.RARUs > n {
+				return nil, fmt.Errorf("poller UORA RARUs %d exceeds the %d subchannels of the control symbol", c.RARUs, n)
 			}
 			if c.ocwMax() < c.ocwMin() {
 				return nil, fmt.Errorf("poller UORA OCWMax %d below OCWMin %d", c.ocwMax(), c.ocwMin())

@@ -70,12 +70,6 @@ type Descriptor struct {
 	// network: it is how spec validation and Build share one test of the
 	// names and knobs a scheme_config may set.
 	Check func(cfg any) error
-	// Checkpointer, when non-nil, captures the engine's identity-defining
-	// counters as a serializable EngineState — the audit record replay-based
-	// checkpoint restore (internal/run) verifies a restored engine against.
-	// Optional: schemes without one are still checkpointable; their replay
-	// is audited through the kernel queue and metrics states alone.
-	Checkpointer func(e mac.Engine) EngineState
 }
 
 // Observable is implemented by engines that accept the observability layer.

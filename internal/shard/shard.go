@@ -39,10 +39,8 @@ type Options struct {
 	// onto (≤ 0: all cores). Output is independent of this value.
 	Workers int
 	// StepGranule bounds how much simulated time one Steppable.StepWindow
-	// call advances every domain (0: the whole run in one step). The
-	// run-lifecycle layer sets it so a sharded run has checkpoint/pause
-	// boundaries; kernels step via RunBefore, so any granule produces
-	// byte-identical output.
+	// call advances every domain (0: the whole run in one step). Kernels
+	// step via RunBefore, so any granule produces byte-identical output.
 	StepGranule sim.Time
 }
 
@@ -72,9 +70,8 @@ func Run(s core.Scenario, opt Options) (core.Result, *Report, error) {
 }
 
 // Steppable is a sharded run decomposed into explicit steps of
-// Options.StepGranule — the form the run-lifecycle layer (internal/run)
-// drives so a campus-scale run can pause, checkpoint and resume between
-// steps instead of executing in one opaque call. Construct with New, call
+// Options.StepGranule, so a driver can do its own work between steps (the
+// benchmark interleaves its yardstick there). Construct with New, call
 // StepWindow until it reports done, then Finish exactly once. Run is the
 // loop-it-all wrapper.
 type Steppable struct {
@@ -157,9 +154,9 @@ func New(s core.Scenario, opt Options) (*Steppable, error) {
 	}, nil
 }
 
-// Instances exposes the per-domain cores in domain-index order so the
-// run-lifecycle layer can audit kernel and engine state at a step
-// boundary. Callers must not step them directly.
+// Instances exposes the per-domain cores in domain-index order, for
+// callers that read kernel or engine state between steps. Callers must not
+// step them directly.
 func (st *Steppable) Instances() []*core.Instance { return st.insts }
 
 // Done reports whether the run has reached its deadline.

@@ -363,8 +363,8 @@ func sameReport(t *testing.T, a, b *Report) {
 }
 
 // TestSteppableMatchesRun pins that driving a run through the explicit
-// New/StepWindow/Finish lifecycle in bounded granules — the form
-// internal/run checkpoints between steps — produces byte-identical traces
+// New/StepWindow/Finish lifecycle in bounded granules — the form a driver
+// pauses between — produces byte-identical traces
 // and an identical Result and Report to the one-shot Run wrapper, with the
 // clock advancing strictly inside the run between steps.
 func TestSteppableMatchesRun(t *testing.T) {
@@ -406,7 +406,7 @@ func TestSteppableMatchesRun(t *testing.T) {
 }
 
 // TestStepGranuleIdentity pins that slicing a run into bounded step
-// granules — the knob that gives checkpoints a finite step length — leaves
+// granules — the knob that gives each step a finite length — leaves
 // the trace, the Result and the Report exactly as the single-leap run
 // produces them, on a partition with severed edges and on an exact one.
 func TestStepGranuleIdentity(t *testing.T) {

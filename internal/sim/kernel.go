@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Source attributes an event to the layer that scheduled it. Events inherit
 // the source of the event whose callback created them, so a chain started by
@@ -234,72 +231,33 @@ func (k *Kernel) Stop() { k.stopped = true }
 // called, and returns the final clock value.
 func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 
-// RunUntil executes events with timestamps <= deadline, then sets the clock to
-// the deadline (if the queue drained earlier the clock stays at the last event
-// fired). It returns the final clock value.
-func (k *Kernel) RunUntil(deadline Time) Time {
-	now, _ := k.run(deadline, true, math.MaxUint64)
-	return now
-}
+// RunUntil executes events with timestamps <= deadline, then advances the
+// clock to the deadline unless Stop ended the call first. It returns the
+// final clock value.
+func (k *Kernel) RunUntil(deadline Time) Time { return k.run(deadline, true) }
 
 // RunBefore executes events with timestamps strictly below horizon, then
-// advances the clock to the horizon. It is the bounded-horizon window step of
-// conservative-lookahead execution: events at exactly the horizon stay
-// queued, so work injected at the window boundary (a cross-shard delivery)
-// can still schedule at the boundary instant and interleave with local
-// boundary events in plain schedule order on the next window. Resumable:
-// successive RunBefore calls with increasing horizons followed by a final
-// RunUntil fire exactly the events one RunUntil would, in the same order.
-func (k *Kernel) RunBefore(horizon Time) Time {
-	now, _ := k.run(horizon, false, math.MaxUint64)
-	return now
-}
+// advances the clock to the horizon. Events at exactly the horizon stay
+// queued, so work scheduled at the boundary instant after the call
+// interleaves with them in plain schedule order on the next call.
+// Resumable: successive RunBefore calls with increasing horizons followed by
+// a final RunUntil fire exactly the events one RunUntil would, in the same
+// order.
+func (k *Kernel) RunBefore(horizon Time) Time { return k.run(horizon, false) }
 
-// RunCount executes at most maxEvents events with timestamps ≤ deadline and
-// reports whether the run segment completed: true means every event up to
-// the deadline fired and the clock advanced to it (exactly what
-// RunUntil(deadline) leaves behind), false means the event budget ran out
-// (or Stop was called) first and the clock sits at the last fired event with
-// work still pending.
-//
-// This is the bounded-slice drive the run-lifecycle layer steps long
-// simulations with — between slices the driver can pause, checkpoint or
-// cancel — and the replay primitive restore uses: RunCount(deadline, n)
-// after n events leaves the kernel in the same state whether the n events
-// fired in one call or many, so a checkpoint taken at any event boundary is
-// reproducible by replaying that many events.
-func (k *Kernel) RunCount(deadline Time, maxEvents uint64) (Time, bool) {
-	return k.run(deadline, true, maxEvents)
-}
-
-// NextEventTime returns the timestamp of the earliest queued event, or
-// (0, false) when the queue is empty — the lookahead peek a shard runner
-// uses to skip empty windows.
-func (k *Kernel) NextEventTime() (Time, bool) {
-	ev := k.q.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// run is the one event loop behind RunUntil, RunBefore and RunCount. It fires
-// events due by limit (inclusive or strictly before it), at most budget of
-// them. When nothing due remains it advances the clock to limit and reports
-// true; when Stop is called or the budget runs out first it leaves the clock
-// at the last fired event and reports false.
-func (k *Kernel) run(limit Time, inclusive bool, budget uint64) (Time, bool) {
+// run is the one event loop behind RunUntil and RunBefore. It fires events
+// due by limit (inclusive or strictly before it). When nothing due remains
+// it advances the clock to limit; when Stop is called first it leaves the
+// clock at the last fired event.
+func (k *Kernel) run(limit Time, inclusive bool) Time {
 	k.stopped = false
-	for fired := uint64(0); !k.stopped; {
+	for !k.stopped {
 		ev := k.q.peek()
 		if ev == nil || ev.at > limit || (!inclusive && ev.at == limit) {
 			if limit != MaxTime && k.now < limit {
 				k.now = limit
 			}
-			return k.now, true
-		}
-		if fired == budget {
-			return k.now, false
+			return k.now
 		}
 		k.q.popMin()
 		if ev.cancelled {
@@ -310,7 +268,6 @@ func (k *Kernel) run(limit Time, inclusive bool, budget uint64) (Time, bool) {
 		}
 		k.now = ev.at
 		k.fired++
-		fired++
 		k.cur = ev.src
 		if k.hook != nil {
 			k.hook(EventInfo{Now: ev.at, Fired: k.fired, Pending: k.Pending(), Source: ev.src})
@@ -319,7 +276,7 @@ func (k *Kernel) run(limit Time, inclusive bool, budget uint64) (Time, bool) {
 		k.release(ev)
 		fn()
 	}
-	return k.now, false
+	return k.now
 }
 
 // Pending returns the number of events currently queued. Cancelled events are

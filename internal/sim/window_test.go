@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestNextEventTime(t *testing.T) {
-	k := New(1)
-	if _, ok := k.NextEventTime(); ok {
-		t.Fatal("empty kernel reported a next event")
-	}
-	k.At(30*Microsecond, func() {})
-	k.At(10*Microsecond, func() {})
-	if at, ok := k.NextEventTime(); !ok || at != 10*Microsecond {
-		t.Fatalf("NextEventTime = %v, %v", at, ok)
-	}
-	k.RunUntil(20 * Microsecond)
-	if at, ok := k.NextEventTime(); !ok || at != 30*Microsecond {
-		t.Fatalf("after RunUntil: NextEventTime = %v, %v", at, ok)
-	}
-}
-
 func TestRunBeforeExcludesHorizon(t *testing.T) {
 	k := New(1)
 	var fired []Time
@@ -35,10 +19,10 @@ func TestRunBeforeExcludesHorizon(t *testing.T) {
 	if want := []Time{5 * Microsecond, 10 * Microsecond}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("fired %v, want %v", fired, want)
 	}
-	// The boundary event is still queued; a delivery at the boundary can
-	// schedule at the current instant and order after it by sequence.
-	if at, ok := k.NextEventTime(); !ok || at != 15*Microsecond {
-		t.Fatalf("boundary event gone: %v, %v", at, ok)
+	// The boundary and later events are still queued; work scheduled at
+	// the boundary instant orders after the boundary event by sequence.
+	if n := k.Pending(); n != 2 {
+		t.Fatalf("pending = %d after RunBefore, want 2 (boundary event gone)", n)
 	}
 	k.At(15*Microsecond, func() { fired = append(fired, -1) })
 	k.RunUntil(25 * Microsecond)

@@ -76,12 +76,6 @@ type Spec struct {
 
 	// Obs toggles the observability layer for this run.
 	Obs Obs `json:"obs,omitempty"`
-
-	// Run is an optional JSON object of run-lifecycle knobs (see
-	// RunControl): the step granularity of internal/run. Keys are
-	// validated against the RunControl catalog the same way scheme_config
-	// keys are.
-	Run json.RawMessage `json:"run,omitempty"`
 }
 
 // Link is a directed AP–client flow in an explicit link set. The AP endpoint
@@ -220,10 +214,7 @@ func (s Spec) Validate() error {
 	if err := s.validateTraffic(); err != nil {
 		return err
 	}
-	if err := s.validateSchemeConfig(d); err != nil {
-		return err
-	}
-	return s.validateRun()
+	return s.validateSchemeConfig(d)
 }
 
 // validateSchemeConfig overlays scheme_config on the scheme's default config

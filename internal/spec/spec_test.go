@@ -7,7 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/run"
+	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/spec"
 
@@ -25,7 +26,15 @@ func check(sp spec.Spec) error {
 	if err := sp.Validate(); err != nil {
 		return err
 	}
-	_, err := run.New(sp, run.Options{})
+	sc, err := core.BuildScenario(sp)
+	if err != nil {
+		return err
+	}
+	if w := sp.ShardWorkers(); w > 0 {
+		_, err = shard.New(sc, shard.Options{Workers: w})
+	} else {
+		_, err = core.NewInstance(sc)
+	}
 	return err
 }
 
@@ -104,6 +113,16 @@ func TestParseRejectsUnknownFieldsAndTrailingData(t *testing.T) {
 	}
 	if _, err := spec.Parse([]byte(`{"scheme": "dcf"} {"scheme": "domino"}`)); err == nil {
 		t.Error("trailing document accepted")
+	}
+}
+
+// TestParseRejectsRunObject: specs have no "run" object, so an old spec
+// carrying one fails with the usual unknown-field error instead of being
+// accepted and ignored.
+func TestParseRejectsRunObject(t *testing.T) {
+	_, err := spec.Parse([]byte(`{"scheme": "dcf", "topology": {"kind": "fig1"}, "run": {"step_events": 5}}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "run"`) {
+		t.Fatalf("spec with a run object: err = %v, want an unknown-field error", err)
 	}
 }
 
@@ -232,6 +251,14 @@ func TestValidateCatalog(t *testing.T) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"Poller": "UORA", "PollerConfig": {"RARUs": -1}}`)
 		}, "poller UORA knobs must be ≥ 0"},
+		{"domino uora contention window overflow", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"Poller": "UORA", "PollerConfig": {"OCWMin": 9223372036854775807, "OCWMax": 9223372036854775807}}`)
+		}, "exceed the 802.11ax ceiling 127"},
+		{"domino uora more RA-RUs than subchannels", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"Poller": "UORA", "PollerConfig": {"RARUs": 25}}`)
+		}, "RARUs 25 exceeds the 24 subchannels"},
 		{"domino bad signature length", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"SignatureChips": 300}`)
@@ -291,36 +318,6 @@ func TestValidateCatalog(t *testing.T) {
 		{"campus with buildings", func(s *spec.Spec) {
 			s.Topology = spec.Topology{Kind: "campus", APs: 2, Clients: 2, Buildings: 3}
 		}, "grid topology only"},
-		{"run control ok", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"step_events": 4096}`)
-		}, ""},
-		{"run control case-insensitive ok", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"Step_Events": 4096}`)
-		}, ""},
-		{"run not object", func(s *spec.Spec) { s.Run = json.RawMessage(`7`) }, "run must be a JSON object"},
-		{"run misspelled knob", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"step_evnts": 4096}`)
-		}, `run has no knob "step_evnts" (knobs: step_events, step_window)`},
-		{"run removed checkpoint_every knob", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"checkpoint_every": "30s"}`)
-		}, `run has no knob "checkpoint_every" (knobs: step_events, step_window)`},
-		{"run removed max_concurrent_runs knob", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"max_concurrent_runs": 2}`)
-		}, `run has no knob "max_concurrent_runs" (knobs: step_events, step_window)`},
-		{"run negative step events", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"step_events": -1}`)
-		}, "step_events"},
-		{"run step window needs shards", func(s *spec.Spec) {
-			s.Run = json.RawMessage(`{"step_window": "1ms"}`)
-		}, "only applies to sharded runs"},
-		{"run step window with shards ok", func(s *spec.Spec) {
-			s.Shards = intPtr(2)
-			s.Run = json.RawMessage(`{"step_window": "1ms"}`)
-		}, ""},
-		{"run step events with shards rejected", func(s *spec.Spec) {
-			s.Shards = intPtr(2)
-			s.Run = json.RawMessage(`{"step_events": 512}`)
-		}, "only applies to single-engine runs"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,15 +25,5 @@ func init() {
 			}
 			return New(ctx.Kernel, ctx.Medium, ctx.Graph, ctx.Events, *c), nil
 		},
-		Checkpointer: func(e mac.Engine) scheme.EngineState {
-			eng, ok := e.(*Omniscient)
-			if !ok {
-				return scheme.EngineState{Scheme: "Omniscient"}
-			}
-			return scheme.EngineState{Scheme: "Omniscient", Counters: map[string]int64{
-				"slots":    int64(eng.Slots),
-				"failures": int64(eng.Failures),
-			}}
-		},
 	})
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/domino"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/scheme"
@@ -57,7 +57,7 @@ func main() {
 		noUp      = flag.Bool("nouplink", false, "omit uplink links")
 		schedFl   = flag.String("scheduler", "", "DOMINO strict scheduling policy by name (see internal/strict registry; a spec's scheme_config.scheduler wins)")
 		pollerFl  = flag.String("poller", "", "DOMINO polling scheme by name (see internal/poll registry: ROP, A2P, UORA; a spec's scheme_config.poller wins)")
-		verifyCvt = flag.Bool("verify-convert", false, "run convert.Verify on every DOMINO plan (debug; panics on violation)")
+		verifyCvt = flag.Bool("verify-convert", false, "run convert.Verify on every DOMINO plan (debug; panics on violation; a spec's scheme_config.verifyconvert wins)")
 		traceFile = flag.String("tracefile", "", "write the NDJSON observability trace to this file (- for stdout, which moves the report to stderr; overrides the spec's obs.trace_file)")
 		metrics   = flag.Bool("metrics", false, "collect and print run metrics (counters, airtime breakdown)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
@@ -101,6 +101,13 @@ func main() {
 			Traffic:  spec.Traffic{Kind: *traffic, DownMbps: *downMbps, UpMbps: *upMbps},
 		}
 	}
+	// The DOMINO flags join the spec's scheme_config, where a key the spec
+	// sets wins, so they reach every run (-reps included) by the one path.
+	for key, v := range map[string]any{"Scheduler": *schedFl, "Poller": *pollerFl, "VerifyConvert": *verifyCvt} {
+		if v != "" && v != false {
+			sp.SchemeConfig = withKnob(sp.SchemeConfig, key, v)
+		}
+	}
 	if err := sp.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "domino-sim: %v\n", err)
 		os.Exit(2)
@@ -115,16 +122,6 @@ func main() {
 	}
 
 	if *reps > 1 {
-		// The DOMINO tuning flags ride the single run's TuneDomino hook
-		// below; repetitions run the spec as given, so refuse them rather
-		// than drop them.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "scheduler", "poller", "verify-convert":
-				fmt.Fprintf(os.Stderr, "domino-sim: -%s is not supported with -reps > 1 (set it in a -spec file's scheme_config)\n", f.Name)
-				os.Exit(2)
-			}
-		})
 		if *traceFile != "" {
 			fmt.Fprintln(os.Stderr, "-tracefile is ignored with -reps > 1 (interleaved output)")
 		}
@@ -139,20 +136,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "domino-sim: %v\n", err)
 		os.Exit(2)
-	}
-	if *schedFl != "" || *pollerFl != "" || *verifyCvt {
-		// CLI-level DOMINO knobs ride the typed tune hook, which core runs
-		// before the spec's scheme_config — so a spec file always wins.
-		sched, pollerName, vc := *schedFl, *pollerFl, *verifyCvt
-		sc.TuneDomino = func(c *domino.Config) {
-			if sched != "" {
-				c.Scheduler = sched
-			}
-			if pollerName != "" {
-				c.Poller = pollerName
-			}
-			c.VerifyConvert = c.VerifyConvert || vc
-		}
 	}
 	tf := sp.Obs.TraceFile
 	if *traceFile != "" {
@@ -247,6 +230,27 @@ func main() {
 		fmt.Fprintln(out, "metrics:")
 		res.Snapshot.WriteText(out)
 	}
+}
+
+// withKnob returns raw, a scheme_config object, with key set to v unless raw
+// already names key (case-insensitively, as registry.Overlay matches keys).
+// Raw that is not an object is returned as it is, for Validate to reject.
+func withKnob(raw json.RawMessage, key string, v any) json.RawMessage {
+	var obj map[string]json.RawMessage
+	if len(raw) > 0 && json.Unmarshal(raw, &obj) != nil {
+		return raw
+	}
+	for k := range obj {
+		if strings.EqualFold(k, key) {
+			return raw
+		}
+	}
+	if obj == nil {
+		obj = map[string]json.RawMessage{}
+	}
+	obj[key], _ = json.Marshal(v) // a string or a bool always marshals
+	out, _ := json.Marshal(obj)   // as do raw values that just unmarshalled
+	return out
 }
 
 // runReps fans `reps` independent repetitions of the spec across the worker

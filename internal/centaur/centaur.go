@@ -23,21 +23,22 @@ import (
 
 // Config parameterises a CENTAUR instance.
 type Config struct {
-	Rate phy.Rate
+	Rate phy.Rate `json:"-"` // from the scenario (scheme.Params)
 	// FixedBackoffSlots is the deterministic backoff every scheduled
 	// downlink uses after DIFS; a shared idle reference plus an identical
 	// backoff is what aligns exposed transmissions.
-	FixedBackoffSlots int
+	FixedBackoffSlots int `domain:"0..1023"`
 	// RoundGuard pads each round's nominal duration to absorb wired jitter.
-	RoundGuard sim.Time
+	RoundGuard sim.Time `domain:"0..10ms"`
 	// EpochQuota caps packets per link per epoch.
-	EpochQuota int
+	EpochQuota int `domain:"1..256"`
 	// WiredLatencyMean/Std: backbone latency (same model as DOMINO).
-	WiredLatencyMean sim.Time
-	WiredLatencyStd  sim.Time
+	WiredLatencyMean sim.Time `domain:"0..10ms"`
+	WiredLatencyStd  sim.Time `domain:"0..10ms"`
 	// Uplink DCF parameters.
-	CWMin, CWMax int
-	QueueCap     int
+	CWMin    int `domain:"0..1023"`
+	CWMax    int `domain:"0..1023"`
+	QueueCap int `domain:"1..100000"`
 }
 
 // DefaultConfig mirrors the evaluation's settings.

@@ -434,21 +434,28 @@ func (i *Instance) Finish() Result {
 			res.Snapshot = s.Metrics.Snapshot()
 		}
 	}
-	coll := i.coll
-	res.PerLinkMbps = coll.PerLinkMbps(s.Duration)
-	res.AggregateMbps = coll.AggregateMbps(s.Duration)
-	res.MeanDelay = coll.MeanDelay()
-	res.MeanDelayPerLink = coll.MeanDelayPerLink()
-	var dataRates []float64
-	for id := range res.PerLinkMbps {
-		if res.DataLinkID[id] {
-			res.DataMbps += res.PerLinkMbps[id]
-			dataRates = append(dataRates, res.PerLinkMbps[id])
-		}
-	}
-	res.Fairness = stats.JainIndex(dataRates)
+	res.Summarize(s.Duration)
 	i.res = res
 	return res
+}
+
+// Summarize computes the throughput, delay and fairness aggregates from
+// r.Collector over a run of length d; Finish and the sharded runner's merge
+// both call it.
+func (r *Result) Summarize(d sim.Time) {
+	coll := r.Collector
+	r.PerLinkMbps = coll.PerLinkMbps(d)
+	r.AggregateMbps = coll.AggregateMbps(d)
+	r.MeanDelay = coll.MeanDelay()
+	r.MeanDelayPerLink = coll.MeanDelayPerLink()
+	var dataRates []float64
+	for id := range r.PerLinkMbps {
+		if r.DataLinkID[id] {
+			r.DataMbps += r.PerLinkMbps[id]
+			dataRates = append(dataRates, r.PerLinkMbps[id])
+		}
+	}
+	r.Fairness = stats.JainIndex(dataRates)
 }
 
 func otherEnd(l *topo.Link) phy.NodeID {

@@ -17,19 +17,20 @@ import (
 
 // Config collects DCF timing and contention parameters. Defaults follow
 // 802.11g; the USRP prototype experiment (paper Table 2) inflates SlotTime
-// and SIFS to model GNURadio host latency.
+// and SIFS to model GNURadio host latency. Rate comes from the scenario
+// (scheme.Params), not from scheme_config.
 type Config struct {
-	SlotTime sim.Time
-	SIFS     sim.Time
-	DIFS     sim.Time
-	CWMin    int
-	CWMax    int
-	Rate     phy.Rate
-	AckRate  phy.Rate
-	QueueCap int
+	SlotTime sim.Time `domain:"1us..10ms"`
+	SIFS     sim.Time `domain:"1us..10ms"`
+	DIFS     sim.Time `domain:"1us..10ms"`
+	CWMin    int      `domain:"0..1023"`
+	CWMax    int      `domain:"0..1023"`
+	Rate     phy.Rate `json:"-"`
+	AckRate  phy.Rate `domain:"6|9|12|18|24|36|48|54"`
+	QueueCap int      `domain:"1..100000"`
 	// ExtraFrameTime inflates every data frame's air time (USRP host
 	// latency); zero for real 802.11 hardware.
-	ExtraFrameTime sim.Time
+	ExtraFrameTime sim.Time `domain:"0..100ms"`
 }
 
 // DefaultConfig returns 802.11g parameters at the evaluation's 12 Mbps PHY

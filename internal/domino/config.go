@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/convert"
 	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/poll"
@@ -17,17 +18,18 @@ import (
 	"repro/internal/strict"
 )
 
-// Config parameterises a DOMINO instance.
+// Config parameterises a DOMINO instance. Rate, VirtualBytes and
+// MisalignSlots come from the scenario (scheme.Params), not scheme_config.
 type Config struct {
 	// Rate is the PHY data rate for data frames.
-	Rate phy.Rate
+	Rate phy.Rate `json:"-"`
 	// VirtualBytes is the fixed virtual-packet size every slot is sized for
 	// (§3.5: packet splitting/aggregation makes all packets take equal air
 	// time).
-	VirtualBytes int
+	VirtualBytes int `json:"-"`
 	// BatchSize is the number of strict slots per scheduling batch — the
 	// reciprocal of the polling frequency (§5).
-	BatchSize int
+	BatchSize int `domain:"1..256"`
 	// AdaptiveBatch shrinks batches toward minAdaptiveBatch slots when
 	// demand is light, so light arrivals are not gated behind a full batch
 	// of fake slots — the "better polling scheme" the paper leaves as future
@@ -35,25 +37,25 @@ type Config struct {
 	AdaptiveBatch bool
 	// WiredLatencyMean/Std describe backbone latency between server and APs
 	// (paper §4.2.1: normal with mean 285 µs, σ 22 µs).
-	WiredLatencyMean sim.Time
-	WiredLatencyStd  sim.Time
+	WiredLatencyMean sim.Time `domain:"0..10ms"`
+	WiredLatencyStd  sim.Time `domain:"0..10ms"`
 	// QueueCap bounds per-link MAC queues.
-	QueueCap int
+	QueueCap int `domain:"1..100000"`
 	// MisalignSlots is how many leading slot indices the misalignment probe
 	// records (Fig 11); zero disables.
-	MisalignSlots int
+	MisalignSlots int `json:"-"`
 	// ExtraFrameTime inflates data/ACK air time (USRP prototype modelling).
-	ExtraFrameTime sim.Time
-	// MaxInbound overrides the converter's trigger redundancy when positive
-	// (ablation; the paper picks 2).
-	MaxInbound int
+	ExtraFrameTime sim.Time `domain:"0..100ms"`
+	// MaxInbound is the converter's trigger redundancy (the paper picks 2;
+	// up to the 4-signature outbound limit for ablations).
+	MaxInbound int `domain:"1..4"`
 	// NoFakeCover disables the converter's fake-link insertion (ablation).
 	NoFakeCover bool
 	// CoPDuration, when positive, inserts a carrier-sensing contention
 	// period of this length after every batch (the CFP/CoP split of §5,
 	// Fig 15): DOMINO stays silent and external DCF traffic gets the
 	// channel; DOMINO's data frames carry a NAV to the end of each CFP.
-	CoPDuration sim.Time
+	CoPDuration sim.Time `domain:"0..100ms"`
 	// Scheduler selects the strict scheduling policy by registered name
 	// (internal/strict registry: RAND, LQF, RoundRobin, Weighted and their
 	// aliases, case-insensitive). Empty means the paper's RAND. Any
@@ -66,10 +68,10 @@ type Config struct {
 	VerifyConvert bool
 	// SignatureChips selects the Gold-code length (127, 255* or 511; §5
 	// "Number of signatures"): longer codes support more nodes per collision
-	// domain at proportionally longer trigger air time. Zero means 127.
-	// (*255 has no true Gold preferred pair — m=8 ≡ 0 mod 4 — so the 511
-	// set serves that capacity bracket too.)
-	SignatureChips int
+	// domain at proportionally longer trigger air time. (*255 has no true
+	// Gold preferred pair — m=8 ≡ 0 mod 4 — so the 511 set serves that
+	// capacity bracket too.)
+	SignatureChips int `domain:"127|255|511"`
 	// Poller selects the polling scheme by registered name (internal/poll
 	// registry: ROP, A2P, UORA and their aliases, case-insensitive). Empty
 	// means the paper's ROP. Multi-round pollers widen every poll boundary to
@@ -105,7 +107,8 @@ func DefaultConfig() Config {
 		WiredLatencyMean: sim.Micros(285),
 		WiredLatencyStd:  sim.Micros(22),
 		QueueCap:         mac.DefaultQueueCap,
-		MisalignSlots:    0,
+		MaxInbound:       convert.DefaultMaxInbound,
+		SignatureChips:   127,
 	}
 }
 
@@ -132,33 +135,19 @@ func (c Config) broadcastOffset() sim.Time {
 
 // signatureDuration is one code's air time at 20 Mcps BPSK.
 func (c Config) signatureDuration() sim.Time {
-	chips := c.SignatureChips
-	if chips <= 0 {
-		chips = 127
-	}
-	return sim.Micros(float64(chips) / 20)
+	return sim.Micros(float64(c.SignatureChips) / 20)
 }
 
 // SignatureCapacity is how many distinct node signatures the configured code
 // length provides within one collision domain (2^m + 1 codes minus the two
 // reserved for START and ROP; paper §3.2).
 func (c Config) SignatureCapacity() int {
-	chips := c.SignatureChips
-	if chips <= 0 {
-		chips = 127
-	}
-	return chips // 2^m+1 codes − 2 reserved = (2^m −1) = chips
+	return c.SignatureChips // 2^m+1 codes − 2 reserved = (2^m −1) = chips
 }
 
-// check rejects a config the engine cannot run on any network: a signature
-// length with no Gold code set, or a scheduler or poller (with its knobs)
-// the registries cannot build.
+// check rejects a scheduler or poller (with its knobs) the registries cannot
+// build; Overlay enforces the numeric knobs' declared domains.
 func (c Config) check() error {
-	switch c.SignatureChips {
-	case 0, 127, 255, 511:
-	default:
-		return fmt.Errorf("SignatureChips %d is not a signature length (127, 255 or 511; 0 for 127)", c.SignatureChips)
-	}
 	if _, err := strict.Schedulers.Resolve(c.Scheduler); err != nil {
 		return err
 	}

@@ -101,11 +101,7 @@ type Engine struct {
 // cycle: the per-round ROP slot times the engine-wide round count. With the
 // default single-round ROP this is exactly the classic ROP slot.
 func (e *Engine) pollGap() sim.Time {
-	r := e.pollRounds
-	if r < 1 {
-		r = 1
-	}
-	return sim.Time(r) * e.cfg.ropSlotDuration()
+	return sim.Time(e.pollRounds) * e.cfg.ropSlotDuration()
 }
 
 // falseTrigger rolls the correlator's false-positive dice for a signature
@@ -413,9 +409,7 @@ type server struct {
 
 func newServer(e *Engine) *server {
 	conv := convert.New(e.g)
-	if e.cfg.MaxInbound > 0 {
-		conv.MaxInbound = e.cfg.MaxInbound
-	}
+	conv.MaxInbound = e.cfg.MaxInbound
 	conv.DisableFakeCover = e.cfg.NoFakeCover
 	sched, err := strict.BuildScheduler(e.cfg.Scheduler, e.g)
 	if err != nil {

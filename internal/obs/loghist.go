@@ -12,7 +12,6 @@ import "math/bits"
 type LogHist struct {
 	counts [lhBuckets]int64
 	n      int64
-	sum    int64
 	min    int64
 	max    int64
 }
@@ -59,7 +58,6 @@ func (h *LogHist) Record(v int64) {
 		h.max = v
 	}
 	h.n++
-	h.sum += v
 }
 
 // N returns the sample count.
@@ -71,14 +69,6 @@ func (h *LogHist) Max() int64 {
 		return 0
 	}
 	return h.max
-}
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *LogHist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
 }
 
 // Quantile returns an estimate of the q-quantile (q in [0,1]), interpolated
@@ -127,7 +117,6 @@ func (h *LogHist) Merge(o *LogHist) {
 		h.max = o.max
 	}
 	h.n += o.n
-	h.sum += o.sum
 	for i, c := range o.counts {
 		if c != 0 {
 			h.counts[i] += c

@@ -14,8 +14,6 @@
 package poll
 
 import (
-	"fmt"
-
 	"repro/internal/ofdm"
 	"repro/internal/phy"
 )
@@ -26,35 +24,20 @@ var a2pLayout = ofdm.DefaultLayout()
 
 // A2PConfig parameterises the grouped poller.
 type A2PConfig struct {
-	// GroupSize is how many clients one round polls (≤ the control symbol's
-	// 24 subchannels; 0 means 24).
-	GroupSize int
-	// SNRFloorDB is the per-report decode floor (0 means the measured 4 dB).
-	SNRFloorDB float64
+	// GroupSize is how many clients one round polls, at most the control
+	// symbol's 24 subchannels.
+	GroupSize int `domain:"1..24"`
+	// SNRFloorDB is the per-report decode floor.
+	SNRFloorDB float64 `domain:"0..40"`
 	// ToleranceDB is the adjacent-subchannel RSS difference one round
-	// tolerates (0 means the Fig 6 measurement's 38 dB).
-	ToleranceDB float64
+	// tolerates.
+	ToleranceDB float64 `domain:"0..100"`
 }
 
-func (c *A2PConfig) groupSize() int {
-	if c == nil || c.GroupSize <= 0 {
-		return a2pLayout.NumSubchannels()
-	}
-	return c.GroupSize
-}
-
-func (c *A2PConfig) snrFloor() float64 {
-	if c == nil || c.SNRFloorDB == 0 {
-		return 4
-	}
-	return c.SNRFloorDB
-}
-
-func (c *A2PConfig) tolerance() float64 {
-	if c == nil || c.ToleranceDB == 0 {
-		return 38
-	}
-	return c.ToleranceDB
+// defaultA2PConfig, also ROP's fixed one: a full control symbol per round,
+// the measured 4 dB floor and the Fig 6 measurement's 38 dB tolerance.
+func defaultA2PConfig() A2PConfig {
+	return A2PConfig{GroupSize: a2pLayout.NumSubchannels(), SNRFloorDB: 4, ToleranceDB: 38}
 }
 
 // A2P is the grouped multi-round poller.
@@ -76,7 +59,7 @@ func (p *A2P) Clients() []phy.NodeID { return p.clients }
 
 // Rounds implements Poller: one round per group, at least one.
 func (p *A2P) Rounds() int {
-	g := p.cfg.groupSize()
+	g := p.cfg.GroupSize
 	n := (len(p.clients) + g - 1) / g
 	if n < 1 {
 		n = 1
@@ -89,8 +72,8 @@ func (p *A2P) Rounds() int {
 // subchannel more than ToleranceDB stronger.
 func (p *A2P) Poll(ctx Context) Result {
 	res := Result{Values: make(map[phy.NodeID]int, len(p.clients)), Rounds: p.Rounds()}
-	g := p.cfg.groupSize()
-	floor, tol := p.cfg.snrFloor(), p.cfg.tolerance()
+	g := p.cfg.GroupSize
+	floor, tol := p.cfg.SNRFloorDB, p.cfg.ToleranceDB
 	for start := 0; start < len(p.clients); start += g {
 		end := start + g
 		if end > len(p.clients) {
@@ -125,7 +108,7 @@ func init() {
 		Summary:    "the paper's Rapid OFDM Polling: one 24-subchannel control symbol per cycle (§3.1)",
 		MaxClients: a2pLayout.NumSubchannels(),
 		Build: func(any) (Poller, error) {
-			return &A2P{}, nil
+			return &A2P{cfg: defaultA2PConfig()}, nil
 		},
 	})
 	Registry.MustRegister(Descriptor{
@@ -133,18 +116,11 @@ func init() {
 		Aliases: []string{"grouped"},
 		Summary: "multi-round grouped OFDMA polling: RSS-sorted groups of ≤24 clients per round, scales one AP to hundreds of clients",
 		DefaultConfig: func() any {
-			return &A2PConfig{}
+			c := defaultA2PConfig()
+			return &c
 		},
 		Build: func(cfg any) (Poller, error) {
-			c, _ := cfg.(*A2PConfig)
-			if c == nil {
-				c = &A2PConfig{}
-			}
-			if c.GroupSize < 0 || c.GroupSize > a2pLayout.NumSubchannels() {
-				return nil, fmt.Errorf("poller A2P GroupSize %d out of range (1..%d, 0 for the default)",
-					c.GroupSize, a2pLayout.NumSubchannels())
-			}
-			return &A2P{cfg: *c}, nil
+			return &A2P{cfg: *cfg.(*A2PConfig)}, nil
 		},
 	})
 }

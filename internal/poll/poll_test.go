@@ -55,12 +55,11 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := poll.Build("", json.RawMessage(" { } ")); err != nil {
 		t.Errorf("Build(default, empty object) = %v", err)
 	}
-	// A2P validates its knob ranges.
-	if _, err := poll.Build("A2P", json.RawMessage(`{"GroupSize": 99}`)); err == nil {
-		t.Error("Build(A2P, GroupSize 99) unexpectedly succeeded")
-	}
-	if _, err := poll.Build("UORA", json.RawMessage(`{"OCWMin": 15, "OCWMax": 7}`)); err == nil {
-		t.Error("Build(UORA, OCWMax < OCWMin) unexpectedly succeeded")
+	// Single-knob domains are TestKnobDomains' (internal/spec); Build keeps
+	// only cross-field rules.
+	if _, err := poll.Build("UORA", json.RawMessage(`{"OCWMin": 15, "OCWMax": 7}`)); err == nil ||
+		!strings.Contains(err.Error(), "poller UORA OCWMax 7 below OCWMin 15") {
+		t.Errorf("Build(UORA, OCWMax < OCWMin) err = %v", err)
 	}
 	if _, err := poll.Build("A2P", json.RawMessage(`{"GroupSize": bad`)); err == nil {
 		t.Error("Build(A2P, malformed JSON) unexpectedly succeeded")

@@ -18,60 +18,23 @@ import (
 
 var uoraLayout = ofdm.DefaultLayout()
 
-// uoraMaxOCW is the largest contention window 802.11ax can signal: OCW is
-// 2^EOCW − 1 with a 3-bit EOCW.
-const uoraMaxOCW = 127
-
 // UORAConfig parameterises the random-access poller.
 type UORAConfig struct {
-	// RARUs is the number of random-access RUs per round (0 means 8).
-	RARUs int
+	// RARUs is the number of random-access RUs per round, at most the
+	// control symbol's 24 subchannels.
+	RARUs int `domain:"1..24"`
 	// OCWMin/OCWMax bound the OFDMA contention window: a fresh station draws
 	// its OBO from [0, OCWMin]; each collision doubles the window
-	// (2·OCW + 1) up to OCWMax. Zero means the 802.11ax defaults 7 and 31.
-	OCWMin int
-	OCWMax int
-	// RoundsPerCycle fixes how many RA rounds one polling cycle spans
-	// (0 means 4). It is a constant so the schedule's reserved poll gap
-	// stays deterministic; clients that never win a round report next cycle.
-	RoundsPerCycle int
-	// SNRFloorDB is the decode floor for an uncontended report (0 means 4).
-	SNRFloorDB float64
-}
-
-func (c *UORAConfig) raRUs() int {
-	if c == nil || c.RARUs <= 0 {
-		return 8
-	}
-	return c.RARUs
-}
-
-func (c *UORAConfig) ocwMin() int {
-	if c == nil || c.OCWMin <= 0 {
-		return 7
-	}
-	return c.OCWMin
-}
-
-func (c *UORAConfig) ocwMax() int {
-	if c == nil || c.OCWMax <= 0 {
-		return 31
-	}
-	return c.OCWMax
-}
-
-func (c *UORAConfig) rounds() int {
-	if c == nil || c.RoundsPerCycle <= 0 {
-		return 4
-	}
-	return c.RoundsPerCycle
-}
-
-func (c *UORAConfig) snrFloor() float64 {
-	if c == nil || c.SNRFloorDB == 0 {
-		return 4
-	}
-	return c.SNRFloorDB
+	// (2·OCW + 1) up to OCWMax. 127 is the largest window 802.11ax can
+	// signal: OCW is 2^EOCW − 1 with a 3-bit EOCW.
+	OCWMin int `domain:"0..127"`
+	OCWMax int `domain:"0..127"`
+	// RoundsPerCycle fixes how many RA rounds one polling cycle spans. It is
+	// a constant so the schedule's reserved poll gap stays deterministic;
+	// clients that never win a round report next cycle.
+	RoundsPerCycle int `domain:"1..32"`
+	// SNRFloorDB is the decode floor for an uncontended report.
+	SNRFloorDB float64 `domain:"0..40"`
 }
 
 // uoraStation is one client's persistent contention state.
@@ -99,7 +62,7 @@ func (p *UORA) Assign(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64) {
 	for _, c := range p.clients {
 		seen[c] = true
 		if p.stations[c] == nil {
-			p.stations[c] = &uoraStation{obo: -1, ocw: p.cfg.ocwMin()}
+			p.stations[c] = &uoraStation{obo: -1, ocw: p.cfg.OCWMin}
 		}
 	}
 	for c := range p.stations {
@@ -113,18 +76,18 @@ func (p *UORA) Assign(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64) {
 func (p *UORA) Clients() []phy.NodeID { return p.clients }
 
 // Rounds implements Poller.
-func (p *UORA) Rounds() int { return p.cfg.rounds() }
+func (p *UORA) Rounds() int { return p.cfg.RoundsPerCycle }
 
 // Poll implements Poller: RoundsPerCycle rounds of OBO contention. All RNG
 // draws happen in assignment order, so the cycle is deterministic given the
 // engine's RNG state.
 func (p *UORA) Poll(ctx Context) Result {
-	res := Result{Values: make(map[phy.NodeID]int, len(p.clients)), Rounds: p.cfg.rounds()}
-	nRU := p.cfg.raRUs()
-	floor := p.cfg.snrFloor()
+	res := Result{Values: make(map[phy.NodeID]int, len(p.clients)), Rounds: p.cfg.RoundsPerCycle}
+	nRU := p.cfg.RARUs
+	floor := p.cfg.SNRFloorDB
 	reported := make(map[phy.NodeID]bool, len(p.clients))
 	contenders := make([][]phy.NodeID, nRU)
-	for round := 0; round < p.cfg.rounds(); round++ {
+	for round := 0; round < p.cfg.RoundsPerCycle; round++ {
 		for i := range contenders {
 			contenders[i] = contenders[i][:0]
 		}
@@ -153,7 +116,7 @@ func (p *UORA) Poll(ctx Context) Result {
 					v := uoraLayout.EncodeQueue(ctx.Queue(c))
 					res.Values[c] = v
 					reported[c] = true
-					st.ocw = p.cfg.ocwMin()
+					st.ocw = p.cfg.OCWMin
 					st.obo = -1
 					emitReport(ctx, c, ru, v, true)
 				} else {
@@ -186,8 +149,8 @@ func (p *UORA) Poll(ctx Context) Result {
 // backoff applies the post-collision window doubling and redraw.
 func (p *UORA) backoff(ctx Context, st *uoraStation) {
 	st.ocw = 2*st.ocw + 1
-	if max := p.cfg.ocwMax(); st.ocw > max {
-		st.ocw = max
+	if st.ocw > p.cfg.OCWMax {
+		st.ocw = p.cfg.OCWMax
 	}
 	st.obo = ctx.Rng.Intn(st.ocw + 1)
 }
@@ -198,25 +161,14 @@ func init() {
 		Aliases: []string{"random-access", "ra"},
 		Summary: "802.11ax-style random access: OBO contention over RA-RUs, no assignment handshake, collisions accounted",
 		DefaultConfig: func() any {
-			return &UORAConfig{}
+			// 8 RA-RUs over 4 rounds; 7 and 31 are 802.11ax's default
+			// OCWmin and OCWmax.
+			return &UORAConfig{RARUs: 8, OCWMin: 7, OCWMax: 31, RoundsPerCycle: 4, SNRFloorDB: 4}
 		},
 		Build: func(cfg any) (Poller, error) {
-			c, _ := cfg.(*UORAConfig)
-			if c == nil {
-				c = &UORAConfig{}
-			}
-			if c.RARUs < 0 || c.OCWMin < 0 || c.OCWMax < 0 || c.RoundsPerCycle < 0 {
-				return nil, fmt.Errorf("poller UORA knobs must be ≥ 0 (RARUs %d, OCWMin %d, OCWMax %d, RoundsPerCycle %d)",
-					c.RARUs, c.OCWMin, c.OCWMax, c.RoundsPerCycle)
-			}
-			if c.OCWMin > uoraMaxOCW || c.OCWMax > uoraMaxOCW {
-				return nil, fmt.Errorf("poller UORA OCWMin %d / OCWMax %d exceed the 802.11ax ceiling %d", c.OCWMin, c.OCWMax, uoraMaxOCW)
-			}
-			if n := uoraLayout.NumSubchannels(); c.RARUs > n {
-				return nil, fmt.Errorf("poller UORA RARUs %d exceeds the %d subchannels of the control symbol", c.RARUs, n)
-			}
-			if c.ocwMax() < c.ocwMin() {
-				return nil, fmt.Errorf("poller UORA OCWMax %d below OCWMin %d", c.ocwMax(), c.ocwMin())
+			c := cfg.(*UORAConfig)
+			if c.OCWMax < c.OCWMin {
+				return nil, fmt.Errorf("poller UORA OCWMax %d below OCWMin %d", c.OCWMax, c.OCWMin)
 			}
 			return &UORA{cfg: *c}, nil
 		},

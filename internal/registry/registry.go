@@ -5,7 +5,8 @@
 // into at init time, so adding a scheme, scheduler or poller is one
 // MustRegister call. The registry owns name resolution (case-insensitive,
 // aliases, the kind's default) and the one "unknown ‹kind›" error; Overlay
-// is the one path by which a JSON object of knobs reaches a config struct.
+// is the one path by which a JSON object of knobs reaches a config struct,
+// and it enforces the Domain each numeric knob declares in its struct tag.
 package registry
 
 import (

@@ -156,9 +156,10 @@ func TestRegistryConcurrentUse(t *testing.T) {
 }
 
 type knobs struct {
-	Size   int
-	Name   string `json:"name"`
-	Hidden bool   `json:"-"`
+	Size   int     `domain:"0..10"`
+	Mode   float64 `domain:"0|2.5"`
+	Name   string  `json:"name"`
+	Hidden bool    `json:"-"`
 	Nested json.RawMessage
 }
 
@@ -174,7 +175,11 @@ func TestOverlay(t *testing.T) {
 		{raw: " { } "},
 		{raw: `{"size": 3, "NAME": "x", "Nested": {"a": 1}}`, want: knobs{Size: 3, Name: "x", Nested: json.RawMessage(`{"a": 1}`)}},
 		{raw: `[1]`, wantErr: "thing must be a JSON object, got [1]"},
-		{raw: `{"Sise": 3}`, wantErr: `thing has no knob "Sise" (knobs: Nested, Size, name)`},
+		{raw: `{"Sise": 3}`, wantErr: `thing has no knob "Sise" (knobs: Mode, Nested, Size, name)`},
+		{raw: `{"Size": 10, "Mode": 2.5}`, want: knobs{Size: 10, Mode: 2.5}},
+		{raw: `{"Size": 11}`, wantErr: "thing Size 11 out of range 0..10"},
+		{raw: `{"Size": -1}`, wantErr: "thing Size -1 out of range 0..10"},
+		{raw: `{"Mode": 1}`, wantErr: "thing Mode 1 is not one of 0|2.5"},
 		{raw: `{"Hidden": true}`, wantErr: `thing has no knob "Hidden"`},
 		{raw: `{"Size": "3"}`, wantErr: "thing Size must be a number, got string"},
 		{raw: `{"name": 3}`, wantErr: "thing name must be a string, got number"},
@@ -195,8 +200,45 @@ func TestOverlay(t *testing.T) {
 			t.Errorf("%s: %v", tc.raw, err)
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
 			t.Errorf("%s: error %v, want %q", tc.raw, err, tc.wantErr)
-		case tc.wantErr == "" && (k.Size != tc.want.Size || k.Name != tc.want.Name || string(k.Nested) != string(tc.want.Nested)):
+		case tc.wantErr == "" && (k.Size != tc.want.Size || k.Mode != tc.want.Mode || k.Name != tc.want.Name || string(k.Nested) != string(tc.want.Nested)):
 			t.Errorf("%s: decoded %+v, want %+v", tc.raw, k, tc.want)
+		}
+	}
+}
+
+func TestDomains(t *testing.T) {
+	doms, err := Domains(&struct {
+		Wait  int64   `domain:"1us..50us"`
+		Chips int     `domain:"511|127|255"`
+		Gain  float64 `domain:"-3.5..40"`
+		Rate  float64 `json:"-"`
+		On    bool
+	}{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fmt.Sprintf("%s %v %v %s %v %v %v %v", doms[0].Field, doms[0].Min, doms[0].Max,
+		doms[1].Field, doms[1].Min, doms[1].Max, doms[1].Values, doms[2])
+	if want := "Wait 1000 50000 Chips 127 511 [511 127 255] -3.5..40"; len(doms) != 3 || got != want {
+		t.Errorf("Domains = %d domains %q, want 3 %q", len(doms), got, want)
+	}
+	if !doms[1].Contains(255) || doms[1].Contains(256) || !doms[2].Contains(-3.5) || doms[2].Contains(40.5) {
+		t.Error("Contains disagrees with the declared domains")
+	}
+	for _, tc := range []struct {
+		cfg     any
+		wantErr string
+	}{
+		{&struct{ N int }{}, "numeric field N declares no domain tag"},
+		{&struct {
+			N int `domain:"1..x"`
+		}{}, `field N: domain "1..x"`},
+		{&struct {
+			N int `domain:"5..1"`
+		}{}, "empty range"},
+	} {
+		if _, err := Domains(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("Domains(%T) error %v, want %q", tc.cfg, err, tc.wantErr)
 		}
 	}
 }

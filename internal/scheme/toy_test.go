@@ -22,7 +22,7 @@ import (
 
 type toyConfig struct {
 	// PeriodUs is the per-delivery service period in microseconds.
-	PeriodUs int
+	PeriodUs int `domain:"1..1000000"`
 }
 
 type toyEngine struct {

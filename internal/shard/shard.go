@@ -56,9 +56,9 @@ type Report struct {
 
 // Run executes the scenario sharded by interference domain and returns the
 // merged Result plus the execution Report. The scenario's Links must be nil
-// (links are rebuilt per domain from the Downlink/Uplink flags), and Live
-// is unsupported in sharded mode. It is the one-shot wrapper around
-// the steppable decomposition: New, StepWindow until done, Finish.
+// (links are rebuilt per domain from the Downlink/Uplink flags). It is the
+// one-shot wrapper around the steppable decomposition: New, StepWindow until
+// done, Finish.
 func Run(s core.Scenario, opt Options) (core.Result, *Report, error) {
 	st, err := New(s, opt)
 	if err != nil {
@@ -225,18 +225,7 @@ func mergeResults(s core.Scenario, links []*topo.Link, p *topo.Partition, rep *R
 		}
 	}
 	res.Collector = coll
-	res.PerLinkMbps = coll.PerLinkMbps(s.Duration)
-	res.AggregateMbps = coll.AggregateMbps(s.Duration)
-	res.MeanDelay = coll.MeanDelay()
-	res.MeanDelayPerLink = coll.MeanDelayPerLink()
-	var dataRates []float64
-	for id := range res.PerLinkMbps {
-		if res.DataLinkID[id] {
-			res.DataMbps += res.PerLinkMbps[id]
-			dataRates = append(dataRates, res.PerLinkMbps[id])
-		}
-	}
-	res.Fairness = stats.JainIndex(dataRates)
+	res.Summarize(s.Duration)
 
 	if s.Metrics != nil {
 		for d := range metrics {

@@ -71,7 +71,10 @@ type Spec struct {
 	// SchemeConfig is an optional JSON object unmarshalled over the
 	// scheme's default config after the generic knobs are applied. Keys are
 	// the Go field names of the scheme's Config struct (case-insensitive),
-	// e.g. {"BatchSize": 12} for DOMINO.
+	// e.g. {"BatchSize": 12} for DOMINO, and each numeric value must lie in
+	// the domain its field declares. The rate, packet size and misalignment
+	// probe are set above (rate_mbps, packet_bytes, misalign_slots), not
+	// here.
 	SchemeConfig json.RawMessage `json:"scheme_config,omitempty"`
 
 	// Obs toggles the observability layer for this run.

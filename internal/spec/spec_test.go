@@ -250,19 +250,19 @@ func TestValidateCatalog(t *testing.T) {
 		{"domino poller negative knob", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"Poller": "UORA", "PollerConfig": {"RARUs": -1}}`)
-		}, "poller UORA knobs must be ≥ 0"},
+		}, "poller UORA RARUs -1 out of range 1..24"},
 		{"domino uora contention window overflow", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"Poller": "UORA", "PollerConfig": {"OCWMin": 9223372036854775807, "OCWMax": 9223372036854775807}}`)
-		}, "exceed the 802.11ax ceiling 127"},
+		}, "poller UORA OCWMin 9223372036854775807 out of range 0..127"},
 		{"domino uora more RA-RUs than subchannels", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"Poller": "UORA", "PollerConfig": {"RARUs": 25}}`)
-		}, "RARUs 25 exceeds the 24 subchannels"},
+		}, "poller UORA RARUs 25 out of range 1..24"},
 		{"domino bad signature length", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.SchemeConfig = json.RawMessage(`{"SignatureChips": 300}`)
-		}, "SignatureChips 300 is not a signature length"},
+		}, "DOMINO config SignatureChips 300 is not one of 127|255|511"},
 		{"domino more nodes than signatures", func(s *spec.Spec) {
 			s.Scheme = "domino"
 			s.Topology = spec.Topology{Kind: "grid", Buildings: 1, APs: 1, Clients: 200}
@@ -294,6 +294,42 @@ func TestValidateCatalog(t *testing.T) {
 		{"dcf knob ok", func(s *spec.Spec) {
 			s.SchemeConfig = json.RawMessage(`{"CWMin": 8}`)
 		}, ""},
+		// Each row below passed lint and then panicked or mis-ran on fig7
+		// before the knobs declared their domains.
+		{"dcf negative contention window", func(s *spec.Spec) {
+			s.Topology = spec.Topology{Kind: "fig7"}
+			s.SchemeConfig = json.RawMessage(`{"CWMin": -1}`)
+		}, "DCF config CWMin -1 out of range 0..1023"},
+		{"centaur negative contention window", func(s *spec.Spec) {
+			s.Scheme, s.Topology = "centaur", spec.Topology{Kind: "fig7"}
+			s.SchemeConfig = json.RawMessage(`{"CWMin": -1}`)
+		}, "CENTAUR config CWMin -1 out of range 0..1023"},
+		{"centaur negative fixed backoff", func(s *spec.Spec) {
+			s.Scheme, s.Topology = "centaur", spec.Topology{Kind: "fig7"}
+			s.SchemeConfig = json.RawMessage(`{"FixedBackoffSlots": -100}`)
+		}, "CENTAUR config FixedBackoffSlots -100 out of range 0..1023"},
+		{"domino empty batch", func(s *spec.Spec) {
+			s.Scheme, s.Topology = "domino", spec.Topology{Kind: "fig7"}
+			s.SchemeConfig = json.RawMessage(`{"BatchSize": 0}`)
+		}, "DOMINO config BatchSize 0 out of range 1..256"},
+		{"domino unbounded inbound triggers", func(s *spec.Spec) {
+			s.Scheme, s.Topology = "domino", spec.Topology{Kind: "fig7"}
+			s.SchemeConfig = json.RawMessage(`{"MaxInbound": 100000}`)
+		}, "DOMINO config MaxInbound 100000 out of range 1..4"},
+		// The rate, packet size and misalignment probe come from the spec's
+		// rate_mbps, packet_bytes and misalign_slots, never from a second
+		// copy in scheme_config.
+		{"dcf rate copy rejected", func(s *spec.Spec) {
+			s.SchemeConfig = json.RawMessage(`{"Rate": 7}`)
+		}, `DCF config has no field "Rate"`},
+		{"domino virtual bytes copy rejected", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"VirtualBytes": 1024}`)
+		}, `DOMINO config has no field "VirtualBytes"`},
+		{"domino misalign copy rejected", func(s *spec.Spec) {
+			s.Scheme = "domino"
+			s.SchemeConfig = json.RawMessage(`{"MisalignSlots": 8}`)
+		}, `DOMINO config has no field "MisalignSlots"`},
 		{"shards omitted ok", func(s *spec.Spec) { s.Shards = nil }, ""},
 		{"shards 1 ok", func(s *spec.Spec) { s.Shards = intPtr(1) }, ""},
 		{"shards 8 ok", func(s *spec.Spec) { s.Shards = intPtr(8) }, ""},
@@ -335,6 +371,37 @@ func TestValidateCatalog(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestExampleSpecsRun runs every shipped example for 100 ms after 10 ms of
+// warmup, the way domino-sim -spec runs it, so an example that lints and
+// builds but fails or panics at run time fails go test too.
+func TestExampleSpecsRun(t *testing.T) {
+	paths, err := filepath.Glob("../../examples/specs/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example specs found under examples/specs (%v)", err)
+	}
+	for _, p := range paths {
+		t.Run(filepath.Base(p), func(t *testing.T) {
+			sp, err := spec.Load(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.Duration = spec.Duration(100 * sim.Millisecond)
+			sp.Warmup = spec.Duration(10 * sim.Millisecond)
+			if w := sp.ShardWorkers(); w > 0 {
+				var sc core.Scenario
+				if sc, err = core.BuildScenario(sp); err == nil {
+					_, _, err = shard.Run(sc, shard.Options{Workers: w})
+				}
+			} else {
+				_, err = core.RunE(sp)
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

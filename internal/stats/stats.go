@@ -84,9 +84,6 @@ func (c *Collector) MergeMapped(o *Collector, mapID func(int) int) {
 // Link returns the accumulated statistics for a link.
 func (c *Collector) Link(id int) LinkStats { return c.links[id] }
 
-// NumLinks returns the number of links tracked.
-func (c *Collector) NumLinks() int { return len(c.links) }
-
 // ThroughputMbps returns a link's goodput over the measurement window ending
 // at end.
 func (c *Collector) ThroughputMbps(id int, end sim.Time) float64 {

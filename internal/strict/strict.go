@@ -169,15 +169,13 @@ func (l *LQF) Batch(est []int, maxSlots int) Schedule {
 	return batchOf(l, est, maxSlots)
 }
 
-// Order exposes the current rotation for tests.
-func (r *RAND) Order() []int { return append([]int(nil), r.order...) }
-
 // Config parameterises the omniscient executor.
 type Config struct {
-	Rate phy.Rate
-	// SlotGuard pads each slot beyond data + SIFS + ACK.
-	SlotGuard sim.Time
-	QueueCap  int
+	Rate phy.Rate `json:"-"` // from the scenario (scheme.Params)
+	// SlotGuard pads each slot beyond data + SIFS + ACK; at least 1 µs, so
+	// no sender starts its next frame while its ACK is still on the air.
+	SlotGuard sim.Time `domain:"1us..1ms"`
+	QueueCap  int      `domain:"1..100000"`
 }
 
 // DefaultConfig uses the evaluation's 12 Mbps rate.

@@ -225,12 +225,6 @@ func (g *ConflictGraph) CanTriggerNode(l *Link, n phy.NodeID) bool {
 		g.Net.RSS[l.Receiver][n] >= TriggerFloorDBm
 }
 
-// CanTrigger reports whether link a can trigger link b, i.e. can trigger b's
-// sender.
-func (g *ConflictGraph) CanTrigger(a, b *Link) bool {
-	return g.CanTriggerNode(a, b.Sender)
-}
-
 // TriggerSNR returns the better of the two signature paths (sender→n,
 // receiver→n) in dB above noise, used to rank candidate triggers ("select one
 // node n in si such that n has the highest SNR at l.sender").

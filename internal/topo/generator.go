@@ -25,11 +25,6 @@ type PathLoss struct {
 	ShadowSigmaDB float64
 }
 
-// IndoorModel approximates 2.4 GHz office propagation.
-func IndoorModel() PathLoss {
-	return PathLoss{TxPowerDBm: 20, RefLossDB: 40, Exponent: 3.0, ShadowSigmaDB: 4}
-}
-
 // OutdoorModel approximates 2.4 GHz open-area propagation with elevated
 // antennas for the Fig 14 random placements; the gentler exponent keeps
 // association range near 140 m so a T(20,3) is usually constructible from a

@@ -69,14 +69,14 @@ type Saturated struct {
 	bytes  int
 	depth  int
 	seq    uint64
+	// pushing is set while push enqueues: a packet tail-dropped on arrival
+	// (a queue capped below depth) is not replaced, or that would recurse.
+	pushing bool
 }
 
 // NewSaturated creates an always-backlogged source holding depth packets
-// (0 means 8) of the given size in the link's queue.
+// of the given size in the link's queue.
 func NewSaturated(k *sim.Kernel, e mac.Engine, link *topo.Link, bytes, depth int) *Saturated {
-	if depth <= 0 {
-		depth = 8
-	}
 	return &Saturated{k: k, engine: e, link: link, bytes: bytes, depth: depth}
 }
 
@@ -88,6 +88,8 @@ func (s *Saturated) Start() {
 }
 
 func (s *Saturated) push() {
+	s.pushing = true
+	defer func() { s.pushing = false }()
 	s.engine.Enqueue(&mac.Packet{
 		Link:     s.link,
 		Bytes:    s.bytes,
@@ -107,7 +109,7 @@ func (s *Saturated) Delivered(p *mac.Packet, _ sim.Time) {
 
 // Dropped implements mac.Events.
 func (s *Saturated) Dropped(p *mac.Packet, _ sim.Time) {
-	if p.Link == s.link {
+	if p.Link == s.link && !s.pushing {
 		s.push()
 	}
 }

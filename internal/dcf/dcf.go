@@ -107,6 +107,10 @@ type node struct {
 	busySince sim.Time // when carrier sensing last turned busy
 	nav       sim.Time // virtual carrier sense (protects overheard ACKs)
 	timeoutEv sim.Event
+
+	// The node's timers, bound once in New so scheduling one allocates no
+	// method value or closure.
+	fireFn, tryScheduleFireFn, txDoneFn, ackTimeoutFn func()
 }
 
 // setNAV reserves the medium until t (802.11 virtual carrier sensing).
@@ -115,7 +119,7 @@ func (n *node) setNAV(t sim.Time) {
 		return
 	}
 	n.nav = t
-	n.e.k.At(t, func() { n.tryScheduleFire() })
+	n.e.k.At(t, n.tryScheduleFireFn)
 }
 
 // New creates a DCF engine for the given links. Each distinct sender among
@@ -140,6 +144,8 @@ func New(k *sim.Kernel, medium *phy.Medium, links []*topo.Link, events mac.Event
 		n, ok := e.nodes[id]
 		if !ok {
 			n = &node{e: e, id: id, cw: cfg.CWMin}
+			n.fireFn, n.tryScheduleFireFn = n.fire, n.tryScheduleFire
+			n.txDoneFn, n.ackTimeoutFn = n.txDone, n.ackTimeout
 			e.nodes[id] = n
 			medium.Register(id, n)
 		}
@@ -227,7 +233,7 @@ func (n *node) tryScheduleFire() {
 	}
 	n.fireBase = n.e.k.Now()
 	wait := n.e.cfg.DIFS + sim.Time(n.counter)*n.e.cfg.SlotTime
-	n.fireEv = n.e.k.After(wait, n.fire).SetSource(sim.SrcMAC)
+	n.fireEv = n.e.k.After(wait, n.fireFn).SetSource(sim.SrcMAC)
 }
 
 // CarrierChanged implements phy.Listener: pause and resume backoff.
@@ -278,13 +284,16 @@ func (n *node) fire() {
 		Kind: phy.Data, Dst: p.Link.Receiver, Bytes: p.Bytes,
 		Rate: n.e.cfg.Rate, Duration: dur, Payload: p, ObsSpan: p.Span,
 	})
-	n.e.k.After(dur, func() {
-		if n.st == stTx {
-			n.st = stWaitAck
-			timeout := n.e.cfg.SIFS + n.e.ackAirtime() + 2*n.e.cfg.SlotTime
-			n.timeoutEv = n.e.k.After(timeout, n.ackTimeout).SetSource(sim.SrcMAC)
-		}
-	}).SetSource(sim.SrcMAC)
+	n.e.k.After(dur, n.txDoneFn).SetSource(sim.SrcMAC)
+}
+
+// txDone runs as the data frame leaves the air and arms the ACK timeout.
+func (n *node) txDone() {
+	if n.st == stTx {
+		n.st = stWaitAck
+		timeout := n.e.cfg.SIFS + n.e.ackAirtime() + 2*n.e.cfg.SlotTime
+		n.timeoutEv = n.e.k.After(timeout, n.ackTimeoutFn).SetSource(sim.SrcMAC)
+	}
 }
 
 // FrameReceived implements phy.Listener.
@@ -335,7 +344,7 @@ func (n *node) sendAck(f *phy.Frame) {
 			Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
 			Rate: n.e.cfg.AckRate, Duration: dur, Payload: p, ObsSpan: p.Span,
 		})
-		n.e.k.After(dur, func() { n.tryScheduleFire() })
+		n.e.k.After(dur, n.tryScheduleFireFn)
 	})
 }
 

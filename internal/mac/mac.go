@@ -120,9 +120,13 @@ type Engine interface {
 	QueueLen(link int) int
 }
 
-// Queue is a bounded FIFO of packets for one link.
+// Queue is a bounded FIFO of packets for one link: a ring buffer whose
+// power-of-two backing array grows on demand, so every operation is O(1) and
+// none allocates once the array has reached the queue's working depth.
 type Queue struct {
-	pkts []*Packet
+	buf  []*Packet // len(buf) is zero or a power of two
+	head int       // index of the head packet in buf
+	n    int       // packets queued
 	cap  int
 
 	// OnDepth, when non-nil, observes the backlog after every accepted push,
@@ -131,59 +135,78 @@ type Queue struct {
 	OnDepth func(depth int)
 }
 
-// NewQueue returns a queue bounded to capacity packets (0 means
-// DefaultQueueCap).
+// minQueueBuf is the backing array's first size.
+const minQueueBuf = 8
+
+// NewQueue returns a queue bounded to capacity packets.
 func NewQueue(capacity int) *Queue {
-	if capacity <= 0 {
-		capacity = DefaultQueueCap
-	}
 	return &Queue{cap: capacity}
+}
+
+// grow doubles the backing array, unwrapping the queue to start at index 0.
+func (q *Queue) grow() {
+	buf := make([]*Packet, max(2*len(q.buf), minQueueBuf))
+	k := copy(buf, q.buf[q.head:])
+	copy(buf[k:q.n], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // Push appends p and reports whether it was accepted (false: tail drop).
 func (q *Queue) Push(p *Packet) bool {
-	if len(q.pkts) >= q.cap {
+	if q.n >= q.cap {
 		return false
 	}
-	q.pkts = append(q.pkts, p)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.n++
 	if q.OnDepth != nil {
-		q.OnDepth(len(q.pkts))
+		q.OnDepth(q.n)
 	}
 	return true
 }
 
 // Pop removes and returns the head, or nil when empty.
 func (q *Queue) Pop() *Packet {
-	if len(q.pkts) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	p := q.pkts[0]
-	q.pkts[0] = nil
-	q.pkts = q.pkts[1:]
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	if q.OnDepth != nil {
-		q.OnDepth(len(q.pkts))
+		q.OnDepth(q.n)
 	}
 	return p
 }
 
 // Peek returns the head without removing it, or nil when empty.
 func (q *Queue) Peek() *Packet {
-	if len(q.pkts) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.pkts[0]
+	return q.buf[q.head]
 }
 
-// PushFront reinserts a packet at the head (retransmission priority).
+// PushFront reinserts a packet at the head (retransmission priority). It
+// does not check the bound: a packet taken out for service goes back even
+// when arrivals have refilled the queue meanwhile.
 func (q *Queue) PushFront(p *Packet) {
-	q.pkts = append([]*Packet{p}, q.pkts...)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = p
+	q.n++
 	if q.OnDepth != nil {
-		q.OnDepth(len(q.pkts))
+		q.OnDepth(q.n)
 	}
 }
 
 // Len returns the backlog in packets.
-func (q *Queue) Len() int { return len(q.pkts) }
+func (q *Queue) Len() int { return q.n }
 
 // Cap returns the queue bound.
 func (q *Queue) Cap() int { return q.cap }

@@ -27,6 +27,11 @@ type Medium struct {
 
 	probe Probe
 
+	// thresholds caches each frame rate's decode threshold, in dB and as
+	// the linear S/I bounds decodable compares against; one entry per
+	// distinct rate, appended on first use.
+	thresholds []rateThreshold
+
 	// Free lists. Transmissions and receptions churn once per frame; pooling
 	// them (with their power vectors and reception lists) keeps the per-frame
 	// path allocation-free in steady state. The scratch stacks below are
@@ -441,11 +446,11 @@ func (m *Medium) endTransmission(tx *transmission) {
 
 // judge decides a reception's outcome at frame end.
 func (m *Medium) judge(r *reception) (bool, *SignatureDetection) {
+	if r.tx.frame.Kind != Signature {
+		return !r.failed && m.decodable(r.powerMw/r.interfMaxMw, r.tx.frame.Rate), nil
+	}
 	// One log instead of two: 10·log10(S/I) == S_dBm − I_dBm.
 	sinr := 10 * math.Log10(r.powerMw/r.interfMaxMw)
-	if r.tx.frame.Kind != Signature {
-		return !r.failed && sinr >= SNRThresholdDB(r.tx.frame.Rate), nil
-	}
 	r.det = SignatureDetection{Combined: r.maxSigs, SINRdB: sinr}
 	det := &r.det
 	if r.failed || sinr < m.cfg.SigSINRdB {
@@ -453,6 +458,50 @@ func (m *Medium) judge(r *reception) (bool, *SignatureDetection) {
 	}
 	p := m.cfg.Detector(r.maxSigs)
 	return m.k.Rand().Float64() < p, det
+}
+
+// thresholdGuard is the relative half-width of the band around a rate's
+// linear threshold inside which decodable falls back to the dB comparison.
+// Outside it the two comparisons cannot disagree: 1e-9 of S/I is 4.3e-9 dB,
+// millions of times the rounding error of a logarithm or of the threshold's
+// own Pow.
+const thresholdGuard = 1e-9
+
+type rateThreshold struct {
+	rate   Rate
+	db     float64
+	lo, hi float64 // linear S/I: below lo fails, above hi decodes
+}
+
+// decodable reports whether a frame at the given rate survives a signal-to-
+// interference ratio of sir (linear). It decides exactly as
+// 10·log10(sir) >= SNRThresholdDB(rate) does, without the logarithm except
+// within thresholdGuard of the threshold.
+func (m *Medium) decodable(sir float64, rate Rate) bool {
+	th := m.threshold(rate)
+	switch {
+	case sir > th.hi:
+		return true
+	case sir < th.lo:
+		return false
+	}
+	// Near the threshold, or NaN: the dB comparison itself.
+	return 10*math.Log10(sir) >= th.db
+}
+
+// threshold returns the cached threshold entry for rate.
+func (m *Medium) threshold(rate Rate) *rateThreshold {
+	for i := range m.thresholds {
+		if m.thresholds[i].rate == rate {
+			return &m.thresholds[i]
+		}
+	}
+	db := SNRThresholdDB(rate)
+	lin := math.Pow(10, db/10)
+	m.thresholds = append(m.thresholds, rateThreshold{
+		rate: rate, db: db, lo: lin * (1 - thresholdGuard), hi: lin * (1 + thresholdGuard),
+	})
+	return &m.thresholds[len(m.thresholds)-1]
 }
 
 func removeReception(recs []*reception, r *reception) []*reception {

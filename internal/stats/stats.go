@@ -243,21 +243,21 @@ func (c *CDF) Points() (xs, fs []float64) {
 // meaningful among nodes that share a reference chain (trigger-connected),
 // so the spread is taken within each group and maximised over groups.
 // Group -1 (or a single-group probe via plain Observe) compares everyone.
+// State is kept only for slots that saw a transmitter, so the tracked range
+// costs nothing up front however large it is.
 type Misalignment struct {
-	groups []map[int]*span
+	numSlots int
+	slots    map[int][]groupSpan // by slot index; a handful of groups each
 }
 
-type span struct {
+type groupSpan struct {
+	group       int
 	first, last sim.Time
 }
 
 // NewMisalignment tracks the first numSlots slots.
 func NewMisalignment(numSlots int) *Misalignment {
-	m := &Misalignment{groups: make([]map[int]*span, numSlots)}
-	for i := range m.groups {
-		m.groups[i] = map[int]*span{}
-	}
-	return m
+	return &Misalignment{numSlots: numSlots, slots: map[int][]groupSpan{}}
 }
 
 // Observe records that a transmitter started slot idx at time t (single
@@ -268,36 +268,29 @@ func (m *Misalignment) Observe(idx int, t sim.Time) {
 
 // ObserveGroup records a slot start within a reference group.
 func (m *Misalignment) ObserveGroup(idx int, t sim.Time, group int) {
-	if idx < 0 || idx >= len(m.groups) {
+	if idx < 0 || idx >= m.numSlots {
 		return
 	}
-	sp, ok := m.groups[idx][group]
-	if !ok {
-		m.groups[idx][group] = &span{first: t, last: t}
-		return
+	spans := m.slots[idx]
+	for i := range spans {
+		if sp := &spans[i]; sp.group == group {
+			sp.first = min(sp.first, t)
+			sp.last = max(sp.last, t)
+			return
+		}
 	}
-	if t < sp.first {
-		sp.first = t
-	}
-	if t > sp.last {
-		sp.last = t
-	}
+	m.slots[idx] = append(spans, groupSpan{group: group, first: t, last: t})
 }
 
 // Max returns the worst within-group misalignment observed in slot idx, or 0
 // if no group saw more than one transmitter.
 func (m *Misalignment) Max(idx int) sim.Time {
-	if idx < 0 || idx >= len(m.groups) {
-		return 0
-	}
 	var worst sim.Time
-	for _, sp := range m.groups[idx] {
-		if d := sp.last - sp.first; d > worst {
-			worst = d
-		}
+	for _, sp := range m.slots[idx] {
+		worst = max(worst, sp.last-sp.first)
 	}
 	return worst
 }
 
 // Slots returns how many slot indices are tracked.
-func (m *Misalignment) Slots() int { return len(m.groups) }
+func (m *Misalignment) Slots() int { return m.numSlots }

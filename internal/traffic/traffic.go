@@ -24,12 +24,17 @@ type UDP struct {
 	rateMbps float64
 	bytes    int
 	seq      uint64
+	// emitFn is u.emit bound once, so scheduling an arrival allocates no
+	// method value.
+	emitFn func()
 }
 
 // NewUDP creates a CBR source pushing bytes-sized packets at rateMbps on the
 // link. A non-positive rate produces no traffic.
 func NewUDP(k *sim.Kernel, e mac.Engine, link *topo.Link, rateMbps float64, bytes int) *UDP {
-	return &UDP{k: k, engine: e, link: link, rateMbps: rateMbps, bytes: bytes}
+	u := &UDP{k: k, engine: e, link: link, rateMbps: rateMbps, bytes: bytes}
+	u.emitFn = u.emit
+	return u
 }
 
 // Start schedules the first arrival at a random phase within one interval so
@@ -40,7 +45,7 @@ func (u *UDP) Start() {
 	}
 	interval := u.interval()
 	phase := sim.Time(u.k.Rand().Int63n(int64(interval) + 1))
-	u.k.After(phase, u.emit).SetSource(sim.SrcTraffic)
+	u.k.After(phase, u.emitFn).SetSource(sim.SrcTraffic)
 }
 
 func (u *UDP) interval() sim.Time {
@@ -56,7 +61,7 @@ func (u *UDP) emit() {
 		FlowID:   -1,
 	})
 	u.seq++
-	u.k.After(u.interval(), u.emit)
+	u.k.After(u.interval(), u.emitFn)
 }
 
 // Saturated keeps a link's MAC queue topped up to a target depth: it refills

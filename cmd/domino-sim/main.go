@@ -57,7 +57,6 @@ func main() {
 		noUp      = flag.Bool("nouplink", false, "omit uplink links")
 		schedFl   = flag.String("scheduler", "", "DOMINO strict scheduling policy by name (see internal/strict registry; a spec's scheme_config.scheduler wins)")
 		pollerFl  = flag.String("poller", "", "DOMINO polling scheme by name (see internal/poll registry: ROP, A2P, UORA; a spec's scheme_config.poller wins)")
-		verifyCvt = flag.Bool("verify-convert", false, "run convert.Verify on every DOMINO plan (debug; panics on violation; a spec's scheme_config.verifyconvert wins)")
 		traceFile = flag.String("tracefile", "", "write the NDJSON observability trace to this file (- for stdout, which moves the report to stderr; overrides the spec's obs.trace_file)")
 		metrics   = flag.Bool("metrics", false, "collect and print run metrics (counters, airtime breakdown)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
@@ -103,8 +102,8 @@ func main() {
 	}
 	// The DOMINO flags join the spec's scheme_config, where a key the spec
 	// sets wins, so they reach every run (-reps included) by the one path.
-	for key, v := range map[string]any{"Scheduler": *schedFl, "Poller": *pollerFl, "VerifyConvert": *verifyCvt} {
-		if v != "" && v != false {
+	for key, v := range map[string]string{"Scheduler": *schedFl, "Poller": *pollerFl} {
+		if v != "" {
 			sp.SchemeConfig = withKnob(sp.SchemeConfig, key, v)
 		}
 	}
@@ -235,7 +234,7 @@ func main() {
 // withKnob returns raw, a scheme_config object, with key set to v unless raw
 // already names key (case-insensitively, as registry.Overlay matches keys).
 // Raw that is not an object is returned as it is, for Validate to reject.
-func withKnob(raw json.RawMessage, key string, v any) json.RawMessage {
+func withKnob(raw json.RawMessage, key, v string) json.RawMessage {
 	var obj map[string]json.RawMessage
 	if len(raw) > 0 && json.Unmarshal(raw, &obj) != nil {
 		return raw
@@ -248,7 +247,7 @@ func withKnob(raw json.RawMessage, key string, v any) json.RawMessage {
 	if obj == nil {
 		obj = map[string]json.RawMessage{}
 	}
-	obj[key], _ = json.Marshal(v) // a string or a bool always marshals
+	obj[key], _ = json.Marshal(v) // a string always marshals
 	out, _ := json.Marshal(obj)   // as do raw values that just unmarshalled
 	return out
 }

@@ -8,11 +8,18 @@
 // exactly what breaks in the Fig 13(b) topology: APs that cannot sense each
 // other never share a reference, the AP that senses everyone keeps deferring,
 // and the epoch barrier makes everybody wait for it.
+//
+// Every frame goes out through dcf's contention stations: clients' uplinks
+// contend on their ordinary round-robin path, and each released downlink is
+// handed to its AP's station as a fixed-backoff send. This package adds only
+// what CENTAUR adds to DCF: epoch building, the wired backbone, the epoch
+// barrier and each AP's release timer.
 package centaur
 
 import (
 	"sort"
 
+	"repro/internal/dcf"
 	"repro/internal/mac"
 	"repro/internal/obs"
 	"repro/internal/phy"
@@ -62,17 +69,16 @@ func (c Config) roundDuration() sim.Time {
 		phy.DIFS + sim.Time(c.FixedBackoffSlots)*phy.SlotTime + c.RoundGuard
 }
 
-// Engine is a CENTAUR deployment.
+// Engine is a CENTAUR deployment. The embedded dcf engine holds the link
+// queues and the stations (Enqueue, QueueLen and the AckTimeouts and Drops
+// counters come from it); its downlinks are held for the epoch scheduler.
 type Engine struct {
-	k      *sim.Kernel
-	medium *phy.Medium
-	g      *topo.ConflictGraph
-	net    *topo.Network
-	events mac.Events
-	cfg    Config
+	*dcf.Engine
 
-	queues []*mac.Queue
-	nodes  map[phy.NodeID]*node
+	k   *sim.Kernel
+	g   *topo.ConflictGraph
+	cfg Config
+	aps map[phy.NodeID]*ap
 
 	// Scheduling state.
 	downlinks []*topo.Link
@@ -80,20 +86,14 @@ type Engine struct {
 	epochSeq  int
 	awaiting  map[phy.NodeID]bool // APs whose epoch-completion report is due
 
-	// debug receives node-level trace lines when non-nil (tests only).
-	debug func(phy.NodeID, string)
+	// Observability (nil without WireObs): typed epoch records and causal
+	// spans tying scheduled downlinks to the epoch that planned them. Obs
+	// shadows the stations' tracer, which stays nil: CENTAUR traces carry
+	// no backoff or ACK-timeout records.
+	Obs obs.Tracer
+	sp  *obs.Spans
 
-	// Observability (nil without WireObs): typed epoch records, packet
-	// lifecycle stamps, and causal spans tying scheduled downlinks to the
-	// epoch that planned them.
-	Obs  obs.Tracer
-	life *obs.Run
-	sp   *obs.Spans
-
-	// Counters.
-	Epochs      int
-	AckTimeouts int
-	Drops       int
+	Epochs int
 }
 
 // epochItem is one scheduled downlink transmission.
@@ -111,69 +111,40 @@ type epochItem struct {
 }
 
 // New builds a CENTAUR engine over the full link set; downlinks are
-// scheduled, uplinks contend.
+// scheduled, uplinks contend. The stations run at the 802.11g timing with
+// ACKs at the data rate.
 func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Events, cfg Config) *Engine {
-	if events == nil {
-		events = mac.NopEvents{}
-	}
 	e := &Engine{
-		k: k, medium: medium, g: g, net: g.Net, events: events, cfg: cfg,
-		nodes:    map[phy.NodeID]*node{},
+		Engine: dcf.New(k, medium, g.Links, events, dcf.Config{
+			SlotTime: phy.SlotTime, SIFS: phy.SIFS, DIFS: phy.DIFS,
+			CWMin: cfg.CWMin, CWMax: cfg.CWMax,
+			Rate: cfg.Rate, AckRate: cfg.Rate, QueueCap: cfg.QueueCap,
+		}),
+		k: k, g: g, cfg: cfg,
+		aps:      map[phy.NodeID]*ap{},
 		awaiting: map[phy.NodeID]bool{},
-	}
-	e.queues = make([]*mac.Queue, len(g.Links))
-	var downIDs []int
-	for _, l := range g.Links {
-		e.queues[l.ID] = mac.NewQueue(cfg.QueueCap)
-		if l.Downlink {
-			e.downlinks = append(e.downlinks, l)
-			downIDs = append(downIDs, l.ID)
-		}
-	}
-	// Downlink-only conflict graph for the central scheduler: reuse the full
-	// graph's adjacency through a RAND restricted to downlink IDs.
-	e.sched = strict.NewRAND(g)
-	add := func(id phy.NodeID) *node {
-		n, ok := e.nodes[id]
-		if !ok {
-			n = &node{e: e, id: id, cw: cfg.CWMin}
-			e.nodes[id] = n
-			medium.Register(id, n)
-		}
-		return n
+		// The central scheduler sees the full graph's adjacency; only
+		// downlinks ever carry quota.
+		sched: strict.NewRAND(g),
 	}
 	for _, l := range g.Links {
-		s := add(l.Sender)
 		if !l.Downlink {
-			s.uplinks = append(s.uplinks, l)
+			continue
 		}
-		add(l.Receiver)
+		e.downlinks = append(e.downlinks, l)
+		e.Hold(l)
+		if e.aps[l.Sender] == nil {
+			a := &ap{e: e, id: l.Sender}
+			a.releaseFn, a.advanceFn = a.release, a.advance
+			a.reportFn = func() { e.epochDone(a.id) }
+			e.aps[l.Sender] = a
+		}
 	}
 	return e
 }
 
 // Start implements mac.Engine.
 func (e *Engine) Start() { e.k.After(0, e.buildEpoch) }
-
-// Enqueue implements mac.Engine.
-func (e *Engine) Enqueue(p *mac.Packet) {
-	if !e.queues[p.Link.ID].Push(p) {
-		e.events.Dropped(p, e.k.Now())
-		return
-	}
-	if e.life != nil {
-		e.life.PacketQueued(p, e.k.Now())
-	}
-	if !p.Link.Downlink {
-		n := e.nodes[p.Link.Sender]
-		if n.st == stIdle {
-			n.serveUplink()
-		}
-	}
-}
-
-// QueueLen implements mac.Engine.
-func (e *Engine) QueueLen(link int) int { return e.queues[link].Len() }
 
 // buildEpoch computes rounds for the backlogged downlinks and dispatches
 // per-AP schedules over the wire.
@@ -183,7 +154,7 @@ func (e *Engine) buildEpoch() {
 	quota := make([]int, len(e.g.Links))
 	anything := false
 	for _, l := range e.downlinks {
-		q := e.queues[l.ID].Len()
+		q := e.QueueLen(l.ID)
 		if q > e.cfg.EpochQuota {
 			q = e.cfg.EpochQuota
 		}
@@ -230,10 +201,10 @@ func (e *Engine) buildEpoch() {
 	sort.Slice(apIDs, func(a, b int) bool { return apIDs[a] < apIDs[b] })
 	for _, apID := range apIDs {
 		e.awaiting[apID] = true
-		n := e.nodes[apID]
+		a := e.aps[apID]
 		items := perAP[apID]
 		lat := e.wireLatency()
-		e.k.After(lat, func() { n.receiveEpoch(items) })
+		e.k.After(lat, func() { a.receiveEpoch(items) })
 	}
 }
 
@@ -268,4 +239,62 @@ func (e *Engine) epochDone(ap phy.NodeID) {
 	if len(e.awaiting) == 0 {
 		e.buildEpoch()
 	}
+}
+
+// ap is one AP's share of the current epoch: its scheduled downlinks,
+// released in order, each at its wall-clock gate.
+type ap struct {
+	e  *Engine
+	id phy.NodeID
+
+	epoch      []epochItem
+	epochStart sim.Time
+	epochIdx   int
+
+	// The AP's timers and its station's completion hook, bound once in New
+	// so arming one allocates nothing.
+	releaseFn, advanceFn, reportFn func()
+}
+
+// receiveEpoch installs a new downlink schedule (wire arrival).
+func (a *ap) receiveEpoch(items []epochItem) {
+	a.epoch = items
+	a.epochStart = a.e.k.Now()
+	a.epochIdx = 0
+	a.serveEpoch()
+}
+
+// serveEpoch arms the release of the next scheduled item at its gate, or,
+// once every item is served, sends the completion report over the wire.
+func (a *ap) serveEpoch() {
+	if a.epochIdx >= len(a.epoch) {
+		if len(a.epoch) > 0 {
+			a.epoch = nil
+			a.e.k.After(a.e.wireLatency(), a.reportFn)
+		}
+		return
+	}
+	wait := a.epochStart + a.epoch[a.epochIdx].releaseOffset - a.e.k.Now()
+	if wait < 0 {
+		wait = 0
+	}
+	a.e.k.After(wait, a.releaseFn)
+}
+
+// release hands the due item to the AP's station as a fixed-backoff send
+// riding the epoch's span, so the trace shows which epoch put the packet on
+// the air. An item whose queue drained (the scheduler over-estimated) is
+// skipped.
+func (a *ap) release() {
+	item := a.epoch[a.epochIdx]
+	if !a.e.SendFixed(item.link, a.e.cfg.FixedBackoffSlots, item.span, a.advanceFn) {
+		a.advance()
+	}
+}
+
+// advance moves to the next item once the station delivered or dropped the
+// current one.
+func (a *ap) advance() {
+	a.epochIdx++
+	a.serveEpoch()
 }

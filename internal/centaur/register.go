@@ -9,11 +9,12 @@ import (
 )
 
 // WireObs implements scheme.Observable: CENTAUR emits typed epoch records,
-// stamps packet lifecycles, and ties scheduled downlinks to the epoch that
-// planned them via causal spans.
+// its stations stamp packet lifecycles, and causal spans tie scheduled
+// downlinks to the epoch that planned them. Unlike dcf's WireObs it leaves
+// the stations' tracer nil and samples no queue depths.
 func (e *Engine) WireObs(run *obs.Run) {
 	e.Obs = run.Tracer()
-	e.life = run
+	e.Life = run
 	e.sp = run.Spans()
 }
 

@@ -19,9 +19,16 @@ import (
 // while the count itself is deterministic: no wall clock is read.
 const allocsPerEventBudget = 1.54
 
+// centaurAllocsPerEventBudget is the same bound for a CENTAUR run of the
+// same workload: measured 0.842, budget that plus 10%. CENTAUR's uplinks
+// and scheduled downlinks run on dcf's station, so this leg also guards the
+// station's timers as a second engine drives them.
+const centaurAllocsPerEventBudget = 0.926
+
 // TestFig14AllocsPerEvent runs one feasible random T(20,3) placement with
-// 10/10 Mbps UDP under DCF and then DOMINO for 200 ms each, and fails if the
-// event loop's mallocs per fired event exceed allocsPerEventBudget.
+// 10/10 Mbps UDP for 200 ms per scheme and fails if the event loop's
+// mallocs per fired event exceed the budget: DCF and DOMINO together
+// against allocsPerEventBudget, CENTAUR against centaurAllocsPerEventBudget.
 func TestFig14AllocsPerEvent(t *testing.T) {
 	var net *topo.Network
 	var seed int64
@@ -31,28 +38,36 @@ func TestFig14AllocsPerEvent(t *testing.T) {
 			net = n
 		}
 	}
-	var mallocs, events uint64
-	for _, s := range []Scheme{DCF, DOMINO} {
-		in, err := NewInstance(Scenario{
-			Net: net, Downlink: true, Uplink: true, Scheme: s, Seed: seed,
-			Duration: 200 * sim.Millisecond, Warmup: 50 * sim.Millisecond,
-			Traffic: UDPCBR, DownMbps: 10, UpMbps: 10,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, leg := range []struct {
+		schemes []Scheme
+		budget  float64
+	}{
+		{[]Scheme{DCF, DOMINO}, allocsPerEventBudget},
+		{[]Scheme{CENTAUR}, centaurAllocsPerEventBudget},
+	} {
+		var mallocs, events uint64
+		for _, s := range leg.schemes {
+			in, err := NewInstance(Scenario{
+				Net: net, Downlink: true, Uplink: true, Scheme: s, Seed: seed,
+				Duration: 200 * sim.Millisecond, Warmup: 50 * sim.Millisecond,
+				Traffic: UDPCBR, DownMbps: 10, UpMbps: 10,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			in.Step(in.S.Duration)
+			runtime.ReadMemStats(&after)
+			in.Finish()
+			t.Logf("%v: %d mallocs over %d events (%.3f/event)", s, after.Mallocs-before.Mallocs,
+				in.Kernel.Fired(), float64(after.Mallocs-before.Mallocs)/float64(in.Kernel.Fired()))
+			mallocs += after.Mallocs - before.Mallocs
+			events += in.Kernel.Fired()
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		in.Step(in.S.Duration)
-		runtime.ReadMemStats(&after)
-		in.Finish()
-		t.Logf("%v: %d mallocs over %d events (%.3f/event)", s, after.Mallocs-before.Mallocs,
-			in.Kernel.Fired(), float64(after.Mallocs-before.Mallocs)/float64(in.Kernel.Fired()))
-		mallocs += after.Mallocs - before.Mallocs
-		events += in.Kernel.Fired()
-	}
-	if per := float64(mallocs) / float64(events); per > allocsPerEventBudget {
-		t.Errorf("%.3f mallocs per event (%d over %d events), budget %.3f", per, mallocs, events, allocsPerEventBudget)
+		if per := float64(mallocs) / float64(events); per > leg.budget {
+			t.Errorf("%v: %.3f mallocs per event (%d over %d events), budget %.3f", leg.schemes, per, mallocs, events, leg.budget)
+		}
 	}
 }
 

@@ -3,6 +3,10 @@
 // deference, SIFS-separated ACKs and retransmission up to the retry limit.
 // Hidden- and exposed-terminal behaviour is not coded here; it emerges from
 // carrier sensing against the phy medium.
+//
+// Its node is the repository's one 802.11 contention station: CENTAUR runs
+// its uplinks on the same stations and hands them its scheduled downlinks as
+// fixed-backoff sends (Hold, SendFixed).
 package dcf
 
 import (
@@ -68,9 +72,9 @@ type Engine struct {
 	// Obs, when non-nil, receives backoff draws and ACK timeouts. Set it
 	// before Start; nil (the default) costs one branch per emission site.
 	Obs obs.Tracer
-	// life, when non-nil, is the per-run packet-lifecycle sink (enqueue /
-	// dequeue stamps and span assignment). Wired by WireObs.
-	life *obs.Run
+	// Life, when non-nil, is the per-run packet-lifecycle sink (enqueue /
+	// dequeue stamps and span assignment). WireObs sets it along with Obs.
+	Life *obs.Run
 }
 
 // EnableQueueSampling installs fn as the depth observer on every link queue,
@@ -89,7 +93,6 @@ const (
 	stBackoff
 	stTx
 	stWaitAck
-	stAcking
 )
 
 type node struct {
@@ -97,8 +100,17 @@ type node struct {
 	id    phy.NodeID
 	links []*topo.Link // links this node sends on
 
-	st        state
-	pending   *mac.Packet
+	st      state
+	pending *mac.Packet
+	// The pending send's own rules. span is the causal span its frames
+	// carry. fixed >= 0 marks a scheduled send (SendFixed): its backoff is
+	// always fixed slots, restarts whole when the medium turns busy and never
+	// widens CW; -1 is an ordinary contended send. done, when non-nil, runs
+	// once the send is delivered or dropped.
+	span  int64
+	fixed int
+	done  func()
+
 	cw        int
 	counter   int
 	rr        int
@@ -120,6 +132,46 @@ func (n *node) setNAV(t sim.Time) {
 	}
 	n.nav = t
 	n.e.k.At(t, n.tryScheduleFireFn)
+}
+
+// Hold takes l out of its sender's round-robin contention: packets queued on
+// it wait until the owner hands one to the station with SendFixed. Call it
+// before any traffic is enqueued.
+func (e *Engine) Hold(l *topo.Link) {
+	n := e.nodes[l.Sender]
+	for i, x := range n.links {
+		if x == l {
+			n.links = append(n.links[:i], n.links[i+1:]...)
+			return
+		}
+	}
+}
+
+// SendFixed hands the head of l's queue to l's sender as a scheduled send:
+// after DIFS it counts down exactly slots backoff slots, restarting the
+// whole count whenever the medium turns busy (which is what keeps exposed
+// senders aligned on a shared idle edge), and after an ACK timeout it
+// re-arms the same count without widening CW. Its frames carry span. done
+// runs once the packet is delivered or dropped. SendFixed reports false,
+// sending nothing, when the station already has a send in flight or l's
+// queue is empty.
+func (e *Engine) SendFixed(l *topo.Link, slots int, span int64, done func()) bool {
+	n := e.nodes[l.Sender]
+	if n.st != stIdle {
+		return false
+	}
+	p := e.queues[l.ID].Pop()
+	if p == nil {
+		return false
+	}
+	if e.Life != nil {
+		e.Life.PacketDequeued(p, e.k.Now())
+	}
+	n.pending, n.span, n.fixed, n.done = p, span, slots, done
+	n.counter = slots
+	n.st = stBackoff
+	n.tryScheduleFire()
+	return true
 }
 
 // New creates a DCF engine for the given links. Each distinct sender among
@@ -170,8 +222,8 @@ func (e *Engine) Enqueue(p *mac.Packet) {
 		e.events.Dropped(p, e.k.Now())
 		return
 	}
-	if e.life != nil {
-		e.life.PacketQueued(p, e.k.Now())
+	if e.Life != nil {
+		e.Life.PacketQueued(p, e.k.Now())
 	}
 	n := e.nodes[p.Link.Sender]
 	if n.st == stIdle {
@@ -198,10 +250,12 @@ func (n *node) serveNext() {
 		l := n.links[(n.rr+i)%len(n.links)]
 		if p := n.e.queues[l.ID].Pop(); p != nil {
 			n.rr = (n.rr + i + 1) % len(n.links)
-			if n.e.life != nil {
-				n.e.life.PacketDequeued(p, n.e.k.Now())
+			if n.e.Life != nil {
+				n.e.Life.PacketDequeued(p, n.e.k.Now())
 			}
-			n.pending = p
+			// A contended send has no scheduling cause: the packet's own
+			// span is the attempt.
+			n.pending, n.span, n.fixed = p, p.Span, -1
 			n.startContention()
 			return
 		}
@@ -249,8 +303,10 @@ func (n *node) CarrierChanged(busy bool) {
 		// abort within its RX/TX turnaround, which is how two stations
 		// drawing the same backoff slot genuinely collide.
 		if n.fireEv.Scheduled() && n.fireEv.At() > n.e.k.Now() {
+			// A random backoff freezes and later resumes; a fixed one
+			// restarts whole.
 			elapsed := n.e.k.Now() - n.fireBase - n.e.cfg.DIFS
-			if elapsed > 0 {
+			if n.fixed < 0 && elapsed > 0 {
 				consumed := int(elapsed / n.e.cfg.SlotTime)
 				if consumed > n.counter {
 					consumed = n.counter
@@ -278,11 +334,11 @@ func (n *node) fire() {
 	}
 	p := n.pending
 	n.st = stTx
-	p.TxSpan = p.Span // DCF has no aggregate; the packet's span is the attempt
+	p.TxSpan = n.span
 	dur := n.e.dataAirtime(p.Bytes)
 	n.e.medium.Transmit(n.id, &phy.Frame{
 		Kind: phy.Data, Dst: p.Link.Receiver, Bytes: p.Bytes,
-		Rate: n.e.cfg.Rate, Duration: dur, Payload: p, ObsSpan: p.Span,
+		Rate: n.e.cfg.Rate, Duration: dur, Payload: p, ObsSpan: n.span,
 	})
 	n.e.k.After(dur, n.txDoneFn).SetSource(sim.SrcMAC)
 }
@@ -325,9 +381,10 @@ func (n *node) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 	}
 }
 
-// sendAck responds to a correctly received data frame after SIFS.
+// sendAck responds to a correctly received data frame after SIFS. The ACK
+// carries the data frame's span.
 func (n *node) sendAck(f *phy.Frame) {
-	p := f.Payload.(*mac.Packet)
+	p, span := f.Payload.(*mac.Packet), f.ObsSpan
 	n.e.k.After(n.e.cfg.SIFS, func() {
 		if n.e.medium.Transmitting(n.id) {
 			return // half-duplex: cannot ACK while transmitting
@@ -342,7 +399,7 @@ func (n *node) sendAck(f *phy.Frame) {
 		dur := n.e.ackAirtime()
 		n.e.medium.Transmit(n.id, &phy.Frame{
 			Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
-			Rate: n.e.cfg.AckRate, Duration: dur, Payload: p, ObsSpan: p.Span,
+			Rate: n.e.cfg.AckRate, Duration: dur, Payload: p, ObsSpan: span,
 		})
 		n.e.k.After(dur, n.tryScheduleFireFn)
 	})
@@ -360,11 +417,14 @@ func (n *node) onAck(f *phy.Frame) {
 		n.timeoutEv.Cancel()
 		n.timeoutEv = sim.Event{}
 	}
-	p := n.pending
-	n.pending = nil
+	p, done := n.pending, n.done
+	n.pending, n.done = nil, nil
 	n.cw = n.e.cfg.CWMin
 	n.st = stIdle
 	n.e.events.Delivered(p, n.e.k.Now())
+	if done != nil {
+		done()
+	}
 	n.serveNext()
 }
 
@@ -384,13 +444,22 @@ func (n *node) ackTimeout() {
 		n.e.Obs.Emit(rec)
 	}
 	if n.pending.Retries > mac.RetryLimit {
-		p := n.pending
-		n.pending = nil
+		p, done := n.pending, n.done
+		n.pending, n.done = nil, nil
 		n.cw = n.e.cfg.CWMin
 		n.e.Drops++
 		n.e.events.Dropped(p, n.e.k.Now())
 		n.st = stIdle
+		if done != nil {
+			done()
+		}
 		n.serveNext()
+		return
+	}
+	if n.fixed >= 0 {
+		n.counter = n.fixed
+		n.st = stBackoff
+		n.tryScheduleFire()
 		return
 	}
 	if n.cw < n.e.cfg.CWMax {

@@ -178,6 +178,89 @@ func (e eventsFunc) Dropped(p *mac.Packet, _ sim.Time) {
 	}
 }
 
+// TestSendFixedOnIdleChannel pins a scheduled send on a clean channel: a
+// held link's packets never start contention on their own; a handed-over
+// one fires exactly DIFS + slots after the hand-over, rides the given span
+// and runs done once; a second send while one is in flight, or one from an
+// empty queue, is refused.
+func TestSendFixedOnIdleChannel(t *testing.T) {
+	net, links := singleLinkNet()
+	k := sim.New(1)
+	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+	var deliveredAt []sim.Time
+	var delivered []*mac.Packet
+	hub := &mac.Hub{}
+	hub.Add(eventsFunc{onDeliver: func(p *mac.Packet) {
+		deliveredAt = append(deliveredAt, k.Now())
+		delivered = append(delivered, p)
+	}})
+	cfg := DefaultConfig()
+	e := New(k, medium, links, hub, cfg)
+	e.Hold(links[0])
+	e.Start()
+	e.Enqueue(&mac.Packet{Link: links[0], Bytes: 512})
+	k.RunUntil(10 * sim.Millisecond)
+	if len(delivered) != 0 || e.QueueLen(0) != 1 {
+		t.Fatalf("held link sent on its own: %d delivered, %d queued", len(delivered), e.QueueLen(0))
+	}
+	start, dones := k.Now(), 0
+	if !e.SendFixed(links[0], 4, 77, func() { dones++ }) {
+		t.Fatal("SendFixed refused an idle station with a queued packet")
+	}
+	e.Enqueue(&mac.Packet{Link: links[0], Bytes: 512})
+	if e.SendFixed(links[0], 4, 78, nil) {
+		t.Error("SendFixed accepted a second send while one is in flight")
+	}
+	k.RunUntil(20 * sim.Millisecond)
+	want := start + cfg.DIFS + 4*cfg.SlotTime + phy.Airtime(512, cfg.Rate) + cfg.SIFS + phy.Airtime(phy.AckBytes, cfg.AckRate)
+	if len(delivered) != 1 || deliveredAt[0] != want {
+		t.Fatalf("delivered %d packets at %v, want 1 at %v", len(delivered), deliveredAt, want)
+	}
+	if delivered[0].TxSpan != 77 || dones != 1 {
+		t.Errorf("TxSpan %d, done ran %d times; want span 77 and one done", delivered[0].TxSpan, dones)
+	}
+	if e.QueueLen(0) != 1 {
+		t.Errorf("second packet left the held queue: %d queued", e.QueueLen(0))
+	}
+	e.SendFixed(links[0], 0, 0, nil)
+	k.RunUntil(30 * sim.Millisecond)
+	if e.SendFixed(links[0], 4, 0, nil) {
+		t.Error("SendFixed accepted an empty queue")
+	}
+}
+
+// TestSendFixedRetriesInLockstep: two hidden senders handed fixed sends at
+// the same instant collide on every attempt, because a fixed send re-arms
+// the same count after an ACK timeout instead of drawing from a widened CW;
+// both reach the retry limit, and each done runs once, on the drop.
+func TestSendFixedRetriesInLockstep(t *testing.T) {
+	net := topo.TwoPairs(topo.HiddenTerminals)
+	links := net.BuildLinks(true, false)
+	k := sim.New(2)
+	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+	var delivered, dropped int
+	hub := &mac.Hub{}
+	hub.Add(eventsFunc{onDeliver: func(*mac.Packet) { delivered++ }, onDrop: func(*mac.Packet) { dropped++ }})
+	e := New(k, medium, links, hub, DefaultConfig())
+	dones := 0
+	for _, l := range links {
+		e.Hold(l)
+		e.Enqueue(&mac.Packet{Link: l, Bytes: 512})
+	}
+	for _, l := range links {
+		if !e.SendFixed(l, 4, 0, func() { dones++ }) {
+			t.Fatal("SendFixed refused an idle station")
+		}
+	}
+	k.RunUntil(100 * sim.Millisecond)
+	if delivered != 0 || dropped != 2 || dones != 2 {
+		t.Errorf("delivered %d, dropped %d, done ran %d times; want 0, 2, 2", delivered, dropped, dones)
+	}
+	if want := 2 * (mac.RetryLimit + 1); e.AckTimeouts != want {
+		t.Errorf("%d ACK timeouts, want %d (every attempt collides)", e.AckTimeouts, want)
+	}
+}
+
 func TestUDPLightLoadLowDelay(t *testing.T) {
 	net, links := singleLinkNet()
 	k := sim.New(8)

@@ -13,7 +13,7 @@ import (
 // the queue-depth sampler on its link queues.
 func (e *Engine) WireObs(run *obs.Run) {
 	e.Obs = run.Tracer()
-	e.life = run
+	e.Life = run
 	e.EnableQueueSampling(run.QueueSampler())
 }
 

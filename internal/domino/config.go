@@ -62,10 +62,6 @@ type Config struct {
 	// strict.Scheduler plugs in through strict.Schedulers.MustRegister — the
 	// converter is scheduler-agnostic (§3, contribution 1).
 	Scheduler string
-	// VerifyConvert runs convert.Verify on every plan the converter emits
-	// and panics on violation — a debug aid (tests always verify; production
-	// runs skip the O(slots²) check).
-	VerifyConvert bool
 	// SignatureChips selects the Gold-code length (127, 255* or 511; §5
 	// "Number of signatures"): longer codes support more nodes per collision
 	// domain at proportionally longer trigger air time. (*255 has no true

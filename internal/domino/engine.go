@@ -1,7 +1,6 @@
 package domino
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/convert"
@@ -63,6 +62,10 @@ type Engine struct {
 	// convMetrics holds the conversion-pipeline counters once WireMetrics
 	// installed a registry; nil means no metrics accounting at all.
 	convMetrics *convertMetrics
+	// onPlan, when non-nil, sees every plan the converter emits before the
+	// engine uses it. Only this package's tests set it (to run
+	// convert.Verify on each plan); no config or spec reaches it.
+	onPlan func(*convert.Plan)
 
 	// pollRounds is the engine-wide poll-gap multiplier: the maximum Rounds()
 	// over every AP's poller (≥ 1). Every reserved poll boundary spans
@@ -488,10 +491,8 @@ func (s *server) buildAndDispatch() {
 		pollAPs = nil // no ROP slots: queue state arrives only by piggyback
 	}
 	plan := s.conv.ConvertPlan(batch, pollAPs)
-	if e.cfg.VerifyConvert {
-		if err := convert.Verify(plan); err != nil {
-			panic(fmt.Sprintf("domino: VerifyConvert: %v", err))
-		}
+	if e.onPlan != nil {
+		e.onPlan(plan)
 	}
 
 	first := len(e.slots)

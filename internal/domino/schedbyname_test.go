@@ -74,8 +74,9 @@ func TestUnknownSchedulerPanics(t *testing.T) {
 }
 
 // traceRun executes a saturated Figure7 run and returns the engine's
-// complete obs record stream plus the engine.
-func traceRun(t *testing.T, seed int64, mut func(*Config)) ([]obs.Record, *Engine) {
+// complete obs record stream plus the engine. hook, when non-nil, sees the
+// engine before it starts.
+func traceRun(t *testing.T, seed int64, hook func(*Engine)) ([]obs.Record, *Engine) {
 	t.Helper()
 	net := topo.Figure7()
 	links := net.BuildLinks(true, true)
@@ -83,11 +84,10 @@ func traceRun(t *testing.T, seed int64, mut func(*Config)) ([]obs.Record, *Engin
 	k := sim.New(seed)
 	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
 	hub := &mac.Hub{}
-	cfg := DefaultConfig()
-	if mut != nil {
-		mut(&cfg)
+	engine := New(k, medium, g, hub, DefaultConfig())
+	if hook != nil {
+		hook(engine)
 	}
-	engine := New(k, medium, g, hub, cfg)
 	buf := &obs.Buffer{}
 	engine.Obs = buf
 	coll := stats.NewCollector(len(links), 0)

@@ -66,15 +66,9 @@ func TestExplicitROPPollerMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two traced 300 ms runs")
 	}
-	var golden *struct {
-		scheme    string
-		enum      core.Scheme
-		seed      int64
-		traceSHA  string
-		aggregate string
-	}
+	var golden *singleRunGolden
 	for i := range singleRunGoldens {
-		if singleRunGoldens[i].scheme == "DOMINO" {
+		if singleRunGoldens[i].name == "DOMINO" {
 			golden = &singleRunGoldens[i]
 		}
 	}

@@ -20,9 +20,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/topo"
 )
 
 func sha(b []byte) string {
@@ -30,60 +30,77 @@ func sha(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// singleRunGoldens: one saturated 300 ms run per scheme on the Fig 7 network
-// (downlink + uplink), NDJSON-traced. Hashes and aggregate throughputs come
-// from the pre-refactor code.
-var singleRunGoldens = []struct {
+// singleRunGoldens: one 300 ms run per row, downlink + uplink,
+// NDJSON-traced. The first four rows (saturated Fig 7 at 12 Mbps, one per
+// scheme) come from the pre-refactor code. The rows after them pin paths
+// those four miss: a data rate other than 12 Mbps, where CENTAUR's ACKs
+// (sent at the data rate) and DCF's (always 12 Mbps) differ; CENTAUR's
+// retry-limit drops on the hidden pair; and CENTAUR under UDP. They were
+// captured while CENTAUR still carried its own contention station.
+type singleRunGolden struct {
+	name      string
 	scheme    string
 	enum      core.Scheme
 	seed      int64
+	topo      string       // spec topology kind
+	rateMbps  float64      // 0 is the default 12
+	traffic   spec.Traffic // the zero value is saturated
+	wantDrops bool         // the run must reach the retry-limit drop path
 	traceSHA  string
 	aggregate string // %.6f Mbps
-}{
-	{"DCF", core.DCF, 7, "363ee1458fb893fd12e8688de3792db5c8ed5d876ed94849aac55d21c48c9280", "16.616107"},
-	{"CENTAUR", core.CENTAUR, 3, "e9c76dcb15350db4e0be36b77102837718a65b1268158d95641feef1a368704e", "12.806827"},
-	{"DOMINO", core.DOMINO, 5, "a86eb06335f681d8e26ccaa167dc5a89c5accf6e77e3c290e4a59b53911fcd38", "18.814293"},
-	{"Omniscient", core.Omniscient, 9, "36a9acac06713075e4ee8687ac84b6e83ad2f5ad5a184c31ef7ab72727104a02", "19.715413"},
 }
 
-// runLegacy runs through the programmatic Scenario with a Scheme constant —
-// the same entry point the pre-refactor goldens were captured through.
-func runLegacy(t *testing.T, enum core.Scheme, seed int64) (string, string) {
-	t.Helper()
-	var buf bytes.Buffer
-	nd := obs.NewNDJSON(&buf)
-	res, err := core.RunScenario(core.Scenario{
-		Net:      topo.Figure7(),
-		Downlink: true,
-		Uplink:   true,
-		Scheme:   enum,
-		Seed:     seed,
-		Duration: 300 * sim.Millisecond,
-		Traffic:  core.Saturated,
-		Tracer:   nd,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nd.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return sha(buf.Bytes()), fmt.Sprintf("%.6f", res.AggregateMbps)
+var singleRunGoldens = []singleRunGolden{
+	{"DCF", "DCF", core.DCF, 7, "fig7", 0, spec.Traffic{}, false, "363ee1458fb893fd12e8688de3792db5c8ed5d876ed94849aac55d21c48c9280", "16.616107"},
+	{"CENTAUR", "CENTAUR", core.CENTAUR, 3, "fig7", 0, spec.Traffic{}, false, "e9c76dcb15350db4e0be36b77102837718a65b1268158d95641feef1a368704e", "12.806827"},
+	{"DOMINO", "DOMINO", core.DOMINO, 5, "fig7", 0, spec.Traffic{}, false, "a86eb06335f681d8e26ccaa167dc5a89c5accf6e77e3c290e4a59b53911fcd38", "18.814293"},
+	{"Omniscient", "Omniscient", core.Omniscient, 9, "fig7", 0, spec.Traffic{}, false, "36a9acac06713075e4ee8687ac84b6e83ad2f5ad5a184c31ef7ab72727104a02", "19.715413"},
+	{"DCF-24Mbps", "DCF", core.DCF, 7, "fig7", 24, spec.Traffic{}, false, "ae1a37becd8608e767bd3a651e148190fa5a17863c1dcc2fdcca758ec1f9e4b1", "26.883413"},
+	{"CENTAUR-24Mbps", "CENTAUR", core.CENTAUR, 3, "fig7", 24, spec.Traffic{}, false, "df202a472c986c05d1ec621eeee29949fa127634f1b8aae51511d56f588c8976", "20.316160"},
+	{"CENTAUR-ht", "CENTAUR", core.CENTAUR, 3, "ht", 0, spec.Traffic{}, true, "44ffef500ab2f8cc51ff63818576b046328d479b5e4cb2d905372b733d16ec28", "1.583787"},
+	{"CENTAUR-udp", "CENTAUR", core.CENTAUR, 3, "fig7", 0, spec.Traffic{Kind: "udp", DownMbps: 3, UpMbps: 1.5}, false, "71b2bfe0f44c99ffdaccceebeb85f3302a700733fe8c1681c3cc1726fd29e176", "8.492373"},
 }
 
-// runSpec runs the equivalent declarative spec through BuildScenario +
-// RunScenario (the core.RunE path, with the tracer attached the way the CLI
-// does).
-func runSpec(t *testing.T, schemeName string, seed int64) (string, string) {
+// runRow runs one row either through a programmatic Scenario naming a
+// Scheme constant (legacy, the entry point the pre-refactor goldens were
+// captured through) or through the equivalent declarative spec via
+// BuildScenario + RunScenario (the core.RunE path, with the tracer attached
+// the way the CLI does). It returns the trace hash, the aggregate and the
+// engine's retry-limit drop count.
+func runRow(t *testing.T, g singleRunGolden, legacy bool) (string, string, int) {
 	t.Helper()
-	sc, err := core.BuildScenario(spec.Spec{
-		Scheme:   schemeName,
-		Topology: spec.Topology{Kind: "fig7"},
-		Seed:     seed,
-		Duration: spec.Duration(300 * sim.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
+	var sc core.Scenario
+	if legacy {
+		net, err := spec.Topology{Kind: g.topo}.Build(g.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[string]core.TrafficKind{"": core.Saturated, "udp": core.UDPCBR, "tcp": core.TCP}
+		sc = core.Scenario{
+			Net:      net,
+			Downlink: true,
+			Uplink:   true,
+			Scheme:   g.enum,
+			Seed:     g.seed,
+			Duration: 300 * sim.Millisecond,
+			Traffic:  kinds[g.traffic.Kind],
+			DownMbps: g.traffic.DownMbps,
+			UpMbps:   g.traffic.UpMbps,
+			Rate:     phy.Rate(g.rateMbps),
+		}
+	} else {
+		var err error
+		sc, err = core.BuildScenario(spec.Spec{
+			Scheme:   g.scheme,
+			Topology: spec.Topology{Kind: g.topo},
+			Seed:     g.seed,
+			Duration: spec.Duration(300 * sim.Millisecond),
+			Traffic:  g.traffic,
+			RateMbps: g.rateMbps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf bytes.Buffer
 	nd := obs.NewNDJSON(&buf)
@@ -95,29 +112,35 @@ func runSpec(t *testing.T, schemeName string, seed int64) (string, string) {
 	if err := nd.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return sha(buf.Bytes()), fmt.Sprintf("%.6f", res.AggregateMbps)
+	drops := 0
+	switch {
+	case res.Dcf != nil:
+		drops = res.Dcf.Drops
+	case res.Centaur != nil:
+		drops = res.Centaur.Drops
+	}
+	return sha(buf.Bytes()), fmt.Sprintf("%.6f", res.AggregateMbps), drops
 }
 
 func TestSchemesMatchPreRefactorGoldens(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four traced 300 ms runs per path")
+		t.Skip("eight traced 300 ms runs per path")
 	}
 	for _, g := range singleRunGoldens {
 		g := g
-		t.Run(g.scheme, func(t *testing.T) {
-			legacySHA, legacyAgg := runLegacy(t, g.enum, g.seed)
-			if legacySHA != g.traceSHA {
-				t.Errorf("legacy path trace hash %s != pre-refactor golden %s", legacySHA, g.traceSHA)
-			}
-			if legacyAgg != g.aggregate {
-				t.Errorf("legacy path aggregate %s Mbps != golden %s", legacyAgg, g.aggregate)
-			}
-			specSHA, specAgg := runSpec(t, g.scheme, g.seed)
-			if specSHA != g.traceSHA {
-				t.Errorf("spec path trace hash %s != pre-refactor golden %s", specSHA, g.traceSHA)
-			}
-			if specAgg != g.aggregate {
-				t.Errorf("spec path aggregate %s Mbps != golden %s", specAgg, g.aggregate)
+		t.Run(g.name, func(t *testing.T) {
+			for _, legacy := range []bool{true, false} {
+				leg := map[bool]string{true: "legacy", false: "spec"}[legacy]
+				gotSHA, gotAgg, drops := runRow(t, g, legacy)
+				if gotSHA != g.traceSHA {
+					t.Errorf("%s path trace hash %s != golden %s", leg, gotSHA, g.traceSHA)
+				}
+				if gotAgg != g.aggregate {
+					t.Errorf("%s path aggregate %s Mbps != golden %s", leg, gotAgg, g.aggregate)
+				}
+				if g.wantDrops && drops == 0 {
+					t.Errorf("%s path made no retry-limit drops; the row no longer reaches that path", leg)
+				}
 			}
 		})
 	}

@@ -275,11 +275,11 @@ func TestValidateCatalog(t *testing.T) {
 		}, ""},
 		{"domino convert knobs ok", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"VerifyConvert": true, "MaxInbound": 3}`)
+			s.SchemeConfig = json.RawMessage(`{"NoFakeCover": true, "MaxInbound": 3}`)
 		}, ""},
 		{"domino knob case-insensitive", func(s *spec.Spec) {
 			s.Scheme = "domino"
-			s.SchemeConfig = json.RawMessage(`{"verifyconvert": true}`)
+			s.SchemeConfig = json.RawMessage(`{"nofakecover": true}`)
 		}, ""},
 		{"domino misspelled knob", func(s *spec.Spec) {
 			s.Scheme = "domino"

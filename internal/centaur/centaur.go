@@ -144,7 +144,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 }
 
 // Start implements mac.Engine.
-func (e *Engine) Start() { e.k.After(0, e.buildEpoch) }
+func (e *Engine) Start() { e.k.After(0, e.buildEpoch).SetSource(sim.SrcMAC) }
 
 // buildEpoch computes rounds for the backlogged downlinks and dispatches
 // per-AP schedules over the wire.
@@ -165,7 +165,7 @@ func (e *Engine) buildEpoch() {
 	}
 	if !anything {
 		// Idle: check again shortly.
-		e.k.After(e.cfg.roundDuration(), e.buildEpoch)
+		e.k.After(e.cfg.roundDuration(), e.buildEpoch).SetSource(sim.SrcMAC)
 		return
 	}
 	rounds := e.sched.Batch(quota, len(e.downlinks)*e.cfg.EpochQuota)
@@ -204,7 +204,7 @@ func (e *Engine) buildEpoch() {
 		a := e.aps[apID]
 		items := perAP[apID]
 		lat := e.wireLatency()
-		e.k.After(lat, func() { a.receiveEpoch(items) })
+		e.k.After(lat, func() { a.receiveEpoch(items) }).SetSource(sim.SrcMAC)
 	}
 }
 
@@ -270,7 +270,7 @@ func (a *ap) serveEpoch() {
 	if a.epochIdx >= len(a.epoch) {
 		if len(a.epoch) > 0 {
 			a.epoch = nil
-			a.e.k.After(a.e.wireLatency(), a.reportFn)
+			a.e.k.After(a.e.wireLatency(), a.reportFn).SetSource(sim.SrcMAC)
 		}
 		return
 	}
@@ -278,7 +278,7 @@ func (a *ap) serveEpoch() {
 	if wait < 0 {
 		wait = 0
 	}
-	a.e.k.After(wait, a.releaseFn)
+	a.e.k.After(wait, a.releaseFn).SetSource(sim.SrcMAC)
 }
 
 // release hands the due item to the AP's station as a fixed-backoff send

@@ -12,23 +12,30 @@ import (
 )
 
 // allocsPerEventBudget bounds the heap allocations per fired event of the
-// Fig 14 workload's event loop. The run below measured 1.403 (DCF 0.837,
-// DOMINO 1.927); the budget is that plus 10%. About half of it is the one
-// mac.Packet each UDP arrival needs. A closure or method value that creeps
-// back onto a per-event path moves the ratio by tenths, beyond the budget,
-// while the count itself is deterministic: no wall clock is read.
-const allocsPerEventBudget = 1.54
+// Fig 14 workload's event loop. The run below measured 1.238 (DCF 0.828,
+// DOMINO 1.617); the budget is that plus 10%. About two thirds of it is the
+// one mac.Packet each UDP arrival needs. A closure or method value that
+// creeps back onto a per-event path moves the ratio by tenths, beyond the
+// budget, while the count itself is deterministic: no wall clock is read.
+const allocsPerEventBudget = 1.36
 
 // centaurAllocsPerEventBudget is the same bound for a CENTAUR run of the
-// same workload: measured 0.842, budget that plus 10%. CENTAUR's uplinks
+// same workload: measured 0.831, budget that plus 10%. CENTAUR's uplinks
 // and scheduled downlinks run on dcf's station, so this leg also guards the
 // station's timers as a second engine drives them.
-const centaurAllocsPerEventBudget = 0.926
+const centaurAllocsPerEventBudget = 0.914
+
+// fig7AllocsPerEventBudget bounds a saturated Fig 7 DOMINO run, where no
+// traffic arrivals allocate and DOMINO's own control plane (triggers,
+// signature broadcasts, batches) is what is left: measured 3.269, budget
+// that plus 10%.
+const fig7AllocsPerEventBudget = 3.60
 
 // TestFig14AllocsPerEvent runs one feasible random T(20,3) placement with
 // 10/10 Mbps UDP for 200 ms per scheme and fails if the event loop's
 // mallocs per fired event exceed the budget: DCF and DOMINO together
 // against allocsPerEventBudget, CENTAUR against centaurAllocsPerEventBudget.
+// A third leg runs saturated Fig 7 DOMINO against fig7AllocsPerEventBudget.
 func TestFig14AllocsPerEvent(t *testing.T) {
 	var net *topo.Network
 	var seed int64
@@ -38,20 +45,34 @@ func TestFig14AllocsPerEvent(t *testing.T) {
 			net = n
 		}
 	}
+	fig14 := func(s Scheme) Scenario {
+		return Scenario{
+			Net: net, Downlink: true, Uplink: true, Scheme: s, Seed: seed,
+			Duration: 200 * sim.Millisecond, Warmup: 50 * sim.Millisecond,
+			Traffic: UDPCBR, DownMbps: 10, UpMbps: 10,
+		}
+	}
+	sp, err := spec.Parse([]byte(`{"scheme": "domino", "topology": {"kind": "fig7"}, "seed": 1,
+		"duration": "200ms", "warmup": "50ms", "traffic": {"kind": "saturated"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig7, err := BuildScenario(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, leg := range []struct {
-		schemes []Scheme
-		budget  float64
+		name   string
+		runs   []Scenario
+		budget float64
 	}{
-		{[]Scheme{DCF, DOMINO}, allocsPerEventBudget},
-		{[]Scheme{CENTAUR}, centaurAllocsPerEventBudget},
+		{"fig14 DCF+DOMINO", []Scenario{fig14(DCF), fig14(DOMINO)}, allocsPerEventBudget},
+		{"fig14 CENTAUR", []Scenario{fig14(CENTAUR)}, centaurAllocsPerEventBudget},
+		{"fig7 DOMINO", []Scenario{fig7}, fig7AllocsPerEventBudget},
 	} {
 		var mallocs, events uint64
-		for _, s := range leg.schemes {
-			in, err := NewInstance(Scenario{
-				Net: net, Downlink: true, Uplink: true, Scheme: s, Seed: seed,
-				Duration: 200 * sim.Millisecond, Warmup: 50 * sim.Millisecond,
-				Traffic: UDPCBR, DownMbps: 10, UpMbps: 10,
-			})
+		for _, sc := range leg.runs {
+			in, err := NewInstance(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,13 +81,13 @@ func TestFig14AllocsPerEvent(t *testing.T) {
 			in.Step(in.S.Duration)
 			runtime.ReadMemStats(&after)
 			in.Finish()
-			t.Logf("%v: %d mallocs over %d events (%.3f/event)", s, after.Mallocs-before.Mallocs,
+			t.Logf("%s, %v: %d mallocs over %d events (%.3f/event)", leg.name, sc.Scheme, after.Mallocs-before.Mallocs,
 				in.Kernel.Fired(), float64(after.Mallocs-before.Mallocs)/float64(in.Kernel.Fired()))
 			mallocs += after.Mallocs - before.Mallocs
 			events += in.Kernel.Fired()
 		}
 		if per := float64(mallocs) / float64(events); per > leg.budget {
-			t.Errorf("%v: %.3f mallocs per event (%d over %d events), budget %.3f", leg.schemes, per, mallocs, events, leg.budget)
+			t.Errorf("%s: %.3f mallocs per event (%d over %d events), budget %.3f", leg.name, per, mallocs, events, leg.budget)
 		}
 	}
 }

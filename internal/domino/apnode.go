@@ -4,6 +4,8 @@
 package domino
 
 import (
+	"slices"
+
 	"repro/internal/convert"
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -63,6 +65,9 @@ type apNode struct {
 	ackEv        sim.Event
 
 	watchdog sim.Event
+	// onWatchdog is the watchdog's callback, bound once per node so
+	// re-arming the timer allocates no closure.
+	onWatchdog func()
 
 	// refSpan/depth track the causal span of this AP's current time
 	// reference (last trigger, own slot, or own broadcast) and its
@@ -141,16 +146,19 @@ func (ap *apNode) armWatchdog() {
 		return
 	}
 	d := watchdogSlots * ap.e.cfg.slotDuration()
-	ap.watchdog = ap.e.k.After(d, func() {
-		ap.watchdog = sim.Event{}
-		ap.e.SelfStarts++
-		// The chain died: this self-start roots a fresh trigger cascade.
-		ap.refSpan, ap.depth = 0, 0
-		if ap.armed == nil {
-			ap.execNext(0, ap.ptr+1)
-		}
-		ap.armWatchdog()
-	})
+	ap.watchdog = ap.e.k.After(d, ap.onWatchdog)
+}
+
+// watchdogFired self-starts the AP's next action after a silence.
+func (ap *apNode) watchdogFired() {
+	ap.watchdog = sim.Event{}
+	ap.e.SelfStarts++
+	// The chain died: this self-start roots a fresh trigger cascade.
+	ap.refSpan, ap.depth = 0, 0
+	if ap.armed == nil {
+		ap.execNext(0, ap.ptr+1)
+	}
+	ap.armWatchdog()
 }
 
 // execNext pops and executes the next pending action. hint is the slot index
@@ -400,7 +408,6 @@ func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool
 	if e.medium.Transmitting(ap.id) {
 		return
 	}
-	sigs := sortedBroadcastTargets(targets)
 	var bSpan int64
 	if e.sp != nil {
 		bSpan = e.sp.Next()
@@ -408,7 +415,7 @@ func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool
 	e.emitSlotEnd(ap.id, slotHint-1, bSpan, ap.refSpan)
 	e.medium.Transmit(ap.id, &phy.Frame{
 		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
-		Payload: &phy.SignaturePayload{Sigs: sigIDs(sigs), Start: true, ROP: ropFlag,
+		Payload: &phy.SignaturePayload{Sigs: broadcastSigs(targets), Start: true, ROP: ropFlag,
 			SlotHint: slotHint, ObsSpan: bSpan, ObsDepth: ap.depth},
 		ObsSpan: bSpan,
 	})
@@ -674,13 +681,15 @@ func containsInt(xs []int, v int) bool {
 	return false
 }
 
-// sigIDs converts node IDs to the signature IDs carried in a broadcast
-// (every node's signature index is its node ID; the START and ROP signatures
-// are implicit in the payload flags).
-func sigIDs(ns []phy.NodeID) []int {
-	out := make([]int, len(ns))
-	for i, n := range ns {
+// broadcastSigs returns the signature IDs a broadcast to targets carries,
+// sorted so the payload is deterministic (every node's signature index is
+// its node ID; the START and ROP signatures are implicit in the payload
+// flags).
+func broadcastSigs(targets []phy.NodeID) []int {
+	out := make([]int, len(targets))
+	for i, n := range targets {
 		out[i] = int(n)
 	}
+	slices.Sort(out)
 	return out
 }

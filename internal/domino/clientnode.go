@@ -108,7 +108,6 @@ func (c *clientNode) scheduleBroadcast(slotIdx int, targets []phy.NodeID, ropFla
 	}
 	e.k.After(delay, func() {
 		if len(targets) > 0 && !e.medium.Transmitting(c.id) {
-			sigs := sortedBroadcastTargets(targets)
 			var bSpan int64
 			if e.sp != nil {
 				bSpan = e.sp.Next()
@@ -116,7 +115,7 @@ func (c *clientNode) scheduleBroadcast(slotIdx int, targets []phy.NodeID, ropFla
 			e.emitSlotEnd(c.id, slotIdx, bSpan, c.refSpan)
 			e.medium.Transmit(c.id, &phy.Frame{
 				Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
-				Payload: &phy.SignaturePayload{Sigs: sigIDs(sigs), Start: true, ROP: ropFlag,
+				Payload: &phy.SignaturePayload{Sigs: broadcastSigs(targets), Start: true, ROP: ropFlag,
 					SlotHint: slotIdx + 1, ObsSpan: bSpan, ObsDepth: c.depth},
 				ObsSpan: bSpan,
 			})

@@ -262,6 +262,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 	if e.net.IsAP[id] {
 		if _, ok := e.aps[id]; !ok {
 			ap := &apNode{e: e, id: id}
+			ap.onWatchdog = ap.watchdogFired
 			e.aps[id] = ap
 			e.medium.Register(id, ap)
 		}
@@ -664,11 +665,4 @@ func (e *Engine) clientSenderInSlot(client phy.NodeID, idx int) bool {
 		}
 	}
 	return false
-}
-
-// sortedBroadcastTargets returns a deterministic copy of targets.
-func sortedBroadcastTargets(ts []phy.NodeID) []phy.NodeID {
-	out := append([]phy.NodeID(nil), ts...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

@@ -29,25 +29,38 @@ type Medium struct {
 
 	// thresholds caches each frame rate's decode threshold, in dB and as
 	// the linear S/I bounds decodable compares against; one entry per
-	// distinct rate, appended on first use.
+	// distinct rate, appended on first use. sigTh is the same for the
+	// correlator's SigSINRdB.
 	thresholds []rateThreshold
+	sigTh      linThreshold
 
-	// Free lists. Transmissions and receptions churn once per frame; pooling
-	// them (with their power vectors and reception lists) keeps the per-frame
-	// path allocation-free in steady state. The scratch stacks below are
-	// pools too, but stack-shaped: Transmit re-enters itself when a notified
+	// rxs is the reception arena: nodes and transmissions name receptions
+	// by index, and a reception holds no pointer, so the per-frame
+	// bookkeeping writes no pointer. rxFree lists the recycled slots.
+	rxs    []reception
+	rxFree []int32
+
+	// Free lists. Transmissions churn once per frame; pooling them (with
+	// their power vectors and reception lists) keeps the per-frame path
+	// allocation-free in steady state. The scratch stacks below are pools
+	// too, but stack-shaped: Transmit re-enters itself when a notified
 	// listener reacts by transmitting, so each nesting level pops its own
 	// buffer and pushes it back when done.
 	txFree       []*transmission
-	rxFree       []*reception
 	carrierFree  [][]NodeID
 	outcomesFree [][]outcome
 }
 
+// outcome is one judged reception awaiting its listener callback. det is
+// handed to the listener by address for signature frames; the pointer is
+// only valid during the FrameReceived callback (the buffer recycles right
+// after), and no listener retains it.
 type outcome struct {
-	r   *reception
+	r   int32
+	at  NodeID
 	ok  bool
-	det *SignatureDetection
+	sig bool
+	det SignatureDetection
 }
 
 // Probe observes medium activity for the observability layer. Callbacks run
@@ -82,11 +95,24 @@ type nodeState struct {
 	activeSigs []sigRec
 	tx         *transmission
 	busy       bool
-	recs       []*reception
+	// recs lists the node's live receptions in start order, each with the
+	// running maxima of its segment (see reception).
+	recs []liveRx
 }
 
+// liveRx is a live reception as its node lists it: the reception's arena
+// index and the running maxima over the frame starts of its segment, the
+// node's totalMw and its totalMw − sigMw + noise.
+type liveRx struct {
+	ri             int32
+	totMaxMw       float64
+	sigInterfMaxMw float64
+}
+
+// sigRec is one signature transmission on the air, named by its source: a
+// node has at most one transmission on the air.
 type sigRec struct {
-	tx      *transmission
+	src     NodeID
 	powerMw float64
 	n       int
 }
@@ -109,7 +135,7 @@ type transmission struct {
 	// powerMw[j] is this transmission's received power at node j, cached so
 	// start and end adjust node totals by exactly the same amount.
 	powerMw []float64
-	recs    []*reception
+	recs    []int32 // arena indices, in node order
 	sig     bool
 	sigN    int
 	// end is built once per pooled struct and rescheduled on every reuse, so
@@ -117,21 +143,34 @@ type transmission struct {
 	end func()
 }
 
+// reception is one frame arriving at one node. Its worst instantaneous
+// interference is the maximum over the frame starts heard at the node while
+// it is on the air (starts are the only instants interference grows).
+// Rather than fold every start into every live reception, a start is folded
+// into the node's newest live reception only, so each reception's running
+// maxima (held in its node's liveRx) cover its segment: the starts from its
+// own until the node's next reception began, plus the segments of later
+// receptions that have since ended. At frame end the reception's worst case
+// is the maximum over its own segment and every later one (settle).
+//
+// Folding maxima of the node's total power instead of maxima of the
+// interference is exact: the interference of a data frame is
+// fl(fl(total − p) + noise), which IEEE rounding keeps monotone in total, so
+// its maximum is the same expression at the maximum total. A signature
+// frame's interference, total − sigMw + noise, does not depend on the
+// reception, so its maximum is folded directly.
 type reception struct {
-	tx      *transmission
 	at      NodeID
 	powerMw float64
-	// interfMaxMw is the worst instantaneous interference-plus-noise (mW)
-	// observed during the frame. For Signature frames, signature-frame power
-	// is excluded (orthogonal codes) and maxSigs tracks the combination load.
-	interfMaxMw float64
-	maxSigs     int
-	failed      bool // half-duplex violation
-	// det is the signature-detection report handed to the listener, embedded
-	// here so judging a signature frame allocates nothing. The pointer is
-	// only valid during the FrameReceived callback (the reception recycles
-	// right after), and no listener retains it.
-	det SignatureDetection
+	rate    Rate
+	// interfMw is the worst interference-plus-noise (mW) during the frame,
+	// set by settle when the frame ends. For Signature frames, signature
+	// power is excluded (orthogonal codes) and maxSigs tracks the
+	// combination load instead.
+	interfMw float64
+	maxSigs  int
+	sig      bool
+	failed   bool // half-duplex violation
 }
 
 // NewMedium builds a medium over the given RSS matrix (dBm, indexed
@@ -165,6 +204,7 @@ func NewMedium(k *sim.Kernel, rssDBm [][]float64, cfg Config) *Medium {
 		csMw:    DBmToMw(cfg.CSThreshDBm),
 		floorMw: DBmToMw(cfg.DeliverFloorDBm),
 		noiseMw: DBmToMw(cfg.NoiseDBm),
+		sigTh:   newLinThreshold(cfg.SigSINRdB),
 	}
 }
 
@@ -188,20 +228,15 @@ func (m *Medium) releaseTx(tx *transmission) {
 	m.txFree = append(m.txFree, tx)
 }
 
-func (m *Medium) allocRx() *reception {
+// allocRx returns the index of a free arena slot; the caller overwrites it.
+func (m *Medium) allocRx() int32 {
 	if n := len(m.rxFree) - 1; n >= 0 {
-		r := m.rxFree[n]
-		m.rxFree[n] = nil
+		ri := m.rxFree[n]
 		m.rxFree = m.rxFree[:n]
-		*r = reception{}
-		return r
+		return ri
 	}
-	return new(reception)
-}
-
-func (m *Medium) releaseRx(r *reception) {
-	r.tx = nil
-	m.rxFree = append(m.rxFree, r)
+	m.rxs = append(m.rxs, reception{})
+	return int32(len(m.rxs) - 1)
 }
 
 // popCarrier/pushCarrier manage the carrier-notification scratch as a stack:
@@ -230,9 +265,6 @@ func (m *Medium) popOutcomes() []outcome {
 }
 
 func (m *Medium) pushOutcomes(buf []outcome) {
-	for i := range buf {
-		buf[i] = outcome{}
-	}
 	m.outcomesFree = append(m.outcomesFree, buf[:0])
 }
 
@@ -300,8 +332,8 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 
 	// Half-duplex: starting a transmission destroys anything the node was
 	// receiving.
-	for _, r := range ns.recs {
-		r.failed = true
+	for _, lr := range ns.recs {
+		m.rxs[lr.ri].failed = true
 	}
 
 	sig := f.Kind == Signature
@@ -327,19 +359,10 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 		dst.totalMw += p
 		if sig {
 			dst.sigMw += p
-			dst.activeSigs = append(dst.activeSigs, sigRec{tx: tx, powerMw: p, n: sigN})
+			dst.activeSigs = append(dst.activeSigs, sigRec{src: src, powerMw: p, n: sigN})
 		}
-		// Raise the observed interference for every in-flight reception.
-		for _, r := range dst.recs {
-			m.foldInterference(r, dst)
-		}
-		// Start a reception if the frame is strong enough to matter.
-		if dst.listener != nil && p >= m.floorMw {
-			r := m.allocRx()
-			r.tx, r.at, r.powerMw, r.failed = tx, NodeID(j), p, dst.tx != nil
-			m.foldInterference(r, dst)
-			dst.recs = append(dst.recs, r)
-			tx.recs = append(tx.recs, r)
+		if len(dst.recs) > 0 || (dst.listener != nil && p >= m.floorMw) {
+			m.frameStart(tx, NodeID(j), p)
 		}
 		if m.carrierFlipped(dst) {
 			carrier = append(carrier, NodeID(j))
@@ -356,26 +379,91 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 	m.k.After(f.AirTime(), tx.end).SetSource(sim.SrcPHY)
 }
 
-// foldInterference updates r's worst-case interference from the current state
-// at node dst.
-func (m *Medium) foldInterference(r *reception, dst *nodeState) {
-	var interf float64
-	if r.tx.frame.Kind == Signature {
-		// Orthogonal spreading: other signatures do not count as noise, but
-		// the combination load of comparably strong ones does.
-		interf = dst.totalMw - dst.sigMw + m.noiseMw
-		if n := dst.combinedSigsNear(r.powerMw); n > r.maxSigs {
-			r.maxSigs = n
+// frameStart records tx's start, received at power p, at node j, whose
+// totals already include it: the start raises the running maxima of the
+// node's newest live reception (see reception), and starts a reception of
+// its own if the frame is strong enough to matter.
+func (m *Medium) frameStart(tx *transmission, j NodeID, p float64) {
+	dst := &m.nodes[j]
+	tot := dst.totalMw
+	sigInterf := tot - dst.sigMw + m.noiseMw
+	if n := len(dst.recs); n > 0 {
+		lr := &dst.recs[n-1]
+		if tot > lr.totMaxMw {
+			lr.totMaxMw = tot
 		}
-	} else {
-		interf = dst.totalMw - r.powerMw + m.noiseMw
+		if sigInterf > lr.sigInterfMaxMw {
+			lr.sigInterfMaxMw = sigInterf
+		}
+		// The combination load near a signature reception only grows when
+		// a signature starts; in between, signatures can only leave.
+		if tx.sig {
+			for _, lr := range dst.recs {
+				if r := &m.rxs[lr.ri]; r.sig {
+					if c := dst.combinedSigsNear(r.powerMw); c > r.maxSigs {
+						r.maxSigs = c
+					}
+				}
+			}
+		}
+	}
+	if dst.listener == nil || p < m.floorMw {
+		return
+	}
+	ri := m.allocRx()
+	r := &m.rxs[ri]
+	*r = reception{at: j, powerMw: p, rate: tx.frame.Rate, sig: tx.sig, failed: dst.tx != nil}
+	if tx.sig {
+		r.maxSigs = dst.combinedSigsNear(p)
+	}
+	dst.recs = append(dst.recs, liveRx{ri: ri, totMaxMw: tot, sigInterfMaxMw: sigInterf})
+	tx.recs = append(tx.recs, ri)
+}
+
+// settle unlinks reception ri from its node when its frame ends and sets
+// its worst interference: the maximum over its own segment and every later
+// one, all of whose starts fell inside its air time. Its segment then merges
+// into the node's previous reception, which was on the air for those starts
+// too.
+func (m *Medium) settle(ri int32) {
+	r := &m.rxs[ri]
+	ns := &m.nodes[r.at]
+	i := 0
+	for ns.recs[i].ri != ri {
+		i++
+	}
+	own := ns.recs[i]
+	tot, sigInterf := own.totMaxMw, own.sigInterfMaxMw
+	for _, later := range ns.recs[i+1:] {
+		if later.totMaxMw > tot {
+			tot = later.totMaxMw
+		}
+		if later.sigInterfMaxMw > sigInterf {
+			sigInterf = later.sigInterfMaxMw
+		}
+	}
+	if i > 0 {
+		prev := &ns.recs[i-1]
+		if own.totMaxMw > prev.totMaxMw {
+			prev.totMaxMw = own.totMaxMw
+		}
+		if own.sigInterfMaxMw > prev.sigInterfMaxMw {
+			prev.sigInterfMaxMw = own.sigInterfMaxMw
+		}
+	}
+	ns.recs = ns.recs[:i+copy(ns.recs[i:], ns.recs[i+1:])]
+
+	// Orthogonal spreading: other signatures do not count as noise for a
+	// signature frame, but the combination load of comparably strong ones
+	// does (maxSigs).
+	interf := sigInterf
+	if !r.sig {
+		interf = tot - r.powerMw + m.noiseMw
 	}
 	if interf < m.noiseMw { // guard against FP residue
 		interf = m.noiseMw
 	}
-	if interf > r.interfMaxMw {
-		r.interfMaxMw = interf
-	}
+	r.interfMw = interf
 }
 
 func (m *Medium) endTransmission(tx *transmission) {
@@ -397,7 +485,7 @@ func (m *Medium) endTransmission(tx *transmission) {
 				dst.sigMw = 0
 			}
 			for i, r := range dst.activeSigs {
-				if r.tx == tx {
+				if r.src == tx.src {
 					dst.activeSigs[i] = dst.activeSigs[len(dst.activeSigs)-1]
 					dst.activeSigs = dst.activeSigs[:len(dst.activeSigs)-1]
 					break
@@ -415,10 +503,10 @@ func (m *Medium) endTransmission(tx *transmission) {
 	if m.probe != nil {
 		m.probe.TxEnd(tx.frame, m.k.Now())
 	}
-	for _, r := range tx.recs {
-		dst := &m.nodes[r.at]
-		dst.recs = removeReception(dst.recs, r)
-		ok, det := m.judge(r)
+	for _, ri := range tx.recs {
+		m.settle(ri)
+		r := &m.rxs[ri]
+		ok := m.judge(r)
 		if ok {
 			m.Delivered++
 		} else {
@@ -427,50 +515,77 @@ func (m *Medium) endTransmission(tx *transmission) {
 		if m.probe != nil {
 			m.probe.RxOutcome(tx.frame, r.at, ok, m.k.Now())
 		}
-		outcomes = append(outcomes, outcome{r, ok, det})
+		outcomes = append(outcomes, outcome{
+			r: ri, at: r.at, ok: ok, sig: r.sig,
+			det: SignatureDetection{Combined: r.maxSigs},
+		})
 	}
 	m.notifyCarrier(carrier)
 	m.pushCarrier(carrier)
 	frame := tx.frame
-	for _, o := range outcomes {
-		m.nodes[o.r.at].listener.FrameReceived(frame, o.ok, o.det)
+	for i := range outcomes {
+		o := &outcomes[i]
+		var det *SignatureDetection
+		if o.sig {
+			det = &o.det
+		}
+		m.nodes[o.at].listener.FrameReceived(frame, o.ok, det)
 	}
 	// Recycle only after every callback ran: listeners must never observe a
-	// reused struct mid-notification.
+	// reused slot mid-notification.
 	for _, o := range outcomes {
-		m.releaseRx(o.r)
+		m.rxFree = append(m.rxFree, o.r)
 	}
 	m.pushOutcomes(outcomes)
 	m.releaseTx(tx)
 }
 
-// judge decides a reception's outcome at frame end.
-func (m *Medium) judge(r *reception) (bool, *SignatureDetection) {
-	if r.tx.frame.Kind != Signature {
-		return !r.failed && m.decodable(r.powerMw/r.interfMaxMw, r.tx.frame.Rate), nil
+// judge decides a settled reception's outcome at frame end.
+func (m *Medium) judge(r *reception) bool {
+	if !r.sig {
+		return !r.failed && m.decodable(r.powerMw/r.interfMw, r.rate)
 	}
-	// One log instead of two: 10·log10(S/I) == S_dBm − I_dBm.
-	sinr := 10 * math.Log10(r.powerMw/r.interfMaxMw)
-	r.det = SignatureDetection{Combined: r.maxSigs, SINRdB: sinr}
-	det := &r.det
-	if r.failed || sinr < m.cfg.SigSINRdB {
-		return false, det
+	if r.failed || m.sigTh.below(r.powerMw/r.interfMw) {
+		return false
 	}
 	p := m.cfg.Detector(r.maxSigs)
-	return m.k.Rand().Float64() < p, det
+	return m.k.Rand().Float64() < p
 }
 
-// thresholdGuard is the relative half-width of the band around a rate's
-// linear threshold inside which decodable falls back to the dB comparison.
-// Outside it the two comparisons cannot disagree: 1e-9 of S/I is 4.3e-9 dB,
-// millions of times the rounding error of a logarithm or of the threshold's
-// own Pow.
+// thresholdGuard is the relative half-width of the band around a linear
+// threshold inside which decodable and below fall back to the dB
+// comparison. Outside it the two comparisons cannot disagree: 1e-9 of S/I
+// is 4.3e-9 dB, millions of times the rounding error of a logarithm or of
+// the threshold's own Pow.
 const thresholdGuard = 1e-9
 
-type rateThreshold struct {
-	rate   Rate
+// linThreshold is an SINR threshold in dB together with the linear S/I
+// bounds that decide most comparisons against it without a logarithm.
+type linThreshold struct {
 	db     float64
-	lo, hi float64 // linear S/I: below lo fails, above hi decodes
+	lo, hi float64 // linear S/I: below lo is under db, above hi is over it
+}
+
+func newLinThreshold(db float64) linThreshold {
+	lin := math.Pow(10, db/10)
+	return linThreshold{db: db, lo: lin * (1 - thresholdGuard), hi: lin * (1 + thresholdGuard)}
+}
+
+// below reports 10·log10(sir) < th.db, taking the logarithm only within
+// thresholdGuard of the threshold (or for NaN).
+func (th *linThreshold) below(sir float64) bool {
+	switch {
+	case sir < th.lo:
+		return true
+	case sir > th.hi:
+		return false
+	}
+	return 10*math.Log10(sir) < th.db
+}
+
+type rateThreshold struct {
+	rate Rate
+	linThreshold
 }
 
 // decodable reports whether a frame at the given rate survives a signal-to-
@@ -496,22 +611,8 @@ func (m *Medium) threshold(rate Rate) *rateThreshold {
 			return &m.thresholds[i]
 		}
 	}
-	db := SNRThresholdDB(rate)
-	lin := math.Pow(10, db/10)
-	m.thresholds = append(m.thresholds, rateThreshold{
-		rate: rate, db: db, lo: lin * (1 - thresholdGuard), hi: lin * (1 + thresholdGuard),
-	})
+	m.thresholds = append(m.thresholds, rateThreshold{rate: rate, linThreshold: newLinThreshold(SNRThresholdDB(rate))})
 	return &m.thresholds[len(m.thresholds)-1]
-}
-
-func removeReception(recs []*reception, r *reception) []*reception {
-	for i, x := range recs {
-		if x == r {
-			recs[i] = recs[len(recs)-1]
-			return recs[:len(recs)-1]
-		}
-	}
-	return recs
 }
 
 // carrierFlipped records a carrier-sense transition at the node and reports

@@ -2,16 +2,18 @@ package phy
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// recorder is a Listener that stores everything it observes.
+// recorder is a Listener that stores everything it observes. The detection
+// detail is copied: its pointer is only valid during the callback.
 type recorder struct {
 	frames  []*Frame
 	oks     []bool
-	dets    []*SignatureDetection
+	dets    []SignatureDetection // zero value for non-signature frames
 	carrier []bool
 }
 
@@ -19,7 +21,11 @@ func (r *recorder) CarrierChanged(busy bool) { r.carrier = append(r.carrier, bus
 func (r *recorder) FrameReceived(f *Frame, ok bool, det *SignatureDetection) {
 	r.frames = append(r.frames, f)
 	r.oks = append(r.oks, ok)
-	r.dets = append(r.dets, det)
+	var d SignatureDetection
+	if det != nil {
+		d = *det
+	}
+	r.dets = append(r.dets, d)
 }
 
 // uniformRSS builds an n-node matrix where every pair hears the other at the
@@ -481,4 +487,37 @@ func BenchmarkMediumBroadcastChurn(b *testing.B) {
 	}
 	k.At(0, send)
 	k.Run()
+}
+
+// TestHotStructsHoldNoPointers pins the property the arena and the kernel's
+// heap entries exist for: sifting heap entries and writing receptions store
+// no pointer, so they cost no GC write barrier and the GC never scans them.
+func TestHotStructsHoldNoPointers(t *testing.T) {
+	for _, v := range []any{reception{}, liveRx{}, outcome{}, sigRec{}} {
+		if path := pointerPath(reflect.TypeOf(v)); path != "" {
+			t.Errorf("%T holds a pointer at %s", v, path)
+		}
+	}
+}
+
+// pointerPath returns the path to the first pointer-holding component of
+// t, or "" when t holds none.
+func pointerPath(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerPath(t.Field(i).Type); p != "" {
+				return "." + t.Field(i).Name + p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerPath(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	default:
+		return " (" + t.Kind().String() + ")"
+	}
 }

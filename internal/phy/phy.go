@@ -242,9 +242,6 @@ type SignatureDetection struct {
 	// Combined is the peak number of signatures simultaneously in the air
 	// (summed over all overlapping signature frames) during this frame.
 	Combined int
-	// SINRdB is the frame's worst-case SINR against non-signature
-	// interference.
-	SINRdB float64
 }
 
 // Detector decides whether a signature broadcast is detected given the peak

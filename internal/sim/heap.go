@@ -1,109 +1,113 @@
 package sim
 
-// eventHeap is a monomorphic index-tracked binary min-heap over pooled
-// events, ordered by (at, seq). It replaces container/heap: no
-// heap.Interface, so push/pop/remove are direct calls on concrete types with
-// no `any` boxing, and the stored index supports O(log n) eager removal on
-// Cancel. Because (at, seq) is a total order (seq is unique), the pop
-// sequence is the exact sorted order regardless of internal layout — the
-// property the byte-identical trace contract rests on.
-type eventHeap []*event
-
-// peek returns the minimum event without removing it, or nil when empty.
-func (h eventHeap) peek() *event {
-	if len(h) == 0 {
-		return nil
-	}
-	return h[0]
+// hent is one queued event as the heap stores it: the (at, seq) key inline
+// and id, the event's slot in the queue's registry. It holds no pointer, so
+// a sift compares keys without dereferencing an event and moves entries
+// without a GC write barrier.
+type hent struct {
+	at  Time
+	seq uint64 // tie-breaker: FIFO among events at the same instant
+	id  int32
 }
 
-func (h eventHeap) less(i, j int) bool {
-	a, b := h[i], h[j]
+func (a hent) less(b hent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
+// eventQueue is a monomorphic index-tracked 4-ary min-heap over pooled
+// events, ordered by (at, seq). evs is the registry of every event struct
+// the kernel ever allocated, indexed by event.id; each event's index field
+// tracks its heap position (-1 when not queued), which supports O(log n)
+// eager removal on Cancel. Because (at, seq) is a total order (seq is
+// unique), the pop sequence is the exact sorted order regardless of arity or
+// internal layout — the property the byte-identical trace contract rests on.
+// A 4-ary heap is half as deep as a binary one, and the four children of a
+// node sit in one or two cache lines.
+type eventQueue struct {
+	ents []hent
+	evs  []*event
 }
 
 // push inserts e and records its heap index.
-func (h *eventHeap) push(e *event) {
-	q := append(*h, e)
-	*h = q
-	i := len(q) - 1
-	e.index = int32(i)
-	q.up(i)
+func (q *eventQueue) push(e hent) {
+	q.ents = append(q.ents, hent{})
+	q.up(len(q.ents)-1, e)
 }
 
-// popMin removes and returns the minimum event.
-func (h *eventHeap) popMin() *event {
-	q := *h
-	n := len(q) - 1
-	q.swap(0, n)
-	e := q[n]
-	q[n] = nil
-	q = q[:n]
-	*h = q
+// popMin removes the minimum entry and returns its event.
+func (q *eventQueue) popMin() *event {
+	top := q.ents[0]
+	n := len(q.ents) - 1
+	last := q.ents[n]
+	q.ents = q.ents[:n]
 	if n > 0 {
-		q.down(0)
+		q.down(0, last)
 	}
-	e.index = -1
-	return e
+	ev := q.evs[top.id]
+	ev.index = -1
+	return ev
 }
 
-// remove deletes the event at heap index i (the eager-Cancel path).
-func (h *eventHeap) remove(i int) {
-	q := *h
-	n := len(q) - 1
-	if i != n {
-		q.swap(i, n)
-	}
-	e := q[n]
-	q[n] = nil
-	q = q[:n]
-	*h = q
-	if i != n && i < n {
-		if !q.down(i) {
-			q.up(i)
+// remove deletes the entry at heap index i (the eager-Cancel path).
+func (q *eventQueue) remove(i int) {
+	ev := q.evs[q.ents[i].id]
+	n := len(q.ents) - 1
+	last := q.ents[n]
+	q.ents = q.ents[:n]
+	if i < n {
+		if i > 0 && last.less(q.ents[(i-1)/4]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
 		}
 	}
-	e.index = -1
+	ev.index = -1
 }
 
-func (h eventHeap) up(i int) {
+// set stores e at heap index i and records the position on its event.
+func (q *eventQueue) set(i int, e hent) {
+	q.ents[i] = e
+	q.evs[e.id].index = int32(i)
+}
+
+// up fills the hole at i with e, moving it toward the root.
+func (q *eventQueue) up(i int, e hent) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		parent := (i - 1) / 4
+		p := q.ents[parent]
+		if !e.less(p) {
 			break
 		}
-		h.swap(i, parent)
+		q.set(i, p)
 		i = parent
 	}
+	q.set(i, e)
 }
 
-// down sifts the element at i toward the leaves and reports whether it moved.
-func (h eventHeap) down(i int) bool {
+// down fills the hole at i with e, moving it toward the leaves.
+func (q *eventQueue) down(i int, e hent) {
+	h := q.ents
 	n := len(h)
-	i0 := i
 	for {
-		l := 2*i + 1
-		if l >= n || l < 0 { // l < 0 after int overflow
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		j := l
-		if r := l + 1; r < n && h.less(r, l) {
-			j = r
+		end := min(c+4, n)
+		m, mk := c, h[c]
+		for j := c + 1; j < end; j++ {
+			if h[j].less(mk) {
+				m, mk = j, h[j]
+			}
 		}
-		if !h.less(j, i) {
+		if !mk.less(e) {
 			break
 		}
-		h.swap(i, j)
-		i = j
+		q.set(i, mk)
+		i = m
 	}
-	return i > i0
+	q.set(i, e)
 }

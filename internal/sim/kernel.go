@@ -36,13 +36,15 @@ func (s Source) String() string {
 // allocates nothing. The generation counter is bumped on every reuse, which
 // turns any still-outstanding handle to the struct's previous life into a
 // harmless no-op (see Event).
+//
+// The event's timestamp and tie-breaking sequence number live in its heap
+// entry (hent), not here: the queue orders entries without touching events.
 type event struct {
-	at        Time
-	seq       uint64 // tie-breaker: FIFO among events at the same instant
 	gen       uint64 // incremented each time the struct is recycled
 	fn        func()
 	k         *Kernel
 	index     int32 // heap index, -1 when not queued
+	id        int32 // slot in the queue's registry (eventQueue.evs)
 	src       Source
 	cancelled bool
 }
@@ -132,14 +134,15 @@ type EventInfo struct {
 // Kernel is a single-threaded discrete-event scheduler. The zero value is not
 // usable; construct with New.
 //
-// The event queue is a monomorphic index-tracked binary min-heap specialized
-// to the pooled event struct: no heap.Interface, no interface boxing, and no
-// allocation per schedule in steady state (events recycle through a free
-// list). TestDifferentialRandomOps checks it against a container/heap model.
+// The event queue is a monomorphic index-tracked 4-ary min-heap of
+// pointer-free (at, seq, id) entries: no heap.Interface, no interface boxing,
+// and no allocation per schedule in steady state (events recycle through a
+// free list of registry ids). TestDifferentialRandomOps checks it against a
+// container/heap model.
 type Kernel struct {
 	now     Time
-	q       eventHeap
-	free    []*event
+	q       eventQueue
+	free    []int32 // registry ids of recycled events, used LIFO
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -176,20 +179,21 @@ func (k *Kernel) OnEvent(hook func(EventInfo)) { k.hook = hook }
 // struct's previous life.
 func (k *Kernel) alloc() *event {
 	if n := len(k.free) - 1; n >= 0 {
-		ev := k.free[n]
-		k.free[n] = nil
+		ev := k.q.evs[k.free[n]]
 		k.free = k.free[:n]
 		ev.gen++
 		ev.cancelled = false
 		return ev
 	}
-	return &event{k: k, index: -1}
+	ev := &event{k: k, index: -1, id: int32(len(k.q.evs))}
+	k.q.evs = append(k.q.evs, ev)
+	return ev
 }
 
 // release returns a fired or cancelled event to the pool.
 func (k *Kernel) release(ev *event) {
 	ev.fn = nil // drop the closure so the pool does not pin captured state
-	k.free = append(k.free, ev)
+	k.free = append(k.free, ev.id)
 }
 
 // removeQueued eagerly removes a still-queued event (the Cancel path) and
@@ -209,12 +213,10 @@ func (k *Kernel) At(t Time, fn func()) Event {
 		panic("sim: event scheduled in the past")
 	}
 	ev := k.alloc()
-	ev.at = t
-	ev.seq = k.seq
 	ev.fn = fn
 	ev.src = k.cur
+	k.q.push(hent{at: t, seq: k.seq, id: ev.id})
 	k.seq++
-	k.q.push(ev)
 	return Event{ev: ev, gen: ev.gen, at: t}
 }
 
@@ -252,25 +254,25 @@ func (k *Kernel) RunBefore(horizon Time) Time { return k.run(horizon, false) }
 func (k *Kernel) run(limit Time, inclusive bool) Time {
 	k.stopped = false
 	for !k.stopped {
-		ev := k.q.peek()
-		if ev == nil || ev.at > limit || (!inclusive && ev.at == limit) {
+		if len(k.q.ents) == 0 || k.q.ents[0].at > limit || (!inclusive && k.q.ents[0].at == limit) {
 			if limit != MaxTime && k.now < limit {
 				k.now = limit
 			}
 			return k.now
 		}
-		k.q.popMin()
+		at := k.q.ents[0].at
+		ev := k.q.popMin()
 		if ev.cancelled {
 			// Cancelled events are removed eagerly; this lazy skip only
 			// guards an event cancelled through its own handle between pop
 			// and run (not reachable today, kept as a cheap invariant).
 			continue
 		}
-		k.now = ev.at
+		k.now = at
 		k.fired++
 		k.cur = ev.src
 		if k.hook != nil {
-			k.hook(EventInfo{Now: ev.at, Fired: k.fired, Pending: k.Pending(), Source: ev.src})
+			k.hook(EventInfo{Now: at, Fired: k.fired, Pending: k.Pending(), Source: ev.src})
 		}
 		fn := ev.fn
 		k.release(ev)
@@ -281,7 +283,7 @@ func (k *Kernel) run(limit Time, inclusive bool) Time {
 
 // Pending returns the number of events currently queued. Cancelled events are
 // removed eagerly, so they no longer count.
-func (k *Kernel) Pending() int { return len(k.q) }
+func (k *Kernel) Pending() int { return len(k.q.ents) }
 
 // poolSize exposes the free-list depth to white-box tests.
 func (k *Kernel) poolSize() int { return len(k.free) }

@@ -6,12 +6,22 @@ import (
 	"testing"
 )
 
+// refEvent is refKernel's event: its own (at, seq) key and heap index.
+type refEvent struct {
+	at        Time
+	seq       uint64
+	fn        func()
+	index     int32
+	src       Source
+	cancelled bool
+}
+
 // refQueue is the event queue this kernel shipped with before the pooled
 // monomorphic heap: container/heap over a boxed slice, one garbage event per
 // schedule. It is kept verbatim (modulo the event struct rename) as the
 // queue of refKernel, the model TestDifferentialRandomOps checks the pooled
 // kernel against.
-type refQueue []*event
+type refQueue []*refEvent
 
 func (q refQueue) Len() int { return len(q) }
 
@@ -29,7 +39,7 @@ func (q refQueue) Swap(i, j int) {
 }
 
 func (q *refQueue) Push(x any) {
-	e := x.(*event)
+	e := x.(*refEvent)
 	e.index = int32(len(*q))
 	*q = append(*q, e)
 }
@@ -58,7 +68,7 @@ type refKernel struct {
 // refHandle is refKernel's event handle.
 type refHandle struct {
 	k  *refKernel
-	ev *event
+	ev *refEvent
 }
 
 func (h refHandle) Cancel() {
@@ -73,7 +83,7 @@ func (k *refKernel) Now() Time                    { return k.now }
 func (k *refKernel) OnEvent(hook func(EventInfo)) { k.hook = hook }
 
 func (k *refKernel) At(t Time, fn func()) refHandle {
-	ev := &event{at: t, seq: k.seq, fn: fn, src: k.cur, index: -1}
+	ev := &refEvent{at: t, seq: k.seq, fn: fn, src: k.cur, index: -1}
 	k.seq++
 	heap.Push(&k.q, ev)
 	return refHandle{k: k, ev: ev}
@@ -83,7 +93,7 @@ func (k *refKernel) After(d Time, fn func()) refHandle { return k.At(k.now+d, fn
 
 func (k *refKernel) Run() Time {
 	for len(k.q) > 0 {
-		ev := heap.Pop(&k.q).(*event)
+		ev := heap.Pop(&k.q).(*refEvent)
 		if ev.cancelled {
 			continue
 		}
@@ -111,8 +121,11 @@ type opKernel[H interface{ Cancel() }] interface {
 // opTrace drives one kernel through a deterministic random schedule of
 // At/After/Cancel operations (derived from seed) and records the (at, seq)
 // identity of every event that fires. Callbacks themselves schedule and
-// cancel, so the interleaving exercises mid-run mutation of the queue.
-func opTrace[H interface{ Cancel() }](k opKernel[H], seed int64, ops int) []EventInfo {
+// cancel, so the interleaving exercises mid-run mutation of the queue. The
+// run starts from roots events spread over [0, 4·roots); with hundreds of
+// roots the queue is deep and a cancelled handle sits at a random heap
+// position, often an inner node.
+func opTrace[H interface{ Cancel() }](k opKernel[H], seed int64, ops, roots int) []EventInfo {
 	rng := rand.New(rand.NewSource(seed))
 	var fired []EventInfo
 	k.OnEvent(func(info EventInfo) { fired = append(fired, info) })
@@ -140,9 +153,9 @@ func opTrace[H interface{ Cancel() }](k opKernel[H], seed int64, ops int) []Even
 			}
 		}
 	}
-	// Seed the run with a few roots so cancellation cannot strand the trace.
-	for i := 0; i < 4; i++ {
-		handles = append(handles, k.After(Time(i), step))
+	// Seed the run with roots so cancellation cannot strand the trace.
+	for i := 0; i < roots; i++ {
+		handles = append(handles, k.After(Time(rng.Intn(4*roots)), step))
 	}
 	k.Run()
 	return fired
@@ -151,25 +164,46 @@ func opTrace[H interface{ Cancel() }](k opKernel[H], seed int64, ops int) []Even
 // TestDifferentialRandomOps: for random At/After/Cancel interleavings the
 // pooled monomorphic kernel must fire the exact same event sequence — same
 // timestamps, same fired counts, same pending depths, same sources — as the
-// container/heap model kernel.
+// container/heap model kernel. The deep runs keep more than a thousand
+// events pending, so sifts span several 4-ary levels and cancels remove
+// inner entries.
 func TestDifferentialRandomOps(t *testing.T) {
-	for seed := int64(1); seed <= 25; seed++ {
-		pooled := New(seed)
-		got := opTrace[Event](pooled, seed, 400)
+	for _, tc := range []struct {
+		name           string
+		seeds          int64
+		ops, roots     int
+		minPendingPeak int
+	}{
+		{"shallow", 25, 400, 4, 0},
+		{"deep", 5, 6000, 1500, 1000},
+	} {
+		for seed := int64(1); seed <= tc.seeds; seed++ {
+			pooled := New(seed)
+			got := opTrace[Event](pooled, seed, tc.ops, tc.roots)
 
-		model := &refKernel{}
-		want := opTrace[refHandle](model, seed, 400)
+			model := &refKernel{}
+			want := opTrace[refHandle](model, seed, tc.ops, tc.roots)
 
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: pooled fired %d events, model fired %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: event %d diverged: pooled %+v, model %+v", seed, i, got[i], want[i])
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: pooled fired %d events, model fired %d", tc.name, seed, len(got), len(want))
 			}
-		}
-		if pooled.Now() != model.Now() {
-			t.Fatalf("seed %d: final clocks diverged: %v vs %v", seed, pooled.Now(), model.Now())
+			peak := 0
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: event %d diverged: pooled %+v, model %+v", tc.name, seed, i, got[i], want[i])
+				}
+				peak = max(peak, got[i].Pending)
+			}
+			if peak < tc.minPendingPeak {
+				t.Fatalf("%s seed %d: pending peaked at %d, want >= %d", tc.name, seed, peak, tc.minPendingPeak)
+			}
+			if pooled.Now() != model.Now() {
+				t.Fatalf("%s seed %d: final clocks diverged: %v vs %v", tc.name, seed, pooled.Now(), model.Now())
+			}
+			if pooled.Pending() != 0 || len(pooled.free) != len(pooled.q.evs) {
+				t.Fatalf("%s seed %d: drained kernel has %d pending, %d of %d events pooled",
+					tc.name, seed, pooled.Pending(), len(pooled.free), len(pooled.q.evs))
+			}
 		}
 	}
 }

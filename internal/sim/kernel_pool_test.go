@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -137,5 +138,46 @@ func TestAtAfterCancelZeroAllocs(t *testing.T) {
 		k.RunUntil(base + batch)
 	}); got != 0 {
 		t.Fatalf("%d-event At+RunUntil drain allocates %v/op in steady state, want 0", batch, got)
+	}
+}
+
+// The heap's entries must stay pointer-free: a sift then moves them
+// without a GC write barrier and the GC never scans the heap array.
+func TestHeapEntryHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(hent{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Int64, reflect.Uint64:
+		default:
+			t.Errorf("hent.%s is a %v; heap entries must hold only integers", f.Name, f.Type)
+		}
+	}
+}
+
+// Inside its own callback an event has left the queue: its handle reports
+// it unscheduled, and cancelling it must not disturb the events still
+// queued.
+func TestHandleInsideOwnCallback(t *testing.T) {
+	k := New(1)
+	var self Event
+	var fired []Time
+	for i := 1; i <= 6; i++ {
+		at := Time(i) * Microsecond
+		k.At(at, func() { fired = append(fired, at) })
+	}
+	self = k.At(0, func() {
+		if self.Scheduled() {
+			t.Error("handle Scheduled inside its own callback")
+		}
+		self.Cancel()
+	})
+	k.Run()
+	if len(fired) != 6 {
+		t.Fatalf("fired %v after a self-cancel, want all 6 queued events", fired)
+	}
+	for i, at := range fired {
+		if at != Time(i+1)*Microsecond {
+			t.Fatalf("fired %v, want 1µs…6µs in order", fired)
+		}
 	}
 }

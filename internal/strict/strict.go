@@ -42,6 +42,7 @@ type Scheduler interface {
 type RAND struct {
 	g     *topo.ConflictGraph
 	order []int // rotation queue Q of link IDs
+	spare []int // the previous rotation's buffer, reused by the next
 }
 
 // NewRAND builds the scheduler over a conflict graph.
@@ -79,13 +80,13 @@ func (r *RAND) NextSlot(backlog func(link int) int) Slot {
 		return nil
 	}
 	// Move the chosen links to the end of Q, preserving relative order.
-	var rest []int
+	rest := r.spare[:0]
 	for _, id := range r.order {
 		if !chosen[id] {
 			rest = append(rest, id)
 		}
 	}
-	r.order = append(rest, slot...)
+	r.spare, r.order = r.order, append(rest, slot...)
 	return slot
 }
 
@@ -241,7 +242,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 }
 
 // Start implements mac.Engine.
-func (e *Omniscient) Start() { e.k.After(0, e.tick) }
+func (e *Omniscient) Start() { e.k.After(0, e.tick).SetSource(sim.SrcMAC) }
 
 // Enqueue implements mac.Engine.
 func (e *Omniscient) Enqueue(p *mac.Packet) {
@@ -264,7 +265,7 @@ func (e *Omniscient) tick() {
 	slot := e.sched.NextSlot(func(id int) int { return e.queues[id].Len() })
 	if slot == nil {
 		// Idle: poll again after one empty slot.
-		e.k.After(e.slotDuration(512), e.tick)
+		e.k.After(e.slotDuration(512), e.tick).SetSource(sim.SrcMAC)
 		return
 	}
 	e.Slots++
@@ -309,7 +310,7 @@ func (e *Omniscient) tick() {
 			}
 		}
 		e.tick()
-	})
+	}).SetSource(sim.SrcMAC)
 }
 
 // CarrierChanged implements phy.Listener; the omniscient executor ignores

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench
+.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench profile-fig14
 
 ci: vet fmt build test specs examples trace-smoke race race-hot race-shard bench-smoke
 
@@ -77,3 +77,16 @@ bench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench NewConflictGraph -benchmem -benchtime=1x ./internal/topo
+
+# CPU and allocation profiles of one BenchmarkFig14 iteration (3 random
+# T(20,3) placements x 2 s, DCF then DOMINO). The allocation profile samples
+# one allocation per 4 KiB. Both profiles and the test binary stay in a
+# fresh temporary directory, named on the last line; the -top tables go to
+# stdout (CPU by flat time, allocations by object count).
+profile-fig14:
+	@dir=$$(mktemp -d); set -e; \
+	$(GO) test -run '^$$' -bench '^BenchmarkFig14$$' -benchtime 1x -o $$dir/repro.test \
+		-cpuprofile $$dir/cpu.pprof -memprofile $$dir/mem.pprof -memprofilerate 4096 . ; \
+	$(GO) tool pprof -top -nodecount 30 $$dir/repro.test $$dir/cpu.pprof; \
+	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_objects $$dir/repro.test $$dir/mem.pprof; \
+	echo "profiles in $$dir"

@@ -67,7 +67,7 @@ func TestIdleEngineReschedules(t *testing.T) {
 	if engine.Epochs < 100 {
 		t.Errorf("idle engine built %d epochs; should keep checking", engine.Epochs)
 	}
-	engine.Enqueue(&mac.Packet{Link: links[0], Bytes: 512, Enqueued: k.Now()})
+	engine.Enqueue(mac.Packet{Link: int32(links[0].ID), Bytes: 512, Enqueued: k.Now()})
 	k.RunUntil(300 * sim.Millisecond)
 	if engine.QueueLen(0) != 0 {
 		t.Errorf("late packet still queued")

@@ -270,7 +270,7 @@ func NewInstance(s Scenario) (*Instance, error) {
 	// typed records below.
 	var orun *obs.Run
 	if s.Tracer != nil || s.Metrics != nil {
-		orun = obs.NewRun(s.Tracer, s.Metrics).BindClock(k.Now)
+		orun = obs.NewRun(s.Tracer, s.Metrics).BindClock(k.Now).BindLinks(links)
 		if s.ObsSetup != nil {
 			s.ObsSetup(orun)
 		}

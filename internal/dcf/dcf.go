@@ -57,12 +57,18 @@ func DefaultConfig() Config {
 type Engine struct {
 	k      *sim.Kernel
 	medium *phy.Medium
-	links  []*topo.Link
 	events mac.Events
 	cfg    Config
 
-	queues []*mac.Queue // by link ID
-	nodes  map[phy.NodeID]*node
+	links   []*topo.Link // by link ID
+	senders []*node      // by link ID
+	queues  []*mac.Queue // by link ID
+	intake  mac.Intake
+	nodes   map[phy.NodeID]*node
+	// out holds a finished packet while Events hears of it: a sink that
+	// re-enters Enqueue may start the station's next send, which reuses
+	// the station's pending slot.
+	out mac.Packet
 
 	// Counters mirrored from the paper's diagnostics (§4.2.3 reports ACK
 	// timeout counts).
@@ -100,8 +106,10 @@ type node struct {
 	id    phy.NodeID
 	links []*topo.Link // links this node sends on
 
-	st      state
-	pending *mac.Packet
+	st state
+	// pending is the packet in service, valid while busy is set.
+	pending mac.Packet
+	busy    bool
 	// The pending send's own rules. span is the causal span its frames
 	// carry. fixed >= 0 marks a scheduled send (SendFixed): its backoff is
 	// always fixed slots, restarts whole when the medium turns busy and never
@@ -160,14 +168,15 @@ func (e *Engine) SendFixed(l *topo.Link, slots int, span int64, done func()) boo
 	if n.st != stIdle {
 		return false
 	}
-	p := e.queues[l.ID].Pop()
-	if p == nil {
+	p, ok := e.queues[l.ID].Pop()
+	if !ok {
 		return false
 	}
+	n.pending, n.busy = p, true
 	if e.Life != nil {
-		e.Life.PacketDequeued(p, e.k.Now())
+		e.Life.PacketDequeued(&n.pending, e.k.Now())
 	}
-	n.pending, n.span, n.fixed, n.done = p, span, slots, done
+	n.span, n.fixed, n.done = span, slots, done
 	n.counter = slots
 	n.st = stBackoff
 	n.tryScheduleFire()
@@ -182,14 +191,17 @@ func New(k *sim.Kernel, medium *phy.Medium, links []*topo.Link, events mac.Event
 		events = mac.NopEvents{}
 	}
 	e := &Engine{
-		k: k, medium: medium, links: links, events: events, cfg: cfg,
+		k: k, medium: medium, events: events, cfg: cfg,
 		nodes: map[phy.NodeID]*node{},
 	}
+	e.links = make([]*topo.Link, len(links))
+	e.senders = make([]*node, len(links))
 	e.queues = make([]*mac.Queue, len(links))
 	for _, l := range links {
 		if l.ID < 0 || l.ID >= len(links) {
 			panic(fmt.Sprintf("dcf: link IDs must be dense, got %d", l.ID))
 		}
+		e.links[l.ID] = l
 		e.queues[l.ID] = mac.NewQueue(cfg.QueueCap)
 	}
 	addNode := func(id phy.NodeID) *node {
@@ -204,7 +216,9 @@ func New(k *sim.Kernel, medium *phy.Medium, links []*topo.Link, events mac.Event
 		return n
 	}
 	for _, l := range links {
-		addNode(l.Sender).links = append(addNode(l.Sender).links, l)
+		n := addNode(l.Sender)
+		n.links = append(n.links, l)
+		e.senders[l.ID] = n
 		addNode(l.Receiver)
 	}
 	return e
@@ -217,18 +231,18 @@ func (e *Engine) Start() {}
 func (e *Engine) QueueLen(link int) int { return e.queues[link].Len() }
 
 // Enqueue implements mac.Engine.
-func (e *Engine) Enqueue(p *mac.Packet) {
-	if !e.queues[p.Link.ID].Push(p) {
-		e.events.Dropped(p, e.k.Now())
-		return
+func (e *Engine) Enqueue(p mac.Packet) bool {
+	stored := e.intake.Admit(e.queues[p.Link], &p, e.events, e.k.Now())
+	if stored == nil {
+		return false
 	}
 	if e.Life != nil {
-		e.Life.PacketQueued(p, e.k.Now())
+		e.Life.PacketQueued(stored, e.k.Now())
 	}
-	n := e.nodes[p.Link.Sender]
-	if n.st == stIdle {
+	if n := e.senders[p.Link]; n.st == stIdle {
 		n.serveNext()
 	}
+	return true
 }
 
 // dataAirtime returns the on-air duration of a data frame.
@@ -243,19 +257,20 @@ func (e *Engine) ackAirtime() sim.Time {
 // serveNext picks the node's next packet round-robin over its backlogged
 // links and begins contention.
 func (n *node) serveNext() {
-	if n.pending != nil || len(n.links) == 0 {
+	if n.busy || len(n.links) == 0 {
 		return
 	}
 	for i := 0; i < len(n.links); i++ {
 		l := n.links[(n.rr+i)%len(n.links)]
-		if p := n.e.queues[l.ID].Pop(); p != nil {
+		if p, ok := n.e.queues[l.ID].Pop(); ok {
 			n.rr = (n.rr + i + 1) % len(n.links)
+			n.pending, n.busy = p, true
 			if n.e.Life != nil {
-				n.e.Life.PacketDequeued(p, n.e.k.Now())
+				n.e.Life.PacketDequeued(&n.pending, n.e.k.Now())
 			}
 			// A contended send has no scheduling cause: the packet's own
 			// span is the attempt.
-			n.pending, n.span, n.fixed = p, p.Span, -1
+			n.span, n.fixed = n.pending.Span, -1
 			n.startContention()
 			return
 		}
@@ -324,7 +339,7 @@ func (n *node) CarrierChanged(busy bool) {
 // fire transmits the pending data frame.
 func (n *node) fire() {
 	n.fireEv = sim.Event{}
-	if n.st != stBackoff || n.pending == nil {
+	if n.st != stBackoff || !n.busy {
 		return
 	}
 	// Abort only if the medium turned busy before this instant; a busy
@@ -332,13 +347,13 @@ func (n *node) fire() {
 	if n.e.medium.Busy(n.id) && n.busySince != n.e.k.Now() {
 		return
 	}
-	p := n.pending
+	p := &n.pending
 	n.st = stTx
 	p.TxSpan = n.span
-	dur := n.e.dataAirtime(p.Bytes)
+	dur := n.e.dataAirtime(int(p.Bytes))
 	n.e.medium.Transmit(n.id, &phy.Frame{
-		Kind: phy.Data, Dst: p.Link.Receiver, Bytes: p.Bytes,
-		Rate: n.e.cfg.Rate, Duration: dur, Payload: p, ObsSpan: n.span,
+		Kind: phy.Data, Dst: n.e.links[p.Link].Receiver, Bytes: int(p.Bytes),
+		Rate: n.e.cfg.Rate, Duration: dur, Handle: p.Handle, ObsSpan: n.span,
 	})
 	n.e.k.After(dur, n.txDoneFn).SetSource(sim.SrcMAC)
 }
@@ -382,9 +397,9 @@ func (n *node) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 }
 
 // sendAck responds to a correctly received data frame after SIFS. The ACK
-// carries the data frame's span.
+// echoes the data frame's packet handle and carries its span.
 func (n *node) sendAck(f *phy.Frame) {
-	p, span := f.Payload.(*mac.Packet), f.ObsSpan
+	h, span := f.Handle, f.ObsSpan
 	n.e.k.After(n.e.cfg.SIFS, func() {
 		if n.e.medium.Transmitting(n.id) {
 			return // half-duplex: cannot ACK while transmitting
@@ -399,7 +414,7 @@ func (n *node) sendAck(f *phy.Frame) {
 		dur := n.e.ackAirtime()
 		n.e.medium.Transmit(n.id, &phy.Frame{
 			Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
-			Rate: n.e.cfg.AckRate, Duration: dur, Payload: p, ObsSpan: span,
+			Rate: n.e.cfg.AckRate, Duration: dur, Handle: h, ObsSpan: span,
 		})
 		n.e.k.After(dur, n.tryScheduleFireFn)
 	})
@@ -407,21 +422,18 @@ func (n *node) sendAck(f *phy.Frame) {
 
 // onAck completes the pending transmission.
 func (n *node) onAck(f *phy.Frame) {
-	if n.st != stWaitAck || n.pending == nil {
-		return
-	}
-	if f.Payload.(*mac.Packet) != n.pending {
+	if n.st != stWaitAck || !n.busy || f.Handle != n.pending.Handle {
 		return
 	}
 	if n.timeoutEv.Scheduled() {
 		n.timeoutEv.Cancel()
 		n.timeoutEv = sim.Event{}
 	}
-	p, done := n.pending, n.done
-	n.pending, n.done = nil, nil
+	done := n.done
+	n.e.out, n.busy, n.done = n.pending, false, nil
 	n.cw = n.e.cfg.CWMin
 	n.st = stIdle
-	n.e.events.Delivered(p, n.e.k.Now())
+	n.e.events.Delivered(&n.e.out, n.e.k.Now())
 	if done != nil {
 		done()
 	}
@@ -431,7 +443,7 @@ func (n *node) onAck(f *phy.Frame) {
 // ackTimeout retries or drops the pending packet.
 func (n *node) ackTimeout() {
 	n.timeoutEv = sim.Event{}
-	if n.st != stWaitAck || n.pending == nil {
+	if n.st != stWaitAck || !n.busy {
 		return
 	}
 	n.e.AckTimeouts++
@@ -444,11 +456,11 @@ func (n *node) ackTimeout() {
 		n.e.Obs.Emit(rec)
 	}
 	if n.pending.Retries > mac.RetryLimit {
-		p, done := n.pending, n.done
-		n.pending, n.done = nil, nil
+		done := n.done
+		n.e.out, n.busy, n.done = n.pending, false, nil
 		n.cw = n.e.cfg.CWMin
 		n.e.Drops++
-		n.e.events.Dropped(p, n.e.k.Now())
+		n.e.events.Dropped(&n.e.out, n.e.k.Now())
 		n.st = stIdle
 		if done != nil {
 			done()

@@ -151,7 +151,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 	hub.Add(eventsFunc{onDrop: func(*mac.Packet) { dropped++ }})
 	engine.Start()
 	for i := 0; i < 10; i++ {
-		engine.Enqueue(&mac.Packet{Link: links[0], Bytes: 512})
+		engine.Enqueue(mac.Packet{Link: int32(links[0].ID), Bytes: 512})
 	}
 	if engine.QueueLen(0) > 4 {
 		t.Errorf("queue holds %d > cap 4", engine.QueueLen(0))
@@ -188,17 +188,17 @@ func TestSendFixedOnIdleChannel(t *testing.T) {
 	k := sim.New(1)
 	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
 	var deliveredAt []sim.Time
-	var delivered []*mac.Packet
+	var delivered []mac.Packet
 	hub := &mac.Hub{}
 	hub.Add(eventsFunc{onDeliver: func(p *mac.Packet) {
 		deliveredAt = append(deliveredAt, k.Now())
-		delivered = append(delivered, p)
+		delivered = append(delivered, *p)
 	}})
 	cfg := DefaultConfig()
 	e := New(k, medium, links, hub, cfg)
 	e.Hold(links[0])
 	e.Start()
-	e.Enqueue(&mac.Packet{Link: links[0], Bytes: 512})
+	e.Enqueue(mac.Packet{Link: int32(links[0].ID), Bytes: 512})
 	k.RunUntil(10 * sim.Millisecond)
 	if len(delivered) != 0 || e.QueueLen(0) != 1 {
 		t.Fatalf("held link sent on its own: %d delivered, %d queued", len(delivered), e.QueueLen(0))
@@ -207,7 +207,7 @@ func TestSendFixedOnIdleChannel(t *testing.T) {
 	if !e.SendFixed(links[0], 4, 77, func() { dones++ }) {
 		t.Fatal("SendFixed refused an idle station with a queued packet")
 	}
-	e.Enqueue(&mac.Packet{Link: links[0], Bytes: 512})
+	e.Enqueue(mac.Packet{Link: int32(links[0].ID), Bytes: 512})
 	if e.SendFixed(links[0], 4, 78, nil) {
 		t.Error("SendFixed accepted a second send while one is in flight")
 	}
@@ -245,7 +245,7 @@ func TestSendFixedRetriesInLockstep(t *testing.T) {
 	dones := 0
 	for _, l := range links {
 		e.Hold(l)
-		e.Enqueue(&mac.Packet{Link: l, Bytes: 512})
+		e.Enqueue(mac.Packet{Link: int32(l.ID), Bytes: 512})
 	}
 	for _, l := range links {
 		if !e.SendFixed(l, 4, 0, func() { dones++ }) {
@@ -318,5 +318,72 @@ func BenchmarkDCFSecondOfAir(b *testing.B) {
 		}
 		engine.Start()
 		k.RunUntil(sim.Second)
+	}
+}
+
+// TestEnqueueFullQueueZeroAllocs pins stage one of packets as values: an
+// arrival the full queue refuses is reported from the engine's own scratch
+// packet, so the tail drop allocates nothing.
+func TestEnqueueFullQueueZeroAllocs(t *testing.T) {
+	net, links := singleLinkNet()
+	k := sim.New(3)
+	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+	hub := &mac.Hub{}
+	cfg := DefaultConfig()
+	cfg.QueueCap = 1
+	e := New(k, medium, links, hub, cfg)
+	dropped := 0
+	hub.Add(eventsFunc{onDrop: func(*mac.Packet) { dropped++ }})
+	p := mac.Packet{Link: int32(links[0].ID), Bytes: 512}
+	e.Enqueue(p) // into service
+	e.Enqueue(p) // fills the queue
+	allocs := testing.AllocsPerRun(100, func() {
+		if e.Enqueue(p) {
+			t.Fatal("full queue accepted a packet")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a refused Enqueue allocates %.1f times", allocs)
+	}
+	if dropped != 101 {
+		t.Errorf("%d drops reported, want 101", dropped)
+	}
+}
+
+// TestAckMatchesPendingHandle pins ACK matching by packet handle: while a
+// station waits for its ACK, an ACK echoing another packet's handle is
+// ignored, and the ACK echoing the pending packet's completes it.
+func TestAckMatchesPendingHandle(t *testing.T) {
+	net, links := singleLinkNet()
+	l := links[0]
+	k := sim.New(1)
+	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+	var delivered []mac.Packet
+	hub := &mac.Hub{}
+	hub.Add(eventsFunc{onDeliver: func(p *mac.Packet) { delivered = append(delivered, *p) }})
+	cfg := DefaultConfig()
+	e := New(k, medium, links, hub, cfg)
+	e.Hold(l)
+	e.Enqueue(mac.Packet{Link: int32(l.ID), Bytes: 512, Seq: 9})
+	if !e.SendFixed(l, 0, 0, nil) {
+		t.Fatal("SendFixed refused an idle station")
+	}
+	// The data frame ends DIFS + its air time from now; the receiver's ACK
+	// starts SIFS after that. Stop in between.
+	k.RunUntil(cfg.DIFS + phy.Airtime(512, cfg.Rate) + cfg.SIFS/2)
+	n := e.senders[l.ID]
+	if n.st != stWaitAck {
+		t.Fatalf("station in state %d, want waiting for its ACK", n.st)
+	}
+	ack := func(h uint32) {
+		n.FrameReceived(&phy.Frame{Kind: phy.Ack, Src: l.Receiver, Dst: l.Sender, Handle: h}, true, nil)
+	}
+	ack(n.pending.Handle + 1)
+	if len(delivered) != 0 || n.st != stWaitAck {
+		t.Fatalf("an ACK for another packet completed the send (%d delivered)", len(delivered))
+	}
+	ack(n.pending.Handle)
+	if len(delivered) != 1 || delivered[0].Seq != 9 || n.st != stIdle {
+		t.Fatalf("the pending packet's ACK did not complete the send: %d delivered, state %d", len(delivered), n.st)
 	}
 }

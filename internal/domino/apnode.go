@@ -60,9 +60,14 @@ type apNode struct {
 
 	armed *armedTx
 
-	inflight     []*mac.Packet
+	// inflight is the bundle awaiting its ACK (empty when none), on
+	// inflightLink. Its backing array is the AP's reusable bundle buffer.
+	inflight     []mac.Packet
 	inflightLink *topo.Link
 	ackEv        sim.Event
+	// onAckTimeout is ackTimeout bound once, so arming the ACK timer
+	// allocates no method value.
+	onAckTimeout func()
 
 	watchdog sim.Event
 	// onWatchdog is the watchdog's callback, bound once per node so
@@ -254,15 +259,15 @@ func (ap *apNode) sendData(act action) {
 	// A superseded in-flight exchange (its ACK window overlapping this new
 	// slot) counts as missed and retries; it must never be silently
 	// clobbered.
-	if ap.inflight != nil {
+	if len(ap.inflight) > 0 {
 		if ap.ackEv.Scheduled() {
 			ap.ackEv.Cancel()
 			ap.ackEv = sim.Event{}
 		}
-		prev, prevLink := ap.inflight, ap.inflightLink
-		ap.inflight = nil
+		prev := ap.inflight
+		ap.inflight = ap.inflight[:0]
 		e.AckMisses++
-		e.requeueBundle(prevLink.ID, prev)
+		e.requeueBundle(ap.inflightLink.ID, prev)
 	}
 	slot := e.slots[act.slot]
 	ap.ptr = max(ap.ptr, act.slot+1)
@@ -275,31 +280,31 @@ func (ap *apNode) sendData(act action) {
 	if e.Misalign != nil {
 		e.Misalign.ObserveGroup(act.slot, now, e.refGroup[ap.id])
 	}
-	bundle := e.popBundle(act.link.ID)
+	bundle := e.popBundle(act.link.ID, ap.inflight)
 	var slotSpan int64
 	if e.sp != nil {
 		slotSpan = e.sp.Next()
-		for _, p := range bundle {
-			p.TxSpan = slotSpan
+		for i := range bundle {
+			bundle[i].TxSpan = slotSpan
 		}
 	}
-	m := &meta{pkts: bundle, slot: act.slot, clientSigs: clientSigs, rop: ropFlag,
+	m := &meta{slot: act.slot, clientSigs: clientSigs, rop: ropFlag,
 		span: slotSpan, depth: ap.depth,
 		selfNext: e.clientSenderInSlot(act.link.Receiver, act.slot+1),
 		nextWait: e.gapAfter(act.slot)}
-	if bundle != nil {
+	ap.inflight = bundle
+	if len(bundle) > 0 {
 		e.DataSends += len(bundle)
 		e.emitSlotStart("data", ap.id, act.link, act.slot, slotSpan, ap.refSpan)
 		dur := e.cfg.dataAirtime()
 		e.medium.Transmit(ap.id, &phy.Frame{
 			Kind: phy.Data, Dst: act.link.Receiver, Bytes: e.cfg.VirtualBytes,
-			Rate: e.cfg.Rate, Duration: dur, Payload: m,
+			Rate: e.cfg.Rate, Duration: dur, Payload: m, Handle: bundle[0].Handle,
 			NAV: e.navUntil(act.slot, now), ObsSpan: slotSpan,
 		})
-		ap.inflight = bundle
 		ap.inflightLink = act.link
 		timeout := dur + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
-		ap.ackEv = e.k.After(timeout, func() { ap.ackTimeout(act.link) })
+		ap.ackEv = e.k.After(timeout, ap.onAckTimeout)
 	} else {
 		e.FakeSends++
 		e.emitSlotStart("fake", ap.id, act.link, act.slot, slotSpan, ap.refSpan)
@@ -515,16 +520,17 @@ func (ap *apNode) doPollNow(slotIdx int) {
 
 // ackTimeout applies the paper's missed-ACK policy (§3.5): keep the bundle
 // at the head of its queue; the next scheduled slot for this destination
-// retransmits it.
-func (ap *apNode) ackTimeout(link *topo.Link) {
+// retransmits it. The timer is cancelled before the in-flight bundle is
+// replaced, so inflightLink is the link the timed-out bundle went on.
+func (ap *apNode) ackTimeout() {
 	ap.ackEv = sim.Event{}
-	if ap.inflight == nil {
+	if len(ap.inflight) == 0 {
 		return
 	}
 	bundle := ap.inflight
-	ap.inflight = nil
+	ap.inflight = ap.inflight[:0]
 	ap.e.AckMisses++
-	ap.e.requeueBundle(link.ID, bundle)
+	ap.e.requeueBundle(ap.inflightLink.ID, bundle)
 }
 
 // CarrierChanged implements phy.Listener: channel activity is a liveness
@@ -591,10 +597,10 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 				})
 			}
 			clientSigs := lookupBcast(slot, f.Src)
-			am := &ackMeta{pkts: m.pkts, slot: idx, clientSigs: clientSigs,
+			am := &ackMeta{slot: idx, clientSigs: clientSigs,
 				rop: len(slot.ROPAfter) > 0, selfNext: e.clientSenderInSlot(f.Src, idx+1),
 				nextWait: e.gapAfter(idx)}
-			src := f.Src
+			src, h := f.Src, f.Handle
 			e.k.After(phy.SIFS, func() {
 				if e.medium.Transmitting(ap.id) {
 					return
@@ -602,7 +608,7 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 				e.medium.Transmit(ap.id, &phy.Frame{
 					Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
 					Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(), Payload: am,
-					ObsSpan: m.span,
+					Handle: h, ObsSpan: m.span,
 				})
 			})
 		}
@@ -612,14 +618,13 @@ func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetecti
 		if f.Dst != ap.id {
 			return
 		}
-		am := f.Payload.(*ackMeta)
-		if ap.inflight != nil && len(am.pkts) > 0 && len(ap.inflight) > 0 && am.pkts[0] == ap.inflight[0] {
+		if len(ap.inflight) > 0 && f.Handle == ap.inflight[0].Handle {
 			if ap.ackEv.Scheduled() {
 				ap.ackEv.Cancel()
 				ap.ackEv = sim.Event{}
 			}
 			bundle := ap.inflight
-			ap.inflight = nil
+			ap.inflight = ap.inflight[:0]
 			e.deliverBundle(bundle)
 		}
 	}
@@ -633,7 +638,7 @@ func (e *Engine) clientBacklog(c phy.NodeID) int {
 		return 0
 	}
 	n := e.queues[cn.uplink.ID].Len()
-	if cn.inflight != nil {
+	if len(cn.inflight) > 0 {
 		n++
 	}
 	return n

@@ -20,9 +20,14 @@ type clientNode struct {
 	armed    *armedTx
 	lastHint int
 
-	inflight []*mac.Packet
+	// inflight is the uplink bundle awaiting its ACK (empty when none);
+	// its backing array is the client's reusable bundle buffer.
+	inflight []mac.Packet
 	txStart  sim.Time
 	ackEv    sim.Event
+	// onAckTimeout is ackTimeout bound once, so arming the ACK timer
+	// allocates no method value.
+	onAckTimeout func()
 
 	// refSpan/depth mirror apNode: the causal span of the client's current
 	// time reference and its trigger-cascade depth (zero with spans off).
@@ -62,7 +67,7 @@ func (c *clientNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDete
 		// The received downlink slot becomes this client's causal reference.
 		c.refSpan, c.depth = m.span, m.depth
 		if f.Kind == phy.Data {
-			src := f.Src
+			src, h := f.Src, f.Handle
 			e.k.After(phy.SIFS, func() {
 				if e.medium.Transmitting(c.id) {
 					return
@@ -70,7 +75,7 @@ func (c *clientNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDete
 				e.medium.Transmit(c.id, &phy.Frame{
 					Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
 					Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(),
-					Payload: &ackMeta{pkts: m.pkts}, ObsSpan: m.span,
+					Handle: h, ObsSpan: m.span,
 				})
 			})
 		}
@@ -82,13 +87,13 @@ func (c *clientNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDete
 			return
 		}
 		am := f.Payload.(*ackMeta)
-		if c.inflight != nil && len(am.pkts) > 0 && len(c.inflight) > 0 && am.pkts[0] == c.inflight[0] {
+		if len(c.inflight) > 0 && f.Handle == c.inflight[0].Handle {
 			if c.ackEv.Scheduled() {
 				c.ackEv.Cancel()
 				c.ackEv = sim.Event{}
 			}
 			bundle := c.inflight
-			c.inflight = nil
+			c.inflight = c.inflight[:0]
 			e.deliverBundle(bundle)
 		}
 		// The AP's ACK carries this client's broadcast duty (Fig 8b).
@@ -169,13 +174,13 @@ func (c *clientNode) sendUplink() {
 	if c.uplink == nil || e.medium.Transmitting(c.id) {
 		return
 	}
-	if c.inflight != nil {
+	if len(c.inflight) > 0 {
 		if c.ackEv.Scheduled() {
 			c.ackEv.Cancel()
 			c.ackEv = sim.Event{}
 		}
 		prev := c.inflight
-		c.inflight = nil
+		c.inflight = c.inflight[:0]
 		e.AckMisses++
 		e.requeueBundle(c.uplink.ID, prev)
 	}
@@ -184,28 +189,28 @@ func (c *clientNode) sendUplink() {
 	if e.Misalign != nil {
 		e.Misalign.ObserveGroup(c.lastHint, now, e.refGroup[c.id])
 	}
-	bundle := e.popBundle(c.uplink.ID)
+	bundle := e.popBundle(c.uplink.ID, c.inflight)
 	var slotSpan int64
 	if e.sp != nil {
 		slotSpan = e.sp.Next()
-		for _, p := range bundle {
-			p.TxSpan = slotSpan
+		for i := range bundle {
+			bundle[i].TxSpan = slotSpan
 		}
 	}
-	if bundle != nil {
+	c.inflight = bundle
+	if len(bundle) > 0 {
 		e.DataSends += len(bundle)
 		e.emitSlotStart("data", c.id, c.uplink, c.lastHint, slotSpan, c.refSpan)
 		dur := e.cfg.dataAirtime()
 		e.medium.Transmit(c.id, &phy.Frame{
 			Kind: phy.Data, Dst: c.ap, Bytes: e.cfg.VirtualBytes,
 			Rate: e.cfg.Rate, Duration: dur,
-			Payload: &meta{pkts: bundle, backlog: e.queues[c.uplink.ID].Len(),
+			Payload: &meta{backlog: e.queues[c.uplink.ID].Len(),
 				span: slotSpan, depth: c.depth},
-			ObsSpan: slotSpan,
+			Handle: bundle[0].Handle, ObsSpan: slotSpan,
 		})
-		c.inflight = bundle
 		timeout := dur + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
-		c.ackEv = e.k.After(timeout, c.ackTimeout)
+		c.ackEv = e.k.After(timeout, c.onAckTimeout)
 	} else {
 		e.FakeSends++
 		e.emitSlotStart("fake", c.id, c.uplink, c.lastHint, slotSpan, c.refSpan)
@@ -220,11 +225,11 @@ func (c *clientNode) sendUplink() {
 
 func (c *clientNode) ackTimeout() {
 	c.ackEv = sim.Event{}
-	if c.inflight == nil {
+	if len(c.inflight) == 0 {
 		return
 	}
 	bundle := c.inflight
-	c.inflight = nil
+	c.inflight = c.inflight[:0]
 	c.e.AckMisses++
 	c.e.requeueBundle(c.uplink.ID, bundle)
 }

@@ -241,7 +241,7 @@ func TestTraceEventsEmitted(t *testing.T) {
 	medium.SetProbe(orun)
 	engine.WireObs(orun)
 	for i := 0; i < 10; i++ {
-		engine.Enqueue(&mac.Packet{Link: links[0], Bytes: 512})
+		engine.Enqueue(mac.Packet{Link: int32(links[0].ID), Bytes: 512})
 	}
 	engine.Start()
 	k.RunUntil(100 * sim.Millisecond)
@@ -329,5 +329,87 @@ func BenchmarkDominoSecond(b *testing.B) {
 		}
 		engine.Start()
 		k.RunUntil(sim.Second)
+	}
+}
+
+// exposedPairEngine builds an unstarted engine over the exposed-terminal
+// pair's two downlinks.
+func exposedPairEngine(events mac.Events, cfg Config) (*Engine, *sim.Kernel, []*topo.Link) {
+	net := topo.TwoPairs(topo.ExposedTerminals)
+	links := net.BuildLinks(true, false)
+	g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
+	k := sim.New(8)
+	return New(k, phy.NewMedium(k, net.RSS, phy.DefaultConfig()), g, events, cfg), k, links
+}
+
+// TestEnqueueFullQueueZeroAllocs pins that a tail drop allocates nothing:
+// the refused arrival is reported from the engine's own scratch packet.
+func TestEnqueueFullQueueZeroAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.QueueCap = 1
+	engine, _, links := exposedPairEngine(nil, cfg)
+	p := mac.Packet{Link: int32(links[0].ID), Bytes: 512}
+	engine.Enqueue(p)
+	allocs := testing.AllocsPerRun(100, func() {
+		if engine.Enqueue(p) {
+			t.Fatal("full queue accepted a packet")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a refused Enqueue allocates %.1f times", allocs)
+	}
+}
+
+// TestAckMatchesBundleHandle pins ACK matching by handle: while an AP's
+// bundle awaits its ACK, an ACK echoing another packet's handle is ignored,
+// and the ACK echoing the bundle's head packet delivers the whole bundle.
+func TestAckMatchesBundleHandle(t *testing.T) {
+	delivered := 0
+	engine, k, links := exposedPairEngine(counterEvents{&delivered}, DefaultConfig())
+	l := links[0]
+	for i := 0; i < 10; i++ {
+		engine.Enqueue(mac.Packet{Link: int32(l.ID), Bytes: 100})
+	}
+	engine.Start()
+	ap := engine.aps[l.Sender]
+	for len(ap.inflight) == 0 && k.Now() < 100*sim.Millisecond {
+		k.RunUntil(k.Now() + sim.Microsecond)
+	}
+	if len(ap.inflight) < 2 {
+		t.Fatalf("no multi-packet bundle in flight by %v (%d)", k.Now(), len(ap.inflight))
+	}
+	bundle := len(ap.inflight)
+	ack := func(h uint32) {
+		ap.FrameReceived(&phy.Frame{Kind: phy.Ack, Src: l.Receiver, Dst: l.Sender, Handle: h}, true, nil)
+	}
+	ack(ap.inflight[1].Handle)
+	if delivered != 0 || len(ap.inflight) != bundle {
+		t.Fatalf("an ACK naming another packet delivered %d packets", delivered)
+	}
+	ack(ap.inflight[0].Handle)
+	if delivered != bundle || len(ap.inflight) != 0 {
+		t.Fatalf("the head packet's ACK delivered %d of %d packets", delivered, bundle)
+	}
+}
+
+// TestPopBundleReusesBuffer pins that aggregating a slot's bundle allocates
+// nothing once the node's buffer has grown: popBundle appends into it.
+func TestPopBundleReusesBuffer(t *testing.T) {
+	engine, _, _ := exposedPairEngine(nil, DefaultConfig())
+	for i := 0; i < 10; i++ {
+		engine.Enqueue(mac.Packet{Link: 0, Bytes: 100})
+	}
+	buf := make([]mac.Packet, 0, 16)
+	allocs := testing.AllocsPerRun(100, func() {
+		b := engine.popBundle(0, buf)
+		if len(b) < 2 || &b[0] != &buf[:1][0] {
+			t.Fatalf("bundle of %d packets outside the buffer", len(b))
+		}
+		for i := len(b) - 1; i >= 0; i-- {
+			engine.queues[0].PushFront(&b[i])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("popBundle allocates %.1f times per bundle", allocs)
 	}
 }

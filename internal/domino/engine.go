@@ -24,6 +24,7 @@ type Engine struct {
 	cfg    Config
 
 	queues []*mac.Queue
+	intake mac.Intake
 	slots  []*convert.RelSlot // global slot sequence, appended per batch
 	// slotOffset[i] is slot i's nominal start relative to the chain origin
 	// (slot durations plus ROP and CoP gaps); APs free-run on it between
@@ -121,15 +122,14 @@ func (e *Engine) falseTrigger() bool {
 	return false
 }
 
-// meta rides on data and fake-header frames: the packet itself plus the
-// signature-broadcast instructions for the client endpoint (S1 of Fig 8) and
-// the slot identity.
+// meta rides on data and fake-header frames: the signature-broadcast
+// instructions for the client endpoint (S1 of Fig 8) and the slot identity.
+// The bundle of MAC packets aggregated into a data slot's virtual packet
+// (§3.5: splitting/aggregation makes every transmission take the fixed
+// virtual air time; several small packets — TCP ACKs in particular — share
+// one slot) stays with its sender; the frame names it by its head packet's
+// handle (phy.Frame.Handle), which the ACK echoes.
 type meta struct {
-	// pkts is the bundle of MAC packets aggregated into this slot's virtual
-	// packet (§3.5: splitting/aggregation makes every transmission take the
-	// fixed virtual air time; several small packets — TCP ACKs in
-	// particular — share one slot).
-	pkts       []*mac.Packet
 	slot       int
 	clientSigs []phy.NodeID
 	rop        bool
@@ -148,10 +148,10 @@ type meta struct {
 	backlog int
 }
 
-// ackMeta rides on ACKs: which packet is acknowledged plus the client's
-// broadcast instructions when the client was the sender (Fig 8b).
+// ackMeta rides on an AP's ACK of an uplink: the client's broadcast
+// instructions (Fig 8b). Which bundle is acknowledged rides in the frame's
+// Handle.
 type ackMeta struct {
-	pkts       []*mac.Packet
 	slot       int
 	clientSigs []phy.NodeID
 	rop        bool
@@ -263,6 +263,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 		if _, ok := e.aps[id]; !ok {
 			ap := &apNode{e: e, id: id}
 			ap.onWatchdog = ap.watchdogFired
+			ap.onAckTimeout = ap.ackTimeout
 			e.aps[id] = ap
 			e.medium.Register(id, ap)
 		}
@@ -270,6 +271,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 	}
 	if _, ok := e.clients[id]; !ok {
 		c := &clientNode{e: e, id: id, ap: e.net.APOf[id]}
+		c.onAckTimeout = c.ackTimeout
 		for _, l := range e.g.Links {
 			if l.Sender == id {
 				c.uplink = l
@@ -283,18 +285,19 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 // Start implements mac.Engine: the server computes and dispatches the first
 // batch.
 func (e *Engine) Start() {
-	e.k.After(0, e.server.buildAndDispatch).SetSource(sim.SrcMAC)
+	e.k.After(0, e.server.buildFn).SetSource(sim.SrcMAC)
 }
 
 // Enqueue implements mac.Engine.
-func (e *Engine) Enqueue(p *mac.Packet) {
-	if !e.queues[p.Link.ID].Push(p) {
-		e.events.Dropped(p, e.k.Now())
-		return
+func (e *Engine) Enqueue(p mac.Packet) bool {
+	stored := e.intake.Admit(e.queues[p.Link], &p, e.events, e.k.Now())
+	if stored == nil {
+		return false
 	}
 	if e.life != nil {
-		e.life.PacketQueued(p, e.k.Now())
+		e.life.PacketQueued(stored, e.k.Now())
 	}
+	return true
 }
 
 // QueueLen implements mac.Engine.
@@ -409,6 +412,9 @@ type server struct {
 	// sleeping tracks clients the server has scheduled to sleep; their
 	// links are excluded from batches until they wake.
 	sleeping map[phy.NodeID]bool
+	// buildFn is buildAndDispatch bound once, so re-arming the idle retry
+	// allocates no method value.
+	buildFn func()
 }
 
 func newServer(e *Engine) *server {
@@ -419,13 +425,15 @@ func newServer(e *Engine) *server {
 	if err != nil {
 		panic("domino: " + err.Error())
 	}
-	return &server{
+	s := &server{
 		e:        e,
 		sched:    sched,
 		conv:     conv,
 		upEst:    make([]int, len(e.g.Links)),
 		sleeping: map[phy.NodeID]bool{},
 	}
+	s.buildFn = s.buildAndDispatch
+	return s
 }
 
 // buildAndDispatch computes the next batch from current queue knowledge,
@@ -470,7 +478,7 @@ func (s *server) buildAndDispatch() {
 	}
 	if len(batch) == 0 {
 		// Nothing to schedule at all: check again after one slot.
-		e.k.After(e.cfg.slotDuration(), s.buildAndDispatch)
+		e.k.After(e.cfg.slotDuration(), s.buildFn)
 		return
 	}
 	// Scheduled uplink transmissions consume the polled estimates.
@@ -572,32 +580,35 @@ func (s *server) pollResult(res poll.Result, clientUplink func(phy.NodeID) *topo
 	}
 }
 
-// popBundle aggregates queued packets into one virtual packet: packets are
-// taken FIFO while their summed size fits VirtualBytes (a lone oversized
-// packet is sent alone — the splitting case simply counts it as one virtual
-// packet). An empty queue yields nil.
-func (e *Engine) popBundle(linkID int) []*mac.Packet {
+// popBundle aggregates queued packets into one virtual packet, appending
+// them to buf[:0] (the sending node's in-flight buffer): packets are taken
+// FIFO while their summed size fits VirtualBytes (a lone oversized packet
+// is sent alone — the splitting case simply counts it as one virtual
+// packet). An empty queue yields an empty bundle.
+func (e *Engine) popBundle(linkID int, buf []mac.Packet) []mac.Packet {
 	q := e.queues[linkID]
-	var bundle []*mac.Packet
+	bundle := buf[:0]
 	total := 0
 	for {
 		head := q.Peek()
 		if head == nil {
 			break
 		}
-		if len(bundle) > 0 && total+head.Bytes > e.cfg.VirtualBytes {
+		bytes := int(head.Bytes)
+		if len(bundle) > 0 && total+bytes > e.cfg.VirtualBytes {
 			break
 		}
-		bundle = append(bundle, q.Pop())
-		total += head.Bytes
+		p, _ := q.Pop()
+		bundle = append(bundle, p)
+		total += bytes
 		if total >= e.cfg.VirtualBytes {
 			break
 		}
 	}
-	if e.life != nil && bundle != nil {
+	if e.life != nil {
 		now := e.k.Now()
-		for _, p := range bundle {
-			e.life.PacketDequeued(p, now)
+		for i := range bundle {
+			e.life.PacketDequeued(&bundle[i], now)
 		}
 	}
 	return bundle
@@ -605,9 +616,9 @@ func (e *Engine) popBundle(linkID int) []*mac.Packet {
 
 // requeueBundle puts a failed bundle back at the head of its queue,
 // dropping packets past the retry limit.
-func (e *Engine) requeueBundle(linkID int, bundle []*mac.Packet) {
+func (e *Engine) requeueBundle(linkID int, bundle []mac.Packet) {
 	for i := len(bundle) - 1; i >= 0; i-- {
-		p := bundle[i]
+		p := &bundle[i]
 		p.Retries++
 		if p.Retries > mac.RetryLimit {
 			e.Drops++
@@ -619,9 +630,9 @@ func (e *Engine) requeueBundle(linkID int, bundle []*mac.Packet) {
 }
 
 // deliverBundle fires Delivered for every packet of an acknowledged bundle.
-func (e *Engine) deliverBundle(bundle []*mac.Packet) {
-	for _, p := range bundle {
-		e.events.Delivered(p, e.k.Now())
+func (e *Engine) deliverBundle(bundle []mac.Packet) {
+	for i := range bundle {
+		e.events.Delivered(&bundle[i], e.k.Now())
 	}
 }
 

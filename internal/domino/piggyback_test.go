@@ -29,12 +29,12 @@ func TestPiggybackStarvation(t *testing.T) {
 		var got int
 		hub.Add(counterEvents{&got})
 		// Keep the downlinks mildly busy so the chain lives.
-		var downSeq uint64
+		var downSeq uint32
 		feedDown := func() {}
 		feedDown = func() {
 			for _, l := range links {
 				if l.Downlink {
-					engine.Enqueue(&mac.Packet{Link: l, Bytes: 512, Enqueued: k.Now(), Seq: downSeq})
+					engine.Enqueue(mac.Packet{Link: int32(l.ID), Bytes: 512, Enqueued: k.Now(), Seq: downSeq})
 					downSeq++
 				}
 			}
@@ -51,7 +51,7 @@ func TestPiggybackStarvation(t *testing.T) {
 		}
 		k.At(300*sim.Millisecond, func() {
 			for i := 0; i < 40; i++ {
-				engine.Enqueue(&mac.Packet{Link: uplink, Bytes: 512, Enqueued: k.Now(), Seq: uint64(i)})
+				engine.Enqueue(mac.Packet{Link: int32(uplink.ID), Bytes: 512, Enqueued: k.Now(), Seq: uint32(i)})
 			}
 		})
 		engine.Start()

@@ -4,27 +4,37 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
+
+// TestPacketFitsCacheLine pins the packet's size: a queue's ring holds at
+// most 64 bytes per packet. That it holds no pointer is pinned with the
+// other pointer-free hot structs by phy's TestHotStructsHoldNoPointers,
+// whose type walker lives there.
+func TestPacketFitsCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size > 64 {
+		t.Errorf("mac.Packet is %d bytes, want at most 64", size)
+	}
+}
 
 func TestQueueFIFOAndBounds(t *testing.T) {
 	q := NewQueue(3)
 	for i := 0; i < 3; i++ {
-		if !q.Push(&Packet{Seq: uint64(i)}) {
+		if q.Push(&Packet{Seq: uint32(i)}) == nil {
 			t.Fatalf("push %d rejected", i)
 		}
 	}
-	if q.Push(&Packet{Seq: 99}) {
+	if q.Push(&Packet{Seq: 99}) != nil {
 		t.Fatal("push beyond cap accepted")
 	}
 	for i := 0; i < 3; i++ {
-		if got := q.Pop(); got.Seq != uint64(i) {
-			t.Fatalf("pop %d returned seq %d", i, got.Seq)
+		if got, ok := q.Pop(); !ok || got.Seq != uint32(i) {
+			t.Fatalf("pop %d returned seq %d (ok %v)", i, got.Seq, ok)
 		}
 	}
-	if q.Pop() != nil || q.Peek() != nil {
+	if _, ok := q.Pop(); ok || q.Peek() != nil {
 		t.Fatal("empty queue returned a packet")
 	}
 }
@@ -47,7 +57,7 @@ func TestQueuePushFront(t *testing.T) {
 // sliceQueue is the queue as a plain slice, the reference the ring buffer
 // is checked against: Pop re-slices and PushFront copies the whole backlog.
 type sliceQueue struct {
-	pkts []*Packet
+	pkts []Packet
 	cap  int
 }
 
@@ -55,27 +65,36 @@ func (q *sliceQueue) Push(p *Packet) bool {
 	if len(q.pkts) >= q.cap {
 		return false
 	}
-	q.pkts = append(q.pkts, p)
+	q.pkts = append(q.pkts, *p)
 	return true
 }
 
-func (q *sliceQueue) Pop() *Packet {
+func (q *sliceQueue) Pop() (Packet, bool) {
 	if len(q.pkts) == 0 {
-		return nil
+		return Packet{}, false
 	}
 	p := q.pkts[0]
 	q.pkts = q.pkts[1:]
-	return p
+	return p, true
 }
 
 func (q *sliceQueue) Peek() *Packet {
 	if len(q.pkts) == 0 {
 		return nil
 	}
-	return q.pkts[0]
+	return &q.pkts[0]
 }
 
-func (q *sliceQueue) PushFront(p *Packet) { q.pkts = append([]*Packet{p}, q.pkts...) }
+func (q *sliceQueue) PushFront(p *Packet) { q.pkts = append([]Packet{*p}, q.pkts...) }
+
+// samePacket reports whether two Peek results agree: both empty, or equal
+// packets.
+func samePacket(a, b *Packet) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
+}
 
 // queueOp is one scripted call; p is the packet Push and PushFront take.
 type queueOp struct {
@@ -100,38 +119,46 @@ func runQueueScript(t *testing.T, name string, capacity int, ops []queueOp) {
 	q.OnDepth = func(d int) { depth = d }
 	for i, op := range ops {
 		depth = -1
-		var got, want *Packet
+		var got, want Packet
 		var gotOK, wantOK bool
 		wantDepth := -1
 		switch op.kind {
 		case opPush:
-			gotOK, wantOK = q.Push(op.p), m.Push(op.p)
+			stored := q.Push(op.p)
+			gotOK, wantOK = stored != nil, m.Push(op.p)
+			if stored != nil && *stored != *op.p {
+				t.Fatalf("%s op %d: Push returned %+v for %+v", name, i, *stored, *op.p)
+			}
 			if wantOK {
 				wantDepth = len(m.pkts)
 			}
 		case opPop:
-			got, want = q.Pop(), m.Pop()
-			if want != nil {
+			got, gotOK = q.Pop()
+			want, wantOK = m.Pop()
+			if wantOK {
 				wantDepth = len(m.pkts)
 			}
 		case opPeek:
-			got, want = q.Peek(), m.Peek()
+			if !samePacket(q.Peek(), m.Peek()) {
+				t.Fatalf("%s op %d: Peek disagrees with the model", name, i)
+			}
 		case opPushFront:
 			q.PushFront(op.p)
 			m.PushFront(op.p)
 			wantDepth = len(m.pkts)
 		}
-		if got != want || gotOK != wantOK || q.Len() != len(m.pkts) || depth != wantDepth || q.Peek() != m.Peek() {
+		if got != want || gotOK != wantOK || q.Len() != len(m.pkts) || depth != wantDepth || !samePacket(q.Peek(), m.Peek()) {
 			t.Fatalf("%s op %d (kind %d): got (%v, %v, len %d, depth %d), model (%v, %v, len %d, depth %d)",
 				name, i, op.kind, got, gotOK, q.Len(), depth, want, wantOK, len(m.pkts), wantDepth)
 		}
 	}
 	for len(m.pkts) > 0 {
-		if got, want := q.Pop(), m.Pop(); got != want {
+		got, _ := q.Pop()
+		if want, _ := m.Pop(); got != want {
 			t.Fatalf("%s drain: got %v, model %v", name, got, want)
 		}
 	}
-	if q.Pop() != nil || q.Len() != 0 || q.Cap() != capacity {
+	if _, ok := q.Pop(); ok || q.Len() != 0 || q.Cap() != capacity {
 		t.Fatalf("%s: drained queue has len %d, cap %d", name, q.Len(), q.Cap())
 	}
 }
@@ -163,13 +190,13 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 			r := rng.Intn(10)
 			switch {
 			case r < pushBias:
-				ops[i] = queueOp{opPush, &Packet{Seq: uint64(i)}}
+				ops[i] = queueOp{opPush, &Packet{Seq: uint32(i)}}
 			case r < 8:
 				ops[i] = queueOp{opPop, nil}
 			case r < 9:
 				ops[i] = queueOp{opPeek, nil}
 			default:
-				ops[i] = queueOp{opPushFront, &Packet{Seq: uint64(i)}}
+				ops[i] = queueOp{opPushFront, &Packet{Seq: uint32(i)}}
 			}
 		}
 		runQueueScript(t, fmt.Sprintf("seed %d cap %d", seed, capacity), capacity, ops)
@@ -181,12 +208,12 @@ func TestQueueMatchesSliceModel(t *testing.T) {
 // re-inserts that wrap around it allocate nothing.
 func TestQueueZeroAllocSteadyState(t *testing.T) {
 	q := NewQueue(DefaultQueueCap)
-	pkts := make([]*Packet, 64)
+	pkts := make([]Packet, 64)
 	for i := range pkts {
-		pkts[i] = &Packet{Seq: uint64(i)}
+		pkts[i] = Packet{Seq: uint32(i)}
 	}
-	for _, p := range pkts[:48] {
-		q.Push(p)
+	for i := range pkts[:48] {
+		q.Push(&pkts[i])
 	}
 	for q.Len() > 0 {
 		q.Pop()
@@ -194,10 +221,10 @@ func TestQueueZeroAllocSteadyState(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		for j := 0; j < 40; j++ {
-			q.Push(pkts[(i+j)%len(pkts)])
+			q.Push(&pkts[(i+j)%len(pkts)])
 		}
-		p := q.Pop()
-		q.PushFront(p)
+		p, _ := q.Pop()
+		q.PushFront(&p)
 		for q.Len() > 0 {
 			q.Pop()
 		}
@@ -217,7 +244,7 @@ func (r *record) Dropped(*Packet, sim.Time)   { r.dropped++ }
 
 func TestMuxAndHubFanOut(t *testing.T) {
 	a, b := &record{}, &record{}
-	p := &Packet{Link: &topo.Link{ID: 0}}
+	p := &Packet{}
 
 	m := Mux{a, b}
 	m.Delivered(p, 0)

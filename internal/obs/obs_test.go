@@ -261,9 +261,10 @@ func TestRunMacEventsAndQueueSampler(t *testing.T) {
 	var buf Buffer
 	m := NewMetrics()
 	clock := sim.Time(0)
-	r := NewRun(&buf, m).BindClock(func() sim.Time { return clock })
 	link := &topo.Link{ID: 3}
-	p := &mac.Packet{Link: link, Enqueued: 0}
+	r := NewRun(&buf, m).BindClock(func() sim.Time { return clock }).
+		BindLinks([]*topo.Link{{ID: 0}, {ID: 1}, {ID: 2}, link})
+	p := &mac.Packet{Link: int32(link.ID), Enqueued: 0}
 	clock = 500 * sim.Microsecond
 	r.Delivered(p, clock)
 	r.Dropped(p, clock)
@@ -328,7 +329,7 @@ func TestRunNilTracerNilMetrics(t *testing.T) {
 	f := &phy.Frame{Kind: phy.Ack, Src: 0, Dst: 1}
 	r.TxStart(f, 0)
 	r.TxEnd(f, 10*sim.Microsecond)
-	r.Delivered(&mac.Packet{Link: &topo.Link{}}, 0)
+	r.Delivered(&mac.Packet{}, 0)
 	r.KernelHook()(sim.EventInfo{Fired: kernelSampleEvery})
 	r.QueueSampler()(0, 5)
 	b := r.Finish(20 * sim.Microsecond)

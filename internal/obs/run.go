@@ -7,6 +7,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // kernelSampleEvery decimates KindKernel records: one sample per this many
@@ -45,6 +46,8 @@ type Run struct {
 	// the name-formatting path after a client's first packet.
 	aoiLast  map[int]sim.Time
 	aoiGauge map[int]*Gauge
+	// clientOf maps a link ID to the client node at its far end (BindLinks).
+	clientOf []int
 
 	queueSeen  map[int]int // per-link samples observed, for decimation
 	queueDepth *Gauge      // high-water MAC backlog across links
@@ -90,6 +93,21 @@ func (r *Run) Spans() *Spans { return r.spans }
 // returns r for chaining.
 func (r *Run) BindClock(now func() sim.Time) *Run {
 	r.now = now
+	return r
+}
+
+// BindLinks attaches the run's links, so per-client metrics can name the
+// client a delivered packet's link serves. Runs with metrics must bind their
+// links before any delivery. It returns r for chaining.
+func (r *Run) BindLinks(links []*topo.Link) *Run {
+	r.clientOf = make([]int, len(links))
+	for _, l := range links {
+		client := l.Receiver
+		if !l.Downlink {
+			client = l.Sender
+		}
+		r.clientOf[l.ID] = int(client)
+	}
 	return r
 }
 
@@ -171,15 +189,16 @@ func (r *Run) RxOutcome(f *phy.Frame, at phy.NodeID, ok bool, now sim.Time) {
 }
 
 // PacketQueued opens a packet's lifecycle: engines call it after a
-// successful MAC enqueue. It assigns the packet its causal span (when spans
-// are on) and emits the pkt_enqueue record that roots the lifecycle tree.
+// successful MAC enqueue, on the queued copy. It assigns the packet its
+// causal span (when spans are on) and emits the pkt_enqueue record that
+// roots the lifecycle tree.
 func (r *Run) PacketQueued(p *mac.Packet, now sim.Time) {
 	if r.spans != nil {
 		p.Span = r.spans.Next()
 	}
 	if r.tracer != nil {
 		rec := Rec(now, KindPktEnqueue)
-		rec.Link = p.Link.ID
+		rec.Link = int(p.Link)
 		rec.Span = p.Span
 		rec.Value = int64(p.Bytes)
 		r.tracer.Emit(rec)
@@ -188,7 +207,8 @@ func (r *Run) PacketQueued(p *mac.Packet, now sim.Time) {
 
 // PacketDequeued stamps the packet's first exit from its MAC queue (retries
 // requeue and re-pop; only the first service counts) and records queueing
-// delay. Engines call it right after every queue Pop they intend to serve.
+// delay. Engines call it right after every queue Pop they intend to serve,
+// on the copy they keep in flight.
 func (r *Run) PacketDequeued(p *mac.Packet, now sim.Time) {
 	if p.Dequeued != 0 {
 		return
@@ -213,7 +233,7 @@ func (r *Run) Delivered(p *mac.Packet, now sim.Time) {
 	}
 	if r.tracer != nil {
 		rec := Rec(now, KindPktDeliver)
-		rec.Link = p.Link.ID
+		rec.Link = int(p.Link)
 		rec.Span = p.Span
 		rec.Parent = p.TxSpan
 		rec.Dur = now - p.Enqueued
@@ -231,10 +251,7 @@ func (r *Run) Delivered(p *mac.Packet, now sim.Time) {
 // and the client's gauge holds the post-delivery age (this packet's own
 // generation-to-delivery latency).
 func (r *Run) noteAoI(p *mac.Packet, now sim.Time) {
-	client := int(p.Link.Receiver)
-	if !p.Link.Downlink {
-		client = int(p.Link.Sender)
-	}
+	client := r.clientOf[p.Link]
 	if prev, ok := r.aoiLast[client]; ok {
 		r.aoiPeak.Record(int64(now-prev) / 1000)
 	}
@@ -258,7 +275,7 @@ func (r *Run) Dropped(p *mac.Packet, now sim.Time) {
 	}
 	if r.tracer != nil {
 		rec := Rec(now, KindDrop)
-		rec.Link = p.Link.ID
+		rec.Link = int(p.Link)
 		rec.Span = p.Span
 		rec.Value = int64(p.Retries)
 		r.tracer.Emit(rec)

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mac"
 	"repro/internal/sim"
 )
 
@@ -492,8 +493,10 @@ func BenchmarkMediumBroadcastChurn(b *testing.B) {
 // TestHotStructsHoldNoPointers pins the property the arena and the kernel's
 // heap entries exist for: sifting heap entries and writing receptions store
 // no pointer, so they cost no GC write barrier and the GC never scans them.
+// mac.Packet is held to the same rule, so a full MAC queue's ring is never
+// scanned either.
 func TestHotStructsHoldNoPointers(t *testing.T) {
-	for _, v := range []any{reception{}, liveRx{}, outcome{}, sigRec{}} {
+	for _, v := range []any{reception{}, liveRx{}, outcome{}, sigRec{}, mac.Packet{}} {
 		if path := pointerPath(reflect.TypeOf(v)); path != "" {
 			t.Errorf("%T holds a pointer at %s", v, path)
 		}

@@ -206,6 +206,11 @@ type Frame struct {
 	// of the contention-free period so coexisting DCF nodes defer (§5,
 	// Fig 15); overhearing MACs should honour max(ACK protection, NAV).
 	NAV sim.Time
+	// Handle names the MAC packet a Data frame carries (mac.Packet.Handle);
+	// an Ack echoes the Handle of the Data frame it acknowledges, so the
+	// sender matches it to the packet it holds. Zero on other frames. The
+	// PHY never reads it.
+	Handle uint32
 	// ObsSpan is the causal span this frame belongs to (obs layer); the
 	// medium probe copies it onto tx_start/tx_end records so airtime hangs
 	// off the right slot/epoch/attempt in trace trees. 0 when tracing is

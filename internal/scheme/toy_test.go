@@ -29,7 +29,7 @@ type toyEngine struct {
 	k      *sim.Kernel
 	events mac.Events
 	links  []*topo.Link
-	queues [][]*mac.Packet
+	queues [][]mac.Packet
 	period sim.Time
 	next   int
 }
@@ -43,15 +43,16 @@ func (e *toyEngine) tick() {
 			p := e.queues[li][0]
 			e.queues[li] = e.queues[li][1:]
 			e.next = li + 1
-			e.events.Delivered(p, e.k.Now())
+			e.events.Delivered(&p, e.k.Now())
 			break
 		}
 	}
 	e.k.After(e.period, e.tick)
 }
 
-func (e *toyEngine) Enqueue(p *mac.Packet) {
-	e.queues[p.Link.ID] = append(e.queues[p.Link.ID], p)
+func (e *toyEngine) Enqueue(p mac.Packet) bool {
+	e.queues[p.Link] = append(e.queues[p.Link], p)
+	return true
 }
 
 func (e *toyEngine) QueueLen(link int) int { return len(e.queues[link]) }
@@ -71,7 +72,7 @@ func registerToy(t *testing.T) {
 				k:      ctx.Kernel,
 				events: ctx.Events,
 				links:  ctx.Links,
-				queues: make([][]*mac.Packet, len(ctx.Links)),
+				queues: make([][]mac.Packet, len(ctx.Links)),
 				period: sim.Micros(float64(c.PeriodUs)),
 			}
 			return e, nil

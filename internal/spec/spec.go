@@ -10,6 +10,7 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/phy"
@@ -199,6 +200,9 @@ func (s Spec) Validate() error {
 	}
 	if s.PacketBytes < 0 {
 		return fmt.Errorf("spec: negative packet_bytes %d", s.PacketBytes)
+	}
+	if s.PacketBytes > math.MaxInt32 {
+		return fmt.Errorf("spec: packet_bytes %d exceeds a MAC packet's 32-bit length", s.PacketBytes)
 	}
 	if s.RateMbps != 0 && !validRates[s.RateMbps] {
 		return fmt.Errorf("spec: rate_mbps %v is not an 802.11g rate (6, 9, 12, 18, 24, 36, 48, 54)", s.RateMbps)

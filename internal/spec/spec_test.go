@@ -157,6 +157,7 @@ func TestValidateCatalog(t *testing.T) {
 			s.Warmup = spec.Duration(2 * sim.Second)
 		}, "exceeds duration"},
 		{"negative packet bytes", func(s *spec.Spec) { s.PacketBytes = -4 }, "packet_bytes"},
+		{"packet bytes beyond 32 bits", func(s *spec.Spec) { s.PacketBytes = 1 << 31 }, "packet_bytes"},
 		{"off-grid rate", func(s *spec.Spec) { s.RateMbps = 13 }, "not an 802.11g rate"},
 		{"negative misalign", func(s *spec.Spec) { s.MisalignSlots = -1 }, "misalign_slots"},
 		{"unknown traffic", func(s *spec.Spec) { s.Traffic.Kind = "cbr" }, "unknown traffic kind"},

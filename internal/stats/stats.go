@@ -36,7 +36,7 @@ func (c *Collector) Delivered(p *mac.Packet, now sim.Time) {
 	if now < c.start {
 		return
 	}
-	s := &c.links[p.Link.ID]
+	s := &c.links[p.Link]
 	s.DeliveredPkts++
 	s.DeliveredB += int64(p.Bytes)
 	s.DelaySum += now - p.Enqueued
@@ -47,7 +47,7 @@ func (c *Collector) Dropped(p *mac.Packet, now sim.Time) {
 	if now < c.start {
 		return
 	}
-	c.links[p.Link.ID].DroppedPkts++
+	c.links[p.Link].DroppedPkts++
 }
 
 // Merge folds another collector's per-link tallies into this one, link by

@@ -13,7 +13,7 @@ import (
 )
 
 func pkt(link *topo.Link, bytes int, enq sim.Time) *mac.Packet {
-	return &mac.Packet{Link: link, Bytes: bytes, Enqueued: enq}
+	return &mac.Packet{Link: int32(link.ID), Bytes: int32(bytes), Enqueued: enq}
 }
 
 func TestCollectorThroughputAndDelay(t *testing.T) {

@@ -198,6 +198,7 @@ type Omniscient struct {
 	cfg    Config
 	sched  *RAND
 	queues []*mac.Queue
+	intake mac.Intake
 	nodes  map[phy.NodeID]*onode
 
 	// Slots counts scheduling rounds; Failures counts unacknowledged
@@ -209,8 +210,9 @@ type Omniscient struct {
 type onode struct {
 	e  *Omniscient
 	id phy.NodeID
-	// inflight is the packet awaiting its ACK this slot.
-	inflight *mac.Packet
+	// inflight is the packet awaiting its ACK this slot, valid while busy.
+	inflight mac.Packet
+	busy     bool
 	acked    bool
 }
 
@@ -245,10 +247,8 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 func (e *Omniscient) Start() { e.k.After(0, e.tick).SetSource(sim.SrcMAC) }
 
 // Enqueue implements mac.Engine.
-func (e *Omniscient) Enqueue(p *mac.Packet) {
-	if !e.queues[p.Link.ID].Push(p) {
-		e.events.Dropped(p, e.k.Now())
-	}
+func (e *Omniscient) Enqueue(p mac.Packet) bool {
+	return e.intake.Admit(e.queues[p.Link], &p, e.events, e.k.Now()) != nil
 }
 
 // QueueLen implements mac.Engine.
@@ -271,30 +271,30 @@ func (e *Omniscient) tick() {
 	e.Slots++
 	maxBytes := 0
 	for _, id := range slot {
-		if b := e.queues[id].Peek().Bytes; b > maxBytes {
+		if b := int(e.queues[id].Peek().Bytes); b > maxBytes {
 			maxBytes = b
 		}
 	}
 	for _, id := range slot {
 		l := e.links[id]
-		p := e.queues[id].Pop()
+		p, _ := e.queues[id].Pop()
 		n := e.nodes[l.Sender]
-		n.inflight = p
+		n.inflight, n.busy = p, true
 		n.acked = false
 		e.medium.Transmit(l.Sender, &phy.Frame{
-			Kind: phy.Data, Dst: l.Receiver, Bytes: p.Bytes, Rate: e.cfg.Rate,
-			Payload: p,
+			Kind: phy.Data, Dst: l.Receiver, Bytes: int(p.Bytes), Rate: e.cfg.Rate,
+			Handle: p.Handle,
 		})
 	}
 	dur := e.slotDuration(maxBytes)
 	e.k.After(dur, func() {
 		for _, id := range slot {
 			n := e.nodes[e.links[id].Sender]
-			if n.inflight == nil {
+			if !n.busy {
 				continue
 			}
-			p := n.inflight
-			n.inflight = nil
+			n.busy = false
+			p := &n.inflight
 			if n.acked {
 				e.events.Delivered(p, e.k.Now())
 			} else {
@@ -324,18 +324,17 @@ func (n *onode) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) 
 	}
 	switch f.Kind {
 	case phy.Data:
-		p := f.Payload.(*mac.Packet)
 		n.e.k.After(phy.SIFS, func() {
 			if n.e.medium.Transmitting(n.id) {
 				return
 			}
 			n.e.medium.Transmit(n.id, &phy.Frame{
 				Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
-				Rate: n.e.cfg.Rate, Payload: p,
+				Rate: n.e.cfg.Rate, Handle: f.Handle,
 			})
 		})
 	case phy.Ack:
-		if n.inflight != nil && f.Payload.(*mac.Packet) == n.inflight {
+		if n.busy && f.Handle == n.inflight.Handle {
 			n.acked = true
 		}
 	}

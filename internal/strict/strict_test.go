@@ -235,7 +235,7 @@ func TestOmniscientQueueDrainsIdle(t *testing.T) {
 	hub.Add(eventsCounter{&delivered})
 	e.Start()
 	for i := 0; i < 20; i++ {
-		e.Enqueue(&mac.Packet{Link: g.Links[0], Bytes: 512, Enqueued: 0})
+		e.Enqueue(mac.Packet{Link: int32(g.Links[0].ID), Bytes: 512, Enqueued: 0})
 	}
 	k.RunUntil(sim.Second)
 	if delivered != 20 {
@@ -250,3 +250,25 @@ type eventsCounter struct{ n *int }
 
 func (c eventsCounter) Delivered(*mac.Packet, sim.Time) { *c.n++ }
 func (c eventsCounter) Dropped(*mac.Packet, sim.Time)   {}
+
+// TestEnqueueFullQueueZeroAllocs pins that a tail drop allocates nothing:
+// the refused arrival is reported from the engine's own scratch packet.
+func TestEnqueueFullQueueZeroAllocs(t *testing.T) {
+	net := topo.TwoPairs(topo.ExposedTerminals)
+	g := graphFor(t, net, true, false)
+	k := sim.New(5)
+	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.QueueCap = 1
+	e := New(k, medium, g, nil, cfg)
+	p := mac.Packet{Link: int32(g.Links[0].ID), Bytes: 512}
+	e.Enqueue(p)
+	allocs := testing.AllocsPerRun(100, func() {
+		if e.Enqueue(p) {
+			t.Fatal("full queue accepted a packet")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a refused Enqueue allocates %.1f times", allocs)
+	}
+}

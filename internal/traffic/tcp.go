@@ -148,12 +148,12 @@ func (f *TCPFlow) sendSegment(seq uint64, fresh bool) {
 		delete(f.sendTime, seq) // Karn: never sample a retransmitted segment
 		f.Retransmits++
 	}
-	f.engine.Enqueue(&mac.Packet{
-		Link:     f.data,
-		Bytes:    f.cfg.Bytes,
+	f.engine.Enqueue(mac.Packet{
+		Link:     int32(f.data.ID),
+		Bytes:    int32(f.cfg.Bytes),
 		Enqueued: f.k.Now(),
-		Seq:      seq,
-		FlowID:   f.id,
+		Seq:      uint32(seq),
+		FlowID:   int32(f.id),
 	})
 	// The RTO guards the oldest outstanding segment: arm it if idle, but do
 	// not push it out on every transmission (that would let a steady stream
@@ -190,13 +190,13 @@ func (f *TCPFlow) onRTO() {
 // Delivered implements mac.Events: receiver-side processing for data
 // segments, sender-side for returning ACKs.
 func (f *TCPFlow) Delivered(p *mac.Packet, now sim.Time) {
-	if p.FlowID != f.id {
+	if int(p.FlowID) != f.id {
 		return
 	}
-	switch {
-	case p.Link == f.data && !p.TCPAck:
+	switch link := int(p.Link); {
+	case link == f.data.ID && !p.TCPAck:
 		f.onData(p, now)
-	case p.Link == f.ack && p.TCPAck:
+	case link == f.ack.ID && p.TCPAck:
 		f.onAck(p, now)
 	}
 }
@@ -208,30 +208,30 @@ func (f *TCPFlow) Dropped(*mac.Packet, sim.Time) {}
 // onData runs at the receiver: track in-order delivery, return a cumulative
 // ACK for every arriving segment.
 func (f *TCPFlow) onData(p *mac.Packet, now sim.Time) {
-	switch {
-	case p.Seq == f.rcvNxt:
+	switch seq := uint64(p.Seq); {
+	case seq == f.rcvNxt:
 		f.rcvNxt++
 		for f.outOfOrd[f.rcvNxt] {
 			delete(f.outOfOrd, f.rcvNxt)
 			f.rcvNxt++
 		}
-	case p.Seq > f.rcvNxt:
-		f.outOfOrd[p.Seq] = true
+	case seq > f.rcvNxt:
+		f.outOfOrd[seq] = true
 	}
-	f.engine.Enqueue(&mac.Packet{
-		Link:     f.ack,
-		Bytes:    f.cfg.AckBytes,
+	f.engine.Enqueue(mac.Packet{
+		Link:     int32(f.ack.ID),
+		Bytes:    int32(f.cfg.AckBytes),
 		Enqueued: now,
 		Seq:      p.Seq, // echo for traceability
-		FlowID:   f.id,
+		FlowID:   int32(f.id),
 		TCPAck:   true,
-		AckSeq:   f.rcvNxt,
+		AckSeq:   uint32(f.rcvNxt),
 	})
 }
 
 // onAck runs at the sender.
 func (f *TCPFlow) onAck(p *mac.Packet, now sim.Time) {
-	ack := p.AckSeq
+	ack := uint64(p.AckSeq)
 	switch {
 	case ack > f.sndUna:
 		newly := ack - f.sndUna

@@ -23,7 +23,7 @@ type UDP struct {
 	link     *topo.Link
 	rateMbps float64
 	bytes    int
-	seq      uint64
+	seq      uint32
 	// emitFn is u.emit bound once, so scheduling an arrival allocates no
 	// method value.
 	emitFn func()
@@ -53,9 +53,9 @@ func (u *UDP) interval() sim.Time {
 }
 
 func (u *UDP) emit() {
-	u.engine.Enqueue(&mac.Packet{
-		Link:     u.link,
-		Bytes:    u.bytes,
+	u.engine.Enqueue(mac.Packet{
+		Link:     int32(u.link.ID),
+		Bytes:    int32(u.bytes),
 		Enqueued: u.k.Now(),
 		Seq:      u.seq,
 		FlowID:   -1,
@@ -73,7 +73,7 @@ type Saturated struct {
 	link   *topo.Link
 	bytes  int
 	depth  int
-	seq    uint64
+	seq    uint32
 	// pushing is set while push enqueues: a packet tail-dropped on arrival
 	// (a queue capped below depth) is not replaced, or that would recurse.
 	pushing bool
@@ -95,9 +95,9 @@ func (s *Saturated) Start() {
 func (s *Saturated) push() {
 	s.pushing = true
 	defer func() { s.pushing = false }()
-	s.engine.Enqueue(&mac.Packet{
-		Link:     s.link,
-		Bytes:    s.bytes,
+	s.engine.Enqueue(mac.Packet{
+		Link:     int32(s.link.ID),
+		Bytes:    int32(s.bytes),
 		Enqueued: s.k.Now(),
 		Seq:      s.seq,
 		FlowID:   -1,
@@ -107,14 +107,14 @@ func (s *Saturated) push() {
 
 // Delivered implements mac.Events: one out, one in.
 func (s *Saturated) Delivered(p *mac.Packet, _ sim.Time) {
-	if p.Link == s.link {
+	if int(p.Link) == s.link.ID {
 		s.push()
 	}
 }
 
 // Dropped implements mac.Events.
 func (s *Saturated) Dropped(p *mac.Packet, _ sim.Time) {
-	if p.Link == s.link && !s.pushing {
+	if int(p.Link) == s.link.ID && !s.pushing {
 		s.push()
 	}
 }

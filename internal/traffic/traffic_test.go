@@ -39,17 +39,19 @@ func (f *fakeEngine) lose(link int, seq uint64) {
 
 func (f *fakeEngine) Start() {}
 
-func (f *fakeEngine) Enqueue(p *mac.Packet) {
-	q := f.queues[p.Link.ID]
+func (f *fakeEngine) Enqueue(p mac.Packet) bool {
+	link := int(p.Link)
+	q := f.queues[link]
 	if q == nil {
 		q = mac.NewQueue(mac.DefaultQueueCap)
-		f.queues[p.Link.ID] = q
+		f.queues[link] = q
 	}
-	if !q.Push(p) {
-		f.events.Dropped(p, f.k.Now())
-		return
+	if q.Push(&p) == nil {
+		f.events.Dropped(&p, f.k.Now())
+		return false
 	}
-	f.serve(p.Link.ID)
+	f.serve(link)
+	return true
 }
 
 func (f *fakeEngine) serve(link int) {
@@ -57,19 +59,19 @@ func (f *fakeEngine) serve(link int) {
 		return
 	}
 	q := f.queues[link]
-	p := q.Pop()
-	if p == nil {
+	p, ok := q.Pop()
+	if !ok {
 		return
 	}
 	f.busy[link] = true
 	f.k.After(f.serviceTime, func() {
 		f.busy[link] = false
-		if f.lost[link][p.Seq] {
+		if seq := uint64(p.Seq); f.lost[link][seq] {
 			// Lose this sequence once; retransmissions pass.
-			delete(f.lost[link], p.Seq)
+			delete(f.lost[link], seq)
 		} else {
 			f.delivered++
-			f.events.Delivered(p, f.k.Now())
+			f.events.Delivered(&p, f.k.Now())
 		}
 		f.serve(link)
 	})
@@ -94,18 +96,17 @@ func newCounter() *counter {
 }
 
 func (c *counter) Delivered(p *mac.Packet, _ sim.Time) {
-	c.delivered[p.Link.ID]++
-	c.bytes[p.Link.ID] += p.Bytes
+	c.delivered[int(p.Link)]++
+	c.bytes[int(p.Link)] += int(p.Bytes)
 }
 
-func (c *counter) Dropped(p *mac.Packet, _ sim.Time) { c.dropped[p.Link.ID]++ }
+func (c *counter) Dropped(p *mac.Packet, _ sim.Time) { c.dropped[int(p.Link)]++ }
 
 func TestMux(t *testing.T) {
 	a, b := newCounter(), newCounter()
 	m := mac.Mux{a, b}
-	l := &topo.Link{ID: 3}
-	m.Delivered(&mac.Packet{Link: l, Bytes: 10}, 0)
-	m.Dropped(&mac.Packet{Link: l}, 0)
+	m.Delivered(&mac.Packet{Link: 3, Bytes: 10}, 0)
+	m.Dropped(&mac.Packet{Link: 3}, 0)
 	if a.delivered[3] != 1 || b.delivered[3] != 1 || a.dropped[3] != 1 || b.dropped[3] != 1 {
 		t.Error("mux did not fan out")
 	}
@@ -188,12 +189,12 @@ func TestSaturatedRefillsOnDrop(t *testing.T) {
 	k.RunUntil(time10ms)
 	// Simulate a MAC drop event directly.
 	before := e.QueueLen(0)
-	s.Dropped(&mac.Packet{Link: link}, k.Now())
+	s.Dropped(&mac.Packet{Link: int32(link.ID)}, k.Now())
 	if e.QueueLen(0) != before+1 {
 		t.Error("drop did not trigger refill")
 	}
 	// Foreign-link events must not refill.
-	s.Delivered(&mac.Packet{Link: &topo.Link{ID: 9}}, k.Now())
+	s.Delivered(&mac.Packet{Link: 9}, k.Now())
 	if e.QueueLen(0) != before+1 {
 		t.Error("foreign delivery triggered refill")
 	}

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/convert"
-	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/poll"
 	"repro/internal/sim"
@@ -29,21 +28,11 @@ type action struct {
 	link *topo.Link // for aSend
 }
 
-// armedTx is a transmission waiting for its slot start; a duplicate trigger
-// re-references it ("the transmitter uses the last correctly received trigger
-// as time reference", §3.4).
-type armedTx struct {
-	act action
-	ev  sim.Event
-	at  sim.Time
-}
-
 // ----------------------------------------------------------------------------
 // Access point
 
 type apNode struct {
-	e  *Engine
-	id phy.NodeID
+	radio
 	// poller owns this AP's client → subchannel/round layout and the decode
 	// of each polling cycle (internal/poll registry; ROP by default).
 	poller poll.Poller
@@ -58,27 +47,10 @@ type apNode struct {
 	lastSlot      int
 	lastSlotStart sim.Time
 
-	armed *armedTx
-
-	// inflight is the bundle awaiting its ACK (empty when none), on
-	// inflightLink. Its backing array is the AP's reusable bundle buffer.
-	inflight     []mac.Packet
-	inflightLink *topo.Link
-	ackEv        sim.Event
-	// onAckTimeout is ackTimeout bound once, so arming the ACK timer
-	// allocates no method value.
-	onAckTimeout func()
-
 	watchdog sim.Event
 	// onWatchdog is the watchdog's callback, bound once per node so
 	// re-arming the timer allocates no closure.
 	onWatchdog func()
-
-	// refSpan/depth track the causal span of this AP's current time
-	// reference (last trigger, own slot, or own broadcast) and its
-	// trigger-cascade depth; both stay zero when spans are disabled.
-	refSpan int64
-	depth   int
 }
 
 // receiveSchedule integrates newly arrived slots (wired dispatch callback).
@@ -120,7 +92,7 @@ func (ap *apNode) receiveSchedule(newKnown int) {
 // client with a signature (paper §3.3, batch connection).
 func (ap *apNode) bootstrap() {
 	if len(ap.actions) > 0 && ap.actions[0].kind == aSend && ap.actions[0].slot == 0 {
-		ap.execNext(0, 0)
+		ap.execNext(0)
 		return
 	}
 	if len(ap.e.slots) == 0 {
@@ -161,14 +133,14 @@ func (ap *apNode) watchdogFired() {
 	// The chain died: this self-start roots a fresh trigger cascade.
 	ap.refSpan, ap.depth = 0, 0
 	if ap.armed == nil {
-		ap.execNext(0, ap.ptr+1)
+		ap.execNext(0)
 	}
 	ap.armWatchdog()
 }
 
-// execNext pops and executes the next pending action. hint is the slot index
-// the caller believes is starting (for instrumentation).
-func (ap *apNode) execNext(delay sim.Time, hint int) {
+// execNext pops and executes the next pending action; a send is armed delay
+// after the current time reference.
+func (ap *apNode) execNext(delay sim.Time) {
 	if len(ap.actions) == 0 {
 		return
 	}
@@ -189,29 +161,14 @@ func (ap *apNode) execNext(delay sim.Time, hint int) {
 	}
 }
 
-// arm schedules a transmission relative to the current time reference.
-func (ap *apNode) arm(act action, delay sim.Time) {
-	tx := &armedTx{act: act, at: ap.e.k.Now()}
-	tx.ev = ap.e.k.After(delay, func() {
-		ap.armed = nil
-		ap.sendData(act)
-	})
-	ap.armed = tx
-}
-
 // onTrigger handles detection of this AP's own signature. The S′ sequence
 // doubles as a slot counter (SlotHint), so duties are matched to the slot
 // the trigger starts: duties whose slot already passed are skipped, and a
 // trigger for an already-armed slot merely refreshes the time reference.
-func (ap *apNode) onTrigger(pl *phy.SignaturePayload) {
+func (ap *apNode) onTrigger(pl *phy.SignaturePayload, delay sim.Time) {
 	e := ap.e
 	ap.armWatchdog()
-	ap.refSpan, ap.depth = e.noteTrigger(ap.id, pl)
 	hint := pl.SlotHint
-	delay := sim.Time(0)
-	if pl.ROP {
-		delay = e.pollGap()
-	}
 	if ap.armed != nil {
 		// Re-reference an armed transmission for this very slot ("the
 		// transmitter uses the last correctly received trigger", §3.4).
@@ -235,87 +192,38 @@ func (ap *apNode) onTrigger(pl *phy.SignaturePayload) {
 		}
 		ap.actions = ap.actions[1:]
 	}
+	ap.startSlot(hint, delay)
+}
+
+// startSlot executes the AP's next action if it belongs to the start of
+// slot hint: the poll at the boundary before it, or its own send, armed
+// delay later. Duties for later slots wait for their own reference.
+func (ap *apNode) startSlot(hint int, delay sim.Time) {
 	if len(ap.actions) == 0 {
 		return
 	}
-	a0 := ap.actions[0]
-	switch {
+	switch a0 := ap.actions[0]; {
 	case a0.kind == aPoll && a0.slot == hint-1:
-		ap.execNext(0, hint)
+		ap.execNext(0)
 	case a0.kind == aSend && a0.slot == hint:
-		ap.execNext(delay, hint)
+		ap.execNext(delay)
 	}
-	// Duties for later slots wait for their own reference.
 }
 
-// sendData transmits the scheduled link's head-of-queue packet, or a fake
+// send transmits the scheduled link's head-of-queue packet, or a fake
 // header when there is nothing to send (or the entry is converter-inserted
 // and the queue is empty).
-func (ap *apNode) sendData(act action) {
+func (ap *apNode) send(act action) {
 	e := ap.e
-	if e.medium.Transmitting(ap.id) {
+	if !ap.ready() {
 		return
 	}
-	// A superseded in-flight exchange (its ACK window overlapping this new
-	// slot) counts as missed and retries; it must never be silently
-	// clobbered.
-	if len(ap.inflight) > 0 {
-		if ap.ackEv.Scheduled() {
-			ap.ackEv.Cancel()
-			ap.ackEv = sim.Event{}
-		}
-		prev := ap.inflight
-		ap.inflight = ap.inflight[:0]
-		e.AckMisses++
-		e.requeueBundle(ap.inflightLink.ID, prev)
-	}
-	slot := e.slots[act.slot]
+	slot, now := e.slots[act.slot], e.k.Now()
 	ap.ptr = max(ap.ptr, act.slot+1)
-	ap.lastSlot = act.slot
-	ap.lastSlotStart = e.k.Now()
+	ap.lastSlot, ap.lastSlotStart = act.slot, now
 	e.noteProgress(act.slot)
-	ropFlag := len(slot.ROPAfter) > 0
-	clientSigs := lookupBcast(slot, act.link.Receiver)
-	now := e.k.Now()
-	if e.Misalign != nil {
-		e.Misalign.ObserveGroup(act.slot, now, e.refGroup[ap.id])
-	}
-	bundle := e.popBundle(act.link.ID, ap.inflight)
-	var slotSpan int64
-	if e.sp != nil {
-		slotSpan = e.sp.Next()
-		for i := range bundle {
-			bundle[i].TxSpan = slotSpan
-		}
-	}
-	m := &meta{slot: act.slot, clientSigs: clientSigs, rop: ropFlag,
-		span: slotSpan, depth: ap.depth,
-		selfNext: e.clientSenderInSlot(act.link.Receiver, act.slot+1),
-		nextWait: e.gapAfter(act.slot)}
-	ap.inflight = bundle
-	if len(bundle) > 0 {
-		e.DataSends += len(bundle)
-		e.emitSlotStart("data", ap.id, act.link, act.slot, slotSpan, ap.refSpan)
-		dur := e.cfg.dataAirtime()
-		e.medium.Transmit(ap.id, &phy.Frame{
-			Kind: phy.Data, Dst: act.link.Receiver, Bytes: e.cfg.VirtualBytes,
-			Rate: e.cfg.Rate, Duration: dur, Payload: m, Handle: bundle[0].Handle,
-			NAV: e.navUntil(act.slot, now), ObsSpan: slotSpan,
-		})
-		ap.inflightLink = act.link
-		timeout := dur + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
-		ap.ackEv = e.k.After(timeout, ap.onAckTimeout)
-	} else {
-		e.FakeSends++
-		e.emitSlotStart("fake", ap.id, act.link, act.slot, slotSpan, ap.refSpan)
-		e.medium.Transmit(ap.id, &phy.Frame{
-			Kind: phy.FakeHeader, Dst: act.link.Receiver, Bytes: 0,
-			Rate: e.cfg.Rate, Duration: e.cfg.fakeHeaderAirtime(), Payload: m,
-			ObsSpan: slotSpan,
-		})
-	}
-	// The slot the AP just opened becomes its causal reference.
-	ap.refSpan = slotSpan
+	ap.open(act.link, act.slot, &meta{instr: e.instrFor(act.link.Receiver, act.slot)},
+		e.navUntil(act.slot, now))
 	// The sender always has the slot reference: broadcast its combination at
 	// the slot's end regardless of the exchange outcome.
 	ap.scheduleBroadcast(slot, act.slot, now)
@@ -360,13 +268,7 @@ func (ap *apNode) scheduleSelfArm(fromSlot int, slotStart sim.Time) {
 		if ap.actions[0] != next {
 			return // a trigger already consumed it
 		}
-		switch next.kind {
-		case aPoll:
-			ap.execNext(0, next.slot)
-		case aSend:
-			ap.actions = ap.actions[1:]
-			ap.arm(next, 0)
-		}
+		ap.execNext(0)
 	})
 }
 
@@ -399,54 +301,22 @@ func (ap *apNode) scheduleBroadcast(slot *convert.RelSlot, idx int, slotStart si
 	if len(targets) == 0 {
 		return
 	}
-	at := slotStart + ap.e.cfg.broadcastOffset()
-	delay := at - ap.e.k.Now()
-	if delay < 0 {
-		delay = 0
-	}
 	ropFlag := len(slot.ROPAfter) > 0
-	ap.e.k.After(delay, func() { ap.sendSignature(idx+1, targets, ropFlag) })
+	ap.atBoundary(slotStart, func() { ap.sendSignature(idx+1, targets, ropFlag) })
 }
 
 func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool) {
-	e := ap.e
-	if e.medium.Transmitting(ap.id) {
+	if !ap.broadcast(slotHint-1, targets, ropFlag) {
 		return
 	}
-	var bSpan int64
-	if e.sp != nil {
-		bSpan = e.sp.Next()
-	}
-	e.emitSlotEnd(ap.id, slotHint-1, bSpan, ap.refSpan)
-	e.medium.Transmit(ap.id, &phy.Frame{
-		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
-		Payload: &phy.SignaturePayload{Sigs: broadcastSigs(targets), Start: true, ROP: ropFlag,
-			SlotHint: slotHint, ObsSpan: bSpan, ObsDepth: ap.depth},
-		ObsSpan: bSpan,
-	})
-	// The broadcast closes the slot; subsequent self-referenced duties hang
-	// off it.
-	ap.refSpan = bSpan
 	// Half-duplex makes a broadcasting node deaf to triggers arriving at the
 	// same instant, but its own broadcast end IS the slot boundary: if its
 	// next duty starts exactly there, self-trigger from that reference.
-	e.k.After(e.cfg.sigFrameDuration(), func() { ap.selfTrigger(slotHint, ropFlag) })
-}
-
-// selfTrigger consumes the AP's next action when it belongs to the slot this
-// node's own broadcast just started.
-func (ap *apNode) selfTrigger(slotHint int, ropFlag bool) {
-	if ap.armed != nil || len(ap.actions) == 0 {
-		return
-	}
-	act := ap.actions[0]
-	switch {
-	case act.kind == aPoll && act.slot == slotHint-1:
-		ap.execNext(0, slotHint)
-	case act.kind == aSend && act.slot == slotHint:
-		ap.actions = ap.actions[1:]
-		ap.arm(act, ap.e.gapAfter(slotHint-1))
-	}
+	ap.e.k.After(ap.e.cfg.sigFrameDuration(), func() {
+		if ap.armed == nil {
+			ap.startSlot(slotHint, ap.e.gapAfter(slotHint-1))
+		}
+	})
 }
 
 // doPoll executes Rapid OFDM Polling: a poll broadcast, the clients' joint
@@ -502,35 +372,8 @@ func (ap *apNode) doPollNow(slotIdx int) {
 			Span:     pollSpan,
 		})
 		e.notePollCycle(res)
-		lat := e.cfg.WiredLatencyMean +
-			sim.Time(e.k.Rand().NormFloat64()*float64(e.cfg.WiredLatencyStd))
-		if lat < 0 {
-			lat = 0
-		}
-		e.k.After(lat, func() {
-			e.server.pollResult(res, func(c phy.NodeID) *topo.Link {
-				if cn, ok := e.clients[c]; ok {
-					return cn.uplink
-				}
-				return nil
-			})
-		})
+		e.k.After(e.wiredDelay(), func() { e.server.pollResult(res) })
 	})
-}
-
-// ackTimeout applies the paper's missed-ACK policy (§3.5): keep the bundle
-// at the head of its queue; the next scheduled slot for this destination
-// retransmits it. The timer is cancelled before the in-flight bundle is
-// replaced, so inflightLink is the link the timed-out bundle went on.
-func (ap *apNode) ackTimeout() {
-	ap.ackEv = sim.Event{}
-	if len(ap.inflight) == 0 {
-		return
-	}
-	bundle := ap.inflight
-	ap.inflight = ap.inflight[:0]
-	ap.e.AckMisses++
-	ap.e.requeueBundle(ap.inflightLink.ID, bundle)
 }
 
 // CarrierChanged implements phy.Listener: channel activity is a liveness
@@ -541,103 +384,53 @@ func (ap *apNode) CarrierChanged(busy bool) {
 	}
 }
 
-// FrameReceived implements phy.Listener.
-func (ap *apNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetection) {
+// onSlot handles a client's uplink data or fake header: the AP locates the
+// slot in its schedule, ACKs data with the client's instructions, and runs
+// its own boundary duties.
+func (ap *apNode) onSlot(f *phy.Frame, m *meta) {
 	e := ap.e
-	if !ok {
-		if f.Kind == phy.Signature {
-			if pl, good := f.Payload.(*phy.SignaturePayload); good && containsInt(pl.Sigs, int(ap.id)) {
-				e.triggerMiss(ap.id, pl.SlotHint)
-			}
-		}
+	ap.armWatchdog()
+	// Identify the slot from the schedule position. ptr holds the next
+	// expected slot: consecutive appearances of the same link resolve to
+	// consecutive slots.
+	idx := e.findSlotFor(f.Src, ap.id, ap.ptr)
+	if idx < 0 {
 		return
 	}
-	switch f.Kind {
-	case phy.Signature:
-		pl := f.Payload.(*phy.SignaturePayload)
-		if containsInt(pl.Sigs, int(ap.id)) || e.falseTrigger() {
-			ap.onTrigger(pl)
+	ap.ptr = max(ap.ptr, idx+1)
+	e.noteProgress(idx)
+	slot := e.slots[idx]
+	slotStart := e.k.Now() - f.AirTime()
+	ap.lastSlot = idx
+	ap.lastSlotStart = slotStart
+	// The received slot is this AP's new causal reference: the boundary
+	// broadcast and any poll it runs hang off the sender's slot span.
+	ap.refSpan, ap.depth = m.span, m.depth
+	if f.Kind == phy.Data {
+		if e.cfg.Piggyback {
+			// Relay the piggybacked backlog to the server.
+			src, backlog := f.Src, m.backlog
+			e.k.After(e.wiredDelay(), func() { e.server.report(src, backlog) })
 		}
-	case phy.Data, phy.FakeHeader:
-		if f.Dst != ap.id {
-			return
-		}
-		ap.armWatchdog()
-		// Identify the slot from the schedule position. ptr holds the next
-		// expected slot: consecutive appearances of the same link resolve to
-		// consecutive slots.
-		idx := e.findSlotFor(f.Src, ap.id, ap.ptr)
-		if idx < 0 {
-			return
-		}
-		ap.ptr = max(ap.ptr, idx+1)
-		e.noteProgress(idx)
-		slot := e.slots[idx]
-		slotStart := e.k.Now() - f.AirTime()
-		ap.lastSlot = idx
-		ap.lastSlotStart = slotStart
-		// The received slot is this AP's new causal reference: the boundary
-		// broadcast and any poll it runs hang off the sender's slot span.
-		m := f.Payload.(*meta)
-		ap.refSpan, ap.depth = m.span, m.depth
-		if f.Kind == phy.Data {
-			if e.cfg.Piggyback {
-				// Relay the piggybacked backlog to the server.
-				src := f.Src
-				backlog := m.backlog
-				lat := e.cfg.WiredLatencyMean +
-					sim.Time(e.k.Rand().NormFloat64()*float64(e.cfg.WiredLatencyStd))
-				if lat < 0 {
-					lat = 0
-				}
-				e.k.After(lat, func() {
-					if cn, okc := e.clients[src]; okc && cn.uplink != nil {
-						e.server.upEst[cn.uplink.ID] = backlog
-					}
-				})
-			}
-			clientSigs := lookupBcast(slot, f.Src)
-			am := &ackMeta{slot: idx, clientSigs: clientSigs,
-				rop: len(slot.ROPAfter) > 0, selfNext: e.clientSenderInSlot(f.Src, idx+1),
-				nextWait: e.gapAfter(idx)}
-			src, h := f.Src, f.Handle
-			e.k.After(phy.SIFS, func() {
-				if e.medium.Transmitting(ap.id) {
-					return
-				}
-				e.medium.Transmit(ap.id, &phy.Frame{
-					Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
-					Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(), Payload: am,
-					Handle: h, ObsSpan: m.span,
-				})
-			})
-		}
-		ap.scheduleBroadcast(slot, idx, slotStart)
-		ap.checkPollSelf(idx, slotStart)
-	case phy.Ack:
-		if f.Dst != ap.id {
-			return
-		}
-		if len(ap.inflight) > 0 && f.Handle == ap.inflight[0].Handle {
-			if ap.ackEv.Scheduled() {
-				ap.ackEv.Cancel()
-				ap.ackEv = sim.Event{}
-			}
-			bundle := ap.inflight
-			ap.inflight = ap.inflight[:0]
-			e.deliverBundle(bundle)
-		}
+		in := e.instrFor(f.Src, idx)
+		ap.ack(f, m.span, &in)
 	}
+	ap.scheduleBroadcast(slot, idx, slotStart)
+	ap.checkPollSelf(idx, slotStart)
 }
+
+// onAck needs no follow-up at an AP: its downlink frames carried the
+// client's instructions already.
+func (ap *apNode) onAck(*phy.Frame) {}
 
 // clientBacklog counts a client's uplink backlog including any packet parked
 // awaiting retransmission.
 func (e *Engine) clientBacklog(c phy.NodeID) int {
 	cn, ok := e.clients[c]
-	if !ok || cn.uplink == nil {
+	if !ok || cn.link == nil {
 		return 0
 	}
-	n := e.queues[cn.uplink.ID].Len()
+	n := e.queues[cn.link.ID].Len()
 	if len(cn.inflight) > 0 {
 		n++
 	}

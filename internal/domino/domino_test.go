@@ -1,6 +1,7 @@
 package domino
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mac"
@@ -360,35 +361,113 @@ func TestEnqueueFullQueueZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAckMatchesBundleHandle pins ACK matching by handle: while an AP's
-// bundle awaits its ACK, an ACK echoing another packet's handle is ignored,
-// and the ACK echoing the bundle's head packet delivers the whole bundle.
-func TestAckMatchesBundleHandle(t *testing.T) {
-	delivered := 0
-	engine, k, links := exposedPairEngine(counterEvents{&delivered}, DefaultConfig())
-	l := links[0]
+// bundleRoles runs a test for both roles of the shared slot radio: an AP
+// sending a downlink bundle and a client sending an uplink bundle.
+var bundleRoles = []struct {
+	name     string
+	downlink bool
+}{{"AP downlink", true}, {"client uplink", false}}
+
+// bundleInFlight builds the exposed-terminal pair with links both ways,
+// queues ten 100-byte packets on the first link in the given direction (two
+// bundles of five at the default 512 virtual bytes), and runs until that
+// link's sender has a bundle in flight. It returns the link and the
+// sender's radio.
+func bundleInFlight(t *testing.T, downlink bool, events mac.Events) (*Engine, *sim.Kernel, *topo.Link, *radio) {
+	t.Helper()
+	net := topo.TwoPairs(topo.ExposedTerminals)
+	links := net.BuildLinks(true, true)
+	g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
+	k := sim.New(8)
+	engine := New(k, phy.NewMedium(k, net.RSS, phy.DefaultConfig()), g, events, DefaultConfig())
+	var l *topo.Link
+	for _, c := range links {
+		if c.Downlink == downlink {
+			l = c
+			break
+		}
+	}
 	for i := 0; i < 10; i++ {
 		engine.Enqueue(mac.Packet{Link: int32(l.ID), Bytes: 100})
 	}
 	engine.Start()
-	ap := engine.aps[l.Sender]
-	for len(ap.inflight) == 0 && k.Now() < 100*sim.Millisecond {
+	var r *radio
+	if downlink {
+		r = &engine.aps[l.Sender].radio
+	} else {
+		r = &engine.clients[l.Sender].radio
+	}
+	for len(r.inflight) == 0 && k.Now() < sim.Second {
 		k.RunUntil(k.Now() + sim.Microsecond)
 	}
-	if len(ap.inflight) < 2 {
-		t.Fatalf("no multi-packet bundle in flight by %v (%d)", k.Now(), len(ap.inflight))
+	if len(r.inflight) < 2 {
+		t.Fatalf("no multi-packet bundle in flight by %v (%d)", k.Now(), len(r.inflight))
 	}
-	bundle := len(ap.inflight)
-	ack := func(h uint32) {
-		ap.FrameReceived(&phy.Frame{Kind: phy.Ack, Src: l.Receiver, Dst: l.Sender, Handle: h}, true, nil)
+	return engine, k, l, r
+}
+
+// TestAckMatchesBundleHandle pins ACK matching by handle in both roles:
+// while a bundle awaits its ACK, an ACK echoing another packet's handle is
+// ignored, and the ACK echoing the bundle's head packet delivers the whole
+// bundle.
+func TestAckMatchesBundleHandle(t *testing.T) {
+	for _, tc := range bundleRoles {
+		t.Run(tc.name, func(t *testing.T) {
+			delivered := 0
+			_, _, l, r := bundleInFlight(t, tc.downlink, counterEvents{&delivered})
+			bundle := len(r.inflight)
+			ack := func(h uint32) {
+				// An AP's ACK of an uplink carries the client's instructions.
+				r.role.(phy.Listener).FrameReceived(&phy.Frame{Kind: phy.Ack, Src: l.Receiver,
+					Dst: l.Sender, Handle: h, Payload: &instr{}}, true, nil)
+			}
+			ack(r.inflight[1].Handle)
+			if delivered != 0 || len(r.inflight) != bundle {
+				t.Fatalf("an ACK naming another packet delivered %d packets", delivered)
+			}
+			ack(r.inflight[0].Handle)
+			if delivered != bundle || len(r.inflight) != 0 {
+				t.Fatalf("the head packet's ACK delivered %d of %d packets", delivered, bundle)
+			}
+		})
 	}
-	ack(ap.inflight[1].Handle)
-	if delivered != 0 || len(ap.inflight) != bundle {
-		t.Fatalf("an ACK naming another packet delivered %d packets", delivered)
-	}
-	ack(ap.inflight[0].Handle)
-	if delivered != bundle || len(ap.inflight) != 0 {
-		t.Fatalf("the head packet's ACK delivered %d of %d packets", delivered, bundle)
+}
+
+// TestSupersededBundleRetries pins the supersede path in both roles: a node
+// that opens a new slot while its previous bundle still awaits its ACK
+// counts one ACK miss and puts that bundle back at the head of its queue one
+// retry older, so the new slot resends it ahead of the packets behind it.
+func TestSupersededBundleRetries(t *testing.T) {
+	for _, tc := range bundleRoles {
+		t.Run(tc.name, func(t *testing.T) {
+			engine, k, l, r := bundleInFlight(t, tc.downlink, nil)
+			old := slices.Clone(r.inflight)
+			// Once the data frame ends, the ACK is still a SIFS away.
+			for engine.medium.Transmitting(r.id) {
+				k.RunUntil(k.Now() + sim.Microsecond)
+			}
+			if len(r.inflight) != len(old) || !r.ackEv.Scheduled() {
+				t.Fatalf("bundle no longer awaits its ACK at %v", k.Now())
+			}
+			misses := engine.AckMisses
+			act := action{kind: aSend, link: l}
+			if ap, isAP := r.role.(*apNode); isAP {
+				act.slot = ap.lastSlot
+			}
+			r.role.send(act)
+			if engine.AckMisses != misses+1 {
+				t.Errorf("AckMisses rose by %d, want 1", engine.AckMisses-misses)
+			}
+			if len(r.inflight) != len(old) {
+				t.Fatalf("new slot sent %d packets, want the %d superseded ones", len(r.inflight), len(old))
+			}
+			for i, p := range r.inflight {
+				if p.Handle != old[i].Handle || p.Retries != old[i].Retries+1 {
+					t.Errorf("packet %d resent as handle %d retry %d, want handle %d retry %d",
+						i, p.Handle, p.Retries, old[i].Handle, old[i].Retries+1)
+				}
+			}
+		})
 	}
 }
 

@@ -122,41 +122,44 @@ func (e *Engine) falseTrigger() bool {
 	return false
 }
 
-// meta rides on data and fake-header frames: the signature-broadcast
-// instructions for the client endpoint (S1 of Fig 8) and the slot identity.
+// instr is the S1 instruction set (Fig 8) for a slot's client endpoint. It
+// rides on a downlink data or fake-header frame, or on the AP's ACK of an
+// uplink. slot is the slot's index; clientSigs are the signatures the
+// client broadcasts at the slot's end, with the ROP flag rop. selfNext
+// tells the client it sends in the next slot, so the end of this slot's
+// boundary exchange is its transmit reference; nextWait is how long past
+// the boundary it must hold off (ROP or CoP gap).
+type instr struct {
+	slot       int
+	clientSigs []phy.NodeID
+	rop        bool
+	selfNext   bool
+	nextWait   sim.Time
+}
+
+// instrFor computes client's instructions for slot idx.
+func (e *Engine) instrFor(client phy.NodeID, idx int) instr {
+	slot := e.slots[idx]
+	return instr{slot: idx, clientSigs: lookupBcast(slot, client), rop: len(slot.ROPAfter) > 0,
+		selfNext: e.clientSenderInSlot(client, idx+1), nextWait: e.gapAfter(idx)}
+}
+
+// meta rides on data and fake-header frames: the client endpoint's
+// instructions (zero on a client's own frames) and the slot identity.
 // The bundle of MAC packets aggregated into a data slot's virtual packet
 // (§3.5: splitting/aggregation makes every transmission take the fixed
 // virtual air time; several small packets — TCP ACKs in particular — share
 // one slot) stays with its sender; the frame names it by its head packet's
 // handle (phy.Frame.Handle), which the ACK echoes.
 type meta struct {
-	slot       int
-	clientSigs []phy.NodeID
-	rop        bool
+	instr
 	// span/depth carry the slot's causal span and the sender's trigger-chain
 	// depth to the receiver, so its follow-on duties parent correctly.
 	span  int64
 	depth int
-	// selfNext tells the receiving client it is the next slot's sender, so
-	// the end of this slot's boundary exchange is its transmit reference;
-	// nextWait is how long past the boundary it must hold off (ROP or CoP
-	// gap).
-	selfNext bool
-	nextWait sim.Time
-	// backlog piggybacks the client's remaining uplink queue length on
-	// frames it sends (only meaningful with Config.Piggyback).
+	// backlog piggybacks the sender's remaining queue length; the AP reads
+	// it from a client's data frame (only meaningful with Config.Piggyback).
 	backlog int
-}
-
-// ackMeta rides on an AP's ACK of an uplink: the client's broadcast
-// instructions (Fig 8b). Which bundle is acknowledged rides in the frame's
-// Handle.
-type ackMeta struct {
-	slot       int
-	clientSigs []phy.NodeID
-	rop        bool
-	selfNext   bool
-	nextWait   sim.Time
 }
 
 // New assembles a DOMINO engine over a conflict graph. Both endpoints of
@@ -261,20 +264,20 @@ func triggerComponents(net *topo.Network) []int {
 func (e *Engine) ensureNode(id phy.NodeID) {
 	if e.net.IsAP[id] {
 		if _, ok := e.aps[id]; !ok {
-			ap := &apNode{e: e, id: id}
+			ap := &apNode{}
+			ap.init(e, id, ap)
 			ap.onWatchdog = ap.watchdogFired
-			ap.onAckTimeout = ap.ackTimeout
 			e.aps[id] = ap
 			e.medium.Register(id, ap)
 		}
 		return
 	}
 	if _, ok := e.clients[id]; !ok {
-		c := &clientNode{e: e, id: id, ap: e.net.APOf[id]}
-		c.onAckTimeout = c.ackTimeout
+		c := &clientNode{}
+		c.init(e, id, c)
 		for _, l := range e.g.Links {
 			if l.Sender == id {
-				c.uplink = l
+				c.link = l
 			}
 		}
 		e.clients[id] = c
@@ -532,12 +535,7 @@ func (s *server) buildAndDispatch() {
 	// Wired dispatch with jitter.
 	for _, apID := range e.net.APs {
 		ap := e.aps[apID]
-		lat := e.cfg.WiredLatencyMean +
-			sim.Time(e.k.Rand().NormFloat64()*float64(e.cfg.WiredLatencyStd))
-		if lat < 0 {
-			lat = 0
-		}
-		e.k.After(lat, func() { ap.receiveSchedule(newKnown) })
+		e.k.After(e.wiredDelay(), func() { ap.receiveSchedule(newKnown) })
 	}
 	e.buildPending = false
 
@@ -571,12 +569,25 @@ func (e *Engine) noteProgress(idx int) {
 	}
 }
 
+// wiredDelay draws one trip over the wired backbone: WiredLatencyMean plus
+// normal jitter of WiredLatencyStd, clamped at zero.
+func (e *Engine) wiredDelay() sim.Time {
+	lat := e.cfg.WiredLatencyMean +
+		sim.Time(e.k.Rand().NormFloat64()*float64(e.cfg.WiredLatencyStd))
+	return max(lat, 0)
+}
+
 // pollResult integrates a poll outcome after its wired trip to the server.
-func (s *server) pollResult(res poll.Result, clientUplink func(phy.NodeID) *topo.Link) {
+func (s *server) pollResult(res poll.Result) {
 	for c, v := range res.Values {
-		if l := clientUplink(c); l != nil {
-			s.upEst[l.ID] = v
-		}
+		s.report(c, v)
+	}
+}
+
+// report takes client c's reported uplink backlog as the server's estimate.
+func (s *server) report(c phy.NodeID, backlog int) {
+	if cn, ok := s.e.clients[c]; ok && cn.link != nil {
+		s.upEst[cn.link.ID] = backlog
 	}
 }
 

@@ -284,6 +284,3 @@ func (k *Kernel) run(limit Time, inclusive bool) Time {
 // Pending returns the number of events currently queued. Cancelled events are
 // removed eagerly, so they no longer count.
 func (k *Kernel) Pending() int { return len(k.q.ents) }
-
-// poolSize exposes the free-list depth to white-box tests.
-func (k *Kernel) poolSize() int { return len(k.free) }

@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// poolSize exposes the kernel's free-list depth to these white-box tests.
+func (k *Kernel) poolSize() int { return len(k.free) }
+
 // The pool contract: an Event handle is invalid after its event fires or is
 // cancelled. The generation counter must turn every operation through a
 // stale handle into a no-op instead of reaching the slot's new occupant.

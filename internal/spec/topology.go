@@ -40,10 +40,6 @@ func Kinds() []string {
 	return []string{"fig1", "fig7", "fig13a", "fig13b", "sc", "ht", "et", "campus", "random", "grid"}
 }
 
-func (t Topology) generated() bool {
-	return t.Kind == "campus" || t.Kind == "random" || t.Kind == "grid"
-}
-
 // Validate checks the reference without building it.
 func (t Topology) Validate() error {
 	switch t.Kind {

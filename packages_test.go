@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -12,7 +13,8 @@ import (
 )
 
 // goFiles calls fn for every non-test .go file under root, skipping
-// testdata and hidden or underscore-prefixed directories as the go tool does.
+// testdata and hidden or underscore-prefixed directories as the go tool does,
+// and nested modules (a directory below root with its own go.mod).
 func goFiles(t *testing.T, root string, fn func(path string)) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -20,8 +22,14 @@ func goFiles(t *testing.T, root string, fn func(path string)) {
 			return err
 		}
 		if d.IsDir() {
+			if path == root {
+				return nil
+			}
 			name := d.Name()
-			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
@@ -76,6 +84,59 @@ func TestEveryInternalPackageHasACaller(t *testing.T) {
 	for p := range pkgs {
 		if !imported[p] {
 			t.Errorf("%s has no non-test importer in cmd/, examples/, bench/ or internal/; delete it or give it a caller", p)
+		}
+	}
+}
+
+// TestEveryUnexportedFuncHasAReference guards against helpers that nothing
+// calls: an unexported func or method declared in a non-test file of this
+// module must have its name appear again among the identifiers of its
+// package's non-test files. Code only tests use belongs in a _test.go file;
+// code nothing uses is deleted. A name shared with another identifier of the
+// package counts as a reference, so the check can miss dead code but never
+// flags live code.
+func TestEveryUnexportedFuncHasAReference(t *testing.T) {
+	type decl struct {
+		pos  token.Position
+		name string
+	}
+	decls := map[string][]decl{}          // package dir → unexported funcs
+	idents := map[string]map[string]int{} // package dir → identifier → count
+	fset := token.NewFileSet()
+	goFiles(t, ".", func(path string) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Dir(path)
+		if idents[dir] == nil {
+			idents[dir] = map[string]int{}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				idents[dir][id.Name]++
+			}
+			return true
+		})
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Name.IsExported() || fd.Name.Name == "_" {
+				continue
+			}
+			if fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main") {
+				continue
+			}
+			decls[dir] = append(decls[dir], decl{fset.Position(fd.Name.Pos()), fd.Name.Name})
+		}
+	})
+	if len(decls) == 0 {
+		t.Fatal("no unexported funcs found")
+	}
+	for dir, ds := range decls {
+		for _, d := range ds {
+			if idents[dir][d.name] < 2 {
+				t.Errorf("%s: %s is referenced nowhere in its package's non-test code; delete it or move it to a _test.go file", d.pos, d.name)
+			}
 		}
 	}
 }

@@ -211,7 +211,9 @@ func New(k *sim.Kernel, medium *phy.Medium, links []*topo.Link, events mac.Event
 			n.fireFn, n.tryScheduleFireFn = n.fire, n.tryScheduleFire
 			n.txDoneFn, n.ackTimeoutFn = n.txDone, n.ackTimeout
 			e.nodes[id] = n
-			medium.Register(id, n)
+			// Overheard data frames set the NAV; other unaddressed
+			// frames go unread.
+			medium.Register(id, n, phy.Kinds(phy.Data))
 		}
 		return n
 	}

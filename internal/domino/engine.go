@@ -261,6 +261,9 @@ func triggerComponents(net *topo.Network) []int {
 	return comp
 }
 
+// ensureNode creates node id's AP or client and registers it on the medium.
+// A DOMINO node reads only the frames addressed to it and signatures, so it
+// overhears no frame kind.
 func (e *Engine) ensureNode(id phy.NodeID) {
 	if e.net.IsAP[id] {
 		if _, ok := e.aps[id]; !ok {
@@ -268,7 +271,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 			ap.init(e, id, ap)
 			ap.onWatchdog = ap.watchdogFired
 			e.aps[id] = ap
-			e.medium.Register(id, ap)
+			e.medium.Register(id, ap, phy.Kinds())
 		}
 		return
 	}
@@ -281,7 +284,7 @@ func (e *Engine) ensureNode(id phy.NodeID) {
 			}
 		}
 		e.clients[id] = c
-		e.medium.Register(id, c)
+		e.medium.Register(id, c, phy.Kinds())
 	}
 }
 
@@ -308,24 +311,6 @@ func (e *Engine) QueueLen(link int) int { return e.queues[link].Len() }
 
 // Slots exposes how many global slots have been scheduled so far.
 func (e *Engine) Slots() int { return len(e.slots) }
-
-// DebugScheduleStats summarises the built schedule: total entries, slots,
-// ROP boundaries and entries without triggers (tests and diagnostics).
-func (e *Engine) DebugScheduleStats() (entries, slots, ropSlots, untriggered int) {
-	slots = len(e.slots)
-	for _, sl := range e.slots {
-		entries += len(sl.Entries)
-		if len(sl.ROPAfter) > 0 {
-			ropSlots++
-		}
-		for _, en := range sl.Entries {
-			if len(en.TriggeredBy) == 0 {
-				untriggered++
-			}
-		}
-	}
-	return
-}
 
 // emitSlotStart records a slot owner starting its data ("data") or fake
 // header ("fake") transmission on link.

@@ -67,7 +67,9 @@ func (r *radio) init(e *Engine, id phy.NodeID, role role) {
 }
 
 // FrameReceived implements phy.Listener: trigger detection and misses, and
-// ACK matching, are the same for both roles; the rest goes to the role.
+// ACK matching, are the same for both roles; the rest goes to the role. A
+// node overhears no frame kind (ensureNode), so every frame but a signature
+// is addressed to it.
 func (r *radio) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 	e := r.e
 	if !ok {
@@ -90,13 +92,8 @@ func (r *radio) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) 
 			r.role.onTrigger(pl, delay)
 		}
 	case phy.Data, phy.FakeHeader:
-		if f.Dst == r.id {
-			r.role.onSlot(f, f.Payload.(*meta))
-		}
+		r.role.onSlot(f, f.Payload.(*meta))
 	case phy.Ack:
-		if f.Dst != r.id {
-			return
-		}
 		if len(r.inflight) > 0 && f.Handle == r.inflight[0].Handle {
 			e.deliverBundle(r.take())
 		}

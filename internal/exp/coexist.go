@@ -7,6 +7,7 @@ import (
 	"repro/internal/dcf"
 	"repro/internal/domino"
 	"repro/internal/mac"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -40,7 +41,7 @@ func Coexist(o Options) CoexistResult {
 	res := CoexistResult{CoPMs: []float64{0, 2, 5, 10}}
 	type share struct{ dom, ext float64 }
 	shares := parallel.Map(o.Workers, len(res.CoPMs), func(i int) share {
-		dom, ext := coexistRun(o, sim.Millis(res.CoPMs[i]))
+		dom, ext := coexistRun(o, sim.Millis(res.CoPMs[i]), nil)
 		return share{dom, ext}
 	})
 	for _, s := range shares {
@@ -51,11 +52,18 @@ func Coexist(o Options) CoexistResult {
 }
 
 // coexistRun wires a DOMINO engine (pair 0) and a plain DCF engine (pair 1)
-// onto one medium and saturates both.
-func coexistRun(o Options, cop sim.Time) (dominoMbps, externalMbps float64) {
+// onto one medium and saturates both. A non-nil tr receives the run's
+// medium activity and DOMINO's typed records.
+func coexistRun(o Options, cop sim.Time, tr obs.Tracer) (dominoMbps, externalMbps float64) {
 	net := coexistNet()
 	k := sim.New(o.Seed)
 	medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+	var orun *obs.Run
+	if tr != nil {
+		orun = obs.NewRun(tr, nil).BindClock(k.Now)
+		medium.SetProbe(orun)
+		orun.Start("coexist", o.Seed)
+	}
 
 	// DOMINO side: pair 0 only (AP0, C1), downlink + uplink.
 	domLinks := []*topo.Link{
@@ -73,6 +81,9 @@ func coexistRun(o Options, cop sim.Time) (dominoMbps, externalMbps float64) {
 	dcfg := domino.DefaultConfig()
 	dcfg.CoPDuration = cop
 	domEngine := domino.New(k, medium, g, domHub, dcfg)
+	if orun != nil {
+		domEngine.WireObs(orun)
+	}
 	domColl := stats.NewCollector(len(domLinks), o.Warmup)
 	domHub.Add(domColl)
 	for _, l := range domLinks {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 func TestCoexistShape(t *testing.T) {
@@ -34,5 +37,40 @@ func TestCoexistShape(t *testing.T) {
 	r.Print(&b)
 	if !strings.Contains(b.String(), "external") {
 		t.Error("print malformed")
+	}
+}
+
+// TestCoexistMatchesGolden pins a mixed DCF+DOMINO medium: the CSV of the
+// small CoP sweep and the NDJSON trace of examples/coexistence's scenario
+// (seed 1, 4 s, 500 ms warm-up) at every CoP setting. The two engines share
+// the kernel's RNG stream through the medium's signature detection, DCF's
+// backoff and DOMINO's draws, so any change to which receptions draw from it
+// moves both hashes.
+func TestCoexistMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four 2 s and four traced 4 s coexistence runs")
+	}
+	const (
+		goldenCSVSHA   = "9967c1286821305ce8ea48a585994970bf7e98c661847d18e935f86755ab97d1"
+		goldenTraceSHA = "805b7f7c8be569bf1052955ba1216b7b55f6e60168e10face607d01267135991"
+	)
+	var csv bytes.Buffer
+	if err := Coexist(small()).CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(csv.Bytes()); got != goldenCSVSHA {
+		t.Errorf("coexistence CSV hash %s != golden %s:\n%s", got, goldenCSVSHA, csv.String())
+	}
+	o := Options{Seed: 1, Duration: 4 * sim.Second, Warmup: 500 * sim.Millisecond}
+	var trace bytes.Buffer
+	nd := obs.NewNDJSON(&trace)
+	for _, cop := range []float64{0, 2, 5, 10} {
+		coexistRun(o, sim.Millis(cop), nd)
+	}
+	if err := nd.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(trace.Bytes()); got != goldenTraceSHA {
+		t.Errorf("coexistence trace hash %s != golden %s (%d bytes)", got, goldenTraceSHA, trace.Len())
 	}
 }

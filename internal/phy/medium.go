@@ -20,7 +20,9 @@ type Medium struct {
 	floorMw float64
 	noiseMw float64
 
-	// Counters for tests and reporting.
+	// Counters for tests and reporting. Delivered and Corrupted count the
+	// judged receptions, which exist only where a listener acts on the frame
+	// (see Register): bystanders that drop a frame unread are not counted.
 	Transmissions int
 	Delivered     int
 	Corrupted     int
@@ -73,7 +75,9 @@ type Probe interface {
 	// TxEnd fires when the frame leaves the air, before receptions are
 	// judged and listeners notified.
 	TxEnd(f *Frame, now sim.Time)
-	// RxOutcome fires once per judged reception with its decode outcome.
+	// RxOutcome fires once per built reception with its decode outcome:
+	// at the frame's addressee, at every listening node for a signature, and
+	// at nodes that registered to overhear the frame's kind (see Register).
 	RxOutcome(f *Frame, at NodeID, ok bool, now sim.Time)
 }
 
@@ -83,6 +87,8 @@ func (m *Medium) SetProbe(p Probe) { m.probe = p }
 
 type nodeState struct {
 	listener Listener
+	// overhears holds the unaddressed frame kinds the listener reads.
+	overhears KindSet
 	// totalMw is the summed received power (mW) of all active transmissions
 	// heard at this node, excluding its own.
 	totalMw float64
@@ -143,15 +149,17 @@ type transmission struct {
 	end func()
 }
 
-// reception is one frame arriving at one node. Its worst instantaneous
-// interference is the maximum over the frame starts heard at the node while
-// it is on the air (starts are the only instants interference grows).
-// Rather than fold every start into every live reception, a start is folded
-// into the node's newest live reception only, so each reception's running
-// maxima (held in its node's liveRx) cover its segment: the starts from its
-// own until the node's next reception began, plus the segments of later
-// receptions that have since ended. At frame end the reception's worst case
-// is the maximum over its own segment and every later one (settle).
+// reception is one frame arriving at one node whose listener acts on it:
+// the frame is addressed to the node, is a signature, or is of a kind the
+// node registered to overhear. Its worst instantaneous interference is the
+// maximum over the frame starts heard at the node while it is on the air
+// (starts are the only instants interference grows). Rather than fold every
+// start into every live reception, a start is folded into the node's newest
+// live reception only, so each reception's running maxima (held in its
+// node's liveRx) cover its segment: the starts from its own until the node's
+// next reception began, plus the segments of later receptions that have
+// since ended. At frame end the reception's worst case is the maximum over
+// its own segment and every later one (settle).
 //
 // Folding maxima of the node's total power instead of maxima of the
 // interference is exact: the interference of a data frame is
@@ -159,6 +167,14 @@ type transmission struct {
 // its maximum is the same expression at the maximum total. A signature
 // frame's interference, total − sigMw + noise, does not depend on the
 // reception, so its maximum is folded directly.
+//
+// Building receptions for only some frames leaves every built one exact. A
+// node folds each start for as long as it holds any live reception, and the
+// segment bookkeeping keeps each reception's worst case equal to the maximum
+// over the starts since its own, spread over its segment and the later ones,
+// whichever of the node's frames have receptions. A node holding none has no
+// maxima to raise. The half-duplex flag and the combination load (maxSigs)
+// belong to the reception alone.
 type reception struct {
 	at      NodeID
 	powerMw float64
@@ -277,12 +293,18 @@ func (m *Medium) Kernel() *sim.Kernel { return m.k }
 // Config returns the medium's parameters.
 func (m *Medium) Config() Config { return m.cfg }
 
-// Register installs the listener for a node. At most one listener per node.
-func (m *Medium) Register(n NodeID, l Listener) {
+// Register installs the listener for a node, with the kinds of unaddressed
+// frame it reads. The node receives frames addressed to it, every signature,
+// and the frames of the overheard kinds; the medium builds no reception for
+// any other frame there, which then only adds interference. Signatures are
+// never filtered: their detection draws from the kernel's random source at
+// every listening node. At most one listener per node.
+func (m *Medium) Register(n NodeID, l Listener, overhears KindSet) {
 	if m.nodes[n].listener != nil {
 		panic(fmt.Sprintf("phy: node %d already has a listener", n))
 	}
 	m.nodes[n].listener = l
+	m.nodes[n].overhears = overhears
 }
 
 // RSS returns the received signal strength (dBm) at dst when src transmits.
@@ -346,6 +368,7 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 		}
 	}
 	tx.sig, tx.sigN = sig, sigN
+	kind := f.Kind
 
 	rowMw := m.rssMw[src]
 	carrier := m.popCarrier()
@@ -361,8 +384,10 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 			dst.sigMw += p
 			dst.activeSigs = append(dst.activeSigs, sigRec{src: src, powerMw: p, n: sigN})
 		}
-		if len(dst.recs) > 0 || (dst.listener != nil && p >= m.floorMw) {
-			m.frameStart(tx, NodeID(j), p)
+		build := dst.listener != nil && p >= m.floorMw &&
+			(sig || f.Dst == NodeID(j) || dst.overhears.Has(kind))
+		if build || len(dst.recs) > 0 {
+			m.frameStart(tx, NodeID(j), p, build)
 		}
 		if m.carrierFlipped(dst) {
 			carrier = append(carrier, NodeID(j))
@@ -382,8 +407,8 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 // frameStart records tx's start, received at power p, at node j, whose
 // totals already include it: the start raises the running maxima of the
 // node's newest live reception (see reception), and starts a reception of
-// its own if the frame is strong enough to matter.
-func (m *Medium) frameStart(tx *transmission, j NodeID, p float64) {
+// its own if build is set.
+func (m *Medium) frameStart(tx *transmission, j NodeID, p float64, build bool) {
 	dst := &m.nodes[j]
 	tot := dst.totalMw
 	sigInterf := tot - dst.sigMw + m.noiseMw
@@ -407,7 +432,7 @@ func (m *Medium) frameStart(tx *transmission, j NodeID, p float64) {
 			}
 		}
 	}
-	if dst.listener == nil || p < m.floorMw {
+	if !build {
 		return
 	}
 	ri := m.allocRx()

@@ -13,9 +13,12 @@ import (
 // refMedium is the medium as it stood before receptions moved into an
 // index-addressed arena: every frame start folds the node's current
 // interference into every live reception there (refFold), receptions are
-// pointers, and the signature decision takes a logarithm. It is kept as the
-// oracle TestMediumMatchesFoldOracle checks Medium against. Pooling and the
-// probe are left out; neither changes an outcome.
+// pointers, and the signature decision takes a logarithm. It builds a
+// reception under the same rule as Medium (addressed, signature or an
+// overheard kind), so a fold-every-start reception exists exactly where
+// Medium's does. It is kept as the oracle TestMediumMatchesFoldOracle checks
+// Medium against. Pooling and the probe are left out; neither changes an
+// outcome.
 type refMedium struct {
 	k       *sim.Kernel
 	cfg     Config
@@ -30,6 +33,7 @@ type refMedium struct {
 
 type refNode struct {
 	listener   Listener
+	overhears  KindSet
 	totalMw    float64
 	sigMw      float64
 	activeSigs []refSig
@@ -78,9 +82,11 @@ func newRefMedium(k *sim.Kernel, rssDBm [][]float64, cfg Config) *refMedium {
 	}
 }
 
-func (m *refMedium) Register(n NodeID, l Listener) { m.nodes[n].listener = l }
-func (m *refMedium) Transmitting(n NodeID) bool    { return m.nodes[n].tx != nil }
-func (m *refMedium) Kernel() *sim.Kernel           { return m.k }
+func (m *refMedium) Register(n NodeID, l Listener, overhears KindSet) {
+	m.nodes[n].listener, m.nodes[n].overhears = l, overhears
+}
+func (m *refMedium) Transmitting(n NodeID) bool { return m.nodes[n].tx != nil }
+func (m *refMedium) Kernel() *sim.Kernel        { return m.k }
 func (ns *refNode) combinedSigsNear(target float64) int {
 	total := 0
 	for _, r := range ns.activeSigs {
@@ -128,7 +134,8 @@ func (m *refMedium) Transmit(src NodeID, f *Frame) {
 		for _, r := range dst.recs {
 			m.refFold(r, dst)
 		}
-		if dst.listener != nil && p >= m.floorMw {
+		wanted := sig || f.Dst == NodeID(j) || dst.overhears.Has(f.Kind)
+		if dst.listener != nil && p >= m.floorMw && wanted {
 			r := &refRx{tx: tx, at: NodeID(j), powerMw: p, failed: dst.tx != nil}
 			m.refFold(r, dst)
 			dst.recs = append(dst.recs, r)
@@ -244,7 +251,7 @@ func (m *refMedium) notify(ids []NodeID) {
 // radio is the surface of Medium and refMedium the differential scenario
 // drives.
 type radio interface {
-	Register(NodeID, Listener)
+	Register(NodeID, Listener, KindSet)
 	Transmit(NodeID, *Frame)
 	Transmitting(NodeID) bool
 	Kernel() *sim.Kernel
@@ -269,6 +276,9 @@ type diffScenario struct {
 	rss   [][]float64
 	cfg   Config
 	sends []diffSend
+	// overhears is each node's registered set: every kind on even seeds,
+	// a random set on odd ones.
+	overhears []KindSet
 }
 
 type diffSend struct {
@@ -317,6 +327,13 @@ func newDiffScenario(seed int64) diffScenario {
 			s.kind, s.size = Data, 40+rng.Intn(1460)
 		}
 		sc.sends = append(sc.sends, s)
+	}
+	for range rss {
+		set := AllKinds
+		if seed%2 == 1 {
+			set = KindSet(rng.Intn(1 << (FakeHeader + 1)))
+		}
+		sc.overhears = append(sc.overhears, set)
 	}
 	return sc
 }
@@ -384,7 +401,7 @@ func (sc diffScenario) run(m radio, judged *[]judgeRec, hook func(record func(f 
 		*judged = append(*judged, judgeRec{m.Kernel().Now(), f.ObsSpan, node, ok, math.Float64bits(interf), maxSigs})
 	})
 	for i := range sc.rss {
-		m.Register(NodeID(i), &reactor{id: NodeID(i), m: m, rng: rand.New(rand.NewSource(sc.seed*100 + int64(i))), log: &log, budget: &budget, send: send})
+		m.Register(NodeID(i), &reactor{id: NodeID(i), m: m, rng: rand.New(rand.NewSource(sc.seed*100 + int64(i))), log: &log, budget: &budget, send: send}, sc.overhears[i])
 	}
 	for _, s := range sc.sends {
 		s := s
@@ -429,8 +446,9 @@ func (m recordingMedium) Transmit(src NodeID, f *Frame) {
 }
 
 // TestMediumMatchesFoldOracle replays random workloads — random RSS,
-// overlapping Data, Ack and Signature frames, half-duplex starts and
-// listeners that transmit from inside their callbacks — on Medium and on
+// overlapping Data, Ack and Signature frames, half-duplex starts, listeners
+// that transmit from inside their callbacks and, on odd seeds, random
+// overheard-kind sets — on Medium and on
 // the fold-every-start oracle, and requires the same callbacks in the same
 // order, the same decode outcomes, bit-identical worst interference and the
 // same combined-signature peaks for every reception.

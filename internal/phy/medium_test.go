@@ -53,7 +53,7 @@ func newTestMedium(t *testing.T, rss [][]float64) (*sim.Kernel, *Medium, []*reco
 	recs := make([]*recorder, len(rss))
 	for i := range recs {
 		recs[i] = &recorder{}
-		m.Register(NodeID(i), recs[i])
+		m.Register(NodeID(i), recs[i], AllKinds)
 	}
 	return k, m, recs
 }
@@ -372,9 +372,9 @@ func TestSignatureOverloadDetectionDegrades(t *testing.T) {
 	k := sim.New(1)
 	m := NewMedium(k, uniformRSS(3, -60), cfg)
 	rec := &recorder{}
-	m.Register(1, rec)
-	m.Register(0, &recorder{})
-	m.Register(2, &recorder{})
+	m.Register(1, rec, AllKinds)
+	m.Register(0, &recorder{}, AllKinds)
+	m.Register(2, &recorder{}, AllKinds)
 	sig := func(ids ...int) *Frame {
 		return &Frame{Kind: Signature, Dst: Broadcast, Duration: SignatureDuration,
 			Payload: &SignaturePayload{Sigs: ids}}
@@ -474,7 +474,7 @@ func BenchmarkMediumBroadcastChurn(b *testing.B) {
 	k := sim.New(1)
 	m := NewMedium(k, uniformRSS(40, -70), DefaultConfig())
 	for i := 0; i < 40; i++ {
-		m.Register(NodeID(i), &recorder{})
+		m.Register(NodeID(i), &recorder{}, AllKinds)
 	}
 	b.ResetTimer()
 	n := 0

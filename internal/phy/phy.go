@@ -25,7 +25,9 @@ import (
 // the RSS matrix.
 type NodeID int
 
-// Broadcast is the destination for frames addressed to every node in range.
+// Broadcast is the destination of frames addressed to no single node. Such
+// a frame reaches the nodes that overhear its kind, or, for a signature,
+// every node in range (Medium.Register).
 const Broadcast NodeID = -1
 
 // Rate is a PHY data rate in Mbps.
@@ -137,6 +139,24 @@ const (
 	FakeHeader
 )
 
+// KindSet is a set of frame kinds, one bit per FrameKind.
+type KindSet uint8
+
+// AllKinds holds every frame kind.
+const AllKinds = ^KindSet(0)
+
+// Kinds returns the set holding ks.
+func Kinds(ks ...FrameKind) KindSet {
+	var s KindSet
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in s.
+func (s KindSet) Has(k FrameKind) bool { return s&(1<<k) != 0 }
+
 // String implements fmt.Stringer for trace output.
 func (k FrameKind) String() string {
 	switch k {
@@ -191,8 +211,10 @@ func (p *SignaturePayload) Combined() int { return len(p.Sigs) }
 type Frame struct {
 	Kind FrameKind
 	Src  NodeID
-	// Dst is the addressed node, or Broadcast. Addressing is advisory: every
-	// node in range observes the frame; MAC engines filter.
+	// Dst is the addressed node, or Broadcast. A frame reaches its
+	// addressee, and other nodes in range only if it is a signature or of a
+	// kind they registered to overhear (Medium.Register); every node in
+	// range feels it as interference.
 	Dst   NodeID
 	Bytes int
 	Rate  Rate
@@ -234,10 +256,12 @@ type Listener interface {
 	// trigger CarrierChanged (engines know when they transmit).
 	CarrierChanged(busy bool)
 	// FrameReceived fires at the end of every frame whose received power at
-	// this node reaches the delivery floor. ok reports whether the frame was
-	// decodable: SINR above the rate threshold for data frames, the
-	// signature-detection rule for Signature frames. det carries signature
-	// detection detail (nil for non-signature frames).
+	// this node reaches the delivery floor and that is addressed to the
+	// node, is a signature, or is of a kind the node registered to overhear
+	// (Medium.Register). ok reports whether the frame was decodable: SINR
+	// above the rate threshold for data frames, the signature-detection rule
+	// for Signature frames. det carries signature detection detail (nil for
+	// non-signature frames).
 	FrameReceived(f *Frame, ok bool, det *SignatureDetection)
 }
 
@@ -276,8 +300,9 @@ type Config struct {
 	NoiseDBm float64
 	// CSThreshDBm is the energy level above which carrier sense reports busy.
 	CSThreshDBm float64
-	// DeliverFloorDBm is the weakest received power that still produces a
-	// FrameReceived callback; weaker transmissions count only as interference.
+	// DeliverFloorDBm is the weakest received power at which a node can
+	// receive a frame (FrameReceived); weaker transmissions count only as
+	// interference.
 	DeliverFloorDBm float64
 	// SigSINRdB is the SINR (against non-signature interference) a correlator
 	// needs to detect a signature; the ~21 dB spreading gain of a 127-chip

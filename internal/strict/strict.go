@@ -233,7 +233,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		if _, ok := e.nodes[id]; !ok {
 			n := &onode{e: e, id: id}
 			e.nodes[id] = n
-			medium.Register(id, n)
+			medium.Register(id, n, phy.Kinds())
 		}
 	}
 	for _, l := range g.Links {

@@ -40,8 +40,13 @@ examples:
 # Pipe a short traced, metrics-on run through tracedump, so a trace that
 # tracedump cannot read fails CI (a writer that fails leaves tracedump an
 # empty stream, which it rejects too). The run's report goes to stderr.
+# The second command does the same for the multi-run experiment runner's
+# merged trace (Table 3: six cells, three schemes).
 trace-smoke:
 	$(GO) run ./cmd/domino-sim -topo fig7 -duration 300ms -warmup 50ms -metrics -tracefile - | $(GO) run ./cmd/tracedump -slots 0 >/dev/null
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; set -e; \
+	$(GO) run ./cmd/experiments -run table3 -duration 600ms -trace "$$tmp" >/dev/null; \
+	$(GO) run ./cmd/tracedump -slots 0 "$$tmp" >/dev/null
 
 race:
 	$(GO) test -race ./internal/...

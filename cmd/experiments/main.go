@@ -131,7 +131,7 @@ func main() {
 		runs      = flag.Int("runs", 0, "override Monte-Carlo repetition count")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for independent runs and sweep points (same numbers at any value)")
 		csvDir    = flag.String("csv", "", "also write machine-readable CSV series into this directory")
-		traceFile = flag.String("trace", "", "write the NDJSON observability trace of supporting experiments (fig2, fig14) to this file")
+		traceFile = flag.String("trace", "", "write the NDJSON observability trace of every simulation of the selected MAC experiments (all but fig10 and coexist) to this file")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()

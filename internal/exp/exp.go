@@ -1,7 +1,8 @@
 // Package exp contains one driver per table and figure of the paper's
 // evaluation, each returning structured results and able to print the same
-// rows/series the paper reports. The cmd/experiments binary and the
-// repository's benchmarks are thin wrappers around these drivers.
+// rows/series the paper reports; the multi-run MAC drivers run their
+// simulations as cells of one runner, runCells. The cmd/experiments binary
+// is a thin wrapper around these drivers.
 package exp
 
 import (
@@ -10,6 +11,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/phy"
@@ -33,9 +35,10 @@ type Options struct {
 	// identical at any Workers value (see internal/parallel).
 	Workers int
 	// TraceSink, when non-nil, receives the NDJSON observability trace of
-	// the drivers that support it (Fig2, Fig14). Each simulation run writes
-	// into its own obs.Sharded shard and the shards are concatenated in run
-	// order, so the stream is byte-identical at any Workers value.
+	// every simulation of the multi-run MAC drivers (all but Coexist and
+	// Fig10). A driver buffers one shard per simulation until its last run
+	// ends, then writes them in cell order, so the stream is byte-identical
+	// at any Workers value; a failed write is the driver's error.
 	TraceSink io.Writer
 }
 
@@ -89,27 +92,47 @@ func pointSeed(o Options, idx int) int64 {
 	return parallel.Seed(o.Seed, idx, pointSeedStride)
 }
 
-// shardTracer returns shard i of s, or a nil tracer when tracing is off.
-func shardTracer(s *obs.Sharded, i int) obs.Tracer {
-	if s == nil {
-		return nil
+// runCells builds and runs n independent simulation cells on o.Workers
+// workers and returns keep(i, result) for every cell, in cell order. build
+// must give each cell a network of its own, since engines register
+// listeners on its medium. keep runs inside the worker, so no engine
+// outlives its cell. The first error in cell order, from build or from the
+// run, is returned instead. With o.TraceSink set, cell i traces into shard i
+// of an obs.Sharded and the shards are written to the sink in cell order
+// after every cell has run; a failed write is returned as an error.
+func runCells[T any](o Options, n int, build func(i int) (core.Scenario, error), keep func(i int, r core.Result) T) ([]T, error) {
+	var sharded *obs.Sharded
+	if o.TraceSink != nil {
+		sharded = obs.NewSharded(n)
 	}
-	return s.Shard(i)
-}
-
-// errCell pairs a parallel task's result with its error so driver fan-outs
-// can propagate failures instead of panicking inside the worker pool.
-type errCell[T any] struct {
-	v   T
-	err error
-}
-
-// firstErr returns the first non-nil error in task order.
-func firstErr[T any](cells []errCell[T]) error {
-	for _, c := range cells {
-		if c.err != nil {
-			return c.err
+	vals := make([]T, n)
+	errs := make([]error, n)
+	parallel.ForEach(o.Workers, n, func(i int) {
+		sc, err := build(i)
+		if err == nil {
+			if sharded != nil {
+				sc.Tracer = sharded.Shard(i)
+			}
+			var r core.Result
+			if r, err = core.RunScenario(sc); err == nil {
+				vals[i] = keep(i, r)
+			}
+		}
+		errs[i] = err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	if sharded != nil {
+		if _, err := sharded.WriteTo(o.TraceSink); err != nil {
+			return nil, fmt.Errorf("exp: trace write: %w", err)
+		}
+	}
+	return vals, nil
 }
+
+// aggregateMbps is the keep function of cells that report only their
+// aggregate throughput.
+func aggregateMbps(_ int, r core.Result) float64 { return r.AggregateMbps }

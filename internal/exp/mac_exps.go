@@ -9,7 +9,6 @@ import (
 	"repro/internal/dcf"
 	"repro/internal/domino"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -33,32 +32,22 @@ func Fig2(o Options) (Fig2Result, error) {
 		PerLink:   map[core.Scheme][]float64{},
 		Overall:   map[core.Scheme]float64{},
 	}
-	// One tracer shard per scheme, concatenated in scheme order.
-	var sharded *obs.Sharded
-	if o.TraceSink != nil {
-		sharded = obs.NewSharded(len(res.Schemes))
-	}
-	runs := parallel.Map(o.Workers, len(res.Schemes), func(i int) errCell[core.Result] {
+	// Each cell keeps only its throughputs, not its engines.
+	runs, err := runCells(o, len(res.Schemes), func(i int) (core.Scenario, error) {
 		net := topo.Figure1()
-		links := topo.Figure1Links(net)
-		r, err := core.RunScenario(core.Scenario{
-			Net: net, Links: links, Scheme: res.Schemes[i], Seed: o.Seed,
+		return core.Scenario{
+			Net: net, Links: topo.Figure1Links(net), Scheme: res.Schemes[i], Seed: o.Seed,
 			Duration: o.Duration, Warmup: o.Warmup, Traffic: core.Saturated,
-			Tracer: shardTracer(sharded, i),
-		})
-		return errCell[core.Result]{v: r, err: err}
+		}, nil
+	}, func(_ int, r core.Result) core.Result {
+		return core.Result{PerLinkMbps: r.PerLinkMbps, AggregateMbps: r.AggregateMbps}
 	})
-	if err := firstErr(runs); err != nil {
+	if err != nil {
 		return res, err
 	}
 	for i, s := range res.Schemes {
-		res.PerLink[s] = runs[i].v.PerLinkMbps
-		res.Overall[s] = runs[i].v.AggregateMbps
-	}
-	if sharded != nil {
-		if _, err := sharded.WriteTo(o.TraceSink); err != nil {
-			return res, fmt.Errorf("exp: Fig2 trace write: %w", err)
-		}
+		res.PerLink[s] = runs[i].PerLinkMbps
+		res.Overall[s] = runs[i].AggregateMbps
 	}
 	return res, nil
 }
@@ -104,40 +93,31 @@ func Table2(o Options) (Table2Result, error) {
 	res := Table2Result{
 		Scenarios: []topo.TwoPairScenario{topo.SameContention, topo.HiddenTerminals, topo.ExposedTerminals},
 	}
-	// One task per (placement, scheme) cell; each builds its own network
-	// because engines register listeners on the medium.
-	cells := parallel.Map(o.Workers, len(res.Scenarios)*2, func(i int) errCell[float64] {
-		sc := res.Scenarios[i/2]
-		var r core.Result
-		var err error
-		if i%2 == 0 {
-			r, err = core.RunScenario(core.Scenario{
-				Net: topo.TwoPairs(sc), Downlink: true, Scheme: core.DCF, Seed: o.Seed,
-				Duration: o.Duration * 10, Warmup: o.Warmup, Traffic: core.Saturated,
-				TuneDCF: func(c *dcf.Config) {
-					c.ExtraFrameTime = hostLatency
-					c.SlotTime = sim.Millisecond
-					c.SIFS = 2 * sim.Millisecond
-					c.DIFS = 4 * sim.Millisecond
-				},
-			})
-		} else {
-			r, err = core.RunScenario(core.Scenario{
-				Net: topo.TwoPairs(sc), Downlink: true, Scheme: core.DOMINO, Seed: o.Seed,
-				Duration: o.Duration * 10, Warmup: o.Warmup, Traffic: core.Saturated,
-				TuneDomino: func(c *domino.Config) {
-					c.ExtraFrameTime = hostLatency
-				},
-			})
+	// One cell per (placement, scheme): DCF at even indices, DOMINO at odd.
+	mbps, err := runCells(o, len(res.Scenarios)*2, func(i int) (core.Scenario, error) {
+		sc := core.Scenario{
+			Net: topo.TwoPairs(res.Scenarios[i/2]), Downlink: true, Scheme: core.DCF,
+			Seed: o.Seed, Duration: o.Duration * 10, Warmup: o.Warmup, Traffic: core.Saturated,
 		}
-		return errCell[float64]{v: r.AggregateMbps, err: err}
-	})
-	if err := firstErr(cells); err != nil {
+		if i%2 == 0 {
+			sc.TuneDCF = func(c *dcf.Config) {
+				c.ExtraFrameTime = hostLatency
+				c.SlotTime = sim.Millisecond
+				c.SIFS = 2 * sim.Millisecond
+				c.DIFS = 4 * sim.Millisecond
+			}
+		} else {
+			sc.Scheme = core.DOMINO
+			sc.TuneDomino = func(c *domino.Config) { c.ExtraFrameTime = hostLatency }
+		}
+		return sc, nil
+	}, aggregateMbps)
+	if err != nil {
 		return res, err
 	}
 	for i := range res.Scenarios {
-		res.DCF = append(res.DCF, cells[2*i].v)
-		res.Domino = append(res.Domino, cells[2*i+1].v)
+		res.DCF = append(res.DCF, mbps[2*i])
+		res.Domino = append(res.Domino, mbps[2*i+1])
 	}
 	return res, nil
 }
@@ -183,23 +163,18 @@ func Table3(o Options) (Table3Result, error) {
 	var res Table3Result
 	builders := []func() *topo.Network{topo.Figure13a, topo.Figure13b}
 	schemes := []core.Scheme{core.DOMINO, core.CENTAUR, core.DCF}
-	// One task per (topology, scheme) cell; each rebuilds its figure network
-	// because engines register listeners on the medium (RSS matrices are
-	// shared read-only).
-	mbps := parallel.Map(o.Workers, len(builders)*len(schemes), func(i int) errCell[float64] {
-		ti, si := i/len(schemes), i%len(schemes)
-		r, err := core.RunScenario(core.Scenario{
-			Net: builders[ti](), Downlink: true, Scheme: schemes[si], Seed: o.Seed,
-			Duration: o.Duration, Warmup: o.Warmup, Traffic: core.Saturated,
-		})
-		return errCell[float64]{v: r.AggregateMbps, err: err}
-	})
-	if err := firstErr(mbps); err != nil {
+	mbps, err := runCells(o, len(builders)*len(schemes), func(i int) (core.Scenario, error) {
+		return core.Scenario{
+			Net: builders[i/len(schemes)](), Downlink: true, Scheme: schemes[i%len(schemes)],
+			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup, Traffic: core.Saturated,
+		}, nil
+	}, aggregateMbps)
+	if err != nil {
 		return res, err
 	}
 	for ti := range builders {
 		for si := range schemes {
-			res.Mbps[ti][si] = mbps[ti*len(schemes)+si].v
+			res.Mbps[ti][si] = mbps[ti*len(schemes)+si]
 		}
 	}
 	return res, nil
@@ -230,35 +205,25 @@ type Fig11Result struct {
 func Fig11(o Options) (Fig11Result, error) {
 	o = o.withDefaults()
 	res := Fig11Result{StdsUs: []float64{20, 40, 60, 80}, Slots: []int{0, 1, 2, 3, 4, 5}}
-	rows := parallel.Map(o.Workers, len(res.StdsUs), func(i int) errCell[[]float64] {
+	rows, err := runCells(o, len(res.StdsUs), func(i int) (core.Scenario, error) {
 		net, err := T10x2(o.Seed)
-		if err != nil {
-			return errCell[[]float64]{err: err}
-		}
-		r, err := core.RunScenario(core.Scenario{
+		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: o.Seed, Duration: o.Duration, Traffic: core.Saturated,
 			MisalignSlots: len(res.Slots) + 2,
 			TuneDomino: func(c *domino.Config) {
 				c.WiredLatencyStd = sim.Micros(res.StdsUs[i])
 			},
-		})
-		if err != nil {
-			return errCell[[]float64]{err: err}
-		}
+		}, err
+	}, func(_ int, r core.Result) []float64 {
 		row := make([]float64, 0, len(res.Slots))
 		for _, slot := range res.Slots {
 			row = append(row, r.Misalign.Max(slot).Microseconds())
 		}
-		return errCell[[]float64]{v: row}
+		return row
 	})
-	if err := firstErr(rows); err != nil {
-		return res, err
-	}
-	for _, c := range rows {
-		res.MaxUs = append(res.MaxUs, c.v)
-	}
-	return res, nil
+	res.MaxUs = rows
+	return res, err
 }
 
 // Print renders the Fig 11 series.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domino"
-	"repro/internal/parallel"
 	"repro/internal/phy"
 	"repro/internal/poll"
 	"repro/internal/topo"
@@ -52,29 +51,17 @@ var PollerSweepCounts = []int{6, 12, 24, 48, 96}
 func PollerSweep(o Options) (PollerSweepResult, error) {
 	o = o.withDefaults()
 	res := PollerSweepResult{Pollers: poll.Registry.Names(), Counts: PollerSweepCounts}
-	type cell struct {
-		poller string
-		n      int
-	}
-	var cells []cell
-	for _, p := range res.Pollers {
-		for _, n := range res.Counts {
-			cells = append(cells, cell{p, n})
-		}
-	}
-	runs := parallel.Map(o.Workers, len(cells), func(i int) errCell[PollerSweepPoint] {
-		c := cells[i]
-		net := topo.GridCampus(o.Seed, 1, 1, c.n)
-		r, err := core.RunScenario(core.Scenario{
-			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
-			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
+	// Cell i is poller i/nc at client count i%nc (Points' row-major order).
+	nc := len(res.Counts)
+	points, err := runCells(o, len(res.Pollers)*nc, func(i int) (core.Scenario, error) {
+		return core.Scenario{
+			Net: topo.GridCampus(o.Seed, 1, 1, res.Counts[i%nc]), Downlink: true, Uplink: true,
+			Scheme: core.DOMINO, Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
 			Traffic:    core.Saturated,
-			TuneDomino: func(cfg *domino.Config) { cfg.Poller = c.poller },
-		})
-		if err != nil {
-			return errCell[PollerSweepPoint]{err: err}
-		}
-		pt := PollerSweepPoint{Poller: c.poller, Clients: c.n, ThroughputMbps: r.AggregateMbps}
+			TuneDomino: func(cfg *domino.Config) { cfg.Poller = res.Pollers[i/nc] },
+		}, nil
+	}, func(i int, r core.Result) PollerSweepPoint {
+		pt := PollerSweepPoint{Poller: res.Pollers[i/nc], Clients: res.Counts[i%nc], ThroughputMbps: r.AggregateMbps}
 		if e := r.Domino; e != nil {
 			if judged := e.PollDecoded + e.PollFailed; judged > 0 {
 				pt.DecodeRatio = float64(e.PollDecoded) / float64(judged)
@@ -83,15 +70,10 @@ func PollerSweep(o Options) (PollerSweepResult, error) {
 			pt.Unpolled = len(e.UnpolledClients)
 			pt.Collisions = e.PollCollisions
 		}
-		return errCell[PollerSweepPoint]{v: pt}
+		return pt
 	})
-	if err := firstErr(runs); err != nil {
-		return res, err
-	}
-	for _, run := range runs {
-		res.Points = append(res.Points, run.v)
-	}
-	return res, nil
+	res.Points = points
+	return res, err
 }
 
 // Print renders the per-poller scaling comparison.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domino"
-	"repro/internal/parallel"
 	"repro/internal/strict"
 )
 
@@ -29,32 +28,33 @@ type SchedulerSweepResult struct {
 func SchedulerSweep(o Options) (SchedulerSweepResult, error) {
 	o = o.withDefaults()
 	res := SchedulerSweepResult{Schedulers: strict.Schedulers.Names()}
-	runs := parallel.Map(o.Workers, len(res.Schedulers), func(i int) errCell[core.Result] {
+	type row struct {
+		tput, fair, delayUs float64
+		selfStarts          int
+	}
+	rows, err := runCells(o, len(res.Schedulers), func(i int) (core.Scenario, error) {
 		net, err := T10x2(o.Seed)
-		if err != nil {
-			return errCell[core.Result]{err: err}
-		}
-		r, err := core.RunScenario(core.Scenario{
+		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
 			Traffic:    core.Saturated,
 			TuneDomino: func(c *domino.Config) { c.Scheduler = res.Schedulers[i] },
-		})
-		return errCell[core.Result]{v: r, err: err}
+		}, err
+	}, func(_ int, r core.Result) row {
+		rw := row{tput: r.AggregateMbps, fair: r.Fairness, delayUs: r.MeanDelayPerLink.Microseconds()}
+		if r.Domino != nil {
+			rw.selfStarts = r.Domino.SelfStarts
+		}
+		return rw
 	})
-	if err := firstErr(runs); err != nil {
+	if err != nil {
 		return res, err
 	}
-	for _, run := range runs {
-		r := run.v
-		res.ThroughputMbps = append(res.ThroughputMbps, r.AggregateMbps)
-		res.Fairness = append(res.Fairness, r.Fairness)
-		res.DelayUs = append(res.DelayUs, r.MeanDelayPerLink.Microseconds())
-		selfStarts := 0
-		if r.Domino != nil {
-			selfStarts = r.Domino.SelfStarts
-		}
-		res.SelfStarts = append(res.SelfStarts, selfStarts)
+	for _, rw := range rows {
+		res.ThroughputMbps = append(res.ThroughputMbps, rw.tput)
+		res.Fairness = append(res.Fairness, rw.fair)
+		res.DelayUs = append(res.DelayUs, rw.delayUs)
+		res.SelfStarts = append(res.SelfStarts, rw.selfStarts)
 	}
 	return res, nil
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/domino"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -42,32 +40,26 @@ func Fig12(o Options, transport core.TrafficKind) (Fig12Result, error) {
 		UpMbps:    []float64{0, 2, 4, 6, 8, 10},
 		Schemes:   []core.Scheme{core.DOMINO, core.CENTAUR, core.DCF},
 	}
-	// One task per (scheme, uplink-rate) cell of the sweep grid.
+	// One cell per (scheme, uplink rate) of the sweep grid.
 	nr := len(res.UpMbps)
-	runs := parallel.Map(o.Workers, len(res.Schemes)*nr, func(i int) errCell[core.Result] {
+	type point struct{ tput, delayUs, fair float64 }
+	points, err := runCells(o, len(res.Schemes)*nr, func(i int) (core.Scenario, error) {
 		net, err := T10x2(o.Seed)
-		if err != nil {
-			return errCell[core.Result]{err: err}
-		}
-		r, err := core.RunScenario(core.Scenario{
+		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: res.Schemes[i/nr],
 			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
 			Traffic: transport, DownMbps: 10, UpMbps: res.UpMbps[i%nr],
-		})
-		return errCell[core.Result]{v: r, err: err}
+		}, err
+	}, func(_ int, r core.Result) point {
+		return point{r.DataMbps, r.MeanDelayPerLink.Microseconds(), r.Fairness}
 	})
-	if err := firstErr(runs); err != nil {
+	if err != nil {
 		return res, err
 	}
 	for si := range res.Schemes {
-		tput := make([]float64, nr)
-		delay := make([]float64, nr)
-		fair := make([]float64, nr)
-		for ri := 0; ri < nr; ri++ {
-			r := runs[si*nr+ri].v
-			tput[ri] = r.DataMbps
-			delay[ri] = r.MeanDelayPerLink.Microseconds()
-			fair[ri] = r.Fairness
+		tput, delay, fair := make([]float64, nr), make([]float64, nr), make([]float64, nr)
+		for ri, p := range points[si*nr : (si+1)*nr] {
+			tput[ri], delay[ri], fair[ri] = p.tput, p.delayUs, p.fair
 		}
 		res.ThroughputMbps = append(res.ThroughputMbps, tput)
 		res.DelayUs = append(res.DelayUs, delay)
@@ -115,85 +107,47 @@ type Fig14Result struct {
 func Fig14(o Options) (Fig14Result, error) {
 	o = o.withDefaults()
 	res := Fig14Result{Gains: &stats.CDF{}}
-	type outcome struct {
-		gains   *stats.CDF
-		skipped bool
-		err     error
-	}
-	// Tracing uses two shards per run (DCF then DOMINO), concatenated in run
-	// order below, so the stream is identical at any worker count.
-	var sharded *obs.Sharded
-	if o.TraceSink != nil {
-		sharded = obs.NewSharded(2 * o.Runs)
-	}
-	// Each placement derives its own seed from the run index (the scheme the
-	// serial loop always used), so the set of outcomes is independent of
-	// scheduling; the per-run CDF shards are then merged in run order below.
-	outcomes := parallel.Map(o.Workers, o.Runs, func(run int) outcome {
+	// A serial pre-pass finds the feasible placements. Each derives its seed
+	// from its run index, so the set does not depend on scheduling.
+	var seeds []int64
+	for run := 0; run < o.Runs; run++ {
 		seed := parallel.Seed(o.Seed, run, parallel.DefaultStride)
-		tr := topo.RandomTrace(seed, 110, 800)
-		rng := rand.New(rand.NewSource(seed))
-		net, err := topo.BuildT(tr, 20, 3, phy.DefaultConfig(), phy.Rate12, rng)
-		if err != nil {
-			return outcome{skipped: true}
-		}
-		dcfNet, err := rebuild(tr, seed)
-		if err != nil {
-			return outcome{err: err}
-		}
-		dcfRes, err := core.RunScenario(core.Scenario{
-			Net: dcfNet, Downlink: true, Uplink: true, Scheme: core.DCF,
-			Seed: seed, Duration: o.Duration, Warmup: o.Warmup,
-			Traffic: core.UDPCBR, DownMbps: 10, UpMbps: 10,
-			Tracer: shardTracer(sharded, 2*run),
-		})
-		if err != nil {
-			return outcome{err: err}
-		}
-		domRes, err := core.RunScenario(core.Scenario{
-			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
-			Seed: seed, Duration: o.Duration, Warmup: o.Warmup,
-			Traffic: core.UDPCBR, DownMbps: 10, UpMbps: 10,
-			Tracer: shardTracer(sharded, 2*run+1),
-		})
-		if err != nil {
-			return outcome{err: err}
-		}
-		out := outcome{gains: &stats.CDF{}}
-		if dcfRes.AggregateMbps > 0 {
-			out.gains.Add(domRes.AggregateMbps / dcfRes.AggregateMbps)
-		}
-		return out
-	})
-	for _, out := range outcomes {
-		if out.err != nil {
-			return res, out.err
-		}
-		if out.skipped {
+		if _, err := randomT20x3(seed); err != nil {
 			res.Skipped++
 			continue
 		}
-		res.Gains.Merge(out.gains)
+		seeds = append(seeds, seed)
 	}
-	if sharded != nil {
-		if _, err := sharded.WriteTo(o.TraceSink); err != nil {
-			fmt.Fprintf(os.Stderr, "exp: Fig14 trace write: %v\n", err)
+	// Two cells per placement, DCF then DOMINO, each on its own selection.
+	schemes := [2]core.Scheme{core.DCF, core.DOMINO}
+	mbps, err := runCells(o, 2*len(seeds), func(i int) (core.Scenario, error) {
+		seed := seeds[i/2]
+		net, err := randomT20x3(seed)
+		if err != nil {
+			return core.Scenario{}, fmt.Errorf("exp: Fig14 rebuild diverged at seed %d: %w", seed, err)
+		}
+		return core.Scenario{
+			Net: net, Downlink: true, Uplink: true, Scheme: schemes[i%2],
+			Seed: seed, Duration: o.Duration, Warmup: o.Warmup,
+			Traffic: core.UDPCBR, DownMbps: 10, UpMbps: 10,
+		}, nil
+	}, aggregateMbps)
+	if err != nil {
+		return res, err
+	}
+	for p := range seeds {
+		if dcfMbps := mbps[2*p]; dcfMbps > 0 {
+			res.Gains.Add(mbps[2*p+1] / dcfMbps)
 		}
 	}
 	return res, nil
 }
 
-// rebuild reselects the same T(20,3) (same seed) for the second engine: each
-// engine registers listeners on its own medium, but Network values are
-// cheap. The first BuildT on the same trace and seed already succeeded, so
-// an error here is a determinism bug worth surfacing, not hiding.
-func rebuild(tr *topo.Trace, seed int64) (*topo.Network, error) {
-	rng := rand.New(rand.NewSource(seed))
-	net, err := topo.BuildT(tr, 20, 3, phy.DefaultConfig(), phy.Rate12, rng)
-	if err != nil {
-		return nil, fmt.Errorf("exp: Fig14 rebuild diverged at seed %d: %w", seed, err)
-	}
-	return net, nil
+// randomT20x3 selects a T(20,3) from the 110-node random 800×800 m placement
+// of seed.
+func randomT20x3(seed int64) (*topo.Network, error) {
+	tr := topo.RandomTrace(seed, 110, 800)
+	return topo.BuildT(tr, 20, 3, phy.DefaultConfig(), phy.Rate12, rand.New(rand.NewSource(seed)))
 }
 
 // Print renders the gain CDF.
@@ -225,33 +179,29 @@ type PollingSweepResult struct {
 func PollingSweep(o Options) (PollingSweepResult, error) {
 	o = o.withDefaults()
 	res := PollingSweepResult{BatchSizes: []int{4, 8, 12, 24, 48}}
-	// One task per (batch size, load) cell: even indices heavy, odd light.
+	// One cell per (batch size, load): even indices heavy, odd light.
 	type point struct{ mbps, delayUs float64 }
-	points := parallel.Map(o.Workers, len(res.BatchSizes)*2, func(i int) errCell[point] {
+	points, err := runCells(o, len(res.BatchSizes)*2, func(i int) (core.Scenario, error) {
 		rate := 5.0
 		if i%2 == 1 {
 			rate = 0.5
 		}
 		net, err := T10x2(o.Seed)
-		if err != nil {
-			return errCell[point]{err: err}
-		}
-		r, err := core.RunScenario(core.Scenario{
+		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
 			Traffic: core.UDPCBR, DownMbps: rate, UpMbps: rate,
 			TuneDomino: func(c *domino.Config) { c.BatchSize = res.BatchSizes[i/2] },
-		})
-		return errCell[point]{v: point{r.DataMbps, r.MeanDelay.Microseconds()}, err: err}
-	})
-	if err := firstErr(points); err != nil {
+		}, err
+	}, func(_ int, r core.Result) point { return point{r.DataMbps, r.MeanDelay.Microseconds()} })
+	if err != nil {
 		return res, err
 	}
 	for i := range res.BatchSizes {
-		res.HeavyMbps = append(res.HeavyMbps, points[2*i].v.mbps)
-		res.HeavyDelayUs = append(res.HeavyDelayUs, points[2*i].v.delayUs)
-		res.LightMbps = append(res.LightMbps, points[2*i+1].v.mbps)
-		res.LightDelayUs = append(res.LightDelayUs, points[2*i+1].v.delayUs)
+		res.HeavyMbps = append(res.HeavyMbps, points[2*i].mbps)
+		res.HeavyDelayUs = append(res.HeavyDelayUs, points[2*i].delayUs)
+		res.LightMbps = append(res.LightMbps, points[2*i+1].mbps)
+		res.LightDelayUs = append(res.LightDelayUs, points[2*i+1].delayUs)
 	}
 	return res, nil
 }
@@ -301,12 +251,14 @@ func LightLoad(o Options) (LightLoadResult, error) {
 	// T(6,5) consumes 36 of the trace's 40 nodes, so clients must accept
 	// weaker APs than the default association policy; scan seeds for a
 	// feasible selection.
-	const t65Floor = -76
+	t65 := func(traceSeed int64) (*topo.Network, error) {
+		const floorDBm = -76
+		return topo.BuildTWithFloor(topo.CampusTrace(traceSeed), 6, 5, floorDBm,
+			phy.DefaultConfig(), phy.Rate12, rand.New(rand.NewSource(o.Seed)))
+	}
 	feasible := int64(-1)
 	for probe := int64(0); probe <= 100; probe++ {
-		tr := topo.CampusTrace(o.Seed + probe)
-		rng := rand.New(rand.NewSource(o.Seed))
-		if _, err := topo.BuildTWithFloor(tr, 6, 5, t65Floor, phy.DefaultConfig(), phy.Rate12, rng); err == nil {
+		if _, err := t65(o.Seed + probe); err == nil {
 			feasible = o.Seed + probe
 			break
 		}
@@ -314,42 +266,29 @@ func LightLoad(o Options) (LightLoadResult, error) {
 	if feasible < 0 {
 		return LightLoadResult{}, fmt.Errorf("exp: no campus trace within 100 seeds of %d supports T(6,5)", o.Seed)
 	}
-	build := func() (*topo.Network, error) {
-		tr := topo.CampusTrace(feasible)
-		rng := rand.New(rand.NewSource(o.Seed))
-		return topo.BuildTWithFloor(tr, 6, 5, t65Floor, phy.DefaultConfig(), phy.Rate12, rng)
-	}
 	const rate = 0.048 // 6 KBps
 	scenarios := []core.Scenario{
 		{Scheme: core.DOMINO},
 		{Scheme: core.DOMINO, TuneDomino: func(c *domino.Config) { c.AdaptiveBatch = true }},
 		{Scheme: core.DCF},
 	}
-	runs := parallel.Map(o.Workers, len(scenarios), func(i int) errCell[core.Result] {
+	delays, err := runCells(o, len(scenarios), func(i int) (core.Scenario, error) {
 		sc := scenarios[i]
-		net, err := build()
-		if err != nil {
-			return errCell[core.Result]{err: err}
-		}
+		net, err := t65(feasible)
 		sc.Net = net
 		sc.Downlink, sc.Uplink = true, true
 		sc.Seed, sc.Duration, sc.Warmup = o.Seed, o.Duration, o.Warmup
 		sc.Traffic, sc.DownMbps, sc.UpMbps = core.UDPCBR, rate, rate
-		r, err := core.RunScenario(sc)
-		return errCell[core.Result]{v: r, err: err}
-	})
-	if err := firstErr(runs); err != nil {
+		return sc, err
+	}, func(_ int, r core.Result) sim.Time { return r.MeanDelay })
+	if err != nil {
 		return LightLoadResult{}, err
 	}
-	dom, adaptive, d := runs[0].v, runs[1].v, runs[2].v
-	res := LightLoadResult{
-		DominoDelay:   dom.MeanDelay,
-		DCFDelay:      d.MeanDelay,
-		AdaptiveDelay: adaptive.MeanDelay,
-	}
-	if d.MeanDelay > 0 {
-		res.Ratio = float64(dom.MeanDelay) / float64(d.MeanDelay)
-		res.AdaptiveRatio = float64(adaptive.MeanDelay) / float64(d.MeanDelay)
+	dom, adaptive, d := delays[0], delays[1], delays[2]
+	res := LightLoadResult{DominoDelay: dom, DCFDelay: d, AdaptiveDelay: adaptive}
+	if d > 0 {
+		res.Ratio = float64(dom) / float64(d)
+		res.AdaptiveRatio = float64(adaptive) / float64(d)
 	}
 	return res, nil
 }

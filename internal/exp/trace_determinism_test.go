@@ -2,6 +2,8 @@ package exp
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -21,71 +23,116 @@ func fig14TraceOpts(workers int) Options {
 	}
 }
 
+// tracedDriver runs one multi-run driver and prints its result.
+type tracedDriver struct {
+	name string
+	run  func(Options) (printer, error)
+	// runStarts is the expected sequence of run_start schemes in the trace.
+	runStarts string
+}
+
+// printer is any driver result that renders itself.
+type printer interface{ Print(w io.Writer) }
+
+func asPrinter[T printer](r T, err error) (printer, error) { return r, err }
+
+var tracedDrivers = []tracedDriver{
+	{"Fig14", func(o Options) (printer, error) { return asPrinter(Fig14(o)) },
+		"DCF DOMINO DCF DOMINO"},
+	{"PollingSweep", func(o Options) (printer, error) { return asPrinter(PollingSweep(o)) },
+		strings.TrimSpace(strings.Repeat("DOMINO ", 10))},
+}
+
 // TestFig14TraceDeterministicAcrossWorkers is the observability determinism
 // contract: the merged NDJSON trace of a parallel experiment — with causal
 // spans enabled, since tracing turns them on — is byte-identical at any
 // worker count, because span IDs are allocated per run, every run writes its
-// own shard, and shards merge in run order.
+// own shard, and shards merge in run order. It covers Fig 14 and one other
+// driver on the shared cell runner.
 func TestFig14TraceDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-run Fig 14 trace comparison")
+		t.Skip("multi-run trace comparison")
 	}
-	var serial, two, fanned bytes.Buffer
+	for _, d := range tracedDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			var traces, printed [3]bytes.Buffer
+			for i, workers := range []int{1, 2, 8} {
+				o := fig14TraceOpts(workers)
+				o.TraceSink = &traces[i]
+				r, err := d.run(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Print(&printed[i])
+			}
+			serial := &traces[0]
+			if serial.Len() == 0 {
+				t.Fatal("traced driver produced an empty trace")
+			}
+			for i, workers := range []int{2, 8} {
+				if !bytes.Equal(serial.Bytes(), traces[i+1].Bytes()) {
+					t.Fatalf("trace differs between workers=1 (%d bytes) and workers=%d (%d bytes)",
+						serial.Len(), workers, traces[i+1].Len())
+				}
+				if printed[0].String() != printed[i+1].String() {
+					t.Fatalf("result differs between workers=1 and workers=%d:\n%s\nvs\n%s",
+						workers, printed[0].String(), printed[i+1].String())
+				}
+			}
 
-	o := fig14TraceOpts(1)
-	o.TraceSink = &serial
-	r1 := must(Fig14(o))
-
-	o = fig14TraceOpts(2)
-	o.TraceSink = &two
-	must(Fig14(o))
-
-	o = fig14TraceOpts(8)
-	o.TraceSink = &fanned
-	r8 := must(Fig14(o))
-
-	if serial.Len() == 0 {
-		t.Fatal("traced Fig 14 produced an empty trace")
+			// The stream must parse back into records, open with the first
+			// run's run_start, carry the run delimiters in cell order, and
+			// carry span annotations (DOMINO runs allocate spans when traced).
+			var schemes []string
+			var n, spanned int
+			_, err := obs.ParseNDJSON(serial, func(r obs.Record) error {
+				n++
+				if r.Kind == obs.KindRunStart {
+					schemes = append(schemes, r.Aux)
+				}
+				if r.Span != 0 || r.Parent != 0 {
+					spanned++
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("merged trace does not parse: %v", err)
+			}
+			if n == 0 {
+				t.Fatal("no records parsed")
+			}
+			if spanned == 0 {
+				t.Fatal("no record carries a causal span; spans should be on in traced runs")
+			}
+			if got := strings.Join(schemes, " "); got != d.runStarts {
+				t.Fatalf("run_start sequence = %q, want %q", got, d.runStarts)
+			}
+		})
 	}
-	if !bytes.Equal(serial.Bytes(), two.Bytes()) {
-		t.Fatalf("trace differs between workers=1 (%d bytes) and workers=2 (%d bytes)",
-			serial.Len(), two.Len())
-	}
-	if !bytes.Equal(serial.Bytes(), fanned.Bytes()) {
-		t.Fatalf("trace differs between workers=1 (%d bytes) and workers=8 (%d bytes)",
-			serial.Len(), fanned.Len())
-	}
-	if g1, g8 := r1.Gains.N(), r8.Gains.N(); g1 != g8 {
-		t.Fatalf("gain counts differ: %d vs %d", g1, g8)
-	}
+}
 
-	// The stream must parse back into records, open with the first run's
-	// run_start, alternate DCF/DOMINO run delimiters in run order, and carry
-	// span annotations (DOMINO runs allocate spans when traced).
-	var schemes []string
-	var n, spanned int
-	_, err := obs.ParseNDJSON(&serial, func(r obs.Record) error {
-		n++
-		if r.Kind == obs.KindRunStart {
-			schemes = append(schemes, r.Aux)
+// errSink is the error failingSink's writes return.
+var errSink = errors.New("sink full")
+
+// failingSink is a TraceSink whose every write fails.
+type failingSink struct{}
+
+func (failingSink) Write([]byte) (int, error) { return 0, errSink }
+
+// TestTraceWriteFailureSurfaces checks that a driver whose trace sink fails
+// returns that failure as its error instead of reporting success with a
+// truncated trace.
+func TestTraceWriteFailureSurfaces(t *testing.T) {
+	drivers := []tracedDriver{
+		tracedDrivers[0],
+		{name: "Table3", run: func(o Options) (printer, error) { return asPrinter(Table3(o)) }},
+	}
+	for _, d := range drivers {
+		o := fig14TraceOpts(2)
+		o.TraceSink = failingSink{}
+		if _, err := d.run(o); !errors.Is(err, errSink) {
+			t.Errorf("%s with a failing trace sink returned %v, want %v", d.name, err, errSink)
 		}
-		if r.Span != 0 || r.Parent != 0 {
-			spanned++
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("merged trace does not parse: %v", err)
-	}
-	if n == 0 {
-		t.Fatal("no records parsed")
-	}
-	if spanned == 0 {
-		t.Fatal("no record carries a causal span; spans should be on in traced runs")
-	}
-	want := "DCF DOMINO DCF DOMINO"
-	if got := strings.Join(schemes, " "); got != want {
-		t.Fatalf("run_start sequence = %q, want %q", got, want)
 	}
 }
 

@@ -9,7 +9,7 @@
 //     only on its index, never on which worker runs it or in what order.
 //
 //   - Ordered collection. Map writes task i's result into slot i of a
-//     pre-sized slice, and reductions (CDF merges, count sums) happen in
+//     pre-sized slice, and reductions (CDF sample appends, count sums) happen in
 //     index order after the pool drains. Together with per-task seeding
 //     this makes parallel output byte-identical to serial output at any
 //     worker count — the contract the determinism regression tests assert.

@@ -20,13 +20,6 @@ type Medium struct {
 	floorMw float64
 	noiseMw float64
 
-	// Counters for tests and reporting. Delivered and Corrupted count the
-	// judged receptions, which exist only where a listener acts on the frame
-	// (see Register): bystanders that drop a frame unread are not counted.
-	Transmissions int
-	Delivered     int
-	Corrupted     int
-
 	probe Probe
 
 	// thresholds caches each frame rate's decode threshold, in dB and as
@@ -346,7 +339,6 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 			src, f.Kind, ns.tx.frame.Kind))
 	}
 	f.Src = src
-	m.Transmissions++
 	tx := m.allocTx()
 	tx.frame = f
 	tx.src = src
@@ -532,11 +524,6 @@ func (m *Medium) endTransmission(tx *transmission) {
 		m.settle(ri)
 		r := &m.rxs[ri]
 		ok := m.judge(r)
-		if ok {
-			m.Delivered++
-		} else {
-			m.Corrupted++
-		}
 		if m.probe != nil {
 			m.probe.RxOutcome(tx.frame, r.at, ok, m.k.Now())
 		}

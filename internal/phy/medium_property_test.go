@@ -16,6 +16,22 @@ type countingListener struct {
 }
 
 func (c *countingListener) CarrierChanged(bool) { c.carrier++ }
+
+// countingProbe counts the medium's transmissions and its judged receptions
+// by outcome.
+type countingProbe struct {
+	transmissions, delivered, corrupted int
+}
+
+func (p *countingProbe) TxStart(*Frame, sim.Time) { p.transmissions++ }
+func (p *countingProbe) TxEnd(*Frame, sim.Time)   {}
+func (p *countingProbe) RxOutcome(_ *Frame, _ NodeID, ok bool, _ sim.Time) {
+	if ok {
+		p.delivered++
+	} else {
+		p.corrupted++
+	}
+}
 func (c *countingListener) FrameReceived(_ *Frame, ok bool, _ *SignatureDetection) {
 	c.frames++
 	if ok {
@@ -112,6 +128,8 @@ func TestMediumInvariantsUnderFuzz(t *testing.T) {
 		n := len(rss)
 		k := sim.New(int64(trial))
 		m := NewMedium(k, rss, DefaultConfig())
+		var c countingProbe
+		m.SetProbe(&c)
 		listeners := make([]*countingListener, n)
 		for i := range listeners {
 			listeners[i] = &countingListener{}
@@ -120,8 +138,8 @@ func TestMediumInvariantsUnderFuzz(t *testing.T) {
 		sent := schedule(k, m, sends)
 		k.Run()
 
-		if m.Transmissions != *sent {
-			t.Fatalf("trial %d: %d transmissions recorded, %d sent", trial, m.Transmissions, *sent)
+		if c.transmissions != *sent {
+			t.Fatalf("trial %d: %d transmissions recorded, %d sent", trial, c.transmissions, *sent)
 		}
 		for i := 0; i < n; i++ {
 			if m.Transmitting(NodeID(i)) {
@@ -136,9 +154,9 @@ func TestMediumInvariantsUnderFuzz(t *testing.T) {
 		for _, l := range listeners {
 			frames += l.frames
 		}
-		if m.Delivered+m.Corrupted != frames {
+		if c.delivered+c.corrupted != frames {
 			t.Fatalf("trial %d: delivered %d + corrupted %d != callbacks %d",
-				trial, m.Delivered, m.Corrupted, frames)
+				trial, c.delivered, c.corrupted, frames)
 		}
 		// Carrier callbacks pair up: every busy has a matching idle.
 		for i, l := range listeners {

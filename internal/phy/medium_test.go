@@ -110,6 +110,8 @@ func TestDBmConversions(t *testing.T) {
 
 func TestCleanDelivery(t *testing.T) {
 	k, m, recs := newTestMedium(t, uniformRSS(2, -60))
+	var c countingProbe
+	m.SetProbe(&c)
 	f := &Frame{Kind: Data, Dst: 1, Bytes: 512, Rate: Rate12}
 	k.At(0, func() { m.Transmit(0, f) })
 	k.Run()
@@ -119,8 +121,8 @@ func TestCleanDelivery(t *testing.T) {
 	if len(recs[0].frames) != 0 {
 		t.Fatal("sender received its own frame")
 	}
-	if m.Delivered != 1 || m.Corrupted != 0 {
-		t.Fatalf("counters: delivered=%d corrupted=%d", m.Delivered, m.Corrupted)
+	if c.delivered != 1 || c.corrupted != 0 {
+		t.Fatalf("counters: delivered=%d corrupted=%d", c.delivered, c.corrupted)
 	}
 }
 

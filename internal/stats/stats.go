@@ -50,27 +50,11 @@ func (c *Collector) Dropped(p *mac.Packet, now sim.Time) {
 	c.links[p.Link].DroppedPkts++
 }
 
-// Merge folds another collector's per-link tallies into this one, link by
-// link. Both collectors must track the same link set; shards of a split
-// measurement window merge into exactly the serial totals (all fields are
-// sums).
-func (c *Collector) Merge(o *Collector) {
-	if len(o.links) != len(c.links) {
-		panic("stats: merging collectors with different link counts")
-	}
-	for id := range c.links {
-		s, os := &c.links[id], &o.links[id]
-		s.DeliveredPkts += os.DeliveredPkts
-		s.DeliveredB += os.DeliveredB
-		s.DroppedPkts += os.DroppedPkts
-		s.DelaySum += os.DelaySum
-	}
-}
-
 // MergeMapped folds collector o into c with a link-id translation: o's link
-// i lands on c's link mapID(i). It is the cross-index-space variant of Merge
-// a sharded run uses to fold each interference domain's collector (dense
-// local link ids) into the campus-wide collector (global link ids).
+// i lands on c's link mapID(i). A sharded run uses it to fold each
+// interference domain's collector (dense local link ids) into the
+// campus-wide collector (global link ids); all fields are sums, so the
+// domains merge into exactly the totals one collector would hold.
 func (c *Collector) MergeMapped(o *Collector, mapID func(int) int) {
 	for id := range o.links {
 		s, os := &c.links[mapID(id)], &o.links[id]
@@ -182,19 +166,6 @@ func (c *CDF) Add(x float64) {
 
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.xs) }
-
-// Merge absorbs another CDF's samples. Merging per-shard CDFs in shard
-// order yields exactly the samples a serial accumulation would hold, which
-// is how the parallel experiment harness reduces worker results without a
-// mutex (quantiles sort internally, so they are shard-order independent
-// either way). The argument is left unchanged.
-func (c *CDF) Merge(o *CDF) {
-	if o == nil || len(o.xs) == 0 {
-		return
-	}
-	c.xs = append(c.xs, o.xs...)
-	c.sorted = false
-}
 
 func (c *CDF) sort() {
 	if !c.sorted {

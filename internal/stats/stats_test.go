@@ -130,75 +130,35 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-// TestCDFMergeMatchesSerial is the reduction contract of the parallel
-// harness: adding samples shard by shard and merging in shard order must
-// yield exactly the serial accumulation.
-func TestCDFMergeMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	samples := make([]float64, 1000)
-	for i := range samples {
-		samples[i] = rng.NormFloat64()
-	}
-	var serial CDF
-	for _, v := range samples {
-		serial.Add(v)
-	}
-	// Uneven shards, one empty.
-	bounds := []int{0, 137, 137, 500, 731, 1000}
-	var merged CDF
-	for i := 1; i < len(bounds); i++ {
-		var shard CDF
-		for _, v := range samples[bounds[i-1]:bounds[i]] {
-			shard.Add(v)
-		}
-		merged.Merge(&shard)
-	}
-	merged.Merge(nil) // no-op
-	if merged.N() != serial.N() {
-		t.Fatalf("N = %d, want %d", merged.N(), serial.N())
-	}
-	mx, mf := merged.Points()
-	sx, sf := serial.Points()
-	for i := range mx {
-		if mx[i] != sx[i] || mf[i] != sf[i] {
-			t.Fatalf("point %d: (%v,%v) vs serial (%v,%v)", i, mx[i], mf[i], sx[i], sf[i])
-		}
-	}
-	for q := 0.0; q <= 1.0; q += 0.1 {
-		if merged.Quantile(q) != serial.Quantile(q) {
-			t.Fatalf("quantile %.1f differs", q)
-		}
-	}
-}
-
+// TestCollectorMerge folds a collector with its own link ids into one with
+// different ids, as a sharded run folds each domain's collector into the
+// campus-wide one: every mapped link must hold exactly the serial tallies.
 func TestCollectorMerge(t *testing.T) {
+	// Local link 0 is global link 2 and local link 1 is global link 0;
+	// global link 1 belongs to no shard here, so it stays empty.
+	mapped := []int{2, 0}
 	l0, l1 := &topo.Link{ID: 0}, &topo.Link{ID: 1}
-	serial := NewCollector(2, 0)
-	a, b := NewCollector(2, 0), NewCollector(2, 0)
+	g0, g1 := &topo.Link{ID: mapped[0]}, &topo.Link{ID: mapped[1]}
+	serial := NewCollector(3, 0)
+	a, b := NewCollector(3, 0), NewCollector(2, 0)
 	for i := 0; i < 10; i++ {
-		p := pkt(l0, 512, sim.Time(i)*sim.Millisecond)
-		now := sim.Time(i)*sim.Millisecond + 5*sim.Millisecond
-		serial.Delivered(p, now)
+		enq := sim.Time(i) * sim.Millisecond
+		now := enq + 5*sim.Millisecond
+		serial.Delivered(pkt(g0, 512, enq), now)
 		if i%2 == 0 {
-			a.Delivered(p, now)
+			a.Delivered(pkt(g0, 512, enq), now)
 		} else {
-			b.Delivered(p, now)
+			b.Delivered(pkt(l0, 512, enq), now)
 		}
 	}
-	serial.Dropped(pkt(l1, 512, 0), sim.Millisecond)
+	serial.Dropped(pkt(g1, 512, 0), sim.Millisecond)
 	b.Dropped(pkt(l1, 512, 0), sim.Millisecond)
-	a.Merge(b)
-	for id := 0; id < 2; id++ {
+	a.MergeMapped(b, func(local int) int { return mapped[local] })
+	for id := 0; id < 3; id++ {
 		if a.Link(id) != serial.Link(id) {
 			t.Errorf("link %d: merged %+v vs serial %+v", id, a.Link(id), serial.Link(id))
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched link counts must panic")
-		}
-	}()
-	a.Merge(NewCollector(3, 0))
 }
 
 func TestCDFQuantileMonotone(t *testing.T) {

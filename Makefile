@@ -87,11 +87,13 @@ bench:
 # T(20,3) placements x 2 s, DCF then DOMINO). The allocation profile samples
 # one allocation per 4 KiB. Both profiles and the test binary stay in a
 # fresh temporary directory, named on the last line; the -top tables go to
-# stdout (CPU by flat time, allocations by object count).
+# stdout (CPU by flat time, allocations by object count, then the heap still
+# in use when the profile was written, by bytes).
 profile-fig14:
 	@dir=$$(mktemp -d); set -e; \
 	$(GO) test -run '^$$' -bench '^BenchmarkFig14$$' -benchtime 1x -o $$dir/repro.test \
 		-cpuprofile $$dir/cpu.pprof -memprofile $$dir/mem.pprof -memprofilerate 4096 . ; \
 	$(GO) tool pprof -top -nodecount 30 $$dir/repro.test $$dir/cpu.pprof; \
 	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_objects $$dir/repro.test $$dir/mem.pprof; \
+	$(GO) tool pprof -top -nodecount 30 -sample_index inuse_space $$dir/repro.test $$dir/mem.pprof; \
 	echo "profiles in $$dir"

@@ -14,29 +14,29 @@ import (
 )
 
 // allocsPerEventBudget bounds the heap allocations per fired event of the
-// Fig 14 workload's event loop. The run below measured 0.488 (DCF 0.097,
-// DOMINO 0.850); the budget is that plus 10%. UDP arrivals allocate
+// Fig 14 workload's event loop. The run below measured 0.484 (DCF 0.093,
+// DOMINO 0.846); the budget is that plus 10%. UDP arrivals allocate
 // nothing: packets are values queued in place. What is left is mostly
 // frames and DOMINO's control plane. A closure or method value that creeps
 // back onto a per-event path moves the ratio by tenths, beyond the budget,
 // while the count itself is deterministic: no wall clock is read.
-const allocsPerEventBudget = 0.537
+const allocsPerEventBudget = 0.533
 
 // centaurAllocsPerEventBudget is the same bound for a CENTAUR run of the
-// same workload: measured 0.101, budget that plus 10%. CENTAUR's uplinks
+// same workload: measured 0.096, budget that plus 10%. CENTAUR's uplinks
 // and scheduled downlinks run on dcf's station, so this leg also guards the
 // station's timers as a second engine drives them.
-const centaurAllocsPerEventBudget = 0.111
+const centaurAllocsPerEventBudget = 0.106
 
 // tailDropAllocsPerEventBudget bounds the Fig 14 DCF and DOMINO runs again
 // with 64-packet queues, where most arrivals are tail-dropped: measured
-// 0.485, budget that plus 10%. A refusal that allocated would add about one
+// 0.484, budget that plus 10%. A refusal that allocated would add about one
 // allocation per arrival, and arrivals are most of the events.
-const tailDropAllocsPerEventBudget = 0.533
+const tailDropAllocsPerEventBudget = 0.532
 
 // fig7AllocsPerEventBudget bounds a saturated Fig 7 DOMINO run, where no
 // traffic arrivals allocate and DOMINO's own control plane (triggers,
-// signature broadcasts, batches) is what is left: measured 2.886, budget
+// signature broadcasts, batches) is what is left: measured 2.883, budget
 // that plus 10%.
 const fig7AllocsPerEventBudget = 3.17
 

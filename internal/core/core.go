@@ -341,11 +341,12 @@ func NewInstance(s Scenario) (*Instance, error) {
 	// Traffic.
 	switch s.Traffic {
 	case Saturated:
+		sources := make(saturatedSources, len(links))
+		hub.Add(sources)
 		for _, l := range links {
 			res.DataLinkID[l.ID] = true
-			src := traffic.NewSaturated(k, engine, l, s.PacketBytes, 8)
-			hub.Add(src)
-			src.Start()
+			sources[l.ID] = traffic.NewSaturated(k, engine, l, s.PacketBytes, 8)
+			sources[l.ID].Start()
 		}
 	case UDPCBR:
 		for _, l := range links {
@@ -381,7 +382,6 @@ func NewInstance(s Scenario) (*Instance, error) {
 			if s.DownMbps != 0 {
 				f := traffic.NewTCPFlow(k, engine, id, down, up, traffic.DefaultTCPConfig(s.DownMbps))
 				res.DataLinkID[down.ID] = true
-				hub.Add(f)
 				res.TCPFlows = append(res.TCPFlows, f)
 				f.Start()
 				id++
@@ -389,12 +389,12 @@ func NewInstance(s Scenario) (*Instance, error) {
 			if s.UpMbps != 0 {
 				f := traffic.NewTCPFlow(k, engine, id, up, down, traffic.DefaultTCPConfig(s.UpMbps))
 				res.DataLinkID[up.ID] = true
-				hub.Add(f)
 				res.TCPFlows = append(res.TCPFlows, f)
 				f.Start()
 				id++
 			}
 		}
+		hub.Add(tcpFlowSources(res.TCPFlows))
 	default:
 		inst.res = res
 		return inst, fmt.Errorf("unknown traffic kind %d", int(s.Traffic))
@@ -408,6 +408,27 @@ func NewInstance(s Scenario) (*Instance, error) {
 	inst.res = res
 	return inst, nil
 }
+
+// saturatedSources is the hub sink of a saturated run's sources, indexed by
+// link ID: it hands each MAC outcome to the source of the packet's link, the
+// only one that acts on it, instead of the hub calling every source.
+type saturatedSources []*traffic.Saturated
+
+// Delivered implements mac.Events.
+func (s saturatedSources) Delivered(p *mac.Packet, now sim.Time) { s[p.Link].Delivered(p, now) }
+
+// Dropped implements mac.Events.
+func (s saturatedSources) Dropped(p *mac.Packet, now sim.Time) { s[p.Link].Dropped(p, now) }
+
+// tcpFlowSources is the hub sink of a TCP run's flows, indexed by flow ID: it
+// hands each MAC outcome to the flow that owns the packet (p.FlowID).
+type tcpFlowSources []*traffic.TCPFlow
+
+// Delivered implements mac.Events.
+func (f tcpFlowSources) Delivered(p *mac.Packet, now sim.Time) { f[p.FlowID].Delivered(p, now) }
+
+// Dropped implements mac.Events.
+func (f tcpFlowSources) Dropped(p *mac.Packet, now sim.Time) { f[p.FlowID].Dropped(p, now) }
 
 // Step executes events up to and including t and returns the clock
 // (sim.Kernel.RunUntil).

@@ -3,6 +3,7 @@ package domino
 import (
 	"testing"
 
+	"repro/internal/convert"
 	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -15,6 +16,15 @@ import (
 // aggregate throughput plus the engine.
 func runWith(t *testing.T, seed int64, mut func(*Config)) (float64, *Engine) {
 	t.Helper()
+	engine, k, coll := fig7Saturated(seed, mut, nil)
+	k.RunUntil(2 * sim.Second)
+	return coll.AggregateMbps(2 * sim.Second), engine
+}
+
+// fig7Saturated builds and starts, without running, a saturated Figure7
+// engine under a mutated config; hook, when non-nil, sees the engine before
+// it starts.
+func fig7Saturated(seed int64, mut func(*Config), hook func(*Engine)) (*Engine, *sim.Kernel, *stats.Collector) {
 	net := topo.Figure7()
 	links := net.BuildLinks(true, true)
 	g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
@@ -26,6 +36,9 @@ func runWith(t *testing.T, seed int64, mut func(*Config)) (float64, *Engine) {
 		mut(&cfg)
 	}
 	engine := New(k, medium, g, hub, cfg)
+	if hook != nil {
+		hook(engine)
+	}
 	coll := stats.NewCollector(len(links), 0)
 	hub.Add(coll)
 	for _, l := range links {
@@ -34,8 +47,7 @@ func runWith(t *testing.T, seed int64, mut func(*Config)) (float64, *Engine) {
 		s.Start()
 	}
 	engine.Start()
-	k.RunUntil(2 * sim.Second)
-	return coll.AggregateMbps(2 * sim.Second), engine
+	return engine, k, coll
 }
 
 func TestMaxInboundOverride(t *testing.T) {
@@ -96,29 +108,38 @@ func TestUSRPGradeConfig(t *testing.T) {
 	}
 }
 
-// scheduleStats summarises e's built schedule: total entries, slots, ROP
-// boundaries and entries without triggers.
-func scheduleStats(e *Engine) (entries, slots, ropSlots, untriggered int) {
-	slots = len(e.slots)
-	for _, sl := range e.slots {
-		entries += len(sl.Entries)
+// scheduleStats summarises a built schedule, plan by plan as the engine's
+// plan hook sees them: total entries, slots, ROP boundaries and entries
+// without triggers.
+type scheduleStats struct {
+	entries, slots, ropSlots, untriggered int
+}
+
+func (s *scheduleStats) add(p *convert.Plan) {
+	s.slots += len(p.Slots)
+	for _, sl := range p.Slots {
+		s.entries += len(sl.Entries)
 		if len(sl.ROPAfter) > 0 {
-			ropSlots++
+			s.ropSlots++
 		}
 		for _, en := range sl.Entries {
 			if len(en.TriggeredBy) == 0 {
-				untriggered++
+				s.untriggered++
 			}
 		}
 	}
-	return
 }
 
 // TestScheduleStatsAccessor checks the shape of a saturated Figure7 run's
 // built schedule: non-empty, polled, triggered and well covered.
 func TestScheduleStatsAccessor(t *testing.T) {
-	_, e := runWith(t, 4, nil)
-	entries, slots, ropSlots, untriggered := scheduleStats(e)
+	var st scheduleStats
+	e, k, _ := fig7Saturated(4, nil, func(e *Engine) { e.onPlan = st.add })
+	k.RunUntil(2 * sim.Second)
+	entries, slots, ropSlots, untriggered := st.entries, st.slots, st.ropSlots, st.untriggered
+	if slots != e.Slots() {
+		t.Fatalf("plans held %d slots, engine scheduled %d", slots, e.Slots())
+	}
 	if slots == 0 || entries == 0 {
 		t.Fatalf("stats empty: %d entries, %d slots", entries, slots)
 	}
@@ -130,5 +151,66 @@ func TestScheduleStatsAccessor(t *testing.T) {
 	}
 	if float64(entries)/float64(slots) < 1.5 {
 		t.Errorf("average cover %.2f too thin for Figure7", float64(entries)/float64(slots))
+	}
+}
+
+// fig7SlotsAt40s is Slots() after 40 s of the saturated Figure7 run with seed
+// 1, as the engine counted it when it kept every slot since t = 0.
+const fig7SlotsAt40s = 92112
+
+// TestSlotWindowBounded: the slot log of a saturated run slides, holding a
+// constant window of at most two batches while the global slot count keeps
+// its full-log value.
+func TestSlotWindowBounded(t *testing.T) {
+	e, k, _ := fig7Saturated(1, nil, nil)
+	k.RunUntil(10 * sim.Second)
+	at10 := len(e.log)
+	k.RunUntil(40 * sim.Second)
+	at40 := len(e.log)
+	if at10 != at40 {
+		t.Errorf("window holds %d slots at 10 s but %d at 40 s", at10, at40)
+	}
+	if limit := 2 * e.cfg.BatchSize; at40 > limit {
+		t.Errorf("window holds %d slots, more than two batches (%d)", at40, limit)
+	}
+	if e.Slots() != fig7SlotsAt40s {
+		t.Errorf("Slots() = %d after 40 s, want %d", e.Slots(), fig7SlotsAt40s)
+	}
+	if e.base+len(e.log) != e.Slots() || e.base == 0 {
+		t.Errorf("window [%d, %d) does not end at Slots() = %d or never slid", e.base, e.base+len(e.log), e.Slots())
+	}
+	t.Logf("window [%d, %d): %d slots", e.base, e.Slots(), at40)
+}
+
+// TestSlotBelowWindowPanics: a read of a slot that slid out of the log is a
+// broken floor, never a silent fallback.
+func TestSlotBelowWindowPanics(t *testing.T) {
+	e, k, _ := fig7Saturated(1, nil, nil)
+	k.RunUntil(sim.Second)
+	if e.base == 0 {
+		t.Fatal("the window never slid in 1 s")
+	}
+	_ = e.slot(e.base) // the oldest retained slot reads fine
+	defer func() {
+		if recover() == nil {
+			t.Error("reading slot base-1 did not panic")
+		}
+	}()
+	e.slot(e.base - 1)
+}
+
+// TestSlotWindowOvertakenDispatches: with one-slot batches and wired jitter
+// far above a slot, a batch's dispatch often reaches an AP after the next
+// batch's, lowering the AP's known slots again. The window must keep the
+// slots such a late dispatch makes the AP re-read, so the run goes on.
+func TestSlotWindowOvertakenDispatches(t *testing.T) {
+	e, k, coll := fig7Saturated(3, func(c *Config) {
+		c.BatchSize = 1
+		c.WiredLatencyMean = 5 * sim.Millisecond
+		c.WiredLatencyStd = 5 * sim.Millisecond
+	}, nil)
+	k.RunUntil(sim.Second)
+	if agg := coll.AggregateMbps(sim.Second); agg <= 0 || e.base == 0 {
+		t.Errorf("run moved %.2f Mbps and slid the window to base %d", agg, e.base)
 	}
 }

@@ -41,10 +41,11 @@ type apNode struct {
 	actions []action
 	started bool
 	ptr     int // schedule position: the next slot index expected
-	// lastSlot/lastSlotStart record the AP's most recent slot reference, so
-	// self-arming can resume when new schedule arrives for duties that were
-	// beyond the previously known slots.
-	lastSlot      int
+	// lastOffset/lastSlotStart record the AP's most recent slot reference
+	// (its slot's offset and start), so self-arming can resume when new
+	// schedule arrives for duties that were beyond the previously known
+	// slots.
+	lastOffset    sim.Time
 	lastSlotStart sim.Time
 
 	watchdog sim.Event
@@ -56,8 +57,9 @@ type apNode struct {
 // receiveSchedule integrates newly arrived slots (wired dispatch callback).
 func (ap *apNode) receiveSchedule(newKnown int) {
 	e := ap.e
+	e.delivered(newKnown)
 	for idx := ap.known; idx < newKnown; idx++ {
-		slot := e.slots[idx]
+		slot := e.slot(idx)
 		for _, en := range slot.Entries {
 			if en.Link.Sender == ap.id {
 				ap.actions = append(ap.actions, action{slot: idx, kind: aSend, link: en.Link})
@@ -76,15 +78,30 @@ func (ap *apNode) receiveSchedule(newKnown int) {
 	} else if ap.armed == nil && len(ap.actions) > 0 {
 		if ap.ptr == 0 {
 			// An AP that has not managed to act yet anchors on the batch
-			// arrival itself.
+			// arrival itself, as the start of slot 0 (offset 0).
 			ap.scheduleSelfArm(0, ap.e.k.Now())
 		} else {
 			// Duties beyond the previously known schedule could not be
 			// self-armed when the AP last acted; re-arm from that reference.
-			ap.scheduleSelfArm(ap.lastSlot, ap.lastSlotStart)
+			ap.scheduleSelfArm(ap.lastOffset, ap.lastSlotStart)
 		}
 	}
 	ap.armWatchdog()
+}
+
+// floor is the lowest slot index this AP can still read (Engine.log).
+func (ap *apNode) floor() int {
+	f := ap.known
+	for _, a := range ap.actions {
+		f = min(f, a.slot)
+	}
+	for _, s := range ap.armedSlots {
+		f = min(f, s)
+	}
+	if ap.ptr > 0 {
+		return min(f, ap.ptr-3)
+	}
+	return ap.e.firstReceivable(ap.id, f)
 }
 
 // bootstrap starts the very first batch: an AP scheduled in slot 0 begins on
@@ -95,16 +112,16 @@ func (ap *apNode) bootstrap() {
 		ap.execNext(0)
 		return
 	}
-	if len(ap.e.slots) == 0 {
+	if ap.e.end() == 0 {
 		return
 	}
 	// If the front of the schedule is one of our clients' uplinks, kick the
 	// client with a signature (paper §3.3); any pending poll action will be
 	// triggered by the slot's end-of-slot broadcast.
-	for _, en := range ap.e.slots[0].Entries {
+	for _, en := range ap.e.slot(0).Entries {
 		if !en.Link.Downlink && en.Link.AP == ap.id {
 			client := en.Link.Sender
-			ap.sendSignature(0, []phy.NodeID{client}, false)
+			ap.sendSignature(0, []phy.NodeID{client}, false, false)
 			return
 		}
 	}
@@ -148,7 +165,7 @@ func (ap *apNode) execNext(delay sim.Time) {
 	ap.actions = ap.actions[1:]
 	switch act.kind {
 	case aPoll:
-		ap.doPoll(act.slot)
+		ap.doPoll(ap.e.slot(act.slot).offset)
 		// A poll between slots i and i+1 may be followed immediately by this
 		// AP's own transmission in slot i+1, fired by the same trigger.
 		if len(ap.actions) > 0 && ap.actions[0].kind == aSend && ap.actions[0].slot == act.slot+1 {
@@ -173,8 +190,7 @@ func (ap *apNode) onTrigger(pl *phy.SignaturePayload, delay sim.Time) {
 		// Re-reference an armed transmission for this very slot ("the
 		// transmitter uses the last correctly received trigger", §3.4).
 		if ap.armed.act.slot == hint && e.k.Now()-ap.armed.at < e.cfg.slotDuration()/2 {
-			ap.armed.ev.Cancel()
-			ap.arm(ap.armed.act, delay)
+			ap.rearm(delay)
 		} else {
 			e.TriggerLate++
 		}
@@ -218,9 +234,9 @@ func (ap *apNode) send(act action) {
 	if !ap.ready() {
 		return
 	}
-	slot, now := e.slots[act.slot], e.k.Now()
+	slot, now := e.slot(act.slot), e.k.Now()
 	ap.ptr = max(ap.ptr, act.slot+1)
-	ap.lastSlot, ap.lastSlotStart = act.slot, now
+	ap.lastOffset, ap.lastSlotStart = slot.offset, now
 	e.noteProgress(act.slot)
 	ap.open(act.link, act.slot, &meta{instr: e.instrFor(act.link.Receiver, act.slot)},
 		e.navUntil(act.slot, now))
@@ -233,22 +249,19 @@ func (ap *apNode) send(act action) {
 	// simply re-references the armed transmission; in trigger-disconnected
 	// parts of the network this local clock is the only pacing (paper §3.3:
 	// APs start executing the schedule individually).
-	ap.scheduleSelfArm(act.slot, now)
+	ap.scheduleSelfArm(slot.offset, now)
 }
 
-// scheduleSelfArm arms the AP's next pending action relative to the known
-// slot boundary (fromSlot started at slotStart), using the nominal per-slot
-// offsets.
-func (ap *apNode) scheduleSelfArm(fromSlot int, slotStart sim.Time) {
+// scheduleSelfArm arms the AP's next pending action relative to a known
+// slot boundary (the slot at offset from started at slotStart), using the
+// nominal per-slot offsets.
+func (ap *apNode) scheduleSelfArm(from, slotStart sim.Time) {
 	e := ap.e
 	if len(ap.actions) == 0 {
 		return
 	}
 	next := ap.actions[0]
-	if next.slot >= len(e.slotOffset) || fromSlot >= len(e.slotOffset) {
-		return
-	}
-	at := slotStart + (e.slotOffset[next.slot] - e.slotOffset[fromSlot])
+	at := slotStart + (e.slot(next.slot).offset - from)
 	if next.kind == aPoll {
 		// The poll runs after its slot's broadcast.
 		at += e.cfg.slotDuration()
@@ -285,7 +298,8 @@ func (ap *apNode) checkPollSelf(idx int, slotStart sim.Time) {
 	if wait < 0 {
 		wait = 0
 	}
-	ap.e.k.After(wait, func() { ap.doPoll(idx) })
+	offset := ap.e.slot(idx).offset
+	ap.e.k.After(wait, func() { ap.doPoll(offset) })
 	if len(ap.actions) > 0 && ap.actions[0].kind == aSend && ap.actions[0].slot == idx+1 {
 		next := ap.actions[0]
 		ap.actions = ap.actions[1:]
@@ -296,16 +310,19 @@ func (ap *apNode) checkPollSelf(idx int, slotStart sim.Time) {
 
 // scheduleBroadcast arms this node's end-of-slot signature broadcast if the
 // converter assigned it one.
-func (ap *apNode) scheduleBroadcast(slot *convert.RelSlot, idx int, slotStart sim.Time) {
-	targets := lookupBcast(slot, ap.id)
+func (ap *apNode) scheduleBroadcast(slot loggedSlot, idx int, slotStart sim.Time) {
+	targets := lookupBcast(slot.RelSlot, ap.id)
 	if len(targets) == 0 {
 		return
 	}
-	ropFlag := len(slot.ROPAfter) > 0
-	ap.atBoundary(slotStart, func() { ap.sendSignature(idx+1, targets, ropFlag) })
+	ropFlag, batchLast := len(slot.ROPAfter) > 0, slot.batchEnd == idx
+	ap.atBoundary(slotStart, func() { ap.sendSignature(idx+1, targets, ropFlag, batchLast) })
 }
 
-func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool) {
+// sendSignature broadcasts targets' signatures at the end of slot slotHint-1,
+// with the ROP flag ropFlag; batchLast tells whether that slot ends its batch
+// (both gap inputs, see Engine.gap).
+func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag, batchLast bool) {
 	if !ap.broadcast(slotHint-1, targets, ropFlag) {
 		return
 	}
@@ -314,29 +331,30 @@ func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag bool
 	// next duty starts exactly there, self-trigger from that reference.
 	ap.e.k.After(ap.e.cfg.sigFrameDuration(), func() {
 		if ap.armed == nil {
-			ap.startSlot(slotHint, ap.e.gapAfter(slotHint-1))
+			ap.startSlot(slotHint, ap.e.gap(slotHint-1, ropFlag, batchLast))
 		}
 	})
 }
 
 // doPoll executes Rapid OFDM Polling: a poll broadcast, the clients' joint
 // control symbol one slot later, decode, and the wired report to the server.
-func (ap *apNode) doPoll(slotIdx int) {
+// offset is that of the slot the poll follows.
+func (ap *apNode) doPoll(offset sim.Time) {
 	e := ap.e
 	if e.medium.Transmitting(ap.id) {
 		// The AP's own end-of-slot broadcast may share this instant; start
 		// the poll right after it clears.
 		e.k.After(2*sim.Microsecond, func() {
 			if !e.medium.Transmitting(ap.id) {
-				ap.doPollNow(slotIdx)
+				ap.doPollNow(offset)
 			}
 		})
 		return
 	}
-	ap.doPollNow(slotIdx)
+	ap.doPollNow(offset)
 }
 
-func (ap *apNode) doPollNow(slotIdx int) {
+func (ap *apNode) doPollNow(offset sim.Time) {
 	e := ap.e
 	e.Polls++
 	// The poll is part of the current chain node: airtime and rop_poll
@@ -352,9 +370,9 @@ func (ap *apNode) doPollNow(slotIdx int) {
 		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.cfg.pollAirtime(),
 		Payload: ap.id, ObsSpan: pollSpan,
 	})
-	ap.lastSlot = slotIdx
+	ap.lastOffset = offset
 	ap.lastSlotStart = e.k.Now() - e.cfg.slotDuration()
-	ap.scheduleSelfArm(slotIdx, ap.lastSlotStart)
+	ap.scheduleSelfArm(offset, ap.lastSlotStart)
 	// Each round takes one poll air time, the WiFi-slot turnaround and the
 	// 16 µs control symbol; the cycle's decode completes after the last.
 	decodeAt := rounds * (e.cfg.pollAirtime() + phy.SlotTime + sim.Micros(16))
@@ -399,9 +417,9 @@ func (ap *apNode) onSlot(f *phy.Frame, m *meta) {
 	}
 	ap.ptr = max(ap.ptr, idx+1)
 	e.noteProgress(idx)
-	slot := e.slots[idx]
+	slot := e.slot(idx)
 	slotStart := e.k.Now() - f.AirTime()
-	ap.lastSlot = idx
+	ap.lastOffset = slot.offset
 	ap.lastSlotStart = slotStart
 	// The received slot is this AP's new causal reference: the boundary
 	// broadcast and any poll it runs hang off the sender's slot span.
@@ -438,10 +456,12 @@ func (e *Engine) clientBacklog(c phy.NodeID) int {
 }
 
 // findSlotFor locates the first slot at or after from whose entries contain
-// the sender→receiver link; -1 if unknown.
+// the sender→receiver link; -1 if unknown. Both searches stop at the log's
+// base: a slot below it carries no entry the receiver receives (the floor
+// in Engine.log's comment).
 func (e *Engine) findSlotFor(sender, receiver phy.NodeID, from int) int {
-	for idx := from; idx < len(e.slots); idx++ {
-		for _, en := range e.slots[idx].Entries {
+	for idx := max(from, e.base); idx < e.end(); idx++ {
+		for _, en := range e.slot(idx).Entries {
 			if en.Link.Sender == sender && en.Link.Receiver == receiver {
 				return idx
 			}
@@ -449,8 +469,8 @@ func (e *Engine) findSlotFor(sender, receiver phy.NodeID, from int) int {
 	}
 	// The exchange may belong to a slot before our pointer (stale retry);
 	// search backwards a little.
-	for idx := from - 1; idx >= 0 && idx > from-4; idx-- {
-		for _, en := range e.slots[idx].Entries {
+	for idx := from - 1; idx >= e.base && idx > from-4; idx-- {
+		for _, en := range e.slot(idx).Entries {
 			if en.Link.Sender == sender && en.Link.Receiver == receiver {
 				return idx
 			}

@@ -77,8 +77,7 @@ func (c *clientNode) onTrigger(pl *phy.SignaturePayload, delay sim.Time) {
 	c.lastHint = pl.SlotHint
 	if c.armed != nil {
 		if c.e.k.Now()-c.armed.at < c.e.cfg.slotDuration()/2 {
-			c.armed.ev.Cancel()
-			c.arm(action{}, delay)
+			c.rearm(delay)
 		}
 		return
 	}

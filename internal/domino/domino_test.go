@@ -452,7 +452,7 @@ func TestSupersededBundleRetries(t *testing.T) {
 			misses := engine.AckMisses
 			act := action{kind: aSend, link: l}
 			if ap, isAP := r.role.(*apNode); isAP {
-				act.slot = ap.lastSlot
+				act.slot = ap.ptr - 1 // the slot the bundle went out in
 			}
 			r.role.send(act)
 			if engine.AckMisses != misses+1 {

@@ -1,6 +1,7 @@
 package domino
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/convert"
@@ -15,6 +16,8 @@ import (
 )
 
 // Engine is a complete DOMINO deployment: central server, APs, clients.
+// Its slot log keeps only the slots some AP can still read (log), so a run
+// holds constant memory however long it lasts.
 type Engine struct {
 	k      *sim.Kernel
 	medium *phy.Medium
@@ -25,17 +28,41 @@ type Engine struct {
 
 	queues []*mac.Queue
 	intake mac.Intake
-	slots  []*convert.RelSlot // global slot sequence, appended per batch
-	// slotOffset[i] is slot i's nominal start relative to the chain origin
-	// (slot durations plus ROP and CoP gaps); APs free-run on it between
-	// triggers.
-	slotOffset []sim.Time
-	// batchEnd[i] is the last slot index of the batch containing slot i,
-	// used to stamp the NAV (CFP end) into data frames when CoP is on.
-	batchEnd []int
-	aps      map[phy.NodeID]*apNode
-	clients  map[phy.NodeID]*clientNode
-	server   *server
+	// log is a window over the global slot sequence, which grows by one
+	// batch per build: log[i] is global slot base+i, and end() =
+	// base+len(log) is the running total Slots reports. Global indices are
+	// what frames, payloads and trace records carry; only the storage
+	// slides. Every read goes through slot, which panics below base.
+	//
+	// slide raises base, once per build, to the lowest index any AP can
+	// still read, the minimum over APs of:
+	//   - known: receiveSchedule reads on from it. Dispatches can overtake
+	//     each other on the wire and a late one lowers known again, so the
+	//     newKnown of every dispatch not yet delivered counts too (wire);
+	//   - every pending action and every armed transmission not yet fired
+	//     (radio.armedSlots): send, scheduleSelfArm and doPoll read its slot;
+	//   - ptr−3 once the AP has acted (ptr > 0): findSlotFor searches
+	//     forward from ptr and back to ptr−3, and send and onSlot read their
+	//     slot (ptr−1 or later) after noteProgress, which may build;
+	//   - for an AP that has never acted (ptr == 0), the first slot with an
+	//     entry it receives: findSlotFor's search from slot 0 can return no
+	//     earlier slot, so that AP does not pin base at 0. The slots it
+	//     skips carry nothing the AP receives, so findSlotFor clamps its
+	//     searches at base and still finds what a full log would.
+	// and never past the last slot, whose offset the next batch continues.
+	// Nothing else reads the log later: an AP keeps the offset of its last
+	// reference (lastOffset), and callbacks capture what they need of their
+	// slot when scheduled (doPoll the offset, sendSignature the gap
+	// inputs). Clients read no slot; their instructions ride on frames.
+	// Only the batch being executed and the one queued behind it stay, so a
+	// saturated run holds the window at a constant length.
+	log  []loggedSlot
+	base int
+	// wire lists the dispatches still travelling to some AP, oldest first.
+	wire    []dispatch
+	aps     map[phy.NodeID]*apNode
+	clients map[phy.NodeID]*clientNode
+	server  *server
 	// maxExec tracks execution progress (highest slot index observed); the
 	// server pipelines the next batch when execution nears the end of the
 	// known schedule.
@@ -101,6 +128,85 @@ type Engine struct {
 	PollFailed     int
 }
 
+// loggedSlot is one slot of the engine's log: the converted slot, its
+// nominal start relative to the chain origin (slot durations plus ROP and
+// CoP gaps; APs free-run on it between triggers), and the global index of
+// the last slot of its batch (the NAV's CFP end when CoP is on).
+type loggedSlot struct {
+	*convert.RelSlot
+	offset   sim.Time
+	batchEnd int
+}
+
+// dispatch is one batch's trip to the APs: the newKnown it carries and how
+// many APs have yet to receive it.
+type dispatch struct {
+	known, left int
+}
+
+// end is the global index one past the newest slot: every slot scheduled so
+// far.
+func (e *Engine) end() int { return e.base + len(e.log) }
+
+// slot returns global slot idx of the log. It panics on an index that slid
+// out of the window, which would mean the floor in log's comment is wrong.
+func (e *Engine) slot(idx int) loggedSlot {
+	if idx < e.base {
+		e.belowWindow(idx)
+	}
+	return e.log[idx-e.base]
+}
+
+func (e *Engine) belowWindow(idx int) {
+	panic(fmt.Sprintf("domino: slot %d read below the log window [%d, %d)", idx, e.base, e.end()))
+}
+
+// slide drops the slots no AP can read again (the floor in log's comment),
+// compacting the log in place.
+func (e *Engine) slide() {
+	if len(e.log) == 0 {
+		return
+	}
+	floor := e.end() - 1
+	if len(e.wire) > 0 {
+		floor = min(floor, e.wire[0].known)
+	}
+	for _, id := range e.net.APs {
+		floor = min(floor, e.aps[id].floor())
+	}
+	if d := floor - e.base; d > 0 {
+		n := copy(e.log, e.log[d:])
+		clear(e.log[n:])
+		e.log, e.base = e.log[:n], floor
+	}
+}
+
+// delivered records that one AP received the dispatch carrying newKnown.
+func (e *Engine) delivered(newKnown int) {
+	for i := range e.wire {
+		if e.wire[i].known == newKnown {
+			e.wire[i].left--
+			break
+		}
+	}
+	for len(e.wire) > 0 && e.wire[0].left == 0 {
+		e.wire = e.wire[:copy(e.wire, e.wire[1:])]
+	}
+}
+
+// firstReceivable returns the first slot in [base, limit) with an entry
+// that node receives, or limit.
+func (e *Engine) firstReceivable(node phy.NodeID, limit int) int {
+	for idx := e.base; idx < limit; idx++ {
+		for _, en := range e.slot(idx).Entries {
+			if en.Link.Receiver == node {
+				return idx
+			}
+		}
+	}
+	return limit
+}
+
 // pollGap is the air time every schedule reserves for one complete polling
 // cycle: the per-round ROP slot times the engine-wide round count. With the
 // default single-round ROP this is exactly the classic ROP slot.
@@ -139,8 +245,8 @@ type instr struct {
 
 // instrFor computes client's instructions for slot idx.
 func (e *Engine) instrFor(client phy.NodeID, idx int) instr {
-	slot := e.slots[idx]
-	return instr{slot: idx, clientSigs: lookupBcast(slot, client), rop: len(slot.ROPAfter) > 0,
+	slot := e.slot(idx)
+	return instr{slot: idx, clientSigs: lookupBcast(slot.RelSlot, client), rop: len(slot.ROPAfter) > 0,
 		selfNext: e.clientSenderInSlot(client, idx+1), nextWait: e.gapAfter(idx)}
 }
 
@@ -310,7 +416,7 @@ func (e *Engine) Enqueue(p mac.Packet) bool {
 func (e *Engine) QueueLen(link int) int { return e.queues[link].Len() }
 
 // Slots exposes how many global slots have been scheduled so far.
-func (e *Engine) Slots() int { return len(e.slots) }
+func (e *Engine) Slots() int { return e.end() }
 
 // emitSlotStart records a slot owner starting its data ("data") or fake
 // header ("fake") transmission on link.
@@ -492,32 +598,34 @@ func (s *server) buildAndDispatch() {
 		e.onPlan(plan)
 	}
 
-	first := len(e.slots)
+	e.slide()
+	first := len(e.log)
 	ropSlots := 0
 	for i := range plan.Slots {
-		e.slots = append(e.slots, &plan.Slots[i])
-		var last sim.Time
-		if n := len(e.slotOffset); n > 0 {
-			last = e.slotOffset[n-1] + e.cfg.slotDuration()
-			if prev := e.slots[len(e.slots)-2]; len(prev.ROPAfter) > 0 {
-				last += e.pollGap()
+		var offset sim.Time
+		if n := len(e.log); n > 0 {
+			prev := e.log[n-1]
+			offset = prev.offset + e.cfg.slotDuration()
+			if len(prev.ROPAfter) > 0 {
+				offset += e.pollGap()
 			}
 			if i == 0 {
-				last += e.cfg.CoPDuration
+				offset += e.cfg.CoPDuration
 			}
 		}
-		e.slotOffset = append(e.slotOffset, last)
+		e.log = append(e.log, loggedSlot{RelSlot: &plan.Slots[i], offset: offset})
 		if len(plan.Slots[i].ROPAfter) > 0 {
 			ropSlots++
 		}
 	}
-	newKnown := len(e.slots)
-	for i := first; i < newKnown; i++ {
-		e.batchEnd = append(e.batchEnd, newKnown-1)
+	newKnown := e.end()
+	for i := first; i < len(e.log); i++ {
+		e.log[i].batchEnd = newKnown - 1
 	}
 	e.noteConvert(plan)
 
 	// Wired dispatch with jitter.
+	e.wire = append(e.wire, dispatch{known: newKnown, left: len(e.net.APs)})
 	for _, apID := range e.net.APs {
 		ap := e.aps[apID]
 		e.k.After(e.wiredDelay(), func() { ap.receiveSchedule(newKnown) })
@@ -527,11 +635,10 @@ func (s *server) buildAndDispatch() {
 	// Liveness fallback: execution normally pipelines the next batch via
 	// noteProgress, but if every chain stalls (or the tail of this batch has
 	// no executable entries) the server must still move forward.
-	snapshot := len(e.slots)
 	nominal := sim.Time(len(plan.Slots))*e.cfg.slotDuration() +
 		sim.Time(ropSlots)*e.pollGap()
 	e.k.After(2*nominal+10*e.cfg.slotDuration(), func() {
-		if len(e.slots) == snapshot && !e.buildPending {
+		if e.end() == newKnown && !e.buildPending {
 			e.buildPending = true
 			s.buildAndDispatch()
 		}
@@ -548,7 +655,7 @@ func (e *Engine) noteProgress(idx int) {
 	if idx > e.maxExec {
 		e.maxExec = idx
 	}
-	if !e.buildPending && len(e.slots)-e.maxExec <= 3 {
+	if !e.buildPending && e.end()-e.maxExec <= 3 {
 		e.buildPending = true
 		e.server.buildAndDispatch()
 	}
@@ -636,15 +743,20 @@ func (e *Engine) deliverBundle(bundle []mac.Packet) {
 // start of slot idx+1 (zero normally; the ROP slot when polling follows; the
 // CoP at batch boundaries).
 func (e *Engine) gapAfter(idx int) sim.Time {
-	if idx+1 >= len(e.slotOffset) || idx < 0 {
-		if idx >= 0 && idx < len(e.slots) && len(e.slots[idx].ROPAfter) > 0 {
-			return e.pollGap()
-		}
-		return 0
+	s := e.slot(idx)
+	return e.gap(idx, len(s.ROPAfter) > 0, s.batchEnd == idx)
+}
+
+// gap is gapAfter(idx) from the slot's own facts: whether polling follows
+// it (rop) and whether it ends its batch (batchLast). The CoP counts only
+// once the next batch is known, as the next slot's offset includes it.
+func (e *Engine) gap(idx int, rop, batchLast bool) sim.Time {
+	var g sim.Time
+	if rop {
+		g = e.pollGap()
 	}
-	g := e.slotOffset[idx+1] - e.slotOffset[idx] - e.cfg.slotDuration()
-	if g < 0 {
-		return 0
+	if batchLast && idx+1 < e.end() {
+		g += e.cfg.CoPDuration
 	}
 	return g
 }
@@ -653,20 +765,20 @@ func (e *Engine) gapAfter(idx int) sim.Time {
 // carry: the end of its batch's contention-free period (zero when CoP is
 // off, i.e. no extra reservation beyond the exchange).
 func (e *Engine) navUntil(idx int, slotStart sim.Time) sim.Time {
-	if e.cfg.CoPDuration <= 0 || idx >= len(e.batchEnd) {
+	if e.cfg.CoPDuration <= 0 {
 		return 0
 	}
-	end := e.batchEnd[idx]
-	return slotStart + (e.slotOffset[end] - e.slotOffset[idx]) + e.cfg.slotDuration()
+	s := e.slot(idx)
+	return slotStart + (e.slot(s.batchEnd).offset - s.offset) + e.cfg.slotDuration()
 }
 
 // clientSenderInSlot reports whether the client sends in the given slot (for
 // the selfNext instruction).
 func (e *Engine) clientSenderInSlot(client phy.NodeID, idx int) bool {
-	if idx < 0 || idx >= len(e.slots) {
+	if idx >= e.end() {
 		return false
 	}
-	for _, en := range e.slots[idx].Entries {
+	for _, en := range e.slot(idx).Entries {
 		if en.Link.Sender == client {
 			return true
 		}

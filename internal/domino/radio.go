@@ -7,6 +7,8 @@
 package domino
 
 import (
+	"slices"
+
 	"repro/internal/mac"
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -52,6 +54,11 @@ type radio struct {
 	onAckTimeout func()
 
 	armed *armedTx
+	// armedSlots holds the slot of every armed transmission whose event has
+	// not fired yet: armed's, and one it was armed over (an AP's
+	// checkPollSelf arms without checking), which still fires. An AP's log
+	// floor counts them (Engine.log).
+	armedSlots []int
 
 	// refSpan/depth track the causal span of the node's current time
 	// reference (last trigger, own or received slot, or own broadcast) and
@@ -104,11 +111,27 @@ func (r *radio) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) 
 // arm schedules act's transmission delay after the current time reference.
 func (r *radio) arm(act action, delay sim.Time) {
 	tx := &armedTx{act: act, at: r.e.k.Now()}
+	r.armedSlots = append(r.armedSlots, act.slot)
 	tx.ev = r.e.k.After(delay, func() {
+		r.disarm(act.slot)
 		r.armed = nil
 		r.role.send(act)
 	})
 	r.armed = tx
+}
+
+// rearm moves the armed transmission to delay after the current time
+// reference: a fresh trigger for it.
+func (r *radio) rearm(delay sim.Time) {
+	r.armed.ev.Cancel()
+	r.disarm(r.armed.act.slot)
+	r.arm(r.armed.act, delay)
+}
+
+// disarm removes one armed transmission of slot from armedSlots.
+func (r *radio) disarm(slot int) {
+	i := slices.Index(r.armedSlots, slot)
+	r.armedSlots = slices.Delete(r.armedSlots, i, i+1)
 }
 
 // ready reports whether the node can open a slot now, i.e. it is not

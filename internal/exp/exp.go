@@ -36,9 +36,10 @@ type Options struct {
 	Workers int
 	// TraceSink, when non-nil, receives the NDJSON observability trace of
 	// every simulation of the multi-run MAC drivers (all but Coexist and
-	// Fig10). A driver buffers one shard per simulation until its last run
-	// ends, then writes them in cell order, so the stream is byte-identical
-	// at any Workers value; a failed write is the driver's error.
+	// Fig10). Each simulation traces into a shard of its own, written in
+	// cell order as soon as every earlier cell has finished, so the stream
+	// is byte-identical at any Workers value; a failed write is the
+	// driver's error.
 	TraceSink io.Writer
 }
 
@@ -97,40 +98,82 @@ func pointSeed(o Options, idx int) int64 {
 // must give each cell a network of its own, since engines register
 // listeners on its medium. keep runs inside the worker, so no engine
 // outlives its cell. The first error in cell order, from build or from the
-// run, is returned instead. With o.TraceSink set, cell i traces into shard i
-// of an obs.Sharded and the shards are written to the sink in cell order
-// after every cell has run; a failed write is returned as an error.
+// run, is returned instead. With o.TraceSink set, cell i traces into a shard
+// of its own, which writeShards sends to the sink in cell order as the cells
+// finish; a failed write is returned as an error.
 func runCells[T any](o Options, n int, build func(i int) (core.Scenario, error), keep func(i int, r core.Result) T) ([]T, error) {
-	var sharded *obs.Sharded
-	if o.TraceSink != nil {
-		sharded = obs.NewSharded(n)
-	}
 	vals := make([]T, n)
 	errs := make([]error, n)
-	parallel.ForEach(o.Workers, n, func(i int) {
-		sc, err := build(i)
-		if err == nil {
-			if sharded != nil {
-				sc.Tracer = sharded.Shard(i)
+	var shards []*cellTrace
+	var finished chan int // cells in the order they finish
+	run := func() {
+		parallel.ForEach(o.Workers, n, func(i int) {
+			sc, err := build(i)
+			if err == nil {
+				if shards != nil {
+					shards[i] = &cellTrace{}
+					sc.Tracer = shards[i]
+				}
+				var r core.Result
+				if r, err = core.RunScenario(sc); err == nil {
+					vals[i] = keep(i, r)
+				}
 			}
-			var r core.Result
-			if r, err = core.RunScenario(sc); err == nil {
-				vals[i] = keep(i, r)
+			errs[i] = err
+			if finished != nil {
+				finished <- i
 			}
-		}
-		errs[i] = err
-	})
+		})
+	}
+	var werr error
+	if o.TraceSink == nil {
+		run()
+	} else {
+		shards, finished = make([]*cellTrace, n), make(chan int, n)
+		go func() {
+			run()
+			close(finished)
+		}()
+		werr = writeShards(o.TraceSink, finished, shards, errs)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	if sharded != nil {
-		if _, err := sharded.WriteTo(o.TraceSink); err != nil {
-			return nil, fmt.Errorf("exp: trace write: %w", err)
-		}
+	if werr != nil {
+		return nil, fmt.Errorf("exp: trace write: %w", werr)
 	}
 	return vals, nil
+}
+
+// cellTrace is one cell's trace shard: its records, NDJSON-encoded in event
+// order.
+type cellTrace struct{ buf []byte }
+
+// Emit implements obs.Tracer.
+func (c *cellTrace) Emit(r obs.Record) { c.buf = obs.AppendRecord(c.buf, r) }
+
+// writeShards writes the cells' shards to w in cell order as their cells
+// arrive on finished: shard i goes out, and is freed, once cells 0..i have
+// finished, so only the shards of cells that finished ahead of an earlier
+// one wait in memory. Writing stops at the first failed cell, whose error
+// the driver returns, and at the first failed write, which it returns.
+func writeShards(w io.Writer, finished <-chan int, shards []*cellTrace, errs []error) error {
+	done := make([]bool, len(shards))
+	next, stop := 0, false
+	var err error
+	for i := range finished {
+		done[i] = true
+		for ; next < len(done) && done[next]; next++ {
+			stop = stop || errs[next] != nil || err != nil
+			if !stop {
+				_, err = w.Write(shards[next].buf)
+			}
+			shards[next] = nil
+		}
+	}
+	return err
 }
 
 // aggregateMbps is the keep function of cells that report only their

@@ -6,9 +6,12 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // fig14TraceOpts is the smallest Fig 14 configuration that exercises the
@@ -156,4 +159,67 @@ func TestFig2TraceSink(t *testing.T) {
 	if got := strings.Join(schemes, " "); got != "DCF CENTAUR DOMINO Omniscient" {
 		t.Fatalf("run_start sequence = %q", got)
 	}
+}
+
+// TestRunCellsStreamsShards: runCells writes a cell's trace shard once every
+// earlier cell has finished, not when the driver ends. Run serially, the
+// last cell waits inside its keep, before it finishes, for the sink's first
+// write, which must be shard 0.
+func TestRunCellsStreamsShards(t *testing.T) {
+	sink := &firstWriteSink{wrote: make(chan struct{})}
+	o := Options{Seed: 1, Workers: 1, TraceSink: sink}
+	schemes := []core.Scheme{core.DCF, core.DOMINO, core.Omniscient}
+	var early []byte // the sink's bytes as the last cell ran
+	_, err := runCells(o, len(schemes), func(i int) (core.Scenario, error) {
+		net := topo.Figure1()
+		return core.Scenario{Net: net, Links: topo.Figure1Links(net), Scheme: schemes[i], Seed: o.Seed,
+			Duration: 50 * sim.Millisecond, Traffic: core.Saturated}, nil
+	}, func(i int, _ core.Result) int {
+		if i == len(schemes)-1 {
+			select {
+			case <-sink.wrote:
+				early = sink.first
+			case <-time.After(10 * time.Second):
+				t.Error("no shard reached the sink before the last cell finished")
+			}
+		}
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		buf  []byte
+		want string
+	}{{"first write", early, "DCF"}, {"stream", sink.Bytes(), "DCF DOMINO Omniscient"}} {
+		var runs []string
+		if _, err := obs.ParseNDJSON(bytes.NewReader(c.buf), func(r obs.Record) error {
+			if r.Kind == obs.KindRunStart {
+				runs = append(runs, r.Aux)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(runs, " "); got != c.want {
+			t.Errorf("%s holds runs %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// firstWriteSink buffers a trace and closes wrote on its first write, whose
+// bytes it keeps in first.
+type firstWriteSink struct {
+	bytes.Buffer
+	first []byte
+	wrote chan struct{}
+}
+
+func (s *firstWriteSink) Write(p []byte) (int, error) {
+	if s.first == nil {
+		s.first = bytes.Clone(p)
+		close(s.wrote)
+	}
+	return s.Buffer.Write(p)
 }

@@ -184,9 +184,18 @@ func NewQueue(capacity int) *Queue {
 	return &Queue{cap: capacity}
 }
 
-// grow doubles the backing array, unwrapping the queue to start at index 0.
+// grow enlarges the backing array fourfold, unwrapping the queue to start
+// at index 0. It stops at the smallest power of two that holds cap packets,
+// unless the queue already fills that much (PushFront may exceed the bound).
 func (q *Queue) grow() {
-	buf := make([]Packet, max(2*len(q.buf), minQueueBuf))
+	size, limit := max(4*len(q.buf), minQueueBuf), 1
+	for limit < q.cap {
+		limit <<= 1
+	}
+	if len(q.buf) < limit {
+		size = min(size, limit)
+	}
+	buf := make([]Packet, size)
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:q.n], q.buf[:q.head])
 	q.buf, q.head = buf, 0

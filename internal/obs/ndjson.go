@@ -133,47 +133,6 @@ func (t *NDJSON) Flush() error {
 	return t.err
 }
 
-// Sharded collects per-task traces from a parallel driver and merges them
-// deterministically. Each task encodes into its own shard (records within a
-// shard are in event order because each simulation is single-threaded);
-// WriteTo concatenates shards in index order, so the merged stream is
-// byte-identical at any worker count.
-type Sharded struct {
-	shards []shard
-}
-
-type shard struct {
-	buf []byte
-}
-
-// Emit implements Tracer.
-func (s *shard) Emit(r Record) { s.buf = AppendRecord(s.buf, r) }
-
-// NewSharded returns a Sharded with n shards.
-func NewSharded(n int) *Sharded {
-	return &Sharded{shards: make([]shard, n)}
-}
-
-// Shard returns the tracer for shard i. Distinct shards may be used
-// concurrently; a single shard must stay within one task.
-func (s *Sharded) Shard(i int) Tracer { return &s.shards[i] }
-
-// Len returns the shard count.
-func (s *Sharded) Len() int { return len(s.shards) }
-
-// WriteTo concatenates all shards to w in index order.
-func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for i := range s.shards {
-		n, err := w.Write(s.shards[i].buf)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
 // jsonRecord mirrors the wire format for decoding. Optional ints are
 // pointers so a missing field maps back to -1, not 0.
 type jsonRecord struct {

@@ -13,8 +13,8 @@
 //   - Deterministic when enabled. Records are emitted from the single-threaded
 //     event loop in event order, and the NDJSON encoding is hand-rolled with
 //     a fixed field order, so identical seeds produce byte-identical traces.
-//     Parallel drivers give each run its own shard (Sharded) and merge in
-//     shard order, preserving the contract at any worker count.
+//     Parallel drivers give each run its own shard and write the shards in
+//     run order, preserving the contract at any worker count.
 //   - Layers below obs stay obs-agnostic. sim, phy and mac expose tiny local
 //     hooks (Kernel.OnEvent, Medium.SetProbe, Queue.OnDepth); obs implements
 //     them. Protocol engines (dcf, domino, poll, gold) emit through a Tracer

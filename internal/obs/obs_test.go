@@ -96,27 +96,6 @@ func TestNDJSONBoundedBuffering(t *testing.T) {
 	}
 }
 
-func TestShardedMergeOrder(t *testing.T) {
-	s := NewSharded(3)
-	// Emit out of shard order: merged output must still be shard 0,1,2.
-	for _, i := range []int{2, 0, 1} {
-		r := Rec(sim.Time(i), KindRunStart)
-		r.Value = int64(i)
-		s.Shard(i).Emit(r)
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var order []int64
-	if _, err := ParseNDJSON(&buf, func(r Record) error { order = append(order, r.Value); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("merge order = %v, want [0 1 2]", order)
-	}
-}
-
 func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("z.count").Add(5)

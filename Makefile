@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench profile-fig14
+.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench profile-fig14 profile-fig7
 
 ci: vet fmt build test specs examples trace-smoke race race-hot race-shard bench-smoke
 
@@ -92,6 +92,19 @@ bench:
 profile-fig14:
 	@dir=$$(mktemp -d); set -e; \
 	$(GO) test -run '^$$' -bench '^BenchmarkFig14$$' -benchtime 1x -o $$dir/repro.test \
+		-cpuprofile $$dir/cpu.pprof -memprofile $$dir/mem.pprof -memprofilerate 4096 . ; \
+	$(GO) tool pprof -top -nodecount 30 $$dir/repro.test $$dir/cpu.pprof; \
+	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_objects $$dir/repro.test $$dir/mem.pprof; \
+	$(GO) tool pprof -top -nodecount 30 -sample_index inuse_space $$dir/repro.test $$dir/mem.pprof; \
+	echo "profiles in $$dir"
+
+# The same three tables for one BenchmarkFig7Saturated iteration (DCF,
+# CENTAUR, DOMINO and Omniscient saturated on Fig 7 for 60 s each, as the
+# fig7-mac workload runs them): the MAC engines and DOMINO's control plane
+# rather than the PHY.
+profile-fig7:
+	@dir=$$(mktemp -d); set -e; \
+	$(GO) test -run '^$$' -bench '^BenchmarkFig7Saturated$$' -benchtime 1x -o $$dir/repro.test \
 		-cpuprofile $$dir/cpu.pprof -memprofile $$dir/mem.pprof -memprofilerate 4096 . ; \
 	$(GO) tool pprof -top -nodecount 30 $$dir/repro.test $$dir/cpu.pprof; \
 	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_objects $$dir/repro.test $$dir/mem.pprof; \

@@ -265,6 +265,28 @@ func BenchmarkFig14(b *testing.B) {
 	b.ReportMetric(median, "median-gain")
 }
 
+// BenchmarkFig7Saturated runs the four schemes saturated on the Fig 7
+// network for 60 simulated seconds each, as the fig7-mac workload of
+// bench/ does, and reports DOMINO's aggregate throughput. Few nodes keep
+// the PHY cheap, so the MAC engines, the kernel and DOMINO's control plane
+// dominate its profile (make profile-fig7).
+func BenchmarkFig7Saturated(b *testing.B) {
+	var agg float64
+	for i := 0; i < b.N; i++ {
+		for _, s := range []core.Scheme{core.DCF, core.CENTAUR, core.DOMINO, core.Omniscient} {
+			r := mustRun(b, core.Scenario{
+				Net: topo.Figure7(), Downlink: true, Uplink: true,
+				Scheme: s, Traffic: core.Saturated, Seed: int64(i + 1),
+				Duration: 60 * sim.Second, Warmup: 300 * sim.Millisecond,
+			})
+			if s == core.DOMINO {
+				agg = r.AggregateMbps
+			}
+		}
+	}
+	b.ReportMetric(agg, "domino-Mbps")
+}
+
 // BenchmarkPollingSweep regenerates the §5 batch-size trade-off, reporting
 // the light-traffic delay growth from the smallest to the largest batch.
 func BenchmarkPollingSweep(b *testing.B) {

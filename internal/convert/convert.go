@@ -81,6 +81,9 @@ type Converter struct {
 	DisableFakeCover bool
 
 	prev *RelSlot // last slot of the previous batch
+	// free holds slots whose storage ConvertPlan's caller handed back
+	// (reuse); new slots take it before allocating.
+	free []RelSlot
 	// coverRot rotates the fake-cover scan order so padded slots don't
 	// always favour low link IDs.
 	coverRot int

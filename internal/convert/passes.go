@@ -1,7 +1,7 @@
 package convert
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/phy"
 	"repro/internal/strict"
@@ -14,7 +14,8 @@ import (
 // slots pass through unchanged.
 func FakeLinkInsert(c *Converter, p *Plan) {
 	for _, slot := range p.Batch {
-		p.Slots = append(p.Slots, c.buildSlot(slot))
+		p.Slots = append(p.Slots, c.newSlot())
+		c.buildSlot(&p.Slots[len(p.Slots)-1], slot)
 	}
 	p.Stats.Slots = len(p.Slots)
 	for i := range p.Slots {
@@ -28,9 +29,34 @@ func FakeLinkInsert(c *Converter, p *Plan) {
 	}
 }
 
+// newSlot returns an empty slot, on recycled storage when there is some.
+func (c *Converter) newSlot() RelSlot {
+	n := len(c.free) - 1
+	if n < 0 {
+		return RelSlot{}
+	}
+	s := c.free[n]
+	c.free = c.free[:n]
+	return RelSlot{Entries: s.Entries[:0], Broadcasts: s.Broadcasts[:0], ROPAfter: s.ROPAfter[:0]}
+}
+
+// grow extends s by one element and returns it. When s has room the
+// element is the one already stored past its length, from a recycled slot,
+// whose own slices the caller reuses.
+func grow[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
+	}
+	return s, &s[len(s)-1]
+}
+
 // buildSlot expands a strict slot to a maximal cover with fake links,
-// scanning candidates from a rotating start for fairness.
-func (c *Converter) buildSlot(slot strict.Slot) RelSlot {
+// scanning candidates from a rotating start for fairness, into the empty
+// slot dst.
+func (c *Converter) buildSlot(dst *RelSlot, slot strict.Slot) {
 	t := c.tab()
 	t.realEpoch++
 	for _, id := range slot {
@@ -47,11 +73,11 @@ func (c *Converter) buildSlot(slot strict.Slot) RelSlot {
 		cover = c.G.MaximalIndependentSetInto(t.coverBuf[:0], t.blockedBuf, slot, order)
 		t.coverBuf = cover
 	}
-	entries := make([]Entry, 0, len(cover))
 	for _, id := range cover {
-		entries = append(entries, Entry{Link: c.G.Links[id], Fake: t.realStamp[id] != t.realEpoch})
+		var en *Entry
+		dst.Entries, en = grow(dst.Entries)
+		en.Link, en.Fake, en.TriggeredBy = c.G.Links[id], t.realStamp[id] != t.realEpoch, en.TriggeredBy[:0]
 	}
-	return RelSlot{Entries: entries}
 }
 
 // TriggerAssign wires every consecutive slot pair inside the batch (paper
@@ -189,13 +215,13 @@ func (c *Converter) assignTriggers(prev, next *RelSlot, st *Stats) {
 		}
 	}
 
-	// Deterministic broadcast list.
-	sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
+	// Deterministic broadcast list (the touched nodes are distinct).
+	slices.Sort(touched)
 	prev.Broadcasts = prev.Broadcasts[:0]
 	for _, n := range touched {
-		tgts := make([]phy.NodeID, len(targets[n]))
-		copy(tgts, targets[n])
-		prev.Broadcasts = append(prev.Broadcasts, Broadcast{From: n, Targets: tgts})
+		var b *Broadcast
+		prev.Broadcasts, b = grow(prev.Broadcasts)
+		b.From, b.Targets = n, append(b.Targets[:0], targets[n]...)
 	}
 
 	// Reset scratch via the touched lists only.
@@ -247,7 +273,7 @@ func ROPInsert(c *Converter, p *Plan) {
 				continue // no link in the slot can trigger the AP
 			}
 			if len(p.Slots[i].ROPAfter) == 0 {
-				p.Slots[i].ROPAfter = []phy.NodeID{ap}
+				p.Slots[i].ROPAfter = append(p.Slots[i].ROPAfter, ap)
 				c.addPollTrigger(&p.Slots[i], ap, &p.Stats)
 				placed = true
 				break
@@ -330,6 +356,8 @@ func (c *Converter) addPollTrigger(slot *RelSlot, ap phy.NodeID, st *Stats) {
 			return
 		}
 	}
-	slot.Broadcasts = append(slot.Broadcasts, Broadcast{From: best, Targets: []phy.NodeID{ap}})
+	var b *Broadcast
+	slot.Broadcasts, b = grow(slot.Broadcasts)
+	b.From, b.Targets = best, append(b.Targets[:0], ap)
 	st.PollTriggers++
 }

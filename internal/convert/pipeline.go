@@ -65,10 +65,23 @@ type Plan struct {
 // consecutive-slot trigger pair touches disjoint state: a slot's broadcasts
 // are written only when it is the pair's first element, and its entries'
 // triggers only when it is the second.
-func (c *Converter) ConvertPlan(batch strict.Schedule, pollAPs []phy.NodeID) *Plan {
+//
+// reuse lists slots of earlier plans that the caller will never read again,
+// the retained slot excepted: the converter takes over their storage
+// (entries, triggers, broadcasts and poll lists) for this and later plans,
+// so a long run converts without allocating per slot. The listed slots are
+// left empty.
+func (c *Converter) ConvertPlan(batch strict.Schedule, pollAPs []phy.NodeID, reuse ...*RelSlot) *Plan {
+	for _, s := range reuse {
+		c.free = append(c.free, *s)
+		*s = RelSlot{}
+	}
 	p := &Plan{
 		Batch: batch, PollAPs: pollAPs, Prev: c.prev,
 		g: c.G, maxInbound: c.MaxInbound, maxOutbound: c.MaxOutbound,
+	}
+	if len(batch) > 0 {
+		p.Slots = make([]RelSlot, 0, len(batch))
 	}
 	FakeLinkInsert(c, p)
 	TriggerAssign(c, p)

@@ -128,9 +128,22 @@ type node struct {
 	nav       sim.Time // virtual carrier sense (protects overheard ACKs)
 	timeoutEv sim.Event
 
+	// acks[ackHead:] are the ACKs owed, oldest first (sendAck).
+	acks    []pendingAck
+	ackHead int
+
 	// The node's timers, bound once in New so scheduling one allocates no
 	// method value or closure.
-	fireFn, tryScheduleFireFn, txDoneFn, ackTimeoutFn func()
+	fireFn, tryScheduleFireFn, txDoneFn, ackTimeoutFn, ackFn func()
+}
+
+// pendingAck is an ACK a node owes one SIFS after a data frame it
+// received: the frame's source, packet handle and span, copied out of the
+// frame, which is valid only during FrameReceived.
+type pendingAck struct {
+	dst  phy.NodeID
+	h    uint32
+	span int64
 }
 
 // setNAV reserves the medium until t (802.11 virtual carrier sensing).
@@ -209,7 +222,7 @@ func New(k *sim.Kernel, medium *phy.Medium, links []*topo.Link, events mac.Event
 		if !ok {
 			n = &node{e: e, id: id, cw: cfg.CWMin}
 			n.fireFn, n.tryScheduleFireFn = n.fire, n.tryScheduleFire
-			n.txDoneFn, n.ackTimeoutFn = n.txDone, n.ackTimeout
+			n.txDoneFn, n.ackTimeoutFn, n.ackFn = n.txDone, n.ackTimeout, n.ack
 			e.nodes[id] = n
 			// Overheard data frames set the NAV; other unaddressed
 			// frames go unread.
@@ -399,27 +412,36 @@ func (n *node) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 }
 
 // sendAck responds to a correctly received data frame after SIFS. The ACK
-// echoes the data frame's packet handle and carries its span.
+// echoes the data frame's packet handle and carries its span. Every ACK
+// waits the same SIFS, so the owed ACKs fall due in the order they were
+// owed and one bound callback (ack) serves them all.
 func (n *node) sendAck(f *phy.Frame) {
-	h, span := f.Handle, f.ObsSpan
-	n.e.k.After(n.e.cfg.SIFS, func() {
-		if n.e.medium.Transmitting(n.id) {
-			return // half-duplex: cannot ACK while transmitting
-		}
-		// Sending the ACK pre-empts a pending backoff fire; contention
-		// resumes when the channel next goes idle (the ACK itself keeps
-		// neighbours deferring meanwhile).
-		if n.fireEv.Scheduled() {
-			n.fireEv.Cancel()
-			n.fireEv = sim.Event{}
-		}
-		dur := n.e.ackAirtime()
-		n.e.medium.Transmit(n.id, &phy.Frame{
-			Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
-			Rate: n.e.cfg.AckRate, Duration: dur, Handle: h, ObsSpan: span,
-		})
-		n.e.k.After(dur, n.tryScheduleFireFn)
+	n.acks = append(n.acks, pendingAck{dst: f.Src, h: f.Handle, span: f.ObsSpan})
+	n.e.k.After(n.e.cfg.SIFS, n.ackFn)
+}
+
+// ack sends the oldest owed ACK.
+func (n *node) ack() {
+	a := n.acks[n.ackHead]
+	if n.ackHead++; n.ackHead == len(n.acks) {
+		n.acks, n.ackHead = n.acks[:0], 0
+	}
+	if n.e.medium.Transmitting(n.id) {
+		return // half-duplex: cannot ACK while transmitting
+	}
+	// Sending the ACK pre-empts a pending backoff fire; contention
+	// resumes when the channel next goes idle (the ACK itself keeps
+	// neighbours deferring meanwhile).
+	if n.fireEv.Scheduled() {
+		n.fireEv.Cancel()
+		n.fireEv = sim.Event{}
+	}
+	dur := n.e.ackAirtime()
+	n.e.medium.Transmit(n.id, &phy.Frame{
+		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
+		Rate: n.e.cfg.AckRate, Duration: dur, Handle: a.h, ObsSpan: a.span,
 	})
+	n.e.k.After(dur, n.tryScheduleFireFn)
 }
 
 // onAck completes the pending transmission.

@@ -199,18 +199,64 @@ func TestSlotBelowWindowPanics(t *testing.T) {
 	e.slot(e.base - 1)
 }
 
-// TestSlotWindowOvertakenDispatches: with one-slot batches and wired jitter
-// far above a slot, a batch's dispatch often reaches an AP after the next
-// batch's, lowering the AP's known slots again. The window must keep the
-// slots such a late dispatch makes the AP re-read, so the run goes on.
+// overtakingDispatches mutates the config so that, with one-slot batches
+// and wired jitter far above a slot, a batch's dispatch often reaches an AP
+// after the next batch's.
+func overtakingDispatches(c *Config) {
+	c.BatchSize = 1
+	c.WiredLatencyMean = 5 * sim.Millisecond
+	c.WiredLatencyStd = 5 * sim.Millisecond
+}
+
+// TestSlotWindowOvertakenDispatches: when dispatches overtake each other on
+// the wire, the window still slides and the run goes on.
 func TestSlotWindowOvertakenDispatches(t *testing.T) {
-	e, k, coll := fig7Saturated(3, func(c *Config) {
-		c.BatchSize = 1
-		c.WiredLatencyMean = 5 * sim.Millisecond
-		c.WiredLatencyStd = 5 * sim.Millisecond
-	}, nil)
+	e, k, coll := fig7Saturated(3, overtakingDispatches, nil)
 	k.RunUntil(sim.Second)
 	if agg := coll.AggregateMbps(sim.Second); agg <= 0 || e.base == 0 {
 		t.Errorf("run moved %.2f Mbps and slid the window to base %d", agg, e.base)
 	}
+}
+
+// TestAPActionsNeverRequeued: a dispatch that arrives after a later batch's
+// adds nothing to the AP's schedule. Before every event of a run whose
+// dispatches overtake each other, each AP's pending actions are strictly
+// ascending (a slot's send before its poll), and the list's front never
+// moves back: actions leave only from the front and join only at the back,
+// so an action queued twice would show as one or the other.
+func TestAPActionsNeverRequeued(t *testing.T) {
+	e, k, _ := fig7Saturated(3, overtakingDispatches, nil)
+	key := func(a action) int { return 2*a.slot + int(a.kind) }
+	// front is the least key the AP's front may have: the front's key, or
+	// past every key queued so far (hi) while the list is empty.
+	type bounds struct{ front, hi int }
+	seen := map[*apNode]*bounds{}
+	for _, ap := range e.aps {
+		seen[ap] = &bounds{front: 0, hi: -1}
+	}
+	events := 0
+	k.OnEvent(func(sim.EventInfo) {
+		events++
+		for _, ap := range e.aps {
+			b, acts := seen[ap], ap.actions
+			for i := 1; i < len(acts); i++ {
+				if key(acts[i]) <= key(acts[i-1]) {
+					t.Fatalf("AP %d at %v: actions %v not strictly ascending", ap.id, k.Now(), acts)
+				}
+			}
+			if len(acts) == 0 {
+				b.front = b.hi + 1
+				continue
+			}
+			if key(acts[0]) < b.front {
+				t.Fatalf("AP %d at %v: action %+v queued again", ap.id, k.Now(), acts[0])
+			}
+			b.front, b.hi = key(acts[0]), max(b.hi, key(acts[len(acts)-1]))
+		}
+	})
+	k.RunUntil(500 * sim.Millisecond)
+	if e.Slots() < 100 {
+		t.Fatalf("only %d slots scheduled in 500 ms", e.Slots())
+	}
+	t.Logf("%d events, %d slots checked", events, e.Slots())
 }

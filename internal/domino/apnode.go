@@ -37,8 +37,11 @@ type apNode struct {
 	// of each polling cycle (internal/poll registry; ROP by default).
 	poller poll.Poller
 
-	known   int // exclusive upper bound of slots received from the server
+	known int // exclusive upper bound of slots received from the server
+	// actions are the pending duties in slot order, popped from the front;
+	// actBuf is their buffer from its start.
 	actions []action
+	actBuf  []action
 	started bool
 	ptr     int // schedule position: the next slot index expected
 	// lastOffset/lastSlotStart record the AP's most recent slot reference
@@ -52,12 +55,73 @@ type apNode struct {
 	// onWatchdog is the watchdog's callback, bound once per node so
 	// re-arming the timer allocates no closure.
 	onWatchdog func()
+
+	// rssAtAP gives a client's RSS at this AP (the poller's input), bound
+	// once in New.
+	rssAtAP func(phy.NodeID) float64
+	// calls recycles the records of the AP's deferred calls (apCall).
+	calls []*apCall
+}
+
+// apCall is one deferred call of an AP together with its arguments, so
+// scheduling it allocates no closure: fn, bound once when the record is
+// made, runs do on the record. do reads the arguments it needs and then
+// frees the record, or schedules it again for a follow-up. Each kind of
+// call uses the fields its do method documents.
+type apCall struct {
+	ap *apNode
+	do func(*apCall)
+	fn func()
+
+	slot      int
+	act       action
+	t         sim.Time
+	span      int64
+	targets   []phy.NodeID // in the record's own storage
+	rop, last bool
+	res       poll.Result
+}
+
+// later schedules do to run after d with a recycled record, which it
+// returns for the caller to fill in the arguments.
+func (ap *apNode) later(d sim.Time, do func(*apCall)) *apCall {
+	c := ap.call(do)
+	ap.e.k.After(d, c.fn)
+	return c
+}
+
+// call takes a record for do from the AP's free list.
+func (ap *apNode) call(do func(*apCall)) *apCall {
+	var c *apCall
+	if n := len(ap.calls) - 1; n >= 0 {
+		c = ap.calls[n]
+		ap.calls = ap.calls[:n]
+	} else {
+		c = &apCall{ap: ap}
+		c.fn = func() { c.do(c) }
+	}
+	c.do = do
+	return c
+}
+
+// free returns the record once its call no longer needs it.
+func (c *apCall) free() {
+	if scribbleRecycled {
+		c.slot, c.act, c.t, c.span, c.rop, c.last = scribbledSlot, action{slot: scribbledSlot}, -1, -1, !c.rop, !c.last
+		for i := range c.targets {
+			c.targets[i] = -1
+		}
+	}
+	c.res = poll.Result{}
+	c.ap.calls = append(c.ap.calls, c)
 }
 
 // receiveSchedule integrates newly arrived slots (wired dispatch callback).
 func (ap *apNode) receiveSchedule(newKnown int) {
 	e := ap.e
-	e.delivered(newKnown)
+	// Move the pending actions to the front of their buffer, so appending
+	// reuses the room the pops from the front left behind.
+	ap.actions = append(ap.actBuf[:0], ap.actions...)
 	for idx := ap.known; idx < newKnown; idx++ {
 		slot := e.slot(idx)
 		for _, en := range slot.Entries {
@@ -71,7 +135,10 @@ func (ap *apNode) receiveSchedule(newKnown int) {
 			}
 		}
 	}
-	ap.known = newKnown
+	ap.actBuf = ap.actions[:0]
+	// A dispatch that a later batch's overtook on the wire arrives with
+	// fewer slots than the AP knows: it adds nothing.
+	ap.known = max(ap.known, newKnown)
 	if !ap.started {
 		ap.started = true
 		ap.bootstrap()
@@ -87,6 +154,14 @@ func (ap *apNode) receiveSchedule(newKnown int) {
 		}
 	}
 	ap.armWatchdog()
+}
+
+// receive integrates the schedule up to slot (exclusive) the wired
+// dispatch brought (buildAndDispatch).
+func (c *apCall) receive() {
+	ap, newKnown := c.ap, c.slot
+	c.free()
+	ap.receiveSchedule(newKnown)
 }
 
 // floor is the lowest slot index this AP can still read (Engine.log).
@@ -120,8 +195,9 @@ func (ap *apNode) bootstrap() {
 	// triggered by the slot's end-of-slot broadcast.
 	for _, en := range ap.e.slot(0).Entries {
 		if !en.Link.Downlink && en.Link.AP == ap.id {
-			client := en.Link.Sender
-			ap.sendSignature(0, []phy.NodeID{client}, false, false)
+			c := ap.call((*apCall).signature)
+			c.slot, c.targets, c.rop, c.last = 0, append(c.targets[:0], en.Link.Sender), false, false
+			c.fn()
 			return
 		}
 	}
@@ -139,7 +215,7 @@ func (ap *apNode) armWatchdog() {
 	if len(ap.actions) == 0 && ap.armed == nil {
 		return
 	}
-	d := watchdogSlots * ap.e.cfg.slotDuration()
+	d := watchdogSlots * ap.e.dur.slot
 	ap.watchdog = ap.e.k.After(d, ap.onWatchdog)
 }
 
@@ -189,7 +265,7 @@ func (ap *apNode) onTrigger(pl *phy.SignaturePayload, delay sim.Time) {
 	if ap.armed != nil {
 		// Re-reference an armed transmission for this very slot ("the
 		// transmitter uses the last correctly received trigger", §3.4).
-		if ap.armed.act.slot == hint && e.k.Now()-ap.armed.at < e.cfg.slotDuration()/2 {
+		if ap.armed.act.slot == hint && e.k.Now()-ap.armed.at < e.dur.slot/2 {
 			ap.rearm(delay)
 		} else {
 			e.TriggerLate++
@@ -238,8 +314,8 @@ func (ap *apNode) send(act action) {
 	ap.ptr = max(ap.ptr, act.slot+1)
 	ap.lastOffset, ap.lastSlotStart = slot.offset, now
 	e.noteProgress(act.slot)
-	ap.open(act.link, act.slot, &meta{instr: e.instrFor(act.link.Receiver, act.slot)},
-		e.navUntil(act.slot, now))
+	e.instrInto(&ap.meta.instr, act.link.Receiver, act.slot)
+	ap.open(act.link, act.slot, e.navUntil(act.slot, now))
 	// The sender always has the slot reference: broadcast its combination at
 	// the slot's end regardless of the exchange outcome.
 	ap.scheduleBroadcast(slot, act.slot, now)
@@ -264,25 +340,31 @@ func (ap *apNode) scheduleSelfArm(from, slotStart sim.Time) {
 	at := slotStart + (e.slot(next.slot).offset - from)
 	if next.kind == aPoll {
 		// The poll runs after its slot's broadcast.
-		at += e.cfg.slotDuration()
+		at += e.dur.slot
 	}
 	// Free-running is a FALLBACK: give the trigger a grace period to arrive
 	// first, so trigger references (which heal misalignment) always win when
 	// the chain is connected.
-	at += e.cfg.slotDuration() / 8
+	at += e.dur.slot / 8
 	delay := at - e.k.Now()
 	if delay < 0 {
 		delay = 0
 	}
-	e.k.After(delay, func() {
-		if ap.armed != nil || len(ap.actions) == 0 {
-			return
-		}
-		if ap.actions[0] != next {
-			return // a trigger already consumed it
-		}
-		ap.execNext(0)
-	})
+	ap.later(delay, (*apCall).selfArm).act = next
+}
+
+// selfArm executes the AP's next action act if it is still pending and
+// nothing is armed (scheduleSelfArm).
+func (c *apCall) selfArm() {
+	ap, next := c.ap, c.act
+	c.free()
+	if ap.armed != nil || len(ap.actions) == 0 {
+		return
+	}
+	if ap.actions[0] != next {
+		return // a trigger already consumed it
+	}
+	ap.execNext(0)
 }
 
 // checkPollSelf fires a pending poll for a slot the AP itself participated
@@ -293,47 +375,71 @@ func (ap *apNode) checkPollSelf(idx int, slotStart sim.Time) {
 		return
 	}
 	ap.actions = ap.actions[1:]
-	boundary := slotStart + ap.e.cfg.slotDuration()
+	boundary := slotStart + ap.e.dur.slot
 	wait := boundary - ap.e.k.Now()
 	if wait < 0 {
 		wait = 0
 	}
-	offset := ap.e.slot(idx).offset
-	ap.e.k.After(wait, func() { ap.doPoll(offset) })
+	ap.later(wait, (*apCall).poll).t = ap.e.slot(idx).offset
 	if len(ap.actions) > 0 && ap.actions[0].kind == aSend && ap.actions[0].slot == idx+1 {
-		next := ap.actions[0]
+		c := ap.later(wait, (*apCall).arm)
+		c.act, c.t = ap.actions[0], ap.e.gapAfter(idx)
 		ap.actions = ap.actions[1:]
-		gap := ap.e.gapAfter(idx)
-		ap.e.k.After(wait, func() { ap.arm(next, gap) })
 	}
 }
 
+// poll runs the AP's poll after the slot at offset t (checkPollSelf).
+func (c *apCall) poll() {
+	ap, offset := c.ap, c.t
+	c.free()
+	ap.doPoll(offset)
+}
+
+// arm arms act t after now (checkPollSelf).
+func (c *apCall) arm() {
+	ap, next, gap := c.ap, c.act, c.t
+	c.free()
+	ap.arm(next, gap)
+}
+
 // scheduleBroadcast arms this node's end-of-slot signature broadcast if the
-// converter assigned it one.
+// converter assigned it one. The call keeps its own copy of the targets.
 func (ap *apNode) scheduleBroadcast(slot loggedSlot, idx int, slotStart sim.Time) {
 	targets := lookupBcast(slot.RelSlot, ap.id)
 	if len(targets) == 0 {
 		return
 	}
-	ropFlag, batchLast := len(slot.ROPAfter) > 0, slot.batchEnd == idx
-	ap.atBoundary(slotStart, func() { ap.sendSignature(idx+1, targets, ropFlag, batchLast) })
+	c := ap.call((*apCall).signature)
+	c.slot, c.targets = idx+1, append(c.targets[:0], targets...)
+	c.rop, c.last = len(slot.ROPAfter) > 0, slot.batchEnd == idx
+	ap.atBoundary(slotStart, c.fn)
 }
 
-// sendSignature broadcasts targets' signatures at the end of slot slotHint-1,
-// with the ROP flag ropFlag; batchLast tells whether that slot ends its batch
-// (both gap inputs, see Engine.gap).
-func (ap *apNode) sendSignature(slotHint int, targets []phy.NodeID, ropFlag, batchLast bool) {
-	if !ap.broadcast(slotHint-1, targets, ropFlag) {
+// signature broadcasts targets' signatures at the end of slot slot-1 (the
+// call's slot is the hint of the slot the broadcast starts), with the ROP
+// flag rop; last tells whether slot-1 ends its batch (both gap inputs, see
+// Engine.gap).
+func (c *apCall) signature() {
+	ap := c.ap
+	if !ap.broadcast(c.slot-1, c.targets, c.rop) {
+		c.free()
 		return
 	}
 	// Half-duplex makes a broadcasting node deaf to triggers arriving at the
 	// same instant, but its own broadcast end IS the slot boundary: if its
 	// next duty starts exactly there, self-trigger from that reference.
-	ap.e.k.After(ap.e.cfg.sigFrameDuration(), func() {
-		if ap.armed == nil {
-			ap.startSlot(slotHint, ap.e.gap(slotHint-1, ropFlag, batchLast))
-		}
-	})
+	c.do = (*apCall).selfTrigger
+	ap.e.k.After(ap.e.dur.sigFrame, c.fn)
+}
+
+// selfTrigger starts slot hint slot from the end of the AP's own broadcast
+// unless a transmission is armed already (signature).
+func (c *apCall) selfTrigger() {
+	ap, hint, rop, last := c.ap, c.slot, c.rop, c.last
+	c.free()
+	if ap.armed == nil {
+		ap.startSlot(hint, ap.e.gap(hint-1, rop, last))
+	}
 }
 
 // doPoll executes Rapid OFDM Polling: a poll broadcast, the clients' joint
@@ -344,14 +450,20 @@ func (ap *apNode) doPoll(offset sim.Time) {
 	if e.medium.Transmitting(ap.id) {
 		// The AP's own end-of-slot broadcast may share this instant; start
 		// the poll right after it clears.
-		e.k.After(2*sim.Microsecond, func() {
-			if !e.medium.Transmitting(ap.id) {
-				ap.doPollNow(offset)
-			}
-		})
+		ap.later(2*sim.Microsecond, (*apCall).pollRetry).t = offset
 		return
 	}
 	ap.doPollNow(offset)
+}
+
+// pollRetry starts the poll after the slot at offset t, unless the AP is
+// still transmitting (doPoll).
+func (c *apCall) pollRetry() {
+	ap, offset := c.ap, c.t
+	c.free()
+	if !ap.e.medium.Transmitting(ap.id) {
+		ap.doPollNow(offset)
+	}
 }
 
 func (ap *apNode) doPollNow(offset sim.Time) {
@@ -367,31 +479,46 @@ func (ap *apNode) doPollNow(offset sim.Time) {
 	// A multi-round cycle holds the channel for rounds consecutive poll
 	// exchanges; a single frame of rounds × the poll air time models it.
 	e.medium.Transmit(ap.id, &phy.Frame{
-		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.cfg.pollAirtime(),
+		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.dur.poll,
 		Payload: ap.id, ObsSpan: pollSpan,
 	})
 	ap.lastOffset = offset
-	ap.lastSlotStart = e.k.Now() - e.cfg.slotDuration()
+	ap.lastSlotStart = e.k.Now() - e.dur.slot
 	ap.scheduleSelfArm(offset, ap.lastSlotStart)
 	// Each round takes one poll air time, the WiFi-slot turnaround and the
 	// 16 µs control symbol; the cycle's decode completes after the last.
-	decodeAt := rounds * (e.cfg.pollAirtime() + phy.SlotTime + sim.Micros(16))
-	e.k.After(decodeAt, func() {
-		if ap.poller == nil {
-			return
-		}
-		res := ap.poller.Poll(poll.Context{
-			Queue:    func(c phy.NodeID) int { return e.clientBacklog(c) },
-			RSSAtAP:  func(c phy.NodeID) float64 { return e.net.RSS[c][ap.id] },
-			NoiseDBm: e.medium.Config().NoiseDBm,
-			Rng:      e.k.Rand(),
-			Tracer:   e.Obs,
-			Now:      e.k.Now(),
-			Span:     pollSpan,
-		})
-		e.notePollCycle(res)
-		e.k.After(e.wiredDelay(), func() { e.server.pollResult(res) })
+	decodeAt := rounds * (e.dur.poll + phy.SlotTime + sim.Micros(16))
+	ap.later(decodeAt, (*apCall).decode).span = pollSpan
+}
+
+// decode completes the polling cycle the poll with span span solicited and
+// sends the result over the wire to the server (doPollNow).
+func (c *apCall) decode() {
+	ap := c.ap
+	e := ap.e
+	if ap.poller == nil {
+		c.free()
+		return
+	}
+	c.res = ap.poller.Poll(poll.Context{
+		Queue:    e.clientBacklogFn,
+		RSSAtAP:  ap.rssAtAP,
+		NoiseDBm: e.medium.Config().NoiseDBm,
+		Rng:      e.k.Rand(),
+		Tracer:   e.Obs,
+		Now:      e.k.Now(),
+		Span:     c.span,
 	})
+	e.notePollCycle(c.res)
+	c.do = (*apCall).report
+	e.k.After(e.wiredDelay(), c.fn)
+}
+
+// report hands the polling result res to the server (decode).
+func (c *apCall) report() {
+	s, res := c.ap.e.server, c.res
+	c.free()
+	s.pollResult(res)
 }
 
 // CarrierChanged implements phy.Listener: channel activity is a liveness
@@ -430,8 +557,9 @@ func (ap *apNode) onSlot(f *phy.Frame, m *meta) {
 			src, backlog := f.Src, m.backlog
 			e.k.After(e.wiredDelay(), func() { e.server.report(src, backlog) })
 		}
-		in := e.instrFor(f.Src, idx)
-		ap.ack(f, m.span, &in)
+		a := ap.ack(f, m.span)
+		e.instrInto(&a.in, f.Src, idx)
+		a.hasIn = true
 	}
 	ap.scheduleBroadcast(slot, idx, slotStart)
 	ap.checkPollSelf(idx, slotStart)
@@ -500,14 +628,14 @@ func containsInt(xs []int, v int) bool {
 }
 
 // broadcastSigs returns the signature IDs a broadcast to targets carries,
-// sorted so the payload is deterministic (every node's signature index is
-// its node ID; the START and ROP signatures are implicit in the payload
-// flags).
-func broadcastSigs(targets []phy.NodeID) []int {
-	out := make([]int, len(targets))
-	for i, n := range targets {
-		out[i] = int(n)
+// in buf's storage, sorted so the payload is deterministic (every node's
+// signature index is its node ID; the START and ROP signatures are implicit
+// in the payload flags).
+func broadcastSigs(buf []int, targets []phy.NodeID) []int {
+	sigs := buf[:0]
+	for _, n := range targets {
+		sigs = append(sigs, int(n))
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(sigs)
+	return sigs
 }

@@ -16,6 +16,18 @@ type clientNode struct {
 	// txStart is when the client's latest uplink slot started: the
 	// reference of the broadcast duty its ACK carries.
 	txStart sim.Time
+	// duties recycles the records of the client's end-of-slot duties.
+	duties []*clientDuty
+}
+
+// clientDuty is a client's pending end-of-slot duty: the instructions it
+// carries out, copied out of the frame that brought them (the payload is
+// valid only during FrameReceived). boundaryFn and selfArmFn are its two
+// steps, bound once when the record is made.
+type clientDuty struct {
+	c                     *clientNode
+	in                    instr
+	boundaryFn, selfArmFn func()
 }
 
 // CarrierChanged implements phy.Listener.
@@ -36,7 +48,7 @@ func (c *clientNode) onSlot(f *phy.Frame, m *meta) {
 	// The received downlink slot becomes this client's causal reference.
 	c.refSpan, c.depth = m.span, m.depth
 	if f.Kind == phy.Data {
-		c.ack(f, m.span, nil)
+		c.ack(f, m.span)
 	}
 	c.scheduleBroadcast(&m.instr, slotStart)
 }
@@ -49,34 +61,63 @@ func (c *clientNode) onAck(f *phy.Frame) {
 // scheduleBroadcast carries out in's end-of-slot duties for the slot that
 // started at slotStart.
 func (c *clientNode) scheduleBroadcast(in *instr, slotStart sim.Time) {
-	e := c.e
 	if len(in.clientSigs) == 0 && !in.selfNext {
 		return
 	}
-	c.atBoundary(slotStart, func() {
-		if len(in.clientSigs) > 0 {
-			c.broadcast(in.slot, in.clientSigs, in.rop)
-		}
-		if in.selfNext {
-			// The AP told us we transmit in the next slot: the end of this
-			// boundary exchange is our reference (we may be deaf to the
-			// broadcast carrying our own signature while sending ours).
-			e.k.After(e.cfg.sigFrameDuration(), func() {
-				if c.armed != nil {
-					return
-				}
-				c.lastHint = in.slot + 1
-				c.arm(action{}, in.nextWait)
-			})
-		}
-	})
+	var d *clientDuty
+	if n := len(c.duties) - 1; n >= 0 {
+		d = c.duties[n]
+		c.duties = c.duties[:n]
+	} else {
+		d = &clientDuty{c: c}
+		d.boundaryFn, d.selfArmFn = d.boundary, d.selfArm
+	}
+	d.in.set(in)
+	c.atBoundary(slotStart, d.boundaryFn)
+}
+
+// boundary broadcasts the signatures the client was told to, at the slot's
+// end.
+func (d *clientDuty) boundary() {
+	c, in := d.c, &d.in
+	if len(in.clientSigs) > 0 {
+		c.broadcast(in.slot, in.clientSigs, in.rop)
+	}
+	if in.selfNext {
+		// The AP told us we transmit in the next slot: the end of this
+		// boundary exchange is our reference (we may be deaf to the
+		// broadcast carrying our own signature while sending ours).
+		c.e.k.After(c.e.dur.sigFrame, d.selfArmFn)
+		return
+	}
+	d.free()
+}
+
+// selfArm arms the client's next-slot uplink from the end of the boundary
+// exchange, unless a trigger armed it already.
+func (d *clientDuty) selfArm() {
+	c, slot, wait := d.c, d.in.slot, d.in.nextWait
+	d.free()
+	if c.armed != nil {
+		return
+	}
+	c.lastHint = slot + 1
+	c.arm(action{}, wait)
+}
+
+// free returns the duty's record to its client.
+func (d *clientDuty) free() {
+	if scribbleRecycled {
+		d.in.scribble()
+	}
+	d.c.duties = append(d.c.duties, d)
 }
 
 // onTrigger: the client's own signature arrived — transmit on the uplink.
 func (c *clientNode) onTrigger(pl *phy.SignaturePayload, delay sim.Time) {
 	c.lastHint = pl.SlotHint
 	if c.armed != nil {
-		if c.e.k.Now()-c.armed.at < c.e.cfg.slotDuration()/2 {
+		if c.e.k.Now()-c.armed.at < c.e.dur.slot/2 {
 			c.rearm(delay)
 		}
 		return
@@ -90,5 +131,6 @@ func (c *clientNode) send(action) {
 		return
 	}
 	c.txStart = c.e.k.Now()
-	c.open(c.link, c.lastHint, &meta{}, 0)
+	c.meta.instr = instr{} // a client's frames carry no instructions
+	c.open(c.link, c.lastHint, 0)
 }

@@ -108,6 +108,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// durations are a Config's derived timings, computed once when the Engine
+// is built (Engine.dur): slots, triggers and polls read them every time.
+type durations struct {
+	data, ack, fakeHeader, broadcastOffset, sigFrame, slot, poll, ropSlot sim.Time
+}
+
+// durations computes c's derived timings.
+func (c Config) durations() durations {
+	return durations{
+		data: c.dataAirtime(), ack: c.ackAirtime(), fakeHeader: c.fakeHeaderAirtime(),
+		broadcastOffset: c.broadcastOffset(), sigFrame: c.sigFrameDuration(), slot: c.slotDuration(),
+		poll: c.pollAirtime(), ropSlot: c.ropSlotDuration(),
+	}
+}
+
 // dataAirtime is the fixed air time of one virtual data packet.
 func (c Config) dataAirtime() sim.Time {
 	return phy.Airtime(c.VirtualBytes, c.Rate) + c.ExtraFrameTime

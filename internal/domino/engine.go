@@ -25,6 +25,7 @@ type Engine struct {
 	net    *topo.Network
 	events mac.Events
 	cfg    Config
+	dur    durations
 
 	queues []*mac.Queue
 	intake mac.Intake
@@ -37,8 +38,9 @@ type Engine struct {
 	// slide raises base, once per build, to the lowest index any AP can
 	// still read, the minimum over APs of:
 	//   - known: receiveSchedule reads on from it. Dispatches can overtake
-	//     each other on the wire and a late one lowers known again, so the
-	//     newKnown of every dispatch not yet delivered counts too (wire);
+	//     each other on the wire, but known never goes back: a dispatch that
+	//     arrives after a later batch's adds nothing, and one still on the
+	//     wire reads only slots from known on;
 	//   - every pending action and every armed transmission not yet fired
 	//     (radio.armedSlots): send, scheduleSelfArm and doPoll read its slot;
 	//   - ptr−3 once the AP has acted (ptr > 0): findSlotFor searches
@@ -51,15 +53,23 @@ type Engine struct {
 	//     searches at base and still finds what a full log would.
 	// and never past the last slot, whose offset the next batch continues.
 	// Nothing else reads the log later: an AP keeps the offset of its last
-	// reference (lastOffset), and callbacks capture what they need of their
-	// slot when scheduled (doPoll the offset, sendSignature the gap
-	// inputs). Clients read no slot; their instructions ride on frames.
+	// reference (lastOffset), and deferred calls copy what they need of
+	// their slot when scheduled (the poll its offset, a broadcast its
+	// targets and gap inputs). Clients read no slot; their instructions
+	// ride on frames, and a client copies them out of the frame.
 	// Only the batch being executed and the one queued behind it stay, so a
 	// saturated run holds the window at a constant length.
+	//
+	// The slots slide drops are recycled: buildAndDispatch hands them to
+	// the converter (ConvertPlan's reuse), whose next slots take over their
+	// entries, triggers, broadcasts and poll lists. That is safe because
+	// nothing keeps a slice of a slot past the call that read it: every
+	// instruction set or broadcast list a node keeps is a copy in the
+	// node's own storage (instr.set, apCall.targets).
 	log  []loggedSlot
 	base int
-	// wire lists the dispatches still travelling to some AP, oldest first.
-	wire    []dispatch
+	// dead holds the slots the latest slide dropped.
+	dead    []*convert.RelSlot
 	aps     map[phy.NodeID]*apNode
 	clients map[phy.NodeID]*clientNode
 	server  *server
@@ -94,6 +104,9 @@ type Engine struct {
 	// engine uses it. Only this package's tests set it (to run
 	// convert.Verify on each plan); no config or spec reaches it.
 	onPlan func(*convert.Plan)
+
+	// clientBacklogFn is clientBacklog bound once: every poll reads it.
+	clientBacklogFn func(phy.NodeID) int
 
 	// pollRounds is the engine-wide poll-gap multiplier: the maximum Rounds()
 	// over every AP's poller (≥ 1). Every reserved poll boundary spans
@@ -138,12 +151,6 @@ type loggedSlot struct {
 	batchEnd int
 }
 
-// dispatch is one batch's trip to the APs: the newKnown it carries and how
-// many APs have yet to receive it.
-type dispatch struct {
-	known, left int
-}
-
 // end is the global index one past the newest slot: every slot scheduled so
 // far.
 func (e *Engine) end() int { return e.base + len(e.log) }
@@ -162,36 +169,30 @@ func (e *Engine) belowWindow(idx int) {
 }
 
 // slide drops the slots no AP can read again (the floor in log's comment),
-// compacting the log in place.
-func (e *Engine) slide() {
+// compacting the log in place, and returns them for the converter to reuse
+// their storage (in a buffer the next slide reuses).
+func (e *Engine) slide() []*convert.RelSlot {
+	dead := e.dead[:0]
 	if len(e.log) == 0 {
-		return
+		return dead
 	}
 	floor := e.end() - 1
-	if len(e.wire) > 0 {
-		floor = min(floor, e.wire[0].known)
-	}
 	for _, id := range e.net.APs {
 		floor = min(floor, e.aps[id].floor())
 	}
 	if d := floor - e.base; d > 0 {
+		for _, s := range e.log[:d] {
+			if scribbleRecycled {
+				scribbleSlot(s.RelSlot)
+			}
+			dead = append(dead, s.RelSlot)
+		}
 		n := copy(e.log, e.log[d:])
 		clear(e.log[n:])
 		e.log, e.base = e.log[:n], floor
 	}
-}
-
-// delivered records that one AP received the dispatch carrying newKnown.
-func (e *Engine) delivered(newKnown int) {
-	for i := range e.wire {
-		if e.wire[i].known == newKnown {
-			e.wire[i].left--
-			break
-		}
-	}
-	for len(e.wire) > 0 && e.wire[0].left == 0 {
-		e.wire = e.wire[:copy(e.wire, e.wire[1:])]
-	}
+	e.dead = dead
+	return dead
 }
 
 // firstReceivable returns the first slot in [base, limit) with an entry
@@ -211,7 +212,7 @@ func (e *Engine) firstReceivable(node phy.NodeID, limit int) int {
 // cycle: the per-round ROP slot times the engine-wide round count. With the
 // default single-round ROP this is exactly the classic ROP slot.
 func (e *Engine) pollGap() sim.Time {
-	return sim.Time(e.pollRounds) * e.cfg.ropSlotDuration()
+	return sim.Time(e.pollRounds) * e.dur.ropSlot
 }
 
 // falseTrigger rolls the correlator's false-positive dice for a signature
@@ -243,11 +244,26 @@ type instr struct {
 	nextWait   sim.Time
 }
 
-// instrFor computes client's instructions for slot idx.
-func (e *Engine) instrFor(client phy.NodeID, idx int) instr {
+// instrInto sets *dst to client's instructions for slot idx, copying the
+// signatures into dst's own storage.
+func (e *Engine) instrInto(dst *instr, client phy.NodeID, idx int) {
 	slot := e.slot(idx)
-	return instr{slot: idx, clientSigs: lookupBcast(slot.RelSlot, client), rop: len(slot.ROPAfter) > 0,
-		selfNext: e.clientSenderInSlot(client, idx+1), nextWait: e.gapAfter(idx)}
+	dst.slot = idx
+	dst.clientSigs = append(dst.clientSigs[:0], lookupBcast(slot.RelSlot, client)...)
+	dst.rop = len(slot.ROPAfter) > 0
+	dst.selfNext = e.clientSenderInSlot(client, idx+1)
+	dst.nextWait = e.gapAfter(idx)
+}
+
+// set copies in into dst, the signatures into dst's own storage. Every
+// instr a node keeps past the call that computed or received it owns its
+// signature list this way, so none aliases a slot of the log, whose
+// storage the converter recycles, or a frame's payload, which its sender
+// reuses.
+func (dst *instr) set(in *instr) {
+	sigs := append(dst.clientSigs[:0], in.clientSigs...)
+	*dst = *in
+	dst.clientSigs = sigs
 }
 
 // meta rides on data and fake-header frames: the client endpoint's
@@ -268,6 +284,57 @@ type meta struct {
 	backlog int
 }
 
+// scribbledSlot is the slot index recycled storage holds while
+// scribbleRecycled is set: far below any log window, so a read through it
+// panics (Engine.slot).
+const scribbledSlot = -1 << 30
+
+// scribbleRecycled makes storage the engine recycles unusable the moment
+// it is released: armed transmissions and deferred-call records once run or
+// cancelled, ACK entries once sent, the slots slide drops before the
+// converter reuses them, and a received frame's meta or instructions once
+// the receiver's FrameReceived returns (the sender reuses them for its next
+// frame). A run must compute the same with it set; only this package's
+// tests set it.
+var scribbleRecycled bool
+
+// scribble overwrites in with values no valid instruction holds, keeping
+// the length of its signature list.
+func (in *instr) scribble() {
+	for i := range in.clientSigs {
+		in.clientSigs[i] = -1
+	}
+	in.slot, in.rop, in.selfNext, in.nextWait = scribbledSlot, !in.rop, !in.selfNext, -1
+}
+
+// scribble overwrites m as instr.scribble does.
+func (m *meta) scribble() {
+	m.instr.scribble()
+	m.span, m.depth, m.backlog = -1, -1, -1
+}
+
+// scribbleSlot overwrites a slot slide dropped: every link nil, every node
+// -1, keeping the lengths.
+func scribbleSlot(s *convert.RelSlot) {
+	for i := range s.Entries {
+		en := &s.Entries[i]
+		en.Link, en.Fake = nil, !en.Fake
+		for j := range en.TriggeredBy {
+			en.TriggeredBy[j] = -1
+		}
+	}
+	for i := range s.Broadcasts {
+		b := &s.Broadcasts[i]
+		b.From = -1
+		for j := range b.Targets {
+			b.Targets[j] = -1
+		}
+	}
+	for i := range s.ROPAfter {
+		s.ROPAfter[i] = -1
+	}
+}
+
 // New assembles a DOMINO engine over a conflict graph. Both endpoints of
 // every link register on the medium.
 func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Events, cfg Config) *Engine {
@@ -275,7 +342,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		events = mac.NopEvents{}
 	}
 	e := &Engine{
-		k: k, medium: medium, g: g, net: g.Net, events: events, cfg: cfg,
+		k: k, medium: medium, g: g, net: g.Net, events: events, cfg: cfg, dur: cfg.durations(),
 		aps:     map[phy.NodeID]*apNode{},
 		clients: map[phy.NodeID]*clientNode{},
 	}
@@ -328,8 +395,9 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		if r := p.Rounds(); r > e.pollRounds {
 			e.pollRounds = r
 		}
-		ap.poller = p
+		ap.poller, ap.rssAtAP = p, rssFn
 	}
+	e.clientBacklogFn = e.clientBacklog
 	e.server = newServer(e)
 	e.refGroup = triggerComponents(g.Net)
 	return e
@@ -503,6 +571,8 @@ type server struct {
 	sched strict.Scheduler
 	conv  *convert.Converter
 	upEst []int
+	// est is buildAndDispatch's backlog estimate, reused batch to batch.
+	est []int
 	// sleeping tracks clients the server has scheduled to sleep; their
 	// links are excluded from batches until they wake.
 	sleeping map[phy.NodeID]bool
@@ -524,6 +594,7 @@ func newServer(e *Engine) *server {
 		sched:    sched,
 		conv:     conv,
 		upEst:    make([]int, len(e.g.Links)),
+		est:      make([]int, len(e.g.Links)),
 		sleeping: map[phy.NodeID]bool{},
 	}
 	s.buildFn = s.buildAndDispatch
@@ -535,7 +606,8 @@ func newServer(e *Engine) *server {
 // AP over the wired backbone.
 func (s *server) buildAndDispatch() {
 	e := s.e
-	est := make([]int, len(e.g.Links))
+	est := s.est
+	clear(est)
 	for _, l := range e.g.Links {
 		if !s.linkSchedulable(l.ID) {
 			continue // endpoint asleep: no air time for this link
@@ -572,7 +644,7 @@ func (s *server) buildAndDispatch() {
 	}
 	if len(batch) == 0 {
 		// Nothing to schedule at all: check again after one slot.
-		e.k.After(e.cfg.slotDuration(), s.buildFn)
+		e.k.After(e.dur.slot, s.buildFn)
 		return
 	}
 	// Scheduled uplink transmissions consume the polled estimates.
@@ -593,19 +665,21 @@ func (s *server) buildAndDispatch() {
 	if e.cfg.Piggyback {
 		pollAPs = nil // no ROP slots: queue state arrives only by piggyback
 	}
-	plan := s.conv.ConvertPlan(batch, pollAPs)
+	// Slide before converting: the conversion changes nothing the floor
+	// reads (it adds slots and fills the retained last slot's broadcasts),
+	// and reuses the storage of the slots slide drops.
+	plan := s.conv.ConvertPlan(batch, pollAPs, e.slide()...)
 	if e.onPlan != nil {
 		e.onPlan(plan)
 	}
 
-	e.slide()
 	first := len(e.log)
 	ropSlots := 0
 	for i := range plan.Slots {
 		var offset sim.Time
 		if n := len(e.log); n > 0 {
 			prev := e.log[n-1]
-			offset = prev.offset + e.cfg.slotDuration()
+			offset = prev.offset + e.dur.slot
 			if len(prev.ROPAfter) > 0 {
 				offset += e.pollGap()
 			}
@@ -625,19 +699,18 @@ func (s *server) buildAndDispatch() {
 	e.noteConvert(plan)
 
 	// Wired dispatch with jitter.
-	e.wire = append(e.wire, dispatch{known: newKnown, left: len(e.net.APs)})
 	for _, apID := range e.net.APs {
 		ap := e.aps[apID]
-		e.k.After(e.wiredDelay(), func() { ap.receiveSchedule(newKnown) })
+		ap.later(e.wiredDelay(), (*apCall).receive).slot = newKnown
 	}
 	e.buildPending = false
 
 	// Liveness fallback: execution normally pipelines the next batch via
 	// noteProgress, but if every chain stalls (or the tail of this batch has
 	// no executable entries) the server must still move forward.
-	nominal := sim.Time(len(plan.Slots))*e.cfg.slotDuration() +
+	nominal := sim.Time(len(plan.Slots))*e.dur.slot +
 		sim.Time(ropSlots)*e.pollGap()
-	e.k.After(2*nominal+10*e.cfg.slotDuration(), func() {
+	e.k.After(2*nominal+10*e.dur.slot, func() {
 		if e.end() == newKnown && !e.buildPending {
 			e.buildPending = true
 			s.buildAndDispatch()
@@ -769,7 +842,7 @@ func (e *Engine) navUntil(idx int, slotStart sim.Time) sim.Time {
 		return 0
 	}
 	s := e.slot(idx)
-	return slotStart + (e.slot(s.batchEnd).offset - s.offset) + e.cfg.slotDuration()
+	return slotStart + (e.slot(s.batchEnd).offset - s.offset) + e.dur.slot
 }
 
 // clientSenderInSlot reports whether the client sends in the given slot (for

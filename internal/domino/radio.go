@@ -28,11 +28,25 @@ type role interface {
 
 // armedTx is a transmission waiting for its slot start; a duplicate trigger
 // re-references it ("the transmitter uses the last correctly received trigger
-// as time reference", §3.4).
+// as time reference", §3.4). Entries are recycled through their radio's
+// armedFree list: an entry goes back once its event fires or is cancelled,
+// so arming allocates nothing in steady state.
 type armedTx struct {
+	r   *radio
 	act action
 	ev  sim.Event
 	at  sim.Time
+	// fireFn is fire bound once, when the entry was made.
+	fireFn func()
+}
+
+// fire sends the armed action at its slot start.
+func (tx *armedTx) fire() {
+	r, act := tx.r, tx.act
+	r.disarm(act.slot)
+	r.armed = nil
+	r.freeArmed(tx)
+	r.role.send(act)
 }
 
 // radio is one node's slot machinery: its in-flight bundle, ACK exchange,
@@ -53,12 +67,26 @@ type radio struct {
 	// allocates no method value.
 	onAckTimeout func()
 
+	// acks[ackHead:] are the ACKs the node owes, oldest first (ack).
+	// sendAckFn is sendAck bound once.
+	acks      []pendingAck
+	ackHead   int
+	sendAckFn func()
+
+	// The payloads of the node's own frames, reused frame after frame: a
+	// node sends one frame at a time, and a receiver reads a payload only
+	// during FrameReceived (phy.Frame.Payload).
+	meta  meta                 // data and fake-header frames
+	ackIn instr                // an AP's ACK: the client's instructions
+	sig   phy.SignaturePayload // signature broadcasts
+
 	armed *armedTx
 	// armedSlots holds the slot of every armed transmission whose event has
 	// not fired yet: armed's, and one it was armed over (an AP's
 	// checkPollSelf arms without checking), which still fires. An AP's log
 	// floor counts them (Engine.log).
 	armedSlots []int
+	armedFree  []*armedTx
 
 	// refSpan/depth track the causal span of the node's current time
 	// reference (last trigger, own or received slot, or own broadcast) and
@@ -67,10 +95,22 @@ type radio struct {
 	depth   int
 }
 
+// pendingAck is an ACK a node owes one SIFS after a data frame: the
+// frame's source, packet handle and slot span, copied out of the frame,
+// and for an AP the instructions the ACK carries to the client (in, in the
+// entry's own storage, when hasIn).
+type pendingAck struct {
+	dst   phy.NodeID
+	h     uint32
+	span  int64
+	in    instr
+	hasIn bool
+}
+
 // init binds the radio to node id of e; role is the node embedding it.
 func (r *radio) init(e *Engine, id phy.NodeID, role role) {
 	r.e, r.id, r.role = e, id, role
-	r.onAckTimeout = r.ackTimeout
+	r.onAckTimeout, r.sendAckFn = r.ackTimeout, r.sendAck
 }
 
 // FrameReceived implements phy.Listener: trigger detection and misses, and
@@ -99,33 +139,56 @@ func (r *radio) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) 
 			r.role.onTrigger(pl, delay)
 		}
 	case phy.Data, phy.FakeHeader:
-		r.role.onSlot(f, f.Payload.(*meta))
+		m := f.Payload.(*meta)
+		r.role.onSlot(f, m)
+		if scribbleRecycled {
+			m.scribble()
+		}
 	case phy.Ack:
 		if len(r.inflight) > 0 && f.Handle == r.inflight[0].Handle {
 			e.deliverBundle(r.take())
 		}
 		r.role.onAck(f)
+		if in, carries := f.Payload.(*instr); scribbleRecycled && carries {
+			in.scribble()
+		}
 	}
 }
 
 // arm schedules act's transmission delay after the current time reference.
 func (r *radio) arm(act action, delay sim.Time) {
-	tx := &armedTx{act: act, at: r.e.k.Now()}
+	var tx *armedTx
+	if n := len(r.armedFree) - 1; n >= 0 {
+		tx = r.armedFree[n]
+		r.armedFree = r.armedFree[:n]
+	} else {
+		tx = &armedTx{r: r}
+		tx.fireFn = tx.fire
+	}
+	tx.act, tx.at = act, r.e.k.Now()
 	r.armedSlots = append(r.armedSlots, act.slot)
-	tx.ev = r.e.k.After(delay, func() {
-		r.disarm(act.slot)
-		r.armed = nil
-		r.role.send(act)
-	})
+	tx.ev = r.e.k.After(delay, tx.fireFn)
 	r.armed = tx
 }
 
 // rearm moves the armed transmission to delay after the current time
 // reference: a fresh trigger for it.
 func (r *radio) rearm(delay sim.Time) {
-	r.armed.ev.Cancel()
-	r.disarm(r.armed.act.slot)
-	r.arm(r.armed.act, delay)
+	tx := r.armed
+	tx.ev.Cancel()
+	r.disarm(tx.act.slot)
+	act := tx.act
+	r.freeArmed(tx)
+	r.arm(act, delay)
+}
+
+// freeArmed returns an entry whose event fired or was cancelled.
+func (r *radio) freeArmed(tx *armedTx) {
+	tx.ev = sim.Event{}
+	if scribbleRecycled {
+		tx.act, tx.at = action{slot: scribbledSlot}, -1
+	}
+	r.armedFree = append(r.armedFree, tx)
 }
 
 // disarm removes one armed transmission of slot from armedSlots.
@@ -148,15 +211,17 @@ func (r *radio) ready() bool {
 
 // open sends slot idx's frame on link: the head of the link's queue as one
 // data bundle that awaits its ACK, or a fake header when the queue is empty.
-// m carries the receiver's instructions; open adds the slot's span, the
-// sender's depth and its remaining backlog. The slot becomes the node's
-// causal reference.
-func (r *radio) open(link *topo.Link, idx int, m *meta, nav sim.Time) {
+// The frame carries the node's meta, whose instructions for the receiver
+// the caller has set; open adds the slot's span, the sender's depth and its
+// remaining backlog. The slot becomes the node's causal reference.
+func (r *radio) open(link *topo.Link, idx int, nav sim.Time) {
 	e := r.e
 	if e.Misalign != nil {
 		e.Misalign.ObserveGroup(idx, e.k.Now(), e.refGroup[r.id])
 	}
 	bundle := e.popBundle(link.ID, r.inflight)
+	m := &r.meta
+	m.span = 0
 	if e.sp != nil {
 		m.span = e.sp.Next()
 		for i := range bundle {
@@ -165,20 +230,20 @@ func (r *radio) open(link *topo.Link, idx int, m *meta, nav sim.Time) {
 	}
 	m.depth, m.backlog = r.depth, e.queues[link.ID].Len()
 	r.inflight, r.link = bundle, link
-	f := &phy.Frame{Dst: link.Receiver, Rate: e.cfg.Rate, Payload: m, ObsSpan: m.span}
+	f := phy.Frame{Dst: link.Receiver, Rate: e.cfg.Rate, Payload: m, ObsSpan: m.span}
 	if len(bundle) > 0 {
 		e.DataSends += len(bundle)
 		e.emitSlotStart("data", r.id, link, idx, m.span, r.refSpan)
-		f.Kind, f.Bytes, f.Duration = phy.Data, e.cfg.VirtualBytes, e.cfg.dataAirtime()
+		f.Kind, f.Bytes, f.Duration = phy.Data, e.cfg.VirtualBytes, e.dur.data
 		f.Handle, f.NAV = bundle[0].Handle, nav
-		e.medium.Transmit(r.id, f)
-		timeout := f.Duration + phy.SIFS + e.cfg.ackAirtime() + 2*phy.SlotTime
+		e.medium.Transmit(r.id, &f)
+		timeout := f.Duration + phy.SIFS + e.dur.ack + 2*phy.SlotTime
 		r.ackEv = e.k.After(timeout, r.onAckTimeout)
 	} else {
 		e.FakeSends++
 		e.emitSlotStart("fake", r.id, link, idx, m.span, r.refSpan)
-		f.Kind, f.Duration = phy.FakeHeader, e.cfg.fakeHeaderAirtime()
-		e.medium.Transmit(r.id, f)
+		f.Kind, f.Duration = phy.FakeHeader, e.dur.fakeHeader
+		e.medium.Transmit(r.id, &f)
 	}
 	r.refSpan = m.span
 }
@@ -213,30 +278,58 @@ func (r *radio) take() []mac.Packet {
 	return bundle
 }
 
-// ack acknowledges data frame f (of the slot with span span) one SIFS after
-// it ends, unless the node is transmitting by then. payload rides on the
-// ACK: the AP's instructions for the client whose uplink it acknowledges
-// (Fig 8b); nil from a client.
-func (r *radio) ack(f *phy.Frame, span int64, payload any) {
+// ack owes an ACK of data frame f (of the slot with span span), sent one
+// SIFS after it ends unless the node is transmitting by then. It returns
+// the owed entry: an AP sets the instructions the ACK carries to the
+// client whose uplink it acknowledges (Fig 8b); a client's ACK carries
+// none. Every ACK waits the same SIFS, so the owed ACKs fall due in the
+// order they were owed and one bound callback (sendAck) serves them all.
+func (r *radio) ack(f *phy.Frame, span int64) *pendingAck {
+	// Reuse the entry stored past the end, with its instructions' storage.
+	if len(r.acks) < cap(r.acks) {
+		r.acks = r.acks[:len(r.acks)+1]
+	} else {
+		r.acks = append(r.acks, pendingAck{})
+	}
+	a := &r.acks[len(r.acks)-1]
+	a.dst, a.h, a.span, a.hasIn = f.Src, f.Handle, span, false
+	r.e.k.After(phy.SIFS, r.sendAckFn)
+	return a
+}
+
+// sendAck sends the oldest owed ACK. Its instructions move into ackIn, the
+// payload of the node's ACKs, only when it goes on the air: while the node
+// transmits, ackIn may be the payload of the frame on the air.
+func (r *radio) sendAck() {
 	e := r.e
-	src, h := f.Src, f.Handle
-	e.k.After(phy.SIFS, func() {
-		if e.medium.Transmitting(r.id) {
-			return
-		}
-		e.medium.Transmit(r.id, &phy.Frame{
-			Kind: phy.Ack, Dst: src, Bytes: phy.AckBytes,
-			Rate: e.cfg.Rate, Duration: e.cfg.ackAirtime(), Payload: payload,
-			Handle: h, ObsSpan: span,
-		})
-	})
+	a := &r.acks[r.ackHead]
+	f := phy.Frame{
+		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
+		Rate: e.cfg.Rate, Duration: e.dur.ack,
+		Handle: a.h, ObsSpan: a.span,
+	}
+	busy := e.medium.Transmitting(r.id)
+	if a.hasIn && !busy {
+		r.ackIn.set(&a.in)
+		f.Payload = &r.ackIn
+	}
+	if scribbleRecycled {
+		a.dst, a.h, a.span = -1, 0, -1
+		a.in.scribble()
+	}
+	if r.ackHead++; r.ackHead == len(r.acks) {
+		r.acks, r.ackHead = r.acks[:0], 0
+	}
+	if !busy {
+		e.medium.Transmit(r.id, &f)
+	}
 }
 
 // atBoundary runs fn at the end-of-slot broadcast offset of the slot that
 // started at slotStart, or now if that has passed.
 func (r *radio) atBoundary(slotStart sim.Time, fn func()) {
 	e := r.e
-	e.k.After(max(0, slotStart+e.cfg.broadcastOffset()-e.k.Now()), fn)
+	e.k.After(max(0, slotStart+e.dur.broadcastOffset-e.k.Now()), fn)
 }
 
 // broadcast sends the signature frame that closes slot idx and triggers
@@ -253,11 +346,12 @@ func (r *radio) broadcast(idx int, targets []phy.NodeID, rop bool) bool {
 		span = e.sp.Next()
 	}
 	e.emitSlotEnd(r.id, idx, span, r.refSpan)
+	pl := &r.sig
+	pl.Sigs = broadcastSigs(pl.Sigs, targets)
+	pl.Start, pl.ROP, pl.SlotHint, pl.ObsSpan, pl.ObsDepth = true, rop, idx+1, span, r.depth
 	e.medium.Transmit(r.id, &phy.Frame{
-		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.cfg.sigFrameDuration(),
-		Payload: &phy.SignaturePayload{Sigs: broadcastSigs(targets), Start: true, ROP: rop,
-			SlotHint: idx + 1, ObsSpan: span, ObsDepth: r.depth},
-		ObsSpan: span,
+		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.dur.sigFrame,
+		Payload: pl, ObsSpan: span,
 	})
 	r.refSpan = span
 	return true

@@ -60,8 +60,9 @@ type outcome struct {
 
 // Probe observes medium activity for the observability layer. Callbacks run
 // inside the event loop after the medium state has settled; implementations
-// must not transmit or block. The medium stays obs-agnostic: obs implements
-// this interface, nothing here imports it.
+// must not transmit or block. The frame each callback gets is the medium's
+// copy (Transmit), valid only during the call. The medium stays
+// obs-agnostic: obs implements this interface, nothing here imports it.
 type Probe interface {
 	// TxStart fires when a frame goes on the air.
 	TxStart(f *Frame, now sim.Time)
@@ -129,7 +130,10 @@ func (ns *nodeState) combinedSigsNear(targetMw float64) int {
 }
 
 type transmission struct {
-	frame *Frame
+	// frame is the medium's own copy of the transmitted frame: listeners
+	// and the probe get its address, valid only during their callback, and
+	// releaseTx zeroes it before the struct is reused.
+	frame Frame
 	src   NodeID
 	// powerMw[j] is this transmission's received power at node j, cached so
 	// start and end adjust node totals by exactly the same amount.
@@ -232,7 +236,7 @@ func (m *Medium) allocTx() *transmission {
 }
 
 func (m *Medium) releaseTx(tx *transmission) {
-	tx.frame = nil
+	tx.frame = Frame{}
 	tx.recs = tx.recs[:0]
 	m.txFree = append(m.txFree, tx)
 }
@@ -329,20 +333,25 @@ func (m *Medium) Busy(n NodeID) bool {
 // Transmitting reports whether n is currently transmitting.
 func (m *Medium) Transmitting(n NodeID) bool { return m.nodes[n].tx != nil }
 
-// Transmit puts a frame on the air from src. The frame occupies the medium
-// for its AirTime; reception outcomes are delivered to listeners when it
-// ends. Transmitting while already transmitting panics (a MAC bug).
+// Transmit puts a copy of *f on the air from src, with Src set to src; f
+// itself is not retained or modified, so the caller may build it on its
+// stack and reuse it at once. The frame occupies the medium for its
+// AirTime; reception outcomes are delivered to listeners when it ends. The
+// copy is shallow: Payload is shared with the caller, who must leave what
+// it points to unchanged until the frame has ended. Transmitting while
+// already transmitting panics (a MAC bug).
 func (m *Medium) Transmit(src NodeID, f *Frame) {
 	ns := &m.nodes[src]
 	if ns.tx != nil {
 		panic(fmt.Sprintf("phy: node %d transmit while transmitting (%v over %v)",
 			src, f.Kind, ns.tx.frame.Kind))
 	}
-	f.Src = src
 	tx := m.allocTx()
-	tx.frame = f
+	tx.frame = *f
+	tx.frame.Src = src
 	tx.src = src
 	ns.tx = tx
+	fr := &tx.frame
 
 	// Half-duplex: starting a transmission destroys anything the node was
 	// receiving.
@@ -350,17 +359,17 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 		m.rxs[lr.ri].failed = true
 	}
 
-	sig := f.Kind == Signature
+	sig := fr.Kind == Signature
 	var sigN int
 	if sig {
-		if p, ok := f.Payload.(*SignaturePayload); ok {
+		if p, ok := fr.Payload.(*SignaturePayload); ok {
 			sigN = p.Combined()
 		} else {
 			sigN = 1
 		}
 	}
 	tx.sig, tx.sigN = sig, sigN
-	kind := f.Kind
+	kind := fr.Kind
 
 	rowMw := m.rssMw[src]
 	carrier := m.popCarrier()
@@ -377,7 +386,7 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 			dst.activeSigs = append(dst.activeSigs, sigRec{src: src, powerMw: p, n: sigN})
 		}
 		build := dst.listener != nil && p >= m.floorMw &&
-			(sig || f.Dst == NodeID(j) || dst.overhears.Has(kind))
+			(sig || fr.Dst == NodeID(j) || dst.overhears.Has(kind))
 		if build || len(dst.recs) > 0 {
 			m.frameStart(tx, NodeID(j), p, build)
 		}
@@ -386,14 +395,14 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 		}
 	}
 	if m.probe != nil {
-		m.probe.TxStart(f, m.k.Now())
+		m.probe.TxStart(fr, m.k.Now())
 	}
 	// Notify only after the medium state has fully settled: a listener may
 	// react by transmitting, which re-enters this method.
 	m.notifyCarrier(carrier)
 	m.pushCarrier(carrier)
 
-	m.k.After(f.AirTime(), tx.end).SetSource(sim.SrcPHY)
+	m.k.After(fr.AirTime(), tx.end).SetSource(sim.SrcPHY)
 }
 
 // frameStart records tx's start, received at power p, at node j, whose
@@ -518,14 +527,14 @@ func (m *Medium) endTransmission(tx *transmission) {
 	// frame outcomes.
 	outcomes := m.popOutcomes()
 	if m.probe != nil {
-		m.probe.TxEnd(tx.frame, m.k.Now())
+		m.probe.TxEnd(&tx.frame, m.k.Now())
 	}
 	for _, ri := range tx.recs {
 		m.settle(ri)
 		r := &m.rxs[ri]
 		ok := m.judge(r)
 		if m.probe != nil {
-			m.probe.RxOutcome(tx.frame, r.at, ok, m.k.Now())
+			m.probe.RxOutcome(&tx.frame, r.at, ok, m.k.Now())
 		}
 		outcomes = append(outcomes, outcome{
 			r: ri, at: r.at, ok: ok, sig: r.sig,
@@ -534,7 +543,7 @@ func (m *Medium) endTransmission(tx *transmission) {
 	}
 	m.notifyCarrier(carrier)
 	m.pushCarrier(carrier)
-	frame := tx.frame
+	frame := &tx.frame
 	for i := range outcomes {
 		o := &outcomes[i]
 		var det *SignatureDetection

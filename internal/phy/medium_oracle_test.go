@@ -434,7 +434,8 @@ func (probeFunc) TxEnd(*Frame, sim.Time)                               {}
 func (p probeFunc) RxOutcome(f *Frame, at NodeID, ok bool, _ sim.Time) { p(f, at, ok) }
 
 // recordingMedium wraps Medium so the probe can find the reception it is
-// told about: it remembers each frame's transmission while on the air.
+// told about: it maps the frame copy the probe is handed to its
+// transmission.
 type recordingMedium struct {
 	*Medium
 	txOf map[*Frame]*transmission
@@ -442,7 +443,8 @@ type recordingMedium struct {
 
 func (m recordingMedium) Transmit(src NodeID, f *Frame) {
 	m.Medium.Transmit(src, f)
-	m.txOf[f] = m.nodes[src].tx
+	tx := m.nodes[src].tx
+	m.txOf[&tx.frame] = tx
 }
 
 // TestMediumMatchesFoldOracle replays random workloads — random RSS,

@@ -9,10 +9,11 @@ import (
 	"repro/internal/sim"
 )
 
-// recorder is a Listener that stores everything it observes. The detection
-// detail is copied: its pointer is only valid during the callback.
+// recorder is a Listener that stores everything it observes. The frame and
+// the detection detail are copied: their pointers are only valid during the
+// callback.
 type recorder struct {
-	frames  []*Frame
+	frames  []Frame
 	oks     []bool
 	dets    []SignatureDetection // zero value for non-signature frames
 	carrier []bool
@@ -20,7 +21,7 @@ type recorder struct {
 
 func (r *recorder) CarrierChanged(busy bool) { r.carrier = append(r.carrier, busy) }
 func (r *recorder) FrameReceived(f *Frame, ok bool, det *SignatureDetection) {
-	r.frames = append(r.frames, f)
+	r.frames = append(r.frames, *f)
 	r.oks = append(r.oks, ok)
 	var d SignatureDetection
 	if det != nil {
@@ -123,6 +124,56 @@ func TestCleanDelivery(t *testing.T) {
 	}
 	if c.delivered != 1 || c.corrupted != 0 {
 		t.Fatalf("counters: delivered=%d corrupted=%d", c.delivered, c.corrupted)
+	}
+}
+
+// frameProbe records a copy of the frame every probe callback is handed.
+type frameProbe struct{ log *[]Frame }
+
+func (p frameProbe) TxStart(f *Frame, _ sim.Time)                     { *p.log = append(*p.log, *f) }
+func (p frameProbe) TxEnd(f *Frame, _ sim.Time)                       { *p.log = append(*p.log, *f) }
+func (p frameProbe) RxOutcome(f *Frame, _ NodeID, _ bool, _ sim.Time) { *p.log = append(*p.log, *f) }
+
+// TestTransmitCopiesFrame: Transmit puts a copy of the caller's frame on the
+// air. Changing the caller's Frame right after Transmit changes nothing a
+// listener or the probe sees, the caller's Src stays as it was, and a frame
+// pointer kept past FrameReceived reads the zero Frame once the medium has
+// recycled the transmission.
+func TestTransmitCopiesFrame(t *testing.T) {
+	k := sim.New(1)
+	m := NewMedium(k, uniformRSS(3, -60), DefaultConfig())
+	var seen, probed []Frame
+	var kept *Frame
+	m.Register(1, listenerFunc(func(f *Frame, _ bool, _ *SignatureDetection) {
+		seen = append(seen, *f)
+		kept = f
+	}), AllKinds)
+	m.SetProbe(frameProbe{&probed})
+	payload := &SignaturePayload{SlotHint: 5}
+	f := &Frame{Kind: Data, Dst: 1, Bytes: 512, Rate: Rate12, Payload: payload, Handle: 7, ObsSpan: 3}
+	want := *f
+	want.Src = 2
+	k.At(0, func() {
+		m.Transmit(2, f)
+		*f = Frame{Kind: Ack, Dst: 0, Bytes: AckBytes, Rate: Rate6, Handle: 9, ObsSpan: 4}
+	})
+	k.Run()
+	if len(seen) != 1 || seen[0] != want {
+		t.Fatalf("listener saw %+v, want [%+v]", seen, want)
+	}
+	if len(probed) != 3 {
+		t.Fatalf("probe saw %d frames, want TxStart, TxEnd and one RxOutcome", len(probed))
+	}
+	for i, p := range probed {
+		if p != want {
+			t.Errorf("probe callback %d saw %+v, want %+v", i, p, want)
+		}
+	}
+	if f.Src != 0 {
+		t.Errorf("Transmit set the caller's Src to %d", f.Src)
+	}
+	if *kept != (Frame{}) {
+		t.Errorf("frame kept past FrameReceived reads %+v after the transmission was recycled, want the zero Frame", *kept)
 	}
 }
 

@@ -222,6 +222,9 @@ type Frame struct {
 	// OFDM control symbols, and the USRP PHY use explicit durations).
 	Duration sim.Time
 	// Payload carries protocol state (queue reports, packets, signatures).
+	// What it points to belongs to the sender, which may reuse it once the
+	// frame has ended: a listener reads it only during FrameReceived and
+	// copies whatever it keeps.
 	Payload any
 	// NAV, when non-zero, is the absolute time until which the sender
 	// reserves the medium (802.11 duration field). DOMINO sets it to the end
@@ -261,7 +264,11 @@ type Listener interface {
 	// (Medium.Register). ok reports whether the frame was decodable: SINR
 	// above the rate threshold for data frames, the signature-detection rule
 	// for Signature frames. det carries signature detection detail (nil for
-	// non-signature frames).
+	// non-signature frames). f is the medium's copy of the frame and, like
+	// det and f.Payload, is valid only during the call: the medium reuses
+	// the copy for a later frame, and senders reuse their payloads, so a
+	// listener copies the fields it needs later (a deferred ACK keeps the
+	// source and handle, not f).
 	FrameReceived(f *Frame, ok bool, det *SignatureDetection)
 }
 

@@ -11,6 +11,7 @@ import "repro/internal/topo"
 type RoundRobin struct {
 	g    *topo.ConflictGraph
 	next int // link ID at which the next slot's seed scan starts
+	buf  batchBuf
 }
 
 // NewRoundRobin builds the scheduler over a conflict graph.
@@ -56,7 +57,7 @@ func (r *RoundRobin) NextSlot(backlog func(link int) int) Slot {
 
 // Batch implements Scheduler.
 func (r *RoundRobin) Batch(est []int, maxSlots int) Schedule {
-	return batchOf(r, est, maxSlots)
+	return r.buf.fill(r, est, maxSlots)
 }
 
 func init() {

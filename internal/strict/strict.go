@@ -32,6 +32,8 @@ type Scheduler interface {
 	NextSlot(backlog func(link int) int) Slot
 	// Batch schedules up to maxSlots slots against estimated backlogs
 	// (packets per link), decrementing estimates as links are scheduled.
+	// The schedule may live in the scheduler's own storage, valid until
+	// its next Batch call.
 	Batch(est []int, maxSlots int) Schedule
 }
 
@@ -40,14 +42,16 @@ type Scheduler interface {
 // that conflicts with nothing already chosen; rotate the chosen links to the
 // back for fairness.
 type RAND struct {
-	g     *topo.ConflictGraph
-	order []int // rotation queue Q of link IDs
-	spare []int // the previous rotation's buffer, reused by the next
+	g      *topo.ConflictGraph
+	order  []int  // rotation queue Q of link IDs
+	spare  []int  // the previous rotation's buffer, reused by the next
+	chosen []bool // by link ID: in the slot being built (all false between calls)
+	buf    batchBuf
 }
 
 // NewRAND builds the scheduler over a conflict graph.
 func NewRAND(g *topo.ConflictGraph) *RAND {
-	r := &RAND{g: g, order: make([]int, len(g.Links))}
+	r := &RAND{g: g, order: make([]int, len(g.Links)), chosen: make([]bool, len(g.Links))}
 	for i := range r.order {
 		r.order[i] = i
 	}
@@ -58,36 +62,46 @@ func NewRAND(g *topo.ConflictGraph) *RAND {
 // scheduled links to the back of Q. It returns nil when nothing is
 // backlogged.
 func (r *RAND) NextSlot(backlog func(link int) int) Slot {
-	var slot Slot
-	chosen := make(map[int]bool)
+	return r.appendSlot(nil, backlog)
+}
+
+// appendSlot is NextSlot building the slot at the end of dst: it returns
+// dst extended by the slot, or nil when nothing is backlogged. A caller
+// that passes a buffer with room gets its slot without an allocation.
+func (r *RAND) appendSlot(dst []int, backlog func(link int) int) []int {
+	n := len(dst)
 	for _, id := range r.order {
-		if backlog(id) <= 0 || chosen[id] {
+		if backlog(id) <= 0 || r.chosen[id] {
 			continue
 		}
 		ok := true
-		for _, s := range slot {
+		for _, s := range dst[n:] {
 			if r.g.Conflicts(id, s) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			slot = append(slot, id)
-			chosen[id] = true
+			dst = append(dst, id)
+			r.chosen[id] = true
 		}
 	}
+	slot := dst[n:]
 	if len(slot) == 0 {
 		return nil
 	}
 	// Move the chosen links to the end of Q, preserving relative order.
 	rest := r.spare[:0]
 	for _, id := range r.order {
-		if !chosen[id] {
+		if !r.chosen[id] {
 			rest = append(rest, id)
 		}
 	}
 	r.spare, r.order = r.order, append(rest, slot...)
-	return slot
+	for _, id := range slot {
+		r.chosen[id] = false
+	}
+	return dst
 }
 
 // Batch schedules up to maxSlots slots against an estimated backlog
@@ -95,25 +109,53 @@ func (r *RAND) NextSlot(backlog func(link int) int) Slot {
 // central server's planning step between pollings. Scheduling stops early
 // when the estimates drain.
 func (r *RAND) Batch(est []int, maxSlots int) Schedule {
-	return batchOf(r, est, maxSlots)
+	return r.buf.fill(r, est, maxSlots)
 }
 
-// batchOf drains a copy of est through s.NextSlot for up to maxSlots slots —
-// the shared Batch body of every registered policy.
-func batchOf(s Scheduler, est []int, maxSlots int) Schedule {
-	remaining := append([]int(nil), est...)
-	var out Schedule
-	for len(out) < maxSlots {
-		slot := s.NextSlot(func(id int) int { return remaining[id] })
-		if slot == nil {
-			break
-		}
-		for _, id := range slot {
-			remaining[id]--
-		}
-		out = append(out, slot)
+// batchBuf is a scheduler's Batch storage, reused by every call: the
+// schedule's slots, their link IDs end to end, and the drained estimates.
+type batchBuf struct {
+	out       Schedule
+	ids       []int
+	remaining []int
+	// backlog reads remaining; bound once, so a batch allocates no closure.
+	backlog func(link int) int
+}
+
+// fill drains a copy of est through s.NextSlot for up to maxSlots slots —
+// the shared Batch body of every registered policy. The schedule lives in
+// b, so it is valid until the scheduler's next Batch call.
+func (b *batchBuf) fill(s Scheduler, est []int, maxSlots int) Schedule {
+	if b.backlog == nil {
+		b.backlog = func(id int) int { return b.remaining[id] }
 	}
-	return out
+	b.remaining = append(b.remaining[:0], est...)
+	b.out, b.ids = b.out[:0], b.ids[:0]
+	r, _ := s.(*RAND) // builds its slots in b.ids, allocating nothing
+	for len(b.out) < maxSlots {
+		n := len(b.ids)
+		if r != nil {
+			ids := r.appendSlot(b.ids, b.backlog)
+			if ids == nil {
+				break
+			}
+			b.ids = ids
+		} else {
+			slot := s.NextSlot(b.backlog)
+			if slot == nil {
+				break
+			}
+			b.ids = append(b.ids, slot...)
+		}
+		// Cap the slot at its end: ids appended later never reach it, and
+		// when they outgrow the buffer, earlier slots keep the old array.
+		slot := Slot(b.ids[n:len(b.ids):len(b.ids)])
+		for _, id := range slot {
+			b.remaining[id]--
+		}
+		b.out = append(b.out, slot)
+	}
+	return b.out
 }
 
 // LQF is a longest-queue-first greedy scheduler: each slot is seeded with the
@@ -121,7 +163,8 @@ func batchOf(s Scheduler, est []int, maxSlots int) Schedule {
 // queues — a max-weight-flavoured alternative demonstrating the converter's
 // scheduler-independence.
 type LQF struct {
-	g *topo.ConflictGraph
+	g   *topo.ConflictGraph
+	buf batchBuf
 }
 
 // NewLQF builds the scheduler over a conflict graph.
@@ -167,7 +210,7 @@ func (l *LQF) NextSlot(backlog func(link int) int) Slot {
 
 // Batch implements Scheduler.
 func (l *LQF) Batch(est []int, maxSlots int) Schedule {
-	return batchOf(l, est, maxSlots)
+	return l.buf.fill(l, est, maxSlots)
 }
 
 // Config parameterises the omniscient executor.
@@ -201,6 +244,14 @@ type Omniscient struct {
 	intake mac.Intake
 	nodes  map[phy.NodeID]*onode
 
+	// slot is the slot on the air, in a buffer every tick reuses.
+	slot []int
+	// backlogFn, tickFn and slotEndFn are the tick's callbacks, bound once
+	// in New so a slot allocates no closure.
+	backlogFn func(link int) int
+	tickFn    func()
+	slotEndFn func()
+
 	// Slots counts scheduling rounds; Failures counts unacknowledged
 	// transmissions (which are retried).
 	Slots    int
@@ -214,6 +265,19 @@ type onode struct {
 	inflight mac.Packet
 	busy     bool
 	acked    bool
+	// acks[ackHead:] are the ACKs owed, oldest first: every ACK waits the
+	// same SIFS, so they fall due in the order owed and one callback,
+	// ackFn, serves them all.
+	acks    []pendingAck
+	ackHead int
+	ackFn   func()
+}
+
+// pendingAck is an ACK owed to dst for the data frame carrying handle h,
+// copied out of the frame, which is valid only during FrameReceived.
+type pendingAck struct {
+	dst phy.NodeID
+	h   uint32
 }
 
 // New builds the omniscient executor.
@@ -229,9 +293,12 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 	for _, l := range g.Links {
 		e.queues[l.ID] = mac.NewQueue(cfg.QueueCap)
 	}
+	e.backlogFn = func(id int) int { return e.queues[id].Len() }
+	e.tickFn, e.slotEndFn = e.tick, e.slotEnd
 	add := func(id phy.NodeID) {
 		if _, ok := e.nodes[id]; !ok {
 			n := &onode{e: e, id: id}
+			n.ackFn = n.ack
 			e.nodes[id] = n
 			medium.Register(id, n, phy.Kinds())
 		}
@@ -244,7 +311,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 }
 
 // Start implements mac.Engine.
-func (e *Omniscient) Start() { e.k.After(0, e.tick).SetSource(sim.SrcMAC) }
+func (e *Omniscient) Start() { e.k.After(0, e.tickFn).SetSource(sim.SrcMAC) }
 
 // Enqueue implements mac.Engine.
 func (e *Omniscient) Enqueue(p mac.Packet) bool {
@@ -262,20 +329,20 @@ func (e *Omniscient) slotDuration(maxBytes int) sim.Time {
 }
 
 func (e *Omniscient) tick() {
-	slot := e.sched.NextSlot(func(id int) int { return e.queues[id].Len() })
-	if slot == nil {
+	e.slot = e.sched.appendSlot(e.slot[:0], e.backlogFn)
+	if e.slot == nil {
 		// Idle: poll again after one empty slot.
-		e.k.After(e.slotDuration(512), e.tick).SetSource(sim.SrcMAC)
+		e.k.After(e.slotDuration(512), e.tickFn).SetSource(sim.SrcMAC)
 		return
 	}
 	e.Slots++
 	maxBytes := 0
-	for _, id := range slot {
+	for _, id := range e.slot {
 		if b := int(e.queues[id].Peek().Bytes); b > maxBytes {
 			maxBytes = b
 		}
 	}
-	for _, id := range slot {
+	for _, id := range e.slot {
 		l := e.links[id]
 		p, _ := e.queues[id].Pop()
 		n := e.nodes[l.Sender]
@@ -286,31 +353,34 @@ func (e *Omniscient) tick() {
 			Handle: p.Handle,
 		})
 	}
-	dur := e.slotDuration(maxBytes)
-	e.k.After(dur, func() {
-		for _, id := range slot {
-			n := e.nodes[e.links[id].Sender]
-			if !n.busy {
-				continue
-			}
-			n.busy = false
-			p := &n.inflight
-			if n.acked {
-				e.events.Delivered(p, e.k.Now())
+	e.k.After(e.slotDuration(maxBytes), e.slotEndFn).SetSource(sim.SrcMAC)
+}
+
+// slotEnd settles the slot on the air, delivering acknowledged packets and
+// requeueing the rest, then starts the next slot.
+func (e *Omniscient) slotEnd() {
+	for _, id := range e.slot {
+		n := e.nodes[e.links[id].Sender]
+		if !n.busy {
+			continue
+		}
+		n.busy = false
+		p := &n.inflight
+		if n.acked {
+			e.events.Delivered(p, e.k.Now())
+		} else {
+			// Retry at the head of the queue next time the scheduler
+			// picks this link.
+			e.Failures++
+			p.Retries++
+			if p.Retries > mac.RetryLimit {
+				e.events.Dropped(p, e.k.Now())
 			} else {
-				// Retry at the head of the queue next time the scheduler
-				// picks this link.
-				e.Failures++
-				p.Retries++
-				if p.Retries > mac.RetryLimit {
-					e.events.Dropped(p, e.k.Now())
-				} else {
-					e.queues[id].PushFront(p)
-				}
+				e.queues[id].PushFront(p)
 			}
 		}
-		e.tick()
-	}).SetSource(sim.SrcMAC)
+	}
+	e.tick()
 }
 
 // CarrierChanged implements phy.Listener; the omniscient executor ignores
@@ -324,18 +394,26 @@ func (n *onode) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) 
 	}
 	switch f.Kind {
 	case phy.Data:
-		n.e.k.After(phy.SIFS, func() {
-			if n.e.medium.Transmitting(n.id) {
-				return
-			}
-			n.e.medium.Transmit(n.id, &phy.Frame{
-				Kind: phy.Ack, Dst: f.Src, Bytes: phy.AckBytes,
-				Rate: n.e.cfg.Rate, Handle: f.Handle,
-			})
-		})
+		n.acks = append(n.acks, pendingAck{dst: f.Src, h: f.Handle})
+		n.e.k.After(phy.SIFS, n.ackFn)
 	case phy.Ack:
 		if n.busy && f.Handle == n.inflight.Handle {
 			n.acked = true
 		}
 	}
+}
+
+// ack sends the oldest owed ACK, unless the node is transmitting.
+func (n *onode) ack() {
+	a := n.acks[n.ackHead]
+	if n.ackHead++; n.ackHead == len(n.acks) {
+		n.acks, n.ackHead = n.acks[:0], 0
+	}
+	if n.e.medium.Transmitting(n.id) {
+		return
+	}
+	n.e.medium.Transmit(n.id, &phy.Frame{
+		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
+		Rate: n.e.cfg.Rate, Handle: a.h,
+	})
 }

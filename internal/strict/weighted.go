@@ -29,6 +29,7 @@ type Weighted struct {
 	g       *topo.ConflictGraph
 	cfg     WeightedConfig
 	service []float64
+	buf     batchBuf
 }
 
 // NewWeighted builds the scheduler over a conflict graph.
@@ -85,7 +86,7 @@ func (w *Weighted) NextSlot(backlog func(link int) int) Slot {
 
 // Batch implements Scheduler.
 func (w *Weighted) Batch(est []int, maxSlots int) Schedule {
-	return batchOf(w, est, maxSlots)
+	return w.buf.fill(w, est, maxSlots)
 }
 
 func init() {

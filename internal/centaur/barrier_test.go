@@ -76,3 +76,66 @@ func TestIdleEngineReschedules(t *testing.T) {
 		t.Errorf("late packet: %d delivered, %d dropped; want 1 delivered", count.delivered, count.dropped)
 	}
 }
+
+// TestEpochsSurviveReorderingJitter runs saturated Fig 7 with 5±5 ms wired
+// latency, so epoch dispatches and completion reports overtake each other
+// on the backbone, and checks the epoch barrier before every event: no AP's
+// epoch is replaced while it still has unserved items, and an epoch is built
+// only in an event that empties awaiting (at most the reporting AP was still
+// awaited before it).
+func TestEpochsSurviveReorderingJitter(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		net := topo.Figure7()
+		links := net.BuildLinks(true, true)
+		g := topo.NewConflictGraph(net, links, phy.DefaultConfig(), phy.Rate12)
+		k := sim.New(seed)
+		medium := phy.NewMedium(k, net.RSS, phy.DefaultConfig())
+		hub := &mac.Hub{}
+		cfg := DefaultConfig()
+		cfg.WiredLatencyMean, cfg.WiredLatencyStd = 5*sim.Millisecond, 5*sim.Millisecond
+		engine := New(k, medium, g, hub, cfg)
+		coll := stats.NewCollector(len(links), 0)
+		hub.Add(coll)
+		for _, l := range links {
+			s := traffic.NewSaturated(k, engine, l, 512, 16)
+			hub.Add(s)
+			s.Start()
+		}
+
+		type held struct {
+			epoch []epochItem
+			idx   int
+		}
+		prev := map[phy.NodeID]held{}
+		prevAwaiting, prevEpochs := 0, 0
+		// Dispatches leave in ascending AP order; an AP receiving its
+		// epoch after a higher-numbered AP of the same epoch was overtaken.
+		lastSeq, lastAP, overtaken := 0, phy.NodeID(-1), 0
+		k.OnEvent(func(ev sim.EventInfo) {
+			if d := engine.Epochs - prevEpochs; d > 1 || d == 1 && prevAwaiting > 1 {
+				t.Fatalf("seed %d, %v: %d epochs built with %d APs awaited", seed, ev.Now, d, prevAwaiting)
+			}
+			for id, a := range engine.aps {
+				p := prev[id]
+				if len(a.epoch) > 0 && (len(p.epoch) == 0 || &a.epoch[0] != &p.epoch[0]) {
+					if len(p.epoch) > 0 && p.idx < len(p.epoch) {
+						t.Fatalf("seed %d, %v: AP %d's epoch replaced with %d of %d items unserved",
+							seed, ev.Now, id, len(p.epoch)-p.idx, len(p.epoch))
+					}
+					if engine.epochSeq == lastSeq && id < lastAP {
+						overtaken++
+					}
+					lastSeq, lastAP = engine.epochSeq, id
+				}
+				prev[id] = held{a.epoch, a.epochIdx}
+			}
+			prevAwaiting, prevEpochs = len(engine.awaiting), engine.Epochs
+		})
+		engine.Start()
+		k.RunUntil(3 * sim.Second)
+		if overtaken == 0 || engine.Epochs < 30 {
+			t.Fatalf("seed %d: %d epochs, %d overtaken dispatches: the jitter did not reorder the backbone", seed, engine.Epochs, overtaken)
+		}
+		t.Logf("seed %d: %d epochs, %d overtaken dispatches, %.2f Mbps", seed, engine.Epochs, overtaken, coll.AggregateMbps(3*sim.Second))
+	}
+}

@@ -15,12 +15,11 @@
 //	                share one
 //
 // ConvertPlan runs the pipeline and returns the Plan; Verify checks the
-// output invariants; Convert is the schedule-only wrapper.
+// output invariants.
 package convert
 
 import (
 	"repro/internal/phy"
-	"repro/internal/strict"
 	"repro/internal/topo"
 )
 
@@ -65,11 +64,6 @@ type RelSlot struct {
 	ROPAfter []phy.NodeID
 }
 
-// RelSchedule is a converted batch.
-type RelSchedule struct {
-	Slots []RelSlot
-}
-
 // Converter carries conversion state across batches (the retained last slot
 // that implements batch connection) and drives the pass pipeline.
 type Converter struct {
@@ -107,13 +101,3 @@ func New(g *topo.ConflictGraph) *Converter {
 // Reset forgets the retained slot (a fresh first batch: APs start the first
 // slot spontaneously).
 func (c *Converter) Reset() { c.prev = nil }
-
-// Convert turns one strict batch into a relative schedule. pollAPs lists the
-// APs that must execute ROP during this batch (normally all APs, once per
-// batch). The retained last slot of the previous batch triggers this batch's
-// first slot; slot 0 of the very first batch has no triggers and is started
-// by the APs directly. Convert is the schedule-only wrapper around
-// ConvertPlan.
-func (c *Converter) Convert(batch strict.Schedule, pollAPs []phy.NodeID) *RelSchedule {
-	return &RelSchedule{Slots: c.ConvertPlan(batch, pollAPs).Slots}
-}

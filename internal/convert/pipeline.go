@@ -60,7 +60,11 @@ type Plan struct {
 
 // ConvertPlan turns one strict batch into a relative schedule by running the
 // four passes in order on a fresh plan, and returns the full plan (slots,
-// per-pass stats, verification inputs). TriggerAssign before BatchConnect is
+// per-pass stats, verification inputs). pollAPs lists the APs that must
+// execute ROP during this batch (normally all APs, once per batch). The
+// retained last slot of the previous batch triggers this batch's first
+// slot; slot 0 of the very first batch has no triggers and is started by
+// the APs directly. TriggerAssign before BatchConnect is
 // equivalent to the historical interleaved order because each
 // consecutive-slot trigger pair touches disjoint state: a slot's broadcasts
 // are written only when it is the pair's first element, and its entries'

@@ -38,6 +38,12 @@ const centaurAllocsPerEventBudget = 0.0177
 // allocation per arrival, and arrivals are most of the events.
 const tailDropAllocsPerEventBudget = 0.073
 
+// tcpAllocsPerEventBudget bounds T(10,2) campus runs with TCP Reno flows
+// (DCF and DOMINO, 200 ms): measured 0.0605 (DCF 0.011, DOMINO 0.127),
+// budget that plus 10%. A flow whose token clock or RTO re-armed with a
+// fresh method value read 0.518 here.
+const tcpAllocsPerEventBudget = 0.067
+
 // The fig7 budgets bound each scheme's saturated Fig 7 run, where no
 // traffic arrivals allocate and the engines' own timers and exchanges are
 // what is left. Measured (plus 10% for the budget): DOMINO 0.131 (its
@@ -56,8 +62,9 @@ const (
 // 10/10 Mbps UDP for 200 ms per scheme and fails if the event loop's
 // mallocs per fired event exceed the budget: DCF and DOMINO together
 // against allocsPerEventBudget, CENTAUR against centaurAllocsPerEventBudget,
-// and DCF and DOMINO with 64-packet queues against
-// tailDropAllocsPerEventBudget. The last legs run each scheme saturated on
+// DCF and DOMINO with 64-packet queues against tailDropAllocsPerEventBudget,
+// and DCF and DOMINO with TCP on the T(10,2) campus against
+// tcpAllocsPerEventBudget. The last legs run each scheme saturated on
 // Fig 7 against its fig7 budget.
 func TestFig14AllocsPerEvent(t *testing.T) {
 	var net *topo.Network
@@ -84,6 +91,20 @@ func TestFig14AllocsPerEvent(t *testing.T) {
 		}
 		return sc
 	}
+	// tcp is T(10,2) on the campus trace with TCP Reno, 10 Mbps down and
+	// 4 Mbps up, as bench's t10x2-tcp: every token tick and RTO re-arm is
+	// a timer of the flows.
+	campus, err := topo.BuildT(topo.CampusTrace(1), 10, 2, phy.DefaultConfig(), phy.Rate12, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp := func(s Scheme) Scenario {
+		return Scenario{
+			Net: campus, Downlink: true, Uplink: true, Scheme: s, Seed: 1,
+			Duration: 200 * sim.Millisecond, Warmup: 50 * sim.Millisecond,
+			Traffic: TCP, DownMbps: 10, UpMbps: 4,
+		}
+	}
 	fig7 := func(scheme string) Scenario {
 		sp, err := spec.Parse([]byte(`{"scheme": "` + scheme + `", "topology": {"kind": "fig7"}, "seed": 1,
 			"duration": "200ms", "warmup": "50ms", "traffic": {"kind": "saturated"}}`))
@@ -104,6 +125,7 @@ func TestFig14AllocsPerEvent(t *testing.T) {
 		{"fig14 DCF+DOMINO", []Scenario{fig14(DCF), fig14(DOMINO)}, allocsPerEventBudget},
 		{"fig14 CENTAUR", []Scenario{fig14(CENTAUR)}, centaurAllocsPerEventBudget},
 		{"fig14 tail-drop DCF+DOMINO", []Scenario{tailDrop(DCF), tailDrop(DOMINO)}, tailDropAllocsPerEventBudget},
+		{"T(10,2) TCP DCF+DOMINO", []Scenario{tcp(DCF), tcp(DOMINO)}, tcpAllocsPerEventBudget},
 		{"fig7 DOMINO", []Scenario{fig7("domino")}, fig7AllocsPerEventBudget},
 		{"fig7 DCF", []Scenario{fig7("dcf")}, fig7DCFAllocsPerEventBudget},
 		{"fig7 CENTAUR", []Scenario{fig7("centaur")}, fig7CentaurAllocsPerEventBudget},

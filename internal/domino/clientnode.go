@@ -11,7 +11,6 @@ import (
 // clientNode is a client: its radio's link is its uplink.
 type clientNode struct {
 	radio
-	asleep   bool
 	lastHint int
 	// txStart is when the client's latest uplink slot started: the
 	// reference of the broadcast duty its ACK carries.
@@ -32,14 +31,6 @@ type clientDuty struct {
 
 // CarrierChanged implements phy.Listener.
 func (c *clientNode) CarrierChanged(bool) {}
-
-// FrameReceived implements phy.Listener.
-func (c *clientNode) FrameReceived(f *phy.Frame, ok bool, det *phy.SignatureDetection) {
-	if c.asleep {
-		return // radio powered down
-	}
-	c.radio.FrameReceived(f, ok, det)
-}
 
 // onSlot handles downlink data or a fake header: it ACKs data, and the
 // frame's S1 instructions and slot reference set its end-of-slot duty.

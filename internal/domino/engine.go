@@ -573,9 +573,6 @@ type server struct {
 	upEst []int
 	// est is buildAndDispatch's backlog estimate, reused batch to batch.
 	est []int
-	// sleeping tracks clients the server has scheduled to sleep; their
-	// links are excluded from batches until they wake.
-	sleeping map[phy.NodeID]bool
 	// buildFn is buildAndDispatch bound once, so re-arming the idle retry
 	// allocates no method value.
 	buildFn func()
@@ -590,12 +587,11 @@ func newServer(e *Engine) *server {
 		panic("domino: " + err.Error())
 	}
 	s := &server{
-		e:        e,
-		sched:    sched,
-		conv:     conv,
-		upEst:    make([]int, len(e.g.Links)),
-		est:      make([]int, len(e.g.Links)),
-		sleeping: map[phy.NodeID]bool{},
+		e:     e,
+		sched: sched,
+		conv:  conv,
+		upEst: make([]int, len(e.g.Links)),
+		est:   make([]int, len(e.g.Links)),
 	}
 	s.buildFn = s.buildAndDispatch
 	return s
@@ -609,9 +605,6 @@ func (s *server) buildAndDispatch() {
 	est := s.est
 	clear(est)
 	for _, l := range e.g.Links {
-		if !s.linkSchedulable(l.ID) {
-			continue // endpoint asleep: no air time for this link
-		}
 		if l.Downlink {
 			// AP queues are visible over the wire.
 			est[l.ID] = e.queues[l.ID].Len()

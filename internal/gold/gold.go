@@ -31,14 +31,10 @@ var primitiveTaps = map[int][]int{
 
 // Set is a family of Gold codes of one length.
 type Set struct {
-	m     int
-	n     int // code length 2^m − 1
-	t     int // three-valued correlation bound t(m)
-	codes [][]int8
-	// fchips mirrors codes as float64, precomputed so the correlator and
-	// AddShifted hot loops multiply directly instead of converting each
-	// int8 chip on every visit (the conversion dominated Metric's inner
-	// loop before this cache existed).
+	m int
+	n int // code length 2^m − 1
+	// fchips holds each code's BPSK chips (±1) as float64, so the
+	// correlator and AddShifted hot loops multiply them without converting.
 	fchips [][]float64
 }
 
@@ -64,34 +60,16 @@ func NewSet(m int) (*Set, error) {
 	}
 	b := decimate(a, q)
 
-	t := threeValueBound(m)
-	s := &Set{m: m, n: n, t: t}
-	s.codes = append(s.codes, toChips(a), toChips(b))
+	s := &Set{m: m, n: n}
+	s.fchips = append(s.fchips, toChips(a), toChips(b))
 	for shift := 0; shift < n; shift++ {
 		x := make([]uint8, n)
 		for i := range x {
 			x[i] = a[i] ^ b[(i+shift)%n]
 		}
-		s.codes = append(s.codes, toChips(x))
-	}
-	s.fchips = make([][]float64, len(s.codes))
-	for i, code := range s.codes {
-		f := make([]float64, n)
-		for k, c := range code {
-			f[k] = float64(c)
-		}
-		s.fchips[i] = f
+		s.fchips = append(s.fchips, toChips(x))
 	}
 	return s, nil
-}
-
-// threeValueBound returns t(m) = 2^⌊(m+2)/2⌋ + 1, the magnitude bound of
-// Gold-set cross-correlations.
-func threeValueBound(m int) int {
-	if m%2 == 1 {
-		return 1<<((m+1)/2) + 1
-	}
-	return 1<<((m+2)/2) + 1
 }
 
 // mSequence runs the recurrence of the primitive polynomial
@@ -129,8 +107,8 @@ func decimate(a []uint8, q int) []uint8 {
 }
 
 // toChips maps bits {0,1} to BPSK chips {+1,−1}.
-func toChips(bits []uint8) []int8 {
-	out := make([]int8, len(bits))
+func toChips(bits []uint8) []float64 {
+	out := make([]float64, len(bits))
 	for i, b := range bits {
 		if b == 0 {
 			out[i] = 1
@@ -146,34 +124,7 @@ func (s *Set) Len() int { return s.n }
 
 // Count returns the number of codes in the set (2^m + 1). The paper reserves
 // two for the START and ROP signatures, leaving 127 node signatures at m=7.
-func (s *Set) Count() int { return len(s.codes) }
-
-// Bound returns t(m), the guaranteed cross-correlation magnitude bound.
-func (s *Set) Bound() int { return s.t }
-
-// Code returns the i-th code's chips. The returned slice is shared; callers
-// must not modify it.
-func (s *Set) Code(i int) []int8 { return s.codes[i] }
-
-// CrossCorr computes the periodic correlation of codes i and j at the given
-// cyclic shift of j.
-func (s *Set) CrossCorr(i, j, shift int) int {
-	a, b := s.codes[i], s.codes[j]
-	sum := 0
-	for k := 0; k < s.n; k++ {
-		sum += int(a[k]) * int(b[(k+shift)%s.n])
-	}
-	return sum
-}
-
-// Combine sums the chip streams of the given codes into one baseband signal,
-// as a trigger transmitter does when notifying several next transmitters at
-// once (paper §3.2: "AP1 sends the sum of AP2 and AP3's signatures").
-func (s *Set) Combine(idx ...int) []float64 {
-	out := make([]float64, s.n)
-	s.AddShifted(out, 1, 0, idx...)
-	return out
-}
+func (s *Set) Count() int { return len(s.fchips) }
 
 // AddShifted adds the given codes, cyclically shifted and scaled, into rx —
 // one asynchronous transmitter's contribution to the received baseband. rx

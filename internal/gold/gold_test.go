@@ -6,6 +6,44 @@ import (
 	"testing"
 )
 
+// Bound returns t(m), the guaranteed cross-correlation magnitude bound:
+// 2^⌊(m+2)/2⌋ + 1.
+func (s *Set) Bound() int {
+	if s.m%2 == 1 {
+		return 1<<((s.m+1)/2) + 1
+	}
+	return 1<<((s.m+2)/2) + 1
+}
+
+// Code returns the i-th code's chips.
+func (s *Set) Code(i int) []int8 {
+	out := make([]int8, s.n)
+	for k, c := range s.fchips[i] {
+		out[k] = int8(c)
+	}
+	return out
+}
+
+// CrossCorr computes the periodic correlation of codes i and j at the given
+// cyclic shift of j.
+func (s *Set) CrossCorr(i, j, shift int) int {
+	a, b := s.fchips[i], s.fchips[j]
+	sum := 0
+	for k := 0; k < s.n; k++ {
+		sum += int(a[k] * b[(k+shift)%s.n])
+	}
+	return sum
+}
+
+// Combine sums the chip streams of the given codes into one baseband signal,
+// as a trigger transmitter does when notifying several next transmitters at
+// once (paper §3.2: "AP1 sends the sum of AP2 and AP3's signatures").
+func (s *Set) Combine(idx ...int) []float64 {
+	out := make([]float64, s.n)
+	s.AddShifted(out, 1, 0, idx...)
+	return out
+}
+
 func set7(t *testing.T) *Set {
 	t.Helper()
 	s, err := NewSet(7)

@@ -260,6 +260,3 @@ func (q *Queue) PushFront(p *Packet) {
 
 // Len returns the backlog in packets.
 func (q *Queue) Len() int { return q.n }
-
-// Cap returns the queue bound.
-func (q *Queue) Cap() int { return q.cap }

@@ -46,8 +46,8 @@ func TestQueuePushFront(t *testing.T) {
 	if q.Peek().Seq != 0 {
 		t.Fatal("PushFront not at head")
 	}
-	if q.Cap() != DefaultQueueCap {
-		t.Fatalf("cap = %d", q.Cap())
+	if q.cap != DefaultQueueCap {
+		t.Fatalf("cap = %d", q.cap)
 	}
 	if q.Len() != 2 {
 		t.Fatalf("len = %d", q.Len())
@@ -158,8 +158,8 @@ func runQueueScript(t *testing.T, name string, capacity int, ops []queueOp) {
 			t.Fatalf("%s drain: got %v, model %v", name, got, want)
 		}
 	}
-	if _, ok := q.Pop(); ok || q.Len() != 0 || q.Cap() != capacity {
-		t.Fatalf("%s: drained queue has len %d, cap %d", name, q.Len(), q.Cap())
+	if _, ok := q.Pop(); ok || q.Len() != 0 || q.cap != capacity {
+		t.Fatalf("%s: drained queue has len %d, cap %d", name, q.Len(), q.cap)
 	}
 }
 

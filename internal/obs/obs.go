@@ -150,7 +150,8 @@ type Tracer interface {
 	Emit(Record)
 }
 
-// Buffer is an in-memory Tracer for tests and the tracedump summarizer.
+// Buffer is an in-memory Tracer. Only tests use it: those of packages that
+// emit records collect them with it.
 type Buffer struct {
 	recs []Record
 }
@@ -160,14 +161,3 @@ func (b *Buffer) Emit(r Record) { b.recs = append(b.recs, r) }
 
 // Records returns the emitted records in order.
 func (b *Buffer) Records() []Record { return b.recs }
-
-// Count returns how many records of the given kind were emitted.
-func (b *Buffer) Count(k Kind) int {
-	n := 0
-	for _, r := range b.recs {
-		if r.Kind == k {
-			n++
-		}
-	}
-	return n
-}

@@ -13,6 +13,17 @@ import (
 	"repro/internal/topo"
 )
 
+// Count returns how many records of the given kind were emitted.
+func (b *Buffer) Count(k Kind) int {
+	n := 0
+	for _, r := range b.recs {
+		if r.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
 func TestKindNamesRoundTrip(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		name := k.String()

@@ -47,9 +47,6 @@ func NewPlan(n int) *Plan {
 	return p
 }
 
-// Size returns the transform length the plan was built for.
-func (p *Plan) Size() int { return p.n }
-
 // planCache holds one shared plan per power-of-two size, indexed by log2(n).
 // A fixed array of atomic pointers instead of a sync.Map: lookups never box
 // the key, so PlanFor stays allocation-free on the per-symbol hot path.
@@ -138,11 +135,3 @@ func (p *Plan) transform(x []complex128, tw []complex128, scale float64) {
 		x[i+half] = u - v
 	}
 }
-
-// FFT computes the in-place radix-2 FFT via the shared cached plan for
-// len(x). The length must be a power of two.
-func FFT(x []complex128) { PlanFor(len(x)).Forward(x) }
-
-// IFFT computes the in-place inverse FFT with 1/N normalisation via the
-// shared cached plan for len(x).
-func IFFT(x []complex128) { PlanFor(len(x)).Inverse(x) }

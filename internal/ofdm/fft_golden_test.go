@@ -8,6 +8,14 @@ import (
 	"testing"
 )
 
+// FFT computes the in-place radix-2 FFT via the shared cached plan for
+// len(x). The length must be a power of two.
+func FFT(x []complex128) { PlanFor(len(x)).Forward(x) }
+
+// IFFT computes the in-place inverse FFT with 1/N normalisation via the
+// shared cached plan for len(x).
+func IFFT(x []complex128) { PlanFor(len(x)).Inverse(x) }
+
 // ReferenceFFT is the pre-plan naive transform (per-stage trig, incremental
 // twiddle recurrence), retained for golden cross-checks and before/after
 // benchmarks against the planned path.

@@ -281,12 +281,6 @@ func (m *Medium) pushOutcomes(buf []outcome) {
 	m.outcomesFree = append(m.outcomesFree, buf[:0])
 }
 
-// NumNodes returns the number of radios on the medium.
-func (m *Medium) NumNodes() int { return len(m.nodes) }
-
-// Kernel returns the simulation kernel driving the medium.
-func (m *Medium) Kernel() *sim.Kernel { return m.k }
-
 // Config returns the medium's parameters.
 func (m *Medium) Config() Config { return m.cfg }
 
@@ -302,26 +296,6 @@ func (m *Medium) Register(n NodeID, l Listener, overhears KindSet) {
 	}
 	m.nodes[n].listener = l
 	m.nodes[n].overhears = overhears
-}
-
-// RSS returns the received signal strength (dBm) at dst when src transmits.
-func (m *Medium) RSS(src, dst NodeID) float64 { return m.rss[src][dst] }
-
-// SNRdB returns the interference-free SNR of the src→dst channel.
-func (m *Medium) SNRdB(src, dst NodeID) float64 {
-	return m.rss[src][dst] - m.cfg.NoiseDBm
-}
-
-// InRange reports whether dst can decode a frame from src at the given rate
-// with no interference present.
-func (m *Medium) InRange(src, dst NodeID, rate Rate) bool {
-	return m.rss[src][dst] >= m.cfg.DeliverFloorDBm &&
-		m.SNRdB(src, dst) >= SNRThresholdDB(rate)
-}
-
-// Hears reports whether dst's carrier sense detects src's transmissions.
-func (m *Medium) Hears(src, dst NodeID) bool {
-	return m.rss[src][dst] >= m.cfg.CSThreshDBm
 }
 
 // Busy reports the carrier-sense state at n: energy from other transmitters

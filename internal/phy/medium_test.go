@@ -19,6 +19,33 @@ type recorder struct {
 	carrier []bool
 }
 
+// SignatureDuration is one length-127 Gold code at 20 MHz BPSK
+// (127 chips / 20 Mcps = 6.35 µs, paper §3.2).
+var SignatureDuration = sim.Micros(6.35)
+
+// AllKinds holds every frame kind.
+const AllKinds = ^KindSet(0)
+
+// Kernel returns the simulation kernel driving the medium.
+func (m *Medium) Kernel() *sim.Kernel { return m.k }
+
+// SNRdB returns the interference-free SNR of the src→dst channel.
+func (m *Medium) SNRdB(src, dst NodeID) float64 {
+	return m.rss[src][dst] - m.cfg.NoiseDBm
+}
+
+// InRange reports whether dst can decode a frame from src at the given rate
+// with no interference present.
+func (m *Medium) InRange(src, dst NodeID, rate Rate) bool {
+	return m.rss[src][dst] >= m.cfg.DeliverFloorDBm &&
+		m.SNRdB(src, dst) >= SNRThresholdDB(rate)
+}
+
+// Hears reports whether dst's carrier sense detects src's transmissions.
+func (m *Medium) Hears(src, dst NodeID) bool {
+	return m.rss[src][dst] >= m.cfg.CSThreshDBm
+}
+
 func (r *recorder) CarrierChanged(busy bool) { r.carrier = append(r.carrier, busy) }
 func (r *recorder) FrameReceived(f *Frame, ok bool, det *SignatureDetection) {
 	r.frames = append(r.frames, *f)

@@ -58,9 +58,6 @@ var (
 	PreambleDuration = sim.Micros(20)
 	// SymbolDuration is one OFDM data symbol.
 	SymbolDuration = sim.Micros(4)
-	// SignatureDuration is one length-127 Gold code at 20 MHz BPSK
-	// (127 chips / 20 Mcps = 6.35 µs, paper §3.2).
-	SignatureDuration = sim.Micros(6.35)
 	// ROPSlotDuration is the air time of one polling exchange: poll packet,
 	// one WiFi slot of turnaround, and the 16 µs control symbol with its CP
 	// (paper §3.1, Fig 4), rounded up to cover processing slack.
@@ -141,9 +138,6 @@ const (
 
 // KindSet is a set of frame kinds, one bit per FrameKind.
 type KindSet uint8
-
-// AllKinds holds every frame kind.
-const AllKinds = ^KindSet(0)
 
 // Kinds returns the set holding ks.
 func Kinds(ks ...FrameKind) KindSet {

@@ -88,15 +88,6 @@ func (e Event) SetSource(s Source) Event {
 	return e
 }
 
-// Source returns the event's attribution, or SrcUnknown once the handle is
-// stale.
-func (e Event) Source() Source {
-	if e.live() {
-		return e.ev.src
-	}
-	return SrcUnknown
-}
-
 // Cancel prevents the event from firing, removes it from the queue via its
 // stored heap index (cancelled events do not linger and inflate Pending())
 // and recycles its storage. Cancelling an event that already fired, was
@@ -113,13 +104,6 @@ func (e Event) Cancel() {
 		ev.k.removeQueued(ev)
 	}
 }
-
-// Cancelled reports whether Cancel has been called on the event. Reliable
-// from the Cancel call until the kernel reuses the event's storage for a new
-// schedule (handles are contractually dead after fire/cancel; this query
-// exists for assertions immediately after a Cancel). False for the zero
-// handle and stale handles.
-func (e Event) Cancelled() bool { return e.live() && e.ev.cancelled }
 
 // EventInfo is the snapshot handed to the Kernel.OnEvent hook just before an
 // event's callback runs. It is passed by value so a nil or trivial hook costs

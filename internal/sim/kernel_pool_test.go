@@ -6,6 +6,22 @@ import (
 	"testing"
 )
 
+// Source returns the event's attribution, or SrcUnknown once the handle is
+// stale.
+func (e Event) Source() Source {
+	if e.live() {
+		return e.ev.src
+	}
+	return SrcUnknown
+}
+
+// Cancelled reports whether Cancel has been called on the event. Reliable
+// from the Cancel call until the kernel reuses the event's storage for a new
+// schedule (handles are contractually dead after fire/cancel; this query
+// exists for assertions immediately after a Cancel). False for the zero
+// handle and stale handles.
+func (e Event) Cancelled() bool { return e.live() && e.ev.cancelled }
+
 // poolSize exposes the kernel's free-list depth to these white-box tests.
 func (k *Kernel) poolSize() int { return len(k.free) }
 

@@ -65,9 +65,6 @@ func (c *Collector) MergeMapped(o *Collector, mapID func(int) int) {
 	}
 }
 
-// Link returns the accumulated statistics for a link.
-func (c *Collector) Link(id int) LinkStats { return c.links[id] }
-
 // ThroughputMbps returns a link's goodput over the measurement window ending
 // at end.
 func (c *Collector) ThroughputMbps(id int, end sim.Time) float64 {
@@ -231,12 +228,6 @@ func NewMisalignment(numSlots int) *Misalignment {
 	return &Misalignment{numSlots: numSlots, slots: map[int][]groupSpan{}}
 }
 
-// Observe records that a transmitter started slot idx at time t (single
-// global group).
-func (m *Misalignment) Observe(idx int, t sim.Time) {
-	m.ObserveGroup(idx, t, 0)
-}
-
 // ObserveGroup records a slot start within a reference group.
 func (m *Misalignment) ObserveGroup(idx int, t sim.Time, group int) {
 	if idx < 0 || idx >= m.numSlots {
@@ -262,6 +253,3 @@ func (m *Misalignment) Max(idx int) sim.Time {
 	}
 	return worst
 }
-
-// Slots returns how many slot indices are tracked.
-func (m *Misalignment) Slots() int { return m.numSlots }

@@ -38,7 +38,7 @@ func TestCollectorThroughputAndDelay(t *testing.T) {
 	if got := c.MeanDelay(); got != wantDelay {
 		t.Errorf("mean delay = %v, want %v", got, wantDelay)
 	}
-	if s := c.Link(0); s.DeliveredPkts != 10 || s.DeliveredB != 5120 {
+	if s := c.links[0]; s.DeliveredPkts != 10 || s.DeliveredB != 5120 {
 		t.Errorf("link0 stats = %+v", s)
 	}
 }
@@ -48,12 +48,12 @@ func TestCollectorWarmup(t *testing.T) {
 	c := NewCollector(1, sim.Second)
 	c.Delivered(pkt(l, 512, 0), 500*sim.Millisecond) // during warm-up
 	c.Dropped(pkt(l, 512, 0), 700*sim.Millisecond)
-	if c.Link(0).DeliveredPkts != 0 || c.Link(0).DroppedPkts != 0 {
+	if c.links[0].DeliveredPkts != 0 || c.links[0].DroppedPkts != 0 {
 		t.Fatal("warm-up traffic counted")
 	}
 	c.Delivered(pkt(l, 512, sim.Second), 2*sim.Second)
 	c.Dropped(pkt(l, 512, 0), 2*sim.Second)
-	if c.Link(0).DeliveredPkts != 1 || c.Link(0).DroppedPkts != 1 {
+	if c.links[0].DeliveredPkts != 1 || c.links[0].DroppedPkts != 1 {
 		t.Fatal("post-warm-up traffic not counted")
 	}
 	// Throughput window starts at warm-up end.
@@ -155,8 +155,8 @@ func TestCollectorMerge(t *testing.T) {
 	b.Dropped(pkt(l1, 512, 0), sim.Millisecond)
 	a.MergeMapped(b, func(local int) int { return mapped[local] })
 	for id := 0; id < 3; id++ {
-		if a.Link(id) != serial.Link(id) {
-			t.Errorf("link %d: merged %+v vs serial %+v", id, a.Link(id), serial.Link(id))
+		if a.links[id] != serial.links[id] {
+			t.Errorf("link %d: merged %+v vs serial %+v", id, a.links[id], serial.links[id])
 		}
 	}
 }
@@ -197,22 +197,22 @@ func TestCDFEmptyPanics(t *testing.T) {
 
 func TestMisalignment(t *testing.T) {
 	m := NewMisalignment(5)
-	if m.Slots() != 5 {
-		t.Fatalf("slots = %d", m.Slots())
+	if m.numSlots != 5 {
+		t.Fatalf("slots = %d", m.numSlots)
 	}
-	m.Observe(0, 100*sim.Microsecond)
-	m.Observe(0, 124*sim.Microsecond)
-	m.Observe(0, 110*sim.Microsecond)
+	m.ObserveGroup(0, 100*sim.Microsecond, 0)
+	m.ObserveGroup(0, 124*sim.Microsecond, 0)
+	m.ObserveGroup(0, 110*sim.Microsecond, 0)
 	if got := m.Max(0); got != 24*sim.Microsecond {
 		t.Errorf("slot0 misalignment = %v", got)
 	}
-	m.Observe(1, 50*sim.Microsecond)
+	m.ObserveGroup(1, 50*sim.Microsecond, 0)
 	if got := m.Max(1); got != 0 {
 		t.Errorf("single-transmitter slot = %v", got)
 	}
 	if m.Max(2) != 0 || m.Max(-1) != 0 || m.Max(99) != 0 {
 		t.Error("empty/out-of-range slots must be 0")
 	}
-	m.Observe(-3, 0)
-	m.Observe(99, 0) // must not panic
+	m.ObserveGroup(-3, 0, 0)
+	m.ObserveGroup(99, 0, 0) // must not panic
 }

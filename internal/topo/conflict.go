@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/phy"
@@ -15,7 +14,6 @@ type ConflictGraph struct {
 	Net   *Network
 	Links []*Link
 	cfg   phy.Config
-	rate  phy.Rate
 	// adjBits is the symmetric adjacency as a bitset (row-major, 64 links
 	// per word), so the hot independent-set scan touches one word per 64
 	// candidates instead of one bool per pair.
@@ -43,7 +41,7 @@ type ConflictGraph struct {
 // x's interference-plus-noise at every node, then one pair of compares per
 // link b, and each broken b becomes an edge to every link incident to x.
 func NewConflictGraph(net *Network, links []*Link, cfg phy.Config, rate phy.Rate) *ConflictGraph {
-	g := &ConflictGraph{Net: net, Links: links, cfg: cfg, rate: rate}
+	g := &ConflictGraph{Net: net, Links: links, cfg: cfg}
 	n := len(links)
 	g.adjWords = (n + 63) / 64
 	g.adjBits = make([][]uint64, n)
@@ -145,9 +143,6 @@ func (g *ConflictGraph) buildAPConflict() {
 // interferers (3 dB covers two equal ones, and weaker tails).
 const ConflictMarginDB = 3
 
-// Rate returns the data rate the graph was computed for.
-func (g *ConflictGraph) Rate() phy.Rate { return g.rate }
-
 // Conflicts reports whether links a and b (by ID) may not share a slot.
 func (g *ConflictGraph) Conflicts(a, b int) bool {
 	return g.adjBits[a][b>>6]&(1<<(uint(b)&63)) != 0
@@ -225,15 +220,6 @@ func (g *ConflictGraph) CanTriggerNode(l *Link, n phy.NodeID) bool {
 		g.Net.RSS[l.Receiver][n] >= TriggerFloorDBm
 }
 
-// TriggerSNR returns the better of the two signature paths (sender→n,
-// receiver→n) in dB above noise, used to rank candidate triggers ("select one
-// node n in si such that n has the highest SNR at l.sender").
-func (g *ConflictGraph) TriggerSNR(l *Link, n phy.NodeID) float64 {
-	s := g.Net.RSS[l.Sender][n]
-	r := g.Net.RSS[l.Receiver][n]
-	return math.Max(s, r) - g.cfg.NoiseDBm
-}
-
 // APConflict reports whether any link of ap1 conflicts with any link of ap2,
 // the condition under which two APs may NOT share an ROP slot (paper §3.3).
 func (g *ConflictGraph) APConflict(ap1, ap2 phy.NodeID) bool {
@@ -245,19 +231,14 @@ func (g *ConflictGraph) APConflict(ap1, ap2 phy.NodeID) bool {
 	return g.apConflict[i][j]
 }
 
-// MaximalIndependentSet greedily grows an independent set containing the seed
-// links (which must themselves be independent), considering candidates in the
-// given order. It returns link IDs. This implements both the RAND scheduler's
-// slot construction and the converter's fake-link maximal cover.
-func (g *ConflictGraph) MaximalIndependentSet(seed []int, order []int) []int {
-	return g.MaximalIndependentSetInto(nil, nil, seed, order)
-}
-
-// MaximalIndependentSetInto is MaximalIndependentSet with caller-provided
-// scratch: set receives the result (reset to set[:0]) and blocked must hold
-// at least (len(Links)+63)/64 words (nil allocates). The greedy outcome is
-// identical to MaximalIndependentSet; the bitset just replaces the
-// candidate-vs-set rescan with one word test per candidate.
+// MaximalIndependentSetInto greedily grows an independent set containing
+// the seed links (which must themselves be independent), considering
+// candidates in the given order. It returns link IDs. This implements both
+// the RAND scheduler's slot construction and the converter's fake-link
+// maximal cover. Scratch is the caller's: set receives the result (reset to
+// set[:0]) and blocked must hold at least (len(Links)+63)/64 words (nil
+// allocates); the bitset replaces a candidate-vs-set rescan with one word
+// test per candidate.
 func (g *ConflictGraph) MaximalIndependentSetInto(set []int, blocked []uint64, seed []int, order []int) []int {
 	if blocked == nil {
 		blocked = make([]uint64, g.adjWords)

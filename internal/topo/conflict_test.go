@@ -54,9 +54,9 @@ func pairwiseConflicts(net *Network, links []*Link, cfg phy.Config, rate phy.Rat
 
 // checkMatchesPairwise compares g edge for edge, degree for degree and AP
 // pair for AP pair against the pairwise reference.
-func checkMatchesPairwise(t *testing.T, g *ConflictGraph, cfg phy.Config) {
+func checkMatchesPairwise(t *testing.T, g *ConflictGraph, cfg phy.Config, rate phy.Rate) {
 	t.Helper()
-	want := pairwiseConflicts(g.Net, g.Links, cfg, g.Rate())
+	want := pairwiseConflicts(g.Net, g.Links, cfg, rate)
 	edges := 0
 	for i := range g.Links {
 		deg := 0
@@ -159,7 +159,7 @@ func TestConflictGraphMatchesPairwise(t *testing.T) {
 		for _, cfg := range []phy.Config{phy.DefaultConfig(), noisy, quiet} {
 			for _, rate := range rates {
 				t.Run(fmt.Sprintf("%s/noise%g/%gM", in.name, cfg.NoiseDBm, float64(rate)), func(t *testing.T) {
-					checkMatchesPairwise(t, NewConflictGraph(in.net, in.links, cfg, rate), cfg)
+					checkMatchesPairwise(t, NewConflictGraph(in.net, in.links, cfg, rate), cfg, rate)
 				})
 			}
 		}

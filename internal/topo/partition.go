@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -16,10 +15,6 @@ import (
 // floor (-82 dBm) as absent entirely, so -78 dBm cuts only edges the
 // measured map considers borderline.
 const DefaultCutDBm = -78.0
-
-// NoCutDBm disables the RSS-threshold cut: every AP-conflict edge is kept,
-// so domains are the exact connected components of the AP conflict relation.
-var NoCutDBm = math.Inf(-1)
 
 // Domain is one interference domain of a Partition: a set of AP cells whose
 // links conflict (directly or transitively) above the cut threshold. All
@@ -73,8 +68,8 @@ type Partition struct {
 // Two AP cells are coupled when APConflict holds AND the strongest RSS
 // between any node of one cell and any node of the other is at least cutDBm;
 // domains are the connected components of that relation. Every AP belongs to
-// exactly one domain (linkless APs form singletons). Use NoCutDBm to keep
-// every conflict edge.
+// exactly one domain (linkless APs form singletons). A cut of math.Inf(-1)
+// keeps every conflict edge.
 func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 	net := g.Net
 	aps := net.APs
@@ -244,49 +239,4 @@ func (p *Partition) Subnet(d int) (*Network, []phy.NodeID) {
 		}
 	}
 	return sub, append([]phy.NodeID(nil), dom.Nodes...)
-}
-
-// Validate checks partition invariants: every AP in exactly one domain,
-// every node and link mapped, domain slices sorted, and subnet extraction
-// well-formed. Intended for tests and debug assertions.
-func (p *Partition) Validate() error {
-	net := p.Graph.Net
-	seenAP := map[phy.NodeID]int{}
-	for d := range p.Domains {
-		dom := &p.Domains[d]
-		if dom.Index != d {
-			return fmt.Errorf("partition: domain %d has Index %d", d, dom.Index)
-		}
-		if len(dom.APs) == 0 {
-			return fmt.Errorf("partition: domain %d has no APs", d)
-		}
-		for _, ap := range dom.APs {
-			if prev, dup := seenAP[ap]; dup {
-				return fmt.Errorf("partition: AP %d in domains %d and %d", ap, prev, d)
-			}
-			seenAP[ap] = d
-		}
-		if !sort.SliceIsSorted(dom.Nodes, func(a, b int) bool { return dom.Nodes[a] < dom.Nodes[b] }) {
-			return fmt.Errorf("partition: domain %d nodes unsorted", d)
-		}
-		if !sort.IntsAreSorted(dom.Links) {
-			return fmt.Errorf("partition: domain %d links unsorted", d)
-		}
-	}
-	for _, ap := range net.APs {
-		if _, ok := seenAP[ap]; !ok {
-			return fmt.Errorf("partition: AP %d unassigned", ap)
-		}
-	}
-	for id := 0; id < net.NumNodes(); id++ {
-		if p.NodeDomain[id] < 0 {
-			return fmt.Errorf("partition: node %d unassigned", id)
-		}
-	}
-	for id, d := range p.LinkDomain {
-		if d < 0 || d >= len(p.Domains) {
-			return fmt.Errorf("partition: link %d has domain %d", id, d)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,62 @@
 package topo
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/phy"
 )
+
+// NoCutDBm disables the RSS-threshold cut: every AP-conflict edge is kept,
+// so domains are the exact connected components of the AP conflict relation.
+var NoCutDBm = math.Inf(-1)
+
+// Validate checks partition invariants: every AP in exactly one domain,
+// every node and link mapped, and domain slices sorted.
+func (p *Partition) Validate() error {
+	net := p.Graph.Net
+	seenAP := map[phy.NodeID]int{}
+	for d := range p.Domains {
+		dom := &p.Domains[d]
+		if dom.Index != d {
+			return fmt.Errorf("partition: domain %d has Index %d", d, dom.Index)
+		}
+		if len(dom.APs) == 0 {
+			return fmt.Errorf("partition: domain %d has no APs", d)
+		}
+		for _, ap := range dom.APs {
+			if prev, dup := seenAP[ap]; dup {
+				return fmt.Errorf("partition: AP %d in domains %d and %d", ap, prev, d)
+			}
+			seenAP[ap] = d
+		}
+		if !sort.SliceIsSorted(dom.Nodes, func(a, b int) bool { return dom.Nodes[a] < dom.Nodes[b] }) {
+			return fmt.Errorf("partition: domain %d nodes unsorted", d)
+		}
+		if !sort.IntsAreSorted(dom.Links) {
+			return fmt.Errorf("partition: domain %d links unsorted", d)
+		}
+	}
+	for _, ap := range net.APs {
+		if _, ok := seenAP[ap]; !ok {
+			return fmt.Errorf("partition: AP %d unassigned", ap)
+		}
+	}
+	for id := 0; id < net.NumNodes(); id++ {
+		if p.NodeDomain[id] < 0 {
+			return fmt.Errorf("partition: node %d unassigned", id)
+		}
+	}
+	for id, d := range p.LinkDomain {
+		if d < 0 || d >= len(p.Domains) {
+			return fmt.Errorf("partition: link %d has domain %d", id, d)
+		}
+	}
+	return nil
+}
 
 // naiveComponents is the reference partition the domain tests compare
 // against: plain DFS over a bool adjacency matrix, each component sorted.

@@ -234,7 +234,7 @@ func TestMaximalIndependentSet(t *testing.T) {
 	n := Figure7()
 	g := defaultGraph(t, n, true, false) // 4 downlinks: conflicts {0,1},{2,3}
 	order := []int{0, 1, 2, 3}
-	set := g.MaximalIndependentSet(nil, order)
+	set := g.MaximalIndependentSetInto(nil, nil, nil, order)
 	if len(set) != 2 {
 		t.Fatalf("MIS = %v", set)
 	}
@@ -247,7 +247,7 @@ func TestMaximalIndependentSet(t *testing.T) {
 		}
 	}
 	// Seeded version keeps the seed.
-	set2 := g.MaximalIndependentSet([]int{1}, order)
+	set2 := g.MaximalIndependentSetInto(nil, nil, []int{1}, order)
 	if set2[0] != 1 {
 		t.Fatalf("seed dropped: %v", set2)
 	}
@@ -295,11 +295,6 @@ func TestCanTrigger(t *testing.T) {
 	// AP3/C3 only.
 	if g.CanTriggerNode(d4, 3) {
 		t.Error("AP4→C4 should not reach C2")
-	}
-	// TriggerSNR picks the better endpoint.
-	snr := g.TriggerSNR(d4, 4)
-	if want := float64(-80 - (-94)); snr != want {
-		t.Errorf("TriggerSNR = %v, want %v", snr, want)
 	}
 }
 

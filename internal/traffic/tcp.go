@@ -62,12 +62,15 @@ type TCPFlow struct {
 	rtoTimer  sim.Event
 	sendTime  map[uint64]sim.Time // for RTT sampling (Karn: fresh sends only)
 	appTokens float64
+	// tokenFn and rtoFn are tokenTick and onRTO bound once, so re-arming
+	// the token clock or the RTO allocates no method value.
+	tokenFn, rtoFn func()
 
 	// Receiver state.
 	rcvNxt   uint64
 	outOfOrd map[uint64]bool
 
-	// Counters for tests and reporting.
+	// Counters. Only tests read them.
 	Retransmits   int
 	Timeouts      int
 	FastRecovered int
@@ -89,7 +92,7 @@ func NewTCPFlow(k *sim.Kernel, e mac.Engine, id int, data, ack *topo.Link, cfg T
 	if cfg.RTOMin <= 0 {
 		cfg.RTOMin = 200 * sim.Millisecond
 	}
-	return &TCPFlow{
+	f := &TCPFlow{
 		k: k, engine: e, id: id, data: data, ack: ack, cfg: cfg,
 		cwnd:     cfg.InitCwnd,
 		ssthresh: 64,
@@ -97,13 +100,15 @@ func NewTCPFlow(k *sim.Kernel, e mac.Engine, id int, data, ack *topo.Link, cfg T
 		sendTime: map[uint64]sim.Time{},
 		outOfOrd: map[uint64]bool{},
 	}
+	f.tokenFn, f.rtoFn = f.tokenTick, f.onRTO
+	return f
 }
 
 // Start begins transmission; with a rate cap it also starts the token clock.
 func (f *TCPFlow) Start() {
 	if f.cfg.RateMbps > 0 {
 		f.appTokens = f.cfg.InitCwnd
-		f.k.After(f.tokenInterval(), f.tokenTick).SetSource(sim.SrcTraffic)
+		f.k.After(f.tokenInterval(), f.tokenFn).SetSource(sim.SrcTraffic)
 	}
 	f.trySend()
 }
@@ -119,7 +124,7 @@ func (f *TCPFlow) tokenTick() {
 		f.appTokens++
 	}
 	f.trySend()
-	f.k.After(f.tokenInterval(), f.tokenTick)
+	f.k.After(f.tokenInterval(), f.tokenFn)
 }
 
 func (f *TCPFlow) inflight() float64 { return float64(f.sndMax - f.sndUna) }
@@ -167,7 +172,7 @@ func (f *TCPFlow) armRTO() {
 	if f.rtoTimer.Scheduled() {
 		f.rtoTimer.Cancel()
 	}
-	f.rtoTimer = f.k.After(f.rto, f.onRTO)
+	f.rtoTimer = f.k.After(f.rto, f.rtoFn)
 }
 
 func (f *TCPFlow) onRTO() {
@@ -298,12 +303,3 @@ func (f *TCPFlow) sampleRTT(rtt sim.Time) {
 		f.rto = f.cfg.RTOMin
 	}
 }
-
-// Cwnd exposes the congestion window for tests.
-func (f *TCPFlow) Cwnd() float64 { return f.cwnd }
-
-// SndUna exposes the first unacknowledged segment for tests.
-func (f *TCPFlow) SndUna() uint64 { return f.sndUna }
-
-// SndMax exposes the highest sequence sent so far plus one.
-func (f *TCPFlow) SndMax() uint64 { return f.sndMax }

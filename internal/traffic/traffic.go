@@ -11,11 +11,6 @@ import (
 	"repro/internal/topo"
 )
 
-// Source drives packets into an engine once started.
-type Source interface {
-	Start()
-}
-
 // UDP is a constant-bit-rate source on one link.
 type UDP struct {
 	k        *sim.Kernel

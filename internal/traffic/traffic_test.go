@@ -218,8 +218,8 @@ func TestTCPDeliversInOrderCleanPath(t *testing.T) {
 	if f.AckedSegments < 1000 {
 		t.Errorf("acked %d segments in 2 s; window never opened?", f.AckedSegments)
 	}
-	if f.Cwnd() <= DefaultTCPConfig(0).InitCwnd {
-		t.Errorf("cwnd = %v never grew", f.Cwnd())
+	if f.cwnd <= DefaultTCPConfig(0).InitCwnd {
+		t.Errorf("cwnd = %v never grew", f.cwnd)
 	}
 	// Every delivered data segment produced one ACK on the reverse link.
 	if c.delivered[1] == 0 || math.Abs(float64(c.delivered[0]-c.delivered[1])) > 4 {
@@ -258,8 +258,8 @@ func TestTCPFastRetransmit(t *testing.T) {
 	if f.FastRecovered == 0 {
 		t.Error("no fast retransmit despite dup ACKs")
 	}
-	if f.SndUna() <= 30 {
-		t.Errorf("hole never repaired: sndUna = %d", f.SndUna())
+	if f.sndUna <= 30 {
+		t.Errorf("hole never repaired: sndUna = %d", f.sndUna)
 	}
 	if f.AckedSegments < 100 {
 		t.Errorf("flow stalled after loss: acked %d", f.AckedSegments)
@@ -284,8 +284,8 @@ func TestTCPTimeoutRecovery(t *testing.T) {
 	if f.Timeouts == 0 {
 		t.Error("expected at least one RTO")
 	}
-	if f.SndUna() < 4 {
-		t.Errorf("flow never recovered: sndUna = %d", f.SndUna())
+	if f.sndUna < 4 {
+		t.Errorf("flow never recovered: sndUna = %d", f.sndUna)
 	}
 	if f.AckedSegments == 0 {
 		t.Error("nothing delivered after recovery")
@@ -302,9 +302,9 @@ func TestTCPCwndHalvesOnLoss(t *testing.T) {
 	f.Start()
 	var before float64
 	k.After(500*sim.Millisecond, func() {
-		before = f.Cwnd()
+		before = f.cwnd
 		// Lose a segment that has not been transmitted yet.
-		e.lose(0, f.SndMax()+10)
+		e.lose(0, f.sndMax+10)
 	})
 	k.RunUntil(3 * sim.Second)
 	if before == 0 {
@@ -313,7 +313,7 @@ func TestTCPCwndHalvesOnLoss(t *testing.T) {
 	if f.FastRecovered == 0 && f.Timeouts == 0 {
 		t.Error("loss never detected")
 	}
-	if f.Cwnd() >= before*4 {
-		t.Errorf("cwnd %v did not react to loss (was %v)", f.Cwnd(), before)
+	if f.cwnd >= before*4 {
+		t.Errorf("cwnd %v did not react to loss (was %v)", f.cwnd, before)
 	}
 }

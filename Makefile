@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench profile-fig14 profile-fig7
+.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench profile-fig14 profile-fig7 loc
 
 ci: vet fmt build test specs examples trace-smoke race race-hot race-shard bench-smoke
 
@@ -110,3 +110,9 @@ profile-fig7:
 	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_objects $$dir/repro.test $$dir/mem.pprof; \
 	$(GO) tool pprof -top -nodecount 30 -sample_index inuse_space $$dir/repro.test $$dir/mem.pprof; \
 	echo "profiles in $$dir"
+
+# Go line counts outside bench/ and hidden directories: non-test files, then
+# _test.go files.
+loc:
+	@find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs echo "non-test Go lines:"
+	@find . \( -path ./bench -o -path './.*' \) -prune -o -name '*_test.go' -print0 | xargs -0 cat | wc -l | xargs echo "test Go lines:"

@@ -21,6 +21,7 @@ import (
 	"repro/internal/ofdm"
 	"repro/internal/shard"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/topo"
 )
 
@@ -38,7 +39,7 @@ func benchOpts(seed int64) exp.Options {
 // mustT10x2 builds the default campus topology or aborts the benchmark.
 func mustT10x2(tb testing.TB, seed int64) *topo.Network {
 	tb.Helper()
-	net, err := exp.T10x2(seed)
+	net, err := spec.Topology{Kind: "campus", APs: 10, Clients: 2}.Build(seed)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -21,8 +21,7 @@ type spanNode struct {
 	id     int64
 	parent int64 // 0 = root
 	node   int   // simulator node that opened the span
-	kind   obs.Kind
-	seen   bool // a record with Span == id was observed (not just referenced)
+	seen   bool  // a record with Span == id was observed (not just referenced)
 
 	first, last sim.Time // event-time extent of the span and its leaf events
 	air         sim.Time // airtime of transmissions carried on this span
@@ -72,7 +71,6 @@ func (c *chainAnalyzer) Observe(rec obs.Record) {
 		sn.seen = true
 		sn.first = rec.At
 		sn.node = rec.Node
-		sn.kind = rec.Kind
 	}
 	if rec.At > sn.last {
 		sn.last = rec.At

@@ -7,8 +7,9 @@
 //	traceinfo -gen campus -json > trace.json      # export
 //	traceinfo -load trace.json -aps 10 -clients 2 # select a T(m,n) and report
 //
-// The JSON format (topo.ReadTraceJSON) lets real measured interference maps
-// drive every engine in this repository.
+// The JSON format (topo.ReadTraceJSON) carries a measured interference map
+// in and out. traceinfo only reports on an imported trace: no spec kind or
+// simulator flag runs one.
 package main
 
 import (

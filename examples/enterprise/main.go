@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/phy"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/topo"
 )
 
@@ -28,9 +28,7 @@ func main() {
 	flag.Parse()
 
 	build := func() *topo.Network {
-		tr := topo.CampusTrace(*seed)
-		rng := rand.New(rand.NewSource(*seed))
-		net, err := topo.BuildT(tr, 10, 2, phy.DefaultConfig(), phy.Rate12, rng)
+		net, err := spec.Topology{Kind: "campus", APs: 10, Clients: 2}.Build(*seed)
 		if err != nil {
 			log.Fatal(err)
 		}

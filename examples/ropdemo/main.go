@@ -31,7 +31,7 @@ func main() {
 		clients = append(clients, ofdm.Client{Subchannel: s, CFOHz: (rng.Float64()*2 - 1) * 550})
 		queues = append(queues, rng.Intn(64))
 	}
-	res := ofdm.Poll(l, clients, queues, 1e-3, rng)
+	res := ofdm.NewPoller(l).Poll(clients, queues, 1e-3, rng)
 	okAll := true
 	for i, ok := range res.OK {
 		if !ok {
@@ -50,7 +50,7 @@ func main() {
 			{Subchannel: 0, GainDB: 30, CFOHz: 1200},
 			{Subchannel: 1, GainDB: 0, CFOHz: -400},
 		}
-		pr := ofdm.Poll(ly, cs, []int{0b111111, 0b010101}, 1e-3, rng)
+		pr := ofdm.NewPoller(ly).Poll(cs, []int{0b111111, 0b010101}, 1e-3, rng)
 		weak := ly.SubcarrierIndices(1)
 		fmt.Printf("%s: weak client decode ok = %v, weak-band |Y|:", name, pr.OK[1])
 		for _, bin := range weak {

@@ -21,7 +21,6 @@ func (e *Engine) WireObs(run *obs.Run) {
 func init() {
 	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:               "CENTAUR",
-		Summary:            "hybrid scheduled-downlink / DCF-uplink baseline",
 		NeedsConflictGraph: true,
 		DefaultConfig: func(p scheme.Params) any {
 			cfg := DefaultConfig()

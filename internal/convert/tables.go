@@ -14,9 +14,6 @@ import (
 // passes' output — the tables only let the greedy scans skip candidates the
 // original loops would have rejected anyway.
 type tables struct {
-	numNodes int
-	numLinks int
-
 	// candByTarget[t] lists every node n (≠ t) with RSS[n][t] above the
 	// trigger floor, strongest first — the scan order of assignTriggers'
 	// argmax. candRSS holds the matching RSS values so the inner loop never
@@ -55,11 +52,7 @@ type tables struct {
 // buildTables precomputes the trigger tables for graph g.
 func buildTables(g *topo.ConflictGraph) *tables {
 	n := g.Net.NumNodes()
-	t := &tables{
-		numNodes:  n,
-		numLinks:  len(g.Links),
-		nodeWords: (n + 63) / 64,
-	}
+	t := &tables{nodeWords: (n + 63) / 64}
 	t.candByTarget = make([][]phy.NodeID, n)
 	t.candRSS = make([][]float64, n)
 	for target := 0; target < n; target++ {

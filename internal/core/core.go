@@ -198,17 +198,10 @@ type Instance struct {
 	// Kernel is the instance's event kernel; its clock starts at zero with
 	// the engine start and traffic arrival events queued.
 	Kernel *sim.Kernel
-	// Medium is the PHY channel model bound to Kernel.
-	Medium *phy.Medium
-	// Graph is the conflict graph, nil when the scheme does not need one.
-	Graph *topo.ConflictGraph
-	// Engine is the scheme engine under test.
-	Engine mac.Engine
 	// Obs is the observability run, nil unless Tracer or Metrics was set.
 	Obs *obs.Run
 
 	hub      *mac.Hub
-	coll     *stats.Collector
 	res      Result
 	finished bool
 }
@@ -263,7 +256,7 @@ func NewInstance(s Scenario) (*Instance, error) {
 	hub := &mac.Hub{}
 
 	res := Result{Links: links, DataLinkID: map[int]bool{}}
-	inst := &Instance{S: s, Kernel: k, Medium: medium, Graph: g, hub: hub}
+	inst := &Instance{S: s, Kernel: k, hub: hub}
 
 	// Observability: one obs.Run spans the kernel, the medium and the MAC
 	// outcome stream; engines implementing scheme.Observable add their own
@@ -301,8 +294,7 @@ func NewInstance(s Scenario) (*Instance, error) {
 		}
 	}
 	engine, err := d.Build(scheme.BuildContext{
-		Kernel: k, Medium: medium, Net: s.Net, Links: links, Graph: g,
-		Events: hub, Params: params,
+		Kernel: k, Medium: medium, Links: links, Graph: g, Events: hub,
 	}, cfg)
 	if err != nil {
 		inst.res = res
@@ -402,9 +394,7 @@ func NewInstance(s Scenario) (*Instance, error) {
 
 	engine.Start()
 
-	inst.Engine = engine
 	inst.Obs = orun
-	inst.coll = coll
 	inst.res = res
 	return inst, nil
 }

@@ -152,7 +152,7 @@ func (n *node) setNAV(t sim.Time) {
 		return
 	}
 	n.nav = t
-	n.e.k.At(t, n.tryScheduleFireFn)
+	n.e.k.At(t, n.tryScheduleFireFn).SetSource(sim.SrcMAC)
 }
 
 // Hold takes l out of its sender's round-robin contention: packets queued on
@@ -417,7 +417,7 @@ func (n *node) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) {
 // owed and one bound callback (ack) serves them all.
 func (n *node) sendAck(f *phy.Frame) {
 	n.acks = append(n.acks, pendingAck{dst: f.Src, h: f.Handle, span: f.ObsSpan})
-	n.e.k.After(n.e.cfg.SIFS, n.ackFn)
+	n.e.k.After(n.e.cfg.SIFS, n.ackFn).SetSource(sim.SrcMAC)
 }
 
 // ack sends the oldest owed ACK.
@@ -441,7 +441,7 @@ func (n *node) ack() {
 		Kind: phy.Ack, Dst: a.dst, Bytes: phy.AckBytes,
 		Rate: n.e.cfg.AckRate, Duration: dur, Handle: a.h, ObsSpan: a.span,
 	})
-	n.e.k.After(dur, n.tryScheduleFireFn)
+	n.e.k.After(dur, n.tryScheduleFireFn).SetSource(sim.SrcMAC)
 }
 
 // onAck completes the pending transmission.

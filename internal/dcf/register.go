@@ -19,8 +19,7 @@ func (e *Engine) WireObs(run *obs.Run) {
 
 func init() {
 	scheme.Registry.MustRegister(scheme.Descriptor{
-		Name:    "DCF",
-		Summary: "802.11 distributed coordination function baseline",
+		Name: "DCF",
 		DefaultConfig: func(p scheme.Params) any {
 			cfg := DefaultConfig()
 			cfg.Rate = p.Rate

@@ -86,7 +86,7 @@ type apCall struct {
 // returns for the caller to fill in the arguments.
 func (ap *apNode) later(d sim.Time, do func(*apCall)) *apCall {
 	c := ap.call(do)
-	ap.e.k.After(d, c.fn)
+	ap.e.k.After(d, c.fn).SetSource(sim.SrcMAC)
 	return c
 }
 
@@ -216,7 +216,7 @@ func (ap *apNode) armWatchdog() {
 		return
 	}
 	d := watchdogSlots * ap.e.dur.slot
-	ap.watchdog = ap.e.k.After(d, ap.onWatchdog)
+	ap.watchdog = ap.e.k.After(d, ap.onWatchdog).SetSource(sim.SrcMAC)
 }
 
 // watchdogFired self-starts the AP's next action after a silence.
@@ -429,7 +429,7 @@ func (c *apCall) signature() {
 	// same instant, but its own broadcast end IS the slot boundary: if its
 	// next duty starts exactly there, self-trigger from that reference.
 	c.do = (*apCall).selfTrigger
-	ap.e.k.After(ap.e.dur.sigFrame, c.fn)
+	ap.e.k.After(ap.e.dur.sigFrame, c.fn).SetSource(sim.SrcMAC)
 }
 
 // selfTrigger starts slot hint slot from the end of the AP's own broadcast
@@ -511,7 +511,7 @@ func (c *apCall) decode() {
 	})
 	e.notePollCycle(c.res)
 	c.do = (*apCall).report
-	e.k.After(e.wiredDelay(), c.fn)
+	e.k.After(e.wiredDelay(), c.fn).SetSource(sim.SrcMAC)
 }
 
 // report hands the polling result res to the server (decode).
@@ -555,7 +555,7 @@ func (ap *apNode) onSlot(f *phy.Frame, m *meta) {
 		if e.cfg.Piggyback {
 			// Relay the piggybacked backlog to the server.
 			src, backlog := f.Src, m.backlog
-			e.k.After(e.wiredDelay(), func() { e.server.report(src, backlog) })
+			e.k.After(e.wiredDelay(), func() { e.server.report(src, backlog) }).SetSource(sim.SrcMAC)
 		}
 		a := ap.ack(f, m.span)
 		e.instrInto(&a.in, f.Src, idx)

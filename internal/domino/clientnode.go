@@ -78,7 +78,7 @@ func (d *clientDuty) boundary() {
 		// The AP told us we transmit in the next slot: the end of this
 		// boundary exchange is our reference (we may be deaf to the
 		// broadcast carrying our own signature while sending ours).
-		c.e.k.After(c.e.dur.sigFrame, d.selfArmFn)
+		c.e.k.After(c.e.dur.sigFrame, d.selfArmFn).SetSource(sim.SrcMAC)
 		return
 	}
 	d.free()

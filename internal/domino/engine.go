@@ -637,7 +637,7 @@ func (s *server) buildAndDispatch() {
 	}
 	if len(batch) == 0 {
 		// Nothing to schedule at all: check again after one slot.
-		e.k.After(e.dur.slot, s.buildFn)
+		e.k.After(e.dur.slot, s.buildFn).SetSource(sim.SrcMAC)
 		return
 	}
 	// Scheduled uplink transmissions consume the polled estimates.
@@ -708,7 +708,7 @@ func (s *server) buildAndDispatch() {
 			e.buildPending = true
 			s.buildAndDispatch()
 		}
-	})
+	}).SetSource(sim.SrcMAC)
 }
 
 // noteProgress records that execution reached the given slot and pipelines

@@ -167,7 +167,7 @@ func (r *radio) arm(act action, delay sim.Time) {
 	}
 	tx.act, tx.at = act, r.e.k.Now()
 	r.armedSlots = append(r.armedSlots, act.slot)
-	tx.ev = r.e.k.After(delay, tx.fireFn)
+	tx.ev = r.e.k.After(delay, tx.fireFn).SetSource(sim.SrcMAC)
 	r.armed = tx
 }
 
@@ -238,7 +238,7 @@ func (r *radio) open(link *topo.Link, idx int, nav sim.Time) {
 		f.Handle, f.NAV = bundle[0].Handle, nav
 		e.medium.Transmit(r.id, &f)
 		timeout := f.Duration + phy.SIFS + e.dur.ack + 2*phy.SlotTime
-		r.ackEv = e.k.After(timeout, r.onAckTimeout)
+		r.ackEv = e.k.After(timeout, r.onAckTimeout).SetSource(sim.SrcMAC)
 	} else {
 		e.FakeSends++
 		e.emitSlotStart("fake", r.id, link, idx, m.span, r.refSpan)
@@ -293,7 +293,7 @@ func (r *radio) ack(f *phy.Frame, span int64) *pendingAck {
 	}
 	a := &r.acks[len(r.acks)-1]
 	a.dst, a.h, a.span, a.hasIn = f.Src, f.Handle, span, false
-	r.e.k.After(phy.SIFS, r.sendAckFn)
+	r.e.k.After(phy.SIFS, r.sendAckFn).SetSource(sim.SrcMAC)
 	return a
 }
 
@@ -329,7 +329,7 @@ func (r *radio) sendAck() {
 // started at slotStart, or now if that has passed.
 func (r *radio) atBoundary(slotStart sim.Time, fn func()) {
 	e := r.e
-	e.k.After(max(0, slotStart+e.dur.broadcastOffset-e.k.Now()), fn)
+	e.k.After(max(0, slotStart+e.dur.broadcastOffset-e.k.Now()), fn).SetSource(sim.SrcMAC)
 }
 
 // broadcast sends the signature frame that closes slot idx and triggers
@@ -348,7 +348,7 @@ func (r *radio) broadcast(idx int, targets []phy.NodeID, rop bool) bool {
 	e.emitSlotEnd(r.id, idx, span, r.refSpan)
 	pl := &r.sig
 	pl.Sigs = broadcastSigs(pl.Sigs, targets)
-	pl.Start, pl.ROP, pl.SlotHint, pl.ObsSpan, pl.ObsDepth = true, rop, idx+1, span, r.depth
+	pl.ROP, pl.SlotHint, pl.ObsSpan, pl.ObsDepth = rop, idx+1, span, r.depth
 	e.medium.Transmit(r.id, &phy.Frame{
 		Kind: phy.Signature, Dst: phy.Broadcast, Duration: e.dur.sigFrame,
 		Payload: pl, ObsSpan: span,

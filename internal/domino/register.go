@@ -23,7 +23,6 @@ func (e *Engine) WireObs(run *obs.Run) {
 func init() {
 	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:               "DOMINO",
-		Summary:            "the paper's relative-scheduling system",
 		NeedsConflictGraph: true,
 		DefaultConfig: func(p scheme.Params) any {
 			cfg := DefaultConfig()

@@ -25,9 +25,9 @@ func TestSchedulerByName(t *testing.T) {
 	built := 0
 	strict.Schedulers.MustRegister(strict.SchedulerDescriptor{
 		Name: name,
-		Build: func(g *topo.ConflictGraph, _ any) (strict.Scheduler, error) {
+		Build: func(g *topo.ConflictGraph) strict.Scheduler {
 			built++
-			return strict.NewLQF(g), nil
+			return strict.NewLQF(g)
 		},
 	})
 	defer strict.Schedulers.Unregister(name)

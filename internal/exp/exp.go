@@ -8,15 +8,13 @@ package exp
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/phy"
 	"repro/internal/sim"
-	"repro/internal/topo"
+	"repro/internal/spec"
 )
 
 // Options scales an experiment: the full paper settings are slow (50 s runs,
@@ -66,17 +64,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// T10x2 builds the paper's default simulation topology: T(10, 2) selected
-// from the 40-node two-building campus trace (§4.2.1).
-func T10x2(seed int64) (*topo.Network, error) {
-	tr := topo.CampusTrace(seed)
-	rng := rand.New(rand.NewSource(seed))
-	net, err := topo.BuildT(tr, 10, 2, phy.DefaultConfig(), phy.Rate12, rng)
-	if err != nil {
-		return nil, fmt.Errorf("exp: T(10,2) infeasible on campus trace seed %d: %w", seed, err)
-	}
-	return net, nil
-}
+// t10x2 is the paper's default simulation topology: T(10, 2) selected from
+// the 40-node two-building campus trace (§4.2.1). randomT20x3 is Fig 14's
+// T(20,3) selected from a 110-node random 800×800 m placement.
+var (
+	t10x2       = spec.Topology{Kind: "campus", APs: 10, Clients: 2}
+	randomT20x3 = spec.Topology{Kind: "random", APs: 20, Clients: 3}
+)
 
 // hline prints a separator sized to the header.
 func hline(w io.Writer, n int) {

@@ -17,7 +17,7 @@ func small() Options {
 }
 
 func TestT10x2(t *testing.T) {
-	net := must(T10x2(7))
+	net := must(t10x2.Build(7))
 	if len(net.APs) != 10 || net.NumNodes() != 30 {
 		t.Fatalf("T(10,2): %d APs %d nodes", len(net.APs), net.NumNodes())
 	}

@@ -206,7 +206,7 @@ func Fig11(o Options) (Fig11Result, error) {
 	o = o.withDefaults()
 	res := Fig11Result{StdsUs: []float64{20, 40, 60, 80}, Slots: []int{0, 1, 2, 3, 4, 5}}
 	rows, err := runCells(o, len(res.StdsUs), func(i int) (core.Scenario, error) {
-		net, err := T10x2(o.Seed)
+		net, err := t10x2.Build(o.Seed)
 		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: o.Seed, Duration: o.Duration, Traffic: core.Saturated,

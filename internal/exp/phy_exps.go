@@ -54,9 +54,9 @@ func Fig5(seed int64) Fig5Result {
 			{Subchannel: 1, GainDB: 0, CFOHz: -cfo / 3},
 		}
 	}
-	res.EqualNoGuard = ofdm.Poll(noGuard, clients(0, 900), []int{0b111111, 0b011111}, 1e-3, rng)
-	res.StrongNoGuard = ofdm.Poll(noGuard, clients(30, 1200), []int{0b111111, 0b111111}, 1e-3, rng)
-	res.StrongGuarded = ofdm.Poll(guarded, clients(30, 1200), []int{0b111111, 0b111111}, 1e-3, rng)
+	res.EqualNoGuard = ofdm.NewPoller(noGuard).Poll(clients(0, 900), []int{0b111111, 0b011111}, 1e-3, rng)
+	res.StrongNoGuard = ofdm.NewPoller(noGuard).Poll(clients(30, 1200), []int{0b111111, 0b111111}, 1e-3, rng)
+	res.StrongGuarded = ofdm.NewPoller(guarded).Poll(clients(30, 1200), []int{0b111111, 0b111111}, 1e-3, rng)
 	res.BinsNoGuard = [][]int{noGuard.SubcarrierIndices(0), noGuard.SubcarrierIndices(1)}
 	res.BinsGuarded = [][]int{guarded.SubcarrierIndices(0), guarded.SubcarrierIndices(1)}
 	return res

@@ -33,7 +33,7 @@ func SchedulerSweep(o Options) (SchedulerSweepResult, error) {
 		selfStarts          int
 	}
 	rows, err := runCells(o, len(res.Schedulers), func(i int) (core.Scenario, error) {
-		net, err := T10x2(o.Seed)
+		net, err := t10x2.Build(o.Seed)
 		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,

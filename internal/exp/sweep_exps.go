@@ -44,7 +44,7 @@ func Fig12(o Options, transport core.TrafficKind) (Fig12Result, error) {
 	nr := len(res.UpMbps)
 	type point struct{ tput, delayUs, fair float64 }
 	points, err := runCells(o, len(res.Schemes)*nr, func(i int) (core.Scenario, error) {
-		net, err := T10x2(o.Seed)
+		net, err := t10x2.Build(o.Seed)
 		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: res.Schemes[i/nr],
 			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,
@@ -112,7 +112,7 @@ func Fig14(o Options) (Fig14Result, error) {
 	var seeds []int64
 	for run := 0; run < o.Runs; run++ {
 		seed := parallel.Seed(o.Seed, run, parallel.DefaultStride)
-		if _, err := randomT20x3(seed); err != nil {
+		if _, err := randomT20x3.Build(seed); err != nil {
 			res.Skipped++
 			continue
 		}
@@ -122,7 +122,7 @@ func Fig14(o Options) (Fig14Result, error) {
 	schemes := [2]core.Scheme{core.DCF, core.DOMINO}
 	mbps, err := runCells(o, 2*len(seeds), func(i int) (core.Scenario, error) {
 		seed := seeds[i/2]
-		net, err := randomT20x3(seed)
+		net, err := randomT20x3.Build(seed)
 		if err != nil {
 			return core.Scenario{}, fmt.Errorf("exp: Fig14 rebuild diverged at seed %d: %w", seed, err)
 		}
@@ -141,13 +141,6 @@ func Fig14(o Options) (Fig14Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// randomT20x3 selects a T(20,3) from the 110-node random 800×800 m placement
-// of seed.
-func randomT20x3(seed int64) (*topo.Network, error) {
-	tr := topo.RandomTrace(seed, 110, 800)
-	return topo.BuildT(tr, 20, 3, phy.DefaultConfig(), phy.Rate12, rand.New(rand.NewSource(seed)))
 }
 
 // Print renders the gain CDF.
@@ -186,7 +179,7 @@ func PollingSweep(o Options) (PollingSweepResult, error) {
 		if i%2 == 1 {
 			rate = 0.5
 		}
-		net, err := T10x2(o.Seed)
+		net, err := t10x2.Build(o.Seed)
 		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: o.Seed, Duration: o.Duration, Warmup: o.Warmup,

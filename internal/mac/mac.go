@@ -72,26 +72,9 @@ type Events interface {
 	Dropped(p *Packet, now sim.Time)
 }
 
-// Mux fans events out to several sinks in order.
-type Mux []Events
-
-// Delivered implements Events.
-func (m Mux) Delivered(p *Packet, now sim.Time) {
-	for _, e := range m {
-		e.Delivered(p, now)
-	}
-}
-
-// Dropped implements Events.
-func (m Mux) Dropped(p *Packet, now sim.Time) {
-	for _, e := range m {
-		e.Dropped(p, now)
-	}
-}
-
-// Hub is a mutable Events fan-out: engines are constructed with the Hub, and
-// sinks that themselves need the engine (saturated sources, TCP flows) are
-// added afterwards.
+// Hub fans events out to its sinks in order. Engines are constructed with
+// the Hub, and sinks that themselves need the engine (saturated sources,
+// TCP flows) are added afterwards.
 type Hub struct {
 	sinks []Events
 }

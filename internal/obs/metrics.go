@@ -115,7 +115,6 @@ type MetricValue struct {
 	Kind  string  `json:"kind"`  // "counter", "gauge" or "loghist"
 	Value float64 `json:"value"` // counter/gauge value; histogram sample count
 	P50   float64 `json:"p50,omitempty"`
-	P90   float64 `json:"p90,omitempty"`
 	P95   float64 `json:"p95,omitempty"`
 	P99   float64 `json:"p99,omitempty"`
 	Max   float64 `json:"max,omitempty"`
@@ -138,7 +137,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		mv := MetricValue{Name: name, Kind: "loghist", Value: float64(h.N())}
 		if h.N() > 0 {
 			mv.P50 = h.Quantile(0.5)
-			mv.P90 = h.Quantile(0.9)
 			mv.P95 = h.Quantile(0.95)
 			mv.P99 = h.Quantile(0.99)
 			mv.Max = float64(h.Max())

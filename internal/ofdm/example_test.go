@@ -7,9 +7,9 @@ import (
 	"repro/internal/ofdm"
 )
 
-// ExamplePoll runs one Rapid OFDM Polling round: three clients report their
-// queue lengths simultaneously in a single 16 µs control symbol.
-func ExamplePoll() {
+// ExamplePoller_Poll runs one Rapid OFDM Polling round: three clients
+// report their queue lengths simultaneously in a single 16 µs control symbol.
+func ExamplePoller_Poll() {
 	l := ofdm.DefaultLayout()
 	rng := rand.New(rand.NewSource(1))
 	clients := []ofdm.Client{
@@ -17,7 +17,7 @@ func ExamplePoll() {
 		{Subchannel: 1, CFOHz: 400},
 		{Subchannel: 2, DelaySamples: 30}, // 1.5 µs of propagation delay
 	}
-	res := ofdm.Poll(l, clients, []int{5, 63, 0}, 1e-3, rng)
+	res := ofdm.NewPoller(l).Poll(clients, []int{5, 63, 0}, 1e-3, rng)
 	fmt.Println("decoded:", res.Values)
 	fmt.Println("all ok:", res.OK[0] && res.OK[1] && res.OK[2])
 	// Output:

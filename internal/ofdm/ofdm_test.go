@@ -179,7 +179,7 @@ func TestPollCleanAllSubchannels(t *testing.T) {
 		clients = append(clients, Client{Subchannel: s})
 		values = append(values, rng.Intn(64))
 	}
-	res := Poll(l, clients, values, 1e-3, rng)
+	res := NewPoller(l).Poll(clients, values, 1e-3, rng)
 	for i, ok := range res.OK {
 		if !ok {
 			t.Errorf("client %d: decoded %d, sent %d", i, res.Values[i], values[i])
@@ -198,7 +198,7 @@ func TestPollDelaysWithinCP(t *testing.T) {
 		{Subchannel: 2, DelaySamples: 63},
 	}
 	values := []int{0b101010, 0b111111, 0b000001}
-	res := Poll(l, clients, values, 1e-3, rng)
+	res := NewPoller(l).Poll(clients, values, 1e-3, rng)
 	for i, ok := range res.OK {
 		if !ok {
 			t.Errorf("client %d with delay %d failed: got %d want %d",
@@ -214,7 +214,7 @@ func TestPollDelayBeyondCPPanics(t *testing.T) {
 			t.Error("delay ≥ CP did not panic")
 		}
 	}()
-	Poll(l, []Client{{Subchannel: 0, DelaySamples: 64}}, []int{1}, 0, rand.New(rand.NewSource(1)))
+	NewPoller(l).Poll([]Client{{Subchannel: 0, DelaySamples: 64}}, []int{1}, 0, rand.New(rand.NewSource(1)))
 }
 
 // TestFig5a: adjacent subchannels, similar RSS, no guard — both decode.
@@ -227,7 +227,7 @@ func TestFig5a(t *testing.T) {
 		{Subchannel: 1, CFOHz: -700},
 	}
 	values := []int{0b111111, 0b011111} // the paper's bit patterns
-	res := Poll(l, clients, values, 1e-3, rng)
+	res := NewPoller(l).Poll(clients, values, 1e-3, rng)
 	if !res.OK[0] || !res.OK[1] {
 		t.Errorf("equal-RSS adjacent subchannels failed: %v %v (got %b, %b)",
 			res.OK[0], res.OK[1], res.Values[0], res.Values[1])
@@ -314,7 +314,7 @@ func TestSpectrumShape(t *testing.T) {
 	// client amplitude, guard bins well below it.
 	l := DefaultLayout()
 	rng := rand.New(rand.NewSource(9))
-	res := Poll(l, []Client{{Subchannel: 3}}, []int{0b111111}, 1e-4, rng)
+	res := NewPoller(l).Poll([]Client{{Subchannel: 3}}, []int{0b111111}, 1e-4, rng)
 	idx := l.SubcarrierIndices(3)
 	for _, bin := range idx {
 		if res.Spectrum[bin] < 0.9 {
@@ -334,7 +334,7 @@ func TestPollMismatchedArgsPanics(t *testing.T) {
 			t.Error("mismatched clients/values did not panic")
 		}
 	}()
-	Poll(l, []Client{{Subchannel: 0}}, []int{1, 2}, 0, rand.New(rand.NewSource(1)))
+	NewPoller(l).Poll([]Client{{Subchannel: 0}}, []int{1, 2}, 0, rand.New(rand.NewSource(1)))
 }
 
 func BenchmarkFFT256(b *testing.B) {
@@ -359,6 +359,6 @@ func BenchmarkPollRound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Poll(l, clients, values, 1e-3, rng)
+		NewPoller(l).Poll(clients, values, 1e-3, rng)
 	}
 }

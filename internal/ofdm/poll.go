@@ -161,12 +161,6 @@ func (p *Poller) Poll(clients []Client, values []int, noiseStd float64, rng *ran
 	return PollResult{Values: vals, OK: oks, Spectrum: spectrum}
 }
 
-// Poll simulates one polling round with throwaway scratch. Experiments that
-// poll repeatedly should construct a Poller once and reuse it.
-func Poll(l Layout, clients []Client, values []int, noiseStd float64, rng *rand.Rand) PollResult {
-	return NewPoller(l).Poll(clients, values, noiseStd, rng)
-}
-
 // demod slices one client's subchannel out of the amplitude spectrum: a bit
 // is 1 when the subcarrier amplitude exceeds half the client's expected
 // amplitude (the AP calibrates per-client amplitude from association-time

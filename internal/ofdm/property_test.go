@@ -62,8 +62,8 @@ func TestPollLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	base := []Client{{Subchannel: 0}, {Subchannel: 5, CFOHz: 300}}
 	vals := []int{13, 42}
-	r1 := Poll(l, base, vals, 0, rng)
-	r2 := Poll(l, append(base[:2:2], Client{Subchannel: 15}), append(vals[:2:2], 7), 0, rng)
+	r1 := NewPoller(l).Poll(base, vals, 0, rng)
+	r2 := NewPoller(l).Poll(append(base[:2:2], Client{Subchannel: 15}), append(vals[:2:2], 7), 0, rng)
 	if r1.Values[0] != r2.Values[0] || r1.Values[1] != r2.Values[1] {
 		t.Errorf("distant subchannel changed decodes: %v vs %v", r1.Values, r2.Values[:2])
 	}

@@ -140,7 +140,6 @@ type transmission struct {
 	powerMw []float64
 	recs    []int32 // arena indices, in node order
 	sig     bool
-	sigN    int
 	// end is built once per pooled struct and rescheduled on every reuse, so
 	// the air-time timer costs no closure allocation per frame.
 	end func()
@@ -342,7 +341,7 @@ func (m *Medium) Transmit(src NodeID, f *Frame) {
 			sigN = 1
 		}
 	}
-	tx.sig, tx.sigN = sig, sigN
+	tx.sig = sig
 	kind := fr.Kind
 
 	rowMw := m.rssMw[src]

@@ -172,14 +172,13 @@ func (k FrameKind) String() string {
 }
 
 // SignaturePayload is the content of a Signature frame: the signature IDs
-// combined (summed) into this trigger broadcast, plus whether the special
-// START (S′) or ROP signature terminates the sequence (paper §3.2–3.3).
+// combined (summed) into this trigger broadcast. Every broadcast ends with
+// the START (S′) signature that authorises triggered nodes to begin
+// transmitting (paper §3.2), so S′ needs no mark; ROP marks its variant
+// (§3.3).
 type SignaturePayload struct {
 	// Sigs holds the node-signature IDs summed into this broadcast.
 	Sigs []int
-	// Start marks the S′ START signature that authorises triggered nodes to
-	// begin transmitting.
-	Start bool
 	// ROP marks the ROP signature variant: triggered nodes must additionally
 	// wait one ROP slot before transmitting (paper §3.3).
 	ROP bool

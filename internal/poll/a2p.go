@@ -105,7 +105,6 @@ func (p *A2P) Poll(ctx Context) Result {
 func init() {
 	Registry.MustRegister(Descriptor{
 		Name:       "ROP",
-		Summary:    "the paper's Rapid OFDM Polling: one 24-subchannel control symbol per cycle (§3.1)",
 		MaxClients: a2pLayout.NumSubchannels(),
 		Build: func(any) (Poller, error) {
 			return &A2P{cfg: defaultA2PConfig()}, nil
@@ -114,7 +113,6 @@ func init() {
 	Registry.MustRegister(Descriptor{
 		Name:    "A2P",
 		Aliases: []string{"grouped"},
-		Summary: "multi-round grouped OFDMA polling: RSS-sorted groups of ≤24 clients per round, scales one AP to hundreds of clients",
 		DefaultConfig: func() any {
 			c := defaultA2PConfig()
 			return &c

@@ -88,8 +88,6 @@ type Descriptor struct {
 	Name string
 	// Aliases are additional accepted names.
 	Aliases []string
-	// Summary is a one-line description for CLI listings.
-	Summary string
 	// MaxClients is the per-AP client ceiling one instance supports
 	// (0 = unbounded). The engine assigns the strongest MaxClients and
 	// surfaces the rest (Engine.UnpolledClients) instead of panicking.

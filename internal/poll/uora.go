@@ -159,7 +159,6 @@ func init() {
 	Registry.MustRegister(Descriptor{
 		Name:    "UORA",
 		Aliases: []string{"random-access", "ra"},
-		Summary: "802.11ax-style random access: OBO contention over RA-RUs, no assignment handshake, collisions accounted",
 		DefaultConfig: func() any {
 			// 8 RA-RUs over 4 rounds; 7 and 31 are 802.11ax's default
 			// OCWmin and OCWmax.

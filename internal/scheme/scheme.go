@@ -32,18 +32,16 @@ type Params struct {
 }
 
 // BuildContext is everything a scheme may wire an engine into: the event
-// kernel, the shared medium, the topology and link set, the conflict graph
-// (nil unless the Descriptor asked for one) and the MAC event fan-out.
+// kernel, the shared medium, the link set, the conflict graph (nil unless
+// the Descriptor asked for one) and the MAC event fan-out.
 type BuildContext struct {
 	Kernel *sim.Kernel
 	Medium *phy.Medium
-	Net    *topo.Network
 	Links  []*topo.Link
 	// Graph is the link conflict graph; non-nil iff the scheme's Descriptor
 	// set NeedsConflictGraph.
 	Graph  *topo.ConflictGraph
 	Events mac.Events
-	Params Params
 }
 
 // Descriptor is one registered channel-access scheme.
@@ -54,8 +52,6 @@ type Descriptor struct {
 	Name string
 	// Aliases are additional accepted names ("omni" for "Omniscient").
 	Aliases []string
-	// Summary is a one-line description for CLI listings.
-	Summary string
 	// NeedsConflictGraph asks the pipeline to compute the link conflict
 	// graph before Build (DCF does not need one; polling schemes do).
 	NeedsConflictGraph bool

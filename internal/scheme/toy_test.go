@@ -62,7 +62,6 @@ func registerToy(t *testing.T) {
 	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:    "ToyTDMA",
 		Aliases: []string{"toy"},
-		Summary: "fixed-period round-robin server (registry test)",
 		DefaultConfig: func(p scheme.Params) any {
 			return &toyConfig{PeriodUs: 500}
 		},

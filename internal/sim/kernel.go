@@ -13,7 +13,7 @@ const (
 	SrcUnknown Source = iota
 	SrcPHY            // medium transmission-end events
 	SrcMAC            // contention, slot, watchdog and ack timers
-	SrcTraffic        // workload arrival processes
+	SrcTraffic        // workload arrival processes and transport timers
 	NumSources
 )
 

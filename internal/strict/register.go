@@ -11,7 +11,6 @@ func init() {
 	scheme.Registry.MustRegister(scheme.Descriptor{
 		Name:               "Omniscient",
 		Aliases:            []string{"omni"},
-		Summary:            "perfectly synchronized, perfect-knowledge upper bound (Fig 2)",
 		NeedsConflictGraph: true,
 		DefaultConfig: func(p scheme.Params) any {
 			cfg := DefaultConfig()

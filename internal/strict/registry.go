@@ -17,15 +17,8 @@ type SchedulerDescriptor struct {
 	Name string
 	// Aliases are additional accepted names ("rr" for "RoundRobin").
 	Aliases []string
-	// Summary is a one-line description for CLI listings.
-	Summary string
-	// DefaultConfig returns a pointer to a fresh config struct, or nil for
-	// policies without knobs. Callers may mutate the value before Build.
-	DefaultConfig func() any
-	// Build constructs the scheduler over a conflict graph. cfg is the
-	// (possibly tuned) value DefaultConfig returned — nil when DefaultConfig
-	// is nil.
-	Build func(g *topo.ConflictGraph, cfg any) (Scheduler, error)
+	// Build constructs the scheduler over a conflict graph.
+	Build func(g *topo.ConflictGraph) Scheduler
 }
 
 // Schedulers holds every strict scheduling policy; an empty name means the
@@ -37,33 +30,22 @@ var Schedulers = registry.New("scheduler", "RAND", func(d *SchedulerDescriptor) 
 	return d.Name, d.Aliases, nil
 })
 
-// BuildScheduler builds the named policy ("" for the default) over g with
-// its default config.
+// BuildScheduler builds the named policy ("" for the default) over g.
 func BuildScheduler(name string, g *topo.ConflictGraph) (Scheduler, error) {
 	d, err := Schedulers.Resolve(name)
 	if err != nil {
 		return nil, err
 	}
-	var cfg any
-	if d.DefaultConfig != nil {
-		cfg = d.DefaultConfig()
-	}
-	return d.Build(g, cfg)
+	return d.Build(g), nil
 }
 
 func init() {
 	Schedulers.MustRegister(SchedulerDescriptor{
-		Name:    "RAND",
-		Summary: "greedy maximal-independent-set with rotation-queue fairness (§4.2.1, after Ramanathan)",
-		Build: func(g *topo.ConflictGraph, _ any) (Scheduler, error) {
-			return NewRAND(g), nil
-		},
+		Name:  "RAND",
+		Build: func(g *topo.ConflictGraph) Scheduler { return NewRAND(g) },
 	})
 	Schedulers.MustRegister(SchedulerDescriptor{
-		Name:    "LQF",
-		Summary: "longest-queue-first greedy (max-weight flavoured)",
-		Build: func(g *topo.ConflictGraph, _ any) (Scheduler, error) {
-			return NewLQF(g), nil
-		},
+		Name:  "LQF",
+		Build: func(g *topo.ConflictGraph) Scheduler { return NewLQF(g) },
 	})
 }

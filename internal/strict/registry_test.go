@@ -62,7 +62,7 @@ func TestRegisterSchedulerConflictsAndUnregister(t *testing.T) {
 	d := SchedulerDescriptor{
 		Name:    "Toy",
 		Aliases: []string{"toy2"},
-		Build:   func(g *topo.ConflictGraph, _ any) (Scheduler, error) { return NewRAND(g), nil },
+		Build:   func(g *topo.ConflictGraph) Scheduler { return NewRAND(g) },
 	}
 	if err := Schedulers.Register(d); err != nil {
 		t.Fatal(err)

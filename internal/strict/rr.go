@@ -64,9 +64,6 @@ func init() {
 	Schedulers.MustRegister(SchedulerDescriptor{
 		Name:    "RoundRobin",
 		Aliases: []string{"rr"},
-		Summary: "cycling seed pointer over link IDs, greedy ID-order extension",
-		Build: func(g *topo.ConflictGraph, _ any) (Scheduler, error) {
-			return NewRoundRobin(g), nil
-		},
+		Build:   func(g *topo.ConflictGraph) Scheduler { return NewRoundRobin(g) },
 	})
 }

@@ -74,7 +74,7 @@ func TestRoundRobinBatchConservation(t *testing.T) {
 
 func TestWeightedAlternatesUnderConstantBacklog(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false) // conflicts {0,1},{2,3}
-	w := NewWeighted(g, DefaultWeightedConfig())
+	w := NewWeighted(g)
 	// Links 0 and 1 conflict; 0 always has the deeper queue. LQF would pick 0
 	// every slot and starve 1; proportional fairness must alternate once 0's
 	// service history builds up.
@@ -94,7 +94,7 @@ func TestWeightedAlternatesUnderConstantBacklog(t *testing.T) {
 
 func TestWeightedBatchConservation(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false)
-	w := NewWeighted(g, DefaultWeightedConfig())
+	w := NewWeighted(g)
 	est := []int{3, 2, 0, 5}
 	batch := w.Batch(est, 20)
 	got := make([]int, 4)

@@ -395,7 +395,7 @@ func (n *onode) FrameReceived(f *phy.Frame, ok bool, _ *phy.SignatureDetection) 
 	switch f.Kind {
 	case phy.Data:
 		n.acks = append(n.acks, pendingAck{dst: f.Src, h: f.Handle})
-		n.e.k.After(phy.SIFS, n.ackFn)
+		n.e.k.After(phy.SIFS, n.ackFn).SetSource(sim.SrcMAC)
 	case phy.Ack:
 		if n.busy && f.Handle == n.inflight.Handle {
 			n.acked = true

@@ -1,22 +1,15 @@
 package strict
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/topo"
 )
 
-// WeightedConfig parameterises the proportional-fair scheduler.
-type WeightedConfig struct {
-	// Decay multiplies each link's service history once per slot, so past
-	// service fades geometrically. 0 remembers only the previous slot;
-	// values near 1 remember service for a long time.
-	Decay float64
-}
-
-// DefaultWeightedConfig remembers roughly the last ten slots of service.
-func DefaultWeightedConfig() WeightedConfig { return WeightedConfig{Decay: 0.9} }
+// weightedDecay multiplies each link's service history once per slot, so
+// past service fades geometrically: the scheduler remembers roughly the
+// last ten slots of service.
+const weightedDecay = 0.9
 
 // Weighted is a proportional-fair-flavoured scheduler: each slot is built
 // greedily in descending order of priority backlog(id) / (1 + service(id)),
@@ -27,14 +20,13 @@ func DefaultWeightedConfig() WeightedConfig { return WeightedConfig{Decay: 0.9} 
 // link ID, so schedules are deterministic.
 type Weighted struct {
 	g       *topo.ConflictGraph
-	cfg     WeightedConfig
 	service []float64
 	buf     batchBuf
 }
 
 // NewWeighted builds the scheduler over a conflict graph.
-func NewWeighted(g *topo.ConflictGraph, cfg WeightedConfig) *Weighted {
-	return &Weighted{g: g, cfg: cfg, service: make([]float64, len(g.Links))}
+func NewWeighted(g *topo.ConflictGraph) *Weighted {
+	return &Weighted{g: g, service: make([]float64, len(g.Links))}
 }
 
 // NextSlot implements Scheduler.
@@ -76,7 +68,7 @@ func (w *Weighted) NextSlot(backlog func(link int) int) Slot {
 		}
 	}
 	for i := range w.service {
-		w.service[i] *= w.cfg.Decay
+		w.service[i] *= weightedDecay
 	}
 	for _, id := range slot {
 		w.service[id]++
@@ -93,17 +85,6 @@ func init() {
 	Schedulers.MustRegister(SchedulerDescriptor{
 		Name:    "Weighted",
 		Aliases: []string{"pf", "proportional-fair"},
-		Summary: "proportional-fair: backlog over decayed service history",
-		DefaultConfig: func() any {
-			cfg := DefaultWeightedConfig()
-			return &cfg
-		},
-		Build: func(g *topo.ConflictGraph, cfg any) (Scheduler, error) {
-			c, ok := cfg.(*WeightedConfig)
-			if !ok {
-				return nil, fmt.Errorf("strict: Weighted Build got config %T, want *strict.WeightedConfig", cfg)
-			}
-			return NewWeighted(g, *c), nil
-		},
+		Build:   func(g *topo.ConflictGraph) Scheduler { return NewWeighted(g) },
 	})
 }

@@ -49,10 +49,9 @@ type CutStats struct {
 
 // Partition is an interference-domain decomposition of a conflict graph:
 // connected components of the AP conflict relation after severing edges
-// whose cluster coupling falls below CutDBm.
+// whose cluster coupling falls below the cut PartitionDomains was given.
 type Partition struct {
-	Graph  *ConflictGraph
-	CutDBm float64
+	Graph *ConflictGraph
 	// Domains are ordered by smallest global AP ID.
 	Domains []Domain
 	Stats   CutStats
@@ -84,7 +83,7 @@ func PartitionDomains(g *ConflictGraph, cutDBm float64) *Partition {
 		cells[i] = append([]phy.NodeID{ap}, net.Clients(ap)...)
 	}
 
-	p := &Partition{Graph: g, CutDBm: cutDBm}
+	p := &Partition{Graph: g}
 	p.Stats.MaxCutDBm = UnmeasuredDBm
 
 	// Union-find over AP indices.

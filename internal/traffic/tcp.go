@@ -172,7 +172,7 @@ func (f *TCPFlow) armRTO() {
 	if f.rtoTimer.Scheduled() {
 		f.rtoTimer.Cancel()
 	}
-	f.rtoTimer = f.k.After(f.rto, f.rtoFn)
+	f.rtoTimer = f.k.After(f.rto, f.rtoFn).SetSource(sim.SrcTraffic)
 }
 
 func (f *TCPFlow) onRTO() {

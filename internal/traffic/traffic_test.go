@@ -102,17 +102,13 @@ func (c *counter) Delivered(p *mac.Packet, _ sim.Time) {
 
 func (c *counter) Dropped(p *mac.Packet, _ sim.Time) { c.dropped[int(p.Link)]++ }
 
-func TestMux(t *testing.T) {
-	a, b := newCounter(), newCounter()
-	m := mac.Mux{a, b}
-	m.Delivered(&mac.Packet{Link: 3, Bytes: 10}, 0)
-	m.Dropped(&mac.Packet{Link: 3}, 0)
-	if a.delivered[3] != 1 || b.delivered[3] != 1 || a.dropped[3] != 1 || b.dropped[3] != 1 {
-		t.Error("mux did not fan out")
+// fanOut returns a hub that fans events out to sinks in order.
+func fanOut(sinks ...mac.Events) *mac.Hub {
+	h := &mac.Hub{}
+	for _, s := range sinks {
+		h.Add(s)
 	}
-	var nop mac.NopEvents
-	nop.Delivered(nil, 0)
-	nop.Dropped(nil, 0)
+	return h
 }
 
 func TestUDPRate(t *testing.T) {
@@ -166,7 +162,7 @@ func TestSaturatedKeepsBacklog(t *testing.T) {
 	e := newFakeEngine(k, 500*sim.Microsecond)
 	link := &topo.Link{ID: 0}
 	s := NewSaturated(k, e, link, 512, 8)
-	e.events = mac.Mux{s}
+	e.events = s
 	s.Start()
 	k.RunUntil(100 * sim.Millisecond)
 	// 200 packets served; queue must still hold ~depth.
@@ -184,7 +180,7 @@ func TestSaturatedRefillsOnDrop(t *testing.T) {
 	link := &topo.Link{ID: 0}
 	s := NewSaturated(k, e, link, 512, 4)
 	drops := newCounter()
-	e.events = mac.Mux{s, drops}
+	e.events = fanOut(s, drops)
 	s.Start()
 	k.RunUntil(time10ms)
 	// Simulate a MAC drop event directly.
@@ -209,7 +205,7 @@ func TestTCPDeliversInOrderCleanPath(t *testing.T) {
 	ack := &topo.Link{ID: 1}
 	c := newCounter()
 	f := NewTCPFlow(k, e, 1, data, ack, DefaultTCPConfig(0))
-	e.events = mac.Mux{f, c}
+	e.events = fanOut(f, c)
 	f.Start()
 	k.RunUntil(2 * sim.Second)
 	if f.Retransmits != 0 || f.Timeouts != 0 {
@@ -234,7 +230,7 @@ func TestTCPRateCap(t *testing.T) {
 	ack := &topo.Link{ID: 1}
 	c := newCounter()
 	f := NewTCPFlow(k, e, 1, data, ack, DefaultTCPConfig(2.0)) // 2 Mbps cap
-	e.events = mac.Mux{f, c}
+	e.events = fanOut(f, c)
 	f.Start()
 	k.RunUntil(4 * sim.Second)
 	gotMbps := float64(c.bytes[0]) * 8 / 4 / 1e6
@@ -249,7 +245,7 @@ func TestTCPFastRetransmit(t *testing.T) {
 	data := &topo.Link{ID: 0}
 	ack := &topo.Link{ID: 1}
 	f := NewTCPFlow(k, e, 1, data, ack, DefaultTCPConfig(0))
-	e.events = mac.Mux{f}
+	e.events = f
 	// Lose segment 30 on its first transmission only: dup ACKs follow, fast
 	// retransmit repairs it without needing an RTO.
 	e.lose(0, 30)
@@ -272,7 +268,7 @@ func TestTCPTimeoutRecovery(t *testing.T) {
 	data := &topo.Link{ID: 0}
 	ack := &topo.Link{ID: 1}
 	f := NewTCPFlow(k, e, 1, data, ack, DefaultTCPConfig(0))
-	e.events = mac.Mux{f}
+	e.events = f
 	// Lose everything from the start: the initial window dies, only the RTO
 	// can recover.
 	for s := uint64(0); s < 4; s++ {
@@ -298,7 +294,7 @@ func TestTCPCwndHalvesOnLoss(t *testing.T) {
 	data := &topo.Link{ID: 0}
 	ack := &topo.Link{ID: 1}
 	f := NewTCPFlow(k, e, 1, data, ack, DefaultTCPConfig(0))
-	e.events = mac.Mux{f}
+	e.events = f
 	f.Start()
 	var before float64
 	k.After(500*sim.Millisecond, func() {

@@ -81,13 +81,16 @@ func TestEveryInternalPackageHasACaller(t *testing.T) {
 //
 // Resolving by object rather than by name catches a per-type method that
 // shadows a shared one of the same name. Code only its own package's tests
-// use belongs in a _test.go file; code nothing uses is deleted.
+// use belongs in a _test.go file; code nothing uses is deleted. The fields
+// subtest asks the same of struct fields: each must be read somewhere
+// (checkFieldsRead).
 func TestEveryDeclarationHasACaller(t *testing.T) {
 	l := loadModule(t)
-	used, err := l.usedDeclarations()
+	used, read, err := l.usedDeclarations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Run("fields", func(t *testing.T) { checkFieldsRead(t, l, read) })
 	var missing []string
 	checked := 0
 	for _, d := range l.dirs {
@@ -170,26 +173,87 @@ func declKey(obj types.Object) string {
 	return obj.Pkg().Path() + "." + obj.Name()
 }
 
+// checkFieldsRead fails for every named struct field declared in a non-test
+// file that nothing reads. A field is read when an identifier of the module
+// (tests and bench/ included) resolves to it outside the target of an
+// assignment, an op-assignment or ++/--, or a composite-literal key, or when
+// fmt, encoding/json, log or testing walks its struct: non-test code or
+// another package's tests pass it as any, directly or inside a value that
+// reflectedTypes walks into. Tests count as readers because a field has no
+// _test.go home. Embedded fields are not checked: they promote their type's
+// fields and methods.
+func checkFieldsRead(t *testing.T, l *moduleLoader, read map[token.Pos]bool) {
+	var missing []string
+	checked := 0
+	for _, d := range l.dirs {
+		if d.callerOnly {
+			continue
+		}
+		for _, f := range d.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok {
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							if id.Name == "_" {
+								continue
+							}
+							checked++
+							if !read[id.Pos()] {
+								missing = append(missing, fmt.Sprintf("%s: %s", l.fset.Position(id.Pos()), id.Name))
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no struct fields found")
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("field %s is stored but never read; delete it with the code that only feeds it", m)
+	}
+}
+
 // usedDeclarations returns the keys (declKey) of every declaration the
-// module's callers reach, by the rules of TestEveryDeclarationHasACaller.
-func (l *moduleLoader) usedDeclarations() (map[string]bool, error) {
-	used := map[string]bool{}
+// module's callers reach, and the positions of the struct fields they read,
+// by the rules of TestEveryDeclarationHasACaller.
+func (l *moduleLoader) usedDeclarations() (map[string]bool, map[token.Pos]bool, error) {
+	used, read := map[string]bool{}, map[token.Pos]bool{}
+	var walked []types.Type
 	convs, err := l.stdAssertions()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, d := range l.dirs {
 		if d.info != nil {
 			for _, obj := range d.info.Uses {
 				used[declKey(obj)] = true
 			}
+			walked = append(walked, fieldReads(d.info, d.files, read)...)
 			convs = append(convs, interfaceConversions(d.info, d.files)...)
 		}
-		tc, err := l.testUses(d, used)
+		tc, tw, err := l.testUses(d, used, read)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		convs = append(convs, tc...)
+		convs, walked = append(convs, tc...), append(walked, tw...)
+	}
+	for seen := map[string]bool{}; len(walked) > 0; {
+		t := walked[len(walked)-1]
+		walked = walked[:len(walked)-1]
+		if seen[typeKey(t)] {
+			continue
+		}
+		seen[typeKey(t)] = true
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				read[st.Field(i).Pos()] = true // fmt prints every field, json encodes the exported ones
+			}
+		}
+		walked = append(walked, reflectedTypes(t)...)
 	}
 	for _, c := range reachedConversions(convs) {
 		iface := c.to.Underlying().(*types.Interface)
@@ -199,7 +263,88 @@ func (l *moduleLoader) usedDeclarations() (map[string]bool, error) {
 			used[declKey(obj)] = true
 		}
 	}
-	return used, nil
+	return used, read, nil
+}
+
+// fieldReads marks in read the struct fields that identifiers in files
+// read: every use of a field except as the target of an assignment, an
+// op-assignment or ++/--, or as a composite-literal key. It returns the
+// types of the values files pass as any to fmt, encoding/json, log or
+// testing, which walk their fields.
+func fieldReads(info *types.Info, files []*ast.File, read map[token.Pos]bool) []types.Type {
+	var walked []types.Type
+	for _, f := range files {
+		written := map[*ast.Ident]bool{}
+		target := func(e ast.Expr) {
+			if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				written[s.Sel] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool { // a statement comes before its identifiers
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					target(e)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					written[id] = true
+				}
+			case *ast.Ident:
+				if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() && !written[n] {
+					read[v.Origin().Pos()] = true
+				}
+			case *ast.CallExpr:
+				walked = append(walked, reflectedArgs(info, n)...)
+			}
+			return true
+		})
+	}
+	return walked
+}
+
+// reflectedArgs returns the types of call's arguments that it passes as any
+// to a function of fmt, encoding/json, log or testing.
+func reflectedArgs(info *types.Info, call *ast.CallExpr) []types.Type {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return nil
+	}
+	switch fn.Pkg().Path() {
+	case "fmt", "encoding/json", "log", "testing":
+	default:
+		return nil
+	}
+	sig := fn.Type().(*types.Signature)
+	var out []types.Type
+	for i, e := range call.Args {
+		pt := argType(sig, call, i)
+		if pt != nil && types.IsInterface(pt) && pt.Underlying().(*types.Interface).Empty() {
+			out = append(out, info.TypeOf(e))
+		}
+	}
+	return out
+}
+
+// argType returns the type of the parameter that argument i of call, a
+// call of a function with signature sig, is passed as (nil for none).
+func argType(sig *types.Signature, call *ast.CallExpr, i int) types.Type {
+	switch n := sig.Params().Len(); {
+	case sig.Variadic() && i >= n-1 && !call.Ellipsis.IsValid():
+		return sig.Params().At(n - 1).Type().(*types.Slice).Elem()
+	case i < n:
+		return sig.Params().At(i).Type()
+	}
+	return nil
 }
 
 // stdAssertions lists the interfaces fmt and encoding/json assert a value
@@ -300,12 +445,19 @@ func reflectedTypes(t types.Type) []types.Type {
 }
 
 // testUses marks the module declarations outside d that d's test files
-// use, and returns the conversions of other packages' types in them.
+// use, and the fields they read, and returns the conversions of other
+// packages' types in them.
 // In-package tests are checked with d's non-test files, as the go tool
 // builds them; an external test package imports that variant of d.
-func (l *moduleLoader) testUses(d *pkgDir, used map[string]bool) ([]conversion, error) {
+func (l *moduleLoader) testUses(d *pkgDir, used map[string]bool, read map[token.Pos]bool) ([]conversion, []types.Type, error) {
 	var convs []conversion
+	var walked []types.Type
 	mark := func(info *types.Info, files []*ast.File) {
+		for _, t := range fieldReads(info, files, read) {
+			if !declaredIn(t, d.path) {
+				walked = append(walked, t)
+			}
+		}
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
@@ -326,7 +478,7 @@ func (l *moduleLoader) testUses(d *pkgDir, used map[string]bool) ([]conversion, 
 	if len(d.tests) > 0 {
 		pkg, info, err := l.check(d.path, append(append([]*ast.File{}, d.files...), d.tests...), l)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		mark(info, d.tests)
 		self = pkg
@@ -335,11 +487,11 @@ func (l *moduleLoader) testUses(d *pkgDir, used map[string]bool) ([]conversion, 
 		ti := &testImporter{l: l, under: d.path, pkgs: map[string]*types.Package{d.path: self}}
 		_, info, err := l.check(d.path+"_test", d.xtests, ti)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		mark(info, d.xtests)
 	}
-	return convs, nil
+	return convs, walked, nil
 }
 
 // declaredIn reports whether t, or the type t points to, is declared in the
@@ -633,11 +785,8 @@ func interfaceConversions(info *types.Info, files []*ast.File) []conversion {
 					break // a builtin
 				}
 				for i, e := range n.Args {
-					switch {
-					case sig.Variadic() && i >= sig.Params().Len()-1 && !n.Ellipsis.IsValid():
-						add(sig.Params().At(sig.Params().Len()-1).Type().(*types.Slice).Elem(), e)
-					case i < sig.Params().Len():
-						add(sig.Params().At(i).Type(), e)
+					if pt := argType(sig, n, i); pt != nil {
+						add(pt, e)
 					}
 				}
 			case *ast.CompositeLit:

@@ -29,15 +29,14 @@ func main() {
 
 	tl := exp.NewTimeline(*maxEvents)
 	res, err := core.RunScenario(core.Scenario{
-		Net:           topo.Figure7(),
-		Downlink:      true,
-		Uplink:        true,
-		Scheme:        core.DOMINO,
-		Traffic:       core.Saturated,
-		Duration:      2 * sim.Second,
-		Seed:          6,
-		MisalignSlots: 8,
-		Tracer:        tl,
+		Net:      topo.Figure7(),
+		Downlink: true,
+		Uplink:   true,
+		Scheme:   core.DOMINO,
+		Traffic:  core.Saturated,
+		Duration: 2 * sim.Second,
+		Seed:     6,
+		Tracer:   tl,
 	})
 	if err != nil {
 		log.Fatal(err)

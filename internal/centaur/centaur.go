@@ -82,7 +82,7 @@ type Engine struct {
 
 	// Scheduling state.
 	downlinks []*topo.Link
-	sched     *strict.RAND
+	batch     strict.Batcher
 	epochSeq  int
 	awaiting  map[phy.NodeID]bool // APs whose epoch-completion report is due
 
@@ -125,7 +125,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		awaiting: map[phy.NodeID]bool{},
 		// The central scheduler sees the full graph's adjacency; only
 		// downlinks ever carry quota.
-		sched: strict.NewRAND(g),
+		batch: strict.Batcher{S: strict.NewRAND(g)},
 	}
 	for _, l := range g.Links {
 		if !l.Downlink {
@@ -168,7 +168,7 @@ func (e *Engine) buildEpoch() {
 		e.k.After(e.cfg.roundDuration(), e.buildEpoch).SetSource(sim.SrcMAC)
 		return
 	}
-	rounds := e.sched.Batch(quota, len(e.downlinks)*e.cfg.EpochQuota)
+	rounds := e.batch.Batch(quota, len(e.downlinks)*e.cfg.EpochQuota)
 	var epochSpan int64
 	if e.sp != nil {
 		epochSpan = e.sp.Next()

@@ -23,7 +23,7 @@ func saturatedBatch(g *topo.ConflictGraph, n int) strict.Schedule {
 	r := strict.NewRAND(g)
 	var batch strict.Schedule
 	for i := 0; i < n; i++ {
-		batch = append(batch, r.NextSlot(func(int) int { return 1 }))
+		batch = append(batch, r.AppendSlot(nil, func(int) int { return 1 }))
 	}
 	return batch
 }

@@ -37,6 +37,7 @@ func TestConvertVerifyProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: BuildScheduler(%s): %v", seed, name, err)
 			}
+			batcher := strict.Batcher{S: s}
 			c := New(g)
 			c.DisableFakeCover = seed%3 == 1
 			c.MaxInbound = 1 + int(seed)%2
@@ -45,7 +46,7 @@ func TestConvertVerifyProperty(t *testing.T) {
 				for i := range est {
 					est[i] = rng.Intn(5) // random backlogs, zeros included
 				}
-				b := s.Batch(est, 12)
+				b := batcher.Batch(est, 12)
 				// Pad with empty slots the way the engine does, so empty
 				// relative slots (dead chains under the ablation) are covered.
 				for len(b) < 6 {
@@ -88,6 +89,7 @@ func testChurnVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: BuildScheduler: %v", seed, err)
 		}
+		batcher := strict.Batcher{S: sched}
 		c := New(g)
 		c.DisableFakeCover = seed%2 == 0
 
@@ -125,7 +127,7 @@ func testChurnVerify(t *testing.T) {
 					est[i] = b
 				}
 			}
-			b := sched.Batch(est, len(g.Links))
+			b := batcher.Batch(est, len(g.Links))
 			// Pad with empty slots to a multiple of len(g.Links): the cover
 			// rotation then realigns at every batch boundary, so the returns
 			// to the remembered state recur exactly.

@@ -152,36 +152,3 @@ func TestFig14AllocsPerEvent(t *testing.T) {
 		}
 	}
 }
-
-// TestMisalignSlotsCostOnlyObservedSlots pins that a huge misalign_slots
-// bound costs nothing up front: a 20 ms Fig 7 DOMINO run probing 1,000,000
-// slots allocates less than twice what the same run allocates unprobed.
-func TestMisalignSlotsCostOnlyObservedSlots(t *testing.T) {
-	run := func(slots int) uint64 {
-		sp, err := spec.Parse([]byte(`{"scheme": "domino", "topology": {"kind": "fig7"}, "seed": 5,
-			"duration": "20ms", "warmup": "5ms", "traffic": {"kind": "saturated"}}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp.MisalignSlots = slots
-		if err := sp.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		res, err := RunE(sp)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slots > 0 && res.Misalign.Max(0) == 0 {
-			t.Error("probe recorded no misalignment in slot 0")
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	base, probed := run(0), run(1_000_000)
-	t.Logf("allocated %d B unprobed, %d B probing 1e6 slots", base, probed)
-	if probed >= 2*base {
-		t.Errorf("misalign_slots 1000000 allocated %d B, unprobed run %d B", probed, base)
-	}
-}

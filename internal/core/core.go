@@ -97,9 +97,6 @@ type Scenario struct {
 	TuneDCF    func(*dcf.Config)
 	Tune       func(cfg any) error
 
-	// MisalignSlots arms DOMINO's misalignment probe (Fig 11).
-	MisalignSlots int
-
 	// Tracer, when non-nil, receives the run's typed observability records
 	// (obs package): kernel samples, PHY activity, scheme slot timelines,
 	// queue depths. Metrics, when non-nil, accumulates the run's counters
@@ -190,7 +187,7 @@ type Result struct {
 // (internal/shard) builds one Instance per interference domain and advances
 // them in bounded-horizon steps.
 //
-// Drive the kernel via Step/StepBefore (or Kernel directly), then call
+// Drive the kernel via Step (or Kernel directly), then call
 // Finish exactly once after the clock reaches S.Duration.
 type Instance struct {
 	// S is the normalized scenario (defaults applied).
@@ -211,19 +208,14 @@ type Instance struct {
 func RunScenario(s Scenario) (Result, error) {
 	inst, err := NewInstance(s)
 	if err != nil {
-		if inst != nil {
-			return inst.res, err
-		}
 		return Result{}, err
 	}
 	inst.Step(inst.S.Duration)
 	return inst.Finish(), nil
 }
 
-// NewInstance builds a scenario into a runnable Instance. On error the
-// returned instance is nil unless construction got far enough to resolve the
-// link set (the partial Result RunScenario historically returned alongside
-// the error).
+// NewInstance builds a scenario into a runnable Instance, or returns a nil
+// instance and a descriptive error for invalid input.
 func NewInstance(s Scenario) (*Instance, error) {
 	if s.Net == nil {
 		return nil, fmt.Errorf("invalid network: Scenario.Net is nil")
@@ -256,7 +248,6 @@ func NewInstance(s Scenario) (*Instance, error) {
 	hub := &mac.Hub{}
 
 	res := Result{Links: links, DataLinkID: map[int]bool{}}
-	inst := &Instance{S: s, Kernel: k, hub: hub}
 
 	// Observability: one obs.Run spans the kernel, the medium and the MAC
 	// outcome stream; engines implementing scheme.Observable add their own
@@ -275,7 +266,7 @@ func NewInstance(s Scenario) (*Instance, error) {
 
 	// The uniform build pipeline every scheme goes through: default config
 	// with the generic knobs applied, tuning hooks, Build, obs wiring.
-	params := scheme.Params{Rate: s.Rate, PacketBytes: s.PacketBytes, MisalignSlots: s.MisalignSlots}
+	params := scheme.Params{Rate: s.Rate, PacketBytes: s.PacketBytes}
 	cfg := d.DefaultConfig(params)
 	switch c := cfg.(type) {
 	case *dcf.Config:
@@ -289,25 +280,18 @@ func NewInstance(s Scenario) (*Instance, error) {
 	}
 	if s.Tune != nil {
 		if err := s.Tune(cfg); err != nil {
-			inst.res = res
-			return inst, fmt.Errorf("scheme %s: tune: %w", d.Name, err)
+			return nil, fmt.Errorf("scheme %s: tune: %w", d.Name, err)
 		}
 	}
 	engine, err := d.Build(scheme.BuildContext{
 		Kernel: k, Medium: medium, Links: links, Graph: g, Events: hub,
 	}, cfg)
 	if err != nil {
-		inst.res = res
-		return inst, fmt.Errorf("scheme %s: %w", d.Name, err)
+		return nil, fmt.Errorf("scheme %s: %w", d.Name, err)
 	}
 	if orun != nil {
 		if o, ok := engine.(scheme.Observable); ok {
 			o.WireObs(orun)
-		}
-	}
-	if s.Metrics != nil {
-		if mo, ok := engine.(scheme.MetricsObservable); ok {
-			mo.WireMetrics(s.Metrics)
 		}
 	}
 
@@ -388,15 +372,12 @@ func NewInstance(s Scenario) (*Instance, error) {
 		}
 		hub.Add(tcpFlowSources(res.TCPFlows))
 	default:
-		inst.res = res
-		return inst, fmt.Errorf("unknown traffic kind %d", int(s.Traffic))
+		return nil, fmt.Errorf("unknown traffic kind %d", int(s.Traffic))
 	}
 
 	engine.Start()
 
-	inst.Obs = orun
-	inst.res = res
-	return inst, nil
+	return &Instance{S: s, Kernel: k, Obs: orun, hub: hub, res: res}, nil
 }
 
 // saturatedSources is the hub sink of a saturated run's sources, indexed by
@@ -423,10 +404,6 @@ func (f tcpFlowSources) Dropped(p *mac.Packet, now sim.Time) { f[p.FlowID].Dropp
 // Step executes events up to and including t and returns the clock
 // (sim.Kernel.RunUntil).
 func (i *Instance) Step(t sim.Time) sim.Time { return i.Kernel.RunUntil(t) }
-
-// StepBefore executes events strictly before horizon and advances the clock
-// to it (sim.Kernel.RunBefore) — the sharded engine's step-granule step.
-func (i *Instance) StepBefore(horizon sim.Time) sim.Time { return i.Kernel.RunBefore(horizon) }
 
 // Finish closes the observability run and computes the scenario's
 // measurements. Call exactly once, after the kernel has been driven to

@@ -129,14 +129,13 @@ func TestRunTCP(t *testing.T) {
 
 func TestRunMisalignProbe(t *testing.T) {
 	res := mustRun(t, Scenario{
-		Net:           topo.Figure7(),
-		Downlink:      true,
-		Uplink:        true,
-		Scheme:        DOMINO,
-		Seed:          5,
-		Duration:      sim.Second,
-		Traffic:       Saturated,
-		MisalignSlots: 6,
+		Net:      topo.Figure7(),
+		Downlink: true,
+		Uplink:   true,
+		Scheme:   DOMINO,
+		Seed:     5,
+		Duration: sim.Second,
+		Traffic:  Saturated,
 	})
 	if res.Misalign == nil {
 		t.Fatal("misalignment probe not armed")

@@ -38,20 +38,19 @@ func BuildScenario(sp spec.Spec) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("spec: unknown traffic kind %q", sp.Traffic.Kind)
 	}
 	sc := Scenario{
-		Net:           net,
-		Links:         links,
-		Downlink:      sp.DownlinkEnabled(),
-		Uplink:        sp.UplinkEnabled(),
-		Scheme:        Scheme(sp.Scheme),
-		Seed:          sp.Seed,
-		Duration:      sp.Duration.Time(),
-		Warmup:        sp.Warmup.Time(),
-		Traffic:       kind,
-		DownMbps:      sp.Traffic.DownMbps,
-		UpMbps:        sp.Traffic.UpMbps,
-		PacketBytes:   sp.PacketBytes,
-		Rate:          phy.Rate(sp.RateMbps),
-		MisalignSlots: sp.MisalignSlots,
+		Net:         net,
+		Links:       links,
+		Downlink:    sp.DownlinkEnabled(),
+		Uplink:      sp.UplinkEnabled(),
+		Scheme:      Scheme(sp.Scheme),
+		Seed:        sp.Seed,
+		Duration:    sp.Duration.Time(),
+		Warmup:      sp.Warmup.Time(),
+		Traffic:     kind,
+		DownMbps:    sp.Traffic.DownMbps,
+		UpMbps:      sp.Traffic.UpMbps,
+		PacketBytes: sp.PacketBytes,
+		Rate:        phy.Rate(sp.RateMbps),
 	}
 	if sp.Phy != nil {
 		pcfg := phy.DefaultConfig()

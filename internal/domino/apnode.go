@@ -479,7 +479,7 @@ func (ap *apNode) doPollNow(offset sim.Time) {
 	// A multi-round cycle holds the channel for rounds consecutive poll
 	// exchanges; a single frame of rounds × the poll air time models it.
 	e.medium.Transmit(ap.id, &phy.Frame{
-		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.dur.poll,
+		Kind: phy.Poll, Dst: phy.Broadcast, Duration: rounds * e.dur.header,
 		Payload: ap.id, ObsSpan: pollSpan,
 	})
 	ap.lastOffset = offset
@@ -487,7 +487,7 @@ func (ap *apNode) doPollNow(offset sim.Time) {
 	ap.scheduleSelfArm(offset, ap.lastSlotStart)
 	// Each round takes one poll air time, the WiFi-slot turnaround and the
 	// 16 µs control symbol; the cycle's decode completes after the last.
-	decodeAt := rounds * (e.dur.poll + phy.SlotTime + sim.Micros(16))
+	decodeAt := rounds * (e.dur.header + phy.SlotTime + sim.Micros(16))
 	ap.later(decodeAt, (*apCall).decode).span = pollSpan
 }
 

@@ -18,8 +18,8 @@ import (
 	"repro/internal/strict"
 )
 
-// Config parameterises a DOMINO instance. Rate, VirtualBytes and
-// MisalignSlots come from the scenario (scheme.Params), not scheme_config.
+// Config parameterises a DOMINO instance. Rate and VirtualBytes come from
+// the scenario (scheme.Params), not scheme_config.
 type Config struct {
 	// Rate is the PHY data rate for data frames.
 	Rate phy.Rate `json:"-"`
@@ -41,9 +41,6 @@ type Config struct {
 	WiredLatencyStd  sim.Time `domain:"0..10ms"`
 	// QueueCap bounds per-link MAC queues.
 	QueueCap int `domain:"1..100000"`
-	// MisalignSlots is how many leading slot indices the misalignment probe
-	// records (Fig 11); zero disables.
-	MisalignSlots int `json:"-"`
 	// ExtraFrameTime inflates data/ACK air time (USRP prototype modelling).
 	ExtraFrameTime sim.Time `domain:"0..100ms"`
 	// MaxInbound is the converter's trigger redundancy (the paper picks 2;
@@ -92,6 +89,10 @@ const (
 	// free-running slot clock (scheduleSelfArm) is the normal fallback when
 	// triggers fail, so the watchdog only matters if that chain also broke.
 	watchdogSlots = 12
+	// misalignSlots is how many leading slot indices the misalignment probe
+	// (Engine.Misalign, Fig 11) records: the first slots, where the initial
+	// misalignment converges.
+	misalignSlots = 8
 )
 
 // DefaultConfig mirrors the evaluation settings.
@@ -111,42 +112,40 @@ func DefaultConfig() Config {
 // durations are a Config's derived timings, computed once when the Engine
 // is built (Engine.dur): slots, triggers and polls read them every time.
 type durations struct {
-	data, ack, fakeHeader, broadcastOffset, sigFrame, slot, poll, ropSlot sim.Time
+	// data and ack are the air times of one virtual data packet and its ACK.
+	data, ack sim.Time
+	// header is a header-only frame's air time, PLCP preamble plus one OFDM
+	// symbol: a fake packet (§3.3: only the header is sent) and a poll (a
+	// short broadcast carrying the reference preamble).
+	header sim.Time
+	// broadcastOffset is when, relative to slot start, the end-of-slot
+	// signature broadcast begins: data + SIFS + ACK + one WiFi slot (paper
+	// Fig 8).
+	broadcastOffset sim.Time
+	// sigFrame is the combined-signature broadcast followed by the START (or
+	// ROP) signature in sequence, each one code at 20 Mcps BPSK.
+	sigFrame sim.Time
+	// slot is the full relative-slot period.
+	slot sim.Time
+	// ropSlot is the gap data senders leave for one polling exchange: the
+	// poll, the WiFi-slot turnaround, the 16 µs control symbol and
+	// processing slack. With zero ExtraFrameTime this matches the nominal
+	// 80 µs ROP slot (paper §3.3), its floor.
+	ropSlot sim.Time
 }
 
 // durations computes c's derived timings.
 func (c Config) durations() durations {
-	return durations{
-		data: c.dataAirtime(), ack: c.ackAirtime(), fakeHeader: c.fakeHeaderAirtime(),
-		broadcastOffset: c.broadcastOffset(), sigFrame: c.sigFrameDuration(), slot: c.slotDuration(),
-		poll: c.pollAirtime(), ropSlot: c.ropSlotDuration(),
+	d := durations{
+		data:     phy.Airtime(c.VirtualBytes, c.Rate) + c.ExtraFrameTime,
+		ack:      phy.Airtime(phy.AckBytes, c.Rate) + c.ExtraFrameTime,
+		header:   phy.PreambleDuration + phy.SymbolDuration + c.ExtraFrameTime,
+		sigFrame: 2 * sim.Micros(float64(c.SignatureChips)/20),
 	}
-}
-
-// dataAirtime is the fixed air time of one virtual data packet.
-func (c Config) dataAirtime() sim.Time {
-	return phy.Airtime(c.VirtualBytes, c.Rate) + c.ExtraFrameTime
-}
-
-func (c Config) ackAirtime() sim.Time {
-	return phy.Airtime(phy.AckBytes, c.Rate) + c.ExtraFrameTime
-}
-
-// fakeHeaderAirtime is the on-air time of a header-only fake packet: PLCP
-// preamble plus one OFDM symbol (§3.3: only the header is sent).
-func (c Config) fakeHeaderAirtime() sim.Time {
-	return phy.PreambleDuration + phy.SymbolDuration + c.ExtraFrameTime
-}
-
-// broadcastOffset is when, relative to slot start, the end-of-slot signature
-// broadcast begins: data + SIFS + ACK + one WiFi slot (paper Fig 8).
-func (c Config) broadcastOffset() sim.Time {
-	return c.dataAirtime() + phy.SIFS + c.ackAirtime() + phy.SlotTime
-}
-
-// signatureDuration is one code's air time at 20 Mcps BPSK.
-func (c Config) signatureDuration() sim.Time {
-	return sim.Micros(float64(c.SignatureChips) / 20)
+	d.broadcastOffset = d.data + phy.SIFS + d.ack + phy.SlotTime
+	d.slot = d.broadcastOffset + d.sigFrame
+	d.ropSlot = max(d.header+phy.SlotTime+sim.Micros(16)+sim.Micros(31), phy.ROPSlotDuration)
+	return d
 }
 
 // SignatureCapacity is how many distinct node signatures the configured code
@@ -173,33 +172,4 @@ func (c Config) fits(n int) error {
 			n, c.SignatureCapacity())
 	}
 	return nil
-}
-
-// sigFrameDuration is the combined-signature broadcast followed by the START
-// (or ROP) signature in sequence.
-func (c Config) sigFrameDuration() sim.Time {
-	return 2 * c.signatureDuration()
-}
-
-// slotDuration is the full relative-slot period.
-func (c Config) slotDuration() sim.Time {
-	return c.broadcastOffset() + c.sigFrameDuration()
-}
-
-// pollAirtime is the poll packet's air time (a short broadcast carrying the
-// reference preamble).
-func (c Config) pollAirtime() sim.Time {
-	return phy.PreambleDuration + phy.SymbolDuration + c.ExtraFrameTime
-}
-
-// ropSlotDuration is the gap data senders leave for one polling exchange:
-// the poll packet, the WiFi-slot turnaround, the 16 µs control symbol and
-// processing slack. With zero ExtraFrameTime this matches the nominal
-// 80 µs ROP slot (paper §3.3).
-func (c Config) ropSlotDuration() sim.Time {
-	d := c.pollAirtime() + phy.SlotTime + sim.Micros(16) + sim.Micros(31)
-	if d < phy.ROPSlotDuration {
-		d = phy.ROPSlotDuration
-	}
-	return d
 }

@@ -26,10 +26,10 @@ type convertMetrics struct {
 	pollDecoded, pollFailedReports *obs.Counter
 }
 
-// WireMetrics implements scheme.MetricsObservable: the run pipeline hands the
-// engine its metrics registry and the converter's per-batch counters flow
-// into it under the convert.* namespace.
-func (e *Engine) WireMetrics(m *obs.Metrics) {
+// wireMetrics makes the converter's per-batch counters and the poller's
+// cycle outcomes flow into the run's metrics registry, under the convert.*
+// and poll.* namespaces.
+func (e *Engine) wireMetrics(m *obs.Metrics) {
 	cm := &convertMetrics{
 		batches:          m.Counter("convert.batches"),
 		slots:            m.Counter("convert.slots"),

@@ -193,7 +193,6 @@ func TestMisalignmentHeals(t *testing.T) {
 	// Fig 11: initial wired-jitter misalignment collapses within ~4 slots.
 	net := topo.Figure7()
 	r := fullRig(t, net, true, true, 6, func(c *Config) {
-		c.MisalignSlots = 8
 		c.WiredLatencyStd = sim.Micros(40)
 	})
 	r.k.RunUntil(500 * sim.Millisecond)

@@ -79,7 +79,8 @@ type Engine struct {
 	maxExec      int
 	buildPending bool
 
-	// Misalign records per-slot transmission spread when configured (Fig 11).
+	// Misalign records the transmission spread of the first misalignSlots
+	// slots (Fig 11).
 	Misalign *stats.Misalignment
 	// refGroup maps each node to its trigger-connectivity component: nodes
 	// in different components share no reference chain, so misalignment is
@@ -97,7 +98,7 @@ type Engine struct {
 	sp   *obs.Spans
 	// chainDepth histograms trigger-cascade depth when metrics are wired.
 	chainDepth *obs.LogHist
-	// convMetrics holds the conversion-pipeline counters once WireMetrics
+	// convMetrics holds the conversion-pipeline counters once WireObs
 	// installed a registry; nil means no metrics accounting at all.
 	convMetrics *convertMetrics
 	// onPlan, when non-nil, sees every plan the converter emits before the
@@ -343,11 +344,9 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 	}
 	e := &Engine{
 		k: k, medium: medium, g: g, net: g.Net, events: events, cfg: cfg, dur: cfg.durations(),
-		aps:     map[phy.NodeID]*apNode{},
-		clients: map[phy.NodeID]*clientNode{},
-	}
-	if cfg.MisalignSlots > 0 {
-		e.Misalign = stats.NewMisalignment(cfg.MisalignSlots)
+		Misalign: stats.NewMisalignment(misalignSlots),
+		aps:      map[phy.NodeID]*apNode{},
+		clients:  map[phy.NodeID]*clientNode{},
 	}
 	e.queues = make([]*mac.Queue, len(g.Links))
 	for _, l := range g.Links {
@@ -568,7 +567,7 @@ func (e *Engine) EnableQueueSampling(fn func(link, depth int)) {
 
 type server struct {
 	e     *Engine
-	sched strict.Scheduler
+	batch strict.Batcher
 	conv  *convert.Converter
 	upEst []int
 	// est is buildAndDispatch's backlog estimate, reused batch to batch.
@@ -588,7 +587,7 @@ func newServer(e *Engine) *server {
 	}
 	s := &server{
 		e:     e,
-		sched: sched,
+		batch: strict.Batcher{S: sched},
 		conv:  conv,
 		upEst: make([]int, len(e.g.Links)),
 		est:   make([]int, len(e.g.Links)),
@@ -626,7 +625,7 @@ func (s *server) buildAndDispatch() {
 			size = e.cfg.BatchSize
 		}
 	}
-	batch := s.sched.Batch(est, size)
+	batch := s.batch.Batch(est, size)
 	// Pad to the full batch size with empty strict slots: the converter's
 	// fake cover keeps the trigger chain and polling alive even when idle.
 	// (Without the cover — ablation — padded slots would be dead air.)

@@ -9,14 +9,17 @@ import (
 )
 
 // WireObs implements scheme.Observable: the engine pulls its trace sink,
-// causal span allocator, packet-lifecycle hooks, and queue-depth sampler
-// from the per-run observability state.
+// causal span allocator, packet-lifecycle hooks, queue-depth sampler and
+// metrics registry from the per-run observability state.
 func (e *Engine) WireObs(run *obs.Run) {
 	e.Obs = run.Tracer()
 	e.life = run
 	e.sp = run.Spans()
 	if qs := run.QueueSampler(); qs != nil {
 		e.EnableQueueSampling(qs)
+	}
+	if m := run.Metrics(); m != nil {
+		e.wireMetrics(m)
 	}
 }
 
@@ -28,7 +31,6 @@ func init() {
 			cfg := DefaultConfig()
 			cfg.Rate = p.Rate
 			cfg.VirtualBytes = p.PacketBytes
-			cfg.MisalignSlots = p.MisalignSlots
 			return &cfg
 		},
 		Check: func(cfg any) error {

@@ -102,7 +102,7 @@ func traceRun(t *testing.T, seed int64, hook func(*Engine)) ([]obs.Record, *Engi
 	return buf.Records(), engine
 }
 
-// TestConvertMetrics: WireMetrics surfaces the conversion counters, and the
+// TestConvertMetrics: wireMetrics surfaces the conversion counters, and the
 // triggers-per-entry histogram covers every converted entry.
 func TestConvertMetrics(t *testing.T) {
 	net := topo.Figure7()
@@ -113,7 +113,7 @@ func TestConvertMetrics(t *testing.T) {
 	hub := &mac.Hub{}
 	engine := New(k, medium, g, hub, DefaultConfig())
 	m := obs.NewMetrics()
-	engine.WireMetrics(m)
+	engine.wireMetrics(m)
 	for _, l := range links {
 		s := traffic.NewSaturated(k, engine, l, 512, 8)
 		hub.Add(s)

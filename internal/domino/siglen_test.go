@@ -13,21 +13,22 @@ func TestSignatureLengthConfig(t *testing.T) {
 	if cfg.SignatureCapacity() != 127 {
 		t.Errorf("default capacity = %d", cfg.SignatureCapacity())
 	}
-	if cfg.signatureDuration() != sim.Micros(6.35) {
-		t.Errorf("default signature duration = %v", cfg.signatureDuration())
+	// Two codes per signature frame (combined broadcast, then START/ROP).
+	if d := cfg.durations().sigFrame; d != 2*sim.Micros(6.35) {
+		t.Errorf("default signature frame = %v", d)
 	}
 	cfg.SignatureChips = 511
 	if cfg.SignatureCapacity() != 511 {
 		t.Errorf("511-chip capacity = %d", cfg.SignatureCapacity())
 	}
-	if cfg.signatureDuration() != sim.Micros(25.55) {
-		t.Errorf("511-chip duration = %v", cfg.signatureDuration())
+	if d := cfg.durations().sigFrame; d != 2*sim.Micros(25.55) {
+		t.Errorf("511-chip signature frame = %v", d)
 	}
 	// Longer signatures stretch the slot.
 	short := DefaultConfig()
 	long := DefaultConfig()
 	long.SignatureChips = 511
-	if long.slotDuration() <= short.slotDuration() {
+	if long.durations().slot <= short.durations().slot {
 		t.Error("longer signatures should lengthen the slot")
 	}
 }

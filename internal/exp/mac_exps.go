@@ -210,7 +210,6 @@ func Fig11(o Options) (Fig11Result, error) {
 		return core.Scenario{
 			Net: net, Downlink: true, Uplink: true, Scheme: core.DOMINO,
 			Seed: o.Seed, Duration: o.Duration, Traffic: core.Saturated,
-			MisalignSlots: len(res.Slots) + 2,
 			TuneDomino: func(c *domino.Config) {
 				c.WiredLatencyStd = sim.Micros(res.StdsUs[i])
 			},

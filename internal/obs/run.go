@@ -83,6 +83,9 @@ func NewRun(tr Tracer, m *Metrics) *Run {
 // Tracer returns the run's tracer (nil when tracing is off).
 func (r *Run) Tracer() Tracer { return r.tracer }
 
+// Metrics returns the run's metrics registry (nil when metrics are off).
+func (r *Run) Metrics() *Metrics { return r.metrics }
+
 // Spans returns the run's span allocator, nil when spans are off. Engines
 // keep the returned pointer and guard every allocation with one nil check —
 // the contract that keeps the disabled path at zero cost.

@@ -26,9 +26,6 @@ type Params struct {
 	// schemes that size internal frames from it (DOMINO's virtual frames)
 	// read it here.
 	PacketBytes int
-	// MisalignSlots arms a scheme's misalignment probe when supported
-	// (DOMINO, Fig 11); zero disables.
-	MisalignSlots int
 }
 
 // BuildContext is everything a scheme may wire an engine into: the event
@@ -76,13 +73,6 @@ type Descriptor struct {
 // untraced.
 type Observable interface {
 	WireObs(run *obs.Run)
-}
-
-// MetricsObservable is implemented by engines that feed the per-run metrics
-// registry (counters/gauges/histograms beyond what the generic probes see).
-// The run pipeline wires it whenever the scenario carries a registry.
-type MetricsObservable interface {
-	WireMetrics(m *obs.Metrics)
 }
 
 // Registry holds every channel-access scheme. A scheme name is required:

@@ -40,7 +40,7 @@ type Options struct {
 	Workers int
 	// StepGranule bounds how much simulated time one Steppable.StepWindow
 	// call advances every domain (0: the whole run in one step). Kernels
-	// step via RunBefore, so any granule produces byte-identical output.
+	// step via RunUntil, so any granule produces byte-identical output.
 	StepGranule sim.Time
 }
 
@@ -178,13 +178,7 @@ func (st *Steppable) StepWindow() bool {
 		h = st.clock + g
 	}
 	final := h == st.s.Duration
-	parallel.ForEach(st.opt.Workers, len(st.insts), func(d int) {
-		if final {
-			st.insts[d].Step(h)
-		} else {
-			st.insts[d].StepBefore(h)
-		}
-	})
+	parallel.ForEach(st.opt.Workers, len(st.insts), func(d int) { st.insts[d].Step(h) })
 	st.clock, st.done = h, final
 	return final
 }

@@ -219,28 +219,15 @@ func (k *Kernel) Run() Time { return k.RunUntil(MaxTime) }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
 // clock to the deadline unless Stop ended the call first. It returns the
-// final clock value.
-func (k *Kernel) RunUntil(deadline Time) Time { return k.run(deadline, true) }
-
-// RunBefore executes events with timestamps strictly below horizon, then
-// advances the clock to the horizon. Events at exactly the horizon stay
-// queued, so work scheduled at the boundary instant after the call
-// interleaves with them in plain schedule order on the next call.
-// Resumable: successive RunBefore calls with increasing horizons followed by
-// a final RunUntil fire exactly the events one RunUntil would, in the same
-// order.
-func (k *Kernel) RunBefore(horizon Time) Time { return k.run(horizon, false) }
-
-// run is the one event loop behind RunUntil and RunBefore. It fires events
-// due by limit (inclusive or strictly before it). When nothing due remains
-// it advances the clock to limit; when Stop is called first it leaves the
-// clock at the last fired event.
-func (k *Kernel) run(limit Time, inclusive bool) Time {
+// final clock value. Resumable: successive RunUntil calls with increasing
+// deadlines fire exactly the events one call to the last deadline would, in
+// the same order.
+func (k *Kernel) RunUntil(deadline Time) Time {
 	k.stopped = false
 	for !k.stopped {
-		if len(k.q.ents) == 0 || k.q.ents[0].at > limit || (!inclusive && k.q.ents[0].at == limit) {
-			if limit != MaxTime && k.now < limit {
-				k.now = limit
+		if len(k.q.ents) == 0 || k.q.ents[0].at > deadline {
+			if deadline != MaxTime && k.now < deadline {
+				k.now = deadline
 			}
 			return k.now
 		}

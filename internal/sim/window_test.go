@@ -6,36 +6,10 @@ import (
 	"testing"
 )
 
-func TestRunBeforeExcludesHorizon(t *testing.T) {
-	k := New(1)
-	var fired []Time
-	for _, at := range []Time{5, 10, 15, 20} {
-		at := at * Microsecond
-		k.At(at, func() { fired = append(fired, at) })
-	}
-	if now := k.RunBefore(15 * Microsecond); now != 15*Microsecond {
-		t.Fatalf("clock = %v, want 15µs", now)
-	}
-	if want := []Time{5 * Microsecond, 10 * Microsecond}; !reflect.DeepEqual(fired, want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	// The boundary and later events are still queued; work scheduled at
-	// the boundary instant orders after the boundary event by sequence.
-	if n := k.Pending(); n != 2 {
-		t.Fatalf("pending = %d after RunBefore, want 2 (boundary event gone)", n)
-	}
-	k.At(15*Microsecond, func() { fired = append(fired, -1) })
-	k.RunUntil(25 * Microsecond)
-	want := []Time{5 * Microsecond, 10 * Microsecond, 15 * Microsecond, -1, 20 * Microsecond}
-	if !reflect.DeepEqual(fired, want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-}
-
-// TestWindowedRunMatchesSingleRun pins the resumability contract RunBefore is
-// built for: windowed execution fires the same events in the same order as a
-// single RunUntil, including self-scheduling chains that cross window
-// boundaries.
+// TestWindowedRunMatchesSingleRun pins RunUntil's resumability contract, on
+// which stepped runs rely: windowed execution fires the same events in the
+// same order as a single RunUntil, including self-scheduling chains that
+// cross window boundaries and events due exactly at a window's end.
 func TestWindowedRunMatchesSingleRun(t *testing.T) {
 	const deadline = 10 * Millisecond
 	build := func(k *Kernel, log *[]Time) {
@@ -52,6 +26,12 @@ func TestWindowedRunMatchesSingleRun(t *testing.T) {
 			k.At(at, func() { *log = append(*log, at) })
 		}
 		k.At(0, chain)
+		// Due exactly at the third window's end, scheduling more work at
+		// that instant.
+		k.At(3*197*Microsecond, func() {
+			*log = append(*log, -1)
+			k.After(0, func() { *log = append(*log, -2) })
+		})
 	}
 
 	var single []Time
@@ -63,7 +43,7 @@ func TestWindowedRunMatchesSingleRun(t *testing.T) {
 	kw := New(7)
 	build(kw, &windowed)
 	for h := Time(197 * Microsecond); h < deadline; h += 197 * Microsecond {
-		kw.RunBefore(h)
+		kw.RunUntil(h)
 	}
 	kw.RunUntil(deadline)
 

@@ -59,9 +59,6 @@ type Spec struct {
 	// defaults.
 	Phy *Phy `json:"phy,omitempty"`
 
-	// MisalignSlots arms DOMINO's misalignment probe (Fig 11).
-	MisalignSlots int `json:"misalign_slots,omitempty"`
-
 	// Shards, when set, runs the scenario sharded by interference domain
 	// (internal/shard) on this many workers. Must be ≥ 1 when present;
 	// omit the field for the single-engine run. The output is byte-identical
@@ -73,9 +70,8 @@ type Spec struct {
 	// scheme's default config after the generic knobs are applied. Keys are
 	// the Go field names of the scheme's Config struct (case-insensitive),
 	// e.g. {"BatchSize": 12} for DOMINO, and each numeric value must lie in
-	// the domain its field declares. The rate, packet size and misalignment
-	// probe are set above (rate_mbps, packet_bytes, misalign_slots), not
-	// here.
+	// the domain its field declares. The rate and packet size are set
+	// above (rate_mbps, packet_bytes), not here.
 	SchemeConfig json.RawMessage `json:"scheme_config,omitempty"`
 
 	// Obs toggles the observability layer for this run.
@@ -206,9 +202,6 @@ func (s Spec) Validate() error {
 	}
 	if s.RateMbps != 0 && !validRates[s.RateMbps] {
 		return fmt.Errorf("spec: rate_mbps %v is not an 802.11g rate (6, 9, 12, 18, 24, 36, 48, 54)", s.RateMbps)
-	}
-	if s.MisalignSlots < 0 {
-		return fmt.Errorf("spec: negative misalign_slots %d", s.MisalignSlots)
 	}
 	if s.Shards != nil {
 		if *s.Shards < 1 {

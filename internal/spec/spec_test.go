@@ -52,18 +52,17 @@ func fullSpec() spec.Spec {
 			{Sender: 0, Receiver: 1, Downlink: true},
 			{Sender: 3, Receiver: 2, Downlink: false},
 		},
-		Downlink:      boolPtr(true),
-		Uplink:        boolPtr(false),
-		Seed:          7,
-		Duration:      spec.Duration(5 * sim.Second),
-		Warmup:        spec.Duration(500 * sim.Millisecond),
-		Traffic:       spec.Traffic{Kind: "udp", DownMbps: 10, UpMbps: 4},
-		PacketBytes:   1024,
-		RateMbps:      24,
-		Phy:           &spec.Phy{NoiseDBm: f64Ptr(-90), SigSINRdB: f64Ptr(3)},
-		MisalignSlots: 8,
-		SchemeConfig:  json.RawMessage(`{"BatchSize":12}`),
-		Obs:           spec.Obs{Metrics: true, TraceFile: "trace.ndjson"},
+		Downlink:     boolPtr(true),
+		Uplink:       boolPtr(false),
+		Seed:         7,
+		Duration:     spec.Duration(5 * sim.Second),
+		Warmup:       spec.Duration(500 * sim.Millisecond),
+		Traffic:      spec.Traffic{Kind: "udp", DownMbps: 10, UpMbps: 4},
+		PacketBytes:  1024,
+		RateMbps:     24,
+		Phy:          &spec.Phy{NoiseDBm: f64Ptr(-90), SigSINRdB: f64Ptr(3)},
+		SchemeConfig: json.RawMessage(`{"BatchSize":12}`),
+		Obs:          spec.Obs{Metrics: true, TraceFile: "trace.ndjson"},
 	}
 }
 
@@ -159,7 +158,6 @@ func TestValidateCatalog(t *testing.T) {
 		{"negative packet bytes", func(s *spec.Spec) { s.PacketBytes = -4 }, "packet_bytes"},
 		{"packet bytes beyond 32 bits", func(s *spec.Spec) { s.PacketBytes = 1 << 31 }, "packet_bytes"},
 		{"off-grid rate", func(s *spec.Spec) { s.RateMbps = 13 }, "not an 802.11g rate"},
-		{"negative misalign", func(s *spec.Spec) { s.MisalignSlots = -1 }, "misalign_slots"},
 		{"unknown traffic", func(s *spec.Spec) { s.Traffic.Kind = "cbr" }, "unknown traffic kind"},
 		{"udp zero downlink rate", func(s *spec.Spec) {
 			s.Traffic = spec.Traffic{Kind: "udp", UpMbps: 5}
@@ -317,9 +315,9 @@ func TestValidateCatalog(t *testing.T) {
 			s.Scheme, s.Topology = "domino", spec.Topology{Kind: "fig7"}
 			s.SchemeConfig = json.RawMessage(`{"MaxInbound": 100000}`)
 		}, "DOMINO config MaxInbound 100000 out of range 1..4"},
-		// The rate, packet size and misalignment probe come from the spec's
-		// rate_mbps, packet_bytes and misalign_slots, never from a second
-		// copy in scheme_config.
+		// The rate and packet size come from the spec's rate_mbps and
+		// packet_bytes, never from a second copy in scheme_config; the
+		// misalignment probe's window is fixed, so no knob sizes it.
 		{"dcf rate copy rejected", func(s *spec.Spec) {
 			s.SchemeConfig = json.RawMessage(`{"Rate": 7}`)
 		}, `DCF config has no field "Rate"`},

@@ -11,7 +11,7 @@ func TestLQFPrefersLongQueues(t *testing.T) {
 	l := NewLQF(g)
 	// Link 1 has the deepest queue: it must win its conflict pair.
 	q := []int{2, 9, 3, 1}
-	slot := l.NextSlot(func(id int) int { return q[id] })
+	slot := l.AppendSlot(nil, func(id int) int { return q[id] })
 	has := map[int]bool{}
 	for _, id := range slot {
 		has[id] = true
@@ -22,7 +22,7 @@ func TestLQFPrefersLongQueues(t *testing.T) {
 	if !has[2] || has[3] {
 		t.Errorf("slot %v should contain 2 (q=3) over 3 (q=1)", slot)
 	}
-	if s := l.NextSlot(func(int) int { return 0 }); s != nil {
+	if s := l.AppendSlot(nil, func(int) int { return 0 }); s != nil {
 		t.Errorf("idle slot = %v", s)
 	}
 }
@@ -30,7 +30,7 @@ func TestLQFPrefersLongQueues(t *testing.T) {
 func TestLQFSlotIndependence(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, true)
 	l := NewLQF(g)
-	slot := l.NextSlot(func(id int) int { return id + 1 })
+	slot := l.AppendSlot(nil, func(id int) int { return id + 1 })
 	for a := 0; a < len(slot); a++ {
 		for b := a + 1; b < len(slot); b++ {
 			if g.Conflicts(slot[a], slot[b]) {
@@ -47,7 +47,7 @@ func TestLQFBatchConservation(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false)
 	l := NewLQF(g)
 	est := []int{3, 2, 0, 5}
-	batch := l.Batch(est, 20)
+	batch := (&Batcher{S: l}).Batch(est, 20)
 	got := make([]int, 4)
 	for _, slot := range batch {
 		for _, id := range slot {
@@ -63,7 +63,3 @@ func TestLQFBatchConservation(t *testing.T) {
 		t.Error("Batch mutated its argument")
 	}
 }
-
-// Both schedulers satisfy the Scheduler interface.
-var _ Scheduler = (*RAND)(nil)
-var _ Scheduler = (*LQF)(nil)

@@ -1,6 +1,7 @@
 package strict
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,16 +27,20 @@ func TestSchedulerRegistryBuiltins(t *testing.T) {
 
 func TestBuildSchedulerByName(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, true)
-	// "" builds the default policy, RAND.
-	for _, name := range append(Schedulers.Names(), "") {
+	backlog := func(id int) int { return 1 + id%3 }
+	build := func(name string) Scheduler {
 		s, err := BuildScheduler(name, g)
 		if err != nil {
 			t.Fatalf("BuildScheduler(%q): %v", name, err)
 		}
-		// Every policy must build a working scheduler: one saturated slot.
-		slot := s.NextSlot(func(int) int { return 1 })
+		return s
+	}
+	// "" builds the default policy, RAND.
+	for _, name := range append(Schedulers.Names(), "") {
+		// Every policy must build a working scheduler: one backlogged slot.
+		slot := build(name).AppendSlot(nil, backlog)
 		if len(slot) == 0 {
-			t.Errorf("%s: saturated network produced empty slot", name)
+			t.Errorf("%s: backlogged network produced empty slot", name)
 		}
 		for a := 0; a < len(slot); a++ {
 			for b := a + 1; b < len(slot); b++ {
@@ -43,6 +48,16 @@ func TestBuildSchedulerByName(t *testing.T) {
 					t.Errorf("%s: slot %v conflicts", name, slot)
 				}
 			}
+		}
+		// Appending after other slots' links (a Batcher's buffer) leaves
+		// them untouched and builds the same slot a fresh instance does.
+		prefix := []int{-1, 7, -3}
+		got := build(name).AppendSlot(append(make([]int, 0, 32), prefix...), backlog)
+		if !slices.Equal(got[:len(prefix)], prefix) {
+			t.Errorf("%s: prefix %v became %v", name, prefix, got[:len(prefix)])
+		}
+		if !slices.Equal(got[len(prefix):], slot) {
+			t.Errorf("%s: appended slot %v, fresh instance built %v", name, got[len(prefix):], slot)
 		}
 	}
 }

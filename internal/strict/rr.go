@@ -11,18 +11,14 @@ import "repro/internal/topo"
 type RoundRobin struct {
 	g    *topo.ConflictGraph
 	next int // link ID at which the next slot's seed scan starts
-	buf  batchBuf
 }
 
 // NewRoundRobin builds the scheduler over a conflict graph.
 func NewRoundRobin(g *topo.ConflictGraph) *RoundRobin { return &RoundRobin{g: g} }
 
-// NextSlot implements Scheduler.
-func (r *RoundRobin) NextSlot(backlog func(link int) int) Slot {
+// AppendSlot implements Scheduler.
+func (r *RoundRobin) AppendSlot(dst []int, backlog func(link int) int) []int {
 	n := len(r.g.Links)
-	if n == 0 {
-		return nil
-	}
 	seed := -1
 	for i := 0; i < n; i++ {
 		id := (r.next + i) % n
@@ -34,30 +30,16 @@ func (r *RoundRobin) NextSlot(backlog func(link int) int) Slot {
 	if seed < 0 {
 		return nil
 	}
-	slot := Slot{seed}
+	start := len(dst)
+	dst = append(dst, seed)
 	for i := 1; i < n; i++ {
 		id := (seed + i) % n
-		if backlog(id) <= 0 {
-			continue
-		}
-		ok := true
-		for _, s := range slot {
-			if r.g.Conflicts(id, s) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			slot = append(slot, id)
+		if backlog(id) > 0 && !conflictsAny(r.g, id, dst[start:]) {
+			dst = append(dst, id)
 		}
 	}
 	r.next = (seed + 1) % n
-	return slot
-}
-
-// Batch implements Scheduler.
-func (r *RoundRobin) Batch(est []int, maxSlots int) Schedule {
-	return r.buf.fill(r, est, maxSlots)
+	return dst
 }
 
 func init() {

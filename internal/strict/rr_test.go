@@ -13,7 +13,7 @@ func TestRoundRobinSeedCycles(t *testing.T) {
 	// The seed pointer advances one link per slot, so the first element of
 	// four consecutive saturated slots walks 0,1,2,3.
 	for want := 0; want < 4; want++ {
-		slot := r.NextSlot(all)
+		slot := r.AppendSlot(nil, all)
 		if len(slot) == 0 {
 			t.Fatal("saturated network produced empty slot")
 		}
@@ -27,11 +27,11 @@ func TestRoundRobinSkipsIdleSeeds(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false)
 	r := NewRoundRobin(g)
 	q := []int{0, 0, 1, 1}
-	slot := r.NextSlot(func(id int) int { return q[id] })
+	slot := r.AppendSlot(nil, func(id int) int { return q[id] })
 	if len(slot) == 0 || slot[0] != 2 {
 		t.Errorf("slot %v should seed at first backlogged link 2", slot)
 	}
-	if s := r.NextSlot(func(int) int { return 0 }); s != nil {
+	if s := r.AppendSlot(nil, func(int) int { return 0 }); s != nil {
 		t.Errorf("idle slot = %v", s)
 	}
 }
@@ -40,7 +40,7 @@ func TestRoundRobinSlotIndependence(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, true)
 	r := NewRoundRobin(g)
 	for i := 0; i < 20; i++ {
-		slot := r.NextSlot(func(int) int { return 1 })
+		slot := r.AppendSlot(nil, func(int) int { return 1 })
 		if len(slot) == 0 {
 			t.Fatal("saturated network produced empty slot")
 		}
@@ -58,7 +58,7 @@ func TestRoundRobinBatchConservation(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false)
 	r := NewRoundRobin(g)
 	est := []int{3, 2, 0, 5}
-	batch := r.Batch(est, 20)
+	batch := (&Batcher{S: r}).Batch(est, 20)
 	got := make([]int, 4)
 	for _, slot := range batch {
 		for _, id := range slot {
@@ -81,7 +81,7 @@ func TestWeightedAlternatesUnderConstantBacklog(t *testing.T) {
 	q := []int{5, 4, 0, 0}
 	winners := map[int]int{}
 	for i := 0; i < 10; i++ {
-		slot := w.NextSlot(func(id int) int { return q[id] })
+		slot := w.AppendSlot(nil, func(id int) int { return q[id] })
 		if len(slot) == 0 {
 			t.Fatal("backlogged network produced empty slot")
 		}
@@ -96,7 +96,7 @@ func TestWeightedBatchConservation(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false)
 	w := NewWeighted(g)
 	est := []int{3, 2, 0, 5}
-	batch := w.Batch(est, 20)
+	batch := (&Batcher{S: w}).Batch(est, 20)
 	got := make([]int, 4)
 	for _, slot := range batch {
 		for _, id := range slot {

@@ -24,17 +24,56 @@ type Schedule []Slot
 // Scheduler produces strict schedules from backlog information. DOMINO's
 // converter accepts any implementation (the paper's claim: relative
 // scheduling "is able to work with any arbitrary centralized scheduling
-// algorithm"); RAND and LQF are provided.
+// algorithm"); RAND, LQF, RoundRobin and Weighted are provided.
 type Scheduler interface {
-	// NextSlot builds one slot from the links for which backlog reports a
-	// positive backlog; nil when nothing is backlogged. backlog(id) returns
-	// the number of queued packets on link id.
-	NextSlot(backlog func(link int) int) Slot
-	// Batch schedules up to maxSlots slots against estimated backlogs
-	// (packets per link), decrementing estimates as links are scheduled.
-	// The schedule may live in the scheduler's own storage, valid until
-	// its next Batch call.
-	Batch(est []int, maxSlots int) Schedule
+	// AppendSlot appends one conflict-free slot, built from the links for
+	// which backlog reports a positive backlog, to dst and returns the
+	// extended slice; nil when nothing is backlogged. backlog(id) returns
+	// the number of queued packets on link id. The links already in dst
+	// stay as they are, and a caller that passes a buffer with room gets
+	// its slot without an allocation.
+	AppendSlot(dst []int, backlog func(link int) int) []int
+}
+
+// Batcher drains estimated backlogs through its Scheduler into a batch of
+// slots — the central server's planning step between pollings. Its storage
+// is reused by every Batch call, so a Batcher is not copied once used.
+type Batcher struct {
+	S Scheduler
+
+	out       Schedule
+	ids       []int // the batch's link IDs, slot after slot
+	remaining []int
+	// backlog reads remaining; bound once, so a batch allocates no closure.
+	backlog func(link int) int
+}
+
+// Batch schedules up to maxSlots slots against an estimated backlog (packets
+// per link), decrementing a copy of the estimates as links are scheduled;
+// scheduling stops early when the estimates drain. The schedule lives in b,
+// valid until its next Batch call.
+func (b *Batcher) Batch(est []int, maxSlots int) Schedule {
+	if b.backlog == nil {
+		b.backlog = func(id int) int { return b.remaining[id] }
+	}
+	b.remaining = append(b.remaining[:0], est...)
+	b.out, b.ids = b.out[:0], b.ids[:0]
+	for len(b.out) < maxSlots {
+		n := len(b.ids)
+		ids := b.S.AppendSlot(b.ids, b.backlog)
+		if ids == nil {
+			break
+		}
+		b.ids = ids
+		// Cap the slot at its end: ids appended later never reach it, and
+		// when they outgrow the buffer, earlier slots keep the old array.
+		slot := Slot(b.ids[n:len(b.ids):len(b.ids)])
+		for _, id := range slot {
+			b.remaining[id]--
+		}
+		b.out = append(b.out, slot)
+	}
+	return b.out
 }
 
 // RAND is the greedy scheduler: for each slot, take the first backlogged
@@ -46,7 +85,6 @@ type RAND struct {
 	order  []int  // rotation queue Q of link IDs
 	spare  []int  // the previous rotation's buffer, reused by the next
 	chosen []bool // by link ID: in the slot being built (all false between calls)
-	buf    batchBuf
 }
 
 // NewRAND builds the scheduler over a conflict graph.
@@ -58,30 +96,15 @@ func NewRAND(g *topo.ConflictGraph) *RAND {
 	return r
 }
 
-// NextSlot builds one slot from the links with positive backlog, rotating
-// scheduled links to the back of Q. It returns nil when nothing is
-// backlogged.
-func (r *RAND) NextSlot(backlog func(link int) int) Slot {
-	return r.appendSlot(nil, backlog)
-}
-
-// appendSlot is NextSlot building the slot at the end of dst: it returns
-// dst extended by the slot, or nil when nothing is backlogged. A caller
-// that passes a buffer with room gets its slot without an allocation.
-func (r *RAND) appendSlot(dst []int, backlog func(link int) int) []int {
+// AppendSlot implements Scheduler, rotating the scheduled links to the back
+// of Q.
+func (r *RAND) AppendSlot(dst []int, backlog func(link int) int) []int {
 	n := len(dst)
 	for _, id := range r.order {
 		if backlog(id) <= 0 || r.chosen[id] {
 			continue
 		}
-		ok := true
-		for _, s := range dst[n:] {
-			if r.g.Conflicts(id, s) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if !conflictsAny(r.g, id, dst[n:]) {
 			dst = append(dst, id)
 			r.chosen[id] = true
 		}
@@ -104,58 +127,14 @@ func (r *RAND) appendSlot(dst []int, backlog func(link int) int) []int {
 	return dst
 }
 
-// Batch schedules up to maxSlots slots against an estimated backlog
-// (packets per link), decrementing estimates as links are scheduled — the
-// central server's planning step between pollings. Scheduling stops early
-// when the estimates drain.
-func (r *RAND) Batch(est []int, maxSlots int) Schedule {
-	return r.buf.fill(r, est, maxSlots)
-}
-
-// batchBuf is a scheduler's Batch storage, reused by every call: the
-// schedule's slots, their link IDs end to end, and the drained estimates.
-type batchBuf struct {
-	out       Schedule
-	ids       []int
-	remaining []int
-	// backlog reads remaining; bound once, so a batch allocates no closure.
-	backlog func(link int) int
-}
-
-// fill drains a copy of est through s.NextSlot for up to maxSlots slots —
-// the shared Batch body of every registered policy. The schedule lives in
-// b, so it is valid until the scheduler's next Batch call.
-func (b *batchBuf) fill(s Scheduler, est []int, maxSlots int) Schedule {
-	if b.backlog == nil {
-		b.backlog = func(id int) int { return b.remaining[id] }
-	}
-	b.remaining = append(b.remaining[:0], est...)
-	b.out, b.ids = b.out[:0], b.ids[:0]
-	r, _ := s.(*RAND) // builds its slots in b.ids, allocating nothing
-	for len(b.out) < maxSlots {
-		n := len(b.ids)
-		if r != nil {
-			ids := r.appendSlot(b.ids, b.backlog)
-			if ids == nil {
-				break
-			}
-			b.ids = ids
-		} else {
-			slot := s.NextSlot(b.backlog)
-			if slot == nil {
-				break
-			}
-			b.ids = append(b.ids, slot...)
+// conflictsAny reports whether link id conflicts with any link of slot.
+func conflictsAny(g *topo.ConflictGraph, id int, slot []int) bool {
+	for _, s := range slot {
+		if g.Conflicts(id, s) {
+			return true
 		}
-		// Cap the slot at its end: ids appended later never reach it, and
-		// when they outgrow the buffer, earlier slots keep the old array.
-		slot := Slot(b.ids[n:len(b.ids):len(b.ids)])
-		for _, id := range slot {
-			b.remaining[id]--
-		}
-		b.out = append(b.out, slot)
 	}
-	return b.out
+	return false
 }
 
 // LQF is a longest-queue-first greedy scheduler: each slot is seeded with the
@@ -163,15 +142,14 @@ func (b *batchBuf) fill(s Scheduler, est []int, maxSlots int) Schedule {
 // queues — a max-weight-flavoured alternative demonstrating the converter's
 // scheduler-independence.
 type LQF struct {
-	g   *topo.ConflictGraph
-	buf batchBuf
+	g *topo.ConflictGraph
 }
 
 // NewLQF builds the scheduler over a conflict graph.
 func NewLQF(g *topo.ConflictGraph) *LQF { return &LQF{g: g} }
 
-// NextSlot implements Scheduler.
-func (l *LQF) NextSlot(backlog func(link int) int) Slot {
+// AppendSlot implements Scheduler.
+func (l *LQF) AppendSlot(dst []int, backlog func(link int) int) []int {
 	type cand struct {
 		id int
 		q  int
@@ -192,25 +170,13 @@ func (l *LQF) NextSlot(backlog func(link int) int) Slot {
 		}
 		return cands[a].id < cands[b].id
 	})
-	var slot Slot
+	n := len(dst)
 	for _, c := range cands {
-		ok := true
-		for _, s := range slot {
-			if l.g.Conflicts(c.id, s) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			slot = append(slot, c.id)
+		if !conflictsAny(l.g, c.id, dst[n:]) {
+			dst = append(dst, c.id)
 		}
 	}
-	return slot
-}
-
-// Batch implements Scheduler.
-func (l *LQF) Batch(est []int, maxSlots int) Schedule {
-	return l.buf.fill(l, est, maxSlots)
+	return dst
 }
 
 // Config parameterises the omniscient executor.
@@ -329,7 +295,7 @@ func (e *Omniscient) slotDuration(maxBytes int) sim.Time {
 }
 
 func (e *Omniscient) tick() {
-	e.slot = e.sched.appendSlot(e.slot[:0], e.backlogFn)
+	e.slot = e.sched.AppendSlot(e.slot[:0], e.backlogFn)
 	if e.slot == nil {
 		// Idle: poll again after one empty slot.
 		e.k.After(e.slotDuration(512), e.tickFn).SetSource(sim.SrcMAC)

@@ -24,7 +24,7 @@ func TestRANDSlotIndependence(t *testing.T) {
 	r := NewRAND(g)
 	all := func(int) int { return 1 }
 	for i := 0; i < 20; i++ {
-		slot := r.NextSlot(all)
+		slot := r.AppendSlot(nil, all)
 		if len(slot) == 0 {
 			t.Fatal("saturated network produced empty slot")
 		}
@@ -67,7 +67,7 @@ func TestRANDFairRotation(t *testing.T) {
 	r := NewRAND(g)
 	counts := make([]int, 4)
 	for i := 0; i < 40; i++ {
-		for _, id := range r.NextSlot(func(int) int { return 1 }) {
+		for _, id := range r.AppendSlot(nil, func(int) int { return 1 }) {
 			counts[id]++
 		}
 	}
@@ -81,7 +81,7 @@ func TestRANDFairRotation(t *testing.T) {
 func TestRANDSkipsIdleLinks(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false)
 	r := NewRAND(g)
-	slot := r.NextSlot(func(id int) int {
+	slot := r.AppendSlot(nil, func(id int) int {
 		if id == 2 {
 			return 1
 		}
@@ -90,7 +90,7 @@ func TestRANDSkipsIdleLinks(t *testing.T) {
 	if len(slot) != 1 || slot[0] != 2 {
 		t.Fatalf("slot = %v, want [2]", slot)
 	}
-	if s := r.NextSlot(func(int) int { return 0 }); s != nil {
+	if s := r.AppendSlot(nil, func(int) int { return 0 }); s != nil {
 		t.Fatalf("idle network returned slot %v", s)
 	}
 }
@@ -99,7 +99,7 @@ func TestRANDBatch(t *testing.T) {
 	g := graphFor(t, topo.Figure7(), true, false)
 	r := NewRAND(g)
 	est := []int{2, 1, 1, 0}
-	batch := r.Batch(est, 10)
+	batch := (&Batcher{S: r}).Batch(est, 10)
 	// Total scheduled transmissions must equal the estimates.
 	got := make([]int, 4)
 	for _, slot := range batch {
@@ -120,7 +120,7 @@ func TestRANDBatch(t *testing.T) {
 		t.Error("Batch mutated the estimate slice")
 	}
 	// Slot budget respected under infinite backlog.
-	long := r.Batch([]int{100, 100, 100, 100}, 7)
+	long := (&Batcher{S: r}).Batch([]int{100, 100, 100, 100}, 7)
 	if len(long) != 7 {
 		t.Errorf("batch length = %d, want 7", len(long))
 	}

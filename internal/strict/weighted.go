@@ -21,7 +21,6 @@ const weightedDecay = 0.9
 type Weighted struct {
 	g       *topo.ConflictGraph
 	service []float64
-	buf     batchBuf
 }
 
 // NewWeighted builds the scheduler over a conflict graph.
@@ -29,8 +28,8 @@ func NewWeighted(g *topo.ConflictGraph) *Weighted {
 	return &Weighted{g: g, service: make([]float64, len(g.Links))}
 }
 
-// NextSlot implements Scheduler.
-func (w *Weighted) NextSlot(backlog func(link int) int) Slot {
+// AppendSlot implements Scheduler.
+func (w *Weighted) AppendSlot(dst []int, backlog func(link int) int) []int {
 	type cand struct {
 		id   int
 		q    int
@@ -54,31 +53,19 @@ func (w *Weighted) NextSlot(backlog func(link int) int) Slot {
 		}
 		return cands[a].id < cands[b].id
 	})
-	var slot Slot
+	n := len(dst)
 	for _, c := range cands {
-		ok := true
-		for _, s := range slot {
-			if w.g.Conflicts(c.id, s) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			slot = append(slot, c.id)
+		if !conflictsAny(w.g, c.id, dst[n:]) {
+			dst = append(dst, c.id)
 		}
 	}
 	for i := range w.service {
 		w.service[i] *= weightedDecay
 	}
-	for _, id := range slot {
+	for _, id := range dst[n:] {
 		w.service[id]++
 	}
-	return slot
-}
-
-// Batch implements Scheduler.
-func (w *Weighted) Batch(est []int, maxSlots int) Schedule {
-	return w.buf.fill(w, est, maxSlots)
+	return dst
 }
 
 func init() {

@@ -34,8 +34,10 @@ type action struct {
 type apNode struct {
 	radio
 	// poller owns this AP's client → subchannel/round layout and the decode
-	// of each polling cycle (internal/poll registry; ROP by default).
+	// of each polling cycle (internal/poll registry; ROP by default);
+	// polled is how many clients it was assigned.
 	poller poll.Poller
+	polled int
 
 	known int // exclusive upper bound of slots received from the server
 	// actions are the pending duties in slot order, popped from the front;
@@ -79,7 +81,7 @@ type apCall struct {
 	span      int64
 	targets   []phy.NodeID // in the record's own storage
 	rop, last bool
-	res       poll.Result
+	reports   []poll.Report // in the record's own storage
 }
 
 // later schedules do to run after d with a recycled record, which it
@@ -111,8 +113,10 @@ func (c *apCall) free() {
 		for i := range c.targets {
 			c.targets[i] = -1
 		}
+		for i := range c.reports {
+			c.reports[i] = poll.Report{Client: -1, Subchannel: -1, Value: -1, OK: !c.reports[i].OK}
+		}
 	}
-	c.res = poll.Result{}
 	c.ap.calls = append(c.ap.calls, c)
 }
 
@@ -472,10 +476,7 @@ func (ap *apNode) doPollNow(offset sim.Time) {
 	// The poll is part of the current chain node: airtime and rop_poll
 	// records accrue to the AP's reference span rather than a fresh one.
 	pollSpan := ap.refSpan
-	rounds := sim.Time(1)
-	if ap.poller != nil {
-		rounds = sim.Time(ap.poller.Rounds())
-	}
+	rounds := sim.Time(ap.poller.Rounds())
 	// A multi-round cycle holds the channel for rounds consecutive poll
 	// exchanges; a single frame of rounds × the poll air time models it.
 	e.medium.Transmit(ap.id, &phy.Frame{
@@ -491,34 +492,28 @@ func (ap *apNode) doPollNow(offset sim.Time) {
 	ap.later(decodeAt, (*apCall).decode).span = pollSpan
 }
 
-// decode completes the polling cycle the poll with span span solicited and
-// sends the result over the wire to the server (doPollNow).
+// decode completes the polling cycle the poll with span span solicited,
+// records its reports and sends them over the wire to the server
+// (doPollNow).
 func (c *apCall) decode() {
 	ap := c.ap
 	e := ap.e
-	if ap.poller == nil {
-		c.free()
-		return
-	}
-	c.res = ap.poller.Poll(poll.Context{
+	c.reports = ap.poller.AppendReports(c.reports[:0], poll.Context{
 		Queue:    e.clientBacklogFn,
 		RSSAtAP:  ap.rssAtAP,
 		NoiseDBm: e.medium.Config().NoiseDBm,
 		Rng:      e.k.Rand(),
-		Tracer:   e.Obs,
-		Now:      e.k.Now(),
-		Span:     c.span,
 	})
-	e.notePollCycle(c.res)
+	e.notePollCycle(ap, c.reports, c.span)
 	c.do = (*apCall).report
 	e.k.After(e.wiredDelay(), c.fn).SetSource(sim.SrcMAC)
 }
 
-// report hands the polling result res to the server (decode).
+// report hands the call's reports to the server at the end of their wired
+// trip (decode, and onSlot's piggyback relay).
 func (c *apCall) report() {
-	s, res := c.ap.e.server, c.res
+	c.ap.e.server.ingest(c.reports)
 	c.free()
-	s.pollResult(res)
 }
 
 // CarrierChanged implements phy.Listener: channel activity is a liveness
@@ -554,8 +549,8 @@ func (ap *apNode) onSlot(f *phy.Frame, m *meta) {
 	if f.Kind == phy.Data {
 		if e.cfg.Piggyback {
 			// Relay the piggybacked backlog to the server.
-			src, backlog := f.Src, m.backlog
-			e.k.After(e.wiredDelay(), func() { e.server.report(src, backlog) }).SetSource(sim.SrcMAC)
+			c := ap.later(e.wiredDelay(), (*apCall).report)
+			c.reports = append(c.reports[:0], poll.Report{Client: f.Src, Value: m.backlog, OK: true})
 		}
 		a := ap.ack(f, m.span)
 		e.instrInto(&a.in, f.Src, idx)

@@ -62,18 +62,40 @@ func (e *Engine) wireMetrics(m *obs.Metrics) {
 	e.chainDepth = m.LogHist("domino.chain_depth")
 }
 
-// notePollCycle accounts one completed polling cycle: engine counters always,
-// metrics counters when wired.
-func (e *Engine) notePollCycle(res poll.Result) {
-	e.PollRounds += res.Rounds
-	e.PollCollisions += res.Collisions
-	e.PollDecoded += len(res.Values)
-	e.PollFailed += len(res.Failed)
+// notePollCycle accounts one completed polling cycle of ap: a KindROPPoll
+// record per report, parented to span, the poll that solicited the cycle;
+// engine counters always, metrics counters when wired. A client without an
+// OK report failed the cycle.
+func (e *Engine) notePollCycle(ap *apNode, reports []poll.Report, span int64) {
+	rounds := ap.poller.Rounds()
+	collisions, decoded := 0, 0
+	for _, r := range reports {
+		if r.Collided {
+			collisions++
+		}
+		if r.OK {
+			decoded++
+		}
+		if e.Obs != nil {
+			rec := obs.Rec(e.k.Now(), obs.KindROPPoll)
+			rec.Node = int(r.Client)
+			rec.Extra = int64(r.Subchannel)
+			rec.Parent = span
+			rec.Value = int64(r.Value)
+			rec.OK = r.OK
+			e.Obs.Emit(rec)
+		}
+	}
+	failed := ap.polled - decoded
+	e.PollRounds += rounds
+	e.PollCollisions += collisions
+	e.PollDecoded += decoded
+	e.PollFailed += failed
 	if cm := e.convMetrics; cm != nil {
-		cm.pollRounds.Add(int64(res.Rounds))
-		cm.pollCollisions.Add(int64(res.Collisions))
-		cm.pollDecoded.Add(int64(len(res.Values)))
-		cm.pollFailedReports.Add(int64(len(res.Failed)))
+		cm.pollRounds.Add(int64(rounds))
+		cm.pollCollisions.Add(int64(collisions))
+		cm.pollDecoded.Add(int64(decoded))
+		cm.pollFailedReports.Add(int64(failed))
 	}
 }
 

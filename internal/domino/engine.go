@@ -394,7 +394,7 @@ func New(k *sim.Kernel, medium *phy.Medium, g *topo.ConflictGraph, events mac.Ev
 		if r := p.Rounds(); r > e.pollRounds {
 			e.pollRounds = r
 		}
-		ap.poller, ap.rssAtAP = p, rssFn
+		ap.poller, ap.polled, ap.rssAtAP = p, len(clients), rssFn
 	}
 	e.clientBacklogFn = e.clientBacklog
 	e.server = newServer(e)
@@ -734,17 +734,13 @@ func (e *Engine) wiredDelay() sim.Time {
 	return max(lat, 0)
 }
 
-// pollResult integrates a poll outcome after its wired trip to the server.
-func (s *server) pollResult(res poll.Result) {
-	for c, v := range res.Values {
-		s.report(c, v)
-	}
-}
-
-// report takes client c's reported uplink backlog as the server's estimate.
-func (s *server) report(c phy.NodeID, backlog int) {
-	if cn, ok := s.e.clients[c]; ok && cn.link != nil {
-		s.upEst[cn.link.ID] = backlog
+// ingest takes the backlog of every decoded report as the server's
+// estimate of its client's uplink.
+func (s *server) ingest(reports []poll.Report) {
+	for _, r := range reports {
+		if cn, ok := s.e.clients[r.Client]; ok && r.OK && cn.link != nil {
+			s.upEst[cn.link.ID] = r.Value
+		}
 	}
 }
 

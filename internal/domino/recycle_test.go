@@ -12,20 +12,23 @@ import (
 )
 
 // TestRecycledStorageMatchesScribbled runs traced Fig 7 DOMINO runs with
-// metrics (UDP, TCP, and saturated with one-slot batches whose dispatches
-// overtake each other on the wire) twice: once plainly, and once with every
-// piece of storage the engine recycles overwritten the moment it is
+// metrics (UDP, TCP, saturated with one-slot batches whose dispatches
+// overtake each other on the wire, and saturated with the UORA poller and
+// with piggybacked backlog reports) twice: once plainly, and once with
+// every piece of storage the engine recycles overwritten the moment it is
 // released (domino.ScribbleRecycled: frame payloads once the receiver's
-// callback returns, armed transmissions, deferred-call records, ACK entries
-// and the slots the log drops). The trace bytes, the metrics and the
-// result must be equal, so nothing reads recycled storage after its
-// release.
+// callback returns, armed transmissions, deferred-call records and the
+// backlog reports they carry, ACK entries and the slots the log drops).
+// The trace bytes, the metrics and the result must be equal, so nothing
+// reads recycled storage after its release.
 func TestRecycledStorageMatchesScribbled(t *testing.T) {
 	for _, tc := range []struct{ name, json string }{
 		{"udp", `"traffic": {"kind": "udp", "down_mbps": 2, "up_mbps": 1}`},
 		{"tcp", `"traffic": {"kind": "tcp", "down_mbps": 10, "up_mbps": 4}`},
 		{"overtaking", `"traffic": {"kind": "saturated"},
 			"scheme_config": {"BatchSize": 1, "WiredLatencyMean": 5000000, "WiredLatencyStd": 5000000}`},
+		{"uora", `"traffic": {"kind": "saturated"}, "scheme_config": {"Poller": "UORA"}`},
+		{"piggyback", `"traffic": {"kind": "saturated"}, "scheme_config": {"Piggyback": true}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sp, err := spec.Parse([]byte(`{"scheme": "domino", "topology": {"kind": "fig7"}, "seed": 3,

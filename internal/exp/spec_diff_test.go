@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -141,6 +142,63 @@ func TestSchemesMatchPreRefactorGoldens(t *testing.T) {
 				if g.wantDrops && drops == 0 {
 					t.Errorf("%s path made no retry-limit drops; the row no longer reaches that path", leg)
 				}
+			}
+		})
+	}
+}
+
+// pollPathGoldens pin the DOMINO backlog-report paths the DOMINO row above
+// does not reach: the A2P and UORA pollers and the piggyback relay on Fig 7
+// (seed 5, 300 ms, downlink + uplink, spec path), and, since Fig 7 gives
+// each AP one client, a 2-AP × 20-client grid where A2P polls in several
+// rounds and UORA's random access collides and fails reports. Captured
+// before the pollers appended reports into the caller's buffer.
+var pollPathGoldens = []struct {
+	name, config string
+	topology     spec.Topology
+	traceSHA     string
+	aggregate    string // %.6f Mbps
+}{
+	{"fig7-A2P", `{"Poller": "A2P"}`, spec.Topology{Kind: "fig7"}, "a86eb06335f681d8e26ccaa167dc5a89c5accf6e77e3c290e4a59b53911fcd38", "18.814293"},
+	{"fig7-UORA", `{"Poller": "UORA"}`, spec.Topology{Kind: "fig7"}, "44b735276f163b3e96371b8f53f6ade509b691b84ed65582d63a20dde6ff7583", "17.967787"},
+	{"fig7-Piggyback", `{"Piggyback": true}`, spec.Topology{Kind: "fig7"}, "1ab49df1246c5800339784eec08e43bb5e7eb6b07214f4c4e283276e662331fa", "19.114667"},
+	{"grid-A2P-groups-of-8", `{"Poller": "A2P", "PollerConfig": {"GroupSize": 8}}`, spec.Topology{Kind: "grid", Buildings: 1, APs: 2, Clients: 20},
+		"f72f18c93b3e236e5a55615a09d7887030b380b4d1581121d93df061f25bad8c", "17.039360"},
+	{"grid-UORA", `{"Poller": "UORA"}`, spec.Topology{Kind: "grid", Buildings: 1, APs: 2, Clients: 20},
+		"b0c088e6f25496bbe718dc0c462bbec0bf978c36810383afe26597399040db8a", "16.725333"},
+}
+
+func TestPollPathsMatchGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five traced 300 ms runs")
+	}
+	for _, g := range pollPathGoldens {
+		t.Run(g.name, func(t *testing.T) {
+			sc, err := core.BuildScenario(spec.Spec{
+				Scheme:       "DOMINO",
+				SchemeConfig: json.RawMessage(g.config),
+				Topology:     g.topology,
+				Seed:         5,
+				Duration:     spec.Duration(300 * sim.Millisecond),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			nd := obs.NewNDJSON(&buf)
+			sc.Tracer = nd
+			res, err := core.RunScenario(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nd.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sha(buf.Bytes()); got != g.traceSHA {
+				t.Errorf("trace hash %s != golden %s", got, g.traceSHA)
+			}
+			if got := fmt.Sprintf("%.6f", res.AggregateMbps); got != g.aggregate {
+				t.Errorf("aggregate %s Mbps != golden %s", got, g.aggregate)
 			}
 		})
 	}

@@ -7,9 +7,7 @@
 // adjacent subchannels at similar powers, so extremes end up far apart. The
 // multi-round layout is what lifts the per-AP ceiling from 24 clients to
 // hundreds; ROP itself is the one-group case, registered below with a
-// 24-client ceiling and no knobs. Group membership is recomputed from
-// scratch on every Assign, so churn in the client set re-balances the
-// groups.
+// 24-client ceiling and no knobs.
 
 package poll
 
@@ -54,9 +52,6 @@ func (p *A2P) Assign(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64) {
 	p.clients = sortByRSS(clients, rssAtAP)
 }
 
-// Clients implements Poller.
-func (p *A2P) Clients() []phy.NodeID { return p.clients }
-
 // Rounds implements Poller: one round per group, at least one.
 func (p *A2P) Rounds() int {
 	g := p.cfg.GroupSize
@@ -67,19 +62,15 @@ func (p *A2P) Rounds() int {
 	return n
 }
 
-// Poll implements Poller: every group reports in its own round; within a
-// round the decode rule is ROP's — own SNR above the floor and no adjacent
-// subchannel more than ToleranceDB stronger.
-func (p *A2P) Poll(ctx Context) Result {
-	res := Result{Values: make(map[phy.NodeID]int, len(p.clients)), Rounds: p.Rounds()}
+// AppendReports implements Poller: every group reports in its own round;
+// within a round the decode rule is ROP's — own SNR above the floor and no
+// adjacent subchannel more than ToleranceDB stronger. Reports follow the
+// layout order.
+func (p *A2P) AppendReports(dst []Report, ctx Context) []Report {
 	g := p.cfg.GroupSize
 	floor, tol := p.cfg.SNRFloorDB, p.cfg.ToleranceDB
 	for start := 0; start < len(p.clients); start += g {
-		end := start + g
-		if end > len(p.clients) {
-			end = len(p.clients)
-		}
-		group := p.clients[start:end]
+		group := p.clients[start:min(start+g, len(p.clients))]
 		for i, c := range group {
 			rss := ctx.RSSAtAP(c)
 			ok := rss-ctx.NoiseDBm >= floor
@@ -89,17 +80,14 @@ func (p *A2P) Poll(ctx Context) Result {
 			if i+1 < len(group) && ctx.RSSAtAP(group[i+1])-rss > tol {
 				ok = false
 			}
+			r := Report{Client: c, Subchannel: i, OK: ok}
 			if ok {
-				v := a2pLayout.EncodeQueue(ctx.Queue(c))
-				res.Values[c] = v
-				emitReport(ctx, c, i, v, true)
-			} else {
-				res.Failed = append(res.Failed, c)
-				emitReport(ctx, c, i, 0, false)
+				r.Value = a2pLayout.EncodeQueue(ctx.Queue(c))
 			}
+			dst = append(dst, r)
 		}
 	}
-	return res
+	return dst
 }
 
 func init() {

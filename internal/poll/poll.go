@@ -2,8 +2,8 @@
 // slot-in-the-schedule shape Rapid OFDM Polling occupies in DOMINO: it lays
 // the AP's clients out over subchannels and rounds, reports how many
 // successive poll rounds one cycle takes (the schedule reserves rounds × the
-// ROP slot duration), and decodes one complete cycle into per-client backlog
-// reports.
+// ROP slot duration), and judges one complete cycle into per-client backlog
+// reports, which it appends to the caller's buffer.
 //
 // Three schemes register here. The paper's ROP (§3.1, the default) is one
 // 24-subchannel control symbol; A2P-style grouped polling generalises it to
@@ -20,17 +20,14 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/phy"
 	"repro/internal/registry"
-	"repro/internal/sim"
 )
 
-// Context carries everything one polling cycle reads: ground-truth backlogs,
-// the channel view at the AP, the run's RNG and the observability hooks. The
-// decode is an AP-side abstraction: clients do not
-// explicitly answer in the event kernel; the poller judges each report from
-// the RSS/noise figures.
+// Context carries everything one polling cycle reads: ground-truth
+// backlogs, the channel view at the AP and the run's RNG. The decode is an
+// AP-side abstraction: clients do not explicitly answer in the event kernel;
+// the poller judges each report from the RSS/noise figures.
 type Context struct {
 	// Queue returns a client's true uplink backlog.
 	Queue func(phy.NodeID) int
@@ -42,44 +39,34 @@ type Context struct {
 	// from it (the default ROP never does — golden traces pin that), but
 	// contention pollers like UORA consume draws in assignment order.
 	Rng *rand.Rand
-	// Tracer receives one KindROPPoll record per judged report when non-nil;
-	// Now timestamps them and Span parents them to the poll that solicited
-	// the cycle (0 when spans are off).
-	Tracer obs.Tracer
-	Now    sim.Time
-	Span   int64
 }
 
-// Result is the outcome of one complete polling cycle at the AP. Values and
-// Failed partition the assigned clients exactly: every assigned client
-// appears in exactly one of them (a contention poller lists clients that
-// never won a transmit opportunity this cycle under Failed).
-type Result struct {
-	// Values holds the decoded (possibly saturated) queue sizes.
-	Values map[phy.NodeID]int
-	// Failed lists clients whose report did not decode this cycle.
-	Failed []phy.NodeID
-	// Rounds is how many poll rounds the cycle used.
-	Rounds int
-	// Collisions counts reports lost to random-access collisions (0 for
-	// scheduled pollers).
-	Collisions int
+// Report is one judged backlog report of a polling cycle. A cycle decodes
+// at most one report per assigned client; an assigned client without an OK
+// report failed the cycle.
+type Report struct {
+	Client phy.NodeID
+	// Subchannel is the subchannel (or RA-RU) the report arrived on.
+	Subchannel int
+	// Value is the decoded (possibly saturated) queue size; 0 unless OK.
+	Value int
+	OK    bool
+	// Collided marks a report lost to a random-access collision.
+	Collided bool
 }
 
 // Poller is one polling scheme instance, owned by a single AP.
 type Poller interface {
-	// Assign (re)computes the client → subchannel/round layout. The engine
-	// calls it at construction and again whenever the AP's client set
-	// churns; group membership is recomputed from scratch each time.
+	// Assign computes the client → subchannel/round layout. The engine
+	// calls it once, at construction.
 	Assign(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64)
-	// Clients returns the currently assigned clients in layout order.
-	Clients() []phy.NodeID
 	// Rounds is how many successive poll rounds one cycle takes (≥ 1). It
-	// must stay constant between Assign calls: the schedule reserves
-	// rounds × the per-round slot gap and cannot renegotiate mid-batch.
+	// stays constant after Assign: the schedule reserves rounds × the
+	// per-round slot gap and cannot renegotiate mid-batch.
 	Rounds() int
-	// Poll decodes one complete polling cycle.
-	Poll(ctx Context) Result
+	// AppendReports judges one complete polling cycle, appending one Report
+	// per judged report to dst in the order the cycle judged them.
+	AppendReports(dst []Report, ctx Context) []Report
 }
 
 // Descriptor is one registered polling scheme.
@@ -137,22 +124,4 @@ func sortByRSS(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64) []phy.Nod
 		return rssAtAP(sorted[a]) > rssAtAP(sorted[b])
 	})
 	return sorted
-}
-
-// emitReport appends one KindROPPoll record for a judged report: Node the
-// client, Extra the subchannel (or RA-RU) index, Value/OK the decode
-// outcome, Parent the soliciting poll's span.
-func emitReport(ctx Context, c phy.NodeID, subchannel int, value int, ok bool) {
-	if ctx.Tracer == nil {
-		return
-	}
-	rec := obs.Rec(ctx.Now, obs.KindROPPoll)
-	rec.Node = int(c)
-	rec.Extra = int64(subchannel)
-	rec.Parent = ctx.Span
-	if ok {
-		rec.Value = int64(value)
-		rec.OK = true
-	}
-	ctx.Tracer.Emit(rec)
 }

@@ -2,6 +2,7 @@ package poll_test
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -100,12 +101,15 @@ func TestRegisterUnregister(t *testing.T) {
 	}
 }
 
-// TestEveryPollerCoversClientsExactlyOnce is the registry-wide contract: per
-// cycle, every assigned client lands in exactly one of Result.Values or
-// Result.Failed — no client silently dropped, none double-reported. It runs
-// every registered poller at several client counts and seeds.
+// TestEveryPollerCoversClientsExactlyOnce is the registry-wide contract the
+// engine's counters rest on: per cycle, every report names an assigned
+// client and no client decodes twice, so the OK reports (decoded) plus the
+// assigned clients without one (failed) add up to the assignment. It runs
+// every registered poller at several client counts and seeds, appending
+// each cycle after a sentinel report that must stay untouched.
 func TestEveryPollerCoversClientsExactlyOnce(t *testing.T) {
 	counts := []int{1, 5, 24, 60, 150}
+	sentinel := poll.Report{Client: -7, Subchannel: -7, Value: -7}
 	for _, name := range poll.Registry.Names() {
 		d, ok := poll.Registry.Lookup(name)
 		if !ok {
@@ -122,49 +126,117 @@ func TestEveryPollerCoversClientsExactlyOnce(t *testing.T) {
 						t.Fatalf("Build(%s): %v", name, err)
 					}
 					clients := make([]phy.NodeID, n)
+					assigned := map[phy.NodeID]bool{}
 					for i := range clients {
 						clients[i] = phy.NodeID(i + 2)
+						assigned[clients[i]] = true
 					}
 					p.Assign(clients, testRSS)
-					if got := len(p.Clients()); got != n {
-						t.Fatalf("n=%d seed=%d: Clients() has %d entries", n, seed, got)
-					}
-					rounds := p.Rounds()
-					if rounds < 1 {
+					if rounds := p.Rounds(); rounds < 1 {
 						t.Fatalf("n=%d: Rounds() = %d, want >= 1", n, rounds)
 					}
 					rng := rand.New(rand.NewSource(seed))
+					buf := []poll.Report{sentinel}
 					for cycle := 0; cycle < 4; cycle++ {
-						res := p.Poll(poll.Context{
+						buf = p.AppendReports(buf[:1], poll.Context{
 							Queue:    testQueue,
 							RSSAtAP:  testRSS,
 							NoiseDBm: -95,
 							Rng:      rng,
 						})
-						if res.Rounds != rounds {
-							t.Fatalf("n=%d cycle=%d: Result.Rounds %d != Rounds() %d",
-								n, cycle, res.Rounds, rounds)
+						if buf[0] != sentinel {
+							t.Fatalf("n=%d seed=%d cycle=%d: the report before dst's end changed to %+v", n, seed, cycle, buf[0])
 						}
-						seen := map[phy.NodeID]int{}
-						for c := range res.Values {
-							seen[c]++
-						}
-						for _, c := range res.Failed {
-							seen[c]++
-						}
-						for _, c := range clients {
-							if seen[c] != 1 {
-								t.Fatalf("n=%d seed=%d cycle=%d: client %d covered %d times",
-									n, seed, cycle, c, seen[c])
+						okReports := map[phy.NodeID]int{}
+						for _, r := range buf[1:] {
+							if !assigned[r.Client] {
+								t.Fatalf("n=%d seed=%d cycle=%d: report %+v names no assigned client", n, seed, cycle, r)
+							}
+							if r.OK {
+								okReports[r.Client]++
+							}
+							if r.OK && r.Collided {
+								t.Fatalf("n=%d seed=%d cycle=%d: report %+v both decoded and collided", n, seed, cycle, r)
 							}
 						}
-						if len(seen) != n {
-							t.Fatalf("n=%d seed=%d cycle=%d: %d covered clients, want %d",
-								n, seed, cycle, len(seen), n)
+						decoded, failed := 0, 0
+						for _, c := range clients {
+							if k := okReports[c]; k > 1 {
+								t.Fatalf("n=%d seed=%d cycle=%d: client %d decoded %d times", n, seed, cycle, c, k)
+							}
+							if okReports[c] == 0 {
+								failed++
+							}
+						}
+						for _, k := range okReports {
+							decoded += k
+						}
+						if decoded+failed != n {
+							t.Fatalf("n=%d seed=%d cycle=%d: %d decoded + %d failed != %d assigned",
+								n, seed, cycle, decoded, failed, n)
 						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// TestUORAMatchesSlottedAloha anchors UORA to its closed form. With one
+// round per cycle and OCWMin = OCWMax ≤ RARUs, every countdown drawn from
+// [0, OCW] reaches zero in the first round, so every client transmits
+// every cycle on a uniformly drawn RA-RU: a client's report gets through
+// alone with p = (1 − 1/R)^(n−1), and a cycle decodes n·p reports on
+// average. Collided reports must share their RA-RU and say so. The mean
+// over C cycles must land within 4 standard errors, σ/√C, of n·p, where σ²
+// is the exact variance of the per-cycle count.
+func TestUORAMatchesSlottedAloha(t *testing.T) {
+	const (
+		n      = 6
+		ru     = 8
+		cycles = 20000
+	)
+	p, err := poll.Build("UORA", json.RawMessage(`{"RARUs": 8, "OCWMin": 7, "OCWMax": 7, "RoundsPerCycle": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clients := make([]phy.NodeID, n)
+	for i := range clients {
+		clients[i] = phy.NodeID(i + 2)
+	}
+	p.Assign(clients, testRSS)
+	ctx := poll.Context{Queue: testQueue, RSSAtAP: testRSS, NoiseDBm: -95, Rng: rand.New(rand.NewSource(1))}
+	var reports []poll.Report
+	okTotal := 0
+	for cycle := 0; cycle < cycles; cycle++ {
+		reports = p.AppendReports(reports[:0], ctx)
+		if len(reports) != n {
+			t.Fatalf("cycle %d: %d reports, want every one of the %d clients to transmit", cycle, len(reports), n)
+		}
+		var perRU [ru]int
+		for _, r := range reports {
+			perRU[r.Subchannel]++
+		}
+		for _, r := range reports {
+			alone := perRU[r.Subchannel] == 1
+			if r.OK != alone || r.Collided == alone {
+				t.Fatalf("cycle %d: report %+v with %d reports on its RA-RU", cycle, r, perRU[r.Subchannel])
+			}
+			if r.OK {
+				okTotal++
+			}
+		}
+	}
+	alone := math.Pow(1-1.0/ru, n-1)
+	// Both of two clients get through alone: the second avoids the first's
+	// RA-RU and the other n−2 avoid both.
+	bothAlone := (1 - 1.0/ru) * math.Pow(1-2.0/ru, n-2)
+	want := n * alone
+	variance := n*alone + n*(n-1)*bothAlone - want*want
+	tol := 4 * math.Sqrt(variance/cycles)
+	got := float64(okTotal) / cycles
+	if math.Abs(got-want) > tol {
+		t.Errorf("mean decoded reports per cycle %.4f, want n(1-1/R)^(n-1) = %.4f ± %.4f", got, want, tol)
+	}
+	t.Logf("%.4f decoded reports per cycle, closed form %.4f ± %.4f", got, want, tol)
 }

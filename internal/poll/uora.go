@@ -43,59 +43,53 @@ type uoraStation struct {
 	ocw int // current contention window
 }
 
-// UORA is the random-access poller.
+// UORA is the random-access poller. Its per-client state is indexed by
+// assignment position.
 type UORA struct {
 	cfg      UORAConfig
 	clients  []phy.NodeID
-	stations map[phy.NodeID]*uoraStation
+	stations []uoraStation
+	// reported and contenders are one cycle's scratch, reused cycle to
+	// cycle: whether each client's report got through, and the clients
+	// transmitting on each RA-RU in the current round.
+	reported   []bool
+	contenders [][]int
 }
 
 // Assign implements Poller: random access needs no layout — the client list
-// only fixes the deterministic contention order. Stations keep their
-// countdown across churn; departed clients drop their state.
+// only fixes the deterministic contention order. Every station starts with
+// its window at OCWMin and its countdown undrawn.
 func (p *UORA) Assign(clients []phy.NodeID, rssAtAP func(phy.NodeID) float64) {
 	p.clients = sortByRSS(clients, rssAtAP)
-	if p.stations == nil {
-		p.stations = make(map[phy.NodeID]*uoraStation, len(clients))
+	p.stations = make([]uoraStation, len(p.clients))
+	for i := range p.stations {
+		p.stations[i] = uoraStation{obo: -1, ocw: p.cfg.OCWMin}
 	}
-	seen := make(map[phy.NodeID]bool, len(p.clients))
-	for _, c := range p.clients {
-		seen[c] = true
-		if p.stations[c] == nil {
-			p.stations[c] = &uoraStation{obo: -1, ocw: p.cfg.OCWMin}
-		}
-	}
-	for c := range p.stations {
-		if !seen[c] {
-			delete(p.stations, c)
-		}
-	}
+	p.reported = make([]bool, len(p.clients))
+	p.contenders = make([][]int, p.cfg.RARUs)
 }
-
-// Clients implements Poller.
-func (p *UORA) Clients() []phy.NodeID { return p.clients }
 
 // Rounds implements Poller.
 func (p *UORA) Rounds() int { return p.cfg.RoundsPerCycle }
 
-// Poll implements Poller: RoundsPerCycle rounds of OBO contention. All RNG
-// draws happen in assignment order, so the cycle is deterministic given the
-// engine's RNG state.
-func (p *UORA) Poll(ctx Context) Result {
-	res := Result{Values: make(map[phy.NodeID]int, len(p.clients)), Rounds: p.cfg.RoundsPerCycle}
+// AppendReports implements Poller: RoundsPerCycle rounds of OBO contention,
+// reported round by round in RA-RU order. All RNG draws happen in
+// assignment order, so the cycle is deterministic given the engine's RNG
+// state. Clients that never get a clean report through this cycle failed
+// it.
+func (p *UORA) AppendReports(dst []Report, ctx Context) []Report {
 	nRU := p.cfg.RARUs
 	floor := p.cfg.SNRFloorDB
-	reported := make(map[phy.NodeID]bool, len(p.clients))
-	contenders := make([][]phy.NodeID, nRU)
+	clear(p.reported)
 	for round := 0; round < p.cfg.RoundsPerCycle; round++ {
-		for i := range contenders {
-			contenders[i] = contenders[i][:0]
+		for i := range p.contenders {
+			p.contenders[i] = p.contenders[i][:0]
 		}
-		for _, c := range p.clients {
-			if reported[c] {
+		for i := range p.clients {
+			if p.reported[i] {
 				continue
 			}
-			st := p.stations[c]
+			st := &p.stations[i]
 			if st.obo < 0 {
 				st.obo = ctx.Rng.Intn(st.ocw + 1)
 			}
@@ -104,46 +98,36 @@ func (p *UORA) Poll(ctx Context) Result {
 				continue
 			}
 			ru := ctx.Rng.Intn(nRU)
-			contenders[ru] = append(contenders[ru], c)
+			p.contenders[ru] = append(p.contenders[ru], i)
 		}
-		for ru, cs := range contenders {
+		for ru, cs := range p.contenders {
 			switch {
 			case len(cs) == 0:
 			case len(cs) == 1:
-				c := cs[0]
-				st := p.stations[c]
+				i := cs[0]
+				c, st := p.clients[i], &p.stations[i]
 				if ctx.RSSAtAP(c)-ctx.NoiseDBm >= floor {
-					v := uoraLayout.EncodeQueue(ctx.Queue(c))
-					res.Values[c] = v
-					reported[c] = true
+					p.reported[i] = true
 					st.ocw = p.cfg.OCWMin
 					st.obo = -1
-					emitReport(ctx, c, ru, v, true)
+					dst = append(dst, Report{Client: c, Subchannel: ru, Value: uoraLayout.EncodeQueue(ctx.Queue(c)), OK: true})
 				} else {
 					// The report was clean of collisions but below the decode
 					// floor: back off like a collision and retry.
 					p.backoff(ctx, st)
-					emitReport(ctx, c, ru, 0, false)
+					dst = append(dst, Report{Client: c, Subchannel: ru})
 				}
 			default:
 				// Collision: every contender loses, doubles its window and
 				// redraws.
-				res.Collisions += len(cs)
-				for _, c := range cs {
-					p.backoff(ctx, p.stations[c])
-					emitReport(ctx, c, ru, 0, false)
+				for _, i := range cs {
+					p.backoff(ctx, &p.stations[i])
+					dst = append(dst, Report{Client: p.clients[i], Subchannel: ru, Collided: true})
 				}
 			}
 		}
 	}
-	// Clients that never got a clean report through this cycle failed it;
-	// together with Values this partitions the assignment exactly once.
-	for _, c := range p.clients {
-		if !reported[c] {
-			res.Failed = append(res.Failed, c)
-		}
-	}
-	return res
+	return dst
 }
 
 // backoff applies the post-collision window doubling and redraw.

@@ -59,6 +59,13 @@ func TestBuildSchedulerByName(t *testing.T) {
 		if !slices.Equal(got[len(prefix):], slot) {
 			t.Errorf("%s: appended slot %v, fresh instance built %v", name, got[len(prefix):], slot)
 		}
+		// Once warm, a slot into a buffer with room allocates nothing, so
+		// a DOMINO run under any policy allocates nothing per slot.
+		s, dst := build(name), make([]int, 0, len(g.Links))
+		dst = s.AppendSlot(dst, backlog)
+		if allocs := testing.AllocsPerRun(100, func() { dst = s.AppendSlot(dst[:0], backlog) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocations per slot, want 0", name, allocs)
+		}
 	}
 }
 

@@ -7,7 +7,8 @@
 package strict
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/mac"
 	"repro/internal/phy"
@@ -143,35 +144,33 @@ func conflictsAny(g *topo.ConflictGraph, id int, slot []int) bool {
 // scheduler-independence.
 type LQF struct {
 	g *topo.ConflictGraph
+	// cands is AppendSlot's candidate buffer, reused slot to slot.
+	cands []lqfCand
 }
+
+// lqfCand is one backlogged link and its backlog.
+type lqfCand struct{ id, q int }
 
 // NewLQF builds the scheduler over a conflict graph.
 func NewLQF(g *topo.ConflictGraph) *LQF { return &LQF{g: g} }
 
 // AppendSlot implements Scheduler.
 func (l *LQF) AppendSlot(dst []int, backlog func(link int) int) []int {
-	type cand struct {
-		id int
-		q  int
-	}
-	var cands []cand
+	l.cands = l.cands[:0]
 	for id := range l.g.Links {
 		if q := backlog(id); q > 0 {
-			cands = append(cands, cand{id, q})
+			l.cands = append(l.cands, lqfCand{id, q})
 		}
 	}
-	if len(cands) == 0 {
+	if len(l.cands) == 0 {
 		return nil
 	}
 	// Longest queue first; ties by link ID for determinism.
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].q != cands[b].q {
-			return cands[a].q > cands[b].q
-		}
-		return cands[a].id < cands[b].id
+	slices.SortFunc(l.cands, func(a, b lqfCand) int {
+		return cmp.Or(cmp.Compare(b.q, a.q), cmp.Compare(a.id, b.id))
 	})
 	n := len(dst)
-	for _, c := range cands {
+	for _, c := range l.cands {
 		if !conflictsAny(l.g, c.id, dst[n:]) {
 			dst = append(dst, c.id)
 		}

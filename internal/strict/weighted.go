@@ -1,7 +1,8 @@
 package strict
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/topo"
 )
@@ -21,6 +22,14 @@ const weightedDecay = 0.9
 type Weighted struct {
 	g       *topo.ConflictGraph
 	service []float64
+	// cands is AppendSlot's candidate buffer, reused slot to slot.
+	cands []weightedCand
+}
+
+// weightedCand is one backlogged link, its backlog and its priority.
+type weightedCand struct {
+	id, q int
+	prio  float64
 }
 
 // NewWeighted builds the scheduler over a conflict graph.
@@ -30,31 +39,20 @@ func NewWeighted(g *topo.ConflictGraph) *Weighted {
 
 // AppendSlot implements Scheduler.
 func (w *Weighted) AppendSlot(dst []int, backlog func(link int) int) []int {
-	type cand struct {
-		id   int
-		q    int
-		prio float64
-	}
-	var cands []cand
+	w.cands = w.cands[:0]
 	for id := range w.g.Links {
 		if q := backlog(id); q > 0 {
-			cands = append(cands, cand{id, q, float64(q) / (1 + w.service[id])})
+			w.cands = append(w.cands, weightedCand{id, q, float64(q) / (1 + w.service[id])})
 		}
 	}
-	if len(cands) == 0 {
+	if len(w.cands) == 0 {
 		return nil
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].prio != cands[b].prio {
-			return cands[a].prio > cands[b].prio
-		}
-		if cands[a].q != cands[b].q {
-			return cands[a].q > cands[b].q
-		}
-		return cands[a].id < cands[b].id
+	slices.SortFunc(w.cands, func(a, b weightedCand) int {
+		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(b.q, a.q), cmp.Compare(a.id, b.id))
 	})
 	n := len(dst)
-	for _, c := range cands {
+	for _, c := range w.cands {
 		if !conflictsAny(w.g, c.id, dst[n:]) {
 			dst = append(dst, c.id)
 		}

@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench profile-fig14 profile-fig7 loc
+.PHONY: ci vet fmt specs build test examples trace-smoke race race-hot race-shard bench-smoke bench profile-fig14 profile-fig7 profile-tcp loc
 
 ci: vet fmt build test specs examples trace-smoke race race-hot race-shard bench-smoke
 
@@ -105,6 +105,19 @@ profile-fig14:
 profile-fig7:
 	@dir=$$(mktemp -d); set -e; \
 	$(GO) test -run '^$$' -bench '^BenchmarkFig7Saturated$$' -benchtime 1x -o $$dir/repro.test \
+		-cpuprofile $$dir/cpu.pprof -memprofile $$dir/mem.pprof -memprofilerate 4096 . ; \
+	$(GO) tool pprof -top -nodecount 30 $$dir/repro.test $$dir/cpu.pprof; \
+	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_objects $$dir/repro.test $$dir/mem.pprof; \
+	$(GO) tool pprof -top -nodecount 30 -sample_index inuse_space $$dir/repro.test $$dir/mem.pprof; \
+	echo "profiles in $$dir"
+
+# The same three tables for one BenchmarkT10x2TCP iteration (DOMINO, CENTAUR
+# and DCF on T(10,2) with TCP Reno at 10/4 Mbps for 10 s each, as the
+# t10x2-tcp workload runs them): the flows' ACKs, token clocks and timers
+# through the traffic, MAC and kernel layers.
+profile-tcp:
+	@dir=$$(mktemp -d); set -e; \
+	$(GO) test -run '^$$' -bench '^BenchmarkT10x2TCP$$' -benchtime 1x -o $$dir/repro.test \
 		-cpuprofile $$dir/cpu.pprof -memprofile $$dir/mem.pprof -memprofilerate 4096 . ; \
 	$(GO) tool pprof -top -nodecount 30 $$dir/repro.test $$dir/cpu.pprof; \
 	$(GO) tool pprof -top -nodecount 30 -sample_index alloc_objects $$dir/repro.test $$dir/mem.pprof; \

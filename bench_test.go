@@ -288,6 +288,29 @@ func BenchmarkFig7Saturated(b *testing.B) {
 	b.ReportMetric(agg, "domino-Mbps")
 }
 
+// BenchmarkT10x2TCP runs DOMINO, CENTAUR and DCF on the T(10,2) campus
+// network with TCP Reno at 10 Mbps down and 4 Mbps up for 10 simulated
+// seconds each, as the t10x2-tcp workload of bench/ does, and reports
+// DOMINO's data goodput over DCF's. ACKs on the reverse links and the
+// flows' token clocks and timers load the traffic, MAC and kernel layers
+// unlike UDP does (make profile-tcp).
+func BenchmarkT10x2TCP(b *testing.B) {
+	net := mustT10x2(b, 1)
+	var gain float64
+	for i := 0; i < b.N; i++ {
+		var data [3]float64
+		for j, s := range []core.Scheme{core.DOMINO, core.CENTAUR, core.DCF} {
+			data[j] = mustRun(b, core.Scenario{
+				Net: net, Downlink: true, Uplink: true,
+				Scheme: s, Traffic: core.TCP, DownMbps: 10, UpMbps: 4, Seed: int64(i + 1),
+				Duration: 10 * sim.Second, Warmup: 500 * sim.Millisecond,
+			}).DataMbps
+		}
+		gain = data[0] / data[2]
+	}
+	b.ReportMetric(gain, "domino/dcf")
+}
+
 // BenchmarkPollingSweep regenerates the §5 batch-size trade-off, reporting
 // the light-traffic delay growth from the smallest to the largest batch.
 func BenchmarkPollingSweep(b *testing.B) {

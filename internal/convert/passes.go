@@ -42,16 +42,27 @@ func (c *Converter) newSlot() RelSlot {
 
 // grow extends s by one element and returns it. When s has room the
 // element is the one already stored past its length, from a recycled slot,
-// whose own slices the caller reuses.
-func grow[T any](s []T) ([]T, *T) {
-	if len(s) < cap(s) {
-		s = s[:len(s)+1]
-	} else {
-		var zero T
-		s = append(s, zero)
+// whose own slices the caller reuses. When s must grow, every new element
+// gets an empty node list (*list) of capacity each, all carved out of one
+// block. The lists stay within the converter's bounds (MaxInbound triggers
+// per entry, MaxOutbound targets per broadcast), so filling them allocates
+// nothing more.
+func grow[T any](s []T, list func(*T) *[]phy.NodeID, each int) ([]T, *T) {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(2*cap(s), 4)), s...)
+		fresh := s[len(s):cap(s)]
+		block := make([]phy.NodeID, len(fresh)*each)
+		for i := range fresh {
+			*list(&fresh[i]) = block[i*each : i*each : (i+1)*each]
+		}
 	}
+	s = s[:len(s)+1]
 	return s, &s[len(s)-1]
 }
+
+// entryTriggers and broadcastTargets name the node lists grow sizes.
+func entryTriggers(e *Entry) *[]phy.NodeID        { return &e.TriggeredBy }
+func broadcastTargets(b *Broadcast) *[]phy.NodeID { return &b.Targets }
 
 // buildSlot expands a strict slot to a maximal cover with fake links,
 // scanning candidates from a rotating start for fairness, into the empty
@@ -75,7 +86,7 @@ func (c *Converter) buildSlot(dst *RelSlot, slot strict.Slot) {
 	}
 	for _, id := range cover {
 		var en *Entry
-		dst.Entries, en = grow(dst.Entries)
+		dst.Entries, en = grow(dst.Entries, entryTriggers, c.MaxInbound)
 		en.Link, en.Fake, en.TriggeredBy = c.G.Links[id], t.realStamp[id] != t.realEpoch, en.TriggeredBy[:0]
 	}
 }
@@ -220,7 +231,7 @@ func (c *Converter) assignTriggers(prev, next *RelSlot, st *Stats) {
 	prev.Broadcasts = prev.Broadcasts[:0]
 	for _, n := range touched {
 		var b *Broadcast
-		prev.Broadcasts, b = grow(prev.Broadcasts)
+		prev.Broadcasts, b = grow(prev.Broadcasts, broadcastTargets, c.MaxOutbound)
 		b.From, b.Targets = n, append(b.Targets[:0], targets[n]...)
 	}
 
@@ -320,15 +331,11 @@ func (c *Converter) addPollTrigger(slot *RelSlot, ap phy.NodeID, st *Stats) {
 		}
 	}
 	// Pick the strongest endpoint with spare outbound capacity.
-	load := map[phy.NodeID]int{}
-	for _, b := range slot.Broadcasts {
-		load[b.From] = len(b.Targets)
-	}
 	best := phy.NodeID(-1)
 	bestRSS := 0.0
 	for _, e := range slot.Entries {
-		for _, n := range []phy.NodeID{e.Link.Sender, e.Link.Receiver} {
-			if load[n] >= c.MaxOutbound {
+		for _, n := range [2]phy.NodeID{e.Link.Sender, e.Link.Receiver} {
+			if broadcastLoad(slot, n) >= c.MaxOutbound {
 				continue
 			}
 			rss := c.G.Net.RSS[n][ap]
@@ -357,7 +364,18 @@ func (c *Converter) addPollTrigger(slot *RelSlot, ap phy.NodeID, st *Stats) {
 		}
 	}
 	var b *Broadcast
-	slot.Broadcasts, b = grow(slot.Broadcasts)
+	slot.Broadcasts, b = grow(slot.Broadcasts, broadcastTargets, c.MaxOutbound)
 	b.From, b.Targets = best, append(b.Targets[:0], ap)
 	st.PollTriggers++
+}
+
+// broadcastLoad returns how many signatures n's end-of-slot broadcast in
+// slot carries (a node broadcasts at most once per slot).
+func broadcastLoad(slot *RelSlot, n phy.NodeID) int {
+	for _, b := range slot.Broadcasts {
+		if b.From == n {
+			return len(b.Targets)
+		}
+	}
+	return 0
 }

@@ -389,6 +389,9 @@ func (ap *apNode) checkPollSelf(idx int, slotStart sim.Time) {
 		c := ap.later(wait, (*apCall).arm)
 		c.act, c.t = ap.actions[0], ap.e.gapAfter(idx)
 		ap.actions = ap.actions[1:]
+		// Out of actions and not yet armed, the send's slot would be in
+		// no list the log floor reads: hold it until the call runs.
+		ap.armedSlots = append(ap.armedSlots, c.act.slot)
 	}
 }
 
@@ -399,10 +402,12 @@ func (c *apCall) poll() {
 	ap.doPoll(offset)
 }
 
-// arm arms act t after now (checkPollSelf).
+// arm arms act t after now (checkPollSelf), taking over the slot the
+// deferral held in armedSlots.
 func (c *apCall) arm() {
 	ap, next, gap := c.ap, c.act, c.t
 	c.free()
+	ap.disarm(next.slot)
 	ap.arm(next, gap)
 }
 

@@ -41,7 +41,8 @@ type Engine struct {
 	//     each other on the wire, but known never goes back: a dispatch that
 	//     arrives after a later batch's adds nothing, and one still on the
 	//     wire reads only slots from known on;
-	//   - every pending action and every armed transmission not yet fired
+	//   - every pending action, every armed transmission not yet fired and
+	//     every send a deferred arm call (checkPollSelf) will arm
 	//     (radio.armedSlots): send, scheduleSelfArm and doPoll read its slot;
 	//   - ptr−3 once the AP has acted (ptr > 0): findSlotFor searches
 	//     forward from ptr and back to ptr−3, and send and onSlot read their

@@ -82,9 +82,10 @@ type radio struct {
 
 	armed *armedTx
 	// armedSlots holds the slot of every armed transmission whose event has
-	// not fired yet: armed's, and one it was armed over (an AP's
-	// checkPollSelf arms without checking), which still fires. An AP's log
-	// floor counts them (Engine.log).
+	// not fired yet: armed's, one it was armed over (an AP's checkPollSelf
+	// arms without checking), which still fires, and one an AP's deferred
+	// arm call (checkPollSelf) will arm. An AP's log floor counts them
+	// (Engine.log).
 	armedSlots []int
 	armedFree  []*armedTx
 

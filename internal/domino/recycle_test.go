@@ -82,3 +82,28 @@ func TestRecycledStorageMatchesScribbled(t *testing.T) {
 		})
 	}
 }
+
+// TestDeferredArmHoldsLogFloor runs a random T(20,3) placement with 10/10
+// Mbps UDP to completion. In it an AP's poll of its own slot defers the arm
+// of its next send (checkPollSelf), the AP's schedule pointer moves on
+// while the call waits, and a slide would drop the send's slot, so the
+// send read below the log window and panicked, unless the deferred arm
+// holds its slot in the AP's floor.
+func TestDeferredArmHoldsLogFloor(t *testing.T) {
+	sp, err := spec.Parse([]byte(`{"scheme": "domino", "topology": {"kind": "random", "aps": 20, "clients": 3},
+		"seed": 107, "duration": "2s", "warmup": "300ms", "traffic": {"kind": "udp", "down_mbps": 10, "up_mbps": 10}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := core.BuildScenario(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.RunScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AggregateMbps <= 0 {
+		t.Errorf("aggregate throughput %v Mbps, want > 0", res.AggregateMbps)
+	}
+}

@@ -47,6 +47,7 @@ type event struct {
 	id        int32 // slot in the queue's registry (eventQueue.evs)
 	src       Source
 	cancelled bool
+	made      Time // the clock when At queued the event
 }
 
 // Event is a generation-checked handle to a scheduled callback, returned by
@@ -132,6 +133,7 @@ type Kernel struct {
 	stopped bool
 	fired   uint64
 	cur     Source // source of the currently executing event, inherited by new events
+	curMade Time   // when the currently executing event was scheduled (ScheduledAt)
 	hook    func(EventInfo)
 }
 
@@ -152,6 +154,13 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Fired returns the number of events executed so far, a cheap progress and
 // complexity metric for benchmarks.
 func (k *Kernel) Fired() uint64 { return k.fired }
+
+// ScheduledAt returns the instant at which the executing event was scheduled:
+// the clock when At or After queued it. Among events due at one instant
+// the kernel runs the earlier-scheduled first, so a caller can tell from it
+// whether an event it did not schedule, due at the same instant, precedes
+// the executing one.
+func (k *Kernel) ScheduledAt() Time { return k.curMade }
 
 // OnEvent installs hook to run before every event callback. A nil hook (the
 // default) costs a single branch on the event loop and zero allocations;
@@ -199,6 +208,7 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	ev := k.alloc()
 	ev.fn = fn
 	ev.src = k.cur
+	ev.made = k.now
 	k.q.push(hent{at: t, seq: k.seq, id: ev.id})
 	k.seq++
 	return Event{ev: ev, gen: ev.gen, at: t}
@@ -241,7 +251,7 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		}
 		k.now = at
 		k.fired++
-		k.cur = ev.src
+		k.cur, k.curMade = ev.src, ev.made
 		if k.hook != nil {
 			k.hook(EventInfo{Now: at, Fired: k.fired, Pending: k.Pending(), Source: ev.src})
 		}

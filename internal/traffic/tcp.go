@@ -35,10 +35,30 @@ func DefaultTCPConfig(rateMbps float64) TCPConfig {
 	}
 }
 
+// tokenCap caps a rate-capped flow's token bucket, so an idle
+// (cwnd-limited) application cannot burst unboundedly later.
+const tokenCap = 64
+
+// tickProbe, when set, sees every token tick: whether it raised the bucket
+// and how many segments it sent. Only tests set it.
+var tickProbe func(raised bool, sent uint64)
+
 // TCPFlow is a unidirectional Reno-style TCP connection: data segments on
 // DataLink, cumulative ACKs returned on AckLink. Sequence numbers count
 // segments, not bytes. The flow implements mac.Events and must be registered
 // in the engine's event mux.
+//
+// A rate-capped flow's application is a token clock on the grid
+// Start + m·interval (one segment interval): each tick adds a token, up to
+// tokenCap, and sends what the window and the tokens allow. A tick that
+// leaves the bucket full and the window closed parks the clock, for every
+// later tick would change nothing until the window moves. Only an ACK
+// (onAck) can open it or spend tokens: a timeout leaves a window of one
+// with a segment outstanding. An ACK ends by waking the clock if the
+// bucket is below its cap or the window is open: the next tick lands on
+// the same grid, at the first instant an always-running clock would not
+// have passed yet. Every tick that runs therefore fires at the instant it
+// always did, and every tick skipped is one that would have done nothing.
 type TCPFlow struct {
 	k      *sim.Kernel
 	engine mac.Engine
@@ -50,9 +70,8 @@ type TCPFlow struct {
 	// Sender state.
 	cwnd      float64
 	ssthresh  float64
-	nextSeq   uint64 // next fresh sequence to create
 	sndUna    uint64 // oldest unacknowledged
-	sndMax    uint64 // highest sent + 1
+	sndMax    uint64 // highest sent + 1, the next fresh sequence
 	dupAcks   int
 	recover   uint64
 	inFastRec bool
@@ -60,15 +79,26 @@ type TCPFlow struct {
 	rttvar    sim.Time
 	rto       sim.Time
 	rtoTimer  sim.Event
-	sendTime  map[uint64]sim.Time // for RTT sampling (Karn: fresh sends only)
+	// sendTime[seq&(len-1)] is segment seq's send time, for seq in
+	// [sndUna, sndMax), or noSample once it was retransmitted (Karn: fresh
+	// sends only). Its length is a power of two, doubled when the window
+	// outgrows it.
+	sendTime  []sim.Time
 	appTokens float64
+	// The token clock: interval is the segment interval, tick the next
+	// tick (not scheduled while parked) and lastTick the latest tick's
+	// instant.
+	interval, lastTick sim.Time
+	tick               sim.Event
 	// tokenFn and rtoFn are tokenTick and onRTO bound once, so re-arming
 	// the token clock or the RTO allocates no method value.
 	tokenFn, rtoFn func()
 
-	// Receiver state.
+	// Receiver state. outOfOrd[seq&(len-1)] marks segment seq received
+	// ahead of rcvNxt, for seq in (rcvNxt, rcvNxt+len); a power-of-two
+	// length, doubled as sendTime's is.
 	rcvNxt   uint64
-	outOfOrd map[uint64]bool
+	outOfOrd []bool
 
 	// Counters. Only tests read them.
 	Retransmits   int
@@ -97,34 +127,81 @@ func NewTCPFlow(k *sim.Kernel, e mac.Engine, id int, data, ack *topo.Link, cfg T
 		cwnd:     cfg.InitCwnd,
 		ssthresh: 64,
 		rto:      cfg.RTOMin + 800*sim.Millisecond,
-		sendTime: map[uint64]sim.Time{},
-		outOfOrd: map[uint64]bool{},
+		sendTime: make([]sim.Time, 16),
+		outOfOrd: make([]bool, 16),
+	}
+	if cfg.RateMbps > 0 {
+		// At least 1 ns: a rate so high that the interval rounds to zero
+		// would tick forever at one instant.
+		f.interval = max(1, sim.Time(float64(cfg.Bytes*8)/(cfg.RateMbps*1e6)*1e9))
 	}
 	f.tokenFn, f.rtoFn = f.tokenTick, f.onRTO
 	return f
 }
 
+// noSample marks a sendTime entry whose segment was retransmitted.
+const noSample sim.Time = -1
+
 // Start begins transmission; with a rate cap it also starts the token clock.
 func (f *TCPFlow) Start() {
 	if f.cfg.RateMbps > 0 {
 		f.appTokens = f.cfg.InitCwnd
-		f.k.After(f.tokenInterval(), f.tokenFn).SetSource(sim.SrcTraffic)
+		f.lastTick = f.k.Now()
+		f.tick = f.k.After(f.interval, f.tokenFn).SetSource(sim.SrcTraffic)
 	}
 	f.trySend()
 }
 
-func (f *TCPFlow) tokenInterval() sim.Time {
-	return sim.Time(float64(f.cfg.Bytes*8) / (f.cfg.RateMbps * 1e6) * 1e9)
-}
-
+// tokenTick is one tick of the token clock; it parks the clock when no
+// later tick could act (TCPFlow).
 func (f *TCPFlow) tokenTick() {
-	// Cap the token bucket so an idle (cwnd-limited) app cannot burst
-	// unboundedly later.
-	if f.appTokens < 64 {
+	f.lastTick = f.k.Now()
+	raised := f.appTokens < tokenCap
+	if raised {
 		f.appTokens++
 	}
+	sent := f.sndMax
 	f.trySend()
-	f.k.After(f.tokenInterval(), f.tokenFn)
+	if tickProbe != nil {
+		tickProbe(raised, f.sndMax-sent)
+	}
+	if !f.idle() {
+		f.tick = f.k.After(f.interval, f.tokenFn)
+	}
+}
+
+// idle reports whether a tick would change nothing: the bucket is full and
+// the window closed.
+func (f *TCPFlow) idle() bool {
+	return f.appTokens >= tokenCap && f.inflight() >= math.Floor(f.cwnd)
+}
+
+// wake restarts a parked token clock unless it is idle. The next tick is
+// the first grid instant lastTick + m·interval that an always-running
+// clock would not have passed. An instant equal to now counts as passed
+// when its tick would have run before the executing event: that tick
+// would have been scheduled at the grid instant before it, and the kernel
+// runs the earlier-scheduled of two events due at one instant first.
+//
+// The instant is exact; two orders within an instant are not. A restarted
+// tick runs after the events due at its instant that were scheduled since
+// the grid instant before it, which the always-running clock's tick
+// preceded. And an event scheduled exactly at the grid instant before
+// counts as not after it, though that instant's tick may have run first.
+// Either can change an outcome only when the tick sends at an instant an
+// event of the same link shares. The TCP goldens and the t10x2-tcp digests
+// of seeds 1-10 are unchanged, and in those runs no restart met the
+// second case.
+func (f *TCPFlow) wake() {
+	if f.cfg.RateMbps <= 0 || f.tick.Scheduled() || f.idle() {
+		return
+	}
+	now := f.k.Now()
+	next := now - (now-f.lastTick)%f.interval // the latest grid instant not after now
+	if next == f.lastTick || next < now || f.k.ScheduledAt() > next-f.interval {
+		next += f.interval
+	}
+	f.tick = f.k.At(next, f.tokenFn).SetSource(sim.SrcTraffic)
 }
 
 func (f *TCPFlow) inflight() float64 { return float64(f.sndMax - f.sndUna) }
@@ -136,10 +213,8 @@ func (f *TCPFlow) trySend() {
 		if f.cfg.RateMbps > 0 && f.appTokens < 1 {
 			return
 		}
-		seq := f.nextSeq
-		f.sendSegment(seq, true)
-		f.nextSeq++
-		f.sndMax = f.nextSeq
+		f.sendSegment(f.sndMax, true)
+		f.sndMax++
 		if f.cfg.RateMbps > 0 {
 			f.appTokens--
 		}
@@ -148,9 +223,12 @@ func (f *TCPFlow) trySend() {
 
 func (f *TCPFlow) sendSegment(seq uint64, fresh bool) {
 	if fresh {
-		f.sendTime[seq] = f.k.Now()
+		if seq-f.sndUna >= uint64(len(f.sendTime)) {
+			f.sendTime = regrow(f.sendTime, f.sndUna, seq)
+		}
+		f.sendTime[seq&uint64(len(f.sendTime)-1)] = f.k.Now()
 	} else {
-		delete(f.sendTime, seq) // Karn: never sample a retransmitted segment
+		f.sendTime[seq&uint64(len(f.sendTime)-1)] = noSample // Karn: never sample a retransmitted segment
 		f.Retransmits++
 	}
 	f.engine.Enqueue(mac.Packet{
@@ -189,6 +267,8 @@ func (f *TCPFlow) onRTO() {
 	if max := 10 * sim.Second; f.rto > max {
 		f.rto = max
 	}
+	// A window of one with a segment outstanding is closed, so a parked
+	// clock, whose bucket is full, stays parked.
 	f.sendSegment(f.sndUna, false)
 }
 
@@ -216,12 +296,14 @@ func (f *TCPFlow) onData(p *mac.Packet, now sim.Time) {
 	switch seq := uint64(p.Seq); {
 	case seq == f.rcvNxt:
 		f.rcvNxt++
-		for f.outOfOrd[f.rcvNxt] {
-			delete(f.outOfOrd, f.rcvNxt)
-			f.rcvNxt++
+		for m := uint64(len(f.outOfOrd) - 1); f.outOfOrd[f.rcvNxt&m]; f.rcvNxt++ {
+			f.outOfOrd[f.rcvNxt&m] = false
 		}
 	case seq > f.rcvNxt:
-		f.outOfOrd[seq] = true
+		if seq-f.rcvNxt >= uint64(len(f.outOfOrd)) {
+			f.outOfOrd = regrow(f.outOfOrd, f.rcvNxt, seq)
+		}
+		f.outOfOrd[seq&uint64(len(f.outOfOrd)-1)] = true
 	}
 	f.engine.Enqueue(mac.Packet{
 		Link:     int32(f.ack.ID),
@@ -241,11 +323,8 @@ func (f *TCPFlow) onAck(p *mac.Packet, now sim.Time) {
 	case ack > f.sndUna:
 		newly := ack - f.sndUna
 		f.AckedSegments += newly
-		if t, ok := f.sendTime[ack-1]; ok {
+		if t := f.sendTime[(ack-1)&uint64(len(f.sendTime)-1)]; t != noSample {
 			f.sampleRTT(now - t)
-		}
-		for s := f.sndUna; s < ack; s++ {
-			delete(f.sendTime, s)
 		}
 		f.sndUna = ack
 		f.dupAcks = 0
@@ -283,6 +362,23 @@ func (f *TCPFlow) onAck(p *mac.Packet, now sim.Time) {
 			f.trySend()
 		}
 	}
+	f.wake()
+}
+
+// regrow returns ring, a power-of-two ring indexed by sequence number whose
+// window starts at from, doubled until the window holds upTo too. The
+// entries of the old window, [from, from+len(ring)), keep their sequence
+// numbers; the rest are zero.
+func regrow[T any](ring []T, from, upTo uint64) []T {
+	n := 2 * len(ring)
+	for upTo-from >= uint64(n) {
+		n *= 2
+	}
+	grown := make([]T, n)
+	for s := from; s < from+uint64(len(ring)); s++ {
+		grown[s&uint64(n-1)] = ring[s&uint64(len(ring)-1)]
+	}
+	return grown
 }
 
 // sampleRTT updates srtt/rttvar/rto per RFC 6298.
